@@ -18,8 +18,10 @@
 // promote), and connect failures seen while proxying count as failed
 // probes, so a dead replica leaves the ring within a probe or two.
 // Idempotent GETs are retried once on a distinct replica after a
-// connect failure or 503; requests past -max-inflight, or arriving
-// while no replica is live, are shed with 503 + Retry-After. The
+// connect failure or 503; requests past -max-inflight are shed with
+// 503 and the same pressure-scaled Retry-After the replicas use (1s,
+// growing with the shed streak, capped at 60s), and requests arriving
+// while no replica is live are refused with 503 + Retry-After: 1. The
 // gateway never rewrites replica answers — fingerprint-scoped ETags
 // are identical across replicas of one world, which keeps 200/304
 // revalidation coherent no matter which replica answers — and a
@@ -34,8 +36,13 @@
 // Every proxied request carries a W3C traceparent (honored or minted),
 // echoed downstream and back, so one trace ID correlates the load
 // generator, the gateway access log, and the owning replica's access
-// log. With -admin the usual observability endpoint serves /metrics
-// (per-replica RED series, ring gauges), /healthz, and pprof.
+// log. Every exit — sheds, 405s, no-replica refusals, 404s and
+// snapshot relays included — is counted in
+// cluster_gateway_requests_total{route,code}, timed in
+// cluster_gateway_request_duration_seconds{route}, and reaches the
+// sampled access log. With -admin the usual observability endpoint
+// serves /metrics (those per-route series, the per-replica
+// cluster_proxy_* series, ring gauges), /healthz, and pprof.
 package main
 
 import (

@@ -47,8 +47,8 @@
 // SIGINT/SIGTERM drain in-flight requests for up to -drain before
 // force-closing; a second signal kills the process via the restored
 // default handler. With -admin ADDR the observability endpoint serves
-// /metrics (request latency per route, RED summaries, runtime gauges,
-// GC pause quantiles), /healthz (snapshot publication state),
+// /metrics (per-route RED counters and latency summaries, runtime
+// gauges, GC pause quantiles), /healthz (snapshot publication state),
 // /debug/pprof/, /debug/trace (the span tree) and /debug/latency
 // (live p50/p90/p99/p99.9 per route).
 package main

@@ -2,6 +2,7 @@ package manrsmeter
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -131,7 +132,10 @@ func TestPropagateGoldenDigest(t *testing.T) {
 
 	digests := make(map[int]uint64)
 	for _, workers := range []int{1, 3, 8} {
-		trees := g.PropagateBatch(reqs, workers)
+		trees, err := g.PropagateBatchCtx(context.Background(), reqs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		digests[workers] = propagationDigest(g, trees)
 	}
 	if digests[3] != digests[1] || digests[8] != digests[1] {

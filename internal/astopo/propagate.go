@@ -281,7 +281,7 @@ func (g *Graph) Propagate(prefix netx.Prefix, origin uint32, filter ImportFilter
 	return p.Propagate(prefix, origin, filter)
 }
 
-// PropagateRequest is one unit of PropagateBatch work: flood (Prefix,
+// PropagateRequest is one unit of PropagateBatchCtx work: flood (Prefix,
 // Origin) under Filter.
 type PropagateRequest struct {
 	Prefix netx.Prefix
@@ -289,28 +289,16 @@ type PropagateRequest struct {
 	Filter ImportFilter
 }
 
-// PropagateBatch propagates every request across a pool of workers
+// PropagateBatchCtx propagates every request across a pool of workers
 // (≤ 0 means one per CPU) and returns the route trees in request order,
 // so results are deterministic regardless of the worker count. Each
 // propagation is independent; filters are called concurrently and must
 // be safe for concurrent use (pure functions over immutable state, as
-// all filters in this repository are).
-func (g *Graph) PropagateBatch(reqs []PropagateRequest, workers int) []*RouteTree {
-	trees, err := g.PropagateBatchCtx(context.Background(), reqs, workers)
-	if err != nil {
-		// Background context never cancels, so the only possible error is
-		// a recovered propagation panic; re-raise it to preserve the
-		// historical contract of this infallible entry point.
-		panic(err)
-	}
-	return trees
-}
-
-// PropagateBatchCtx is PropagateBatch with cancellation and panic
-// isolation: workers stop picking up new requests once ctx is done, and
-// a panic inside one propagation is returned as a *parallel.PanicError
-// instead of crashing the process. On error the returned slice is nil —
-// partially filled trees are never exposed.
+// all filters in this repository are). Workers stop picking up new
+// requests once ctx is done, and a panic inside one propagation is
+// returned as a *parallel.PanicError instead of crashing the process.
+// On error the returned slice is nil — partially filled trees are never
+// exposed.
 func (g *Graph) PropagateBatchCtx(ctx context.Context, reqs []PropagateRequest, workers int) ([]*RouteTree, error) {
 	trees := make([]*RouteTree, len(reqs))
 	if len(reqs) == 0 {

@@ -1,6 +1,7 @@
 package astopo
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -37,7 +38,10 @@ func TestPropagateBatchMatchesSequential(t *testing.T) {
 	g := diamond(t)
 	reqs := batchRequests(t, g)
 	for _, workers := range []int{1, 2, 8, 0} {
-		trees := g.PropagateBatch(reqs, workers)
+		trees, err := g.PropagateBatchCtx(context.Background(), reqs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(trees) != len(reqs) {
 			t.Fatalf("workers=%d: %d trees for %d requests", workers, len(trees), len(reqs))
 		}

@@ -1,10 +1,10 @@
 // gateway.go is the stateless consistent-hash gateway in front of the
-// manrsd replica fleet. Request flow: admission (bounded in-flight,
-// 503 + Retry-After past the limit), trace correlation (the client's
-// W3C traceparent is honored or minted, forwarded to the replica, and
-// echoed back, so one trace ID spans loadgen → gateway → replica
-// access logs), shard-key extraction (ASN or prefix from the /v1
-// path), rendezvous routing over the live member set, one retry of the
+// manrsd replica fleet. Request flow: the shared obsv.Front (trace
+// correlation, admission, deadline, RED/access-log emission — the same
+// front the replicas use; the trace context is forwarded to the
+// replica, so one trace ID spans loadgen → gateway → replica access
+// logs), shard-key extraction (ASN or prefix from the /v1 path),
+// rendezvous routing over the live member set, one retry of the
 // idempotent GET on the next-ranked distinct replica after a connect
 // failure or 503 (never after the deadline expired), and response
 // relay preserving the replica's ETag/304 semantics — fingerprint-
@@ -22,13 +22,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"manrsmeter/internal/obsv"
@@ -70,11 +68,12 @@ type GatewayOptions struct {
 // Gateway proxies /v1 queries across the replica fleet. Construct with
 // NewGateway, serve with Listen or the Handler, stop with Shutdown.
 type Gateway struct {
+	obsv.HTTPServer
 	ring    *Ring
 	members *Membership
 	opts    GatewayOptions
 	client  *http.Client
-	sem     chan struct{}
+	front   *obsv.Front
 
 	// versions maps date key → last snapshot version seen, the
 	// cross-replica coherence check.
@@ -82,20 +81,11 @@ type Gateway struct {
 	versions map[string]string
 	verOrder []string
 
-	logSeq atomic.Uint64
-
 	met gatewayMetrics
-
-	srvMu  sync.Mutex
-	srv    *http.Server
-	ln     net.Listener
-	closed bool
 }
 
 type gatewayMetrics struct {
 	reg       *obsv.Registry
-	inflight  *obsv.Gauge
-	shed      *obsv.Counter
 	noReplica *obsv.Counter
 	retries   *obsv.Counter
 	mismatch  *obsv.Counter
@@ -130,13 +120,19 @@ func NewGateway(members *Membership, opts GatewayOptions) *Gateway {
 		members:  members,
 		opts:     opts,
 		client:   client,
-		sem:      make(chan struct{}, opts.MaxInFlight),
 		versions: make(map[string]string),
+		front: obsv.NewFront(obsv.FrontOptions{
+			Prefix:          "cluster_gateway",
+			Msg:             "proxy",
+			Extra:           []any{"replica", "", "retried", false},
+			MaxInFlight:     opts.MaxInFlight,
+			RequestTimeout:  opts.RequestTimeout,
+			Registry:        reg,
+			AccessLog:       opts.AccessLog,
+			AccessLogSample: opts.AccessLogSample,
+		}),
 		met: gatewayMetrics{
-			reg:      reg,
-			inflight: reg.Gauge("cluster_gateway_inflight_requests", "requests currently being proxied"),
-			shed: reg.Counter("cluster_gateway_shed_total",
-				"requests shed with 503 at the gateway admission limit"),
+			reg: reg,
 			noReplica: reg.Counter("cluster_gateway_no_replica_total",
 				"requests refused because no live replica was in the ring"),
 			retries: reg.Counter("cluster_gateway_retries_total",
@@ -166,19 +162,6 @@ func shardKey(path string) string {
 	}
 }
 
-// globalRand adapts the locked math/rand source for trace minting.
-type globalRand struct{}
-
-func (globalRand) Uint64() uint64 { return rand.Uint64() }
-
-// traceFor extracts or mints the request's W3C trace context.
-func traceFor(r *http.Request) obsv.TraceContext {
-	if tc, ok := obsv.ParseTraceParent(r.Header.Get("traceparent")); ok {
-		return tc
-	}
-	return obsv.MakeTraceContext(globalRand{})
-}
-
 // Handler returns the gateway mux.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -200,14 +183,18 @@ func (g *Gateway) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /cluster/ring", g.ringState)
-	mux.HandleFunc("GET /cluster/snapshot", g.relaySnapshot)
+	relay := g.front.Route("snapshot", g.relaySnapshot)
+	mux.HandleFunc("GET /cluster/snapshot", relay)
 	// Alias: a replica pointed at the gateway with -peers uses the same
 	// /peer/snapshot path it would use against a sibling replica.
-	mux.HandleFunc("GET /peer/snapshot", g.relaySnapshot)
-	mux.HandleFunc("/v1/", g.proxy)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "unknown path")
-	})
+	mux.HandleFunc("GET /peer/snapshot", relay)
+	mux.HandleFunc("/v1/", g.front.Route("proxy", g.proxy))
+	// Unknown paths collapse into one bounded label set, as on the
+	// replicas; the full path still reaches the access log.
+	mux.HandleFunc("/", g.front.Route("other",
+		func(ctx context.Context, w http.ResponseWriter, r *http.Request, rq *obsv.Request) {
+			rq.Error(w, http.StatusNotFound, "unknown path")
+		}))
 	return mux
 }
 
@@ -234,14 +221,12 @@ func (g *Gateway) ringState(w http.ResponseWriter, r *http.Request) {
 // protocol: it streams /peer/snapshot from the first live replica that
 // answers, so a booting replica needs only the gateway address to
 // catch up with the fleet (see serve.Store.SyncFrom).
-func (g *Gateway) relaySnapshot(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) relaySnapshot(ctx context.Context, w http.ResponseWriter, r *http.Request, rq *obsv.Request) {
 	live := g.ring.Owners("peer/snapshot", g.ring.Len())
 	if len(live) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live replicas")
+		g.noReplica(w, rq)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.opts.RequestTimeout)
-	defer cancel()
 	var lastErr error
 	for _, rep := range live {
 		url := rep + "/peer/snapshot"
@@ -253,7 +238,7 @@ func (g *Gateway) relaySnapshot(w http.ResponseWriter, r *http.Request) {
 			lastErr = err
 			continue
 		}
-		req.Header.Set("traceparent", traceFor(r).String())
+		req.Header.Set("traceparent", rq.Trace.String())
 		resp, err := g.client.Do(req)
 		if err != nil {
 			g.members.Observe(rep, false)
@@ -271,9 +256,20 @@ func (g *Gateway) relaySnapshot(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = io.Copy(w, resp.Body)
 		resp.Body.Close()
+		rq.Code, rq.Snapshot = http.StatusOK, resp.Header.Get("X-MANRS-Snapshot")
+		rq.Set("replica", rep)
 		return
 	}
-	writeError(w, http.StatusBadGateway, fmt.Sprintf("no replica could serve the snapshot: %v", lastErr))
+	rq.Outcome = "upstream_error"
+	rq.Error(w, http.StatusBadGateway, fmt.Sprintf("no replica could serve the snapshot: %v", lastErr))
+}
+
+// noReplica refuses a request that found the ring empty.
+func (g *Gateway) noReplica(w http.ResponseWriter, rq *obsv.Request) {
+	g.met.noReplica.Inc()
+	rq.Outcome = "no_replica"
+	w.Header().Set("Retry-After", "1")
+	rq.Error(w, http.StatusServiceUnavailable, "no live replicas")
 }
 
 // relayedHeaders are the response headers the gateway preserves from
@@ -292,56 +288,23 @@ func copyHeader(dst, src http.Header, keys ...string) {
 }
 
 // proxy is the /v1 forwarding path.
-func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Request, rq *obsv.Request) {
 	start := time.Now()
-	tc := traceFor(r)
-	w.Header().Set("Traceparent", tc.String())
-
-	rec := proxyRecord{path: r.URL.Path, trace: tc, outcome: "ok"}
-	defer func() {
-		rec.wall = time.Since(start)
-		g.record(rec)
-	}()
-
 	// Only idempotent reads are proxied: the replicas expose a
 	// read-only query surface, and the retry policy below is only safe
 	// for requests with no side effects.
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		rec.code, rec.outcome = http.StatusMethodNotAllowed, "error"
-		writeError(w, http.StatusMethodNotAllowed, "only GET is proxied")
+		rq.Error(w, http.StatusMethodNotAllowed, "only GET is proxied")
 		return
 	}
 
-	// Admission: the gateway sheds before its own resources saturate,
-	// so overload on the surviving replicas surfaces as fast 503s, not
-	// as queueing collapse.
-	select {
-	case g.sem <- struct{}{}:
-	default:
-		g.met.shed.Inc()
-		rec.code, rec.outcome = http.StatusServiceUnavailable, "shed"
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "gateway overloaded, retry later")
-		return
-	}
-	defer func() { <-g.sem }()
-	g.met.inflight.Inc()
-	defer g.met.inflight.Dec()
-
-	key := shardKey(r.URL.Path)
-	owners := g.ring.Owners(key, 2)
+	owners := g.ring.Owners(shardKey(r.URL.Path), 2)
 	if len(owners) == 0 {
-		g.met.noReplica.Inc()
-		rec.code, rec.outcome = http.StatusServiceUnavailable, "no_replica"
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "no live replicas")
+		g.noReplica(w, rq)
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), g.opts.RequestTimeout)
-	defer cancel()
-
-	resp, replica, err := g.forward(ctx, r, tc, owners[0])
+	resp, replica, err := g.forward(ctx, r, rq.Trace, owners[0])
 	if retryable(resp, err) && len(owners) > 1 && ctx.Err() == nil {
 		// One retry, on a distinct replica: a connect failure or a 503
 		// from the primary says nothing about its sibling. Never more
@@ -352,20 +315,19 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 		}
 		g.met.retries.Inc()
-		rec.retried = true
+		rq.Set("retried", true)
 		g.logf("cluster: retrying %s on %s after %s", r.URL.Path, owners[1], describeFailure(resp, err))
-		resp, replica, err = g.forward(ctx, r, tc, owners[1])
+		resp, replica, err = g.forward(ctx, r, rq.Trace, owners[1])
 	}
-	rec.replica = replica
+	rq.Set("replica", replica)
 	if err != nil {
 		code := http.StatusBadGateway
-		outcome := "upstream_error"
+		rq.Outcome = "upstream_error"
 		if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-			code, outcome = http.StatusGatewayTimeout, "timeout"
+			code, rq.Outcome = http.StatusGatewayTimeout, "timeout"
 		}
-		rec.code, rec.outcome = code, outcome
 		g.observeUpstream(replica, code, time.Since(start))
-		writeError(w, code, fmt.Sprintf("replica %s: %v", replica, err))
+		rq.Error(w, code, fmt.Sprintf("replica %s: %v", replica, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -376,13 +338,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-MANRS-Replica", replica)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-	rec.code = resp.StatusCode
-	rec.snapshot = resp.Header.Get("X-MANRS-Snapshot")
-	if resp.StatusCode == http.StatusNotModified {
-		rec.outcome = "not_modified"
-	} else if resp.StatusCode >= 400 {
-		rec.outcome = "error"
-	}
+	rq.Code, rq.Snapshot = resp.StatusCode, resp.Header.Get("X-MANRS-Snapshot")
 	g.observeUpstream(replica, resp.StatusCode, time.Since(start))
 }
 
@@ -480,95 +436,14 @@ func (g *Gateway) observeUpstream(replica string, code int, wall time.Duration) 
 		"replica", replica).Observe(wall.Seconds())
 }
 
-// proxyRecord is one proxied request's contribution to the access log.
-type proxyRecord struct {
-	path     string
-	replica  string
-	code     int
-	trace    obsv.TraceContext
-	snapshot string
-	outcome  string
-	retried  bool
-	wall     time.Duration
-}
-
-// record writes the sampled access log (errors always log).
-func (g *Gateway) record(rec proxyRecord) {
-	if g.opts.AccessLog == nil {
-		return
-	}
-	n := g.logSeq.Add(1)
-	if rec.code < 500 && g.opts.AccessLogSample > 1 && n%uint64(g.opts.AccessLogSample) != 1 {
-		return
-	}
-	g.opts.AccessLog.Info("proxy",
-		"trace", rec.trace.TraceIDString(),
-		"path", rec.path,
-		"replica", rec.replica,
-		"status", rec.code,
-		"dur_us", rec.wall.Microseconds(),
-		"snapshot", rec.snapshot,
-		"outcome", rec.outcome,
-		"retried", rec.retried,
-	)
-}
-
 func (g *Gateway) logf(format string, args ...any) {
 	if g.opts.Logf != nil {
 		g.opts.Logf(format, args...)
 	}
 }
 
-// writeError renders the same JSON error envelope the replicas use.
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\"error\": %q, \"status\": %d}\n", msg, code)
-}
-
 // Listen binds addr (":0" for an ephemeral port), starts serving in
 // the background, and returns the bound address.
 func (g *Gateway) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	g.srvMu.Lock()
-	defer g.srvMu.Unlock()
-	if g.closed {
-		ln.Close()
-		return nil, fmt.Errorf("cluster: gateway closed")
-	}
-	if g.srv != nil {
-		ln.Close()
-		return nil, fmt.Errorf("cluster: gateway already serving")
-	}
-	g.ln = ln
-	g.srv = &http.Server{
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	srv := g.srv
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			g.logf("cluster: gateway listener: %v", err)
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-// Shutdown gracefully drains the gateway.
-func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.srvMu.Lock()
-	srv := g.srv
-	g.closed = true
-	g.srvMu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		_ = srv.Close()
-		return err
-	}
-	return nil
+	return g.HTTPServer.Listen(addr, "cluster: gateway", g.Handler(), g.opts.Logf)
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -153,7 +155,7 @@ func TestGatewayStickyRouting(t *testing.T) {
 // else is refused at the gateway, never forwarded.
 func TestGatewayOnlyIdempotent(t *testing.T) {
 	a := newStubReplica(t, "v@2026-08-07")
-	gw, _, _ := newTestGateway(t, []string{a.url()}, GatewayOptions{})
+	gw, _, reg := newTestGateway(t, []string{a.url()}, GatewayOptions{})
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/stats", strings.NewReader("{}"))
 	rec := httptest.NewRecorder()
@@ -161,42 +163,11 @@ func TestGatewayOnlyIdempotent(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /v1/stats = %d, want 405", rec.Code)
 	}
+	if reg.Value("cluster_gateway_requests_total", "route", "proxy", "code", "405") != 1 || rec.Header().Get("Traceparent") == "" {
+		t.Error("405 refusal left no RED count or echoed no traceparent")
+	}
 	if paths, _ := a.seen(); len(paths) != 0 {
 		t.Errorf("POST reached the replica: %v", paths)
-	}
-}
-
-// TestGatewayShed: past MaxInFlight the gateway answers 503 +
-// Retry-After immediately instead of queueing.
-func TestGatewayShed(t *testing.T) {
-	a := newStubReplica(t, "v@2026-08-07")
-	a.block = make(chan struct{})
-	gw, _, reg := newTestGateway(t, []string{a.url()}, GatewayOptions{MaxInFlight: 1})
-
-	done := make(chan int)
-	go func() {
-		rec := gwGet(gw, "/v1/stats", nil)
-		done <- rec.Code
-	}()
-	// Wait until the in-flight request holds the admission slot.
-	for {
-		if paths, _ := a.seen(); len(paths) > 0 {
-			break
-		}
-	}
-	rec := gwGet(gw, "/v1/stats", nil)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("second request = %d, want 503 shed", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("shed 503 missing Retry-After")
-	}
-	if reg.Value("cluster_gateway_shed_total") != 1 {
-		t.Errorf("shed counter = %d, want 1", reg.Value("cluster_gateway_shed_total"))
-	}
-	close(a.block)
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("blocked request finished %d, want 200", code)
 	}
 }
 
@@ -295,6 +266,9 @@ func TestGatewayNoLiveReplicas(t *testing.T) {
 	if reg.Value("cluster_gateway_no_replica_total") != 1 {
 		t.Errorf("no_replica counter = %d, want 1", reg.Value("cluster_gateway_no_replica_total"))
 	}
+	if reg.Value("cluster_gateway_requests_total", "route", "proxy", "code", "503") != 1 || rec.Header().Get("Traceparent") == "" {
+		t.Error("no-replica refusal left no RED count or echoed no traceparent")
+	}
 	if rec := gwGet(gw, "/healthz", nil); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("/healthz = %d, want 503 with no live replicas", rec.Code)
 	}
@@ -304,7 +278,8 @@ func TestGatewayNoLiveReplicas(t *testing.T) {
 }
 
 // TestGatewayTraceparent: a client trace ID is propagated to the
-// replica and echoed in the response; an absent one is minted.
+// replica (echo and minting are the shared front's contract, pinned
+// for both front ends by serve.TestFrontContract).
 func TestGatewayTraceparent(t *testing.T) {
 	a := newStubReplica(t, "v@2026-08-07")
 	gw, _, _ := newTestGateway(t, []string{a.url()}, GatewayOptions{})
@@ -314,19 +289,9 @@ func TestGatewayTraceparent(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET = %d", rec.Code)
 	}
-	echoed, ok := obsv.ParseTraceParent(rec.Header().Get("Traceparent"))
-	if !ok || echoed.TraceIDString() != "0123456789abcdef0123456789abcdef" {
-		t.Errorf("response traceparent %q does not carry the client trace ID", rec.Header().Get("Traceparent"))
-	}
 	_, traces := a.seen()
 	if len(traces) != 1 || traces[0] != "0123456789abcdef0123456789abcdef" {
 		t.Errorf("replica saw traces %v, want the client's", traces)
-	}
-
-	rec = gwGet(gw, "/v1/stats", nil)
-	minted, ok := obsv.ParseTraceParent(rec.Header().Get("Traceparent"))
-	if !ok || minted.TraceIDString() == "0123456789abcdef0123456789abcdef" {
-		t.Errorf("no traceparent minted for a bare request: %q", rec.Header().Get("Traceparent"))
 	}
 }
 
@@ -359,7 +324,7 @@ func TestGatewayVersionMismatch(t *testing.T) {
 // replica's archive under both its canonical and aliased paths.
 func TestGatewayRelaySnapshot(t *testing.T) {
 	a := newStubReplica(t, "v@2026-08-07")
-	gw, _, _ := newTestGateway(t, []string{a.url()}, GatewayOptions{})
+	gw, _, reg := newTestGateway(t, []string{a.url()}, GatewayOptions{})
 
 	for _, path := range []string{"/cluster/snapshot", "/peer/snapshot"} {
 		rec := gwGet(gw, path+"?date=2026-08-07", nil)
@@ -375,5 +340,38 @@ func TestGatewayRelaySnapshot(t *testing.T) {
 		if rec.Header().Get("X-MANRS-Replica") != a.url() {
 			t.Errorf("GET %s lost the serving-replica header", path)
 		}
+	}
+	if got := reg.Value("cluster_gateway_requests_total", "route", "snapshot", "code", "200"); got != 2 {
+		t.Errorf(`relays counted under route="snapshot" = %d, want 2`, got)
+	}
+}
+
+// failingTransport fails every upstream attempt with a fixed error.
+type failingTransport struct{ err error }
+
+func (f failingTransport) RoundTrip(*http.Request) (*http.Response, error) { return nil, f.err }
+
+// TestGatewayErrorEnvelopeIsJSON: an upstream error string carrying
+// control bytes and invalid UTF-8 must still reach the client as a
+// parseable JSON envelope (fmt %q would emit \x00 / \xff, which JSON
+// forbids).
+func TestGatewayErrorEnvelopeIsJSON(t *testing.T) {
+	a := newStubReplica(t, "v@2026-08-07")
+	gw, _, _ := newTestGateway(t, []string{a.url()}, GatewayOptions{
+		Client: &http.Client{Transport: failingTransport{errors.New("dial: bad peer \x00\x1f \xff\xfe")}},
+	})
+	rec := gwGet(gw, "/v1/stats", nil)
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("GET = %d, want 502", rec.Code)
+	}
+	var env struct {
+		Error  string `json:"error"`
+		Status int    `json:"status"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("error body is not JSON: %v\n%q", err, rec.Body.String())
+	}
+	if env.Status != http.StatusBadGateway || !strings.Contains(env.Error, "bad peer") {
+		t.Errorf("envelope = %+v, want status 502 and the upstream message", env)
 	}
 }

@@ -1,16 +1,12 @@
 package obsv
 
 import (
-	"context"
 	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sort"
-	"sync"
-	"time"
 )
 
 // Health is the answer to an admin /healthz probe. Detail keys render
@@ -30,10 +26,13 @@ type Health struct {
 //	/debug/trace    the Tracer's span tree, when a tracer is attached
 //	/debug/latency  live p50/p90/p99/p999 of every registered summary
 //
-// Configure the exported fields before Listen. The endpoint carries no
-// authentication — bind it to loopback (or a trusted management
-// network) only; see DESIGN.md "Observability".
+// Configure the exported fields before Listen; Addr and Shutdown come
+// from the embedded lifecycle. The endpoint carries no authentication —
+// bind it to loopback (or a trusted management network) only; see
+// DESIGN.md "Observability".
 type Admin struct {
+	HTTPServer
+
 	// Registry is the metrics source; nil means the Default registry.
 	Registry *Registry
 	// Healthz computes the health verdict; nil means always healthy.
@@ -42,11 +41,6 @@ type Admin struct {
 	Tracer *Tracer
 	// Logf, when set, receives operational events (serve errors).
 	Logf func(format string, args ...any)
-
-	mu     sync.Mutex
-	srv    *http.Server
-	ln     net.Listener
-	closed bool
 }
 
 // registry resolves the effective metrics source.
@@ -121,86 +115,5 @@ func (a *Admin) Handler() http.Handler {
 // Listen binds addr (":0" for an ephemeral port), starts serving in
 // the background, and returns the bound address.
 func (a *Admin) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.Serve(ln); err != nil {
-		ln.Close()
-		return nil, err
-	}
-	return ln.Addr(), nil
-}
-
-// Serve starts answering admin requests from ln in the background.
-func (a *Admin) Serve(ln net.Listener) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
-		return fmt.Errorf("obsv: admin endpoint closed")
-	}
-	if a.srv != nil {
-		return fmt.Errorf("obsv: admin endpoint already serving")
-	}
-	a.ln = ln
-	a.srv = &http.Server{
-		Handler:           a.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	srv := a.srv
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			if a.Logf != nil {
-				a.Logf("obsv: admin serve: %v", err)
-			}
-		}
-	}()
-	return nil
-}
-
-// Addr returns the bound address (nil before Listen).
-func (a *Admin) Addr() net.Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.ln == nil {
-		return nil
-	}
-	return a.ln.Addr()
-}
-
-// Shutdown gracefully stops the endpoint: no new connections, in-
-// flight requests drain until ctx expires, then remaining connections
-// are force-closed. Safe to call without a prior Listen.
-func (a *Admin) Shutdown(ctx context.Context) error {
-	a.mu.Lock()
-	srv := a.srv
-	a.closed = true
-	a.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		_ = srv.Close()
-		return err
-	}
-	return nil
-}
-
-// Serve is the one-call convenience the daemons use behind -admin: it
-// builds an Admin over the Default registry, binds addr, and returns
-// the endpoint and its bound address. Operational events (serve
-// errors) go to stderr as structured component=admin records.
-func Serve(addr string, healthz func() Health) (*Admin, net.Addr, error) {
-	adminLog := NewLogger(os.Stderr, LevelInfo).With("admin")
-	a := &Admin{
-		Healthz: healthz,
-		Logf: func(format string, args ...any) {
-			adminLog.Error(fmt.Sprintf(format, args...))
-		},
-	}
-	bound, err := a.Listen(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, bound, nil
+	return a.HTTPServer.Listen(addr, "obsv: admin endpoint", a.Handler(), a.Logf)
 }

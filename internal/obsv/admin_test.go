@@ -113,9 +113,10 @@ func TestAdminShutdownGraceful(t *testing.T) {
 	}
 }
 
-func TestServeConvenienceUsesDefaultRegistry(t *testing.T) {
+func TestZeroAdminUsesDefaultRegistry(t *testing.T) {
 	NewCounter("obsv_test_default_total", "registered on Default").Add(4)
-	a, addr, err := Serve("127.0.0.1:0", nil)
+	a := &Admin{}
+	addr, err := a.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // call registers the flag, one call after flag.Parse serves the
 // endpoint (a no-op when the flag was left empty), and one deferred
 // call drains it at shutdown. It replaces the copy-pasted flag +
-// obsv.Serve + Shutdown blocks the daemons grew independently.
+// Admin + Listen + Shutdown blocks the daemons grew independently.
 //
 //	adminEP := obsv.AdminFlag(nil)
 //	flag.Parse()

@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -58,17 +57,5 @@ func TestTraceParentRejectsMalformed(t *testing.T) {
 	tc, ok := ParseTraceParent(good)
 	if !ok || tc.TraceIDString() != "4bf92f3577b34da6a3ce929d0e0e4736" || tc.Flags != 1 {
 		t.Errorf("ParseTraceParent(%q) = %+v ok=%v", good, tc, ok)
-	}
-}
-
-func TestTraceContextPlumbing(t *testing.T) {
-	if _, ok := TraceFrom(context.Background()); ok {
-		t.Error("empty context carried a trace")
-	}
-	tc := MakeTraceContext(rand.New(rand.NewSource(1)))
-	ctx := ContextWithTrace(context.Background(), tc)
-	got, ok := TraceFrom(ctx)
-	if !ok || got != tc {
-		t.Errorf("TraceFrom = %+v ok=%v, want %+v", got, ok, tc)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"manrsmeter/internal/obsv"
 )
 
 // logBuffer is a goroutine-safe sink for the access log under test.
@@ -26,159 +24,6 @@ func (b *logBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// TestTraceparentPropagation is the end-to-end correlation criterion: a
-// trace ID injected by the client is observable in the response header,
-// the access log, AND the span tree for the same request.
-func TestTraceparentPropagation(t *testing.T) {
-	tr := obsv.NewTracer()
-	sink := &logBuffer{}
-	_, srv, _ := newTestServer(t, Options{
-		Tracer:          tr,
-		AccessLog:       obsv.NewLogger(sink, obsv.LevelInfo),
-		AccessLogSample: 1,
-	})
-	h := srv.Handler()
-
-	const parent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
-	const traceID = "0af7651916cd43dd8448eb211c80319c"
-	rec := get(h, "/v1/stats", map[string]string{"traceparent": parent})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d, want 200", rec.Code)
-	}
-
-	// Response header carries the same trace ID back.
-	if got := rec.Header().Get("Traceparent"); !strings.Contains(got, traceID) {
-		t.Errorf("response traceparent = %q, want trace ID %s", got, traceID)
-	}
-
-	// Access log carries the trace ID plus the structured fields.
-	logged := sink.String()
-	if !strings.Contains(logged, "trace="+traceID) {
-		t.Errorf("access log missing trace=%s:\n%s", traceID, logged)
-	}
-	for _, want := range []string{"route=stats", "status=200", "cache=miss", "outcome=ok", "snapshot=", "dur_us="} {
-		if !strings.Contains(logged, want) {
-			t.Errorf("access log missing %q:\n%s", want, logged)
-		}
-	}
-
-	// The span tree records the same trace ID on the serve.query span.
-	found := false
-	for _, ev := range tr.Events() {
-		if ev.Name == "serve.query" && ev.Attr("trace") == traceID {
-			found = true
-			if ev.Attr("status") != "200" {
-				t.Errorf("span status = %q, want 200", ev.Attr("status"))
-			}
-		}
-	}
-	if !found {
-		t.Errorf("no serve.query span carries trace=%s", traceID)
-	}
-
-	// Without a client traceparent, the server mints a valid one.
-	rec2 := get(h, "/v1/stats", nil)
-	minted := rec2.Header().Get("Traceparent")
-	tc, ok := obsv.ParseTraceParent(minted)
-	if !ok || !tc.Valid() {
-		t.Errorf("minted traceparent %q is not valid", minted)
-	}
-	if strings.Contains(minted, traceID) {
-		t.Error("minted traceparent reused the client trace ID")
-	}
-
-	// A malformed traceparent is replaced, not echoed.
-	rec3 := get(h, "/v1/stats", map[string]string{"traceparent": "00-zzzz-yyy-01"})
-	if got := rec3.Header().Get("Traceparent"); got == "00-zzzz-yyy-01" {
-		t.Error("malformed traceparent echoed back verbatim")
-	} else if _, ok := obsv.ParseTraceParent(got); !ok {
-		t.Errorf("replacement traceparent %q is not valid", got)
-	}
-}
-
-// TestRouteOtherCollapse pins bounded metric cardinality: unknown paths
-// answer 404 under the single route="other" label, and no per-URL
-// series leaks into the exposition.
-func TestRouteOtherCollapse(t *testing.T) {
-	sink := &logBuffer{}
-	_, srv, reg := newTestServer(t, Options{
-		AccessLog:       obsv.NewLogger(sink, obsv.LevelInfo),
-		AccessLogSample: 1,
-	})
-	h := srv.Handler()
-
-	paths := []string{"/nope", "/v2/stats", "/etc/passwd", "/v1", "/favicon.ico"}
-	for _, p := range paths {
-		rec := get(h, p, nil)
-		if rec.Code != http.StatusNotFound {
-			t.Errorf("GET %s = %d, want 404", p, rec.Code)
-		}
-		if rec.Header().Get("Traceparent") == "" {
-			t.Errorf("GET %s: no traceparent on 404", p)
-		}
-	}
-
-	if got := reg.Value("serve_requests_total", "route", "other", "code", "404"); got != int64(len(paths)) {
-		t.Errorf(`serve_requests_total{route="other"} = %d, want %d`, got, len(paths))
-	}
-	if got := reg.Value("serve_request_duration_seconds", "route", "other"); got != int64(len(paths)) {
-		t.Errorf(`duration summary count for route="other" = %d, want %d`, got, len(paths))
-	}
-	dump := reg.Dump()
-	for _, leak := range []string{"nope", "favicon"} {
-		if strings.Contains(dump, leak) {
-			t.Errorf("per-URL label leaked into metrics: %q in\n%s", leak, dump)
-		}
-	}
-	// The access log, by contrast, keeps the real path for debugging.
-	if !strings.Contains(sink.String(), "path=/favicon.ico") {
-		t.Errorf("access log lost the 404 path:\n%s", sink.String())
-	}
-}
-
-// TestAccessLogSampling pins head sampling: 1-in-N by arrival order,
-// with server errors always written regardless of the sample.
-func TestAccessLogSampling(t *testing.T) {
-	sink := &logBuffer{}
-	reg := obsv.NewRegistry()
-	a := newAccessLogger(obsv.NewLogger(sink, obsv.LevelInfo), 8, reg)
-
-	for i := 0; i < 32; i++ {
-		a.record(requestRecord{route: "stats", path: "/v1/stats", code: 200, outcome: "ok"})
-	}
-	if got := strings.Count(sink.String(), "msg=request"); got != 4 {
-		t.Fatalf("logged %d of 32 at sample 8, want 4", got)
-	}
-	if got := reg.Value("serve_access_log_written_total"); got != 4 {
-		t.Errorf("written counter = %d, want 4", got)
-	}
-	if got := reg.Value("serve_access_log_suppressed_total"); got != 28 {
-		t.Errorf("suppressed counter = %d, want 28", got)
-	}
-
-	// 5xx bypass the sample entirely: 10 sheds in a row all appear.
-	for i := 0; i < 10; i++ {
-		a.record(requestRecord{route: "stats", path: "/v1/stats", code: 503, outcome: "shed"})
-	}
-	if got := strings.Count(sink.String(), "outcome=shed"); got != 10 {
-		t.Errorf("logged %d of 10 shed responses, want all 10 (errors bypass sampling)", got)
-	}
-
-	// 4xx are client errors: sampled like successes, never privileged.
-	before := strings.Count(sink.String(), "status=404")
-	for i := 0; i < 16; i++ {
-		a.record(requestRecord{route: "other", path: "/nope", code: 404, outcome: "error"})
-	}
-	if got := strings.Count(sink.String(), "status=404") - before; got >= 16 {
-		t.Errorf("all %d 404s logged; client errors must be sampled", got)
-	}
-
-	// A nil sink drops everything without panicking.
-	var nilLogger *accessLogger
-	nilLogger.record(requestRecord{code: 500})
-	newAccessLogger(nil, 1, reg).record(requestRecord{code: 500})
 }
 
 // TestDurationSummaryPerRoute checks the RED latency summary appears

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"manrsmeter/internal/durable"
+	"manrsmeter/internal/obsv"
 )
 
 // maxWireArchive bounds how many bytes SyncFrom will read from a peer:
@@ -59,7 +60,7 @@ func (s *Server) peerVersion(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encode failed")
+		obsv.WriteError(w, http.StatusInternalServerError, "encode failed")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -73,12 +74,12 @@ func (s *Server) peerVersion(w http.ResponseWriter, r *http.Request) {
 func (s *Server) peerSnapshot(w http.ResponseWriter, r *http.Request) {
 	date, err := s.resolveDate(r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		obsv.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	snap := s.store.publishedAt(date)
 	if snap == nil {
-		s.writeError(w, http.StatusNotFound,
+		obsv.WriteError(w, http.StatusNotFound,
 			fmt.Sprintf("no published snapshot for %s", date.Format("2006-01-02")))
 		return
 	}

@@ -413,23 +413,6 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout checks the request deadline propagates into the
-// snapshot wait and expires as 504, while the detached build is bounded
-// by its own timeout rather than the canceled request.
-func TestRequestTimeout(t *testing.T) {
-	reg := obsv.NewRegistry()
-	store := NewStore(testWorld(t), StoreOptions{Registry: reg, BuildTimeout: 200 * time.Millisecond})
-	store.buildFn = func(ctx context.Context, date time.Time) (*Snapshot, error) {
-		<-ctx.Done() // never completes within any request deadline
-		return nil, ctx.Err()
-	}
-	srv := NewServer(store, Options{RequestTimeout: 30 * time.Millisecond, Registry: reg})
-	rec := get(srv.Handler(), "/v1/stats", nil)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("got %d, want 504: %s", rec.Code, rec.Body.String())
-	}
-}
-
 // TestBuildFailureRetries checks a failed build is not sticky, but is
 // not retried immediately either: requests inside the backoff window
 // get 503 + Retry-After, and once the window passes a fresh build runs.
@@ -543,57 +526,6 @@ func TestBackoffEscalatesAndResets(t *testing.T) {
 	}
 	if err := store.Refresh(ctx, date); err != nil {
 		t.Fatalf("refresh after recovery hit stale backoff: %v", err)
-	}
-}
-
-// TestRetryAfterScalesWithPressure pins the load-shed Retry-After to
-// the shed streak: with one admission slot held by a blocked build,
-// consecutive sheds advise progressively longer waits, and a
-// successful admission resets the streak.
-func TestRetryAfterScalesWithPressure(t *testing.T) {
-	reg := obsv.NewRegistry()
-	store := NewStore(testWorld(t), StoreOptions{Registry: reg})
-	release := make(chan struct{})
-	store.buildFn = func(ctx context.Context, date time.Time) (*Snapshot, error) {
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return &Snapshot{Version: "test@slow", Date: date, Stats: &EcosystemStats{}}, nil
-	}
-	srv := NewServer(store, Options{MaxInFlight: 1, Registry: reg})
-	h := srv.Handler()
-
-	holder := make(chan int)
-	go func() { holder <- get(h, "/v1/stats", nil).Code }()
-	deadline := time.Now().Add(10 * time.Second)
-	for reg.Value("serve_inflight_requests") < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never occupied the admission slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	for i, want := range []string{"1", "2", "3"} {
-		rec := get(h, "/v1/stats", nil)
-		if rec.Code != http.StatusServiceUnavailable {
-			t.Fatalf("shed %d: got %d, want 503", i, rec.Code)
-		}
-		if got := rec.Header().Get("Retry-After"); got != want {
-			t.Errorf("shed %d: Retry-After %q, want %q", i, got, want)
-		}
-	}
-
-	close(release)
-	if code := <-holder; code != http.StatusOK {
-		t.Fatalf("held request finished with %d", code)
-	}
-	if rec := get(h, "/v1/stats", nil); rec.Code != http.StatusOK {
-		t.Fatalf("request after release: %d", rec.Code)
-	}
-	if got := srv.shedStreak.Load(); got != 0 {
-		t.Errorf("shed streak %d after successful admission, want 0", got)
 	}
 }
 

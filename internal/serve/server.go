@@ -1,9 +1,8 @@
-// server.go is the HTTP face of the query layer: routing, admission
-// control (bounded in-flight with 503 load shedding), the snapshot-
-// version-keyed response cache with ETag/If-None-Match revalidation,
-// request deadlines propagated as contexts into the query layer, obsv
-// instrumentation, and the graceful Shutdown drain every daemon in
-// this repository uses.
+// server.go is the HTTP face of the query layer: routing, snapshot
+// resolution, the snapshot-version-keyed response cache with ETag/
+// If-None-Match revalidation, and JSON rendering. Admission, trace
+// correlation, deadlines, RED/access-log emission and the listener
+// lifecycle are the shared obsv.Front and obsv.HTTPServer.
 
 package serve
 
@@ -13,13 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"manrsmeter/internal/core"
@@ -60,15 +57,12 @@ type Options struct {
 const (
 	DefaultMaxInFlight    = 256
 	DefaultRequestTimeout = 30 * time.Second
+	// DefaultAccessLogSample is the default head-sampling rate: one in
+	// every N requests is logged (server errors always are), so full-
+	// rate logging never becomes the bottleneck loadgen is measuring.
+	DefaultAccessLogSample = 64
 	// cacheCap bounds the response cache; entries are evicted FIFO.
 	cacheCap = 4096
-)
-
-// Shared help strings: the registry keys instruments by name+labels, so
-// every call site must agree on the help text.
-const (
-	helpRequests = "requests by route and status"
-	helpDuration = "request latency quantiles by route (all outcomes, sheds included)"
 )
 
 // Server answers MANRS conformance queries over HTTP/JSON from a
@@ -76,12 +70,10 @@ const (
 // Serve, stop with Shutdown (drains in-flight requests) — the same
 // lifecycle as every other daemon harness in this repository.
 type Server struct {
+	obsv.HTTPServer
 	store *Store
 	opts  Options
-	sem   chan struct{}
-	// shedStreak counts consecutive sheds since the last successful
-	// admission — the pressure signal behind Retry-After scaling.
-	shedStreak atomic.Int64
+	front *obsv.Front
 
 	cacheMu    sync.Mutex
 	cache      map[string]cachedResponse
@@ -93,13 +85,7 @@ type Server struct {
 	peerEncoded map[string][]byte
 	peerOrder   []string
 
-	met    serverMetrics
-	access *accessLogger
-
-	mu     sync.Mutex
-	srv    *http.Server
-	ln     net.Listener
-	closed bool
+	met serverMetrics
 }
 
 type cachedResponse struct {
@@ -108,9 +94,6 @@ type cachedResponse struct {
 }
 
 type serverMetrics struct {
-	reg         *obsv.Registry
-	inflight    *obsv.Gauge
-	shed        *obsv.Counter
 	cacheHits   *obsv.Counter
 	cacheMisses *obsv.Counter
 	notModified *obsv.Counter
@@ -124,6 +107,9 @@ func NewServer(store *Store, opts Options) *Server {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = DefaultRequestTimeout
 	}
+	if opts.AccessLogSample <= 0 {
+		opts.AccessLogSample = DefaultAccessLogSample
+	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obsv.Default()
@@ -131,14 +117,20 @@ func NewServer(store *Store, opts Options) *Server {
 	return &Server{
 		store:       store,
 		opts:        opts,
-		sem:         make(chan struct{}, opts.MaxInFlight),
 		cache:       make(map[string]cachedResponse),
 		peerEncoded: make(map[string][]byte),
-		access:      newAccessLogger(opts.AccessLog, opts.AccessLogSample, reg),
+		front: obsv.NewFront(obsv.FrontOptions{
+			Prefix:          "serve",
+			Msg:             "request",
+			Extra:           []any{"cache", "bypass"}, // hit | miss | bypass
+			MaxInFlight:     opts.MaxInFlight,
+			RequestTimeout:  opts.RequestTimeout,
+			Registry:        reg,
+			Tracer:          opts.Tracer,
+			AccessLog:       opts.AccessLog,
+			AccessLogSample: opts.AccessLogSample,
+		}),
 		met: serverMetrics{
-			reg:         reg,
-			inflight:    reg.Gauge("serve_inflight_requests", "requests currently being served"),
-			shed:        reg.Counter("serve_shed_total", "requests shed with 503 at the admission limit"),
 			cacheHits:   reg.Counter("serve_cache_hits_total", "responses served from the version-keyed cache"),
 			cacheMisses: reg.Counter("serve_cache_misses_total", "responses rendered afresh"),
 			notModified: reg.Counter("serve_not_modified_total", "304 revalidations via If-None-Match"),
@@ -212,123 +204,21 @@ func (s *Server) Handler() http.Handler {
 	// Unknown paths collapse into one bounded label set — a client
 	// scanning arbitrary URLs mints route="other", never a fresh series
 	// per URL. The full path still reaches the (sampled) access log.
-	otherRequests := s.met.reg.Counter("serve_requests_total", helpRequests,
-		"route", "other", "code", "404")
-	otherDuration := s.met.reg.Summary("serve_request_duration_seconds", helpDuration, "route", "other")
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		tc := traceFor(r)
-		w.Header().Set("Traceparent", tc.String())
-		s.writeError(w, http.StatusNotFound, "unknown path")
-		wall := time.Since(start)
-		otherRequests.Inc()
-		otherDuration.Observe(wall.Seconds())
-		s.access.record(requestRecord{
-			route: "other", path: r.URL.Path, code: http.StatusNotFound,
-			trace: tc, cache: "bypass", outcome: "error", wall: wall,
-		})
-	})
+	mux.HandleFunc("/", s.front.Route("other",
+		func(ctx context.Context, w http.ResponseWriter, r *http.Request, rq *obsv.Request) {
+			rq.Error(w, http.StatusNotFound, "unknown path")
+		}))
 	return mux
 }
 
-// globalRand adapts the locked math/rand global source to
-// obsv.Uint64Source for server-side trace minting.
-type globalRand struct{}
-
-func (globalRand) Uint64() uint64 { return rand.Uint64() }
-
-// traceFor extracts the caller's W3C trace context from the
-// traceparent header, or mints a fresh one, so every request is
-// correlatable across the access log and span tree even when the
-// client sends nothing.
-func traceFor(r *http.Request) obsv.TraceContext {
-	if tc, ok := obsv.ParseTraceParent(r.Header.Get("traceparent")); ok {
-		return tc
-	}
-	return obsv.MakeTraceContext(globalRand{})
-}
-
-// outcomeFor maps an error status to the access-log outcome vocabulary.
-func outcomeFor(code int) string {
-	if code == http.StatusGatewayTimeout {
-		return "timeout"
-	}
-	return "error"
-}
-
-// route wraps a query function with the full serving path: trace
-// correlation, span, admission, deadline, snapshot resolution,
-// response cache, ETag revalidation, instrumentation, and JSON
-// rendering.
+// route wraps a query function with the serving path behind the shared
+// front: snapshot resolution, response cache, ETag revalidation, and
+// JSON rendering.
 func (s *Server) route(name string, q func(ctx context.Context, snap *Snapshot, r *http.Request) (any, error)) http.HandlerFunc {
-	requests := func(code int) *obsv.Counter {
-		return s.met.reg.Counter("serve_requests_total", helpRequests,
-			"route", name, "code", fmt.Sprint(code))
-	}
-	latency := s.met.reg.Histogram("serve_request_seconds", "request latency by route", nil, "route", name)
-	duration := s.met.reg.Summary("serve_request_duration_seconds", helpDuration, "route", name)
-
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ctx := r.Context()
-		if s.opts.Tracer != nil {
-			ctx = obsv.ContextWithTracer(ctx, s.opts.Tracer)
-		}
-		tc := traceFor(r)
-		ctx = obsv.ContextWithTrace(ctx, tc)
-		w.Header().Set("Traceparent", tc.String())
-		ctx, span := obsv.StartSpan(ctx, "serve.query",
-			obsv.KV("route", name), obsv.KV("path", r.URL.Path), obsv.KV("trace", tc.TraceIDString()))
-		defer span.End()
-
-		// Every exit funnels through this one emit: the RED counters,
-		// both latency instruments, the span status, and the access
-		// log all read the same record, so they cannot drift apart.
-		rec := requestRecord{route: name, path: r.URL.Path, trace: tc, cache: "bypass", outcome: "ok"}
-		admitted := false
-		defer func() {
-			rec.wall = time.Since(start)
-			if admitted {
-				// The fixed-bucket histogram keeps its historical
-				// meaning: time spent on admitted work only.
-				latency.Observe(rec.wall.Seconds())
-			}
-			// The SLO summary sees every outcome — a shed response is
-			// latency the client really observed.
-			duration.Observe(rec.wall.Seconds())
-			requests(rec.code).Inc()
-			span.SetAttr("status", rec.code)
-			span.SetAttr("outcome", rec.outcome)
-			s.access.record(rec)
-		}()
-
-		// Admission: acquire a slot or shed. Shedding is deliberate —
-		// a bounded queue would still grow unbounded latency under
-		// sustained overload; a fast 503 lets well-behaved clients
-		// back off and retry.
-		select {
-		case s.sem <- struct{}{}:
-			s.shedStreak.Store(0)
-		default:
-			s.met.shed.Inc()
-			span.SetAttr("shed", true)
-			rec.code, rec.outcome = http.StatusServiceUnavailable, "shed"
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-			s.writeError(w, http.StatusServiceUnavailable, "overloaded: admission limit reached, retry later")
-			return
-		}
-		admitted = true
-		defer func() { <-s.sem }()
-		s.met.inflight.Inc()
-		defer s.met.inflight.Dec()
-
-		ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-
+	return s.front.Route(name, func(ctx context.Context, w http.ResponseWriter, r *http.Request, rq *obsv.Request) {
 		date, err := s.resolveDate(r)
 		if err != nil {
-			rec.code, rec.outcome = http.StatusBadRequest, "error"
-			s.writeError(w, http.StatusBadRequest, err.Error())
+			rq.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
 
@@ -343,22 +233,16 @@ func (s *Server) route(name string, q func(ctx context.Context, snap *Snapshot, 
 		key := ver + "|" + r.URL.Path + "|" + r.URL.RawQuery
 		if resp, ok := s.cacheGet(key); ok {
 			s.met.cacheHits.Inc()
-			span.SetAttr("cache", "hit")
-			rec.cache, rec.snapshot = "hit", ver
-			rec.code = s.writeCached(w, r, resp)
-			if rec.code == http.StatusNotModified {
-				rec.outcome = "not_modified"
-			}
+			rq.Set("cache", "hit")
+			rq.Snapshot = ver
+			rq.Code = s.writeCached(w, r, resp)
 			return
 		}
 		s.met.cacheMisses.Inc()
-		span.SetAttr("cache", "miss")
-		rec.cache = "miss"
+		rq.Set("cache", "miss")
 
 		snap, err := s.store.Get(ctx, date)
 		if err != nil {
-			rec.code = errorCode(ctx, err)
-			rec.outcome = outcomeFor(rec.code)
 			var be *BackoffError
 			if errors.As(err, &be) {
 				// Tell clients exactly when a rebuild becomes possible.
@@ -369,35 +253,30 @@ func (s *Server) route(name string, q func(ctx context.Context, snap *Snapshot, 
 				w.Header().Set("Retry-After", strconv.Itoa(secs))
 			}
 			s.logf("serve: %s %s: snapshot: %v", r.Method, r.URL.Path, err)
-			s.writeError(w, rec.code, err.Error())
+			rq.Error(w, errorCode(ctx, err), err.Error())
 			return
 		}
-		rec.snapshot = snap.Version
+		rq.Snapshot = snap.Version
 		val, err := q(ctx, snap, r)
 		if err != nil {
-			rec.code = errorCode(ctx, err)
-			rec.outcome = outcomeFor(rec.code)
-			if rec.code >= http.StatusInternalServerError {
+			code := errorCode(ctx, err)
+			if code >= http.StatusInternalServerError {
 				s.logf("serve: %s %s: %v", r.Method, r.URL.Path, err)
 			}
-			s.writeError(w, rec.code, err.Error())
+			rq.Error(w, code, err.Error())
 			return
 		}
 		body, err := json.MarshalIndent(val, "", "  ")
 		if err != nil {
-			rec.code, rec.outcome = http.StatusInternalServerError, "error"
 			s.logf("serve: %s %s: encode: %v", r.Method, r.URL.Path, err)
-			s.writeError(w, http.StatusInternalServerError, "response encoding failed")
+			rq.Error(w, http.StatusInternalServerError, "response encoding failed")
 			return
 		}
 		body = append(body, '\n')
 		resp := cachedResponse{body: body, etag: etagFor(snap.Version, body)}
 		s.cachePut(key, resp)
-		rec.code = s.writeCached(w, r, resp)
-		if rec.code == http.StatusNotModified {
-			rec.outcome = "not_modified"
-		}
-	}
+		rq.Code = s.writeCached(w, r, resp)
+	})
 }
 
 // resolveDate parses ?date=YYYY-MM-DD, defaulting to the headline date.
@@ -474,19 +353,6 @@ func (s *Server) cachePut(key string, resp cachedResponse) {
 	s.cacheOrder = append(s.cacheOrder, key)
 }
 
-// retryAfter scales the shed Retry-After with pressure: one second at
-// the first shed, one more for every MaxInFlight consecutive sheds —
-// the deeper the overload, the longer well-behaved clients stay away —
-// capped at a minute so a transient spike cannot park clients forever.
-func (s *Server) retryAfter() int {
-	streak := s.shedStreak.Add(1)
-	secs := 1 + int(streak-1)/s.opts.MaxInFlight
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
-}
-
 // errorCode maps a handler error to its HTTP status.
 func errorCode(ctx context.Context, err error) int {
 	var he *httpError
@@ -503,14 +369,6 @@ func errorCode(ctx context.Context, err error) int {
 	return http.StatusInternalServerError
 }
 
-// writeError renders the uniform JSON error envelope.
-func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	body, _ := json.Marshal(map[string]any{"error": msg, "status": code})
-	_, _ = w.Write(append(body, '\n'))
-}
-
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)
@@ -520,66 +378,11 @@ func (s *Server) logf(format string, args ...any) {
 // Listen binds addr (":0" for an ephemeral port), starts serving in
 // the background, and returns the bound address.
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Serve(ln); err != nil {
-		ln.Close()
-		return nil, err
-	}
-	return ln.Addr(), nil
+	return s.HTTPServer.Listen(addr, "serve: server", s.Handler(), s.opts.Logf)
 }
 
 // Serve starts answering queries from ln in the background. The
 // listener may be wrapped (fault injection in chaos tests).
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("serve: server closed")
-	}
-	if s.srv != nil {
-		return fmt.Errorf("serve: server already serving")
-	}
-	s.ln = ln
-	s.srv = &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	srv := s.srv
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			s.logf("serve: listener: %v", err)
-		}
-	}()
-	return nil
-}
-
-// Addr returns the bound address (nil before Listen).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Shutdown gracefully drains the server: no new connections, in-flight
-// requests finish until ctx expires, then remaining connections are
-// force-closed. Safe to call without a prior Listen.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	srv := s.srv
-	s.closed = true
-	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		_ = srv.Close()
-		return err
-	}
-	return nil
+	return s.HTTPServer.Serve(ln, "serve: server", s.Handler(), s.opts.Logf)
 }

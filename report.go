@@ -32,19 +32,11 @@ type ReportOptions struct {
 	Workers int
 	// Tracer, when non-nil, records the run as hierarchical spans: a
 	// "report" root, one "section" span per section (with its terminal
-	// status), and whatever the sections start beneath them (pipeline
+	// status, and the goroutine stack if it panicked), and whatever the sections start beneath them (pipeline
 	// and dataset builds). Render with Tracer.WriteTree or export
 	// Tracer.Events. Tracing never touches w, so report bytes stay
 	// identical across worker counts with tracing enabled.
 	Tracer *obsv.Tracer
-	// Trace, when non-nil, receives one per-section wall-time line after
-	// the report is written, in section order, followed by the goroutine
-	// stacks of any panicked sections.
-	//
-	// Deprecated: Trace is a shim over Tracer kept for one release of
-	// backward compatibility; new callers should set Tracer and render
-	// its span tree instead.
-	Trace io.Writer
 	// SectionObserver, when non-nil, is called as each section reaches a
 	// terminal status — the live feed an admin /healthz endpoint watches
 	// while the run is in flight (the ContinueOnError health trailer is
@@ -259,6 +251,9 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 		sctx, span := obsv.StartSpan(ctx, "section", obsv.KV("name", sections[i].name))
 		outcomes[i] = runSection(sctx, run, opts.SectionTimeout)
 		span.SetAttr("status", outcomes[i].status.String())
+		if len(outcomes[i].stack) > 0 {
+			span.SetAttr("stack", string(outcomes[i].stack))
+		}
 		span.End()
 		if opts.SectionObserver != nil {
 			opts.SectionObserver(sections[i].name, outcomes[i].status.String(), outcomes[i].wall)
@@ -289,20 +284,6 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 		}
 		if _, err := fmt.Fprintln(w, text); err != nil {
 			return err
-		}
-	}
-	if opts.Trace != nil {
-		for i, sec := range sections {
-			if _, err := fmt.Fprintf(opts.Trace, "trace: %-22s %12v\n", sec.name, outcomes[i].wall.Round(time.Microsecond)); err != nil {
-				return err
-			}
-		}
-		for i, o := range outcomes {
-			if len(o.stack) > 0 {
-				if _, err := fmt.Fprintf(opts.Trace, "trace: section %s panic stack:\n%s\n", sections[i].name, o.stack); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	if opts.ContinueOnError {

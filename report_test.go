@@ -131,27 +131,34 @@ func TestRunReportTracerDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunReportTrace checks the per-section wall-time tracing output.
-func TestRunReportTrace(t *testing.T) {
+// TestRunReportSectionSpans checks the tracer records one timed span
+// per section.
+func TestRunReportSectionSpans(t *testing.T) {
 	world, err := GenerateWorld(smallConfig(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report, trace bytes.Buffer
-	opts := ReportOptions{SkipStability: true, SkipExtensions: true, Trace: &trace}
+	var report bytes.Buffer
+	tracer := obsv.NewTracer()
+	opts := ReportOptions{SkipStability: true, SkipExtensions: true, Tracer: tracer}
 	if err := RunReport(&report, world, opts); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(trace.String()), "\n")
-	if len(lines) != 17 {
-		t.Fatalf("trace lines = %d, want one per section (17):\n%s", len(lines), trace.String())
-	}
-	for _, name := range []string{"Fig2Growth", "Stability", "RouteLeaks"} {
-		if !strings.Contains(trace.String(), name) {
-			t.Errorf("trace missing section %s", name)
+	names := map[string]bool{}
+	for _, ev := range tracer.Events() {
+		if ev.Name == "section" {
+			names[ev.Attr("name")] = true
+			if ev.Wall() <= 0 {
+				t.Errorf("section %s has no wall time", ev.Attr("name"))
+			}
 		}
 	}
-	if strings.Contains(report.String(), "trace:") {
-		t.Error("trace lines leaked into the report writer")
+	if len(names) != 17 {
+		t.Fatalf("section spans = %d, want one per section (17): %v", len(names), names)
+	}
+	for _, name := range []string{"Fig2Growth", "Stability", "RouteLeaks"} {
+		if !names[name] {
+			t.Errorf("trace missing section %s", name)
+		}
 	}
 }

@@ -13,6 +13,12 @@
 #            goroutine-leak test, and the adversarial scenario suite
 #            (relying-party-failure chaos with concurrent baseline
 #            readers, byte-determinism across worker counts)
+#   front  — the request-front contract table (serve.TestFrontContract)
+#            under -race: manrsd's and manrs-gw's handlers through the
+#            same cases and assertions; then the bench's cross-path
+#            oracle (`go run ./bench --workload query.gateway`): each
+#            replica, the gateway and an in-process handler must
+#            answer byte-for-byte alike with zero failed requests
 #   bench  — single-iteration smoke of the headline benchmarks (dataset
 #            build, propagation, full report, serving hot path, snapshot
 #            persist/load), emitting one BENCH_<name>.json per result in
@@ -105,6 +111,20 @@ go test -race -count=1 -run '^TestForEachCtxNoGoroutineLeak$' ./internal/paralle
 
 echo "==> adversarial scenario gates (-race): rp-failure chaos + byte determinism"
 go test -race -count=1 ./internal/scenario
+
+echo "==> request-front contract (-race): one table, manrsd and manrs-gw handlers"
+go test -race -count=1 -run '^TestFrontContract$' ./internal/serve
+
+echo "==> cross-path oracle (bench query.gateway: replicas, gateway, in-process handler byte-for-byte)"
+ORACLE="$(go run ./bench --workload query.gateway --seconds 2 | tail -n 1)"
+echo "$ORACLE"
+case "$ORACLE" in
+*'"correct":true'*'"failed":0,'*) ;;
+*)
+    echo "cross-path oracle: want \"correct\":true and \"failed\":0 in the final JSON line" >&2
+    exit 1
+    ;;
+esac
 
 # emit_bench OUTPUT-FILE: turn `go test -bench` result lines into one
 # BENCH_<name>.json each in the repo root. The `$4 == "ns/op"` guard
