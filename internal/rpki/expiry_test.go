@@ -64,13 +64,9 @@ func TestDelegatedCAExpiredAtEvaluation(t *testing.T) {
 	repo.AddCert(isp.Cert)
 	repo.AddROA(roa)
 
+	memo := NewVerdictMemo(64) // warmed while the chain is valid, consulted after it expires
 	run := func(now time.Time) (int, ValidationStats) {
-		rp, err := NewRelyingParty(ta.Cert)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp.Now = now
-		vrps, stats := rp.Run(repo)
+		vrps, stats := runWarmAndCold(t, memo, repo, now, 0, ta.Cert)
 		return len(vrps), stats
 	}
 
@@ -139,12 +135,7 @@ func TestCrossSignedDiamondOrderIndependence(t *testing.T) {
 			repo.AddCert(b1.Cert)
 		}
 		repo.AddROA(roa)
-		rp, err := NewRelyingParty(ta.Cert)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp.Now = tEval
-		vrps, stats := rp.Run(repo)
+		vrps, stats := runWarmAndCold(t, NewVerdictMemo(64), repo, tEval, 0, ta.Cert)
 		if len(vrps) != 1 {
 			t.Errorf("%s order: vrps=%d want 1 (stats %+v)", order, len(vrps), stats)
 		}
@@ -170,12 +161,7 @@ func TestCertificateCycleStillRejected(t *testing.T) {
 	repo := &Repository{}
 	repo.AddCert(a)
 	repo.AddCert(b)
-	rp, err := NewRelyingParty(ta.Cert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.Now = tEval
-	_, stats := rp.Run(repo)
+	_, stats := runWarmAndCold(t, NewVerdictMemo(64), repo, tEval, 0, ta.Cert)
 	if stats.CertsValid != 0 || stats.CertsRejected != 2 {
 		t.Fatalf("cycle with no anchor path must be rejected: %+v", stats)
 	}

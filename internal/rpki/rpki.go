@@ -288,6 +288,9 @@ type ValidationStats struct {
 // point in time, as RP software (Routinator, rpki-client, FORT) does.
 type RelyingParty struct {
 	anchors map[string]*Certificate
+	// memo, when non-nil, remembers signature verdicts across runs; nil
+	// verifies every signature on every run.
+	memo *VerdictMemo
 	// Now is the evaluation time for validity windows. The zero value
 	// means time.Now() at Run.
 	Now time.Time
@@ -302,13 +305,22 @@ type RelyingParty struct {
 
 // NewRelyingParty returns a relying party trusting the given anchors.
 // Anchor certificates must be self-signed; invalid anchors are rejected.
+// It keeps no state between runs: every signature is verified on every
+// Run.
 func NewRelyingParty(anchors ...*Certificate) (*RelyingParty, error) {
-	rp := &RelyingParty{anchors: make(map[string]*Certificate)}
+	return NewRelyingPartyMemo(nil, anchors...)
+}
+
+// NewRelyingPartyMemo is NewRelyingParty for a relying party that keeps
+// its signature verdicts in memo, as RP software keeps validated state
+// between runs. A nil memo is NewRelyingParty.
+func NewRelyingPartyMemo(memo *VerdictMemo, anchors ...*Certificate) (*RelyingParty, error) {
+	rp := &RelyingParty{anchors: make(map[string]*Certificate), memo: memo}
 	for _, a := range anchors {
 		if a.SubjectName != a.IssuerName {
 			return nil, fmt.Errorf("rpki: anchor %s is not self-issued", a.SubjectName)
 		}
-		if !ed25519.Verify(a.PublicKey, a.payload(), a.Signature) {
+		if !memo.verify(a.PublicKey, a.payload(), a.Signature) {
 			return nil, fmt.Errorf("rpki: anchor %s has a bad self-signature", a.SubjectName)
 		}
 		rp.anchors[a.SubjectName] = a
@@ -376,7 +388,7 @@ func (rp *RelyingParty) Run(repo *Repository) ([]VRP, ValidationStats) {
 				return false, true
 			}
 			if anchor, isAnchor := rp.anchors[c.SubjectName]; isAnchor && anchor == c {
-				return ed25519.Verify(c.PublicKey, c.payload(), c.Signature), true
+				return rp.memo.verify(c.PublicKey, c.payload(), c.Signature), true
 			}
 			// Find a valid issuer: trust anchor first, then published CAs.
 			var issuers []*Certificate
@@ -396,7 +408,7 @@ func (rp *RelyingParty) Run(repo *Repository) ([]VRP, ValidationStats) {
 					}
 					continue
 				}
-				if !ed25519.Verify(iss.PublicKey, c.payload(), c.Signature) {
+				if !rp.memo.verify(iss.PublicKey, c.payload(), c.Signature) {
 					continue
 				}
 				covered := true
@@ -429,7 +441,7 @@ func (rp *RelyingParty) Run(repo *Repository) ([]VRP, ValidationStats) {
 
 	// Anchors validate themselves.
 	for _, a := range rp.anchors {
-		if ed25519.Verify(a.PublicKey, a.payload(), a.Signature) &&
+		if rp.memo.verify(a.PublicKey, a.payload(), a.Signature) &&
 			!now.Before(a.NotBefore) && !now.After(a.NotAfter) {
 			state[a] = certValid
 		} else {
@@ -484,7 +496,7 @@ func (rp *RelyingParty) validROA(roa *ROA, now time.Time, bySubject map[string][
 		if !certOK(signer) {
 			continue
 		}
-		if !ed25519.Verify(signer.PublicKey, roa.payload(), roa.Signature) {
+		if !rp.memo.verify(signer.PublicKey, roa.payload(), roa.Signature) {
 			continue
 		}
 		covered := true

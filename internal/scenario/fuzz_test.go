@@ -17,6 +17,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add("# comment\n\nscenario x\n")
 	f.Add(`{"name":"j","events":[{"op":"rp-fail","rir":"RIPE"},{"op":"roa-delay","lag":"5m0s"}]}`)
 	f.Add(`{"events":[{"op":"announce","asn":1,"prefix":"10.0.0.0/8"}]}`)
+	// Once crashers: a name JSON cannot carry, a field the op's encoders drop.
+	f.Add("scenario \xff")
+	f.Add("announce asn=1 prefix=0.0.0.0/0 to=1")
 
 	f.Fuzz(func(t *testing.T, data string) {
 		sc, err := Decode([]byte(data))

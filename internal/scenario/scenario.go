@@ -22,6 +22,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/rpki"
@@ -101,8 +103,14 @@ var rirByName = func() map[string]rpki.RIR {
 	return m
 }()
 
-// Validate checks one event's shape.
+// Validate checks one event's shape. A field that means nothing for the
+// event's Op must be unset: neither codec writes such a field, so
+// accepting one would decode to an event that does not survive a round
+// trip.
 func (e *Event) Validate() error {
+	if *e != e.meaningful() {
+		return fmt.Errorf("%s: field set that %s does not take", e.Op, e.Op)
+	}
 	switch e.Op {
 	case OpAnnounce:
 		if e.ASN == 0 {
@@ -159,6 +167,26 @@ func (e *Event) Validate() error {
 	return nil
 }
 
+// meaningful returns e with only the fields its Op takes.
+func (e *Event) meaningful() Event {
+	m := Event{Op: e.Op}
+	switch e.Op {
+	case OpAnnounce:
+		m.ASN, m.Prefix = e.ASN, e.Prefix
+	case OpHijackROA:
+		m.ASN, m.Prefix, m.MaxLen, m.FromYear, m.ToYear = e.ASN, e.Prefix, e.MaxLen, e.FromYear, e.ToYear
+	case OpExpire:
+		m.RIR, m.Frac, m.Skew = e.RIR, e.Frac, e.Skew
+	case OpRPFail:
+		m.RIR = e.RIR
+	case OpROADelay:
+		m.Lag = e.Lag
+	case OpAnchorPair:
+		m.ASN, m.Prefix, m.Invalid = e.ASN, e.Prefix, e.Invalid
+	}
+	return m
+}
+
 func validYears(from, to int) error {
 	check := func(y int) error {
 		if y != 0 && (y < 1990 || y > 2100) {
@@ -178,8 +206,13 @@ func validYears(from, to int) error {
 	return nil
 }
 
-// Validate checks the whole scenario.
+// Validate checks the whole scenario. The name must be one token of
+// valid UTF-8, which is what both codecs can carry: the text form splits
+// lines on white space and JSON replaces invalid bytes.
 func (s *Scenario) Validate() error {
+	if !utf8.ValidString(s.Name) || strings.ContainsFunc(s.Name, unicode.IsSpace) {
+		return fmt.Errorf("scenario: name %q is not one token of valid UTF-8", s.Name)
+	}
 	if len(s.Events) > MaxEvents {
 		return fmt.Errorf("scenario: %d events exceeds cap %d", len(s.Events), MaxEvents)
 	}

@@ -19,6 +19,7 @@ import (
 	"manrsmeter/internal/manrs"
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/rov"
+	"manrsmeter/internal/rpki"
 )
 
 // httpError carries an HTTP status through the handler return path.
@@ -346,11 +347,16 @@ func computeStats(snap *Snapshot) *EcosystemStats {
 			out.Unregistered++
 		}
 	}
-	if vrps, err := w.VRPsAt(snap.Date); err == nil {
-		member, non := manrs.RPKISaturation(ds.PrefixOrigins, vrps, w.MANRS, snap.Date)
-		out.RPKISaturationPct.Member = pctPtr(100 * member.Ratio())
-		out.RPKISaturationPct.NonMember = pctPtr(100 * non.Ratio())
+	// The covered space comes from the snapshot's own index, not a fresh
+	// relying-party run: a restored snapshot answers from its archive.
+	auths := snap.RPKI.All()
+	vrps := make([]rpki.VRP, len(auths))
+	for i, a := range auths {
+		vrps[i] = rpki.VRP{Prefix: a.Prefix, ASN: a.ASN, MaxLength: a.MaxLength}
 	}
+	member, non := manrs.RPKISaturation(ds.PrefixOrigins, vrps, w.MANRS, snap.Date)
+	out.RPKISaturationPct.Member = pctPtr(100 * member.Ratio())
+	out.RPKISaturationPct.NonMember = pctPtr(100 * non.Ratio())
 	type cohortAgg struct {
 		ases, originated, rpkiValid, conformant int
 	}

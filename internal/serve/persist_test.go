@@ -11,6 +11,13 @@ import (
 	"manrsmeter/internal/obsv"
 )
 
+// signatureChecks is how many RPKI signature checks this process has
+// made, answered from a memo or not: any relying-party run adds to it.
+func signatureChecks() int64 {
+	return obsv.Default().Value("rpki_signature_checks_total", "memo", "hit") +
+		obsv.Default().Value("rpki_signature_checks_total", "memo", "miss")
+}
+
 func openDurable(t *testing.T, dir string, reg *obsv.Registry) *durable.Store {
 	t.Helper()
 	d, err := durable.Open(dir, durable.Options{Registry: reg, Logf: t.Logf})
@@ -45,7 +52,10 @@ func TestPersistAndWarmStart(t *testing.T) {
 		t.Fatalf("durable_persist_total = %d, want 1", reg1.Value("durable_persist_total"))
 	}
 
-	// Restart: fresh store, fresh registry, same archive directory.
+	// Restart: fresh store, fresh registry, same archive directory. From
+	// here to the warm answer the relying party must not run: a restored
+	// snapshot's aggregates come from the archive's own VRP index.
+	checksBefore := signatureChecks()
 	reg2 := obsv.NewRegistry()
 	store2 := NewStore(testWorld(t), StoreOptions{
 		Registry: reg2,
@@ -70,6 +80,9 @@ func TestPersistAndWarmStart(t *testing.T) {
 	}
 	if builds := reg2.Value("serve_snapshot_builds_total"); builds != 0 {
 		t.Fatalf("warm start ran %d builds, want 0", builds)
+	}
+	if n := signatureChecks() - checksBefore; n != 0 {
+		t.Fatalf("warm start and its first answer checked %d RPKI signatures, want 0 (no relying-party run)", n)
 	}
 	if warm.Body.String() != built.Body.String() {
 		t.Error("restored snapshot renders different /v1/stats bytes")

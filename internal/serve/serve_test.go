@@ -77,6 +77,48 @@ func decode[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
 	return v
 }
 
+// A snapshot build runs the relying party twice (the dataset's indexes,
+// then the snapshot's own) and a weekly series repeats that per date, but
+// each signature is verified once per world: four cold weekly builds
+// perform about the Ed25519 verifications of one cold relying-party run.
+func TestColdBuildsVerifyEachSignatureOnce(t *testing.T) {
+	cfg := synth.NewConfig(5)
+	cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 1, 15, 100, 1
+	cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 12, 5, 1, 1
+	misses := func() int64 { return obsv.Default().Value("rpki_signature_checks_total", "memo", "miss") }
+	generate := func() *synth.World {
+		w, err := synth.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+
+	one := generate()
+	headline := one.Date(cfg.EndYear)
+	before := misses()
+	if _, err := one.VRPsAt(headline); err != nil {
+		t.Fatal(err)
+	}
+	oneRun := misses() - before
+	if oneRun == 0 {
+		t.Fatal("a cold relying-party run verified nothing")
+	}
+
+	// Same config, fresh keys, fresh memo: nothing carries over.
+	store := NewStore(generate(), StoreOptions{Registry: obsv.NewRegistry()})
+	before = misses()
+	for weeks := 3; weeks >= 0; weeks-- {
+		if _, err := store.Get(context.Background(), headline.AddDate(0, 0, -7*weeks)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := misses() - before
+	if built < oneRun || built*10 > oneRun*11 {
+		t.Fatalf("4 weekly builds verified %d signatures, one cold run verifies %d; want between 1× and 1.1×", built, oneRun)
+	}
+}
+
 // TestColdConcurrentQueriesCoalesce is the acceptance criterion for the
 // singleflight path: 64 goroutines race mixed queries against a cold
 // store and exactly one dataset build runs.

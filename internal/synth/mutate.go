@@ -25,7 +25,9 @@ import (
 // registries, policies, vantage points, churn windows, and prefix
 // storage with the base; the RPKI repository is shallow-cloned so ROAs
 // can be replaced, and the dataset cache starts empty. The base world
-// is never mutated through the fork.
+// is never mutated through the fork; the one thing a fork writes that
+// its base reads is the signature-verdict memo, whose entries are pure
+// functions of the signed bytes.
 //
 // Fork does not deep-copy the AS graph: mutators that would need to
 // rewrite it (AddOrigination) route new prefixes through allPrefixes,
@@ -48,6 +50,7 @@ func (w *World) Fork(tag string) *World {
 		PeeringDB:     w.PeeringDB,
 		arena:         w.arena,
 		prefixWindows: w.prefixWindows,
+		sigMemo:       w.sigMemo,
 		scenarioTag:   tag,
 		mutations:     w.mutations,
 		roaLag:        w.roaLag,

@@ -686,8 +686,22 @@ func (w *World) SetSnapshot(t time.Time) {
 }
 
 // VRPsAt runs the relying party at time t and returns the validated ROA
-// payloads — the per-date VRP archive (Fig. 6 input).
+// payloads — the per-date VRP archive (Fig. 6 input). Every run walks the
+// chains and evaluates windows, lag and containment at t; only signature
+// verdicts carry over from earlier runs of this world and its forks.
 func (w *World) VRPsAt(t time.Time) ([]rpki.VRP, error) {
+	rp, err := w.relyingPartyAt(t, w.sigMemo)
+	if err != nil {
+		return nil, err
+	}
+	vrps, _ := rp.Run(w.Repo)
+	return vrps, nil
+}
+
+// relyingPartyAt returns the world's relying party evaluating at t: the
+// trust anchors whose relying party has not failed, and the world's ROA
+// visibility lag. Tests pass a nil memo for the oracle VRPsAt must match.
+func (w *World) relyingPartyAt(t time.Time, memo *rpki.VerdictMemo) (*rpki.RelyingParty, error) {
 	anchors := make([]*rpki.Certificate, 0, len(w.Anchors))
 	for _, r := range rpki.AllRIRs {
 		if w.failedRPs[r] {
@@ -698,14 +712,13 @@ func (w *World) VRPsAt(t time.Time) ([]rpki.VRP, error) {
 		}
 		anchors = append(anchors, w.Anchors[r].Cert)
 	}
-	rp, err := rpki.NewRelyingParty(anchors...)
+	rp, err := rpki.NewRelyingPartyMemo(memo, anchors...)
 	if err != nil {
 		return nil, err
 	}
 	rp.Now = t
 	rp.ROAVisibilityLag = w.roaLag
-	vrps, _ := rp.Run(w.Repo)
-	return vrps, nil
+	return rp, nil
 }
 
 // IndexesAt returns the RPKI and IRR validation indexes as of t: the

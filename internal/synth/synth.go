@@ -183,6 +183,12 @@ type World struct {
 	dsCache map[int64]*ihr.Dataset
 	dsDates []int64 // insertion order, for bounded eviction
 
+	// sigMemo remembers the verdict of every RPKI signature a VRPsAt run
+	// has checked, so the relying party verifies each signature once per
+	// world rather than once per date. Forks share it (a verdict depends
+	// only on key, payload and signature bytes); nil verifies every time.
+	sigMemo *rpki.VerdictMemo
+
 	// Scenario state (internal/scenario mutation API, set via Fork and
 	// the mutators in mutate.go). A pristine generated world has the
 	// zero values; a forked world carries the scenario tag plus every
@@ -199,6 +205,13 @@ type World struct {
 }
 
 type window struct{ from, to time.Time }
+
+// sigMemoObjectFactor caps a world's signature-verdict memo at this many
+// verdicts per object the world published at generation. A run checks
+// about one signature per object, so the generated world fills a
+// quarter; the rest is room for what scenario forks publish and re-sign.
+// Past the cap new signatures are verified on every run.
+const sigMemoObjectFactor = 4
 
 // asInfo carries generation-time decisions for one AS.
 type asInfo struct {
@@ -282,6 +295,8 @@ func Generate(cfg Config) (*World, error) {
 	w.populateContacts(rng, infos)
 	w.pickVantagePoints(rng, infos)
 	w.SetSnapshot(w.Date(cfg.EndYear))
+	// Empty: the first relying-party run verifies everything it trusts.
+	w.sigMemo = rpki.NewVerdictMemo(sigMemoObjectFactor * (len(w.Anchors) + w.Repo.NumCerts() + w.Repo.NumROAs()))
 	return w, nil
 }
 

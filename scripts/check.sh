@@ -19,6 +19,14 @@
 #            oracle (`go run ./bench --workload query.gateway`): each
 #            replica, the gateway and an in-process handler must
 #            answer byte-for-byte alike with zero failed requests
+#   memo   — the RPKI signature-verdict memo under -race: the
+#            fail-closed tamper table and warm-vs-cold chain cases
+#            (rpki) and ten passes of concurrent VRPsAt on a base world
+#            and two forks (synth; the memo-less oracle over seeded
+#            worlds runs in the race pass); then the bench's build
+#            oracle (`go run ./bench --workload build.weekly`): snapshot
+#            digests equal across ops and worker counts, and a
+#            warm-started store answering like the one that built
 #   bench  — single-iteration smoke of the headline benchmarks (dataset
 #            build, propagation, full report, serving hot path, snapshot
 #            persist/load), emitting one BENCH_<name>.json per result in
@@ -115,16 +123,32 @@ go test -race -count=1 ./internal/scenario
 echo "==> request-front contract (-race): one table, manrsd and manrs-gw handlers"
 go test -race -count=1 -run '^TestFrontContract$' ./internal/serve
 
+# bench_oracle WORKLOAD: a 2-second run of one bench workload must end in
+# a JSON line saying "correct":true and "failed":0.
+bench_oracle() {
+    ORACLE="$(go run ./bench --workload "$1" --seconds 2 | tail -n 1)"
+    echo "$ORACLE"
+    case "$ORACLE" in
+    *'"correct":true'*'"failed":0,'*) ;;
+    *)
+        echo "bench $1: want \"correct\":true and \"failed\":0 in the final JSON line" >&2
+        exit 1
+        ;;
+    esac
+}
+
 echo "==> cross-path oracle (bench query.gateway: replicas, gateway, in-process handler byte-for-byte)"
-ORACLE="$(go run ./bench --workload query.gateway --seconds 2 | tail -n 1)"
-echo "$ORACLE"
-case "$ORACLE" in
-*'"correct":true'*'"failed":0,'*) ;;
-*)
-    echo "cross-path oracle: want \"correct\":true and \"failed\":0 in the final JSON line" >&2
-    exit 1
-    ;;
-esac
+bench_oracle query.gateway
+
+echo "==> signature-verdict memo (-race): fail-closed table, then concurrent dates and forks x10"
+# The memo-less oracle over seeded worlds (synth.TestVRPsAtMatchesMemolessOracle,
+# ~25 s under -race) ran in the ./... pass above; the concurrency test is
+# repeated because one pass seldom interleaves the same way twice.
+go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$' ./internal/rpki
+go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$' ./internal/synth
+
+echo "==> build oracle (bench build.weekly: digests equal across ops and worker counts, warm start answers like the builder)"
+bench_oracle build.weekly
 
 # emit_bench OUTPUT-FILE: turn `go test -bench` result lines into one
 # BENCH_<name>.json each in the repo root. The `$4 == "ns/op"` guard
