@@ -22,6 +22,7 @@ import (
 	"syscall"
 
 	"manrsmeter"
+	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/bgp/mrt"
 	"manrsmeter/internal/ihr"
 	"manrsmeter/internal/synth"
@@ -172,30 +173,38 @@ func writeMRT(f io.Writer, world *synth.World, ds *ihr.Dataset) error {
 	filterFor := ihr.PolicyFilter(world.Graph, world.Policies, rpkiIx, irrIx)
 	w := mrt.NewWriter(f, world.Date(world.Config.EndYear))
 	peers := make([]mrt.Peer, len(world.VantagePoints))
-	peerIdx := make(map[uint32]uint16)
+	csr := world.Graph.CSR()
+	var vpIdx []int32   // vantage points present in the topology
+	var vpPeer []uint16 // and their rows in the peer index table
 	for i, asn := range world.VantagePoints {
+		if vi, ok := csr.Intern.Index(asn); ok {
+			vpIdx = append(vpIdx, vi)
+			vpPeer = append(vpPeer, uint16(i))
+		}
 		peers[i] = mrt.Peer{
 			BGPID: [4]byte{10, 0, byte(i >> 8), byte(i)},
 			Addr:  netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}),
 			ASN:   asn,
 		}
-		peerIdx[asn] = uint16(i)
 	}
 	if err := w.WritePeerIndexTable([4]byte{192, 0, 2, 1}, "manrsmeter-rib", peers); err != nil {
 		return err
 	}
 	// Recompute vantage paths per visible prefix-origin, under the same
-	// filtering policies the dataset builder applied.
+	// filtering policies the dataset builder applied. Only the vantage
+	// points are read, so the floods are restricted to their need-set.
+	prop := astopo.NewCSRPropagator(csr)
+	need := csr.NeedSet(vpIdx)
 	for _, po := range ds.PrefixOrigins {
-		tree := world.Graph.Propagate(po.Prefix, po.Origin, filterFor(po.Prefix, po.Origin))
+		tree := prop.PropagateTo(po.Prefix, po.Origin, filterFor(po.Prefix, po.Origin), need)
 		var entries []mrt.RIBEntry
-		for _, vp := range world.VantagePoints {
-			path := tree.PathFrom(vp)
+		for i, vi := range vpIdx {
+			path := tree.AppendPathAt(nil, vi)
 			if path == nil {
 				continue
 			}
 			entries = append(entries, mrt.RIBEntry{
-				PeerIndex:      peerIdx[vp],
+				PeerIndex:      vpPeer[i],
 				OriginatedTime: world.Date(world.Config.EndYear),
 				Path:           path,
 			})

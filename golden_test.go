@@ -2,8 +2,8 @@ package manrsmeter
 
 import (
 	"bytes"
-	"context"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -79,30 +79,25 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-// propagationDigest folds every route decision from every tree into one
-// fnv64a hash: per reached AS the route class, next hop, and path
-// length, walked in the graph's sorted ASN order.
-func propagationDigest(g *astopo.Graph, trees []*astopo.RouteTree) uint64 {
-	asns := g.ASNs()
-	h := fnv.New64a()
-	for _, tr := range trees {
-		fmt.Fprintf(h, "T %s %d %d\n", tr.Prefix, tr.Origin, tr.Len())
-		for _, asn := range asns {
-			info, ok := tr.Info(asn)
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(h, "%d %d %d %d\n", asn, info.Class, info.NextHop, info.PathLen)
+// foldTree folds every route decision of one tree into h: per reached AS
+// the route class, next hop, and path length, walked in the graph's
+// sorted ASN order.
+func foldTree(h hash.Hash64, asns []uint32, tr *astopo.RouteTree) {
+	fmt.Fprintf(h, "T %s %d %d\n", tr.Prefix, tr.Origin, tr.Len())
+	for _, asn := range asns {
+		info, ok := tr.Info(asn)
+		if !ok {
+			continue
 		}
+		fmt.Fprintf(h, "%d %d %d %d\n", asn, info.Class, info.NextHop, info.PathLen)
 	}
-	return h.Sum64()
 }
 
 // TestPropagateGoldenDigest is the CSR equivalence gate: Propagate over
 // the seed-scale world must reproduce the pre-refactor RouteTree
 // results bit-for-bit — same reachable set, same route class, next hop,
-// and path length everywhere — across worker counts, with and without
-// an import filter.
+// and path length everywhere — with and without an import filter, from
+// one Propagator reused across every flood and from a fresh one each.
 func TestPropagateGoldenDigest(t *testing.T) {
 	world, err := GenerateWorld(smallConfig(8))
 	if err != nil {
@@ -114,35 +109,33 @@ func TestPropagateGoldenDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every origination unfiltered, then the same set again behind the
+	// world's own ROV/IRR drop policies, to pin the filtered code path too.
 	origs := g.Originations()
-	reqs := make([]astopo.PropagateRequest, 0, 2*len(origs))
-	for _, og := range origs {
-		reqs = append(reqs, astopo.PropagateRequest{Prefix: og.Prefix, Origin: og.Origin})
-	}
-	// The same set again behind the world's own ROV/IRR drop policies,
-	// to pin the filtered code path too.
 	filterFor := ihr.PolicyFilter(g, world.Policies, rpkiIx, irrIx)
-	for _, og := range origs {
-		reqs = append(reqs, astopo.PropagateRequest{
-			Prefix: og.Prefix,
-			Origin: og.Origin,
-			Filter: filterFor(og.Prefix, og.Origin),
-		})
-	}
-
-	digests := make(map[int]uint64)
-	for _, workers := range []int{1, 3, 8} {
-		trees, err := g.PropagateBatchCtx(context.Background(), reqs, workers)
-		if err != nil {
-			t.Fatal(err)
+	asns := g.ASNs()
+	digest := func(flood func(og astopo.Origination, f astopo.ImportFilter) *astopo.RouteTree) uint64 {
+		h := fnv.New64a()
+		for _, og := range origs {
+			foldTree(h, asns, flood(og, nil))
 		}
-		digests[workers] = propagationDigest(g, trees)
+		for _, og := range origs {
+			foldTree(h, asns, flood(og, filterFor(og.Prefix, og.Origin)))
+		}
+		return h.Sum64()
 	}
-	if digests[3] != digests[1] || digests[8] != digests[1] {
-		t.Fatalf("propagation digest varies with worker count: %v", digests)
+	prop := astopo.NewPropagator(g)
+	reused := digest(func(og astopo.Origination, f astopo.ImportFilter) *astopo.RouteTree {
+		return prop.Propagate(og.Prefix, og.Origin, f)
+	})
+	fresh := digest(func(og astopo.Origination, f astopo.ImportFilter) *astopo.RouteTree {
+		return g.Propagate(og.Prefix, og.Origin, f)
+	})
+	if reused != fresh {
+		t.Fatalf("a reused Propagator gives digest %016x, fresh ones %016x", reused, fresh)
 	}
 
-	got := fmt.Sprintf("%016x\n", digests[1])
+	got := fmt.Sprintf("%016x\n", reused)
 	if updateGolden() {
 		writeGolden(t, goldenPropagateDigest, []byte(got))
 		return

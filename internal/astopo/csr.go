@@ -124,11 +124,11 @@ func (g *Graph) CSR() *CSR {
 }
 
 // Propagator runs repeated propagations over one CSR while reusing all
-// per-run scratch (route table, frontier queues, candidate buffer), so
-// a worker flooding many (prefix, origin) pairs performs no per-run
-// allocation. The tree returned by Propagate aliases that scratch and
-// is valid only until the next Propagate call on the same Propagator;
-// callers that retain trees must use Graph.Propagate instead.
+// per-run scratch (route table, frontier queues, touched list), so a
+// worker flooding many (prefix, origin) pairs performs no per-run
+// allocation. The tree returned by a flood aliases that scratch and is
+// valid only until the next flood on the same Propagator; callers that
+// retain trees must use Graph.Propagate instead.
 //
 // A Propagator is not safe for concurrent use; give each worker its own.
 type Propagator struct {
@@ -136,11 +136,12 @@ type Propagator struct {
 	tree RouteTree
 
 	// Reused scratch: BFS frontier double-buffer, frontier membership
-	// bits, and the phase-2 peer-export candidate list.
+	// bits, and the nodes the last flood gave a route (in settling
+	// order), which is all the next flood has to clear.
 	frontier []int32
 	scratch  []int32
 	inNext   []bool
-	cands    []peerCand
+	touched  []int32
 }
 
 // NewPropagator returns a Propagator over g's current topology.
@@ -154,6 +155,10 @@ func NewCSRPropagator(c *CSR) *Propagator {
 		c:    c,
 		info: make([]RouteInfo, n),
 		next: make([]int32, n),
+	}
+	for i := range p.tree.info {
+		p.tree.info[i].Class = classNone
+		p.tree.next[i] = -1
 	}
 	return p
 }

@@ -53,7 +53,7 @@ type Org struct {
 // NewGraph.
 //
 // Concurrency contract: once a Graph is fully built, any number of
-// goroutines may read it concurrently — Propagate, PropagateBatchCtx,
+// goroutines may read it concurrently — Propagate, NewPropagator,
 // CustomerCone, the writers, and every other non-mutating method are
 // safe in parallel (the lazily-built dense adjacency is guarded
 // internally). Mutations (AddAS, SetProviderCustomer, SetPeer,

@@ -1,10 +1,9 @@
 package astopo
 
 import (
-	"context"
+	"fmt"
 
 	"manrsmeter/internal/netx"
-	"manrsmeter/internal/parallel"
 )
 
 // RouteClass orders routes by Gao–Rexford preference: routes learned from
@@ -133,17 +132,94 @@ func betterRoute(cur RouteInfo, class RouteClass, plen int, nh uint32) bool {
 	return nh < cur.NextHop
 }
 
-// peerCand is a deferred phase-2 peer export: node from offers its route
-// to node at.
-type peerCand struct {
-	at, from int32
-	plen     int
+// NeedSet is a set of nodes closed under "provider of": the nodes a caller
+// will read routes at, plus all their transitive providers. A flood
+// restricted to it (Propagator.PropagateTo) is exact on the set — see
+// PropagateTo for why — and skips everything else on the way down.
+// Immutable once built, so one set is shared by every worker of a build.
+type NeedSet struct {
+	c  *CSR
+	in []bool // per interned index
+	// The customer links that stay inside the set, CSR-style: node i's
+	// are cust[custOff[i]:custOff[i+1]]. Tier-1 customer spans run to
+	// thousands of stubs; the few that are needed are picked out once
+	// here rather than once per flood.
+	custOff []int32
+	cust    []int32
+}
+
+// NeedSet returns the provider up-closure of targets (interned indexes).
+func (c *CSR) NeedSet(targets []int32) *NeedSet {
+	s := &NeedSet{c: c, in: make([]bool, c.N())}
+	stack := make([]int32, 0, len(targets))
+	add := func(i int32) {
+		if !s.in[i] {
+			s.in[i] = true
+			stack = append(stack, i)
+		}
+	}
+	for _, i := range targets {
+		add(i)
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, pi := range c.Providers(i) {
+			add(pi)
+		}
+	}
+	s.custOff = make([]int32, c.N()+1)
+	for i := range s.in {
+		if s.in[i] {
+			for _, ci := range c.Customers(int32(i)) {
+				if s.in[ci] {
+					s.cust = append(s.cust, ci)
+				}
+			}
+		}
+		s.custOff[i+1] = int32(len(s.cust))
+	}
+	return s
+}
+
+// PartialTree is the result of a flood restricted to a NeedSet. It
+// answers only where the restricted flood is exact: at nodes of the set,
+// and at nodes holding an origin or customer route (phase 1 is never
+// restricted, and no later phase can displace such a route). Anywhere
+// else "no route" would be a guess, so reading there panics. Whole-tree
+// questions (Len, Reached) are deliberately not part of the type.
+type PartialTree struct {
+	t    *RouteTree
+	need *NeedSet // nil: the flood was unrestricted, every node answers
+}
+
+func (v PartialTree) check(i int32) {
+	if v.need != nil && !v.need.in[i] && v.t.info[i].Class == classNone {
+		panic(fmt.Sprintf("astopo: AS%d read from a flood restricted to a need-set that excludes it",
+			v.t.c.Intern.asns[i]))
+	}
+}
+
+// InfoAt returns the best route of the node at interned index i and
+// whether one exists.
+func (v PartialTree) InfoAt(i int32) (RouteInfo, bool) {
+	v.check(i)
+	return v.t.InfoAt(i)
+}
+
+// AppendPathAt is RouteTree.AppendPathAt. Only the start of the path is
+// checked: every later hop is a provider of its predecessor (in the
+// set), the far end of a peer link (customer route) or a customer
+// (customer route), so the whole walk is over exact nodes.
+func (v PartialTree) AppendPathAt(dst []uint32, i int32) []uint32 {
+	v.check(i)
+	return v.t.AppendPathAt(dst, i)
 }
 
 // Propagate floods (prefix, origin) through the topology under
 // Gao–Rexford (valley-free) routing and returns the resulting route
 // tree. The tree aliases the Propagator's scratch and is valid only
-// until the next Propagate call on this Propagator.
+// until the next flood on this Propagator.
 //
 // Export rules: an AS exports routes learned from customers (and its own
 // routes) to everyone; routes learned from peers or providers are
@@ -154,22 +230,55 @@ type peerCand struct {
 // propagate further through that AS (matching how ROV deployment bounds
 // invalid-route visibility, §9.4).
 func (p *Propagator) Propagate(prefix netx.Prefix, origin uint32, filter ImportFilter) *RouteTree {
+	p.flood(prefix, origin, filter, nil)
+	return &p.tree
+}
+
+// PropagateTo is Propagate for callers that read routes only at the
+// nodes of need (vantage points): the peer and provider phases relax
+// only edges into need. That is exact there because an AS's final route
+// depends only on its providers' routes (phase 3), its peers' customer
+// routes (phase 2) and the origin's up-cone (phase 1, left unrestricted)
+// — and need contains every provider of its members. A nil need floods
+// everything. The result is valid until the next flood on p.
+func (p *Propagator) PropagateTo(prefix netx.Prefix, origin uint32, filter ImportFilter, need *NeedSet) PartialTree {
+	p.flood(prefix, origin, filter, need)
+	return PartialTree{t: &p.tree, need: need}
+}
+
+// Settled returns how many nodes the last flood gave a route: the work
+// it did. After an unrestricted flood it equals the tree's Len.
+func (p *Propagator) Settled() int { return len(p.touched) }
+
+// flood is the one propagation loop. Its cost is what it touches: the
+// previous run is undone through the touched list, phase 2 exports from
+// the nodes phase 1 settled, and phase 3 starts from the nodes holding a
+// route, so no step scans all N nodes.
+func (p *Propagator) flood(prefix netx.Prefix, origin uint32, filter ImportFilter, need *NeedSet) {
 	c := p.c
 	t := &p.tree
 	t.Prefix, t.Origin = prefix, origin
 	info, next := t.info, t.next
 	asns := c.Intern.asns
-	for i := range info {
+	var in []bool // nil: every node is needed
+	if need != nil {
+		if need.c != c {
+			panic("astopo: NeedSet built over a different topology")
+		}
+		in = need.in
+	}
+	for _, i := range p.touched {
 		info[i].Class = classNone
 		next[i] = -1
 	}
-	t.n = 0
+	touched := p.touched[:0]
 	oi, ok := c.Intern.Index(origin)
 	if !ok {
-		return t
+		p.touched, t.n = touched, 0
+		return
 	}
 	info[oi] = RouteInfo{Class: ClassOrigin, NextHop: 0, PathLen: 1}
-	t.n = 1
+	touched = append(touched, oi)
 
 	if p.inNext == nil {
 		p.inNext = make([]bool, c.N())
@@ -193,7 +302,7 @@ func (p *Propagator) Propagate(prefix netx.Prefix, origin uint32, filter ImportF
 					continue
 				}
 				if info[pi].Class == classNone {
-					t.n++
+					touched = append(touched, pi)
 				}
 				info[pi] = RouteInfo{Class: ClassCustomer, NextHop: fromASN, PathLen: plen}
 				next[pi] = fi
@@ -206,41 +315,39 @@ func (p *Propagator) Propagate(prefix netx.Prefix, origin uint32, filter ImportF
 		frontier, scratch = nextFrontier, frontier
 	}
 
-	// Phase 2 — "across": ASes holding an origin/customer route export it
-	// to peers; peer routes stop there (valley-free). Candidates are
-	// collected first so update order cannot influence the outcome.
-	cands := p.cands[:0]
-	for i := range info {
-		if info[i].Class > ClassCustomer {
-			continue
-		}
-		plen := info[i].PathLen + 1
-		for _, pi := range c.Peers(int32(i)) {
-			cands = append(cands, peerCand{at: pi, from: int32(i), plen: plen})
+	// Phase 2 — "across": the ASes phase 1 settled (origin and customer
+	// routes) export to their peers; peer routes stop there (valley-free).
+	// Update order cannot influence the outcome: exporters' routes are
+	// final, and a node that gains a peer route here is not an exporter.
+	exporters := touched // appends below land past its length
+	for _, fi := range exporters {
+		plen := info[fi].PathLen + 1
+		fromASN := asns[fi]
+		for _, pi := range c.Peers(fi) {
+			if in != nil && !in[pi] {
+				continue
+			}
+			if !betterRoute(info[pi], ClassPeer, plen, fromASN) {
+				continue
+			}
+			if filter != nil && !filter(asns[pi], fromASN, prefix, origin) {
+				continue
+			}
+			if info[pi].Class == classNone {
+				touched = append(touched, pi)
+			}
+			info[pi] = RouteInfo{Class: ClassPeer, NextHop: fromASN, PathLen: plen}
+			next[pi] = fi
 		}
 	}
-	for _, cand := range cands {
-		nh := asns[cand.from]
-		if !betterRoute(info[cand.at], ClassPeer, cand.plen, nh) {
-			continue
-		}
-		if filter != nil && !filter(asns[cand.at], nh, prefix, origin) {
-			continue
-		}
-		if info[cand.at].Class == classNone {
-			t.n++
-		}
-		info[cand.at] = RouteInfo{Class: ClassPeer, NextHop: nh, PathLen: cand.plen}
-		next[cand.at] = cand.from
-	}
-	p.cands = cands[:0]
 
 	// Phase 3 — "down": all routes descend customer links (Bellman-Ford
-	// style; improvements re-queue).
+	// style; improvements re-queue). A node outside the need-set has no
+	// customer inside it, so it need not start.
 	frontier = frontier[:0]
-	for i := range info {
-		if info[i].Class != classNone {
-			frontier = append(frontier, int32(i))
+	for _, i := range touched {
+		if in == nil || in[i] {
+			frontier = append(frontier, i)
 		}
 	}
 	for len(frontier) > 0 {
@@ -249,7 +356,11 @@ func (p *Propagator) Propagate(prefix netx.Prefix, origin uint32, filter ImportF
 			inNext[fi] = false
 			plen := info[fi].PathLen + 1
 			fromASN := asns[fi]
-			for _, ci := range c.Customers(fi) {
+			customers := c.Customers(fi)
+			if need != nil {
+				customers = need.cust[need.custOff[fi]:need.custOff[fi+1]]
+			}
+			for _, ci := range customers {
 				if !betterRoute(info[ci], ClassProvider, plen, fromASN) {
 					continue
 				}
@@ -257,7 +368,7 @@ func (p *Propagator) Propagate(prefix netx.Prefix, origin uint32, filter ImportF
 					continue
 				}
 				if info[ci].Class == classNone {
-					t.n++
+					touched = append(touched, ci)
 				}
 				info[ci] = RouteInfo{Class: ClassProvider, NextHop: fromASN, PathLen: plen}
 				next[ci] = fi
@@ -270,7 +381,7 @@ func (p *Propagator) Propagate(prefix netx.Prefix, origin uint32, filter ImportF
 		frontier, scratch = nextFrontier, frontier
 	}
 	p.frontier, p.scratch = frontier[:0], scratch[:0]
-	return t
+	p.touched, t.n = touched, len(touched)
 }
 
 // Propagate floods (prefix, origin) and returns an independently owned
@@ -279,38 +390,4 @@ func (p *Propagator) Propagate(prefix netx.Prefix, origin uint32, filter ImportF
 func (g *Graph) Propagate(prefix netx.Prefix, origin uint32, filter ImportFilter) *RouteTree {
 	p := NewCSRPropagator(g.CSR())
 	return p.Propagate(prefix, origin, filter)
-}
-
-// PropagateRequest is one unit of PropagateBatchCtx work: flood (Prefix,
-// Origin) under Filter.
-type PropagateRequest struct {
-	Prefix netx.Prefix
-	Origin uint32
-	Filter ImportFilter
-}
-
-// PropagateBatchCtx propagates every request across a pool of workers
-// (≤ 0 means one per CPU) and returns the route trees in request order,
-// so results are deterministic regardless of the worker count. Each
-// propagation is independent; filters are called concurrently and must
-// be safe for concurrent use (pure functions over immutable state, as
-// all filters in this repository are). Workers stop picking up new
-// requests once ctx is done, and a panic inside one propagation is
-// returned as a *parallel.PanicError instead of crashing the process.
-// On error the returned slice is nil — partially filled trees are never
-// exposed.
-func (g *Graph) PropagateBatchCtx(ctx context.Context, reqs []PropagateRequest, workers int) ([]*RouteTree, error) {
-	trees := make([]*RouteTree, len(reqs))
-	if len(reqs) == 0 {
-		return trees, nil
-	}
-	g.CSR() // build once, outside the pool
-	err := parallel.ForEachCtx(ctx, len(reqs), workers, func(i int) {
-		r := reqs[i]
-		trees[i] = g.Propagate(r.Prefix, r.Origin, r.Filter)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return trees, nil
 }

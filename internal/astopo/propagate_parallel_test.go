@@ -1,7 +1,6 @@
 package astopo
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -11,16 +10,16 @@ import (
 )
 
 // batchRequests originates one prefix per stub/mid AS of the diamond and
-// returns the propagation requests for them.
-func batchRequests(t *testing.T, g *Graph) []PropagateRequest {
+// returns the originations to flood.
+func batchRequests(t *testing.T, g *Graph) []Origination {
 	t.Helper()
-	var reqs []PropagateRequest
+	var reqs []Origination
 	for i, asn := range []uint32{3, 4, 5, 6} {
 		p := pfx(fmt.Sprintf("10.%d.0.0/16", i+1))
 		if err := g.Originate(asn, p); err != nil {
 			t.Fatal(err)
 		}
-		reqs = append(reqs, PropagateRequest{Prefix: p, Origin: asn})
+		reqs = append(reqs, Origination{Prefix: p, Origin: asn})
 	}
 	return reqs
 }
@@ -34,23 +33,23 @@ func treeSnapshot(tr *RouteTree) map[uint32]RouteInfo {
 	return out
 }
 
-func TestPropagateBatchMatchesSequential(t *testing.T) {
+// A Propagator's tree is scratch: whatever the previous floods left in
+// it, each flood must equal one from a fresh Propagator.
+func TestPropagatorReuseMatchesFresh(t *testing.T) {
 	g := diamond(t)
 	reqs := batchRequests(t, g)
-	for _, workers := range []int{1, 2, 8, 0} {
-		trees, err := g.PropagateBatchCtx(context.Background(), reqs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(trees) != len(reqs) {
-			t.Fatalf("workers=%d: %d trees for %d requests", workers, len(trees), len(reqs))
-		}
+	p := NewPropagator(g)
+	for round := 0; round < 3; round++ {
 		for i, r := range reqs {
-			want := treeSnapshot(g.Propagate(r.Prefix, r.Origin, r.Filter))
-			got := treeSnapshot(trees[i])
+			want := treeSnapshot(g.Propagate(r.Prefix, r.Origin, nil))
+			got := treeSnapshot(p.Propagate(r.Prefix, r.Origin, nil))
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d request %d: batch tree %v, sequential %v", workers, i, got, want)
+				t.Errorf("round %d request %d: reused tree %v, fresh %v", round, i, got, want)
 			}
+		}
+		// An unknown origin floods nothing and must leave nothing behind.
+		if tr := p.Propagate(reqs[0].Prefix, 999, nil); tr.Len() != 0 || len(tr.Reached()) != 0 {
+			t.Errorf("round %d: unknown origin reached %v", round, tr.Reached())
 		}
 	}
 }

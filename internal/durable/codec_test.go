@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -72,6 +73,25 @@ func TestCodecDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(a, Encode(testSnapshotData(1))) {
 		t.Fatal("distinct content encoded identically")
+	}
+}
+
+// TestEncodeSizedOnce holds encodedSize to the encoder's layout: Encode
+// must fill its one allocation exactly, at every varint width.
+func TestEncodeSizedOnce(t *testing.T) {
+	wide := testSnapshotData(0)
+	wide.Date = time.Date(1960, 1, 1, 0, 0, 0, 0, time.UTC) // negative varint
+	for i, asn := range []uint32{0, 127, 128, 1 << 14, 1 << 21, 1 << 28, math.MaxUint32} {
+		wide.PrefixOrigins = append(wide.PrefixOrigins, ihr.PrefixOrigin{Prefix: wide.PrefixOrigins[i%3].Prefix, Origin: asn})
+		wide.Transits = append(wide.Transits, ihr.TransitRow{Prefix: wide.PrefixOrigins[i%3].Prefix, Origin: asn, Transit: asn})
+		wide.Visibility.Origs = append(wide.Visibility.Origs, astopo.Origination{Prefix: wide.PrefixOrigins[i%3].Prefix, Origin: asn})
+		wide.Visibility.Counts = append(wide.Visibility.Counts, int32(asn>>1))
+		wide.IRR = append(wide.IRR, rov.Authorization{Prefix: wide.PrefixOrigins[i%3].Prefix, ASN: asn, MaxLength: 32})
+	}
+	for _, d := range []*SnapshotData{{}, testSnapshotData(0), testSnapshotData(1), wide} {
+		if b := Encode(d); len(b) != encodedSize(d) || cap(b) != len(b) {
+			t.Errorf("encoded %d bytes in a buffer of %d, sized for %d", len(b), cap(b), encodedSize(d))
+		}
 	}
 }
 

@@ -56,7 +56,26 @@ type OSFS struct{}
 func (OSFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 
 func (OSFS) Create(name string) (File, error) {
-	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return osFile{f}, nil
+}
+
+// osFile is a file written under OSFS. Once synced, its pages are
+// released from the page cache: an archive is written for the next
+// boot and not read back by the process that wrote it, so every save
+// would otherwise take megabytes of new cache pages, which costs an
+// order of magnitude more than rewriting pages just released.
+type osFile struct{ *os.File }
+
+func (f osFile) Sync() error {
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	dropPageCache(f.File)
+	return nil
 }
 
 func (OSFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }

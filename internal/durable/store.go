@@ -24,6 +24,7 @@ package durable
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -318,7 +319,7 @@ func (s *Store) Save(ctx context.Context, d *SnapshotData) error {
 	buf := Encode(d)
 	espan.SetAttr("bytes", len(buf))
 	espan.End()
-	sum := Checksum(buf)
+	sum := binary.LittleEndian.Uint64(buf[len(buf)-8:]) // the footer Encode just computed
 	key := d.Key()
 	name := archiveName(key, sum)
 	span.SetAttr("file", name)

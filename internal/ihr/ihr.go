@@ -20,8 +20,18 @@ import (
 	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/hegemony"
 	"manrsmeter/internal/netx"
+	"manrsmeter/internal/obsv"
 	"manrsmeter/internal/parallel"
 	"manrsmeter/internal/rov"
+)
+
+// Flood accounting: nodes per flood is what a build pays per tree key,
+// readable from /metrics as the ratio of the two.
+var (
+	mFloods = obsv.NewCounter("ihr_floods_total",
+		"Route propagations run by dataset builds, one per tree key.")
+	mFloodNodes = obsv.NewCounter("ihr_flood_nodes_total",
+		"Routes settled by those propagations, summed over ASes.")
 )
 
 // Policy is one AS's route filtering behavior.
@@ -238,6 +248,12 @@ func Build(cfg Config) (*Dataset, error) {
 // and the build returns the cancellation cause instead of a partial
 // dataset. A panic in any stage surfaces as a *parallel.PanicError.
 func BuildCtx(ctx context.Context, cfg Config) (*Dataset, error) {
+	return build(ctx, cfg, true)
+}
+
+// build is BuildCtx. vpOnly false floods every AS instead of only what
+// the vantage points can see: the slow reference the tests compare with.
+func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("ihr: Config.Graph is required")
 	}
@@ -300,7 +316,10 @@ func BuildCtx(ctx context.Context, cfg Config) (*Dataset, error) {
 	// the key, so the route tree itself is worker scratch: each worker
 	// owns one Propagator and one hegemony Accumulator and reuses them
 	// across its whole index range, keeping per-worker memory bounded by
-	// one tree regardless of how many keys the world has.
+	// one tree regardless of how many keys the world has. Routes are read
+	// only at the vantage points and at the transits on their paths, so
+	// each flood is restricted to the vantage points' need-set, computed
+	// once and shared read-only.
 	type transitTpl struct {
 		transit      uint32
 		hegemony     float64
@@ -318,6 +337,10 @@ func BuildCtx(ctx context.Context, cfg Config) (*Dataset, error) {
 			vpIdx = append(vpIdx, vi)
 		}
 	}
+	var need *astopo.NeedSet
+	if vpOnly {
+		need = csr.NeedSet(vpIdx)
+	}
 	workers := parallel.Workers(cfg.Workers, len(reps))
 	chunks := workers * 4
 	if chunks > len(reps) {
@@ -327,6 +350,11 @@ func BuildCtx(ctx context.Context, cfg Config) (*Dataset, error) {
 		prop := astopo.NewCSRPropagator(csr)
 		acc := hegemony.NewAccumulator()
 		var pathBuf []uint32
+		floods, settled := 0, 0
+		defer func() {
+			mFloods.Add(int64(floods))
+			mFloodNodes.Add(int64(settled))
+		}()
 		lo := chunk * len(reps) / chunks
 		hi := (chunk + 1) * len(reps) / chunks
 		for s := lo; s < hi; s++ {
@@ -338,9 +366,11 @@ func BuildCtx(ctx context.Context, cfg Config) (*Dataset, error) {
 			st := statuses[rep]
 			var filter astopo.ImportFilter
 			if makeTreeKey(og.Origin, st.rpki, st.irr, havePolicies).class != classBenign {
-				filter = makeFilter(cfg.Graph, cfg.Policies, st.rpki, st.irr)
+				filter = makeFilter(csr, cfg.Policies, st.rpki, st.irr)
 			}
-			tree := prop.Propagate(og.Prefix, og.Origin, filter)
+			tree := prop.PropagateTo(og.Prefix, og.Origin, filter, need)
+			floods++
+			settled += prop.Settled()
 			acc.Reset()
 			seen := int32(0)
 			for _, vi := range vpIdx {
@@ -368,7 +398,7 @@ func BuildCtx(ctx context.Context, cfg Config) (*Dataset, error) {
 						tpl.transits = append(tpl.transits, transitTpl{
 							transit:      sc.ASN,
 							hegemony:     sc.Hegemony,
-							fromCustomer: fromCustomer(tree, sc.ASN),
+							fromCustomer: fromCustomer(csr, tree, sc.ASN),
 						})
 					}
 				}
@@ -455,8 +485,12 @@ func BuildCtx(ctx context.Context, cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
-func fromCustomer(tree *astopo.RouteTree, asn uint32) bool {
-	info, ok := tree.Info(asn)
+func fromCustomer(c *astopo.CSR, tree astopo.PartialTree, asn uint32) bool {
+	i, ok := c.Intern.Index(asn)
+	if !ok {
+		return false
+	}
+	info, ok := tree.InfoAt(i)
 	return ok && info.Class == astopo.ClassCustomer
 }
 
@@ -464,8 +498,10 @@ func fromCustomer(tree *astopo.RouteTree, asn uint32) bool {
 // policies: call it with a (prefix, origin) pair's validation statuses to
 // get the astopo.ImportFilter the propagation of that pair should run
 // under. Exported so tools that re-propagate (the synthgen MRT writer)
-// apply the same policies the dataset builder does.
+// apply the same policies the dataset builder does. Customer
+// relationships are g's as of this call.
 func PolicyFilter(g *astopo.Graph, policies map[uint32]Policy, rpkiIx, irrIx *rov.Index) func(prefix netx.Prefix, origin uint32) astopo.ImportFilter {
+	csr := g.CSR()
 	return func(prefix netx.Prefix, origin uint32) astopo.ImportFilter {
 		rpkiS, irrS := rov.NotFound, rov.NotFound
 		if rpkiIx != nil {
@@ -474,11 +510,11 @@ func PolicyFilter(g *astopo.Graph, policies map[uint32]Policy, rpkiIx, irrIx *ro
 		if irrIx != nil {
 			irrS = irrIx.Validate(prefix, origin)
 		}
-		return makeFilter(g, policies, rpkiS, irrS)
+		return makeFilter(csr, policies, rpkiS, irrS)
 	}
 }
 
-func makeFilter(g *astopo.Graph, policies map[uint32]Policy, rpkiS, irrS rov.Status) astopo.ImportFilter {
+func makeFilter(c *astopo.CSR, policies map[uint32]Policy, rpkiS, irrS rov.Status) astopo.ImportFilter {
 	if len(policies) == 0 {
 		return nil
 	}
@@ -490,7 +526,7 @@ func makeFilter(g *astopo.Graph, policies map[uint32]Policy, rpkiS, irrS rov.Sta
 		if pol.DropRPKIInvalid && rpkiS.IsInvalid() {
 			return false
 		}
-		if pol.DropIRRInvalidCustomers && irrS == rov.InvalidASN && isCustomer(g, importer, neighbor) &&
+		if pol.DropIRRInvalidCustomers && irrS == rov.InvalidASN && isCustomer(c, importer, neighbor) &&
 			!filterMisses(importer, prefix, pol.IRRFilterMissRate) {
 			return false
 		}
@@ -498,11 +534,11 @@ func makeFilter(g *astopo.Graph, policies map[uint32]Policy, rpkiS, irrS rov.Sta
 	}
 }
 
-func isCustomer(g *astopo.Graph, importer, neighbor uint32) bool {
-	a := g.AS(importer)
-	if a == nil {
+func isCustomer(c *astopo.CSR, importer, neighbor uint32) bool {
+	i, ok := c.Intern.Index(importer)
+	if !ok {
 		return false
 	}
-	i := sort.Search(len(a.Customers), func(i int) bool { return a.Customers[i] >= neighbor })
-	return i < len(a.Customers) && a.Customers[i] == neighbor
+	j, ok := c.Intern.Index(neighbor)
+	return ok && c.HasCustomer(i, j)
 }

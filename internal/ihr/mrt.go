@@ -60,6 +60,10 @@ func FromMRT(dump *mrt.Dump, g *astopo.Graph, rpkiIx, irrIx *rov.Index, trim flo
 		return order[i].prefix.Compare(order[j].prefix) < 0
 	})
 
+	var csr *astopo.CSR
+	if g != nil {
+		csr = g.CSR()
+	}
 	ds := &Dataset{}
 	for _, k := range order {
 		ps := paths[k]
@@ -82,7 +86,7 @@ func FromMRT(dump *mrt.Dump, g *astopo.Graph, rpkiIx, irrIx *rov.Index, trim flo
 				Hegemony:     sc.Hegemony,
 				RPKI:         rpkiS,
 				IRR:          irrS,
-				FromCustomer: learnedFromCustomer(g, ps, sc.ASN),
+				FromCustomer: learnedFromCustomer(csr, ps, sc.ASN),
 			})
 		}
 	}
@@ -94,13 +98,13 @@ func FromMRT(dump *mrt.Dump, g *astopo.Graph, rpkiIx, irrIx *rov.Index, trim flo
 // direct customer on any observed path: in a vantage-first path
 // [..., transit, next, ..., origin], "next" is the neighbor the route
 // was learned from.
-func learnedFromCustomer(g *astopo.Graph, paths [][]uint32, transit uint32) bool {
-	if g == nil {
+func learnedFromCustomer(c *astopo.CSR, paths [][]uint32, transit uint32) bool {
+	if c == nil {
 		return false
 	}
 	for _, path := range paths {
 		for i := 0; i < len(path)-1; i++ {
-			if path[i] == transit && isCustomer(g, transit, path[i+1]) {
+			if path[i] == transit && isCustomer(c, transit, path[i+1]) {
 				return true
 			}
 		}

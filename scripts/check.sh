@@ -27,6 +27,12 @@
 #            oracle (`go run ./bench --workload build.weekly`): snapshot
 #            digests equal across ops and worker counts, and a
 #            warm-started store answering like the one that built
+#   flood  — vantage-point-restricted floods under -race: the
+#            need-set-vs-full-flood property on random DAGs and the
+#            misuse test (astopo), and the dataset oracle over seeded
+#            worlds in both layouts at 1 and N workers (ihr); then the
+#            bench's build oracle on the propagation-bound world
+#            (`go run ./bench --workload build.topology`)
 #   bench  — single-iteration smoke of the headline benchmarks (dataset
 #            build, propagation, full report, serving hot path, snapshot
 #            persist/load), emitting one BENCH_<name>.json per result in
@@ -150,6 +156,13 @@ go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$' ./internal/sy
 echo "==> build oracle (bench build.weekly: digests equal across ops and worker counts, warm start answers like the builder)"
 bench_oracle build.weekly
 
+echo "==> need-set floods (-race): exactness property + misuse, then the full-flood dataset oracle"
+go test -race -count=1 -run '^TestNeedSetFloodMatchesFull$|^TestPartialTreeNeverGuesses$' ./internal/astopo
+go test -race -count=1 -run '^TestBuildMatchesFullFloodOracle$' ./internal/ihr
+
+echo "==> build oracle (bench build.topology: propagation-bound world, digests equal across ops and worker counts)"
+bench_oracle build.topology
+
 # emit_bench OUTPUT-FILE: turn `go test -bench` result lines into one
 # BENCH_<name>.json each in the repo root. The `$4 == "ns/op"` guard
 # skips the name-only lines a skipped sub-benchmark prints (e.g. the
@@ -222,7 +235,7 @@ fi
 echo "==> internet-scale serve smoke (manrsd -scale large under GOMEMLIMIT=4GiB)"
 # The large world must not just build — it must answer conformance
 # queries through the real daemon inside the same memory budget. The
-# warm build runs serially for minutes; poll patiently.
+# first build takes some tens of seconds on one core; poll patiently.
 go build -o "$TMPDIR_SMOKE/manrsd" ./cmd/manrsd
 GOMEMLIMIT=4GiB "$TMPDIR_SMOKE/manrsd" -scale large -listen 127.0.0.1:0 \
     >"$TMPDIR_SMOKE/manrsd-large.log" 2>&1 &
