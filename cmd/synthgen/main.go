@@ -111,7 +111,7 @@ func main() {
 	write("as2org.txt", world.Graph.WriteAS2Org)
 	write("prefix2as.txt", world.Graph.WritePrefix2AS)
 
-	vrps, err := world.VRPsAt(asOf)
+	vrps, err := world.VRPsAtCtx(ctx, asOf, 0)
 	if err != nil {
 		log.Fatalf("relying party: %v", err)
 	}
@@ -143,7 +143,7 @@ func main() {
 	write("ihr-prefix-origins.csv", ds.WritePrefixOriginCSV)
 	write("ihr-transits.csv", ds.WriteTransitCSV)
 
-	write("rib.mrt", func(f io.Writer) error { return writeMRT(f, world, ds) })
+	write("rib.mrt", func(f io.Writer) error { return writeMRT(ctx, f, world, ds) })
 }
 
 func writeVRPs(f io.Writer, vrps []manrsmeter.VRP) error {
@@ -165,8 +165,8 @@ func writeVRPs(f io.Writer, vrps []manrsmeter.VRP) error {
 // writeMRT dumps the simulated collector's view: one RIB entry per
 // (prefix, vantage point that sees it), exactly how RouteViews archives
 // look.
-func writeMRT(f io.Writer, world *synth.World, ds *ihr.Dataset) error {
-	rpkiIx, irrIx, err := world.IndexesAt(world.Date(world.Config.EndYear))
+func writeMRT(ctx context.Context, f io.Writer, world *synth.World, ds *ihr.Dataset) error {
+	rpkiIx, irrIx, err := world.IndexesAt(ctx, world.Date(world.Config.EndYear), 0)
 	if err != nil {
 		return err
 	}

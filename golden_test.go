@@ -2,6 +2,7 @@ package manrsmeter
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -104,7 +105,7 @@ func TestPropagateGoldenDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := world.Graph
-	rpkiIx, irrIx, err := world.IndexesAt(world.Date(world.Config.EndYear))
+	rpkiIx, irrIx, err := world.IndexesAt(context.Background(), world.Date(world.Config.EndYear), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -33,7 +34,7 @@ type HijackImpactResult struct {
 // gap between the first two distributions is MANRS's collective
 // containment contribution.
 func (p *Pipeline) HijackImpact(n int, seed int64) (*HijackImpactResult, error) {
-	rpkiIx, _, err := p.World.IndexesAt(p.AsOf)
+	rpkiIx, _, err := p.World.IndexesAt(context.TODO(), p.AsOf, p.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ type Table1Row struct {
 // prefix-origin it attributes the mismatching registered origin to
 // Sibling/C-P (same org, or a direct customer/provider) or Unrelated.
 func (p *Pipeline) Table1CaseStudies(nCDN, nISP int) ([]Table1Row, error) {
-	rpkiIx, irrIx, err := p.World.IndexesAt(p.AsOf)
+	rpkiIx, irrIx, err := p.World.IndexesAt(context.TODO(), p.AsOf, p.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +381,7 @@ func (p *Pipeline) Fig6Saturation() (*Fig6Result, error) {
 	res := &Fig6Result{}
 	for y := p.World.Config.StartYear; y <= p.World.Config.EndYear; y++ {
 		t := p.World.Date(y)
-		vrps, err := p.World.VRPsAt(t)
+		vrps, err := p.World.VRPsAtCtx(context.TODO(), t, p.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package hegemony
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -45,6 +46,56 @@ func TestAccumulatorMatchesScores(t *testing.T) {
 			if got[i].ASN != want[i].ASN || got[i].Hegemony != want[i].Hegemony {
 				t.Fatalf("trial %d trim %v: score[%d] = %v, want %v", trial, trim, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// accumulatorWithHistory returns an Accumulator that has scored n
+// distinct ASes on an earlier destination, as a build worker has after
+// a few thousand floods.
+func accumulatorWithHistory(n int) *Accumulator {
+	acc := NewAccumulator()
+	for asn := uint32(1); asn <= uint32(n); asn++ {
+		acc.AddPath([]uint32{asn + 1, asn})
+	}
+	return acc
+}
+
+// What a worker scored before a Reset is neither ranked nor walked: after
+// 10k ASes of history, a 3-hop destination ranks exactly as it does on
+// its own, from an unused Accumulator and through Scores.
+func TestAccumulatorRankedAfterHistory(t *testing.T) {
+	// 20 and 30 are in the history; 70001 and 70002 are not.
+	paths := [][]uint32{{70001, 20, 30}, {70002, 20, 30}, {70001, 30}}
+	want := Ranked(Scores(paths, DefaultTrim))
+	fresh := NewAccumulator() // no Reset before its first destination
+	used := accumulatorWithHistory(10000)
+	used.Reset()
+	for name, acc := range map[string]*Accumulator{"fresh": fresh, "after history": used} {
+		for _, p := range paths {
+			acc.AddPath(p)
+		}
+		if got := acc.Ranked(DefaultTrim); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Ranked = %v, want %v", name, got, want)
+		}
+		if len(acc.touched) != 2 {
+			t.Errorf("%s: Ranked walks %d ASes, the destination's paths cross 2", name, len(acc.touched))
+		}
+	}
+}
+
+func BenchmarkAccumulatorRankedAfterHistory(b *testing.B) {
+	acc := accumulatorWithHistory(10000)
+	paths := [][]uint32{{70001, 20, 30}, {70002, 20, 30}, {70001, 30}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.Reset()
+		for _, p := range paths {
+			acc.AddPath(p)
+		}
+		if got := acc.Ranked(DefaultTrim); len(got) != 2 {
+			b.Fatalf("Ranked = %v", got)
 		}
 	}
 }

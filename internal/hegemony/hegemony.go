@@ -105,7 +105,10 @@ type Accumulator struct {
 	ver  int
 	n    int // non-empty paths this destination
 	ents map[uint32]accEntry
-	out  []Score
+	// touched lists the ASes on this destination's paths, so Ranked does
+	// not walk every AS the worker has ever scored.
+	touched []uint32
+	out     []Score
 }
 
 type accEntry struct {
@@ -114,13 +117,16 @@ type accEntry struct {
 
 // NewAccumulator returns an empty Accumulator.
 func NewAccumulator() *Accumulator {
-	return &Accumulator{ents: make(map[uint32]accEntry)}
+	// ver starts past the zero accEntry's, so an AS never seen reads as
+	// belonging to an earlier destination.
+	return &Accumulator{ver: 1, ents: make(map[uint32]accEntry)}
 }
 
 // Reset starts a new destination, discarding all accumulated paths.
 func (a *Accumulator) Reset() {
 	a.ver++
 	a.n = 0
+	a.touched = a.touched[:0]
 }
 
 // AddPath folds in one vantage path (vantage-first, origin-last). Empty
@@ -139,6 +145,7 @@ func (a *Accumulator) AddPath(p []uint32) {
 		e := a.ents[asn]
 		if e.ver != a.ver {
 			e = accEntry{ver: a.ver}
+			a.touched = append(a.touched, asn)
 		}
 		if e.pathSeq == seq {
 			continue
@@ -157,11 +164,8 @@ func (a *Accumulator) Ranked(trim float64) []Score {
 	if a.n == 0 {
 		return out
 	}
-	for asn, e := range a.ents {
-		if e.ver != a.ver || e.cnt == 0 {
-			continue
-		}
-		if h := indicatorTrimmedMean(e.cnt, a.n, trim); h > 0 {
+	for _, asn := range a.touched {
+		if h := indicatorTrimmedMean(a.ents[asn].cnt, a.n, trim); h > 0 {
 			out = append(out, Score{ASN: asn, Hegemony: h})
 		}
 	}

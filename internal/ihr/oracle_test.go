@@ -39,7 +39,7 @@ func oracleWorlds(t *testing.T, seeds int) []*synth.World {
 func worldConfig(t *testing.T, w *synth.World, workers int) ihr.Config {
 	t.Helper()
 	at := w.Date(w.Config.EndYear)
-	rpkiIx, irrIx, err := w.IndexesAt(at)
+	rpkiIx, irrIx, err := w.IndexesAt(context.Background(), at, workers)
 	if err != nil {
 		t.Fatal(err)
 	}

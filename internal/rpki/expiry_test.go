@@ -38,7 +38,7 @@ func TestValidityBoundaryInstants(t *testing.T) {
 			t.Fatal(err)
 		}
 		rp.Now = tc.now
-		vrps, stats := rp.Run(repo)
+		vrps, stats := runOnce(t, rp, repo)
 		if got := len(vrps) == 1; got != tc.valid {
 			t.Errorf("%s: valid=%v want %v (stats %+v)", tc.name, got, tc.valid, stats)
 		}
@@ -189,7 +189,7 @@ func TestROAVisibilityLag(t *testing.T) {
 		}
 		rp.Now = now
 		rp.ROAVisibilityLag = lag
-		vrps, _ := rp.Run(repo)
+		vrps, _ := runOnce(t, rp, repo)
 		return len(vrps)
 	}
 

@@ -1,34 +1,44 @@
 package rpki
 
 import (
+	"context"
 	"crypto/ed25519"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// runWarmAndCold is the memo's oracle: it runs the relying party over
-// repo without a memo, then twice with memo — which earlier calls may
-// have warmed with other dates or objects — and fails the test unless
-// the three runs agree VRP for VRP and stat for stat. It returns the
-// memo-less result.
+// runWarmAndCold is the relying party's oracle: it runs over repo on one
+// goroutine without a memo, then at 1 and 8 workers without one and
+// twice with memo — which earlier calls may have warmed with other dates
+// or objects — and fails the test unless every run agrees with the first
+// VRP for VRP and stat for stat. It returns that first result.
 func runWarmAndCold(t *testing.T, memo *VerdictMemo, repo *Repository, now time.Time, lag time.Duration, anchors ...*Certificate) ([]VRP, ValidationStats) {
 	t.Helper()
-	run := func(m *VerdictMemo) ([]VRP, ValidationStats) {
+	run := func(m *VerdictMemo, workers int) ([]VRP, ValidationStats) {
 		rp, err := NewRelyingPartyMemo(m, anchors...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rp.Now = now
 		rp.ROAVisibilityLag = lag
-		return rp.Run(repo)
+		vrps, stats, err := rp.Run(context.Background(), repo, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vrps, stats
 	}
-	wantVRPs, wantStats := run(nil)
-	for _, pass := range []string{"first", "repeat"} {
-		gotVRPs, gotStats := run(memo)
-		if !reflect.DeepEqual(gotVRPs, wantVRPs) || gotStats != wantStats {
-			t.Fatalf("%s run with memo at %s: %d VRPs %+v, memo-less run: %d VRPs %+v",
-				pass, now.Format(time.RFC3339), len(gotVRPs), gotStats, len(wantVRPs), wantStats)
+	wantVRPs, wantStats := run(nil, 1)
+	for _, workers := range []int{1, 8} {
+		for _, pass := range []struct {
+			name string
+			memo *VerdictMemo
+		}{{"memo-less", nil}, {"first memo", memo}, {"repeat memo", memo}} {
+			gotVRPs, gotStats := run(pass.memo, workers)
+			if !reflect.DeepEqual(gotVRPs, wantVRPs) || gotStats != wantStats {
+				t.Fatalf("%s run, %d workers, at %s: %d VRPs %+v, serial memo-less run: %d VRPs %+v",
+					pass.name, workers, now.Format(time.RFC3339), len(gotVRPs), gotStats, len(wantVRPs), wantStats)
+			}
 		}
 	}
 	return wantVRPs, wantStats
@@ -89,7 +99,7 @@ func TestVerdictMemoCountsHitsAndMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 		rp.Now = tEval
-		if vrps, _ := rp.Run(f.repo); len(vrps) != 3 {
+		if vrps, _ := runOnce(t, rp, f.repo); len(vrps) != 3 {
 			t.Fatalf("vrps = %v", vrps)
 		}
 		h1, m1 := sigChecks()

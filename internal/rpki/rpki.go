@@ -14,6 +14,7 @@ package rpki
 
 import (
 	"bufio"
+	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/binary"
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"manrsmeter/internal/netx"
+	"manrsmeter/internal/parallel"
 	"manrsmeter/internal/rov"
 )
 
@@ -181,10 +183,22 @@ func (ca *CA) IssueCA(subject string, resources []netx.Prefix, notBefore, notAft
 	return &CA{Cert: cert, key: priv}, nil
 }
 
-// SignROA signs a ROA authorizing asn to originate the prefixes. The ROA
-// prefixes must be covered by the CA's resources; max lengths are
-// validated against each prefix's family.
+// SignROA signs a ROA authorizing asn to originate the prefixes: NewROA
+// then Sign.
 func (ca *CA) SignROA(asn uint32, prefixes []ROAPrefix, notBefore, notAfter time.Time) (*ROA, error) {
+	roa, err := ca.NewROA(asn, prefixes, notBefore, notAfter)
+	if err != nil {
+		return nil, err
+	}
+	ca.Sign(roa)
+	return roa, nil
+}
+
+// NewROA builds the ROA SignROA returns, without its signature, for a
+// publisher that signs many at once. The ROA prefixes must be covered by
+// the CA's resources; max lengths are validated against each prefix's
+// family.
+func (ca *CA) NewROA(asn uint32, prefixes []ROAPrefix, notBefore, notAfter time.Time) (*ROA, error) {
 	for _, p := range prefixes {
 		if !p.Prefix.IsValid() {
 			return nil, fmt.Errorf("rpki: ROA with invalid prefix")
@@ -200,15 +214,20 @@ func (ca *CA) SignROA(asn uint32, prefixes []ROAPrefix, notBefore, notAfter time
 			return nil, fmt.Errorf("rpki: %s does not hold %s", ca.Cert.SubjectName, p.Prefix)
 		}
 	}
-	roa := &ROA{
+	return &ROA{
 		SignerName: ca.Cert.SubjectName,
 		ASN:        asn,
 		Prefixes:   append([]ROAPrefix(nil), prefixes...),
 		NotBefore:  notBefore,
 		NotAfter:   notAfter,
-	}
+	}, nil
+}
+
+// Sign sets the signature of a ROA built by ca.NewROA. A signature is a
+// function of the key and the ROA's fields only, so ROAs may be signed in
+// any order, or concurrently.
+func (ca *CA) Sign(roa *ROA) {
 	roa.Signature = ed25519.Sign(ca.key, roa.payload())
-	return roa, nil
 }
 
 func coveredByAny(p netx.Prefix, holders []netx.Prefix) bool {
@@ -337,11 +356,59 @@ func NewRelyingPartyMemo(memo *VerdictMemo, anchors ...*Certificate) (*RelyingPa
 // is valid when its signer's certificate is valid, its own signature and
 // window check out, and its prefixes are covered by the signer's
 // resources.
-func (rp *RelyingParty) Run(repo *Repository) ([]VRP, ValidationStats) {
+//
+// The run has two phases. The certificate walk is serial: its cycle
+// marker and provisional rejections are order-dependent state, over the
+// few objects a repository's CAs amount to. It ends in a table of valid
+// signers that nothing writes again, so the ROA checks — where the
+// signatures are — fan out over workers goroutines (≤ 0 means one per
+// CPU), each into its own slot, and are merged in publication order: the
+// result does not depend on the worker count. A context done before every
+// ROA was checked yields its cause and no VRPs at all; a partial set
+// would silently turn Valid and Invalid routes into NotFound.
+func (rp *RelyingParty) Run(ctx context.Context, repo *Repository, workers int) ([]VRP, ValidationStats, error) {
 	now := rp.Now
 	if now.IsZero() {
 		now = time.Now()
 	}
+	signers, stats := rp.validSigners(repo, now)
+
+	valid := make([]bool, len(repo.roas))
+	err := parallel.ForEachCtx(ctx, len(repo.roas), workers, func(i int) {
+		valid[i] = rp.validROA(repo.roas[i], now, signers)
+	})
+	if err != nil {
+		return nil, ValidationStats{}, fmt.Errorf("rpki: relying party run: %w", err)
+	}
+
+	var vrps []VRP
+	for i, roa := range repo.roas {
+		if !valid[i] {
+			stats.ROAsRejected++
+			continue
+		}
+		stats.ROAsValid++
+		for _, p := range roa.Prefixes {
+			vrps = append(vrps, VRP{Prefix: p.Prefix, ASN: roa.ASN, MaxLength: p.MaxLength})
+		}
+	}
+	sort.Slice(vrps, func(i, j int) bool {
+		if c := vrps[i].Prefix.Compare(vrps[j].Prefix); c != 0 {
+			return c < 0
+		}
+		if vrps[i].ASN != vrps[j].ASN {
+			return vrps[i].ASN < vrps[j].ASN
+		}
+		return vrps[i].MaxLength < vrps[j].MaxLength
+	})
+	return vrps, stats, nil
+}
+
+// validSigners is the serial phase of Run: it walks every published
+// certificate's chain and returns, by subject name, the certificates that
+// may sign at now — a valid anchor first, then valid published
+// candidates in publication order — with the certificate counts.
+func (rp *RelyingParty) validSigners(repo *Repository, now time.Time) (map[string][]*Certificate, ValidationStats) {
 	var stats ValidationStats
 
 	// Index published certificates by subject. Duplicate subjects keep
@@ -434,68 +501,42 @@ func (rp *RelyingParty) Run(repo *Repository) ([]VRP, ValidationStats) {
 		}
 		return valid, settled
 	}
-	certOK := func(c *Certificate) bool {
-		valid, _ := validCert(c, 0)
-		return valid
-	}
 
 	// Anchors validate themselves.
-	for _, a := range rp.anchors {
+	signers := make(map[string][]*Certificate)
+	for name, a := range rp.anchors {
 		if rp.memo.verify(a.PublicKey, a.payload(), a.Signature) &&
 			!now.Before(a.NotBefore) && !now.After(a.NotAfter) {
 			state[a] = certValid
+			signers[name] = append(signers[name], a)
 		} else {
 			state[a] = certInvalid
 		}
 	}
 
+	// A certificate's verdict is the one its own walk from the top
+	// reaches, with nothing above it being visited.
 	for _, c := range repo.certs {
-		if certOK(c) {
+		if valid, _ := validCert(c, 0); valid {
 			stats.CertsValid++
+			signers[c.SubjectName] = append(signers[c.SubjectName], c)
 		} else {
 			stats.CertsRejected++
 		}
 	}
-
-	var vrps []VRP
-	for _, roa := range repo.roas {
-		if rp.validROA(roa, now, bySubject, certOK) {
-			stats.ROAsValid++
-			for _, p := range roa.Prefixes {
-				vrps = append(vrps, VRP{Prefix: p.Prefix, ASN: roa.ASN, MaxLength: p.MaxLength})
-			}
-		} else {
-			stats.ROAsRejected++
-		}
-	}
-	sort.Slice(vrps, func(i, j int) bool {
-		if c := vrps[i].Prefix.Compare(vrps[j].Prefix); c != 0 {
-			return c < 0
-		}
-		if vrps[i].ASN != vrps[j].ASN {
-			return vrps[i].ASN < vrps[j].ASN
-		}
-		return vrps[i].MaxLength < vrps[j].MaxLength
-	})
-	return vrps, stats
+	return signers, stats
 }
 
-func (rp *RelyingParty) validROA(roa *ROA, now time.Time, bySubject map[string][]*Certificate, certOK func(*Certificate) bool) bool {
+// validROA is one item of Run's parallel phase; it reads signers and
+// writes nothing but the verdict memo.
+func (rp *RelyingParty) validROA(roa *ROA, now time.Time, signers map[string][]*Certificate) bool {
 	if now.Before(roa.NotBefore) || now.After(roa.NotAfter) {
 		return false
 	}
 	if rp.ROAVisibilityLag > 0 && now.Before(roa.NotBefore.Add(rp.ROAVisibilityLag)) {
 		return false // created, but not yet visible to this relying party
 	}
-	var signers []*Certificate
-	if a, ok := rp.anchors[roa.SignerName]; ok {
-		signers = append(signers, a)
-	}
-	signers = append(signers, bySubject[roa.SignerName]...)
-	for _, signer := range signers {
-		if !certOK(signer) {
-			continue
-		}
+	for _, signer := range signers[roa.SignerName] {
 		if !rp.memo.verify(signer.PublicKey, roa.payload(), roa.Signature) {
 			continue
 		}

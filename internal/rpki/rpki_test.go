@@ -2,6 +2,7 @@ package rpki
 
 import (
 	"bytes"
+	"context"
 	"crypto/ed25519"
 	"strings"
 	"testing"
@@ -33,6 +34,17 @@ func newAnchor(t *testing.T, rir RIR, resources ...string) *CA {
 	return ca
 }
 
+// runOnce is Run on the calling goroutine, for tests that are not about
+// the worker count.
+func runOnce(t *testing.T, rp *RelyingParty, repo *Repository) ([]VRP, ValidationStats) {
+	t.Helper()
+	vrps, stats, err := rp.Run(context.Background(), repo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vrps, stats
+}
+
 func TestRIRString(t *testing.T) {
 	want := map[RIR]string{AFRINIC: "AFRINIC", APNIC: "APNIC", ARIN: "ARIN", LACNIC: "LACNIC", RIPE: "RIPE"}
 	for r, s := range want {
@@ -61,7 +73,7 @@ func TestAnchorROAEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp.Now = tEval
-	vrps, stats := rp.Run(repo)
+	vrps, stats := runOnce(t, rp, repo)
 	if stats.ROAsValid != 1 || stats.ROAsRejected != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -97,7 +109,7 @@ func TestDelegatedCAChain(t *testing.T) {
 	repo.AddROA(roa)
 	rp, _ := NewRelyingParty(ta.Cert)
 	rp.Now = tEval
-	vrps, stats := rp.Run(repo)
+	vrps, stats := runOnce(t, rp, repo)
 	if stats.CertsValid != 2 || stats.ROAsValid != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -147,7 +159,7 @@ func TestForgedCertificateRejected(t *testing.T) {
 	repo.AddROA(roa)
 	rp, _ := NewRelyingParty(ta.Cert)
 	rp.Now = tEval
-	vrps, stats := rp.Run(repo)
+	vrps, stats := runOnce(t, rp, repo)
 	if len(vrps) != 0 || stats.ROAsValid != 0 || stats.CertsValid != 0 {
 		t.Fatalf("forged chain must not validate: vrps=%v stats=%+v", vrps, stats)
 	}
@@ -163,13 +175,13 @@ func TestExpiredObjectsRejected(t *testing.T) {
 	repo.AddROA(roa)
 	rp, _ := NewRelyingParty(ta.Cert)
 	rp.Now = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC) // after expiry
-	vrps, stats := rp.Run(repo)
+	vrps, stats := runOnce(t, rp, repo)
 	if len(vrps) != 0 || stats.ROAsRejected != 1 {
 		t.Fatalf("expired ROA must be rejected: %v %+v", vrps, stats)
 	}
 	// Also before NotBefore.
 	rp.Now = time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
-	vrps, _ = rp.Run(repo)
+	vrps, _ = runOnce(t, rp, repo)
 	if len(vrps) != 0 {
 		t.Fatal("not-yet-valid ROA must be rejected")
 	}
@@ -186,7 +198,7 @@ func TestTamperedROARejected(t *testing.T) {
 	repo.AddROA(roa)
 	rp, _ := NewRelyingParty(ta.Cert)
 	rp.Now = tEval
-	vrps, stats := rp.Run(repo)
+	vrps, stats := runOnce(t, rp, repo)
 	if len(vrps) != 0 || stats.ROAsValid != 0 {
 		t.Fatalf("tampered ROA must be rejected: %v %+v", vrps, stats)
 	}
@@ -214,7 +226,7 @@ func TestChainResourceShrinkStopsROA(t *testing.T) {
 	repo.AddROA(roa)
 	rp, _ := NewRelyingParty(ta.Cert)
 	rp.Now = tEval
-	vrps, _ := rp.Run(repo)
+	vrps, _ := runOnce(t, rp, repo)
 	if len(vrps) != 0 {
 		t.Fatalf("ROA outside signer resources must be rejected: %v", vrps)
 	}
@@ -257,7 +269,7 @@ func TestMultiAnchorForest(t *testing.T) {
 	repo.AddROA(r2)
 	rp, _ := NewRelyingParty(ripe.Cert, apnic.Cert)
 	rp.Now = tEval
-	vrps, _ := rp.Run(repo)
+	vrps, _ := runOnce(t, rp, repo)
 	if len(vrps) != 2 {
 		t.Fatalf("vrps = %v", vrps)
 	}
@@ -316,7 +328,7 @@ func TestAS0ROA(t *testing.T) {
 	repo.AddROA(roa)
 	rp, _ := NewRelyingParty(ta.Cert)
 	rp.Now = tEval
-	vrps, _ := rp.Run(repo)
+	vrps, _ := runOnce(t, rp, repo)
 	if len(vrps) != 1 || vrps[0].ASN != 0 {
 		t.Fatalf("AS0 vrps = %v", vrps)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -71,7 +72,7 @@ func Builtin(name string, w *synth.World, date time.Time) (*Scenario, error) {
 // ROAs over each victim's exact prefix. Verdicts flip NotFound→Invalid
 // and conformance drops.
 func buildAS0Hijack(w *synth.World, date time.Time) (*Scenario, error) {
-	rpkiIx, irrIx, err := w.IndexesAt(date)
+	rpkiIx, irrIx, err := w.IndexesAt(context.TODO(), date, 0)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", NameAS0Hijack, err)
 	}

@@ -183,11 +183,11 @@ func Run(ctx context.Context, base *synth.World, sc *Scenario, opts Options) (*R
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: degraded build: %w", sc.Name, err)
 	}
-	baseVRPs, err := base.VRPsAt(date)
+	baseVRPs, err := base.VRPsAtCtx(ctx, date, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	forkVRPs, err := fork.VRPsAt(date)
+	forkVRPs, err := fork.VRPsAtCtx(ctx, date, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +201,7 @@ func Run(ctx context.Context, base *synth.World, sc *Scenario, opts Options) (*R
 		Trans:    transitions(baseDS, forkDS),
 	}
 	if hasOp(sc, OpAnchorPair) {
-		res.Anchor, err = inferAnchorPairs(fork, sc, date)
+		res.Anchor, err = inferAnchorPairs(ctx, fork, sc, date, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -339,8 +339,8 @@ type astopoKey struct {
 // the real policies, infer the filtering AS set (sees valid anchors,
 // never an invalid one), and score it against the generator's
 // ground-truth DropRPKIInvalid policies.
-func inferAnchorPairs(w *synth.World, sc *Scenario, date time.Time) (*AnchorReport, error) {
-	rpkiIx, irrIx, err := w.IndexesAt(date)
+func inferAnchorPairs(ctx context.Context, w *synth.World, sc *Scenario, date time.Time, workers int) (*AnchorReport, error) {
+	rpkiIx, irrIx, err := w.IndexesAt(ctx, date, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,43 +78,51 @@ func decode[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
 	return v
 }
 
+// coldWorld generates a small world on every call: same config, fresh
+// keys, an empty signature-verdict memo. Tests that count verifications
+// cannot use the shared world, whose memo an earlier test has filled.
+func coldWorld(t *testing.T) *synth.World {
+	t.Helper()
+	cfg := synth.NewConfig(5)
+	cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 1, 15, 100, 1
+	cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 12, 5, 1, 1
+	w, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// sigMisses is the process-wide count of Ed25519 verifications performed.
+func sigMisses() int64 {
+	return obsv.Default().Value("rpki_signature_checks_total", "memo", "miss")
+}
+
 // A snapshot build runs the relying party twice (the dataset's indexes,
 // then the snapshot's own) and a weekly series repeats that per date, but
 // each signature is verified once per world: four cold weekly builds
 // perform about the Ed25519 verifications of one cold relying-party run.
 func TestColdBuildsVerifyEachSignatureOnce(t *testing.T) {
-	cfg := synth.NewConfig(5)
-	cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 1, 15, 100, 1
-	cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 12, 5, 1, 1
-	misses := func() int64 { return obsv.Default().Value("rpki_signature_checks_total", "memo", "miss") }
-	generate := func() *synth.World {
-		w, err := synth.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-
-	one := generate()
-	headline := one.Date(cfg.EndYear)
-	before := misses()
+	one := coldWorld(t)
+	headline := one.Date(one.Config.EndYear)
+	before := sigMisses()
 	if _, err := one.VRPsAt(headline); err != nil {
 		t.Fatal(err)
 	}
-	oneRun := misses() - before
+	oneRun := sigMisses() - before
 	if oneRun == 0 {
 		t.Fatal("a cold relying-party run verified nothing")
 	}
 
 	// Same config, fresh keys, fresh memo: nothing carries over.
-	store := NewStore(generate(), StoreOptions{Registry: obsv.NewRegistry()})
-	before = misses()
+	store := NewStore(coldWorld(t), StoreOptions{Registry: obsv.NewRegistry()})
+	before = sigMisses()
 	for weeks := 3; weeks >= 0; weeks-- {
 		if _, err := store.Get(context.Background(), headline.AddDate(0, 0, -7*weeks)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	built := misses() - before
+	built := sigMisses() - before
 	if built < oneRun || built*10 > oneRun*11 {
 		t.Fatalf("4 weekly builds verified %d signatures, one cold run verifies %d; want between 1× and 1.1×", built, oneRun)
 	}
@@ -502,6 +511,48 @@ func TestBuildFailureRetries(t *testing.T) {
 	}
 	if reg.Value("serve_snapshot_build_errors_total") != 1 {
 		t.Errorf("build errors = %d, want 1", reg.Value("serve_snapshot_build_errors_total"))
+	}
+}
+
+// A build deadline reaches the cold relying party: the run stops before
+// it verifies the repository, the build fails into the backoff schedule
+// instead of publishing a snapshot validated against part of the VRP
+// set, and the build after the window is the one an undisturbed store
+// makes.
+func TestBuildTimeoutStopsColdRelyingParty(t *testing.T) {
+	ctx := context.Background()
+	w := coldWorld(t)
+	store := NewStore(w, StoreOptions{Registry: obsv.NewRegistry(), BuildTimeout: time.Nanosecond})
+	base := time.Now()
+	var offset atomic.Int64 // nanoseconds of fake time elapsed
+	store.nowFn = func() time.Time { return base.Add(time.Duration(offset.Load())) }
+	date := store.DefaultDate()
+
+	before := sigMisses()
+	if _, err := store.Get(ctx, date); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("build past its deadline: err %v, want context.DeadlineExceeded", err)
+	}
+	if checked, certs := sigMisses()-before, len(w.Anchors)+w.Repo.NumCerts(); checked > int64(certs) {
+		t.Fatalf("the timed-out build verified %d signatures, %d more than the certificates': the deadline did not reach the ROA checks", checked, checked-int64(certs))
+	}
+	var be *BackoffError
+	if _, err := store.Get(ctx, date); !errors.As(err, &be) {
+		t.Fatalf("Get inside the backoff window: err %v, want a BackoffError", err)
+	}
+
+	store.buildTimeout = 0
+	offset.Add(int64(2 * DefaultBackoffBase))
+	snap, err := store.Get(ctx, date)
+	if err != nil {
+		t.Fatalf("rebuild after the backoff window: %v", err)
+	}
+	ref, err := NewStore(coldWorld(t), StoreOptions{Registry: obsv.NewRegistry()}).Get(ctx, date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != ref.Version || !reflect.DeepEqual(snap.RPKI.All(), ref.RPKI.All()) || !reflect.DeepEqual(snap.Stats, ref.Stats) {
+		t.Fatalf("rebuild after a timed-out build differs from an undisturbed build: version %s vs %s, %d vs %d VRPs",
+			snap.Version, ref.Version, len(snap.RPKI.All()), len(ref.RPKI.All()))
 	}
 }
 

@@ -462,7 +462,7 @@ func (s *Store) buildSnapshot(ctx context.Context, date time.Time) (*Snapshot, e
 	if err != nil {
 		return nil, fmt.Errorf("serve: build pipeline: %w", err)
 	}
-	rpkiIx, irrIx, err := s.world.IndexesAt(date)
+	rpkiIx, irrIx, err := s.world.IndexesAt(ctx, date, s.workers)
 	if err != nil {
 		return nil, fmt.Errorf("serve: build indexes: %w", err)
 	}

@@ -240,11 +240,11 @@ func (w *World) populateLarge(rng *rand.Rand, infos []*asInfo, irrDBs map[rpki.R
 		sign := func(asn uint32, ps []rpki.ROAPrefix) error {
 			year := w.roaYear(rng, info)
 			notBefore := time.Date(year, time.Month(1+rng.Intn(11)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC)
-			roa, err := w.Anchors[info.rir].SignROA(asn, ps, notBefore, notAfter)
+			roa, err := w.Anchors[info.rir].NewROA(asn, ps, notBefore, notAfter)
 			if err != nil {
 				return err
 			}
-			w.Repo.AddROA(roa)
+			w.Repo.AddROA(roa) // unsigned until signRepository
 			return nil
 		}
 		switch {

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"testing"
 
 	"manrsmeter/internal/netx"
@@ -133,7 +134,7 @@ func TestLargeScaleWorld(t *testing.T) {
 
 	// Aggregate registration must still produce the full spread of RPKI
 	// and IRR outcomes the analysis buckets on.
-	rpkiIx, irrIx, err := w.IndexesAt(asOf)
+	rpkiIx, irrIx, err := w.IndexesAt(context.Background(), asOf, 0)
 	if err != nil {
 		t.Fatalf("IndexesAt: %v", err)
 	}

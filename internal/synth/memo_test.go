@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -60,14 +61,24 @@ func scenarioForks(t *testing.T, w *World) []*World {
 	return forks
 }
 
-// oracleRun is the memo-less relying party: every signature verified.
+// oracleRun is the memo-less relying party on one goroutine: every
+// signature verified, in publication order.
 func oracleRun(t *testing.T, w *World, at time.Time) ([]rpki.VRP, rpki.ValidationStats) {
 	t.Helper()
-	rp, err := w.relyingPartyAt(at, nil)
+	return relyingPartyRun(t, w, at, nil, 1)
+}
+
+func relyingPartyRun(t *testing.T, w *World, at time.Time, memo *rpki.VerdictMemo, workers int) ([]rpki.VRP, rpki.ValidationStats) {
+	t.Helper()
+	rp, err := w.relyingPartyAt(at, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rp.Run(w.Repo)
+	vrps, stats, err := rp.Run(context.Background(), w.Repo, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vrps, stats
 }
 
 // sigChecks returns the process-wide signature-check counters.
@@ -76,11 +87,12 @@ func sigChecks() (hit, miss int64) {
 		obsv.Default().Value("rpki_signature_checks_total", "memo", "miss")
 }
 
-// The memo is one more redundant route to the same answer, so it gets an
-// oracle: over many seeded worlds, on every study date, for the base and
-// for a fork carrying each RPKI mutation kind, a relying party whose memo
-// was warmed by the other dates and the other forks returns exactly what
-// a memo-less one does, VRP for VRP and stat for stat.
+// The memo and the worker count are two more redundant routes to the same
+// answer, so they get an oracle: over many seeded worlds, on every study
+// date, for the base and for a fork carrying each RPKI mutation kind, a
+// relying party at 1, 2 and 8 workers, memo-less or with a memo warmed by
+// the other dates and the other forks, returns exactly what a serial
+// memo-less one does, VRP for VRP and stat for stat.
 func TestVRPsAtMatchesMemolessOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		w := memoTestWorld(t, seed)
@@ -102,14 +114,17 @@ func TestVRPsAtMatchesMemolessOracle(t *testing.T) {
 			for _, f := range worlds {
 				name := f.Scenario()
 				wantVRPs, wantStats := oracleRun(t, f, at)
-				rp, err := f.relyingPartyAt(at, f.sigMemo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotVRPs, gotStats := rp.Run(f.Repo)
-				if !reflect.DeepEqual(gotVRPs, wantVRPs) || gotStats != wantStats {
-					t.Fatalf("seed %d fork %q %d: memo gives %d VRPs %+v, oracle %d VRPs %+v",
-						seed, name, y, len(gotVRPs), gotStats, len(wantVRPs), wantStats)
+				for _, workers := range []int{1, 2, 8} {
+					for _, memo := range []*rpki.VerdictMemo{nil, f.sigMemo} {
+						if memo == nil && workers == 1 {
+							continue // the oracle itself
+						}
+						gotVRPs, gotStats := relyingPartyRun(t, f, at, memo, workers)
+						if !reflect.DeepEqual(gotVRPs, wantVRPs) || gotStats != wantStats {
+							t.Fatalf("seed %d fork %q %d, %d workers, memo %t: %d VRPs %+v, oracle %d VRPs %+v",
+								seed, name, y, workers, memo != nil, len(gotVRPs), gotStats, len(wantVRPs), wantStats)
+						}
+					}
 				}
 				if viaWorld, err := f.VRPsAt(at); err != nil || !reflect.DeepEqual(viaWorld, wantVRPs) {
 					t.Fatalf("seed %d fork %q %d: VRPsAt gives %d VRPs (err %v), oracle %d", seed, name, y, len(viaWorld), err, len(wantVRPs))
@@ -132,12 +147,13 @@ func TestVRPsAtMatchesMemolessOracle(t *testing.T) {
 
 // Each generated world owns its memo and draws its own keys, so one
 // world's verdicts never answer for another: a second world from the
-// same config pays exactly the first one's cold checks again, and only a
+// same config pays exactly the first one's cold checks again — as many
+// at 8 workers as at one: no verdict is computed twice — and only a
 // repeat run on the same world is answered from the memo.
 func TestMemoIsPerWorld(t *testing.T) {
-	count := func(w *World) (hits, misses int64) {
+	count := func(w *World, workers int) (hits, misses int64) {
 		h0, m0 := sigChecks()
-		if _, err := w.VRPsAt(w.Date(w.Config.EndYear)); err != nil {
+		if _, err := w.VRPsAtCtx(context.Background(), w.Date(w.Config.EndYear), workers); err != nil {
 			t.Fatal(err)
 		}
 		h1, m1 := sigChecks()
@@ -147,16 +163,16 @@ func TestMemoIsPerWorld(t *testing.T) {
 	if a.sigMemo == b.sigMemo {
 		t.Fatal("two generated worlds share a memo")
 	}
-	aHits, aMisses := count(a)
-	bHits, bMisses := count(b)
+	aHits, aMisses := count(a, 1)
+	bHits, bMisses := count(b, 8)
 	if aMisses == 0 || aMisses != bMisses || aHits != bHits {
-		t.Fatalf("cold runs: world a %d hits %d misses, world b %d hits %d misses; want equal, misses > 0", aHits, aMisses, bHits, bMisses)
+		t.Fatalf("cold runs: world a, 1 worker, %d hits %d misses; world b, 8 workers, %d hits %d misses; want equal, misses > 0", aHits, aMisses, bHits, bMisses)
 	}
 	// The anchors' self-signatures are the only checks a cold run repeats.
 	if want := int64(len(a.Anchors)); aHits != want {
 		t.Fatalf("cold run answered %d checks from the memo, want the %d anchor re-checks", aHits, want)
 	}
-	if hits, misses := count(a); misses != 0 || hits != aHits+aMisses {
+	if hits, misses := count(a, 8); misses != 0 || hits != aHits+aMisses {
 		t.Fatalf("warm run: %d hits %d misses, want %d and 0", hits, misses, aHits+aMisses)
 	}
 }

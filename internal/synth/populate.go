@@ -459,11 +459,11 @@ func (w *World) realizeRPKI(rng *rand.Rand, info *asInfo, block netx.Prefix, pla
 	sign := func(asn uint32, p netx.Prefix, maxLen int) error {
 		year := w.roaYear(rng, info)
 		notBefore := time.Date(year, time.Month(1+rng.Intn(11)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC)
-		roa, err := ca.SignROA(asn, []rpki.ROAPrefix{{Prefix: p, MaxLength: maxLen}}, notBefore, notAfter)
+		roa, err := ca.NewROA(asn, []rpki.ROAPrefix{{Prefix: p, MaxLength: maxLen}}, notBefore, notAfter)
 		if err != nil {
 			return err
 		}
-		w.Repo.AddROA(roa)
+		w.Repo.AddROA(roa) // unsigned until signRepository
 		return nil
 	}
 	// deepest announced prefix length within the block: aggregate ROAs
@@ -685,17 +685,25 @@ func (w *World) SetSnapshot(t time.Time) {
 	}
 }
 
-// VRPsAt runs the relying party at time t and returns the validated ROA
-// payloads — the per-date VRP archive (Fig. 6 input). Every run walks the
-// chains and evaluates windows, lag and containment at t; only signature
-// verdicts carry over from earlier runs of this world and its forks.
+// VRPsAt is VRPsAtCtx without cancellation, at one worker per CPU.
 func (w *World) VRPsAt(t time.Time) ([]rpki.VRP, error) {
+	return w.VRPsAtCtx(context.Background(), t, 0)
+}
+
+// VRPsAtCtx runs the relying party at time t and returns the validated
+// ROA payloads — the per-date VRP archive (Fig. 6 input). Every run walks
+// the chains and evaluates windows, lag and containment at t; only
+// signature verdicts carry over from earlier runs of this world and its
+// forks. ROA checks fan out over workers goroutines (≤ 0 means one per
+// CPU) with the same result at any count; a context done mid-run yields
+// its cause and no VRPs.
+func (w *World) VRPsAtCtx(ctx context.Context, t time.Time, workers int) ([]rpki.VRP, error) {
 	rp, err := w.relyingPartyAt(t, w.sigMemo)
 	if err != nil {
 		return nil, err
 	}
-	vrps, _ := rp.Run(w.Repo)
-	return vrps, nil
+	vrps, _, err := rp.Run(ctx, w.Repo, workers)
+	return vrps, err
 }
 
 // relyingPartyAt returns the world's relying party evaluating at t: the
@@ -724,9 +732,9 @@ func (w *World) relyingPartyAt(t time.Time, memo *rpki.VerdictMemo) (*rpki.Relyi
 // IndexesAt returns the RPKI and IRR validation indexes as of t: the
 // RPKI side from the relying-party run at t, the IRR side from the
 // registry (IRR snapshots barely change over the paper's study window,
-// so it is time-invariant here).
-func (w *World) IndexesAt(t time.Time) (rpkiIx, irrIx *rov.Index, err error) {
-	vrps, err := w.VRPsAt(t)
+// so it is time-invariant here). ctx and workers are VRPsAtCtx's.
+func (w *World) IndexesAt(ctx context.Context, t time.Time, workers int) (rpkiIx, irrIx *rov.Index, err error) {
+	vrps, err := w.VRPsAtCtx(ctx, t, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -763,7 +771,7 @@ func (w *World) BuildDatasetAtCtx(ctx context.Context, t time.Time, workers int)
 	defer span.End()
 	start := time.Now()
 	defer func() { mDatasetBuild.Observe(time.Since(start).Seconds()) }()
-	rpkiIx, irrIx, err := w.IndexesAt(t)
+	rpkiIx, irrIx, err := w.IndexesAt(ctx, t, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -30,6 +30,7 @@ import (
 	"manrsmeter/internal/irr"
 	"manrsmeter/internal/manrs"
 	"manrsmeter/internal/netx"
+	"manrsmeter/internal/parallel"
 	"manrsmeter/internal/peeringdb"
 	"manrsmeter/internal/rpki"
 )
@@ -295,9 +296,33 @@ func Generate(cfg Config) (*World, error) {
 	w.populateContacts(rng, infos)
 	w.pickVantagePoints(rng, infos)
 	w.SetSnapshot(w.Date(cfg.EndYear))
+	if err := w.signRepository(); err != nil {
+		return nil, err
+	}
 	// Empty: the first relying-party run verifies everything it trusts.
 	w.sigMemo = rpki.NewVerdictMemo(sigMemoObjectFactor * (len(w.Anchors) + w.Repo.NumCerts() + w.Repo.NumROAs()))
 	return w, nil
+}
+
+// signRepository signs the ROAs generation published. They were built and
+// published unsigned, in rng order; a signature draws nothing from rng
+// and is a function of its anchor's key and the ROA's fields alone, so
+// signing them here, together and on every core, publishes the
+// repository that signing each at its draw would have.
+func (w *World) signRepository() error {
+	signers := make(map[string]*rpki.CA, len(w.Anchors))
+	for _, ca := range w.Anchors {
+		signers[ca.Cert.SubjectName] = ca
+	}
+	roas := w.Repo.ROAs()
+	return parallel.ForEachErr(len(roas), 0, func(i int) error {
+		ca, ok := signers[roas[i].SignerName]
+		if !ok {
+			return fmt.Errorf("synth: generated ROA %d names signer %q, which is not a trust anchor", i, roas[i].SignerName)
+		}
+		ca.Sign(roas[i])
+		return nil
+	})
 }
 
 // Date returns the canonical May-1 measurement date for a year.

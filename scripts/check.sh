@@ -19,11 +19,15 @@
 #            oracle (`go run ./bench --workload query.gateway`): each
 #            replica, the gateway and an in-process handler must
 #            answer byte-for-byte alike with zero failed requests
-#   memo   — the RPKI signature-verdict memo under -race: the
-#            fail-closed tamper table and warm-vs-cold chain cases
-#            (rpki) and ten passes of concurrent VRPsAt on a base world
-#            and two forks (synth; the memo-less oracle over seeded
-#            worlds runs in the race pass); then the bench's build
+#   memo   — the two-phase relying party and its signature-verdict memo
+#            under -race: the fail-closed tamper table, the hostile
+#            chain shapes at 1 and 8 workers and the cancelled run that
+#            yields no VRPs (rpki), the build deadline reaching a cold
+#            relying party (serve), the touched-list accumulator
+#            (hegemony) and ten passes of concurrent VRPsAt on a base
+#            world and two forks (synth; the serial memo-less oracle
+#            over seeded worlds × worker counts runs in the race pass);
+#            then the bench's build
 #            oracle (`go run ./bench --workload build.weekly`): snapshot
 #            digests equal across ops and worker counts, and a
 #            warm-started store answering like the one that built
@@ -146,12 +150,16 @@ bench_oracle() {
 echo "==> cross-path oracle (bench query.gateway: replicas, gateway, in-process handler byte-for-byte)"
 bench_oracle query.gateway
 
-echo "==> signature-verdict memo (-race): fail-closed table, then concurrent dates and forks x10"
-# The memo-less oracle over seeded worlds (synth.TestVRPsAtMatchesMemolessOracle,
-# ~25 s under -race) ran in the ./... pass above; the concurrency test is
-# repeated because one pass seldom interleaves the same way twice.
-go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$' ./internal/rpki
+echo "==> relying party (-race): fail-closed table, hostile shapes at 8 workers, cancelled runs, then concurrent dates and forks x10"
+# The serial memo-less oracle over seeded worlds and worker counts
+# (synth.TestVRPsAtMatchesMemolessOracle, ~50 s under -race) ran in the
+# ./... pass above; the concurrency test is repeated because one pass
+# seldom interleaves the same way twice.
+go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$|^TestHostileRepositoryAtEveryWorkerCount$|^TestCancelledRunYieldsNoVRPs$' ./internal/rpki
+go test -race -count=1 -run '^TestBuildTimeoutStopsColdRelyingParty$' ./internal/serve
+go test -race -count=1 -run '^TestAccumulator' ./internal/hegemony
 go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$' ./internal/synth
+go test -race -count=1 -run '^TestMemoIsPerWorld$' ./internal/synth
 
 echo "==> build oracle (bench build.weekly: digests equal across ops and worker counts, warm start answers like the builder)"
 bench_oracle build.weekly
