@@ -152,21 +152,23 @@ func GenerateWorld(cfg Config) (*World, error) { return synth.Generate(cfg) }
 
 // NewPipeline prepares the experiment pipeline (builds the headline
 // dataset and per-AS metrics).
-func NewPipeline(w *World) (*Pipeline, error) { return core.NewPipeline(w) }
+func NewPipeline(w *World) (*Pipeline, error) {
+	return NewPipelineCtx(context.Background(), w, PipelineOptions{})
+}
 
 // NewPipelineWith is NewPipeline with explicit options, e.g. a bounded
 // worker pool:
 //
 //	pipe, err := manrsmeter.NewPipelineWith(world, manrsmeter.PipelineOptions{Workers: 4})
 func NewPipelineWith(w *World, opts PipelineOptions) (*Pipeline, error) {
-	return core.NewPipelineWith(w, opts)
+	return NewPipelineCtx(context.Background(), w, opts)
 }
 
 // NewPipelineCtx is NewPipelineWith with cancellation threaded through
 // the headline dataset build: a canceled context aborts construction
 // with the cancellation cause instead of finishing the build.
 func NewPipelineCtx(ctx context.Context, w *World, opts PipelineOptions) (*Pipeline, error) {
-	return core.NewPipelineCtx(ctx, w, opts)
+	return core.NewPipeline(ctx, w, w.Date(w.Config.EndYear), opts)
 }
 
 // ComputeMetrics aggregates a dataset into per-AS metrics (Formulas 1–6).
@@ -221,11 +223,11 @@ func ScenarioNames() []string { return scenario.Names() }
 
 // BuiltinScenario derives the named builtin scenario from w as of
 // date (zero date: the world's headline date).
-func BuiltinScenario(name string, w *World, date time.Time) (*Scenario, error) {
+func BuiltinScenario(ctx context.Context, name string, w *World, date time.Time) (*Scenario, error) {
 	if date.IsZero() {
 		date = w.Date(w.Config.EndYear)
 	}
-	return scenario.Builtin(name, w, date)
+	return scenario.Builtin(ctx, name, w, date)
 }
 
 // DecodeScenario parses a scenario from its text or JSON encoding.

@@ -147,10 +147,11 @@ func TestComputeMetricsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := world.DatasetAt(world.Date(world.Config.EndYear))
+	pipe, err := NewPipeline(world)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := pipe.Dataset()
 	ms := ComputeMetrics(ds)
 	if len(ms) == 0 {
 		t.Fatal("no metrics")

@@ -28,6 +28,7 @@ import (
 	"manrsmeter/internal/core"
 	"manrsmeter/internal/durable"
 	"manrsmeter/internal/hegemony"
+	"manrsmeter/internal/ihr"
 	"manrsmeter/internal/irr"
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/obsv"
@@ -90,7 +91,7 @@ func pipeline(b *testing.B) *core.Pipeline {
 			benchErr = err
 			return
 		}
-		benchPipe, benchErr = core.NewPipeline(world)
+		benchPipe, benchErr = NewPipeline(world)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -174,7 +175,7 @@ func BenchmarkTable1CaseStudies(b *testing.B) {
 	p := pipeline(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Table1CaseStudies(3, 3); err != nil {
+		if _, err := p.Table1CaseStudies(context.Background(), 3, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -184,7 +185,7 @@ func BenchmarkStability(b *testing.B) {
 	p := pipeline(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Stability(3); err != nil {
+		if _, err := p.Stability(context.Background(), 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,7 +195,7 @@ func BenchmarkFig6Saturation(b *testing.B) {
 	p := pipeline(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Fig6Saturation(); err != nil {
+		if _, err := p.Fig6Saturation(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,10 +263,29 @@ func BenchmarkGenerateWorld(b *testing.B) {
 	}
 }
 
+// buildDataset is one dataset build that bypasses the world's views:
+// a raw relying-party run, both indexes, ihr.BuildCtx.
+func buildDataset(world *synth.World, asOf time.Time, workers int) (*ihr.Dataset, error) {
+	vrps, err := world.VRPsAtCtx(context.Background(), asOf, workers)
+	if err != nil {
+		return nil, err
+	}
+	rpkiIx, err := rpki.BuildIndex(vrps)
+	if err != nil {
+		return nil, err
+	}
+	irrIx, err := world.IRRRegistry.Index()
+	if err != nil {
+		return nil, err
+	}
+	return ihr.BuildCtx(context.Background(), ihr.Config{Graph: world.Graph, RPKI: rpkiIx, IRR: irrIx, Policies: world.Policies,
+		VantagePoints: world.VantagePoints, Originations: world.OriginationsAt(asOf), Workers: workers})
+}
+
 func BenchmarkDatasetBuild(b *testing.B) {
-	// BuildDatasetAt bypasses the DatasetAt memoization cache, so every
-	// iteration measures a full serial build. bytes/op and allocs/op are
-	// the tracked numbers: the compact layout's budget lives in check.sh's
+	// buildDataset bypasses the world's views, so every iteration
+	// measures a full serial build. bytes/op and allocs/op are the
+	// tracked numbers: the compact layout's budget lives in check.sh's
 	// memory gate.
 	b.Run("seed", func(b *testing.B) {
 		world, err := synth.Generate(benchConfig(3))
@@ -275,7 +295,7 @@ func BenchmarkDatasetBuild(b *testing.B) {
 		asOf := world.Date(world.Config.EndYear)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := world.BuildDatasetAt(asOf, 1); err != nil {
+			if _, err := buildDataset(world, asOf, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -285,7 +305,7 @@ func BenchmarkDatasetBuild(b *testing.B) {
 		asOf := world.Date(world.Config.EndYear)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := world.BuildDatasetAt(asOf, 1); err != nil {
+			if _, err := buildDataset(world, asOf, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -310,12 +330,12 @@ func BenchmarkBuildDatasetParallel(b *testing.B) {
 	}
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			if _, err := world.BuildDatasetAt(asOf, workers); err != nil {
+			if _, err := buildDataset(world, asOf, workers); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := world.BuildDatasetAt(asOf, workers); err != nil {
+				if _, err := buildDataset(world, asOf, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -527,7 +547,7 @@ func BenchmarkHijackImpact(b *testing.B) {
 	p := pipeline(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.HijackImpact(50, int64(i)); err != nil {
+		if _, err := p.HijackImpact(context.Background(), 50, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -208,6 +208,7 @@ func runScenario(name, file string, seed int64, scale string, workers int) {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	var sc *manrsmeter.Scenario
 	if file != "" {
 		data, err := os.ReadFile(file)
@@ -218,12 +219,12 @@ func runScenario(name, file string, seed int64, scale string, workers int) {
 			log.Fatal(err)
 		}
 	} else {
-		if sc, err = manrsmeter.BuiltinScenario(name, world, time.Time{}); err != nil {
+		if sc, err = manrsmeter.BuiltinScenario(ctx, name, world, time.Time{}); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	res, err := manrsmeter.RunScenario(context.Background(), world, sc,
+	res, err := manrsmeter.RunScenario(ctx, world, sc,
 		manrsmeter.ScenarioOptions{Workers: workers})
 	if err != nil {
 		log.Fatal(err)

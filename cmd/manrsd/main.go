@@ -8,19 +8,21 @@
 //
 //	manrsd [-seed N] [-scale small|full|large] [-listen 127.0.0.1:8180]
 //	       [-workers N] [-max-inflight N] [-request-timeout D]
-//	       [-build-timeout D] [-refresh D] [-no-warm] [-drain D]
+//	       [-build-timeout D] [-no-warm] [-drain D]
 //	       [-admin 127.0.0.1:9180] [-data-dir DIR] [-snap-budget BYTES]
 //	       [-access-log-sample N] [-trace-cap N]
 //
 // With -data-dir DIR every successfully built snapshot is archived to
 // DIR (checksummed, written atomically) and a restarted daemon
-// warm-starts from the last known-good archive: the first query is
-// answered from disk in milliseconds while the fresh build proceeds in
-// the background. Corrupt archives are detected by checksum, moved
-// aside, and never served; -snap-budget bounds the directory size.
+// warm-starts from the last known-good archive: every query for an
+// archived date, scenarios included, is answered from what the archive
+// holds, and nothing is rebuilt. Corrupt archives are detected by
+// checksum, moved aside, and never served; -snap-budget bounds the
+// directory size.
 //
-// Endpoints (all /v1 routes accept ?date=YYYY-MM-DD and return strong
-// ETags; requests beyond -max-inflight are shed with 503 + Retry-After):
+// Endpoints (all /v1 routes accept ?date=YYYY-MM-DD within the world's
+// study window and return strong ETags; requests beyond -max-inflight
+// are shed with 503 + Retry-After):
 //
 //	GET /v1/as/{asn}/conformance   per-AS MANRS conformance detail
 //	GET /v1/prefix/{prefix}        originations + covering ROAs/IRR routes
@@ -80,7 +82,6 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "admission limit on concurrently served requests; arrivals beyond it are shed with 503")
 	requestTimeout := flag.Duration("request-timeout", serve.DefaultRequestTimeout, "end-to-end deadline per request, including any snapshot build it waits on")
 	buildTimeout := flag.Duration("build-timeout", 0, "deadline per background snapshot build (0 = none)")
-	refresh := flag.Duration("refresh", 0, "background refresh interval for published snapshots (0 = no refresh)")
 	noWarm := flag.Bool("no-warm", false, "skip pre-building the headline snapshot; the first queries coalesce onto the cold build instead")
 	drain := flag.Duration("drain", 5*time.Second, "bound on draining in-flight requests at shutdown; whatever remains is force-closed")
 	dataDir := flag.String("data-dir", "", "directory for durable snapshot archives; restarts warm-start from the last known-good archive (empty = no persistence)")
@@ -158,46 +159,40 @@ func main() {
 	if !*noWarm {
 		warmStart := time.Now()
 		// Try the durable archive first: a restart serves the last
-		// known-good snapshot immediately and rebuilds in the background.
-		if restored, err := store.WarmStart(ctx); restored > 0 {
-			log.Printf("warm start: %d snapshot(s) restored from archive (%.3fs); fresh rebuild in background",
+		// known-good snapshots as they are. The world is immutable and a
+		// version names its content, so a rebuild could only reproduce
+		// the verified bytes just loaded.
+		restored, err := store.WarmStart(ctx)
+		if restored > 0 {
+			log.Printf("warm start: %d snapshot(s) restored from archive (%.3fs)",
 				restored, time.Since(warmStart).Seconds())
-			go func() {
-				if err := store.Refresh(ctx, store.DefaultDate()); err != nil && ctx.Err() == nil {
-					log.Printf("background rebuild after warm start: %v", err)
-				}
-			}()
-		} else {
-			if err != nil {
-				log.Printf("warm start from archive failed (%v); falling back", err)
-			}
-			// Wire replication beats a local rebuild: a replica joining
-			// a fleet whose snapshot is already published pulls the
-			// archive from a peer (or the gateway's coordinator relay)
-			// and catches up in milliseconds instead of rebuilding.
-			synced := false
-			if *peers != "" {
-				var peerList []string
-				for _, p := range strings.Split(*peers, ",") {
-					if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
-						peerList = append(peerList, p)
-					}
-				}
-				if snap, peer, err := store.SyncPeers(ctx, nil, peerList, store.DefaultDate()); err == nil {
-					log.Printf("synced snapshot %s from peer %s via wire replication (no local rebuild, %.3fs)",
-						snap.Version, peer, time.Since(warmStart).Seconds())
-					synced = true
-				} else {
-					log.Printf("peer sync failed (%v); falling back to a cold build", err)
+		} else if err != nil {
+			log.Printf("warm start from archive failed (%v); falling back", err)
+		}
+		// Wire replication beats a local rebuild: a replica joining a
+		// fleet whose snapshot is already published pulls the archive
+		// from a peer (or the gateway's coordinator relay) and catches up
+		// in milliseconds instead of rebuilding.
+		if !store.Ready() && *peers != "" {
+			var peerList []string
+			for _, p := range strings.Split(*peers, ",") {
+				if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
+					peerList = append(peerList, p)
 				}
 			}
-			if !synced {
-				if _, err := store.Get(ctx, store.DefaultDate()); err != nil {
-					log.Fatalf("warm headline snapshot: %v", err)
-				}
-				log.Printf("headline snapshot %s published (%.1fs)",
-					store.Version(store.DefaultDate()), time.Since(warmStart).Seconds())
+			if snap, peer, err := store.SyncPeers(ctx, nil, peerList, store.DefaultDate()); err == nil {
+				log.Printf("synced snapshot %s from peer %s via wire replication (no local rebuild, %.3fs)",
+					snap.Version, peer, time.Since(warmStart).Seconds())
+			} else {
+				log.Printf("peer sync failed (%v); falling back to a cold build", err)
 			}
+		}
+		if !store.Ready() {
+			if _, err := store.Get(ctx, store.DefaultDate()); err != nil {
+				log.Fatalf("warm headline snapshot: %v", err)
+			}
+			log.Printf("headline snapshot %s published (%.1fs)",
+				store.Version(store.DefaultDate()), time.Since(warmStart).Seconds())
 		}
 	}
 
@@ -222,11 +217,6 @@ func main() {
 		log.Fatalf("admin endpoint: %v", err)
 	} else if adminAddr != nil {
 		log.Printf("admin endpoint on http://%s", adminAddr)
-	}
-
-	if *refresh > 0 {
-		go store.RefreshLoop(ctx, *refresh)
-		log.Printf("background snapshot refresh every %v", *refresh)
 	}
 
 	<-ctx.Done()

@@ -25,6 +25,7 @@ import (
 	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/bgp/mrt"
 	"manrsmeter/internal/ihr"
+	"manrsmeter/internal/rpki"
 	"manrsmeter/internal/synth"
 )
 
@@ -53,6 +54,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("generate: %v", err)
 	}
+	// SIGINT/SIGTERM cancel the run between output files and inside the
+	// relying-party run and the dataset build (the expensive stages);
+	// files already written stay on disk, and no file is left
+	// half-written by the cancellation itself.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	if *scenName != "" || *scenFile != "" {
 		// Archives are then written from the mutated fork: the hijack
 		// ROAs land in vrps.csv, injected announcements in the MRT RIB,
@@ -67,7 +75,7 @@ func main() {
 			if sc, err = manrsmeter.DecodeScenario(data); err != nil {
 				log.Fatal(err)
 			}
-		} else if sc, err = manrsmeter.BuiltinScenario(*scenName, world, world.Date(cfg.EndYear)); err != nil {
+		} else if sc, err = manrsmeter.BuiltinScenario(ctx, *scenName, world, world.Date(cfg.EndYear)); err != nil {
 			log.Fatal(err)
 		}
 		world, err = manrsmeter.ApplyScenario(world, sc, world.Date(cfg.EndYear))
@@ -79,12 +87,6 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	// SIGINT/SIGTERM cancel the run between output files and inside the
-	// dataset build (the expensive stage); files already written stay on
-	// disk, and no file is left half-written by the cancellation itself.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	write := func(name string, fn func(w io.Writer) error) {
 		if err := ctx.Err(); err != nil {
 			log.Fatalf("canceled before %s: %v", name, err)
@@ -111,11 +113,13 @@ func main() {
 	write("as2org.txt", world.Graph.WriteAS2Org)
 	write("prefix2as.txt", world.Graph.WritePrefix2AS)
 
-	vrps, err := world.VRPsAtCtx(ctx, asOf, 0)
+	// One view of the date feeds vrps.csv, the IHR dataset and the MRT
+	// writer's filters.
+	view, err := world.At(ctx, asOf, 0)
 	if err != nil {
 		log.Fatalf("relying party: %v", err)
 	}
-	write("vrps.csv", func(f io.Writer) error { return writeVRPs(f, vrps) })
+	write("vrps.csv", func(f io.Writer) error { return rpki.WriteVRPCSV(f, view.VRPs) })
 
 	for _, db := range world.IRRRegistry.Databases() {
 		db := db
@@ -136,42 +140,22 @@ func main() {
 
 	write("peeringdb.json", world.PeeringDB.WriteJSON)
 
-	ds, err := world.DatasetAtCtx(ctx, asOf, 0)
+	ds, err := view.Dataset(ctx, 0)
 	if err != nil {
 		log.Fatalf("build IHR dataset: %v", err)
 	}
 	write("ihr-prefix-origins.csv", ds.WritePrefixOriginCSV)
 	write("ihr-transits.csv", ds.WriteTransitCSV)
 
-	write("rib.mrt", func(f io.Writer) error { return writeMRT(ctx, f, world, ds) })
-}
-
-func writeVRPs(f io.Writer, vrps []manrsmeter.VRP) error {
-	// Reuse the library's archive writer through the internal package is
-	// not possible from main; the format is simple enough to emit here in
-	// the same RIPE layout.
-	if _, err := fmt.Fprintln(f, "URI,ASN,IP Prefix,Max Length,Not Before,Not After"); err != nil {
-		return err
-	}
-	for _, v := range vrps {
-		if _, err := fmt.Fprintf(f, "rsync://rpki.example/repo/%s.roa,AS%d,%s,%d,,\n",
-			v.Prefix.Addr(), v.ASN, v.Prefix, v.MaxLength); err != nil {
-			return err
-		}
-	}
-	return nil
+	write("rib.mrt", func(f io.Writer) error { return writeMRT(f, world, view, ds) })
 }
 
 // writeMRT dumps the simulated collector's view: one RIB entry per
 // (prefix, vantage point that sees it), exactly how RouteViews archives
 // look.
-func writeMRT(ctx context.Context, f io.Writer, world *synth.World, ds *ihr.Dataset) error {
-	rpkiIx, irrIx, err := world.IndexesAt(ctx, world.Date(world.Config.EndYear), 0)
-	if err != nil {
-		return err
-	}
-	filterFor := ihr.PolicyFilter(world.Graph, world.Policies, rpkiIx, irrIx)
-	w := mrt.NewWriter(f, world.Date(world.Config.EndYear))
+func writeMRT(f io.Writer, world *synth.World, view *synth.View, ds *ihr.Dataset) error {
+	filterFor := ihr.PolicyFilter(world.Graph, world.Policies, view.RPKI, view.IRR)
+	w := mrt.NewWriter(f, view.Date)
 	peers := make([]mrt.Peer, len(world.VantagePoints))
 	csr := world.Graph.CSR()
 	var vpIdx []int32   // vantage points present in the topology
@@ -205,7 +189,7 @@ func writeMRT(ctx context.Context, f io.Writer, world *synth.World, ds *ihr.Data
 			}
 			entries = append(entries, mrt.RIBEntry{
 				PeerIndex:      vpPeer[i],
-				OriginatedTime: world.Date(world.Config.EndYear),
+				OriginatedTime: view.Date,
 				Path:           path,
 			})
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -39,7 +40,7 @@ func main() {
 	fmt.Println(pipe.Fig4ByRIR().Render())
 	fmt.Println(pipe.Finding70().Render())
 
-	sat, err := pipe.Fig6Saturation()
+	sat, err := pipe.Fig6Saturation(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

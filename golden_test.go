@@ -105,10 +105,11 @@ func TestPropagateGoldenDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := world.Graph
-	rpkiIx, irrIx, err := world.IndexesAt(context.Background(), world.Date(world.Config.EndYear), 0)
+	view, err := world.At(context.Background(), world.Date(world.Config.EndYear), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rpkiIx, irrIx := view.RPKI, view.IRR
 
 	// Every origination unfiltered, then the same set again behind the
 	// world's own ROV/IRR drop policies, to pin the filtered code path too.

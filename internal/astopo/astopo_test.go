@@ -94,34 +94,10 @@ func TestRelationshipDeduplication(t *testing.T) {
 	}
 }
 
-func TestCustomerConeAndDegree(t *testing.T) {
+func TestCustomerDegree(t *testing.T) {
 	g := diamond(t)
-	if got := g.CustomerCone(1); !reflect.DeepEqual(got, []uint32{3, 4, 5, 6}) {
-		t.Errorf("cone(1) = %v", got)
-	}
-	if got := g.CustomerCone(4); !reflect.DeepEqual(got, []uint32{6}) {
-		t.Errorf("cone(4) = %v", got)
-	}
-	if got := g.CustomerCone(5); got != nil {
-		t.Errorf("cone(5) = %v", got)
-	}
-	if got := g.CustomerCone(99); got != nil {
-		t.Errorf("cone(unknown) = %v", got)
-	}
 	if g.CustomerDegree(1) != 2 || g.CustomerDegree(5) != 0 || g.CustomerDegree(99) != 0 {
 		t.Error("degrees wrong")
-	}
-}
-
-func TestRank(t *testing.T) {
-	g := diamond(t)
-	rank := g.Rank()
-	if rank[0] != 1 { // largest cone
-		t.Errorf("rank[0] = %d", rank[0])
-	}
-	// AS2 (cone {4,6}) ranks above AS3/AS4 (cones of 1).
-	if rank[1] != 2 {
-		t.Errorf("rank[1] = %d", rank[1])
 	}
 }
 
@@ -329,24 +305,6 @@ func TestPropagateDeterminism(t *testing.T) {
 				t.Fatalf("run %d: info for AS%d differs: %+v vs %+v", i, asn, ti, bi)
 			}
 		}
-	}
-}
-
-func TestWritePPDCAses(t *testing.T) {
-	g := diamond(t)
-	var buf bytes.Buffer
-	if err := g.WritePPDCAses(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 7 { // header + 6 ASes
-		t.Fatalf("lines = %d:\n%s", len(lines), buf.String())
-	}
-	if lines[1] != "1 3 4 5 6" {
-		t.Errorf("AS1 cone line = %q", lines[1])
-	}
-	if lines[5] != "5" { // stub: empty cone
-		t.Errorf("AS5 cone line = %q", lines[5])
 	}
 }
 

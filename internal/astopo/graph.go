@@ -53,8 +53,8 @@ type Org struct {
 // NewGraph.
 //
 // Concurrency contract: once a Graph is fully built, any number of
-// goroutines may read it concurrently — Propagate, NewPropagator,
-// CustomerCone, the writers, and every other non-mutating method are
+// goroutines may read it concurrently — Propagate, NewPropagator, the
+// writers, and every other non-mutating method are
 // safe in parallel (the lazily-built dense adjacency is guarded
 // internally). Mutations (AddAS, SetProviderCustomer, SetPeer,
 // Originate, the Read* loaders, and writes to AS field slices) require
@@ -185,57 +185,6 @@ func (g *Graph) CustomerDegree(asn uint32) int {
 		return 0
 	}
 	return len(a.Customers)
-}
-
-// CustomerCone returns the set of ASes reachable from asn by descending
-// only customer links, excluding asn itself, ascending order. This is
-// CAIDA's AS-level customer cone.
-func (g *Graph) CustomerCone(asn uint32) []uint32 {
-	a := g.ases[asn]
-	if a == nil {
-		return nil
-	}
-	seen := map[uint32]bool{asn: true}
-	queue := append([]uint32(nil), a.Customers...)
-	var cone []uint32
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		cone = append(cone, c)
-		if ca := g.ases[c]; ca != nil {
-			queue = append(queue, ca.Customers...)
-		}
-	}
-	sort.Slice(cone, func(i, j int) bool { return cone[i] < cone[j] })
-	return cone
-}
-
-// Rank returns ASNs ordered by descending customer-cone size (ties by
-// ascending ASN) — the CAIDA AS Rank ordering.
-func (g *Graph) Rank() []uint32 {
-	type entry struct {
-		asn  uint32
-		cone int
-	}
-	entries := make([]entry, 0, len(g.ases))
-	for asn := range g.ases {
-		entries = append(entries, entry{asn, len(g.CustomerCone(asn))})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].cone != entries[j].cone {
-			return entries[i].cone > entries[j].cone
-		}
-		return entries[i].asn < entries[j].asn
-	})
-	out := make([]uint32, len(entries))
-	for i, e := range entries {
-		out[i] = e.asn
-	}
-	return out
 }
 
 // WriteASRel writes the CAIDA as-rel format: "p|c|-1" for
@@ -371,31 +320,6 @@ func (g *Graph) Originations() []Origination {
 type Origination struct {
 	Prefix netx.Prefix
 	Origin uint32
-}
-
-// WritePPDCAses writes CAIDA's customer-cone file format
-// (".ppdc-ases"): one line per AS listing the AS followed by every
-// member of its customer cone (the AS itself first, per CAIDA
-// convention).
-func (g *Graph) WritePPDCAses(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "# asn cone-member..."); err != nil {
-		return err
-	}
-	for _, asn := range g.ASNs() {
-		if _, err := fmt.Fprintf(bw, "%d", asn); err != nil {
-			return err
-		}
-		for _, c := range g.CustomerCone(asn) {
-			if _, err := fmt.Fprintf(bw, " %d", c); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // ReadAS2Org parses the simplified as2org format written by WriteAS2Org

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"manrsmeter/internal/manrs"
+	"manrsmeter/internal/obsv"
 	"manrsmeter/internal/rov"
 	"manrsmeter/internal/synth"
 )
@@ -34,7 +37,7 @@ func testWorld(t *testing.T, seed int64) *Pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(w)
+	p, err := NewPipeline(context.Background(), w, w.Date(w.Config.EndYear), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +176,7 @@ func TestAction4(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	p := testWorld(t, 1)
-	rows, err := p.Table1CaseStudies(3, 3)
+	rows, err := p.Table1CaseStudies(context.Background(), 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +206,7 @@ func TestTable1(t *testing.T) {
 
 func TestStability(t *testing.T) {
 	p := testWorld(t, 1)
-	r, err := p.Stability(4) // fewer snapshots to keep the test quick
+	r, err := p.Stability(context.Background(), 4) // fewer snapshots to keep the test quick
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +225,31 @@ func TestStability(t *testing.T) {
 	}
 }
 
+// The yearly relying-party runs are the only expensive part of Figure 6
+// and they take the caller's context: once it is done, the series stops
+// before its next run instead of validating the remaining years.
+func TestFig6SaturationStopsWhenCancelled(t *testing.T) {
+	p := testWorld(t, 4)
+	checks := func() int64 {
+		return obsv.Default().Value("rpki_signature_checks_total", "memo", "hit") +
+			obsv.Default().Value("rpki_signature_checks_total", "memo", "miss")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := checks()
+	if _, err := p.Fig6Saturation(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig6Saturation under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	// Setting a relying party up re-checks its trust anchors; a run would
+	// check every certificate and ROA.
+	if n := checks() - before; n > int64(len(p.World.Anchors)) {
+		t.Fatalf("a cancelled Fig6Saturation still checked %d signatures", n)
+	}
+}
+
 func TestFig6SaturationShape(t *testing.T) {
 	p := testWorld(t, 1)
-	r, err := p.Fig6Saturation()
+	r, err := p.Fig6Saturation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +356,7 @@ func TestCohortString(t *testing.T) {
 
 func TestHijackImpactExtension(t *testing.T) {
 	p := testWorld(t, 1)
-	r, err := p.HijackImpact(40, 99)
+	r, err := p.HijackImpact(context.Background(), 40, 99)
 	if err != nil {
 		t.Fatal(err)
 	}

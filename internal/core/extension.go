@@ -33,11 +33,12 @@ type HijackImpactResult struct {
 // where member ASes do not filter, and with no filtering anywhere. The
 // gap between the first two distributions is MANRS's collective
 // containment contribution.
-func (p *Pipeline) HijackImpact(n int, seed int64) (*HijackImpactResult, error) {
-	rpkiIx, _, err := p.World.IndexesAt(context.TODO(), p.AsOf, p.Workers)
+func (p *Pipeline) HijackImpact(ctx context.Context, n int, seed int64) (*HijackImpactResult, error) {
+	view, err := p.World.At(ctx, p.AsOf, p.Workers)
 	if err != nil {
 		return nil, err
 	}
+	rpkiIx := view.RPKI
 	// Victim pool: visible prefix-origins that are RPKI Valid (so the
 	// hijack is guaranteed Invalid for any other origin).
 	var victims []struct {

@@ -117,11 +117,12 @@ type Table1Row struct {
 // number of unconformant prefix-origins. For every unconformant
 // prefix-origin it attributes the mismatching registered origin to
 // Sibling/C-P (same org, or a direct customer/provider) or Unrelated.
-func (p *Pipeline) Table1CaseStudies(nCDN, nISP int) ([]Table1Row, error) {
-	rpkiIx, irrIx, err := p.World.IndexesAt(context.TODO(), p.AsOf, p.Workers)
+func (p *Pipeline) Table1CaseStudies(ctx context.Context, nCDN, nISP int) ([]Table1Row, error) {
+	view, err := p.World.At(ctx, p.AsOf, p.Workers)
 	if err != nil {
 		return nil, err
 	}
+	rpkiIx, irrIx := view.RPKI, view.IRR
 	// Unconformant counts per org, split by program.
 	type orgAgg struct {
 		orgID   string
@@ -272,17 +273,11 @@ type StabilityResult struct {
 
 // Stability evaluates Action 4 conformance at weekly snapshots from
 // February 1 to May 1 of the final study year (12 snapshots, like the
-// paper).
-func (p *Pipeline) Stability(weeks int) (*StabilityResult, error) {
-	return p.StabilityCtx(context.Background(), weeks)
-}
-
-// StabilityCtx is Stability with cancellation threaded through the
-// weekly fan-out: once ctx is done no further weekly snapshots are
-// built, in-flight builds stop dispatching work, and the cancellation
-// cause is returned. Completed weekly datasets stay in the World's
-// snapshot cache, so a retried run resumes from them.
-func (p *Pipeline) StabilityCtx(ctx context.Context, weeks int) (*StabilityResult, error) {
+// paper). Once ctx is done no further weekly snapshots are built,
+// in-flight builds stop dispatching work, and the cancellation cause is
+// returned. Completed weeks stay in the World's views, so a retried run
+// resumes from them.
+func (p *Pipeline) Stability(ctx context.Context, weeks int) (*StabilityResult, error) {
 	if weeks <= 0 {
 		weeks = 12
 	}
@@ -307,7 +302,11 @@ func (p *Pipeline) StabilityCtx(ctx context.Context, weeks int) (*StabilityResul
 	weekConf := make([]map[uint32]bool, weeks)
 	err := parallel.ForEachErrCtx(ctx, weeks, p.Workers, func(i int) error {
 		t := start.Add(time.Duration(i) * step)
-		ds, err := p.World.DatasetAtCtx(ctx, t, 0)
+		view, err := p.World.At(ctx, t, 0)
+		if err != nil {
+			return err
+		}
+		ds, err := view.Dataset(ctx, 0)
 		if err != nil {
 			return err
 		}
@@ -376,12 +375,15 @@ type Fig6Result struct {
 }
 
 // Fig6Saturation computes Eq. 7–8 per study year using the VRP set at
-// each year and the membership as of that year.
-func (p *Pipeline) Fig6Saturation() (*Fig6Result, error) {
+// each year and the membership as of that year. The yearly runs bypass
+// the world's views: eight dates nobody asks for again must not push
+// the headline out of a ViewCacheCap-entry cache. A done ctx stops the
+// series at its next run, which checks nothing.
+func (p *Pipeline) Fig6Saturation(ctx context.Context) (*Fig6Result, error) {
 	res := &Fig6Result{}
 	for y := p.World.Config.StartYear; y <= p.World.Config.EndYear; y++ {
 		t := p.World.Date(y)
-		vrps, err := p.World.VRPsAtCtx(context.TODO(), t, p.Workers)
+		vrps, err := p.World.VRPsAtCtx(ctx, t, p.Workers)
 		if err != nil {
 			return nil, err
 		}

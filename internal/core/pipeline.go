@@ -16,14 +16,15 @@ import (
 	"manrsmeter/internal/synth"
 )
 
-// Pipeline caches the expensive artifacts (the May-2022 dataset and the
-// per-AS metrics) shared by the experiments. Experiments only read the
-// shared World through its immutable snapshot views, so several
-// pipelines (or several experiments of one pipeline) may run
+// Pipeline holds the dataset and per-AS metrics at one date, shared by
+// the experiments. Experiments that validate beyond the dataset's rows
+// take the registries from the world's view of AsOf (World.At, a lookup
+// once the date is built or restored). They only read the shared World,
+// so several pipelines (or several experiments of one pipeline) may run
 // concurrently over one World.
 type Pipeline struct {
 	World *synth.World
-	// AsOf is the headline measurement date (May 1 of the final year).
+	// AsOf is the measurement date.
 	AsOf time.Time
 	// Workers bounds the goroutines each experiment fans out on; ≤ 0
 	// means one per CPU. Results are identical for every worker count.
@@ -40,46 +41,25 @@ type Options struct {
 	Workers int
 }
 
-// NewPipeline builds the dataset at the study's end date and aggregates
-// per-AS metrics, with default options.
-func NewPipeline(w *synth.World) (*Pipeline, error) {
-	return NewPipelineWith(w, Options{})
-}
-
-// NewPipelineWith is NewPipeline with explicit options.
-func NewPipelineWith(w *synth.World, opts Options) (*Pipeline, error) {
-	return NewPipelineCtx(context.Background(), w, opts)
-}
-
-// NewPipelineCtx is NewPipelineWith with cancellation threaded through
-// the headline dataset build: a canceled context aborts construction
-// with the cancellation cause instead of finishing the build.
-func NewPipelineCtx(ctx context.Context, w *synth.World, opts Options) (*Pipeline, error) {
-	return NewPipelineAtCtx(ctx, w, w.Date(w.Config.EndYear), opts)
-}
-
-// NewPipelineAtCtx is NewPipelineCtx pinned to an arbitrary measurement
-// date instead of the study's end date: the dataset and per-AS metrics
-// are built from the world's immutable snapshot views at asOf. The
-// serving layer uses it to answer historical date keys.
-func NewPipelineAtCtx(ctx context.Context, w *synth.World, asOf time.Time, opts Options) (*Pipeline, error) {
+// NewPipeline builds the dataset and per-AS metrics at asOf from the
+// world's view of that date. A done context aborts construction with
+// its cause instead of finishing the build.
+func NewPipeline(ctx context.Context, w *synth.World, asOf time.Time, opts Options) (*Pipeline, error) {
 	ctx, span := obsv.StartSpan(ctx, "pipeline.build")
 	defer span.End()
 	span.SetAttr("asof", asOf.Format("2006-01-02"))
-	ds, err := w.DatasetAtCtx(ctx, asOf, opts.Workers)
+	view, err := w.At(ctx, asOf, opts.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: relying party: %w", err)
+	}
+	ds, err := view.Dataset(ctx, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: build dataset: %w", err)
 	}
 	_, mspan := obsv.StartSpan(ctx, "pipeline.metrics")
-	m := manrs.ComputeMetrics(ds)
+	p := RestorePipeline(w, asOf, opts.Workers, ds)
 	mspan.End()
-	return &Pipeline{
-		World:   w,
-		AsOf:    asOf,
-		Workers: opts.Workers,
-		ds:      ds,
-		metrics: m,
-	}, nil
+	return p, nil
 }
 
 // RestorePipeline reconstructs a Pipeline from an already built

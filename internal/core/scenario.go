@@ -13,11 +13,10 @@ func ScenarioNames() []string { return scenario.Names() }
 
 // RunScenario derives the named builtin scenario from the pipeline's
 // world and measures its degradation against the pipeline's own
-// snapshot date. The baseline dataset comes from the world's DatasetAt
-// cache (already built by the pipeline), so only the degraded fork
-// builds fresh.
+// snapshot date. The baseline side is the world's view of that date
+// (already built or restored), so only the degraded fork builds fresh.
 func (p *Pipeline) RunScenario(ctx context.Context, name string) (*scenario.Result, error) {
-	sc, err := scenario.Builtin(name, p.World, p.AsOf)
+	sc, err := scenario.Builtin(ctx, name, p.World, p.AsOf)
 	if err != nil {
 		return nil, err
 	}

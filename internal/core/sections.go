@@ -41,8 +41,8 @@ func QuerySections() []QuerySection {
 		{"action4", "Findings 8.3/8.4 — Action 4 conformance",
 			plain(func(p *Pipeline) string { return RenderAction4(p.Action4()) })},
 		{"fig6-saturation", "Figure 6 — RPKI saturation",
-			func(_ context.Context, p *Pipeline) (string, error) {
-				res, err := p.Fig6Saturation()
+			func(ctx context.Context, p *Pipeline) (string, error) {
+				res, err := p.Fig6Saturation(ctx)
 				if err != nil {
 					return "", err
 				}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
+
+	"manrsmeter/internal/ihr"
 )
 
 // TestStabilityLeavesWorldIntact is the regression test for the
@@ -17,7 +20,7 @@ func TestStabilityLeavesWorldIntact(t *testing.T) {
 	p := testWorld(t, 5)
 	before := p.World.Graph.Originations()
 
-	if _, err := p.Stability(4); err != nil {
+	if _, err := p.Stability(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -26,19 +29,23 @@ func TestStabilityLeavesWorldIntact(t *testing.T) {
 		t.Fatalf("Stability mutated the graph: %d originations before, %d after",
 			len(before), len(after))
 	}
-	headline, err := p.World.DatasetAt(p.AsOf)
-	if err != nil {
-		t.Fatal(err)
+	datasetAt := func(at time.Time) *ihr.Dataset {
+		view, err := p.World.At(context.Background(), at, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := view.Dataset(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
 	}
-	if !reflect.DeepEqual(headline.PrefixOrigins, p.Dataset().PrefixOrigins) {
+	if datasetAt(p.AsOf) != p.Dataset() {
 		t.Error("headline dataset changed after Stability")
 	}
 
 	// A mid-churn weekly build must also leave the graph alone.
-	mid := time.Date(p.World.Config.EndYear, 3, 10, 0, 0, 0, 0, time.UTC)
-	if _, err := p.World.DatasetAt(mid); err != nil {
-		t.Fatal(err)
-	}
+	datasetAt(time.Date(p.World.Config.EndYear, 3, 10, 0, 0, 0, 0, time.UTC))
 	if got := p.World.Graph.Originations(); !reflect.DeepEqual(before, got) {
 		t.Error("mid-churn dataset build mutated the graph")
 	}
@@ -51,13 +58,13 @@ func TestStabilityWorkerCountInvariant(t *testing.T) {
 	// run cannot ride on the serial run's dataset cache.
 	ps := testWorld(t, 6)
 	ps.Workers = 1
-	serial, err := ps.Stability(4)
+	serial, err := ps.Stability(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pp := testWorld(t, 6)
 	pp.Workers = 4
-	par, err := pp.Stability(4)
+	par, err := pp.Stability(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

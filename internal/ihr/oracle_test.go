@@ -39,12 +39,12 @@ func oracleWorlds(t *testing.T, seeds int) []*synth.World {
 func worldConfig(t *testing.T, w *synth.World, workers int) ihr.Config {
 	t.Helper()
 	at := w.Date(w.Config.EndYear)
-	rpkiIx, irrIx, err := w.IndexesAt(context.Background(), at, workers)
+	view, err := w.At(context.Background(), at, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ihr.Config{
-		Graph: w.Graph, RPKI: rpkiIx, IRR: irrIx, Policies: w.Policies,
+		Graph: w.Graph, RPKI: view.RPKI, IRR: view.IRR, Policies: w.Policies,
 		VantagePoints: w.VantagePoints, Originations: w.OriginationsAt(at), Workers: workers,
 	}
 }

@@ -365,8 +365,12 @@ func NewRelyingPartyMemo(memo *VerdictMemo, anchors ...*Certificate) (*RelyingPa
 // CPU), each into its own slot, and are merged in publication order: the
 // result does not depend on the worker count. A context done before every
 // ROA was checked yields its cause and no VRPs at all; a partial set
-// would silently turn Valid and Invalid routes into NotFound.
+// would silently turn Valid and Invalid routes into NotFound. A context
+// already done starts nothing, not even the walk.
 func (rp *RelyingParty) Run(ctx context.Context, repo *Repository, workers int) ([]VRP, ValidationStats, error) {
+	if ctx.Err() != nil {
+		return nil, ValidationStats{}, fmt.Errorf("rpki: relying party run: %w", context.Cause(ctx))
+	}
 	now := rp.Now
 	if now.IsZero() {
 		now = time.Now()

@@ -35,10 +35,10 @@ const wrongOriginASN = 65551
 // RNG): the same world and date always yield the same list, so runs
 // are byte-stable across processes and worker counts. Unknown names
 // return an error listing the known ones.
-func Builtin(name string, w *synth.World, date time.Time) (*Scenario, error) {
+func Builtin(ctx context.Context, name string, w *synth.World, date time.Time) (*Scenario, error) {
 	switch name {
 	case NameAS0Hijack:
-		return buildAS0Hijack(w, date)
+		return buildAS0Hijack(ctx, w, date)
 	case NameExpiredCerts:
 		// Half of the two biggest RIRs' ROAs re-homed onto CAs that
 		// expired 30 days before evaluation: the stale-manifest /
@@ -71,11 +71,12 @@ func Builtin(name string, w *synth.World, date time.Time) (*Scenario, error) {
 // ROA can actually damage — alternating AS0 and wrong-origin hijack
 // ROAs over each victim's exact prefix. Verdicts flip NotFound→Invalid
 // and conformance drops.
-func buildAS0Hijack(w *synth.World, date time.Time) (*Scenario, error) {
-	rpkiIx, irrIx, err := w.IndexesAt(context.TODO(), date, 0)
+func buildAS0Hijack(ctx context.Context, w *synth.World, date time.Time) (*Scenario, error) {
+	view, err := w.At(ctx, date, 0)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", NameAS0Hijack, err)
 	}
+	rpkiIx, irrIx := view.RPKI, view.IRR
 	sc := &Scenario{Name: NameAS0Hijack}
 	seen := map[uint32]bool{}
 	for _, og := range w.OriginationsAt(date) {

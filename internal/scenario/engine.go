@@ -162,16 +162,17 @@ type Options struct {
 }
 
 // Run applies the scenario to a fork of base and measures the
-// degradation against the baseline dataset at the same date. Both
-// builds go through each world's own DatasetAt cache, so repeated runs
-// (the serving layer) build each side once. The result is byte-stable
-// for a fixed world and scenario across worker counts.
+// degradation against the baseline dataset at the same date. Each side
+// is its world's view of the date, so the baseline a pipeline or
+// snapshot already holds is not rebuilt and the fork runs the relying
+// party once. The result is byte-stable for a fixed world and scenario
+// across worker counts.
 func Run(ctx context.Context, base *synth.World, sc *Scenario, opts Options) (*Result, error) {
 	date := opts.Date
 	if date.IsZero() {
 		date = base.Date(base.Config.EndYear)
 	}
-	baseDS, err := base.DatasetAtCtx(ctx, date, opts.Workers)
+	baseDS, baseVRPs, err := measure(ctx, base, date, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: baseline build: %w", sc.Name, err)
 	}
@@ -179,25 +180,17 @@ func Run(ctx context.Context, base *synth.World, sc *Scenario, opts Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	forkDS, err := fork.DatasetAtCtx(ctx, date, opts.Workers)
+	forkDS, forkVRPs, err := measure(ctx, fork, date, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: degraded build: %w", sc.Name, err)
-	}
-	baseVRPs, err := base.VRPsAtCtx(ctx, date, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	forkVRPs, err := fork.VRPsAtCtx(ctx, date, opts.Workers)
-	if err != nil {
-		return nil, err
 	}
 
 	res := &Result{
 		Name:     sc.Name,
 		Date:     date.Format("2006-01-02"),
 		Events:   len(sc.Events),
-		Baseline: summarize(baseDS, len(baseVRPs)),
-		Scenario: summarize(forkDS, len(forkVRPs)),
+		Baseline: summarize(baseDS, baseVRPs),
+		Scenario: summarize(forkDS, forkVRPs),
 		Trans:    transitions(baseDS, forkDS),
 	}
 	if hasOp(sc, OpAnchorPair) {
@@ -207,7 +200,7 @@ func Run(ctx context.Context, base *synth.World, sc *Scenario, opts Options) (*R
 		}
 	}
 	dropped := 0
-	if d := len(baseVRPs) - len(forkVRPs); d > 0 {
+	if d := baseVRPs - forkVRPs; d > 0 {
 		dropped = d
 	}
 	var failed []string
@@ -227,6 +220,16 @@ func Run(ctx context.Context, base *synth.World, sc *Scenario, opts Options) (*R
 	h.Degraded = len(failed) > 0 || dropped > 0 || lag > 0
 	res.Health = h
 	return res, nil
+}
+
+// measure returns w's dataset and VRP count at date.
+func measure(ctx context.Context, w *synth.World, date time.Time, workers int) (*ihr.Dataset, int, error) {
+	view, err := w.At(ctx, date, workers)
+	if err != nil {
+		return nil, 0, err
+	}
+	ds, err := view.Dataset(ctx, workers)
+	return ds, len(view.VRPs), err
 }
 
 func hasOp(sc *Scenario, op Op) bool {
@@ -340,11 +343,11 @@ type astopoKey struct {
 // never an invalid one), and score it against the generator's
 // ground-truth DropRPKIInvalid policies.
 func inferAnchorPairs(ctx context.Context, w *synth.World, sc *Scenario, date time.Time, workers int) (*AnchorReport, error) {
-	rpkiIx, irrIx, err := w.IndexesAt(ctx, date, workers)
+	view, err := w.At(ctx, date, workers)
 	if err != nil {
 		return nil, err
 	}
-	filter := ihr.PolicyFilter(w.Graph, w.Policies, rpkiIx, irrIx)
+	filter := ihr.PolicyFilter(w.Graph, w.Policies, view.RPKI, view.IRR)
 	validSeen := map[uint32]int{}
 	invalidSeen := map[uint32]int{}
 	rep := &AnchorReport{}

@@ -34,11 +34,11 @@ func TestBuiltinsByteDeterministic(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			sc1, err := Builtin(name, w1, w1.Date(w1.Config.EndYear))
+			sc1, err := Builtin(context.Background(), name, w1, w1.Date(w1.Config.EndYear))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc2, err := Builtin(name, w2, w2.Date(w2.Config.EndYear))
+			sc2, err := Builtin(context.Background(), name, w2, w2.Date(w2.Config.EndYear))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestRPFailureChaos(t *testing.T) {
 	w := testWorld(t, 8)
 	ctx := context.Background()
 	asOf := w.Date(w.Config.EndYear)
-	sc, err := Builtin(NameRPFailure, w, asOf)
+	sc, err := Builtin(context.Background(), NameRPFailure, w, asOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,11 @@ func TestRPFailureChaos(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := w.DatasetAtCtx(ctx, asOf, 2); err != nil {
+			view, err := w.At(ctx, asOf, 2)
+			if err == nil {
+				_, err = view.Dataset(ctx, 2)
+			}
+			if err != nil {
 				t.Error(err)
 			}
 		}()
@@ -135,7 +139,7 @@ func TestRPFailureChaos(t *testing.T) {
 // drop by roughly the re-homed fraction of the two targeted RIRs.
 func TestExpiredCertsDegrades(t *testing.T) {
 	w := testWorld(t, 8)
-	sc, err := Builtin(NameExpiredCerts, w, w.Date(w.Config.EndYear))
+	sc, err := Builtin(context.Background(), NameExpiredCerts, w, w.Date(w.Config.EndYear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +160,7 @@ func TestExpiredCertsDegrades(t *testing.T) {
 // unconformance rises.
 func TestAS0HijackFlipsVerdicts(t *testing.T) {
 	w := testWorld(t, 8)
-	sc, err := Builtin(NameAS0Hijack, w, w.Date(w.Config.EndYear))
+	sc, err := Builtin(context.Background(), NameAS0Hijack, w, w.Date(w.Config.EndYear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,7 @@ func TestAS0HijackFlipsVerdicts(t *testing.T) {
 // and scores against ground truth with sane precision/recall.
 func TestAnchorPairInference(t *testing.T) {
 	w := testWorld(t, 8)
-	sc, err := Builtin(NameAnchorPairs, w, w.Date(w.Config.EndYear))
+	sc, err := Builtin(context.Background(), NameAnchorPairs, w, w.Date(w.Config.EndYear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +214,7 @@ func TestAnchorPairInference(t *testing.T) {
 // never upgrades a verdict.
 func TestROADelay(t *testing.T) {
 	w := testWorld(t, 8)
-	sc, err := Builtin(NameROADelay, w, w.Date(w.Config.EndYear))
+	sc, err := Builtin(context.Background(), NameROADelay, w, w.Date(w.Config.EndYear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestEncodingRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, name := range Names() {
-		sc, err := Builtin(name, w, date)
+		sc, err := Builtin(context.Background(), name, w, date)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -131,7 +131,13 @@ func (s *Store) published() map[time.Time]*Snapshot {
 // Get it never triggers a build — the peer protocol only shares what
 // already exists.
 func (s *Store) publishedAt(date time.Time) *Snapshot {
-	return s.entry(date).snap.Load()
+	s.mu.Lock()
+	e := s.entries[date.Unix()]
+	s.mu.Unlock()
+	if e == nil {
+		return nil
+	}
+	return e.snap.Load()
 }
 
 // SyncFrom pulls the archive for date from a peer (a replica base URL,
@@ -179,7 +185,7 @@ func (s *Store) SyncFrom(ctx context.Context, client *http.Client, base string, 
 		s.met.wireSyncErrors.Inc()
 		return nil, fmt.Errorf("serve: sync from %s: decode archive: %w", base, err)
 	}
-	snap, err := s.restoreSnapshot(d)
+	snap, err := s.restoreSnapshot(ctx, d)
 	if err != nil {
 		s.met.wireSyncErrors.Inc()
 		return nil, fmt.Errorf("serve: sync from %s: %w", base, err)
@@ -191,8 +197,7 @@ func (s *Store) SyncFrom(ctx context.Context, client *http.Client, base string, 
 		e.mu.Unlock()
 		return published, nil
 	}
-	e.snap.Store(snap)
-	e.failures, e.retryAt, e.lastErr = 0, time.Time{}, nil
+	s.publishLocked(e, snap)
 	e.mu.Unlock()
 	s.met.wireSyncs.Inc()
 	s.logp("serve: synced snapshot %s from peer %s via wire replication (no local rebuild)", snap.Version, base)

@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"time"
 
-	"manrsmeter/internal/core"
 	"manrsmeter/internal/durable"
 	"manrsmeter/internal/ihr"
-	"manrsmeter/internal/rov"
 )
 
 // durableKey is the archive slot for a date under this store's world.
@@ -42,11 +40,13 @@ func snapshotData(snap *Snapshot) *durable.SnapshotData {
 	}
 }
 
-// restoreSnapshot rebuilds a servable Snapshot from archived data:
-// dataset and registries come from the archive; metrics, the prefix
+// restoreSnapshot rebuilds a servable Snapshot from archived data: the
+// world adopts the archive's dataset and registries as its view of the
+// date, so the snapshot, its report sections and the baseline side of
+// its scenarios all read what the archive holds; metrics, the prefix
 // index, and the /v1/stats aggregates are recomputed (deterministic
 // functions of the dataset, cheaper to rebuild than to verify).
-func (s *Store) restoreSnapshot(d *durable.SnapshotData) (*Snapshot, error) {
+func (s *Store) restoreSnapshot(ctx context.Context, d *durable.SnapshotData) (*Snapshot, error) {
 	if d.Fingerprint != s.world.Fingerprint() {
 		return nil, fmt.Errorf("serve: archive is for world %s, store runs %s",
 			d.Fingerprint, s.world.Fingerprint())
@@ -54,40 +54,15 @@ func (s *Store) restoreSnapshot(d *durable.SnapshotData) (*Snapshot, error) {
 	if want := s.Version(d.Date); d.Version != want {
 		return nil, fmt.Errorf("serve: archive version %q, want %q", d.Version, want)
 	}
-	ds := &ihr.Dataset{
+	view, err := s.world.Adopt(d.Date, d.RPKI, d.IRR, &ihr.Dataset{
 		PrefixOrigins: d.PrefixOrigins,
 		Transits:      d.Transits,
 		Visibility:    d.Visibility,
-	}
-	rpkiIx, err := indexFrom(d.RPKI)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("serve: restore RPKI index: %w", err)
+		return nil, fmt.Errorf("serve: restore registries: %w", err)
 	}
-	irrIx, err := indexFrom(d.IRR)
-	if err != nil {
-		return nil, fmt.Errorf("serve: restore IRR index: %w", err)
-	}
-	snap := &Snapshot{
-		Version:  d.Version,
-		Date:     d.Date,
-		World:    s.world,
-		Pipeline: core.RestorePipeline(s.world, d.Date, s.workers, ds),
-		RPKI:     rpkiIx,
-		IRR:      irrIx,
-	}
-	snap.byPrefix = buildByPrefix(ds.PrefixOrigins)
-	snap.Stats = computeStats(snap)
-	return snap, nil
-}
-
-func indexFrom(auths []rov.Authorization) (*rov.Index, error) {
-	ix := rov.NewIndex()
-	for _, a := range auths {
-		if err := ix.Add(a); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
+	return s.assemble(ctx, view)
 }
 
 // persistSnapshot archives snap in the durable store. Failures are
@@ -107,9 +82,9 @@ func (s *Store) WaitPersist() { s.persistWG.Wait() }
 // WarmStart publishes snapshots restored from the durable archive for
 // every date the archive holds under this store's world, skipping
 // dates that already have a published snapshot. It returns how many
-// snapshots it published. Queries for those dates are served from the
-// restored snapshots immediately; background refreshes replace them
-// with fresh builds on the usual schedule.
+// snapshots it published. Queries for those dates, their report
+// sections and scenarios included, are served from the restored state;
+// nothing is rebuilt.
 func (s *Store) WarmStart(ctx context.Context) (int, error) {
 	if s.durable == nil {
 		return 0, nil
@@ -133,7 +108,7 @@ func (s *Store) WarmStart(ctx context.Context) (int, error) {
 			}
 			continue
 		}
-		snap, err := s.restoreSnapshot(d)
+		snap, err := s.restoreSnapshot(ctx, d)
 		if err != nil {
 			s.logp("serve: warm start %s: %v", key, err)
 			if firstErr == nil {
@@ -143,7 +118,7 @@ func (s *Store) WarmStart(ctx context.Context) (int, error) {
 		}
 		e.mu.Lock()
 		if e.snap.Load() == nil {
-			e.snap.Store(snap)
+			s.publishLocked(e, snap)
 			published++
 			s.met.warmStarts.Inc()
 			s.logp("serve: warm start: restored snapshot %s from archive", snap.Version)

@@ -98,10 +98,9 @@ func sigMisses() int64 {
 	return obsv.Default().Value("rpki_signature_checks_total", "memo", "miss")
 }
 
-// A snapshot build runs the relying party twice (the dataset's indexes,
-// then the snapshot's own) and a weekly series repeats that per date, but
-// each signature is verified once per world: four cold weekly builds
-// perform about the Ed25519 verifications of one cold relying-party run.
+// A weekly series runs the relying party once per date, but each
+// signature is verified once per world: four cold weekly builds perform
+// about the Ed25519 verifications of one cold relying-party run.
 func TestColdBuildsVerifyEachSignatureOnce(t *testing.T) {
 	one := coldWorld(t)
 	headline := one.Date(one.Config.EndYear)
@@ -243,11 +242,11 @@ func TestShedsAtAdmissionLimit(t *testing.T) {
 	}
 }
 
-// TestETagStableAcrossRefresh is the cache-coherence acceptance
-// criterion: a background refresh of the same world and date must
-// produce byte-identical JSON and the same strong ETag, and
+// TestETagRevalidation is the cache-coherence acceptance criterion: a
+// second server over the same store, re-rendering from the snapshot,
+// must produce byte-identical JSON and the same strong ETag, and
 // If-None-Match revalidation must answer 304.
-func TestETagStableAcrossRefresh(t *testing.T) {
+func TestETagRevalidation(t *testing.T) {
 	store, srv, _ := newTestServer(t, Options{})
 	h := srv.Handler()
 
@@ -260,23 +259,19 @@ func TestETagStableAcrossRefresh(t *testing.T) {
 		t.Fatalf("missing strong ETag, got %q", etag)
 	}
 
-	if err := store.Refresh(context.Background(), store.DefaultDate()); err != nil {
-		t.Fatalf("refresh: %v", err)
-	}
-
-	// A second server over the refreshed store has an empty response
-	// cache, so this re-renders from the rebuilt snapshot.
+	// A second server over the store has an empty response cache, so
+	// this re-renders from the snapshot.
 	reg2 := obsv.NewRegistry()
 	srv2 := NewServer(store, Options{Registry: reg2})
 	second := get(srv2.Handler(), "/v1/stats", nil)
 	if second.Code != http.StatusOK {
-		t.Fatalf("stats after refresh: %d", second.Code)
+		t.Fatalf("stats from the second server: %d", second.Code)
 	}
 	if second.Body.String() != first.Body.String() {
-		t.Error("response bytes changed across a same-version refresh")
+		t.Error("response bytes changed across a re-render of one version")
 	}
 	if got := second.Header().Get("ETag"); got != etag {
-		t.Errorf("ETag changed across refresh: %q != %q", got, etag)
+		t.Errorf("ETag changed across a re-render: %q != %q", got, etag)
 	}
 
 	not := get(srv2.Handler(), "/v1/stats", map[string]string{"If-None-Match": etag})
@@ -582,11 +577,11 @@ func TestBackoffEscalatesAndResets(t *testing.T) {
 	date := store.DefaultDate()
 
 	for n := 1; n <= 4; n++ {
-		if err := store.Refresh(ctx, date); err == nil {
+		if _, err := store.Get(ctx, date); err == nil {
 			t.Fatalf("failure %d: build unexpectedly succeeded", n)
 		}
 		var be *BackoffError
-		if err := store.Refresh(ctx, date); !errors.As(err, &be) {
+		if _, err := store.Get(ctx, date); !errors.As(err, &be) {
 			t.Fatalf("failure %d: got %v, want BackoffError", n, err)
 		}
 		if be.Failures != n {
@@ -611,14 +606,14 @@ func TestBackoffEscalatesAndResets(t *testing.T) {
 	}
 
 	fail.Store(false)
-	if err := store.Refresh(ctx, date); err != nil {
+	if _, err := store.Get(ctx, date); err != nil {
 		t.Fatalf("recovery build: %v", err)
 	}
 	if _, ok := store.Status()[key]; ok {
 		t.Error("backoff status survived a successful build")
 	}
-	if err := store.Refresh(ctx, date); err != nil {
-		t.Fatalf("refresh after recovery hit stale backoff: %v", err)
+	if _, err := store.Get(ctx, date); err != nil {
+		t.Fatalf("Get after recovery hit stale backoff: %v", err)
 	}
 }
 

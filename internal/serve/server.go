@@ -222,9 +222,9 @@ func (s *Server) route(name string, q func(ctx context.Context, snap *Snapshot, 
 			return
 		}
 
-		// The cache key pins the snapshot version, so a refresh of the
-		// same world+date (same version) keeps every entry valid and a
-		// changed world invalidates everything at once.
+		// The cache key pins the snapshot version, so an entry outlives
+		// its snapshot being dropped and rebuilt (same version, same
+		// bytes) and a changed world invalidates everything at once.
 		ver := s.store.Version(date)
 		// Every /v1 answer names the snapshot version it came from, so
 		// the gateway (and tests) can assert cross-replica version
@@ -280,6 +280,8 @@ func (s *Server) route(name string, q func(ctx context.Context, snap *Snapshot, 
 }
 
 // resolveDate parses ?date=YYYY-MM-DD, defaulting to the headline date.
+// Every new date is a full snapshot build, so a date outside the
+// world's study window, which no analysis asks about, is refused.
 func (s *Server) resolveDate(r *http.Request) (time.Time, error) {
 	q := r.URL.Query().Get("date")
 	if q == "" {
@@ -288,6 +290,11 @@ func (s *Server) resolveDate(r *http.Request) (time.Time, error) {
 	t, err := time.Parse("2006-01-02", q)
 	if err != nil {
 		return time.Time{}, fmt.Errorf("bad date %q: want YYYY-MM-DD", q)
+	}
+	w := s.store.world
+	if first, last := w.Date(w.Config.StartYear), w.Date(w.Config.EndYear); t.Before(first) || t.After(last) {
+		return time.Time{}, fmt.Errorf("date %s outside the study window %s to %s",
+			q, first.Format("2006-01-02"), last.Format("2006-01-02"))
 	}
 	return t, nil
 }

@@ -35,9 +35,9 @@ import (
 // Snapshots are shared across requests and must never be mutated.
 type Snapshot struct {
 	// Version identifies the snapshot's content, not its build: it is
-	// derived from the world fingerprint and the date, so a background
-	// rebuild of the same world and date yields the same version and
-	// byte-identical responses (ETag-stable across refreshes).
+	// derived from the world fingerprint and the date, so a rebuild, a
+	// warm start and a peer sync of the same world and date all carry
+	// the same version and answer byte-identically (same ETags).
 	Version string
 	// Date is the measurement date the snapshot answers for.
 	Date time.Time
@@ -45,7 +45,8 @@ type Snapshot struct {
 	World    *synth.World
 	Pipeline *core.Pipeline
 	// RPKI and IRR answer origin-validation queries for prefixes and
-	// origins beyond those in the dataset.
+	// origins beyond those in the dataset. They are the indexes of the
+	// world's view at Date, the ones the dataset was validated against.
 	RPKI, IRR *rov.Index
 	// Stats are the precomputed /v1/stats aggregates.
 	Stats *EcosystemStats
@@ -59,8 +60,8 @@ type Snapshot struct {
 	// scenMu guards scenResults, the lazy per-snapshot cache of
 	// adversarial scenario runs (GET /v1/scenario/{name}). Results are
 	// deterministic per snapshot version, so caching them preserves the
-	// ETag contract; the baseline side of each run reuses the world's
-	// own dataset cache.
+	// ETag contract; the baseline side of each run is the world's view
+	// this snapshot was assembled from.
 	scenMu      sync.Mutex
 	scenResults map[string]*scenario.Result
 }
@@ -104,9 +105,9 @@ func (s *Snapshot) Dataset() *ihr.Dataset { return s.Pipeline.Dataset() }
 // concurrent request for the same date waits on that one build (the
 // serve_snapshot_coalesced_total counter proves exactly one build ran).
 // Builds run detached from the requesting context, so a canceled
-// request never aborts a build other requests are waiting on; Refresh
-// rebuilds a date in the background and publishes the replacement with
-// an atomic swap, never blocking readers.
+// request never aborts a build other requests are waiting on. A
+// published snapshot is final: the world is immutable and the version
+// names its content, so there is nothing to refresh.
 type Store struct {
 	world   *synth.World
 	workers int
@@ -129,6 +130,8 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[int64]*storeEntry
+	// order lists the published date keys, longest-published first.
+	order []int64
 
 	met storeMetrics
 }
@@ -159,7 +162,6 @@ type storeMetrics struct {
 	buildErrors  *obsv.Counter
 	coalesced    *obsv.Counter
 	hits         *obsv.Counter
-	refreshes    *obsv.Counter
 	backoffs     *obsv.Counter
 	warmStarts   *obsv.Counter
 	buildSeconds *obsv.Histogram
@@ -224,7 +226,6 @@ func NewStore(w *synth.World, opts StoreOptions) *Store {
 			buildErrors:  reg.Counter("serve_snapshot_build_errors_total", "snapshot builds that failed"),
 			coalesced:    reg.Counter("serve_snapshot_coalesced_total", "requests that joined an in-flight snapshot build"),
 			hits:         reg.Counter("serve_snapshot_hits_total", "requests answered from a published snapshot"),
-			refreshes:    reg.Counter("serve_snapshot_refresh_total", "background snapshot refreshes"),
 			backoffs:     reg.Counter("serve_snapshot_backoff_total", "requests refused because the date key is in build backoff"),
 			warmStarts:   reg.Counter("serve_snapshot_warm_starts_total", "snapshots published from the durable archive at boot"),
 			buildSeconds: reg.Histogram("serve_snapshot_build_seconds", "snapshot build latency", nil),
@@ -323,36 +324,6 @@ func (s *Store) Get(ctx context.Context, date time.Time) (*Snapshot, error) {
 	}
 }
 
-// Refresh rebuilds the snapshot at date and publishes the replacement
-// with an atomic swap. Readers keep the old snapshot until the new one
-// is published; a failed rebuild leaves the old snapshot in place. If a
-// build for the date is already in flight, Refresh joins it.
-func (s *Store) Refresh(ctx context.Context, date time.Time) error {
-	s.met.refreshes.Inc()
-	e := s.entry(date)
-	e.mu.Lock()
-	call := e.building
-	if call == nil {
-		if err := s.backoffLocked(e); err != nil {
-			e.mu.Unlock()
-			return err
-		}
-		call = &buildCall{done: make(chan struct{})}
-		e.building = call
-		s.startBuild(ctx, e, call)
-	} else {
-		s.met.coalesced.Inc()
-	}
-	e.mu.Unlock()
-
-	select {
-	case <-ctx.Done():
-		return context.Cause(ctx)
-	case <-call.done:
-		return call.err
-	}
-}
-
 // BackoffError reports that builds for a date key are suspended after
 // consecutive failures. The serving layer maps it to 503 with a
 // Retry-After derived from Until.
@@ -427,8 +398,7 @@ func (s *Store) startBuild(ctx context.Context, e *storeEntry, call *buildCall) 
 				// this persist.
 				s.persistWG.Add(1)
 			}
-			e.snap.Store(snap) // atomic publish; readers never block
-			e.failures, e.retryAt, e.lastErr = 0, time.Time{}, nil
+			s.publishLocked(e, snap)
 		} else {
 			e.failures++
 			delay := s.backoffDelay(e.failures)
@@ -452,29 +422,56 @@ func (s *Store) startBuild(ctx context.Context, e *storeEntry, call *buildCall) 
 	}()
 }
 
-// buildSnapshot is the production build: pipeline (dataset + metrics)
-// through the established parallel path, validation indexes, the
-// prefix row index, and the precomputed aggregates.
+// publishLocked (e.mu held) makes snap the entry's answer; readers never
+// block on it. Past synth.ViewCacheCap published dates the
+// longest-published one other than the headline is dropped, to be built
+// again if it is asked for again. A published entry has no build in
+// flight, so none is ever dropped under its waiters.
+func (s *Store) publishLocked(e *storeEntry, snap *Snapshot) {
+	e.snap.Store(snap)
+	e.failures, e.retryAt, e.lastErr = 0, time.Time{}, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.order = append(s.order, e.date.Unix())
+	if len(s.order) > synth.ViewCacheCap {
+		i := 0
+		if s.order[0] == s.DefaultDate().Unix() {
+			i = 1
+		}
+		delete(s.entries, s.order[i])
+		s.order = append(s.order[:i], s.order[i+1:]...)
+	}
+}
+
+// buildSnapshot is the production build: the world's view of the date
+// (one relying-party run) and its dataset, then the shared tail.
 func (s *Store) buildSnapshot(ctx context.Context, date time.Time) (*Snapshot, error) {
 	ctx, span := obsv.StartSpan(ctx, "serve.snapshot.build", obsv.KV("date", date.Format("2006-01-02")))
 	defer span.End()
-	pipe, err := core.NewPipelineAtCtx(ctx, s.world, date, core.Options{Workers: s.workers})
+	view, err := s.world.At(ctx, date, s.workers)
 	if err != nil {
-		return nil, fmt.Errorf("serve: build pipeline: %w", err)
+		return nil, fmt.Errorf("serve: relying party: %w", err)
 	}
-	rpkiIx, irrIx, err := s.world.IndexesAt(ctx, date, s.workers)
+	return s.assemble(ctx, view)
+}
+
+// assemble is the tail a built and a restored snapshot share: the
+// view's dataset (built here, or the archive's), per-AS metrics, the
+// prefix row index and the precomputed aggregates.
+func (s *Store) assemble(ctx context.Context, view *synth.View) (*Snapshot, error) {
+	ds, err := view.Dataset(ctx, s.workers)
 	if err != nil {
-		return nil, fmt.Errorf("serve: build indexes: %w", err)
+		return nil, fmt.Errorf("serve: build dataset: %w", err)
 	}
 	snap := &Snapshot{
-		Version:  s.Version(date),
-		Date:     date,
+		Version:  s.Version(view.Date),
+		Date:     view.Date,
 		World:    s.world,
-		Pipeline: pipe,
-		RPKI:     rpkiIx,
-		IRR:      irrIx,
+		Pipeline: core.RestorePipeline(s.world, view.Date, s.workers, ds),
+		RPKI:     view.RPKI,
+		IRR:      view.IRR,
+		byPrefix: buildByPrefix(ds.PrefixOrigins),
 	}
-	snap.byPrefix = buildByPrefix(pipe.Dataset().PrefixOrigins)
 	snap.Stats = computeStats(snap)
 	return snap, nil
 }
@@ -516,32 +513,4 @@ func (s *Store) Status() map[string]string {
 // Ready reports whether the headline snapshot is published.
 func (s *Store) Ready() bool {
 	return s.entry(s.DefaultDate()).snap.Load() != nil
-}
-
-// RefreshLoop rebuilds every known date key each interval until ctx is
-// done — the background refresh path of a long-running daemon. Each
-// cycle's rebuilds publish atomically; readers are never blocked and
-// never see a partially built snapshot.
-func (s *Store) RefreshLoop(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.mu.Lock()
-			dates := make([]time.Time, 0, len(s.entries))
-			for _, e := range s.entries {
-				dates = append(dates, e.date)
-			}
-			s.mu.Unlock()
-			for _, d := range dates {
-				_ = s.Refresh(ctx, d)
-			}
-		}
-	}
 }

@@ -134,10 +134,11 @@ func TestLargeScaleWorld(t *testing.T) {
 
 	// Aggregate registration must still produce the full spread of RPKI
 	// and IRR outcomes the analysis buckets on.
-	rpkiIx, irrIx, err := w.IndexesAt(context.Background(), asOf, 0)
+	view, err := w.At(context.Background(), asOf, 0)
 	if err != nil {
-		t.Fatalf("IndexesAt: %v", err)
+		t.Fatalf("At: %v", err)
 	}
+	rpkiIx, irrIx := view.RPKI, view.IRR
 	rpkiSeen := map[rov.Status]int{}
 	irrSeen := map[rov.Status]int{}
 	for _, og := range ogs {
@@ -155,9 +156,9 @@ func TestLargeScaleWorld(t *testing.T) {
 	}
 
 	// The compact world must drive the full dataset build.
-	ds, err := w.BuildDatasetAt(asOf, 2)
+	ds, err := view.Dataset(context.Background(), 2)
 	if err != nil {
-		t.Fatalf("BuildDatasetAt: %v", err)
+		t.Fatalf("Dataset: %v", err)
 	}
 	if ds.Visibility.Len() != len(ogs) {
 		t.Fatalf("dataset tracks %d originations, world has %d", ds.Visibility.Len(), len(ogs))

@@ -24,7 +24,7 @@ import (
 // derived from it) diverges from the base. The fork shares the graph,
 // registries, policies, vantage points, churn windows, and prefix
 // storage with the base; the RPKI repository is shallow-cloned so ROAs
-// can be replaced, and the dataset cache starts empty. The base world
+// can be replaced, and the view cache starts empty. The base world
 // is never mutated through the fork; the one thing a fork writes that
 // its base reads is the signature-verdict memo, whose entries are pure
 // functions of the signed bytes.
@@ -35,8 +35,8 @@ import (
 // graph. SetSnapshot on a fork does mutate the shared graph and must
 // only be used by single-owner tools (synthgen).
 func (w *World) Fork(tag string) *World {
-	w.dsMu.Lock()
-	defer w.dsMu.Unlock()
+	w.viewMu.Lock()
+	defer w.viewMu.Unlock()
 	nw := &World{
 		Config:        w.Config,
 		Graph:         w.Graph,
@@ -94,13 +94,13 @@ func (w *World) FailedRPs() []rpki.RIR {
 func (w *World) ROAVisibilityLag() time.Duration { return w.roaLag }
 
 // mutated records one absorbed mutation and invalidates every cached
-// dataset: the next DatasetAt sees the mutated world.
+// view: the next At sees the mutated world.
 func (w *World) mutated() {
-	w.dsMu.Lock()
+	w.viewMu.Lock()
 	w.mutations++
-	w.dsCache = nil
-	w.dsDates = nil
-	w.dsMu.Unlock()
+	w.views = nil
+	w.viewDates = nil
+	w.viewMu.Unlock()
 }
 
 // AddOrigination makes asn additionally announce p (a scenario

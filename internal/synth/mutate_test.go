@@ -102,26 +102,16 @@ func TestForkIsolation(t *testing.T) {
 func TestForkDatasetCacheIsolation(t *testing.T) {
 	w := mutateTestWorld(t)
 	asOf := w.Date(w.Config.EndYear)
-	baseDS, err := w.DatasetAt(asOf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseDS := datasetAt(t, w, asOf)
 
 	f := w.Fork("cache-test")
 	f.FailRelyingParty(rpki.RIPE)
 	f.FailRelyingParty(rpki.ARIN)
-	forkDS, err := f.DatasetAt(asOf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forkDS := datasetAt(t, f, asOf)
 	if forkDS == baseDS {
 		t.Fatal("fork returned the base's cached dataset")
 	}
-	again, err := w.DatasetAt(asOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != baseDS {
+	if again := datasetAt(t, w, asOf); again != baseDS {
 		t.Fatal("base cache entry evicted or replaced by fork build")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"manrsmeter/internal/astopo"
@@ -18,14 +19,14 @@ import (
 	"manrsmeter/internal/rpki"
 )
 
-// Dataset-engine metrics: the DatasetAt memoization cache (a stability
-// loop re-requesting a snapshot should hit, a fresh date misses and
-// pays a build) and how long builds take.
+// Dataset-engine metrics: whether View.Dataset found the date's dataset
+// already built (a stability loop re-requesting a snapshot should hit, a
+// fresh date misses and pays a build) and how long builds take.
 var (
 	mDatasetCacheHits = obsv.NewCounter("synth_dataset_cache_hits_total",
-		"DatasetAt calls answered from the memoization cache")
+		"View.Dataset calls answered by an earlier build")
 	mDatasetCacheMisses = obsv.NewCounter("synth_dataset_cache_misses_total",
-		"DatasetAt calls that built (or raced to build) a snapshot")
+		"View.Dataset calls that built (or raced to build) a dataset")
 	mDatasetBuild = obsv.NewHistogram("synth_dataset_build_seconds",
 		"wall time of one dataset build", []float64{.05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60})
 )
@@ -656,8 +657,8 @@ func (w *World) OriginationsAt(t time.Time) []astopo.Origination {
 // SetSnapshot restricts every AS's announced prefixes to those active at
 // t (the §8.5 churn windows). It mutates the graph in place and exists
 // for tools that need the Graph itself rewound (the synthgen MRT
-// writer); the analysis path uses the immutable OriginationsAt /
-// DatasetAt views instead and never calls it.
+// writer); the analysis path uses the immutable OriginationsAt / At
+// views instead and never calls it.
 func (w *World) SetSnapshot(t time.Time) {
 	for asn, all := range w.allPrefixes {
 		a := w.Graph.AS(asn)
@@ -729,111 +730,133 @@ func (w *World) relyingPartyAt(t time.Time, memo *rpki.VerdictMemo) (*rpki.Relyi
 	return rp, nil
 }
 
-// IndexesAt returns the RPKI and IRR validation indexes as of t: the
-// RPKI side from the relying-party run at t, the IRR side from the
-// registry (IRR snapshots barely change over the paper's study window,
-// so it is time-invariant here). ctx and workers are VRPsAtCtx's.
-func (w *World) IndexesAt(ctx context.Context, t time.Time, workers int) (rpkiIx, irrIx *rov.Index, err error) {
+// ViewCacheCap bounds how many dates a world remembers: the headline
+// date plus a stability loop's dozen weekly snapshots fit with room to
+// spare. The serving layer caps its published snapshots at the same
+// number.
+const ViewCacheCap = 16
+
+// View is a world's state at one date, computed once by At and shared
+// by every consumer of that date: the validated ROA payloads in
+// relying-party order, the RPKI index built from them, the IRR index
+// (IRR snapshots barely change over the paper's study window, so it is
+// the registry's, whatever the date), and — built on first use — the
+// IHR dataset. A view is immutable; one taken before a mutation of its
+// world describes the world as it was.
+type View struct {
+	Date      time.Time
+	VRPs      []rpki.VRP
+	RPKI, IRR *rov.Index
+
+	w  *World
+	ds atomic.Pointer[ihr.Dataset]
+}
+
+// At returns the world's view at t, running the relying party only if no
+// earlier call for t finished first. ctx and workers are VRPsAtCtx's; a
+// failed or cancelled run is not remembered, so a later call starts
+// over. The cache holds ViewCacheCap dates, oldest out first, and is
+// emptied by every mutation.
+func (w *World) At(ctx context.Context, t time.Time, workers int) (*View, error) {
+	key := t.Unix()
+	w.viewMu.Lock()
+	v := w.views[key]
+	w.viewMu.Unlock()
+	if v != nil {
+		return v, nil
+	}
 	vrps, err := w.VRPsAtCtx(ctx, t, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	rpkiIx, err = rpki.BuildIndex(vrps)
-	if err != nil {
-		return nil, nil, err
-	}
-	irrIx, err = w.IRRRegistry.Index()
-	if err != nil {
-		return nil, nil, err
-	}
-	return rpkiIx, irrIx, nil
-}
-
-// dsCacheCap bounds the DatasetAt memoization cache: the headline date
-// plus a stability loop's dozen weekly snapshots fit with room to spare.
-const dsCacheCap = 16
-
-// BuildDatasetAt builds the IHR view of the world as of t from the
-// immutable snapshot view, bypassing the DatasetAt cache: validate the
-// active announcements against the VRPs at t and the IRR, and propagate
-// with every AS's filtering policy across workers goroutines (≤ 0 means
-// one per CPU). The graph is never mutated, so any number of builds may
-// run concurrently over one World.
-func (w *World) BuildDatasetAt(t time.Time, workers int) (*ihr.Dataset, error) {
-	return w.BuildDatasetAtCtx(context.Background(), t, workers)
-}
-
-// BuildDatasetAtCtx is BuildDatasetAt with cancellation: the build's
-// fan-out stages stop dispatching once ctx is done and the cancellation
-// cause is returned instead of a partial dataset.
-func (w *World) BuildDatasetAtCtx(ctx context.Context, t time.Time, workers int) (*ihr.Dataset, error) {
-	ctx, span := obsv.StartSpan(ctx, "dataset.build", obsv.KV("date", t.Format("2006-01-02")))
-	defer span.End()
-	start := time.Now()
-	defer func() { mDatasetBuild.Observe(time.Since(start).Seconds()) }()
-	rpkiIx, irrIx, err := w.IndexesAt(ctx, t, workers)
 	if err != nil {
 		return nil, err
 	}
-	return ihr.BuildCtx(ctx, ihr.Config{
-		Graph:         w.Graph,
-		RPKI:          rpkiIx,
-		IRR:           irrIx,
-		Policies:      w.Policies,
-		VantagePoints: w.VantagePoints,
-		Originations:  w.OriginationsAt(t),
-		Workers:       workers,
-	})
+	rpkiIx, err := rpki.BuildIndex(vrps)
+	if err != nil {
+		return nil, err
+	}
+	irrIx, err := w.IRRRegistry.Index()
+	if err != nil {
+		return nil, err
+	}
+	return w.remember(&View{Date: t, VRPs: vrps, RPKI: rpkiIx, IRR: irrIx, w: w}), nil
 }
 
-// DatasetAt returns the IHR view of the world as of t, memoizing results
-// in a small date-keyed cache so repeated queries for the same snapshot
-// (the stability loop, growth time series) build it once. The returned
-// dataset is shared and must be treated as immutable.
-func (w *World) DatasetAt(t time.Time) (*ihr.Dataset, error) {
-	return w.DatasetAtWorkers(t, 0)
+// Adopt installs state restored from a verified archive of this world
+// (its fingerprint matched) as the view at t, so the date is served
+// without a relying-party run or a dataset build. If t already has a
+// view that one is kept, and receives ds if it has no dataset yet. An
+// adopted view lists its VRPs in the archive's order, not the relying
+// party's.
+func (w *World) Adopt(t time.Time, rpkiAuths, irrAuths []rov.Authorization, ds *ihr.Dataset) (*View, error) {
+	v := &View{Date: t, VRPs: make([]rpki.VRP, len(rpkiAuths)), IRR: rov.NewIndex(), w: w}
+	for i, a := range rpkiAuths {
+		v.VRPs[i] = rpki.VRP{Prefix: a.Prefix, ASN: a.ASN, MaxLength: a.MaxLength}
+	}
+	var err error
+	if v.RPKI, err = rpki.BuildIndex(v.VRPs); err != nil {
+		return nil, err
+	}
+	for _, a := range irrAuths {
+		if err := v.IRR.Add(a); err != nil {
+			return nil, err
+		}
+	}
+	v = w.remember(v)
+	v.ds.CompareAndSwap(nil, ds)
+	return v, nil
 }
 
-// DatasetAtWorkers is DatasetAt with an explicit worker count for the
-// underlying build. The cache is keyed by date only: the build result is
-// identical for every worker count.
-func (w *World) DatasetAtWorkers(t time.Time, workers int) (*ihr.Dataset, error) {
-	return w.DatasetAtCtx(context.Background(), t, workers)
+// remember caches v under its date unless a concurrent caller got there
+// first, and returns the cached view.
+func (w *World) remember(v *View) *View {
+	key := v.Date.Unix()
+	w.viewMu.Lock()
+	defer w.viewMu.Unlock()
+	if cached := w.views[key]; cached != nil {
+		return cached
+	}
+	if w.views == nil {
+		w.views = make(map[int64]*View)
+	}
+	if len(w.viewDates) >= ViewCacheCap {
+		delete(w.views, w.viewDates[0])
+		w.viewDates = w.viewDates[1:]
+	}
+	w.views[key] = v
+	w.viewDates = append(w.viewDates, key)
+	return v
 }
 
-// DatasetAtCtx is DatasetAtWorkers with cancellation threaded into the
-// underlying build. Canceled builds are never cached, so a later call
-// with a live context rebuilds the snapshot from scratch.
-func (w *World) DatasetAtCtx(ctx context.Context, t time.Time, workers int) (*ihr.Dataset, error) {
-	key := t.Unix()
-	w.dsMu.Lock()
-	if ds, ok := w.dsCache[key]; ok {
-		w.dsMu.Unlock()
+// Dataset returns the IHR view of the world at the view's date: the
+// active announcements validated against the view's registries and
+// propagated under every AS's filtering policy across workers
+// goroutines (≤ 0 means one per CPU). The first build to finish is kept
+// and shared; a failed or cancelled build returns its cause and keeps
+// nothing. The graph is never mutated, so builds may run concurrently.
+func (v *View) Dataset(ctx context.Context, workers int) (*ihr.Dataset, error) {
+	if ds := v.ds.Load(); ds != nil {
 		mDatasetCacheHits.Inc()
 		return ds, nil
 	}
-	w.dsMu.Unlock()
 	mDatasetCacheMisses.Inc()
-
-	ds, err := w.BuildDatasetAtCtx(ctx, t, workers)
+	ctx, span := obsv.StartSpan(ctx, "dataset.build", obsv.KV("date", v.Date.Format("2006-01-02")))
+	defer span.End()
+	start := time.Now()
+	defer func() { mDatasetBuild.Observe(time.Since(start).Seconds()) }()
+	ds, err := ihr.BuildCtx(ctx, ihr.Config{
+		Graph:         v.w.Graph,
+		RPKI:          v.RPKI,
+		IRR:           v.IRR,
+		Policies:      v.w.Policies,
+		VantagePoints: v.w.VantagePoints,
+		Originations:  v.w.OriginationsAt(v.Date),
+		Workers:       workers,
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	w.dsMu.Lock()
-	defer w.dsMu.Unlock()
-	if cached, ok := w.dsCache[key]; ok {
-		return cached, nil // a concurrent builder won the race; share its result
+	if !v.ds.CompareAndSwap(nil, ds) {
+		ds = v.ds.Load() // a concurrent build finished first; share its result
 	}
-	if w.dsCache == nil {
-		w.dsCache = make(map[int64]*ihr.Dataset)
-	}
-	if len(w.dsDates) >= dsCacheCap {
-		delete(w.dsCache, w.dsDates[0])
-		w.dsDates = w.dsDates[1:]
-	}
-	w.dsCache[key] = ds
-	w.dsDates = append(w.dsDates, key)
 	return ds, nil
 }
 

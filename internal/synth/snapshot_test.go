@@ -2,7 +2,6 @@ package synth
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 )
@@ -27,75 +26,4 @@ func TestOriginationsAtMatchesSetSnapshot(t *testing.T) {
 		}
 	}
 	w.SetSnapshot(headline)
-}
-
-func TestBuildDatasetAtLeavesGraphIntact(t *testing.T) {
-	w := generate(t, 12)
-	headline, midChurn := snapshotDates(w)
-	before := w.Graph.Originations()
-	if _, err := w.BuildDatasetAt(midChurn, 2); err != nil {
-		t.Fatal(err)
-	}
-	after := w.Graph.Originations()
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("BuildDatasetAt mutated the graph: %d originations before, %d after",
-			len(before), len(after))
-	}
-	// The mid-churn view must actually differ from the headline one,
-	// otherwise this test exercises nothing.
-	if reflect.DeepEqual(w.OriginationsAt(headline), w.OriginationsAt(midChurn)) {
-		t.Error("fixture has no churn between the headline and mid-churn dates")
-	}
-}
-
-func TestDatasetAtMemoizes(t *testing.T) {
-	w := generate(t, 13)
-	headline, midChurn := snapshotDates(w)
-	ds1, err := w.DatasetAt(midChurn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := w.DatasetAt(midChurn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds1 != ds2 {
-		t.Error("second DatasetAt for the same date should return the cached dataset")
-	}
-	dsH, err := w.DatasetAt(headline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dsH == ds1 {
-		t.Error("different dates must not share a cache entry")
-	}
-	// The cached result equals an uncached build.
-	fresh, err := w.BuildDatasetAt(midChurn, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ds1.PrefixOrigins, fresh.PrefixOrigins) ||
-		!reflect.DeepEqual(ds1.Transits, fresh.Transits) {
-		t.Error("cached dataset differs from a fresh uncached build")
-	}
-}
-
-// TestDatasetAtConcurrent hammers the memoization cache and the
-// underlying immutable build from many goroutines (meaningful under
-// -race).
-func TestDatasetAtConcurrent(t *testing.T) {
-	w := generate(t, 14)
-	headline, midChurn := snapshotDates(w)
-	dates := []time.Time{headline, midChurn}
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := w.DatasetAt(dates[i%len(dates)]); err != nil {
-				t.Errorf("DatasetAt: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
 }

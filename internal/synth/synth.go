@@ -178,11 +178,11 @@ type World struct {
 	// re-derive the active set.
 	allPrefixes map[uint32][]netx.Prefix
 
-	// dsMu guards the DatasetAt memoization cache below. Datasets are
-	// immutable once built, so cached values are shared across callers.
-	dsMu    sync.Mutex
-	dsCache map[int64]*ihr.Dataset
-	dsDates []int64 // insertion order, for bounded eviction
+	// viewMu guards the per-date views At hands out. Views are immutable,
+	// so cached values are shared across callers.
+	viewMu    sync.Mutex
+	views     map[int64]*View
+	viewDates []int64 // insertion order, for bounded eviction
 
 	// sigMemo remembers the verdict of every RPKI signature a VRPsAt run
 	// has checked, so the relying party verifies each signature once per

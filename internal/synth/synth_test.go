@@ -91,14 +91,7 @@ func TestGenerateDeterministicMeasurements(t *testing.T) {
 	if w1.Repo.NumROAs() != w2.Repo.NumROAs() {
 		t.Error("ROA counts differ across runs")
 	}
-	d1, err := w1.DatasetAt(w1.Date(2022))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := w2.DatasetAt(w2.Date(2022))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d1, d2 := datasetAt(t, w1, w1.Date(2022)), datasetAt(t, w2, w2.Date(2022))
 	if len(d1.PrefixOrigins) != len(d2.PrefixOrigins) || len(d1.Transits) != len(d2.Transits) {
 		t.Errorf("datasets differ: %d/%d vs %d/%d",
 			len(d1.PrefixOrigins), len(d1.Transits), len(d2.PrefixOrigins), len(d2.Transits))
@@ -152,10 +145,7 @@ func TestMembershipGrowsOverTime(t *testing.T) {
 
 func TestDatasetAtProducesAllStatuses(t *testing.T) {
 	w := generate(t, 3)
-	ds, err := w.DatasetAt(w.Date(2022))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := datasetAt(t, w, w.Date(2022))
 	if len(ds.PrefixOrigins) < 100 {
 		t.Fatalf("prefix origins = %d", len(ds.PrefixOrigins))
 	}
@@ -225,10 +215,7 @@ func TestCohortBiasInGeneratedData(t *testing.T) {
 	// small MANRS ASes are far more likely to originate only RPKI-valid
 	// prefixes than small non-MANRS ASes.
 	w := generate(t, 11)
-	ds, err := w.DatasetAt(w.Date(2022))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := datasetAt(t, w, w.Date(2022))
 	type agg struct{ allValid, total int }
 	var member, non agg
 	perAS := map[uint32]*struct{ valid, total int }{}

@@ -125,7 +125,7 @@ func RunReport(w io.Writer, world *World, opts ReportOptions) error {
 // build and the section fan-out (SIGINT/SIGTERM wiring in cmd/ routes
 // through here). See RunReportWithPipelineCtx for the failure semantics.
 func RunReportCtx(ctx context.Context, w io.Writer, world *World, opts ReportOptions) error {
-	pipe, err := core.NewPipelineCtx(ctx, world, core.Options{Workers: opts.Workers})
+	pipe, err := NewPipelineCtx(ctx, world, core.Options{Workers: opts.Workers})
 	if err != nil {
 		return err
 	}
@@ -170,8 +170,8 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 		{"Fig5aRPKIOrigination", func(context.Context) (string, error) { return pipe.Fig5aRPKIOrigination().Render(), nil }},
 		{"Fig5bIRROrigination", func(context.Context) (string, error) { return pipe.Fig5bIRROrigination().Render(), nil }},
 		{"Action4", func(context.Context) (string, error) { return core.RenderAction4(pipe.Action4()), nil }},
-		{"Table1CaseStudies", func(context.Context) (string, error) {
-			rows, err := pipe.Table1CaseStudies(opts.CaseStudyCDNs, opts.CaseStudyISPs)
+		{"Table1CaseStudies", func(ctx context.Context) (string, error) {
+			rows, err := pipe.Table1CaseStudies(ctx, opts.CaseStudyCDNs, opts.CaseStudyISPs)
 			if err != nil {
 				return "", err
 			}
@@ -181,14 +181,14 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 			if opts.SkipStability {
 				return "Finding 8.7 — stability analysis skipped (ReportOptions.SkipStability)", nil
 			}
-			res, err := pipe.StabilityCtx(ctx, opts.StabilityWeeks)
+			res, err := pipe.Stability(ctx, opts.StabilityWeeks)
 			if err != nil {
 				return "", err
 			}
 			return res.Render(), nil
 		}},
-		{"Fig6Saturation", func(context.Context) (string, error) {
-			res, err := pipe.Fig6Saturation()
+		{"Fig6Saturation", func(ctx context.Context) (string, error) {
+			res, err := pipe.Fig6Saturation(ctx)
 			if err != nil {
 				return "", err
 			}
@@ -199,7 +199,7 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 		{"Fig8Unconformant", func(context.Context) (string, error) { return pipe.Fig8Unconformant().Render(), nil }},
 		{"Table2Action1", func(context.Context) (string, error) { return core.RenderTable2(pipe.Table2Action1()), nil }},
 		{"Fig9Preference", func(context.Context) (string, error) { return pipe.Fig9Preference().Render(), nil }},
-		{"HijackImpact", func(context.Context) (string, error) {
+		{"HijackImpact", func(ctx context.Context) (string, error) {
 			if opts.SkipExtensions {
 				return "Extension — hijack containment skipped (ReportOptions.SkipExtensions)", nil
 			}
@@ -207,7 +207,7 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 			if n == 0 {
 				n = 200
 			}
-			res, err := pipe.HijackImpact(n, 1)
+			res, err := pipe.HijackImpact(ctx, n, 1)
 			if err != nil {
 				return "", err
 			}

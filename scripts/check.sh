@@ -24,10 +24,12 @@
 #            chain shapes at 1 and 8 workers and the cancelled run that
 #            yields no VRPs (rpki), the build deadline reaching a cold
 #            relying party (serve), the touched-list accumulator
-#            (hegemony) and ten passes of concurrent VRPsAt on a base
-#            world and two forks (synth; the serial memo-less oracle
-#            over seeded worlds × worker counts runs in the race pass);
-#            then the bench's build
+#            (hegemony), ten passes each of concurrent VRPsAt and
+#            concurrent World.At on a base world and two forks, and the
+#            view oracle (At against the uncached route over seeded
+#            worlds × forks × worker counts) (synth; the serial
+#            memo-less oracle runs in the race pass); then the bench's
+#            build
 #            oracle (`go run ./bench --workload build.weekly`): snapshot
 #            digests equal across ops and worker counts, and a
 #            warm-started store answering like the one that built
@@ -58,7 +60,8 @@
 #            assert the expected metric families are exposed
 #   manrsd — end-to-end smoke of the query daemon: start it on a small
 #            synthetic world, query a conformance lookup twice (200
-#            then 304 via the captured ETag), query the adversarial
+#            then 304 via the captured ETag), assert a ?date= outside
+#            the study window is a 400, query the adversarial
 #            scenario route /v1/scenario/rp-failure and assert it
 #            answers 200 with "degraded": true (graceful degradation,
 #            never a 5xx), assert the coalesce and cache-hit series
@@ -66,7 +69,8 @@
 #   crash  — crash-recovery smoke: run manrsd with -data-dir until it
 #            archives a snapshot, SIGKILL it, restart over the same
 #            directory, and assert the daemon warm-starts from the
-#            archive (first query 200, durable_load_total >= 1) before
+#            archive (first query 200, durable_load_total >= 1,
+#            serve_snapshot_builds_total 0: nothing is rebuilt) before
 #            draining cleanly
 #   loadgen — workload smoke: boot manrsd on the small world with
 #            -access-log-sample 1, drive a seeded reproducible burst
@@ -158,8 +162,8 @@ echo "==> relying party (-race): fail-closed table, hostile shapes at 8 workers,
 go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$|^TestHostileRepositoryAtEveryWorkerCount$|^TestCancelledRunYieldsNoVRPs$' ./internal/rpki
 go test -race -count=1 -run '^TestBuildTimeoutStopsColdRelyingParty$' ./internal/serve
 go test -race -count=1 -run '^TestAccumulator' ./internal/hegemony
-go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$' ./internal/synth
-go test -race -count=1 -run '^TestMemoIsPerWorld$' ./internal/synth
+go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$|^TestAtConcurrentBaseAndForks$' ./internal/synth
+go test -race -count=1 -run '^TestMemoIsPerWorld$|^TestAtMatchesUncachedRoute$' ./internal/synth
 
 echo "==> build oracle (bench build.weekly: digests equal across ops and worker counts, warm start answers like the builder)"
 bench_oracle build.weekly
@@ -404,6 +408,13 @@ if [ "$REVAL_CODE" != 304 ]; then
     echo "manrsd smoke: If-None-Match revalidation returned $REVAL_CODE, want 304" >&2
     exit 1
 fi
+# Every new date is a full build, so a date outside the study window is
+# refused before the store hears of it.
+DATE_CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://$SERVE_ADDR/v1/stats?date=1800-01-01")"
+if [ "$DATE_CODE" != 400 ]; then
+    echo "manrsd smoke: ?date=1800-01-01 returned $DATE_CODE, want 400" >&2
+    exit 1
+fi
 # Adversarial scenario route: a degraded ecosystem is a successful
 # answer. Failing the RIPE relying party must come back as 200 with
 # the degraded-health field set — a 5xx here means the daemon fell
@@ -518,6 +529,12 @@ DURABLE_LOADS="$(sed -n 's/^durable_load_total //p' "$TMPDIR_SMOKE/crash.metrics
 if [ "${DURABLE_LOADS:-0}" -lt 1 ]; then
     echo "crash smoke: durable_load_total = ${DURABLE_LOADS:-absent}, want >= 1" >&2
     grep '^durable' "$TMPDIR_SMOKE/crash.metrics" >&2 || true
+    exit 1
+fi
+# The archive is the answer: a warm restart rebuilds nothing.
+WARM_BUILDS="$(sed -n 's/^serve_snapshot_builds_total //p' "$TMPDIR_SMOKE/crash.metrics")"
+if [ "${WARM_BUILDS:-absent}" != 0 ]; then
+    echo "crash smoke: serve_snapshot_builds_total = ${WARM_BUILDS:-absent} after a warm restart, want 0" >&2
     exit 1
 fi
 kill -TERM "$MANRSD_PID"
