@@ -193,6 +193,16 @@ func TestClusterETagCoherence(t *testing.T) {
 		if !bytes.Equal(directBody, gwBody) {
 			t.Errorf("%s: gateway body differs from direct replica body", path)
 		}
+		// A proxied answer leaves the gateway whole: the replica's length
+		// declared, no chunk framing. (A replica answer too long for its
+		// server to have measured is relayed chunked, as it arrived.)
+		if strings.HasPrefix(path, "/v1/as/") && direct.ContentLength < 0 {
+			t.Fatalf("%s: replica answer carries no Content-Length; the fixture no longer exercises the relay", path)
+		}
+		if direct.ContentLength >= 0 && (viaGW.ContentLength != int64(len(directBody)) || len(viaGW.TransferEncoding) != 0) {
+			t.Errorf("%s: via gateway Content-Length %d, Transfer-Encoding %v; want %d, none",
+				path, viaGW.ContentLength, viaGW.TransferEncoding, len(directBody))
+		}
 		etag := direct.Header.Get("ETag")
 		if etag == "" || etag != viaGW.Header.Get("ETag") {
 			t.Errorf("%s: ETag %q via gateway, %q direct — must be identical across replicas",
@@ -203,10 +213,19 @@ func TestClusterETagCoherence(t *testing.T) {
 		}
 		// 304 revalidation through the gateway, whichever replica owns
 		// the key.
-		reval, _ := httpGet(t, gwURL+path, map[string]string{"If-None-Match": etag})
-		if reval.StatusCode != http.StatusNotModified {
-			t.Errorf("%s: revalidation through gateway = %d, want 304", path, reval.StatusCode)
+		reval, revalBody := httpGet(t, gwURL+path, map[string]string{"If-None-Match": etag})
+		if reval.StatusCode != http.StatusNotModified || len(revalBody) != 0 || reval.Header.Get("Content-Length") != "" {
+			t.Errorf("%s: revalidation through gateway = %d with %d body bytes, Content-Length %q; want a bare 304",
+				path, reval.StatusCode, len(revalBody), reval.Header.Get("Content-Length"))
 		}
+	}
+	// The archive relay is not a proxied answer: it streams, length
+	// undeclared, and delivers the replica's archive intact.
+	_, archive := httpGet(t, built.url+"/peer/snapshot", nil)
+	relay, relayed := httpGet(t, gwURL+"/cluster/snapshot", nil)
+	if relay.StatusCode != http.StatusOK || !bytes.Equal(archive, relayed) || relay.ContentLength >= 0 {
+		t.Errorf("/cluster/snapshot: status %d, %d bytes (replica archive %d), Content-Length %d; want the archive, streamed",
+			relay.StatusCode, len(relayed), len(archive), relay.ContentLength)
 	}
 	if n := reg.Value("cluster_version_mismatch_total"); n != 0 {
 		t.Errorf("homogeneous fleet raised %d version mismatches", n)

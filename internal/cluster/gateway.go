@@ -75,9 +75,9 @@ type Gateway struct {
 	client  *http.Client
 	front   *obsv.Front
 
-	// versions maps date key → last snapshot version seen, the
-	// cross-replica coherence check.
-	verMu    sync.Mutex
+	// versions maps date key → first snapshot version seen, the
+	// cross-replica coherence check: written once per date, then read.
+	verMu    sync.RWMutex
 	versions map[string]string
 	verOrder []string
 
@@ -89,6 +89,12 @@ type gatewayMetrics struct {
 	noReplica *obsv.Counter
 	retries   *obsv.Counter
 	mismatch  *obsv.Counter
+	upstream  sync.Map // upstreamKey → func(wall time.Duration), the per-replica RED observer
+}
+
+type upstreamKey struct {
+	replica string
+	code    int
 }
 
 // NewGateway builds a gateway routing over members' ring.
@@ -273,11 +279,13 @@ func (g *Gateway) noReplica(w http.ResponseWriter, rq *obsv.Request) {
 }
 
 // relayedHeaders are the response headers the gateway preserves from
-// the replica — the ETag/304 contract plus the snapshot-version and
-// backpressure signals.
+// the replica — the ETag/304 contract, the snapshot-version and
+// backpressure signals, and the body length (so nothing is re-chunked).
 var relayedHeaders = []string{
-	"Content-Type", "ETag", "Cache-Control", "Retry-After", "X-MANRS-Snapshot",
+	"Content-Type", "Content-Length", "ETag", "Cache-Control", "Retry-After", "X-MANRS-Snapshot",
 }
+
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }} // proxy's body copy buffers
 
 func copyHeader(dst, src http.Header, keys ...string) {
 	for _, k := range keys {
@@ -337,7 +345,10 @@ func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	copyHeader(w.Header(), resp.Header, relayedHeaders...)
 	w.Header().Set("X-MANRS-Replica", replica)
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	// Via w's buffered writer, one write: w's own ReadFrom flushes at 512 B.
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	_, _ = io.CopyBuffer(struct{ io.Writer }{w}, resp.Body, buf[:])
+	copyBufs.Put(buf)
 	rq.Code, rq.Snapshot = resp.StatusCode, resp.Header.Get("X-MANRS-Snapshot")
 	g.observeUpstream(replica, resp.StatusCode, time.Since(start))
 }
@@ -405,6 +416,12 @@ func (g *Gateway) checkVersion(r *http.Request, resp *http.Response, replica str
 	if !ok {
 		return
 	}
+	g.verMu.RLock()
+	pinned, ok := g.versions[date]
+	g.verMu.RUnlock()
+	if ok && pinned == ver {
+		return // the steady state: a read
+	}
 	g.verMu.Lock()
 	defer g.verMu.Unlock()
 	if pinned, ok := g.versions[date]; ok {
@@ -428,12 +445,21 @@ func (g *Gateway) observeUpstream(replica string, code int, wall time.Duration) 
 	if replica == "" {
 		replica = "none"
 	}
-	g.met.reg.Counter("cluster_proxy_requests_total",
-		"proxied requests by replica and status",
-		"replica", replica, "code", strconv.Itoa(code)).Inc()
-	g.met.reg.Summary("cluster_proxy_seconds",
-		"proxied request latency quantiles by replica",
-		"replica", replica).Observe(wall.Seconds())
+	key := upstreamKey{replica, code}
+	observe, ok := g.met.upstream.Load(key)
+	if !ok { // resolve the instruments once per key, not per request
+		requests := g.met.reg.Counter("cluster_proxy_requests_total",
+			"proxied requests by replica and status",
+			"replica", replica, "code", strconv.Itoa(code))
+		seconds := g.met.reg.Summary("cluster_proxy_seconds",
+			"proxied request latency quantiles by replica",
+			"replica", replica)
+		observe, _ = g.met.upstream.LoadOrStore(key, func(wall time.Duration) {
+			requests.Inc()
+			seconds.Observe(wall.Seconds())
+		})
+	}
+	observe.(func(time.Duration))(wall)
 }
 
 func (g *Gateway) logf(format string, args ...any) {

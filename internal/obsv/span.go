@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -17,8 +18,14 @@ type Attr struct {
 	Value string
 }
 
-// KV builds an Attr from any value.
+// KV builds an Attr from any value; a request span's strings and ints skip fmt.
 func KV(key string, value any) Attr {
+	switch v := value.(type) {
+	case string:
+		return Attr{Key: key, Value: v}
+	case int:
+		return Attr{Key: key, Value: strconv.Itoa(v)}
+	}
 	return Attr{Key: key, Value: fmt.Sprint(value)}
 }
 

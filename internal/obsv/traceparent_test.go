@@ -6,6 +6,8 @@ import (
 	"testing"
 )
 
+var sinkString string
+
 func TestTraceParentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 100; i++ {
@@ -57,5 +59,13 @@ func TestTraceParentRejectsMalformed(t *testing.T) {
 	tc, ok := ParseTraceParent(good)
 	if !ok || tc.TraceIDString() != "4bf92f3577b34da6a3ce929d0e0e4736" || tc.Flags != 1 {
 		t.Errorf("ParseTraceParent(%q) = %+v ok=%v", good, tc, ok)
+	}
+	if got := tc.String(); got != good {
+		t.Errorf("String() = %q, want %q", got, good)
+	}
+	// Replica and gateway render it on every request: the string itself
+	// is the only allocation.
+	if n := testing.AllocsPerRun(100, func() { sinkString = tc.String() }); n > 1 {
+		t.Errorf("String() allocates %v times, want ≤ 1", n)
 	}
 }

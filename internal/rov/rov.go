@@ -120,7 +120,9 @@ func (ix *Index) Covering(p netx.Prefix) []Authorization {
 //	some covering auth matches ASN, none len  → InvalidLength
 //	no covering auth matches ASN              → InvalidASN
 func (ix *Index) Validate(p netx.Prefix, asn uint32) Status {
-	covering := ix.table.Covering(nil, p)
+	// Few authorizations cover one prefix: collected on the stack, no allocation.
+	var buf [8]Authorization
+	covering := ix.table.Covering(buf[:0], p)
 	if len(covering) == 0 {
 		return NotFound
 	}

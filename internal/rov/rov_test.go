@@ -71,10 +71,37 @@ func TestValidate(t *testing.T) {
 		{"2001:db8::/40", 64999, InvalidASN},
 		{"2001:db9::/32", 64500, NotFound},
 	}
-	for _, tt := range tests {
-		p := netx.MustParsePrefix(tt.prefix)
-		if got := ix.Validate(p, tt.asn); got != tt.want {
+	prefixes := make([]netx.Prefix, len(tests))
+	for i, tt := range tests {
+		prefixes[i] = netx.MustParsePrefix(tt.prefix)
+		if got := ix.Validate(prefixes[i], tt.asn); got != tt.want {
 			t.Errorf("Validate(%s, AS%d) = %v, want %v", tt.prefix, tt.asn, got, tt.want)
+		}
+	}
+	// A dataset build validates every origination twice: a lookup,
+	// covered or not, must not allocate.
+	if n := testing.AllocsPerRun(100, func() {
+		for i, tt := range tests {
+			ix.Validate(prefixes[i], tt.asn)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %v times over %d lookups, want 0", n, len(tests))
+	}
+}
+
+// More covering authorizations than Validate's stack buffer holds: the
+// overflow is still classified like the linear scan.
+func TestValidateManyCovering(t *testing.T) {
+	ix := NewIndex()
+	for bits := 8; bits <= 20; bits++ {
+		p, _ := netx.PrefixFrom(netip.MustParseAddr("10.0.0.0"), bits)
+		mustAddQuick(ix, p, uint32(64500+bits), bits)
+	}
+	mustAdd(t, ix, "10.0.0.0/20", 64600, 24) // last in walk order
+	p := netx.MustParsePrefix("10.0.0.0/24")
+	for asn, want := range map[uint32]Status{64600: Valid, 64520: InvalidLength, 64999: InvalidASN} {
+		if got := ix.Validate(p, asn); got != want || got != ix.ValidateLinear(p, asn) {
+			t.Errorf("Validate(%s, AS%d) = %v, want %v (linear %v)", p, asn, got, want, ix.ValidateLinear(p, asn))
 		}
 	}
 }

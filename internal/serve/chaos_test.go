@@ -90,6 +90,12 @@ func TestServeUnderNetworkFaults(t *testing.T) {
 	}
 	t.Logf("chaos phase: %d/64 requests succeeded; injector counts: %v", succeeded, inj.Counts())
 
+	// The transport keeps connections it dialed for a request that then
+	// went out on another one. They never carried a byte, and net/http's
+	// Shutdown gives such a connection five seconds to send its first
+	// request before it counts as idle: the whole drain budget. A
+	// departing client closes them; the drain must then be prompt.
+	client.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

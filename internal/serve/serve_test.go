@@ -129,11 +129,23 @@ func TestColdBuildsVerifyEachSignatureOnce(t *testing.T) {
 
 // TestColdConcurrentQueriesCoalesce is the acceptance criterion for the
 // singleflight path: 64 goroutines race mixed queries against a cold
-// store and exactly one dataset build runs.
+// store, exactly one dataset build runs and the other 63 requests wait
+// on it. The build is held until they all do, so a fast build cannot
+// publish before the stragglers arrive and turn them into cache hits.
 func TestColdConcurrentQueriesCoalesce(t *testing.T) {
 	store, srv, reg := newTestServer(t, Options{})
 	h := srv.Handler()
 	w := testWorld(t)
+	release := make(chan struct{})
+	build := store.buildFn
+	store.buildFn = func(ctx context.Context, date time.Time) (*Snapshot, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return build(ctx, date)
+	}
 
 	asn := w.Graph.ASNs()[0]
 	og := w.OriginationsAt(store.DefaultDate())[0]
@@ -145,18 +157,23 @@ func TestColdConcurrentQueriesCoalesce(t *testing.T) {
 	}
 
 	const n = 64
-	start := make(chan struct{})
 	codes := make([]int, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			<-start
 			codes[i] = get(h, paths[i%len(paths)], nil).Code
 		}(i)
 	}
-	close(start)
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Value("serve_snapshot_coalesced_total") < n-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests joined the in-flight build, want %d", reg.Value("serve_snapshot_coalesced_total"), n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	wg.Wait()
 
 	for i, code := range codes {
@@ -167,8 +184,8 @@ func TestColdConcurrentQueriesCoalesce(t *testing.T) {
 	if builds := reg.Value("serve_snapshot_builds_total"); builds != 1 {
 		t.Fatalf("64 concurrent cold queries ran %d builds, want exactly 1", builds)
 	}
-	if reg.Value("serve_snapshot_coalesced_total") == 0 {
-		t.Error("no request coalesced onto the in-flight build")
+	if got := reg.Value("serve_snapshot_coalesced_total"); got != n-1 {
+		t.Errorf("%d requests coalesced onto the in-flight build, want %d", got, n-1)
 	}
 }
 
@@ -311,6 +328,53 @@ func TestCachedResponsesCountHits(t *testing.T) {
 	}
 	if misses := reg.Value("serve_cache_misses_total"); misses != 1 {
 		t.Errorf("serve_cache_misses_total = %d, want 1", misses)
+	}
+}
+
+// headerWriter is a ResponseWriter that keeps only what the handler
+// decides, so an allocation count is the handler's own.
+type headerWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *headerWriter) Header() http.Header         { return w.h }
+func (w *headerWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *headerWriter) WriteHeader(code int)        { w.code = code }
+
+// A cache hit and a 304 read stored facts: the version, the body, the
+// ETag. What they still allocate is the request record, the echoed
+// traceparent, the deadline context, the cache key and one slice per
+// response header — 15 at the time of writing, against 30 when every
+// request formatted its snapshot version (a reflect-printed config
+// hashed into the fingerprint). The ceiling leaves room for the
+// standard library to move, not for per-request formatting to return.
+func TestHitAndRevalidationStayUnderAllocationCeiling(t *testing.T) {
+	const ceiling = 20
+	_, srv, _ := newTestServer(t, Options{})
+	h := srv.Handler()
+	const path = "/v1/stats"
+	etag := get(h, path, nil).Header().Get("ETag") // renders and caches
+	hit := httptest.NewRequest(http.MethodGet, path, nil)
+	hit.Header.Set("traceparent", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	reval := hit.Clone(context.Background())
+	reval.Header.Set("If-None-Match", etag)
+	for _, c := range []struct {
+		name string
+		req  *http.Request
+		code int
+	}{{"hit", hit, http.StatusOK}, {"304", reval, http.StatusNotModified}} {
+		w := &headerWriter{h: http.Header{}}
+		n := testing.AllocsPerRun(200, func() {
+			clear(w.h)
+			h.ServeHTTP(w, c.req)
+		})
+		if w.code != c.code {
+			t.Fatalf("%s answered %d, want %d", c.name, w.code, c.code)
+		}
+		if n > ceiling {
+			t.Errorf("%s allocates %v times per request, ceiling %d", c.name, n, ceiling)
+		}
 	}
 }
 
@@ -698,5 +762,20 @@ func TestDateKeyedSnapshots(t *testing.T) {
 	}
 	if len(store.Status()) != 2 {
 		t.Errorf("status has %d entries, want 2", len(store.Status()))
+	}
+	// A version reads "<fingerprint>@<date>" whether it is the headline's
+	// stored string or another date's, composed on the spot.
+	fresh := NewStore(w, StoreOptions{Registry: obsv.NewRegistry()})
+	for _, c := range []struct {
+		rec  *httptest.ResponseRecorder
+		date time.Time
+	}{{head, store.DefaultDate()}, {past, w.Date(w.Config.EndYear - 1)}} {
+		want := w.Fingerprint() + "@" + c.date.Format("2006-01-02")
+		if got := c.rec.Header().Get("X-MANRS-Snapshot"); got != want {
+			t.Errorf("X-MANRS-Snapshot %q, want %q", got, want)
+		}
+		if got := fresh.Version(c.date); got != want {
+			t.Errorf("Version(%s) on a fresh store = %q, want %q", c.date.Format("2006-01-02"), got, want)
+		}
 	}
 }

@@ -283,6 +283,9 @@ func (s *Server) route(name string, q func(ctx context.Context, snap *Snapshot, 
 // Every new date is a full snapshot build, so a date outside the
 // world's study window, which no analysis asks about, is refused.
 func (s *Server) resolveDate(r *http.Request) (time.Time, error) {
+	if r.URL.RawQuery == "" { // most requests: nothing to parse
+		return s.store.DefaultDate(), nil
+	}
 	q := r.URL.Query().Get("date")
 	if q == "" {
 		return s.store.DefaultDate(), nil

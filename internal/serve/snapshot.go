@@ -111,6 +111,9 @@ func (s *Snapshot) Dataset() *ihr.Dataset { return s.Pipeline.Dataset() }
 type Store struct {
 	world   *synth.World
 	workers int
+	// headline is DefaultDate, headlineVer its Version: publish-time facts.
+	headline    time.Time
+	headlineVer string
 	// buildTimeout bounds one background build; 0 means none.
 	buildTimeout time.Duration
 	// buildFn builds the snapshot for a date. Tests swap it to inject
@@ -211,9 +214,12 @@ func NewStore(w *synth.World, opts StoreOptions) *Store {
 	if reg == nil {
 		reg = obsv.Default()
 	}
+	headline := w.Date(w.Config.EndYear)
 	s := &Store{
 		world:        w,
 		workers:      opts.Workers,
+		headline:     headline,
+		headlineVer:  versionAt(w, headline),
 		buildTimeout: opts.BuildTimeout,
 		nowFn:        time.Now,
 		durable:      opts.Durable,
@@ -255,14 +261,19 @@ func (s *Store) logp(format string, args ...any) {
 
 // DefaultDate is the headline measurement date (May 1 of the world's
 // final study year) — the date queries without ?date= resolve to.
-func (s *Store) DefaultDate() time.Time {
-	return s.world.Date(s.world.Config.EndYear)
-}
+func (s *Store) DefaultDate() time.Time { return s.headline }
 
 // Version returns the version a snapshot at date carries, without
-// building anything.
+// building anything (the headline's is stored, not formatted).
 func (s *Store) Version(date time.Time) string {
-	return fmt.Sprintf("%s@%s", s.world.Fingerprint(), date.Format("2006-01-02"))
+	if date.Equal(s.headline) {
+		return s.headlineVer
+	}
+	return versionAt(s.world, date)
+}
+
+func versionAt(w *synth.World, date time.Time) string {
+	return w.Fingerprint() + "@" + date.Format("2006-01-02")
 }
 
 func (s *Store) entry(date time.Time) *storeEntry {
@@ -435,7 +446,7 @@ func (s *Store) publishLocked(e *storeEntry, snap *Snapshot) {
 	s.order = append(s.order, e.date.Unix())
 	if len(s.order) > synth.ViewCacheCap {
 		i := 0
-		if s.order[0] == s.DefaultDate().Unix() {
+		if s.order[0] == s.headline.Unix() {
 			i = 1
 		}
 		delete(s.entries, s.order[i])

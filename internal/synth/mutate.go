@@ -68,6 +68,7 @@ func (w *World) Fork(tag string) *World {
 			nw.failedRPs[r] = v
 		}
 	}
+	nw.fingerprint = nw.computeFingerprint()
 	return nw
 }
 
@@ -98,6 +99,7 @@ func (w *World) ROAVisibilityLag() time.Duration { return w.roaLag }
 func (w *World) mutated() {
 	w.viewMu.Lock()
 	w.mutations++
+	w.fingerprint = w.computeFingerprint()
 	w.views = nil
 	w.viewDates = nil
 	w.viewMu.Unlock()

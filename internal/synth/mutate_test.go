@@ -97,6 +97,79 @@ func TestForkIsolation(t *testing.T) {
 	}
 }
 
+// The fingerprint names archives on disk and snapshot versions on the
+// wire, so its bytes are pinned to what the reflect-formatting
+// Fingerprint of PR 18 and earlier produced: an archive written then
+// must still warm-start. It is stored, not derived per call, so every
+// mutation kind has to refresh it, and a reader racing a mutator sees
+// the value before or after, never a torn one (run under -race).
+func TestFingerprintIsPinnedAndFollowsMutations(t *testing.T) {
+	w := mutateTestWorld(t)
+	f := w.Fork("pin-test")
+	pin := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s fingerprint = %s, want %s", what, got, want)
+		}
+	}
+	pin("base", w.Fingerprint(), "w6a6b779a56e00399")
+	pin("fork", f.Fingerprint(), "w8c7ceb604a05406c")
+	f.FailRelyingParty(rpki.ARIN)
+	pin("fork after one mutation", f.Fingerprint(), "w8c7cec604a05421f")
+	pin("fork of the fork", f.Fork("pin-child").Fingerprint(), "w6a8b79309c284f0d")
+	pin("base after forking", w.Fingerprint(), "w6a6b779a56e00399")
+
+	asOf := w.Date(w.Config.EndYear)
+	victim := w.OriginationsAt(asOf)[0].Origin
+	hijack := netx.MustParsePrefix("198.51.100.0/24")
+	kinds := []struct {
+		name   string
+		mutate func() error
+	}{
+		{"AddOrigination", func() error { return f.AddOrigination(victim, hijack) }},
+		{"RemoveOrigination", func() error { f.RemoveOrigination(victim, hijack); return nil }},
+		{"PublishROA", func() error {
+			return f.PublishROA(rpki.RIPE, 0, []rpki.ROAPrefix{{Prefix: netx.MustParsePrefix("50.0.0.0/8"), MaxLength: 8}}, w.Date(2011), w.Date(2040))
+		}},
+		{"FailRelyingParty", func() error { f.FailRelyingParty(rpki.RIPE); return nil }},
+		{"SetROAVisibilityLag", func() error { f.SetROAVisibilityLag(time.Hour); return nil }},
+		{"RehomeROAs", func() error { _, err := f.RehomeROAs(rpki.APNIC, 0.5, w.Date(2011), w.Date(2020)); return err }},
+	}
+	seen := map[string]string{f.Fingerprint(): "fork"}
+	for _, k := range kinds {
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() { // a reader beside the mutator
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					if fp := f.Fingerprint(); len(fp) != 17 {
+						t.Errorf("torn fingerprint %q", fp)
+						return
+					}
+				}
+			}
+		}()
+		err := k.mutate()
+		close(stop)
+		<-done
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		fp := f.Fingerprint()
+		if prev, dup := seen[fp]; dup {
+			t.Errorf("%s left the fingerprint at %s's %s", k.name, prev, fp)
+		}
+		seen[fp] = k.name
+		if fp != f.computeFingerprint() {
+			t.Errorf("%s: stored fingerprint %s is stale, recomputed %s", k.name, fp, f.computeFingerprint())
+		}
+	}
+}
+
 // Datasets built on a fork must not leak into the base's date-keyed
 // cache (and vice versa): the two worlds disagree about the same date.
 func TestForkDatasetCacheIsolation(t *testing.T) {

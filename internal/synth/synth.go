@@ -196,6 +196,8 @@ type World struct {
 	// mutation it absorbed, and its Fingerprint diverges accordingly.
 	scenarioTag string
 	mutations   int
+	// fingerprint is Fingerprint's stored answer; viewMu guards it.
+	fingerprint string
 	// failedRPs marks trust anchors whose relying party has failed: their
 	// VRPs vanish from VRPsAt, degrading dependent verdicts toward
 	// NotFound.
@@ -301,6 +303,7 @@ func Generate(cfg Config) (*World, error) {
 	}
 	// Empty: the first relying-party run verifies everything it trusts.
 	w.sigMemo = rpki.NewVerdictMemo(sigMemoObjectFactor * (len(w.Anchors) + w.Repo.NumCerts() + w.Repo.NumROAs()))
+	w.fingerprint = w.computeFingerprint()
 	return w, nil
 }
 
@@ -337,6 +340,13 @@ func (w *World) Date(year int) time.Time {
 // serving layer uses it as the stable component of snapshot versions,
 // so a rebuilt snapshot of the same world and date keeps its ETag.
 func (w *World) Fingerprint() string {
+	w.viewMu.Lock()
+	defer w.viewMu.Unlock()
+	return w.fingerprint
+}
+
+// computeFingerprint hashes config and scenario state (viewMu held or w unshared).
+func (w *World) computeFingerprint() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", w.Config)
 	if w.scenarioTag != "" {

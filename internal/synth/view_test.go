@@ -220,12 +220,17 @@ func TestDatasetLeavesGraphIntact(t *testing.T) {
 
 // Snapshot builds, scenario runs and Stability ask for the same date at
 // once, on a base world and on forks that write the same signature
-// memo. Every caller of one world gets one view and one dataset. Run
-// under -race.
+// memo, and name their world while they do. Every caller of one world
+// gets one view, one dataset and the world's one fingerprint. Run under
+// -race.
 func TestAtConcurrentBaseAndForks(t *testing.T) {
 	w := memoTestWorld(t, 3)
 	forks := scenarioForks(t, w)
 	worlds := []*World{w, forks[0], forks[2]} // base, as0-roa, expired-ca
+	fps := make([]string, len(worlds))
+	for i, f := range worlds {
+		fps[i] = f.Fingerprint()
+	}
 	at := w.Date(w.Config.EndYear)
 	const callers = 6
 	views := make([]*View, len(worlds)*callers)
@@ -239,6 +244,9 @@ func TestAtConcurrentBaseAndForks(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 				return
+			}
+			if got := worlds[slot/callers].Fingerprint(); got != fps[slot/callers] {
+				t.Errorf("fingerprint read %s beside At, %s before", got, fps[slot/callers])
 			}
 			views[slot] = view
 			if sets[slot], err = view.Dataset(context.Background(), 2); err != nil {
