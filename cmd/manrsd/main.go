@@ -132,9 +132,9 @@ func main() {
 		Logf:         log.Printf,
 	})
 	// The bounded tracer and the sampled access log are the two halves
-	// of request correlation: a traceparent injected by a client (or
-	// loadgen) is greppable in the access log and visible in the span
-	// tree at /debug/trace under the same trace ID.
+	// of request correlation: a traceparent injected by a client is
+	// greppable in the access log and visible in the span tree at
+	// /debug/trace under the same trace ID.
 	var tracer *obsv.Tracer
 	if *traceCap > 0 {
 		tracer = obsv.NewBoundedTracer(*traceCap)

@@ -11,13 +11,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"manrsmeter/internal/loadgen"
 	"manrsmeter/internal/obsv"
 	"manrsmeter/internal/serve"
 	"manrsmeter/internal/synth"
@@ -233,10 +234,10 @@ func TestClusterETagCoherence(t *testing.T) {
 }
 
 // TestClusterReplicaCrashMidLoad kills 1 of 3 replicas during a seeded
-// load run. The contract: zero wrong answers (no version mismatch,
-// survivors byte-identical), bounded 5xx, the ring converges on the
-// survivors, and the run's first trace ID appears in both the gateway
-// and a replica access log.
+// 6000-request run through the gateway. The contract: zero wrong
+// answers (no version mismatch, survivors byte-identical), bounded 5xx,
+// the ring converges on the survivors, and the run's first trace ID
+// appears in both the gateway and a replica access log.
 func TestClusterReplicaCrashMidLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster chaos run")
@@ -273,21 +274,16 @@ func TestClusterReplicaCrashMidLoad(t *testing.T) {
 	}()
 
 	asns := tinyWorld(t).Graph.ASNs()
-	resCh := make(chan *loadgen.Result, 1)
-	errCh := make(chan error, 1)
+	paths := []string{"/v1/stats", "/v1/report"}
+	for _, asn := range asns {
+		paths = append(paths, fmt.Sprintf("/v1/as/%d/conformance", asn))
+	}
+	var measured, bad int64
+	var firstTrace string
+	loadDone := make(chan struct{})
 	go func() {
-		res, err := loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:    gwURL,
-			Seed:       42,
-			Workers:    8,
-			Requests:   6000,
-			ASNBase:    int(asns[0]),
-			ASNCount:   len(asns),
-			Revalidate: 0.3,
-			Timeout:    5 * time.Second,
-		})
-		resCh <- res
-		errCh <- err
+		defer close(loadDone)
+		measured, bad, firstTrace = crashLoad(gwURL, paths, 8, 750)
 	}()
 
 	// Kill the third replica once it has demonstrably served traffic,
@@ -315,10 +311,7 @@ func TestClusterReplicaCrashMidLoad(t *testing.T) {
 		t.Fatalf("ring did not converge on survivors: live=%v", members.Live())
 	}
 
-	res := <-resCh
-	if err := <-errCh; err != nil {
-		t.Fatalf("loadgen: %v", err)
-	}
+	<-loadDone
 
 	// Quiesce every writer before reading logs: stop probes, drain the
 	// gateway and the surviving replicas.
@@ -332,13 +325,13 @@ func TestClusterReplicaCrashMidLoad(t *testing.T) {
 	// failures the one-shot retry cannot mask, but never a sustained
 	// error rate. 2% of the measured budget is a generous ceiling — a
 	// broken retry or routing path blows far past it.
-	bad := res.ServerErrors + res.Errors
-	if limit := res.Measured / 50; bad > limit {
-		t.Errorf("crash surfaced %d server/transport errors of %d measured (limit %d): %v",
-			bad, res.Measured, limit, res.ByStatus)
+	t.Logf("%d requests through the gateway, %d 5xx or transport errors", measured, bad)
+	if limit := measured / 50; bad > limit {
+		t.Errorf("crash surfaced %d server/transport errors of %d measured (limit %d)",
+			bad, measured, limit)
 	}
-	if res.Measured < 6000 {
-		t.Errorf("measured %d of 6000 budgeted requests", res.Measured)
+	if measured < 6000 {
+		t.Errorf("measured %d of 6000 budgeted requests", measured)
 	}
 
 	// Zero wrong answers, part 1: no replica ever served a snapshot
@@ -364,12 +357,9 @@ func TestClusterReplicaCrashMidLoad(t *testing.T) {
 
 	// One trace ID spans the tiers: the run's first trace appears in
 	// the gateway access log and in some replica's access log.
-	if res.FirstTrace == "" {
-		t.Fatal("loadgen recorded no first trace")
-	}
-	needle := "trace=" + res.FirstTrace
+	needle := "trace=" + firstTrace
 	if !strings.Contains(gwLog.String(), needle) {
-		t.Errorf("first trace %s not in the gateway access log", res.FirstTrace)
+		t.Errorf("first trace %s not in the gateway access log", firstTrace)
 	}
 	inReplica := false
 	for _, rep := range reps {
@@ -379,6 +369,55 @@ func TestClusterReplicaCrashMidLoad(t *testing.T) {
 		}
 	}
 	if !inReplica {
-		t.Errorf("first trace %s not in any replica access log", res.FirstTrace)
+		t.Errorf("first trace %s not in any replica access log", firstTrace)
 	}
+}
+
+// crashLoad is the chaos test's client: workers closed-loop clients
+// each send perWorker GETs through base, drawing paths from a seeded RNG
+// and revalidating 30% of the paths they hold an ETag for. Every request
+// carries its own traceparent. It returns how many requests were sent,
+// how many answered 5xx or failed in transport, and the trace ID of
+// worker 0's first request.
+func crashLoad(base string, paths []string, workers, perWorker int) (measured, bad int64, firstTrace string) {
+	client := &http.Client{Timeout: 5 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: workers}}
+	defer client.CloseIdleConnections()
+	var sent, failed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(42 + int64(w)))
+			etags := make(map[string]string)
+			for i := 0; i < perWorker; i++ {
+				tc := obsv.MakeTraceContext(rng)
+				if w == 0 && i == 0 {
+					firstTrace = tc.TraceIDString()
+				}
+				path := paths[rng.Intn(len(paths))]
+				req, _ := http.NewRequest(http.MethodGet, base+path, nil) // base and paths are well-formed
+				req.Header.Set("traceparent", tc.String())
+				if etag, ok := etags[path]; ok && rng.Float64() < 0.3 {
+					req.Header.Set("If-None-Match", etag)
+				}
+				sent.Add(1)
+				resp, err := client.Do(req)
+				if err != nil {
+					failed.Add(1)
+					continue
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode >= 500 {
+					failed.Add(1)
+				}
+				if etag := resp.Header.Get("ETag"); etag != "" {
+					etags[path] = etag
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return sent.Load(), failed.Load(), firstTrace
 }

@@ -2,7 +2,7 @@
 // manrsd replica fleet. Request flow: the shared obsv.Front (trace
 // correlation, admission, deadline, RED/access-log emission — the same
 // front the replicas use; the trace context is forwarded to the
-// replica, so one trace ID spans loadgen → gateway → replica access
+// replica, so one trace ID spans client → gateway → replica access
 // logs), shard-key extraction (ASN or prefix from the /v1 path),
 // rendezvous routing over the live member set, one retry of the
 // idempotent GET on the next-ranked distinct replica after a connect

@@ -1,36 +1,10 @@
-// Package loadgen is the workload harness behind BENCH_ServeLatency:
-// a seeded, reproducible HTTP load generator for manrsd. It drives the
-// /v1 query surface with a zipfian popularity model (a few hot ASNs
-// and prefixes, a long cold tail — the shape real resolver and
-// dashboard traffic has), either closed-loop (a fixed worker pool,
-// each issuing the next request when the previous answer lands) or
-// open-loop (Poisson arrivals at a target rate, latency measured from
-// the scheduled arrival so queueing delay is charged to the server,
-// not silently absorbed — the coordinated-omission fix).
-//
-// Every request carries a W3C traceparent minted from the worker's
-// seeded RNG, so a recorded trace ID can be grepped end to end:
-// loadgen output → manrsd access log → /debug/trace span tree.
-// Latencies land in per-worker obsv.QuantileHistograms merged at the
-// end — lock-free during measurement, bounded relative error at read.
+// Package loadgen is the shape of the query traffic the benchmark
+// (bench/, `go run ./bench`) drives at manrsd and manrs-gw: which /v1
+// routes a client asks for, and how often. The driver, the zipfian
+// popularity model and the ledger live in bench/.
 package loadgen
 
-import (
-	"context"
-	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-
-	"manrsmeter/internal/obsv"
-)
-
-// RouteMix weights the /v1 query surface. Zero-valued weights drop the
-// route; an all-zero mix means DefaultMix.
+// RouteMix weights the /v1 query surface.
 type RouteMix struct {
 	AS       int // /v1/as/{asn}/conformance — zipfian ASN
 	Prefix   int // /v1/prefix/{cidr} — zipfian prefix
@@ -42,565 +16,3 @@ type RouteMix struct {
 // DefaultMix approximates the observed shape of conformance-API
 // traffic: mostly per-AS lookups, then prefix checks, then dashboards.
 var DefaultMix = RouteMix{AS: 40, Prefix: 25, Stats: 15, Report: 10, Scenario: 10}
-
-func (m RouteMix) total() int { return m.AS + m.Prefix + m.Stats + m.Report + m.Scenario }
-
-// Config tunes one load run. The zero value of most fields picks a
-// sensible default; BaseURL is required.
-type Config struct {
-	// BaseURL is the manrsd root, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// Targets, when set, spreads the workload uniformly across several
-	// base URLs (a gateway plus individual replicas, say), with a
-	// per-target latency/error breakdown in the Result. Empty means
-	// [BaseURL]. With a single target the issued request sequence is
-	// identical to the pre-Targets harness (no extra RNG draw), so
-	// committed BENCH baselines stay comparable.
-	Targets []string
-	// Seed makes the workload reproducible: the same seed, workers,
-	// and budgets issue the same multiset of requests with the same
-	// traceparent IDs.
-	Seed int64
-	// Workers bounds concurrency (closed loop: the offered load;
-	// open loop: the in-flight cap). ≤ 0 means 8.
-	Workers int
-	// Ramp staggers worker starts in closed loop: worker w begins
-	// after w×Ramp, so offered load climbs instead of stepping.
-	Ramp time.Duration
-	// WarmupRequests are issued first and excluded from measurement
-	// (cache fill, connection establishment, first snapshot build).
-	WarmupRequests int
-	// Requests is the measured budget. Ignored when Duration > 0.
-	Requests int
-	// Duration, when > 0, runs the measured phase for wall time
-	// instead of a request budget (loses exact reproducibility).
-	Duration time.Duration
-	// QPS > 0 switches to open loop: Poisson arrivals at this rate.
-	QPS float64
-	// Mix weights the routes; all-zero means DefaultMix.
-	Mix RouteMix
-	// ASNBase and ASNCount describe the synthetic world: ASNs are
-	// sequential from ASNBase. ≤ 0 means 100 and 1000.
-	ASNBase, ASNCount int
-	// ZipfS and ZipfV shape popularity (s > 1, v ≥ 1); zero means
-	// s=1.2, v=1 — a hot head with a fat tail.
-	ZipfS, ZipfV float64
-	// Revalidate is the probability a worker re-requests a URL it has
-	// an ETag for with If-None-Match, driving the 304 path. [0,1].
-	Revalidate float64
-	// Timeout bounds one request; ≤ 0 means 15s.
-	Timeout time.Duration
-	// Client overrides the HTTP client (tests). Nil builds one with
-	// keep-alives sized to Workers.
-	Client *http.Client
-}
-
-func (c *Config) setDefaults() {
-	if len(c.Targets) == 0 && c.BaseURL != "" {
-		c.Targets = []string{c.BaseURL}
-	}
-	for i, t := range c.Targets {
-		c.Targets[i] = strings.TrimRight(t, "/")
-	}
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.Mix.total() == 0 {
-		c.Mix = DefaultMix
-	}
-	if c.ASNBase <= 0 {
-		c.ASNBase = 100
-	}
-	if c.ASNCount <= 0 {
-		c.ASNCount = 1000
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
-	if c.ZipfV < 1 {
-		c.ZipfV = 1
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 15 * time.Second
-	}
-	if c.Requests <= 0 && c.Duration <= 0 {
-		c.Requests = 1000
-	}
-}
-
-// Result aggregates one run.
-type Result struct {
-	// Requests counts everything issued, warmup included.
-	Requests int64
-	// Measured counts requests in the measured phase (the histogram
-	// population).
-	Measured int64
-	// ByStatus counts measured responses by HTTP status.
-	ByStatus map[int]int64
-	// ByRoute counts measured requests by route name.
-	ByRoute map[string]int64
-	// Errors counts transport-level failures (dial, timeout, EOF).
-	Errors int64
-	// Shed counts 503s — admission-control rejections, not faults.
-	Shed int64
-	// ServerErrors counts 5xx excluding 503 (real faults).
-	ServerErrors int64
-	// NotModified counts 304 revalidations.
-	NotModified int64
-	// Hist holds measured latencies (seconds).
-	Hist *obsv.QuantileHistogram
-	// Elapsed is the measured-phase wall time; QPS = Measured/Elapsed.
-	Elapsed time.Duration
-	QPS     float64
-	// ByTarget breaks the measured phase down per base URL — present
-	// only when the run drove more than one target.
-	ByTarget map[string]*TargetResult
-	// FirstTrace is worker 0's first trace ID — deterministic for a
-	// seed, and the handle check.sh greps through the access log and
-	// span tree.
-	FirstTrace string
-}
-
-// TargetResult is one target's slice of a multi-target run.
-type TargetResult struct {
-	// Measured counts this target's measured requests (transport
-	// errors included).
-	Measured int64
-	// Errors counts transport-level failures against this target.
-	Errors int64
-	// Shed counts 503s, ServerErrors other 5xx, NotModified 304s.
-	Shed, ServerErrors, NotModified int64
-	// Hist holds this target's measured latencies (seconds).
-	Hist *obsv.QuantileHistogram
-}
-
-// arrival is one open-loop scheduled request; latency is measured from
-// Sched, so time spent waiting for a free worker counts.
-type arrival struct {
-	sched    time.Time
-	measured bool
-}
-
-// worker is the per-goroutine state: its own RNG (determinism), its
-// own histogram (no contention), its own ETag memory (realistic
-// client revalidation).
-type worker struct {
-	id    int
-	cfg   *Config
-	rng   *rand.Rand
-	zipf  *rand.Zipf
-	hist  *obsv.QuantileHistogram
-	etags map[string]string
-	// firstTrace is this worker's first issued trace ID — worker 0's
-	// becomes Result.FirstTrace.
-	firstTrace string
-
-	byStatus map[int]int64
-	byRoute  map[string]int64
-	byTarget map[string]*TargetResult
-	requests int64
-	measured int64
-	errors   int64
-}
-
-// target returns this worker's aggregate for one base URL, creating it
-// on first use.
-func (w *worker) target(base string) *TargetResult {
-	tr, ok := w.byTarget[base]
-	if !ok {
-		tr = &TargetResult{Hist: obsv.NewLatencyQuantiles()}
-		w.byTarget[base] = tr
-	}
-	return tr
-}
-
-func newWorker(id int, cfg *Config) *worker {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
-	return &worker{
-		id:       id,
-		cfg:      cfg,
-		rng:      rng,
-		zipf:     rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.ASNCount-1)),
-		hist:     obsv.NewLatencyQuantiles(),
-		etags:    make(map[string]string),
-		byStatus: make(map[int]int64),
-		byRoute:  make(map[string]int64),
-		byTarget: make(map[string]*TargetResult),
-	}
-}
-
-// pick chooses the next route, target, and URL from the mix and
-// popularity model. A single-target run draws no target RNG, so its
-// request sequence is identical to the pre-Targets harness.
-func (w *worker) pick() (route, target, url string) {
-	target = w.cfg.Targets[0]
-	if len(w.cfg.Targets) > 1 {
-		target = w.cfg.Targets[w.rng.Intn(len(w.cfg.Targets))]
-	}
-	m := w.cfg.Mix
-	n := w.rng.Intn(m.total())
-	switch {
-	case n < m.AS:
-		asn := w.cfg.ASNBase + int(w.zipf.Uint64())
-		return "as_conformance", target, fmt.Sprintf("%s/v1/as/%d/conformance", target, asn)
-	case n < m.AS+m.Prefix:
-		// Prefixes follow the synth layout (10.a.b.0/24 by rank);
-		// unknown prefixes answer 200 with empty origin lists, so a
-		// miss is still a valid measured request.
-		rank := int(w.zipf.Uint64())
-		return "prefix", target, fmt.Sprintf("%s/v1/prefix/10.%d.%d.0/24", target, rank/200%200, rank%200)
-	case n < m.AS+m.Prefix+m.Stats:
-		return "stats", target, target + "/v1/stats"
-	case n < m.AS+m.Prefix+m.Stats+m.Report:
-		return "report_index", target, target + "/v1/report"
-	default:
-		return "scenario_index", target, target + "/v1/scenario"
-	}
-}
-
-// issue performs one request and records it. sched is the latency
-// clock start: arrival time in open loop, send time in closed loop.
-func (w *worker) issue(ctx context.Context, client *http.Client, sched time.Time, measured bool) {
-	route, target, url := w.pick()
-	trace := obsv.MakeTraceContext(w.rng)
-	if w.firstTrace == "" {
-		w.firstTrace = trace.TraceIDString()
-	}
-	w.requests++
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		w.errors++
-		return
-	}
-	req.Header.Set("traceparent", trace.String())
-	if etag, ok := w.etags[url]; ok && w.rng.Float64() < w.cfg.Revalidate {
-		req.Header.Set("If-None-Match", etag)
-	}
-
-	resp, err := client.Do(req)
-	wall := time.Since(sched)
-	if err != nil {
-		if measured {
-			w.measured++
-			w.errors++
-			tr := w.target(target)
-			tr.Measured++
-			tr.Errors++
-		}
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if etag := resp.Header.Get("Etag"); etag != "" {
-		w.etags[url] = etag
-	}
-	if !measured {
-		return
-	}
-	w.measured++
-	w.byStatus[resp.StatusCode]++
-	w.byRoute[route]++
-	w.hist.Observe(wall.Seconds())
-	tr := w.target(target)
-	tr.Measured++
-	tr.Hist.Observe(wall.Seconds())
-	switch {
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		tr.Shed++
-	case resp.StatusCode >= 500:
-		tr.ServerErrors++
-	case resp.StatusCode == http.StatusNotModified:
-		tr.NotModified++
-	}
-}
-
-// Run executes the configured workload and blocks until the budget is
-// spent, the duration elapses, or ctx is cancelled.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg.setDefaults()
-	if len(cfg.Targets) == 0 {
-		return nil, fmt.Errorf("loadgen: BaseURL or Targets required")
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{
-			Timeout: cfg.Timeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        cfg.Workers * 2,
-				MaxIdleConnsPerHost: cfg.Workers * 2,
-			},
-		}
-	}
-
-	workers := make([]*worker, cfg.Workers)
-	for i := range workers {
-		workers[i] = newWorker(i, &cfg)
-	}
-
-	measureStart := time.Now()
-	var wg sync.WaitGroup
-
-	if cfg.QPS > 0 {
-		// Open loop: one scheduler paces Poisson arrivals; workers
-		// drain the queue. The channel buffer is where queueing delay
-		// accrues — and it is charged to latency via a.sched.
-		arrivals := make(chan arrival, 4*cfg.Workers)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(arrivals)
-			pace := rand.New(rand.NewSource(cfg.Seed ^ 0x9e3779b9))
-			deadline := time.Time{}
-			if cfg.Duration > 0 {
-				deadline = time.Now().Add(cfg.Duration)
-			}
-			next := time.Now()
-			for i := 0; ; i++ {
-				if cfg.Duration > 0 {
-					if time.Now().After(deadline) {
-						return
-					}
-				} else if i >= cfg.WarmupRequests+cfg.Requests {
-					return
-				}
-				next = next.Add(time.Duration(pace.ExpFloat64() / cfg.QPS * float64(time.Second)))
-				if d := time.Until(next); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-						return
-					}
-				}
-				select {
-				case arrivals <- arrival{sched: next, measured: i >= cfg.WarmupRequests}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				for a := range arrivals {
-					if ctx.Err() != nil {
-						return
-					}
-					w.issue(ctx, client, a.sched, a.measured)
-				}
-			}(w)
-		}
-	} else {
-		// Closed loop: each worker owns an equal slice of the budget,
-		// so the issued multiset is a pure function of the seed.
-		perWarm := cfg.WarmupRequests / cfg.Workers
-		perMeas := cfg.Requests / cfg.Workers
-		deadline := time.Time{}
-		if cfg.Duration > 0 {
-			deadline = time.Now().Add(cfg.Duration)
-		}
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				if cfg.Ramp > 0 && w.id > 0 {
-					select {
-					case <-time.After(time.Duration(w.id) * cfg.Ramp):
-					case <-ctx.Done():
-						return
-					}
-				}
-				for i := 0; ; i++ {
-					if ctx.Err() != nil {
-						return
-					}
-					if cfg.Duration > 0 {
-						if i >= perWarm && time.Now().After(deadline) {
-							return
-						}
-					} else if i >= perWarm+perMeas {
-						return
-					}
-					w.issue(ctx, client, time.Now(), i >= perWarm)
-				}
-			}(w)
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(measureStart)
-
-	res := &Result{
-		ByStatus: make(map[int]int64),
-		ByRoute:  make(map[string]int64),
-		Hist:     obsv.NewLatencyQuantiles(),
-		Elapsed:  elapsed,
-	}
-	for _, w := range workers {
-		res.Requests += w.requests
-		res.Measured += w.measured
-		res.Errors += w.errors
-		for code, n := range w.byStatus {
-			res.ByStatus[code] += n
-		}
-		for route, n := range w.byRoute {
-			res.ByRoute[route] += n
-		}
-		_ = res.Hist.Merge(w.hist)
-		if len(cfg.Targets) > 1 {
-			if res.ByTarget == nil {
-				res.ByTarget = make(map[string]*TargetResult)
-			}
-			for base, tr := range w.byTarget {
-				agg, ok := res.ByTarget[base]
-				if !ok {
-					agg = &TargetResult{Hist: obsv.NewLatencyQuantiles()}
-					res.ByTarget[base] = agg
-				}
-				agg.Measured += tr.Measured
-				agg.Errors += tr.Errors
-				agg.Shed += tr.Shed
-				agg.ServerErrors += tr.ServerErrors
-				agg.NotModified += tr.NotModified
-				_ = agg.Hist.Merge(tr.Hist)
-			}
-		}
-	}
-	res.Shed = res.ByStatus[http.StatusServiceUnavailable]
-	res.NotModified = res.ByStatus[http.StatusNotModified]
-	for code, n := range res.ByStatus {
-		if code >= 500 && code != http.StatusServiceUnavailable {
-			res.ServerErrors += n
-		}
-	}
-	if elapsed > 0 {
-		res.QPS = float64(res.Measured) / elapsed.Seconds()
-	}
-	if len(workers) > 0 {
-		res.FirstTrace = workers[0].firstTrace
-	}
-	return res, ctx.Err()
-}
-
-// WriteSummary renders the human-readable run report.
-func (r *Result) WriteSummary(w io.Writer) {
-	fmt.Fprintf(w, "requests       %d (measured %d, warmup %d)\n",
-		r.Requests, r.Measured, r.Requests-r.Measured)
-	fmt.Fprintf(w, "elapsed        %v  (%.1f req/s)\n", r.Elapsed.Round(time.Millisecond), r.QPS)
-	codes := make([]int, 0, len(r.ByStatus))
-	for code := range r.ByStatus {
-		codes = append(codes, code)
-	}
-	sort.Ints(codes)
-	for _, code := range codes {
-		fmt.Fprintf(w, "status %d     %d\n", code, r.ByStatus[code])
-	}
-	if r.Errors > 0 {
-		fmt.Fprintf(w, "transport errs %d\n", r.Errors)
-	}
-	qs := r.Hist.Quantiles(obsv.SLOQuantiles...)
-	labels := []string{"p50", "p90", "p99", "p99.9"}
-	for i, q := range qs {
-		fmt.Fprintf(w, "%-6s         %v\n", labels[i], time.Duration(q*float64(time.Second)).Round(time.Microsecond))
-	}
-	for _, base := range sortedTargets(r.ByTarget) {
-		tr := r.ByTarget[base]
-		tq := tr.Hist.Quantiles(0.5, 0.99)
-		fmt.Fprintf(w, "target %s  measured %d  errs %d  shed %d  5xx %d  304 %d  p50 %v  p99 %v\n",
-			base, tr.Measured, tr.Errors, tr.Shed, tr.ServerErrors, tr.NotModified,
-			time.Duration(tq[0]*float64(time.Second)).Round(time.Microsecond),
-			time.Duration(tq[1]*float64(time.Second)).Round(time.Microsecond))
-	}
-	fmt.Fprintf(w, "first traceparent trace_id=%s\n", r.FirstTrace)
-}
-
-func sortedTargets(m map[string]*TargetResult) []string {
-	bases := make([]string, 0, len(m))
-	for base := range m {
-		bases = append(bases, base)
-	}
-	sort.Strings(bases)
-	return bases
-}
-
-// BenchJSON is the machine-readable run record, shaped like the other
-// BENCH_*.json files so check.sh's bench_field and the delta printer
-// work unchanged. Rates are parts-per-million so every field stays an
-// integer.
-type BenchJSON struct {
-	Name        string `json:"name"`
-	P50NS       int64  `json:"p50_ns"`
-	P90NS       int64  `json:"p90_ns"`
-	P99NS       int64  `json:"p99_ns"`
-	P999NS      int64  `json:"p999_ns"`
-	QPS         int64  `json:"qps"`
-	Requests    int64  `json:"requests"`
-	ShedPPM     int64  `json:"shed_ppm"`
-	Error5xxPPM int64  `json:"error_5xx_ppm"`
-	NotModPPM   int64  `json:"not_modified_ppm"`
-	// PerTarget is the per-base-URL breakdown of a multi-target run;
-	// omitted for single-target runs so committed baselines keep their
-	// exact shape.
-	PerTarget []BenchTarget `json:"per_target,omitempty"`
-	Date      string        `json:"date"`
-	Commit    string        `json:"commit"`
-	Go        string        `json:"go"`
-}
-
-// BenchTarget is one target's slice of a multi-target BenchJSON.
-type BenchTarget struct {
-	Target      string `json:"target"`
-	Requests    int64  `json:"requests"`
-	P50NS       int64  `json:"p50_ns"`
-	P99NS       int64  `json:"p99_ns"`
-	ShedPPM     int64  `json:"shed_ppm"`
-	Error5xxPPM int64  `json:"error_5xx_ppm"`
-}
-
-// Bench converts the result into its BENCH_*.json record.
-func (r *Result) Bench(name, commit, goVersion string, now time.Time) BenchJSON {
-	qs := r.Hist.Quantiles(obsv.SLOQuantiles...)
-	ppm := func(n int64) int64 {
-		if r.Measured == 0 {
-			return 0
-		}
-		return n * 1_000_000 / r.Measured
-	}
-	b := BenchJSON{
-		Name:        name,
-		P50NS:       int64(qs[0] * 1e9),
-		P90NS:       int64(qs[1] * 1e9),
-		P99NS:       int64(qs[2] * 1e9),
-		P999NS:      int64(qs[3] * 1e9),
-		QPS:         int64(r.QPS),
-		Requests:    r.Measured,
-		ShedPPM:     ppm(r.Shed),
-		Error5xxPPM: ppm(r.ServerErrors + r.Errors),
-		NotModPPM:   ppm(r.NotModified),
-		Date:        now.UTC().Format(time.RFC3339),
-		Commit:      commit,
-		Go:          goVersion,
-	}
-	for _, base := range sortedTargets(r.ByTarget) {
-		tr := r.ByTarget[base]
-		tq := tr.Hist.Quantiles(0.5, 0.99)
-		tppm := func(n int64) int64 {
-			if tr.Measured == 0 {
-				return 0
-			}
-			return n * 1_000_000 / tr.Measured
-		}
-		b.PerTarget = append(b.PerTarget, BenchTarget{
-			Target:      base,
-			Requests:    tr.Measured,
-			P50NS:       int64(tq[0] * 1e9),
-			P99NS:       int64(tq[1] * 1e9),
-			ShedPPM:     tppm(tr.Shed),
-			Error5xxPPM: tppm(tr.ServerErrors + tr.Errors),
-		})
-	}
-	return b
-}
-
-// interface check: the worker RNG satisfies the trace-minting source.
-var _ obsv.Uint64Source = (*rand.Rand)(nil)

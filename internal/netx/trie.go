@@ -109,29 +109,6 @@ func (t *Trie[V]) Covering(dst []V, p Prefix) []V {
 	return dst
 }
 
-// HasCovering reports whether any stored prefix covers p. It is the
-// allocation-free fast path for "NotFound" classification.
-func (t *Trie[V]) HasCovering(p Prefix) bool {
-	if !p.IsValid() || p.Is6() != t.v6 {
-		return false
-	}
-	n := t.root
-	addr := p.Addr()
-	if n.has {
-		return true
-	}
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(addr, i)]
-		if n == nil {
-			return false
-		}
-		if n.has {
-			return true
-		}
-	}
-	return false
-}
-
 // LongestMatch returns the values at the most specific stored prefix
 // covering p, and whether one exists.
 func (t *Trie[V]) LongestMatch(p Prefix) ([]V, bool) {
@@ -245,9 +222,6 @@ func (t *Table[V]) Exact(p Prefix) []V { return t.trieFor(p).Exact(p) }
 
 // Covering appends values of all stored prefixes covering p to dst.
 func (t *Table[V]) Covering(dst []V, p Prefix) []V { return t.trieFor(p).Covering(dst, p) }
-
-// HasCovering reports whether any stored prefix covers p.
-func (t *Table[V]) HasCovering(p Prefix) bool { return t.trieFor(p).HasCovering(p) }
 
 // LongestMatch returns the values at the most specific covering prefix.
 func (t *Table[V]) LongestMatch(p Prefix) ([]V, bool) { return t.trieFor(p).LongestMatch(p) }

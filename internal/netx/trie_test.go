@@ -60,18 +60,12 @@ func TestTrieCovering(t *testing.T) {
 		if !slices.Equal(got, tt.want) {
 			t.Errorf("Covering(%s) = %v, want %v", tt.q, got, tt.want)
 		}
-		if !tr.HasCovering(MustParsePrefix(tt.q)) {
-			t.Errorf("HasCovering(%s) = false", tt.q)
-		}
 	}
 }
 
-func TestTrieHasCoveringNotFound(t *testing.T) {
+func TestTrieCoveringNotFound(t *testing.T) {
 	tr := NewTrie[int](false)
 	tr.Insert(MustParsePrefix("10.0.0.0/8"), 1)
-	if tr.HasCovering(MustParsePrefix("11.0.0.0/8")) {
-		t.Error("HasCovering should be false for uncovered prefix")
-	}
 	if got := tr.Covering(nil, MustParsePrefix("11.0.0.0/8")); got != nil {
 		t.Errorf("Covering of uncovered prefix = %v, want nil", got)
 	}
@@ -153,11 +147,8 @@ func TestTableDualFamily(t *testing.T) {
 	if got := tb.Covering(nil, MustParsePrefix("2001:db8:1::/48")); !slices.Equal(got, []string{"v6"}) {
 		t.Errorf("v6 covering = %v", got)
 	}
-	if !tb.HasCovering(MustParsePrefix("2001:db8::/40")) {
-		t.Error("table should cover v6 subprefix")
-	}
-	if tb.HasCovering(MustParsePrefix("2001:db9::/40")) {
-		t.Error("table should not cover unrelated v6")
+	if got := tb.Covering(nil, MustParsePrefix("2001:db9::/40")); got != nil {
+		t.Errorf("unrelated v6 covering = %v, want nil", got)
 	}
 	var n int
 	tb.Walk(func(Prefix, []string) bool { n++; return true })

@@ -3,8 +3,8 @@
 // p50/p99/p999 read from a scrape are trustworthy without shipping every
 // sample. Fixed-bucket Histograms stay the right tool for coarse
 // Prometheus-side aggregation; QuantileHistogram is for the serving hot
-// path and the loadgen harness, where "p99 = 1.8ms ± 2%" is the contract
-// the SLO trajectory (BENCH_ServeLatency.json) is built on.
+// path, where "p99 = 1.8ms ± 2%" is the contract /debug/latency and the
+// exported summaries are read on.
 
 package obsv
 
@@ -71,8 +71,8 @@ func NewQuantileHistogram(min, max, relErr float64) *QuantileHistogram {
 }
 
 // NewLatencyQuantiles returns a QuantileHistogram with the package
-// defaults — the instrument the serving layer and loadgen record
-// request latency (in seconds) into.
+// defaults — the instrument the serving layer records request latency
+// (in seconds) into.
 func NewLatencyQuantiles() *QuantileHistogram {
 	return NewQuantileHistogram(DefaultQuantileMin, DefaultQuantileMax, DefaultQuantileErr)
 }
@@ -138,9 +138,9 @@ func (h *QuantileHistogram) Sum() float64 {
 }
 
 // Merge folds other's buckets into h. Both histograms must share a
-// layout (same min/max/relErr); Merge returns an error otherwise. The
-// loadgen harness merges per-worker histograms after a run so the hot
-// path records without cross-worker contention.
+// layout (same min/max/relErr); Merge returns an error otherwise, so
+// per-worker or per-replica histograms record without contention and
+// fold exactly afterwards.
 func (h *QuantileHistogram) Merge(other *QuantileHistogram) error {
 	if h == nil || other == nil {
 		return nil

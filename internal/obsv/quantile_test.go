@@ -55,7 +55,7 @@ func checkAccuracy(t *testing.T, name string, samples []float64) {
 }
 
 // TestQuantileAccuracy is the acceptance test for the bounded-relative-
-// error contract, across the three latency shapes the loadgen harness
+// error contract, across the three latency shapes query traffic
 // produces: uniform (flat service time), zipf (heavy cache-hit head
 // with a long miss tail), and bimodal (fast cache hits + slow builds).
 func TestQuantileAccuracy(t *testing.T) {

@@ -2,8 +2,8 @@
 // state, GOMAXPROCS, and a GC-pause quantile summary, refreshed lazily
 // at scrape time through the registry's OnScrape hook so an idle daemon
 // pays nothing. Every daemon that serves an admin endpoint gets these
-// series for free — the loadgen SLO trajectory is only interpretable
-// next to the GC pauses and heap pressure of the process it measured.
+// series for free — a latency quantile is only interpretable next to
+// the GC pauses and heap pressure of the process that served it.
 
 package obsv
 

@@ -1,10 +1,10 @@
 // traceparent.go carries the end-to-end request identity: a W3C trace
 // context (the `traceparent` HTTP header, version 00) generated by the
-// client — the loadgen harness stamps a deterministic, seeded one on
-// every request — parsed by the serving layer, attached to the span
-// tree and the access log, and echoed in the response. One slow request
-// is then traceable from the client's latency sample through the serve
-// route to the pipeline section that answered it, by one hex ID.
+// client (or minted by the front when absent) — parsed by the serving
+// layer, attached to the span tree and the access log, and echoed in
+// the response. One slow request is then traceable from the client's
+// latency sample through the serve route to the pipeline section that
+// answered it, by one hex ID.
 
 package obsv
 
@@ -68,7 +68,7 @@ func ParseTraceParent(s string) (TraceContext, bool) {
 
 // Uint64Source is any deterministic random source (math/rand's *Rand
 // qualifies) — what MakeTraceContext draws IDs from, so a seeded
-// loadgen run stamps the same traceparent sequence every time.
+// client stamps the same traceparent sequence every time.
 type Uint64Source interface{ Uint64() uint64 }
 
 // MakeTraceContext mints a sampled trace context from src. IDs are

@@ -59,7 +59,7 @@ const (
 	DefaultRequestTimeout = 30 * time.Second
 	// DefaultAccessLogSample is the default head-sampling rate: one in
 	// every N requests is logged (server errors always are), so full-
-	// rate logging never becomes the bottleneck loadgen is measuring.
+	// rate logging never becomes the bottleneck under load.
 	DefaultAccessLogSample = 64
 	// cacheCap bounds the response cache; entries are evicted FIFO.
 	cacheCap = 4096

@@ -29,8 +29,7 @@
 #            view oracle (At against the uncached route over seeded
 #            worlds × forks × worker counts) (synth; the serial
 #            memo-less oracle runs in the race pass); then the bench's
-#            build
-#            oracle (`go run ./bench --workload build.weekly`): snapshot
+#            build oracle (`go run ./bench --workload build.weekly`): snapshot
 #            digests equal across ops and worker counts, and a
 #            warm-started store answering like the one that built
 #   flood  — vantage-point-restricted floods under -race: the
@@ -40,55 +39,47 @@
 #            bench's build oracle on the propagation-bound world
 #            (`go run ./bench --workload build.topology`)
 #   bench  — single-iteration smoke of the headline benchmarks (dataset
-#            build, propagation, full report, snapshot persist/load), one
-#            BENCH_<name>.json each; the serving hot path runs unrecorded
+#            build, propagation, full report, snapshot persist/load);
+#            nothing is recorded — `go run ./bench` is the one ledger
 #   memory — internet-scale gate: generate the -scale large world (~75k
 #            ASes, ~1M prefixes) and run its dataset-build/propagation
 #            benches under GOMEMLIMIT=4GiB; fails on OOM or on a >20%
 #            bytes/op regression against the committed
-#            BENCH_DatasetBuild_large.json baseline, then prints
-#            bytes/op and allocs/op deltas vs HEAD for every emitted
-#            BENCH_*.json
-#   fuzz   — short smoke of the BGP wire-format, MRT-reader, durable
-#            archive-decoder, VRP-CSV, and scenario-codec fuzzers, so
-#            decoder regressions on malformed input surface before
-#            merge
+#            BENCH_DatasetBuild_large.json, which it only reads; then
+#            query the large world through manrsd in the same budget
+#   fuzz   — `make fuzz`: a short smoke of six decoder fuzzers (BGP
+#            wire messages and attributes, MRT, durable archive, VRP
+#            CSV, scenario codec)
 #   admin  — end-to-end smoke of the observability endpoint: start a
 #            collector with -admin, curl /healthz and /metrics, and
 #            assert the expected metric families are exposed
 #   manrsd — end-to-end smoke of the query daemon: start it on a small
-#            synthetic world, query a conformance lookup twice (200
-#            then 304 via the captured ETag), assert a ?date= outside
-#            the study window is a 400, query the adversarial
-#            scenario route /v1/scenario/rp-failure and assert it
-#            answers 200 with "degraded": true (graceful degradation,
-#            never a 5xx), assert the coalesce and cache-hit series
-#            appear on /metrics, and SIGTERM-drain cleanly
+#            synthetic world with -access-log-sample 1, query a
+#            conformance lookup twice (200 then 304 via the captured
+#            ETag), assert a ?date= outside the study window is a 400,
+#            query the adversarial scenario route
+#            /v1/scenario/rp-failure and assert it answers 200 with
+#            "degraded": true (graceful degradation, never a 5xx),
+#            send one request with a fixed traceparent and find its
+#            trace ID in both the access log and /debug/trace, assert
+#            the coalesce and cache-hit series appear on /metrics, and
+#            SIGTERM-drain cleanly
 #   crash  — crash-recovery smoke: run manrsd with -data-dir until it
 #            archives a snapshot, SIGKILL it, restart over the same
 #            directory, and assert the daemon warm-starts from the
 #            archive (first query 200, durable_load_total >= 1,
 #            serve_snapshot_builds_total 0: nothing is rebuilt) before
 #            draining cleanly
-#   loadgen — workload smoke: boot manrsd on the small world with
-#            -access-log-sample 1, drive a seeded reproducible burst
-#            through cmd/loadgen (zero 5xx allowed, 503 shed excluded;
-#            p99 under a generous ceiling), emit BENCH_ServeLatency.json
-#            (p50/p99 ns, qps, shed/error/304 rates) with deltas vs the
-#            committed baseline, and assert the first trace ID injected
-#            by loadgen appears in BOTH the daemon's access log and the
-#            /debug/trace span tree — end-to-end request correlation
 #   cluster — distributed serve tier smoke: boot 2 replicas on the seed
 #            world, boot a 3rd with -peers so it catches up over wire
 #            replication (asserted from its log) instead of rebuilding,
 #            front all 3 with manrs-gw, assert ETag coherence (the
 #            gateway's ETag matches a direct replica query; 304
-#            revalidation works through the gateway), drive a seeded
-#            loadgen burst through the gateway with -max-5xx 0, emit
-#            BENCH_ClusterLatency.json with deltas vs the committed
-#            baseline, then SIGTERM one replica and assert it drains
-#            cleanly, the ring converges on the survivors, and the
-#            gateway still answers 200
+#            revalidation works through the gateway), then SIGTERM one
+#            replica and assert it drains cleanly, the ring converges on
+#            the survivors, and the gateway still answers 200.
+#            Query load through the gateway is the front leg's
+#            `bench query.gateway` oracle
 set -eu
 
 FUZZTIME="${FUZZTIME:-5s}"
@@ -173,52 +164,10 @@ go test -race -count=1 -run '^TestBuildMatchesFullFloodOracle$' ./internal/ihr
 echo "==> build oracle (bench build.topology: propagation-bound world, digests equal across ops and worker counts)"
 bench_oracle build.topology
 
-# emit_bench OUTPUT-FILE: turn `go test -bench` result lines into one
-# BENCH_<name>.json each in the repo root. The `$4 == "ns/op"` guard
-# skips the name-only lines a skipped sub-benchmark prints (e.g. the
-# MANRS_LARGE-gated benches), which would otherwise emit garbage JSON.
-BENCH_COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-BENCH_DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-emit_bench() {
-    awk -v date="$BENCH_DATE" -v commit="$BENCH_COMMIT" -v gover="$(go env GOVERSION)" '
-/^Benchmark/ && $4 == "ns/op" {
-    name = $1
-    sub(/-[0-9]+$/, "", name)           # strip the GOMAXPROCS suffix
-    ns = $3; bytes = "null"; allocs = "null"
-    for (i = 4; i <= NF; i++) {
-        if ($i == "B/op") bytes = $(i - 1)
-        if ($i == "allocs/op") allocs = $(i - 1)
-    }
-    file = name
-    sub(/^Benchmark/, "", file)
-    gsub(/[^A-Za-z0-9_]/, "_", file)    # sub-bench slashes, workers=N
-    out = "BENCH_" file ".json"
-    printf "{\n  \"name\": \"%s\",\n  \"ns_per_op\": %s,\n  \"bytes_per_op\": %s,\n  \"allocs_per_op\": %s,\n  \"date\": \"%s\",\n  \"commit\": \"%s\",\n  \"go\": \"%s\"\n}\n", \
-        name, ns, bytes, allocs, date, commit, gover > out
-    close(out)
-    emitted++
-}
-END {
-    if (emitted == 0) { print "bench emit: no benchmark result lines parsed" > "/dev/stderr"; exit 1 }
-    printf "emitted %d BENCH_*.json files\n", emitted
-}
-' "$1"
-}
-
-# bench_field FILE KEY: extract an integer metric from a BENCH json.
-bench_field() {
-    sed -n 's/.*"'"$2"'": \([0-9][0-9]*\).*/\1/p' "$1"
-}
-
-echo "==> bench smoke (1 iteration per headline bench) + BENCH_*.json emit"
+echo "==> bench smoke (1 iteration per headline bench, unrecorded)"
 go test -run '^$' -benchtime 1x -benchmem \
     -bench '^(BenchmarkDatasetBuild|BenchmarkBuildDatasetParallel|BenchmarkPropagation|BenchmarkFullReport|BenchmarkSnapshotPersist|BenchmarkSnapshotLoad)$' \
-    . | tee "$TMPDIR_SMOKE/bench.out"
-emit_bench "$TMPDIR_SMOKE/bench.out"
-go test -run '^$' -benchtime 1x -bench '^BenchmarkServeConformance$' .
-for f in BENCH_DatasetBuild_seed.json BENCH_SnapshotPersist.json BENCH_SnapshotLoad.json; do
-    [ -f "$f" ] || { echo "bench emit: $f missing" >&2; exit 1; }
-done
+    .
 
 echo "==> internet-scale memory gate (GOMEMLIMIT=4GiB, ~75k ASes / ~1M prefixes)"
 # Build the -scale large world and its full dataset inside a 4 GiB soft
@@ -228,20 +177,20 @@ echo "==> internet-scale memory gate (GOMEMLIMIT=4GiB, ~75k ASes / ~1M prefixes)
 GOMEMLIMIT=4GiB MANRS_LARGE=1 go test -run '^$' -benchtime 1x -benchmem -timeout 45m \
     -bench '^(BenchmarkDatasetBuild|BenchmarkPropagation)$/^large$' \
     . | tee "$TMPDIR_SMOKE/bench-large.out"
-emit_bench "$TMPDIR_SMOKE/bench-large.out"
-[ -f BENCH_DatasetBuild_large.json ] || { echo "memory gate: BENCH_DatasetBuild_large.json missing" >&2; exit 1; }
-BASE_BYTES="$(git show HEAD:BENCH_DatasetBuild_large.json 2>/dev/null | sed -n 's/.*"bytes_per_op": \([0-9][0-9]*\).*/\1/p' || true)"
-NEW_BYTES="$(bench_field BENCH_DatasetBuild_large.json bytes_per_op)"
-if [ -n "$BASE_BYTES" ] && [ -n "$NEW_BYTES" ]; then
-    BYTES_LIMIT=$((BASE_BYTES + BASE_BYTES / 5))
-    if [ "$NEW_BYTES" -gt "$BYTES_LIMIT" ]; then
-        echo "memory gate: large dataset build allocates $NEW_BYTES bytes/op, >20% over committed baseline $BASE_BYTES" >&2
-        exit 1
-    fi
-    echo "memory gate: bytes/op $NEW_BYTES vs baseline $BASE_BYTES (limit $BYTES_LIMIT) — ok"
-else
-    echo "memory gate: no committed baseline for BENCH_DatasetBuild_large.json; this run records the first measurement"
+# The committed baseline moves only by a deliberate commit: this gate
+# reads it and writes nothing.
+NEW_BYTES="$(awk '$1 ~ /^BenchmarkDatasetBuild\/large/ { for (i = 2; i < NF; i++) if ($(i + 1) == "B/op") print $i }' "$TMPDIR_SMOKE/bench-large.out")"
+BASE_BYTES="$(sed -n 's/.*"bytes_per_op": \([0-9][0-9]*\).*/\1/p' BENCH_DatasetBuild_large.json)"
+if [ -z "$NEW_BYTES" ] || [ -z "$BASE_BYTES" ]; then
+    echo "memory gate: bytes/op missing (run: ${NEW_BYTES:-none}, baseline: ${BASE_BYTES:-none})" >&2
+    exit 1
 fi
+BYTES_LIMIT=$((BASE_BYTES + BASE_BYTES / 5))
+if [ "$NEW_BYTES" -gt "$BYTES_LIMIT" ]; then
+    echo "memory gate: large dataset build allocates $NEW_BYTES bytes/op, >20% over committed baseline $BASE_BYTES" >&2
+    exit 1
+fi
+echo "memory gate: bytes/op $NEW_BYTES vs baseline $BASE_BYTES (limit $BYTES_LIMIT) — ok"
 
 echo "==> internet-scale serve smoke (manrsd -scale large under GOMEMLIMIT=4GiB)"
 # The large world must not just build — it must answer conformance
@@ -283,27 +232,8 @@ wait "$MANRSD_PID" || true
 MANRSD_PID=""
 echo "large serve smoke: conformance query answered from the ~75k-AS world"
 
-echo "==> bench deltas vs HEAD (bytes/op, allocs/op)"
-for f in BENCH_*.json; do
-    BASE_B="$(git show HEAD:"$f" 2>/dev/null | sed -n 's/.*"bytes_per_op": \([0-9][0-9]*\).*/\1/p' || true)"
-    BASE_A="$(git show HEAD:"$f" 2>/dev/null | sed -n 's/.*"allocs_per_op": \([0-9][0-9]*\).*/\1/p' || true)"
-    NEW_B="$(bench_field "$f" bytes_per_op)"
-    NEW_A="$(bench_field "$f" allocs_per_op)"
-    if [ -z "$BASE_B" ] || [ -z "$BASE_A" ] || [ -z "$NEW_B" ] || [ -z "$NEW_A" ]; then
-        echo "  $f: no committed baseline"
-        continue
-    fi
-    printf '  %s: bytes/op %s -> %s (%+d), allocs/op %s -> %s (%+d)\n' \
-        "$f" "$BASE_B" "$NEW_B" "$((NEW_B - BASE_B))" "$BASE_A" "$NEW_A" "$((NEW_A - BASE_A))"
-done
-
 echo "==> fuzz smoke (${FUZZTIME} per target)"
-go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME" ./internal/bgp/wire
-go test -run '^$' -fuzz '^FuzzDecodeAttributes$' -fuzztime "$FUZZTIME" ./internal/bgp/wire
-go test -run '^$' -fuzz '^FuzzReadAll$' -fuzztime "$FUZZTIME" ./internal/bgp/mrt
-go test -run '^$' -fuzz '^FuzzDecodeArchive$' -fuzztime "$FUZZTIME" ./internal/durable
-go test -run '^$' -fuzz '^FuzzReadVRPCSV$' -fuzztime "$FUZZTIME" ./internal/rpki
-go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME" ./internal/scenario
+make -s fuzz FUZZTIME="$FUZZTIME"
 
 echo "==> admin endpoint smoke (collector -admin)"
 go build -o "$TMPDIR_SMOKE/collector" ./cmd/collector
@@ -357,7 +287,7 @@ COLLECTOR_PID=""
 echo "==> query daemon smoke (manrsd)"
 go build -o "$TMPDIR_SMOKE/manrsd" ./cmd/manrsd
 "$TMPDIR_SMOKE/manrsd" -scale small -listen 127.0.0.1:0 -admin 127.0.0.1:0 \
-    >"$TMPDIR_SMOKE/manrsd.log" 2>&1 &
+    -access-log-sample 1 >"$TMPDIR_SMOKE/manrsd.log" 2>&1 &
 MANRSD_PID=$!
 SERVE_ADDR=""
 for _ in $(seq 1 300); do
@@ -433,6 +363,20 @@ grep -q '"degraded": true' "$TMPDIR_SMOKE/scenario.json" || {
 grep -q '"invalid_to_valid_flips": 0' "$TMPDIR_SMOKE/scenario.json" || {
     echo "manrsd smoke: RP failure flipped Invalid to Valid (downgrade invariant violated):" >&2
     cat "$TMPDIR_SMOKE/scenario.json" >&2
+    exit 1
+}
+# End-to-end correlation: a client's trace ID must be greppable in the
+# access log and visible in the span tree.
+TRACE_ID=4bf92f3577b34da6a3ce929d0e0e4736
+curl -s -o /dev/null -H "traceparent: 00-$TRACE_ID-00f067aa0ba902b7-01" \
+    "http://$SERVE_ADDR/v1/stats"
+grep -q "trace=$TRACE_ID" "$TMPDIR_SMOKE/manrsd.log" || {
+    echo "manrsd smoke: trace $TRACE_ID missing from the access log" >&2
+    grep 'component=access' "$TMPDIR_SMOKE/manrsd.log" | head -3 >&2 || true
+    exit 1
+}
+curl -s "http://$MANRSD_ADMIN/debug/trace" | grep -q "$TRACE_ID" || {
+    echo "manrsd smoke: trace $TRACE_ID missing from /debug/trace" >&2
     exit 1
 }
 # The serving metrics must be exposed on the admin endpoint.
@@ -551,89 +495,6 @@ grep -q 'drained cleanly' "$TMPDIR_SMOKE/crash2.log" || {
     exit 1
 }
 
-echo "==> loadgen smoke (seeded workload, SLO gate, end-to-end trace correlation)"
-go build -o "$TMPDIR_SMOKE/loadgen" ./cmd/loadgen
-"$TMPDIR_SMOKE/manrsd" -scale small -listen 127.0.0.1:0 -admin 127.0.0.1:0 \
-    -access-log-sample 1 >"$TMPDIR_SMOKE/lg-manrsd.log" 2>&1 &
-MANRSD_PID=$!
-SERVE_ADDR=""
-for _ in $(seq 1 300); do
-    SERVE_ADDR="$(sed -n 's|.*serving conformance queries on http://||p' "$TMPDIR_SMOKE/lg-manrsd.log")"
-    [ -n "$SERVE_ADDR" ] && break
-    kill -0 "$MANRSD_PID" 2>/dev/null || {
-        echo "loadgen smoke: daemon exited early:" >&2
-        cat "$TMPDIR_SMOKE/lg-manrsd.log" >&2
-        exit 1
-    }
-    sleep 0.1
-done
-MANRSD_ADMIN="$(sed -n 's|.*admin endpoint on http://||p' "$TMPDIR_SMOKE/lg-manrsd.log")"
-if [ -z "$SERVE_ADDR" ] || [ -z "$MANRSD_ADMIN" ]; then
-    echo "loadgen smoke: daemon never logged serving/admin addresses" >&2
-    cat "$TMPDIR_SMOKE/lg-manrsd.log" >&2
-    exit 1
-fi
-# The seeded burst: closed loop, zipfian popularity, If-None-Match
-# revalidation driving the 304 path. The gates are part of the command:
-# -max-5xx 0 fails on any server error (503 shed excluded by design)
-# and -slo-p99 fails if the small world cannot answer under a deliber-
-# ately generous ceiling. 920 requests keep every span within the
-# daemon's default -trace-cap, so the first trace stays greppable.
-if ! BENCH_COMMIT="$BENCH_COMMIT" "$TMPDIR_SMOKE/loadgen" -base "http://$SERVE_ADDR" \
-    -seed 7 -workers 6 -warmup-requests 120 -requests 800 -asn-count 800 \
-    -revalidate 0.3 -slo-p99 2s -max-5xx 0 \
-    -bench-out BENCH_ServeLatency.json >"$TMPDIR_SMOKE/loadgen.out" 2>&1; then
-    echo "loadgen smoke: workload failed its gates:" >&2
-    cat "$TMPDIR_SMOKE/loadgen.out" >&2
-    exit 1
-fi
-cat "$TMPDIR_SMOKE/loadgen.out"
-[ -f BENCH_ServeLatency.json ] || { echo "loadgen smoke: BENCH_ServeLatency.json missing" >&2; exit 1; }
-# End-to-end correlation: the first trace ID minted by loadgen must be
-# observable in the daemon's access log AND its span tree.
-TRACE_ID="$(sed -n 's/^first traceparent trace_id=//p' "$TMPDIR_SMOKE/loadgen.out")"
-if [ -z "$TRACE_ID" ]; then
-    echo "loadgen smoke: no first-trace line in loadgen output" >&2
-    exit 1
-fi
-grep -q "trace=$TRACE_ID" "$TMPDIR_SMOKE/lg-manrsd.log" || {
-    echo "loadgen smoke: trace $TRACE_ID missing from the access log" >&2
-    grep 'component=access' "$TMPDIR_SMOKE/lg-manrsd.log" | head -3 >&2 || true
-    exit 1
-}
-curl -s -o "$TMPDIR_SMOKE/trace.tree" "http://$MANRSD_ADMIN/debug/trace"
-grep -q "$TRACE_ID" "$TMPDIR_SMOKE/trace.tree" || {
-    echo "loadgen smoke: trace $TRACE_ID missing from /debug/trace" >&2
-    head -5 "$TMPDIR_SMOKE/trace.tree" >&2 || true
-    exit 1
-}
-echo "loadgen smoke: trace $TRACE_ID correlated across access log and span tree"
-# The revalidation knob must actually exercise the 304 path.
-NOTMOD_PPM="$(bench_field BENCH_ServeLatency.json not_modified_ppm)"
-if [ "${NOTMOD_PPM:-0}" -lt 1 ]; then
-    echo "loadgen smoke: not_modified_ppm = ${NOTMOD_PPM:-absent}, want >= 1 (revalidation never hit)" >&2
-    exit 1
-fi
-# Latency trajectory vs the committed baseline (informational).
-for key in p50_ns p99_ns qps; do
-    BASE_V="$(git show HEAD:BENCH_ServeLatency.json 2>/dev/null | sed -n 's/.*"'"$key"'": \([0-9][0-9]*\).*/\1/p' || true)"
-    NEW_V="$(bench_field BENCH_ServeLatency.json "$key")"
-    if [ -n "$BASE_V" ] && [ -n "$NEW_V" ]; then
-        printf '  serve latency %s: %s -> %s (%+d)\n' "$key" "$BASE_V" "$NEW_V" "$((NEW_V - BASE_V))"
-    else
-        echo "  serve latency $key: no committed baseline"
-    fi
-done
-kill -TERM "$MANRSD_PID"
-LG_STATUS=0
-wait "$MANRSD_PID" || LG_STATUS=$?
-MANRSD_PID=""
-if [ "$LG_STATUS" != 0 ]; then
-    echo "loadgen smoke: daemon exited $LG_STATUS on SIGTERM" >&2
-    cat "$TMPDIR_SMOKE/lg-manrsd.log" >&2
-    exit 1
-fi
-
 echo "==> distributed serve tier smoke (3 replicas + manrs-gw, wire replication, ETag coherence, drain)"
 go build -o "$TMPDIR_SMOKE/manrs-gw" ./cmd/manrs-gw
 
@@ -660,17 +521,15 @@ wait_serve_addr() {
 }
 
 # Replicas 1 and 2 build the seed world locally.
-"$TMPDIR_SMOKE/manrsd" -scale small -listen 127.0.0.1:0 -access-log-sample 1 \
-    >"$TMPDIR_SMOKE/r1.log" 2>&1 &
+"$TMPDIR_SMOKE/manrsd" -scale small -listen 127.0.0.1:0 >"$TMPDIR_SMOKE/r1.log" 2>&1 &
 R1_PID=$!
-"$TMPDIR_SMOKE/manrsd" -scale small -listen 127.0.0.1:0 -access-log-sample 1 \
-    >"$TMPDIR_SMOKE/r2.log" 2>&1 &
+"$TMPDIR_SMOKE/manrsd" -scale small -listen 127.0.0.1:0 >"$TMPDIR_SMOKE/r2.log" 2>&1 &
 R2_PID=$!
 wait_serve_addr "$TMPDIR_SMOKE/r1.log" "$R1_PID" R1_ADDR
 wait_serve_addr "$TMPDIR_SMOKE/r2.log" "$R2_PID" R2_ADDR
 # Replica 3 is the lagging replica: with -peers it must catch up from
 # replica 1 over wire replication, never running a local build.
-"$TMPDIR_SMOKE/manrsd" -scale small -listen 127.0.0.1:0 -access-log-sample 1 \
+"$TMPDIR_SMOKE/manrsd" -scale small -listen 127.0.0.1:0 \
     -peers "http://$R1_ADDR" >"$TMPDIR_SMOKE/r3.log" 2>&1 &
 R3_PID=$!
 wait_serve_addr "$TMPDIR_SMOKE/r3.log" "$R3_PID" R3_ADDR
@@ -729,30 +588,6 @@ if [ "$GW_REVAL" != 304 ]; then
     exit 1
 fi
 echo "cluster smoke: ETag coherent across gateway and replicas (200 -> 304)"
-
-# Seeded burst through the gateway: zero 5xx allowed (503 shed
-# excluded), p99 under a generous ceiling, recorded as
-# BENCH_ClusterLatency.json for cross-commit comparison.
-if ! BENCH_COMMIT="$BENCH_COMMIT" "$TMPDIR_SMOKE/loadgen" -targets "http://$GW_ADDR" \
-    -seed 7 -workers 6 -warmup-requests 120 -requests 800 -asn-count 800 \
-    -revalidate 0.3 -slo-p99 2s -max-5xx 0 \
-    -bench-out BENCH_ClusterLatency.json -bench-name LoadgenClusterLatency \
-    >"$TMPDIR_SMOKE/cluster-loadgen.out" 2>&1; then
-    echo "cluster smoke: gateway workload failed its gates:" >&2
-    cat "$TMPDIR_SMOKE/cluster-loadgen.out" >&2
-    exit 1
-fi
-cat "$TMPDIR_SMOKE/cluster-loadgen.out"
-[ -f BENCH_ClusterLatency.json ] || { echo "cluster smoke: BENCH_ClusterLatency.json missing" >&2; exit 1; }
-for key in p50_ns p99_ns qps; do
-    BASE_V="$(git show HEAD:BENCH_ClusterLatency.json 2>/dev/null | sed -n 's/.*"'"$key"'": \([0-9][0-9]*\).*/\1/p' || true)"
-    NEW_V="$(bench_field BENCH_ClusterLatency.json "$key")"
-    if [ -n "$BASE_V" ] && [ -n "$NEW_V" ]; then
-        printf '  cluster latency %s: %s -> %s (%+d)\n' "$key" "$BASE_V" "$NEW_V" "$((NEW_V - BASE_V))"
-    else
-        echo "  cluster latency $key: no committed baseline"
-    fi
-done
 
 # SIGTERM replica 3: it must drain cleanly, the ring must converge on
 # the survivors, and the gateway must keep answering 200.
