@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet fuzz check bench
+.PHONY: build test race vet fuzz check bench reach
 
 build:
 	$(GO) build ./...
@@ -33,3 +33,8 @@ check:
 # (bench/README.md).
 bench:
 	$(GO) run ./bench
+
+# Advisory: each non-test func under internal/ that no command, example
+# or bench binary links (scripts/reach.sh).
+reach:
+	sh scripts/reach.sh

@@ -19,7 +19,6 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"manrsmeter/internal/bgp"
@@ -61,10 +60,6 @@ type Collector struct {
 	rib   *bgp.RIB
 
 	srv *netx.Server
-
-	// dumpSkipped counts routes skipped by DumpMRT because their peer
-	// registered after the dump's peer-table snapshot.
-	dumpSkipped atomic.Int64
 }
 
 // Option customizes a Collector.
@@ -191,15 +186,11 @@ func (c *Collector) Shutdown(ctx context.Context) error {
 	return c.srv.Shutdown(ctx)
 }
 
-// DumpSkipped reports how many routes DumpMRT has skipped because their
-// peer registered concurrently with a dump.
-func (c *Collector) DumpSkipped() int64 { return c.dumpSkipped.Load() }
-
 // DumpMRT writes the current RIB as a TABLE_DUMP_V2 snapshot stamped ts.
 // Peers may register and announce concurrently with a dump; routes whose
-// peer is not in this dump's peer table are skipped and counted (see
-// DumpSkipped) rather than aborting the snapshot — they appear in the
-// next dump.
+// peer is not in this dump's peer table are skipped and counted (in
+// collector_mrt_routes_skipped_total) rather than aborting the snapshot —
+// they appear in the next dump.
 func (c *Collector) DumpMRT(w interface{ Write([]byte) (int, error) }, ts time.Time) error {
 	c.mu.Lock()
 	peerASNs := make([]uint32, 0, len(c.peers))
@@ -247,7 +238,6 @@ func (c *Collector) DumpMRT(w interface{ Write([]byte) (int, error) }, ts time.T
 		for _, r := range routes {
 			idx, ok := peerIdx[r.PeerASN]
 			if !ok {
-				c.dumpSkipped.Add(1)
 				mMRTSkipped.Inc()
 				continue
 			}

@@ -60,15 +60,6 @@ func (r *Ring) SetMembers(members []string) {
 	r.mu.Unlock()
 }
 
-// Members returns the current member set, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
 // Len returns the current member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()

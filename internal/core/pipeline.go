@@ -111,13 +111,3 @@ func (p *Pipeline) CohortOf(asn uint32) Cohort {
 		Member: p.World.MANRS.IsMember(asn, p.AsOf),
 	}
 }
-
-// memberProgram returns the program an AS belongs to (valid only for
-// members).
-func (p *Pipeline) memberProgram(asn uint32) (manrs.Program, bool) {
-	part, ok := p.World.MANRS.Lookup(asn)
-	if !ok || part.Joined.After(p.AsOf) {
-		return 0, false
-	}
-	return part.Program, true
-}

@@ -55,8 +55,6 @@ type Database struct {
 	// objects retains every parsed object, including classes this package
 	// does not interpret, so snapshots round-trip losslessly.
 	objects []*rpsl.Object
-	// maintainers indexes mntner objects for update authorization.
-	maintainers map[string]*Maintainer
 }
 
 // NewDatabase returns an empty database named name (upper-cased, matching
@@ -91,13 +89,6 @@ func (db *Database) AddObject(o *rpsl.Object) error {
 		}
 		descr, _ := o.Get("descr")
 		db.routes = append(db.routes, RouteObject{Prefix: p, Origin: origin, Source: db.Name, Descr: descr})
-	case "mntner":
-		name := strings.ToUpper(o.Key())
-		var auths []string
-		for _, a := range o.GetAll("auth") {
-			auths = append(auths, a)
-		}
-		db.AddMaintainer(name, auths...)
 	case "as-set":
 		name := strings.ToUpper(o.Key())
 		set := &ASSet{Name: name, Source: db.Name}

@@ -63,6 +63,27 @@ func TestAddObjectErrors(t *testing.T) {
 	}
 }
 
+// A mntner object is retained verbatim, auth lines included, and adds
+// nothing the registry validates against.
+func TestMntnerObjectParsing(t *testing.T) {
+	db := NewDatabase("TEST")
+	if err := db.AddObject(obj("mntner", "MAINT-OBJ", "auth", "PLAIN-PW hunter2", "source", "TEST")); err != nil {
+		t.Fatal(err)
+	}
+	if db.NumObjects() != 1 || len(db.Routes()) != 0 {
+		t.Fatalf("objects = %d, routes = %d; want 1, 0", db.NumObjects(), len(db.Routes()))
+	}
+	var buf bytes.Buffer
+	if err := db.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"MAINT-OBJ", "PLAIN-PW hunter2"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("dump lost %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestRegistryValidate(t *testing.T) {
 	db := NewDatabase("RIPE")
 	db.AddRoute(netx.MustParsePrefix("10.0.0.0/16"), 64500)

@@ -80,18 +80,6 @@ func (s *IPSet4) IntersectSize(o *IPSet4) uint64 {
 	return n
 }
 
-// ContainsPrefix reports whether the entire prefix lies inside the set.
-func (s *IPSet4) ContainsPrefix(p Prefix) bool {
-	if !p.IsValid() || !p.Is4() {
-		return false
-	}
-	s.normalize()
-	lo := uint64(be32(p.Addr().As4()))
-	hi := lo + uint64(p.AddressCount())
-	i := sort.Search(len(s.ranges), func(i int) bool { return s.ranges[i].hi > lo })
-	return i < len(s.ranges) && s.ranges[i].lo <= lo && hi <= s.ranges[i].hi
-}
-
 func max64(a, b uint64) uint64 {
 	if a > b {
 		return a

@@ -92,18 +92,6 @@ func (p Prefix) Covers(o Prefix) bool {
 	return p.Bits() <= o.Bits() && p.p.Contains(o.p.Addr())
 }
 
-// MoreSpecificOf reports whether p is strictly more specific than o and
-// covered by it (longer length, same containing network).
-func (p Prefix) MoreSpecificOf(o Prefix) bool {
-	return o.Covers(p) && p.Bits() > o.Bits()
-}
-
-// ContainsAddr reports whether addr lies within p.
-func (p Prefix) ContainsAddr(addr netip.Addr) bool { return p.p.Contains(addr) }
-
-// Overlaps reports whether p and o share any address.
-func (p Prefix) Overlaps(o Prefix) bool { return p.p.Overlaps(o.p) }
-
 // Compare orders prefixes first by family (IPv4 before IPv6), then by
 // network address, then by length (shorter first). It is suitable for
 // slices.SortFunc.

@@ -79,20 +79,6 @@ func TestCovers(t *testing.T) {
 	}
 }
 
-func TestMoreSpecificOf(t *testing.T) {
-	a := MustParsePrefix("10.0.0.0/8")
-	b := MustParsePrefix("10.2.0.0/16")
-	if !b.MoreSpecificOf(a) {
-		t.Errorf("%s should be more specific of %s", b, a)
-	}
-	if a.MoreSpecificOf(b) {
-		t.Errorf("%s should not be more specific of %s", a, b)
-	}
-	if a.MoreSpecificOf(a) {
-		t.Error("a prefix is not strictly more specific than itself")
-	}
-}
-
 func TestAddressCount(t *testing.T) {
 	tests := []struct {
 		p    string

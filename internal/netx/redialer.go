@@ -1,7 +1,7 @@
 // redialer.go provides the client-side counterpart of the Server
 // harness: an exponential-backoff reconnecting dialer for feeds that
-// must survive a flapping or restarting remote (the BMP sender streaming
-// to a station, the RTR client refreshing from a cache).
+// must survive a flapping or restarting remote (the RTR client
+// refreshing from a cache).
 
 package netx
 
@@ -67,42 +67,6 @@ func (r *Redialer) dialOnce(ctx context.Context) (net.Conn, error) {
 	}
 	var d net.Dialer
 	return d.DialContext(ctx, "tcp", r.Addr)
-}
-
-// Connect dials until a connection is established, backing off
-// exponentially between failures. It returns the connection, or the
-// last dial error once ctx is done or MaxAttempts is exhausted.
-func (r *Redialer) Connect(ctx context.Context) (net.Conn, error) {
-	min, max := r.limits()
-	backoff := min
-	for attempt := 1; ; attempt++ {
-		mRedialAttempts.Inc()
-		conn, err := r.dialOnce(ctx)
-		if err == nil {
-			return conn, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if r.MaxAttempts > 0 && attempt >= r.MaxAttempts {
-			mRedialGiveUps.Inc()
-			return nil, fmt.Errorf("netx: giving up after %d dial attempts: %w", attempt, err)
-		}
-		mRedialRetries.Inc()
-		mRedialBackoff.Observe(backoff.Seconds())
-		if r.OnRetry != nil {
-			r.OnRetry(attempt, err, backoff)
-		}
-		if !sleepCtx(ctx, backoff) {
-			return nil, ctx.Err()
-		}
-		if backoff < max {
-			backoff *= 2
-			if backoff > max {
-				backoff = max
-			}
-		}
-	}
 }
 
 // Run maintains a session: it connects (with backoff), passes the

@@ -11,6 +11,8 @@ import (
 	"manrsmeter/internal/obsv"
 )
 
+// The Connect tests cover Run's dial phase: failures before any session.
+
 func TestRedialerConnectBacksOffThenSucceeds(t *testing.T) {
 	retriesBefore := obsv.Default().Value("netx_redial_retries_total")
 	var dials atomic.Int64
@@ -38,11 +40,9 @@ func TestRedialerConnectBacksOffThenSucceeds(t *testing.T) {
 		}
 	}()
 
-	conn, err := rd.Connect(context.Background())
-	if err != nil {
+	if err := rd.Run(context.Background(), func(context.Context, net.Conn) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
 	if dials.Load() != 3 {
 		t.Errorf("dials = %d, want 3", dials.Load())
 	}
@@ -60,8 +60,8 @@ func TestRedialerConnectMaxAttempts(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	if _, err := rd.Connect(context.Background()); err == nil {
-		t.Fatal("Connect should give up")
+	if err := rd.Run(context.Background(), func(context.Context, net.Conn) error { return nil }); err == nil {
+		t.Fatal("Run should give up")
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Error("gave up too slowly")
@@ -77,7 +77,7 @@ func TestRedialerConnectCtxCancel(t *testing.T) {
 			return nil, errors.New("down")
 		},
 	}
-	if _, err := rd.Connect(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if err := rd.Run(ctx, func(context.Context, net.Conn) error { return nil }); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ctx deadline", err)
 	}
 }

@@ -109,44 +109,6 @@ func (t *Trie[V]) Covering(dst []V, p Prefix) []V {
 	return dst
 }
 
-// LongestMatch returns the values at the most specific stored prefix
-// covering p, and whether one exists.
-func (t *Trie[V]) LongestMatch(p Prefix) ([]V, bool) {
-	if !p.IsValid() || p.Is6() != t.v6 {
-		return nil, false
-	}
-	var best []V
-	found := false
-	n := t.root
-	addr := p.Addr()
-	if n.has {
-		best, found = n.vals, true
-	}
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(addr, i)]
-		if n == nil {
-			break
-		}
-		if n.has {
-			best, found = n.vals, true
-		}
-	}
-	return best, found
-}
-
-// LongestMatchAddr is LongestMatch for a single address (host route query).
-func (t *Trie[V]) LongestMatchAddr(addr netip.Addr) ([]V, bool) {
-	bits := 32
-	if t.v6 {
-		bits = 128
-	}
-	p, err := PrefixFrom(addr, bits)
-	if err != nil {
-		return nil, false
-	}
-	return t.LongestMatch(p)
-}
-
 // Walk visits every stored prefix/value-list pair in lexicographic bit
 // order. Returning false from fn stops the walk early.
 func (t *Trie[V]) Walk(fn func(p Prefix, vals []V) bool) {
@@ -222,9 +184,6 @@ func (t *Table[V]) Exact(p Prefix) []V { return t.trieFor(p).Exact(p) }
 
 // Covering appends values of all stored prefixes covering p to dst.
 func (t *Table[V]) Covering(dst []V, p Prefix) []V { return t.trieFor(p).Covering(dst, p) }
-
-// LongestMatch returns the values at the most specific covering prefix.
-func (t *Table[V]) LongestMatch(p Prefix) ([]V, bool) { return t.trieFor(p).LongestMatch(p) }
 
 // Walk visits IPv4 entries then IPv6 entries.
 func (t *Table[V]) Walk(fn func(p Prefix, vals []V) bool) {

@@ -2,7 +2,6 @@ package netx
 
 import (
 	"math/rand"
-	"net/netip"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -68,27 +67,6 @@ func TestTrieCoveringNotFound(t *testing.T) {
 	tr.Insert(MustParsePrefix("10.0.0.0/8"), 1)
 	if got := tr.Covering(nil, MustParsePrefix("11.0.0.0/8")); got != nil {
 		t.Errorf("Covering of uncovered prefix = %v, want nil", got)
-	}
-}
-
-func TestTrieLongestMatch(t *testing.T) {
-	tr := NewTrie[string](false)
-	tr.Insert(MustParsePrefix("10.0.0.0/8"), "eight")
-	tr.Insert(MustParsePrefix("10.1.0.0/16"), "sixteen")
-	vals, ok := tr.LongestMatch(MustParsePrefix("10.1.2.0/24"))
-	if !ok || !slices.Equal(vals, []string{"sixteen"}) {
-		t.Errorf("LongestMatch = %v,%v", vals, ok)
-	}
-	vals, ok = tr.LongestMatch(MustParsePrefix("10.2.0.0/24"))
-	if !ok || !slices.Equal(vals, []string{"eight"}) {
-		t.Errorf("LongestMatch fallback = %v,%v", vals, ok)
-	}
-	if _, ok := tr.LongestMatch(MustParsePrefix("172.16.0.0/12")); ok {
-		t.Error("LongestMatch should miss")
-	}
-	vals, ok = tr.LongestMatchAddr(netip.MustParseAddr("10.1.9.9"))
-	if !ok || vals[0] != "sixteen" {
-		t.Errorf("LongestMatchAddr = %v,%v", vals, ok)
 	}
 }
 
@@ -160,10 +138,6 @@ func TestTableDualFamily(t *testing.T) {
 	tb.Walk(func(Prefix, []string) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("early-stop table walk visited %d, want 1", n)
-	}
-	vals, ok := tb.LongestMatch(MustParsePrefix("10.9.0.0/16"))
-	if !ok || vals[0] != "v4" {
-		t.Errorf("table LongestMatch = %v,%v", vals, ok)
 	}
 	if got := tb.Exact(MustParsePrefix("10.0.0.0/8")); !slices.Equal(got, []string{"v4"}) {
 		t.Errorf("table Exact = %v", got)

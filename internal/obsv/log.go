@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,38 +32,20 @@ func (l Level) String() string {
 	}
 }
 
-// ParseLevel maps a flag string to a Level (unknown strings read as
-// info).
-func ParseLevel(s string) Level {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug
-	case "warn", "warning":
-		return LevelWarn
-	case "error":
-		return LevelError
-	default:
-		return LevelInfo
-	}
-}
-
 // Logger writes leveled key=value records. Loggers derived with With
-// share the sink, mutex, and level, so one -log-level flag governs a
-// whole daemon. A nil *Logger drops everything, so components can take
-// an optional logger without conditionals.
+// share the sink, mutex, and level. A nil *Logger drops everything, so
+// components can take an optional logger without conditionals.
 type Logger struct {
 	mu        *sync.Mutex
 	w         io.Writer
-	level     *atomic.Int32
+	level     Level
 	component string
 	clock     func() time.Time // test hook; nil means time.Now
 }
 
 // NewLogger returns a logger writing to w at the given level.
 func NewLogger(w io.Writer, level Level) *Logger {
-	l := &Logger{mu: &sync.Mutex{}, w: w, level: &atomic.Int32{}}
-	l.level.Store(int32(level))
-	return l
+	return &Logger{mu: &sync.Mutex{}, w: w, level: level}
 }
 
 // With returns a logger scoped to a component; records carry
@@ -82,24 +63,14 @@ func (l *Logger) With(component string) *Logger {
 	return &scoped
 }
 
-// SetLevel adjusts the shared level for this logger and everything
-// derived from it.
-func (l *Logger) SetLevel(level Level) {
-	if l == nil {
-		return
-	}
-	l.level.Store(int32(level))
-}
-
 // Enabled reports whether records at level would be written.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= Level(l.level.Load())
+	return l != nil && level >= l.level
 }
 
-// Debug/Info/Warn/Error write one record at that severity. kv are
+// Info/Warn/Error write one record at that severity. kv are
 // alternating key, value pairs; values are formatted with %v and
 // quoted when they contain spaces.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
 func (l *Logger) Info(msg string, kv ...any)  { l.log(LevelInfo, msg, kv) }
 func (l *Logger) Warn(msg string, kv ...any)  { l.log(LevelWarn, msg, kv) }
 func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }

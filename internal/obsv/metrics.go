@@ -320,11 +320,6 @@ func (r *Registry) Summary(name, help string, kv ...string) *QuantileHistogram {
 	return r.register(name, help, kindSummary, nil, kv).q
 }
 
-// NewSummary registers a summary on the Default registry.
-func NewSummary(name, help string, kv ...string) *QuantileHistogram {
-	return Default().Summary(name, help, kv...)
-}
-
 // OnScrape registers f to run at the top of every WritePrometheus
 // call, before the metric snapshot is taken. Scrape hooks let samplers
 // of external state (runtime stats, say) pay their cost only when a

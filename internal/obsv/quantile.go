@@ -9,7 +9,6 @@
 package obsv
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -135,34 +134,6 @@ func (h *QuantileHistogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Merge folds other's buckets into h. Both histograms must share a
-// layout (same min/max/relErr); Merge returns an error otherwise, so
-// per-worker or per-replica histograms record without contention and
-// fold exactly afterwards.
-func (h *QuantileHistogram) Merge(other *QuantileHistogram) error {
-	if h == nil || other == nil {
-		return nil
-	}
-	if h.min != other.min || h.gamma != other.gamma || len(h.counts) != len(other.counts) {
-		return fmt.Errorf("obsv: merging quantile histograms with different layouts")
-	}
-	var total int64
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-			total += n
-		}
-	}
-	h.count.Add(total)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + other.Sum())
-		if h.sumBits.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
 }
 
 // Quantile returns the estimated q-quantile (0 ≤ q ≤ 1) of everything

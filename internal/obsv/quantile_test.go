@@ -144,37 +144,6 @@ func TestQuantileConcurrentRecording(t *testing.T) {
 	}
 }
 
-// TestQuantileMerge checks per-worker histograms fold into one whose
-// quantiles match observing everything centrally.
-func TestQuantileMerge(t *testing.T) {
-	total := NewLatencyQuantiles()
-	merged := NewLatencyQuantiles()
-	rng := rand.New(rand.NewSource(3))
-	for w := 0; w < 4; w++ {
-		part := NewLatencyQuantiles()
-		for i := 0; i < 5000; i++ {
-			v := 1e-5 * (1 + rng.Float64()*100)
-			part.Observe(v)
-			total.Observe(v)
-		}
-		if err := merged.Merge(part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if merged.Count() != total.Count() {
-		t.Fatalf("merged count = %d, want %d", merged.Count(), total.Count())
-	}
-	for _, q := range SLOQuantiles {
-		if m, c := merged.Quantile(q), total.Quantile(q); m != c {
-			t.Errorf("p%g: merged %g != central %g", q*100, m, c)
-		}
-	}
-	other := NewQuantileHistogram(1, 10, 0.1)
-	if err := merged.Merge(other); err == nil {
-		t.Error("merging mismatched layouts should fail")
-	}
-}
-
 // TestSummaryExposition pins the Prometheus summary rendering: quantile
 // label series, _sum, _count, and the summary TYPE comment.
 func TestSummaryExposition(t *testing.T) {

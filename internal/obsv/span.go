@@ -257,25 +257,3 @@ func (t *Tracer) WriteTree(w io.Writer) error {
 	}
 	return render(0, 0)
 }
-
-// WriteLog renders the flat event log, one "span" line per record in
-// start order — the machine-greppable export.
-func (t *Tracer) WriteLog(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	for _, e := range t.Events() {
-		wall := "open"
-		if !e.End.IsZero() {
-			wall = e.Wall().Round(time.Microsecond).String()
-		}
-		line := fmt.Sprintf("span id=%d parent=%d name=%s wall=%s", e.ID, e.Parent, e.Name, wall)
-		for _, a := range e.Attrs {
-			line += " " + a.Key + "=" + a.Value
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -4,12 +4,11 @@
 // slots, so every user of this package is deterministic by construction —
 // worker count changes scheduling, never output.
 //
-// The context-aware variants (ForEachCtx, ForEachErrCtx) add the failure
-// semantics long-running pipelines need: workers stop dispatching new
-// items once the context is done, and a panic in any item is recovered
-// into a per-index PanicError instead of crashing the process. Error
-// selection is by lowest index, so the reported failure is deterministic
-// regardless of scheduling.
+// ForEachCtx and ForEachErrCtx carry the failure semantics long-running
+// pipelines need: workers stop dispatching new items once the context is
+// done, and a panic in any item is recovered into a per-index PanicError
+// instead of crashing the process. Error selection is by lowest index, so
+// the reported failure is deterministic regardless of scheduling.
 package parallel
 
 import (
@@ -74,63 +73,12 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// ForEach invokes fn(i) for every i in [0, n) using at most workers
-// goroutines (≤ 0 means GOMAXPROCS). It returns when every call has
-// completed. fn must write any results into per-index storage; ForEach
-// itself imposes no ordering between calls.
-func ForEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	// One batched add keeps the hot loop free of per-item accounting.
-	mTasksDispatched.Add(int64(n))
-	workers = Workers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForEachErr is ForEach for fallible work: it runs fn(i) for every i in
-// [0, n) and returns the error from the lowest index that failed (so the
-// reported error is deterministic regardless of scheduling). All items
-// run even when some fail; fn must tolerate that.
-func ForEachErr(n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	ForEach(n, workers, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForEachCtx is ForEach with cancellation and panic isolation: workers
-// check ctx between items and stop dispatching new ones once it is done
-// (items already started run to completion), and a panicking item is
-// recovered into a *PanicError instead of crashing the process.
+// ForEachCtx invokes fn(i) for every i in [0, n) using at most workers
+// goroutines (≤ 0 means GOMAXPROCS). fn must write any results into
+// per-index storage; no ordering between calls is imposed. Workers check
+// ctx between items and stop dispatching new ones once it is done (items
+// already started run to completion), and a panicking item is recovered
+// into a *PanicError instead of crashing the process.
 //
 // The returned error is deterministic: the *PanicError of the lowest
 // index that panicked, else the context's cancellation cause when not

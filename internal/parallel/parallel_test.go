@@ -29,7 +29,9 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 0} {
 		const n = 1000
 		counts := make([]atomic.Int32, n)
-		ForEach(n, workers, func(i int) { counts[i].Add(1) })
+		if err := ForEachCtx(context.Background(), n, workers, func(i int) { counts[i].Add(1) }); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
@@ -40,8 +42,11 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachEmpty(t *testing.T) {
 	ran := false
-	ForEach(0, 4, func(int) { ran = true })
-	ForEach(-5, 4, func(int) { ran = true })
+	for _, n := range []int{0, -5} {
+		if err := ForEachCtx(context.Background(), n, 4, func(int) { ran = true }); err != nil {
+			t.Errorf("n=%d: %v", n, err)
+		}
+	}
 	if ran {
 		t.Error("fn ran for empty index space")
 	}
@@ -50,7 +55,7 @@ func TestForEachEmpty(t *testing.T) {
 func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
 	for _, workers := range []int{1, 4} {
-		err := ForEachErr(10, workers, func(i int) error {
+		err := ForEachErrCtx(context.Background(), 10, workers, func(i int) error {
 			switch i {
 			case 7:
 				return errA
@@ -63,7 +68,7 @@ func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 			t.Errorf("workers=%d: err = %v, want error from index 3", workers, err)
 		}
 	}
-	if err := ForEachErr(10, 4, func(int) error { return nil }); err != nil {
+	if err := ForEachErrCtx(context.Background(), 10, 4, func(int) error { return nil }); err != nil {
 		t.Errorf("unexpected error: %v", err)
 	}
 }

@@ -262,11 +262,6 @@ func (r *Repository) NumROAs() int { return len(r.roas) }
 // shared with the repository; callers must treat it as read-only.
 func (r *Repository) ROAs() []*ROA { return r.roas }
 
-// Certs returns the published certificates in publication order. The
-// slice is shared with the repository; callers must treat it as
-// read-only.
-func (r *Repository) Certs() []*Certificate { return r.certs }
-
 // ReplaceROA swaps the i'th published ROA in place. Scenario forks use
 // it to re-home ROAs under a different (e.g. expired) issuing CA
 // without perturbing publication order.
@@ -357,9 +352,8 @@ func NewRelyingPartyMemo(memo *VerdictMemo, anchors ...*Certificate) (*RelyingPa
 // window check out, and its prefixes are covered by the signer's
 // resources.
 //
-// The run has two phases. The certificate walk is serial: its cycle
-// marker and provisional rejections are order-dependent state, over the
-// few objects a repository's CAs amount to. It ends in a table of valid
+// The run has two phases. The certificate walk is serial, over the few
+// objects a repository's CAs amount to. It ends in a table of valid
 // signers that nothing writes again, so the ROA checks — where the
 // signatures are — fan out over workers goroutines (≤ 0 means one per
 // CPU), each into its own slot, and are merged in publication order: the
@@ -408,78 +402,56 @@ func (rp *RelyingParty) Run(ctx context.Context, repo *Repository, workers int) 
 	return vrps, stats, nil
 }
 
-// validSigners is the serial phase of Run: it walks every published
-// certificate's chain and returns, by subject name, the certificates that
-// may sign at now — a valid anchor first, then valid published
-// candidates in publication order — with the certificate counts.
-func (rp *RelyingParty) validSigners(repo *Repository, now time.Time) (map[string][]*Certificate, ValidationStats) {
-	var stats ValidationStats
+// maxChainDepth is how many issuances below its trust anchor a
+// certificate may sit: the anchor is depth 0, a certificate it issued
+// depth 1. No real chain comes close; the cap bounds a hostile one.
+const maxChainDepth = 33
 
-	// Index published certificates by subject. Duplicate subjects keep
-	// every candidate; a chain is valid if any candidate validates.
-	bySubject := make(map[string][]*Certificate)
-	for _, c := range repo.certs {
-		bySubject[c.SubjectName] = append(bySubject[c.SubjectName], c)
+// validSigners is the serial phase of Run: it derives, top-down from the
+// valid anchors, the certificates that may sign at now and returns them
+// by subject name — a valid anchor first, then valid published candidates
+// in publication order — with the certificate counts.
+//
+// The derivation is breadth-first over an issuer→children index, so a
+// certificate's depth is that of its shortest valid chain and its verdict
+// depends on the chains alone, never on publication order: a renewal or
+// cross-signing diamond validates through whichever issuer verifies, a
+// cycle with no path to an anchor is never reached, and a certificate
+// more than maxChainDepth issuances below its anchor is never accepted.
+func (rp *RelyingParty) validSigners(repo *Repository, now time.Time) (map[string][]*Certificate, ValidationStats) {
+	inWindow := func(c *Certificate) bool { return !now.Before(c.NotBefore) && !now.After(c.NotAfter) }
+
+	names := make([]string, 0, len(rp.anchors))
+	for name := range rp.anchors {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	valid := make(map[*Certificate]bool)
+	signers := make(map[string][]*Certificate)
+	var level []*Certificate
+	for _, name := range names {
+		a := rp.anchors[name]
+		if rp.memo.verify(a.PublicKey, a.payload(), a.Signature) && inWindow(a) {
+			valid[a] = true
+			signers[name] = []*Certificate{a}
+			level = append(level, a)
+		}
 	}
 
-	// Chain validation memo. Three settled states plus a "visiting"
-	// marker for cycle breaking. A rejection derived while an ancestor
-	// was still being visited is provisional — the ancestor may yet
-	// validate through a different candidate issuer — so only settled
-	// verdicts are cached. Without this, the verdict for a certificate
-	// inside a renewal/cross-signing diamond depended on repository
-	// publication order: an expired sibling evaluated first could poison
-	// a genuinely valid chain into permanent rejection (and with it every
-	// dependent ROA). Unsettled rejections are re-derived on later
-	// queries; the depth cap bounds the re-walk.
-	const (
-		certVisiting = iota + 1
-		certValid
-		certInvalid
-	)
-	state := make(map[*Certificate]uint8)
-	var validCert func(c *Certificate, depth int) (valid, settled bool)
-	validCert = func(c *Certificate, depth int) (bool, bool) {
-		switch state[c] {
-		case certValid:
-			return true, true
-		case certInvalid:
-			return false, true
-		case certVisiting:
-			// Cycle: this path fails, but the verdict is not settled —
-			// the certificate may validate through another chain.
-			return false, false
+	// A published anchor is settled above, valid or not; every other
+	// certificate is a candidate child of each certificate its issuer
+	// names, duplicate subjects included.
+	children := make(map[string][]*Certificate)
+	for _, c := range repo.certs {
+		if rp.anchors[c.SubjectName] != c {
+			children[c.IssuerName] = append(children[c.IssuerName], c)
 		}
-		if depth > 32 { // defensive: no real chain is this deep
-			return false, false
-		}
-		state[c] = certVisiting
-		valid, settled := func() (bool, bool) {
-			if now.Before(c.NotBefore) || now.After(c.NotAfter) {
-				return false, true
-			}
-			if anchor, isAnchor := rp.anchors[c.SubjectName]; isAnchor && anchor == c {
-				return rp.memo.verify(c.PublicKey, c.payload(), c.Signature), true
-			}
-			// Find a valid issuer: trust anchor first, then published CAs.
-			var issuers []*Certificate
-			if a, okA := rp.anchors[c.IssuerName]; okA {
-				issuers = append(issuers, a)
-			}
-			issuers = append(issuers, bySubject[c.IssuerName]...)
-			settled := true
-			for _, iss := range issuers {
-				if iss == c {
-					continue
-				}
-				issValid, issSettled := validCert(iss, depth+1)
-				if !issValid {
-					if !issSettled {
-						settled = false
-					}
-					continue
-				}
-				if !rp.memo.verify(iss.PublicKey, c.payload(), c.Signature) {
+	}
+	for depth := 1; depth <= maxChainDepth && len(level) > 0; depth++ {
+		var next []*Certificate
+		for _, iss := range level {
+			for _, c := range children[iss.SubjectName] {
+				if valid[c] || !inWindow(c) || !rp.memo.verify(iss.PublicKey, c.payload(), c.Signature) {
 					continue
 				}
 				covered := true
@@ -490,38 +462,17 @@ func (rp *RelyingParty) validSigners(repo *Repository, now time.Time) (map[strin
 					}
 				}
 				if covered {
-					return true, true
+					valid[c] = true
+					next = append(next, c)
 				}
 			}
-			return false, settled
-		}()
-		switch {
-		case valid:
-			state[c] = certValid
-		case settled:
-			state[c] = certInvalid
-		default:
-			delete(state, c) // provisional rejection: leave open for re-derivation
 		}
-		return valid, settled
+		level = next
 	}
 
-	// Anchors validate themselves.
-	signers := make(map[string][]*Certificate)
-	for name, a := range rp.anchors {
-		if rp.memo.verify(a.PublicKey, a.payload(), a.Signature) &&
-			!now.Before(a.NotBefore) && !now.After(a.NotAfter) {
-			state[a] = certValid
-			signers[name] = append(signers[name], a)
-		} else {
-			state[a] = certInvalid
-		}
-	}
-
-	// A certificate's verdict is the one its own walk from the top
-	// reaches, with nothing above it being visited.
+	var stats ValidationStats
 	for _, c := range repo.certs {
-		if valid, _ := validCert(c, 0); valid {
+		if valid[c] {
 			stats.CertsValid++
 			signers[c.SubjectName] = append(signers[c.SubjectName], c)
 		} else {

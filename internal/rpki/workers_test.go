@@ -5,6 +5,8 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,11 +17,13 @@ import (
 // several workers are checking them at once: the cross-signed diamond in
 // its poisoning order, a cycle with no path to the anchor, a subject
 // with an expired and a live certificate, a live certificate under an
-// expired intermediate, a certificate whose public key is too short, and
-// a sound ISP every third ROA of which was altered after signing. It
-// returns the repository, its anchor and the number of ROAs that must
-// validate.
-func hostileRepo(t *testing.T, perSigner int) (*Repository, *Certificate, int) {
+// expired intermediate, a certificate whose public key is too short, a
+// sound ISP every third ROA of which was altered after signing, and two
+// straight chains whose deepest CA sits 33 and 34 issuances below the
+// anchor, published from the anchor down or, with bottomUp, from the
+// deepest CA up. It returns the repository, its anchor and the number of
+// ROAs that must validate.
+func hostileRepo(t *testing.T, perSigner int, bottomUp bool) (*Repository, *Certificate, int) {
 	t.Helper()
 	all := prefixes("10.0.0.0/8")
 	ta := newAnchor(t, RIPE, "10.0.0.0/8")
@@ -31,6 +35,15 @@ func hostileRepo(t *testing.T, perSigner int) (*Repository, *Certificate, int) {
 		return sub
 	}
 	expiry := tEval.AddDate(0, -1, 0)
+	var chainCerts []*Certificate
+	chain := func(depth int) *CA {
+		ca := ta
+		for d := 1; d <= depth; d++ {
+			ca = issue(ca, fmt.Sprintf("DEEP%d-%d", depth, d), t1)
+			chainCerts = append(chainCerts, ca.Cert)
+		}
+		return ca
+	}
 
 	b2 := issue(ta, "IB", t1)
 	sa := issue(b2, "SA", t1)
@@ -47,9 +60,13 @@ func hostileRepo(t *testing.T, perSigner int) (*Repository, *Certificate, int) {
 	short := &Certificate{SubjectName: "SHORT", IssuerName: "RIPE", PublicKey: make(ed25519.PublicKey, 16), Resources: all, NotBefore: t0, NotAfter: t1}
 	short.Signature = ed25519.Sign(ta.key, short.payload())
 	isp := issue(ta, "ISP", t1)
+	deep33, deep34 := chain(33), chain(34)
+	if bottomUp {
+		slices.Reverse(chainCerts)
+	}
 
 	repo := &Repository{}
-	for _, c := range []*Certificate{sa.Cert, b1.Cert, b2.Cert, x, y, dupOld.Cert, dupNew.Cert, leaf.Cert, mid.Cert, short, isp.Cert} {
+	for _, c := range append([]*Certificate{sa.Cert, b1.Cert, b2.Cert, x, y, dupOld.Cert, dupNew.Cert, leaf.Cert, mid.Cert, short, isp.Cert}, chainCerts...) {
 		repo.AddCert(c)
 	}
 	want := 0
@@ -57,7 +74,7 @@ func hostileRepo(t *testing.T, perSigner int) (*Repository, *Certificate, int) {
 		ca    *CA
 		valid bool
 	}{{b1, true}, {b2, true}, {sa, true}, {&CA{Cert: x, key: donor.key}, false}, {dupOld, false}, {dupNew, true},
-		{leaf, false}, {&CA{Cert: short, key: ta.key}, false}, {isp, true}, {ta, true}} {
+		{leaf, false}, {&CA{Cert: short, key: ta.key}, false}, {isp, true}, {ta, true}, {deep33, true}, {deep34, false}} {
 		for i := 0; i < perSigner; i++ {
 			roa, err := signer.ca.SignROA(uint32(64500+i), []ROAPrefix{{Prefix: pfx(fmt.Sprintf("10.%d.%d.0/24", s, i)), MaxLength: 24}}, t0, t1)
 			if err != nil {
@@ -80,16 +97,42 @@ func hostileRepo(t *testing.T, perSigner int) (*Repository, *Certificate, int) {
 // serially and at 8 workers, with a memo and without.
 func TestHostileRepositoryAtEveryWorkerCount(t *testing.T) {
 	const perSigner = 40
-	repo, anchor, want := hostileRepo(t, perSigner)
+	repo, anchor, want := hostileRepo(t, perSigner, false)
 	vrps, stats := runWarmAndCold(t, NewVerdictMemo(1024), repo, tEval, 0, anchor)
-	if len(vrps) != want || stats.ROAsValid != want || stats.ROAsRejected != 10*perSigner-want {
-		t.Fatalf("%d VRPs, stats %+v; want %d valid ROAs of %d", len(vrps), stats, want, 10*perSigner)
+	if len(vrps) != want || stats.ROAsValid != want || stats.ROAsRejected != repo.NumROAs()-want {
+		t.Fatalf("%d VRPs, stats %+v; want %d valid ROAs of %d", len(vrps), stats, want, repo.NumROAs())
 	}
-	// Valid: both IB certificates, SA, the live DUP, ISP. Rejected: the
-	// cycle, the expired DUP, MID and LEAF under it. SHORT is validly
-	// signed; it is what SHORT signs that fails.
-	if stats.CertsValid != 6 || stats.CertsRejected != 5 {
-		t.Fatalf("certificate stats %+v, want 6 valid and 5 rejected", stats)
+	// Valid: both IB certificates, SA, the live DUP, ISP, SHORT, and the
+	// first 33 CAs of each deep chain. Rejected: the cycle, the expired
+	// DUP, MID and LEAF under it, and the 34th CA of the deeper chain.
+	// SHORT is validly signed; it is what SHORT signs that fails.
+	if stats.CertsValid != 6+33+33 || stats.CertsRejected != 5+1 {
+		t.Fatalf("certificate stats %+v, want %d valid and %d rejected", stats, 6+33+33, 5+1)
+	}
+}
+
+// The depth cap counts issuances below the anchor along the shortest
+// valid chain, so the order certificates were published in cannot move
+// it: a CA 33 below the anchor signs valid ROAs and one 34 below is
+// rejected with everything it signed, whether its chain is published
+// from the anchor down or from the deepest CA up, at 1 and 8 workers,
+// memo warm and cold.
+func TestChainDepthCapIndependentOfOrder(t *testing.T) {
+	const perSigner = 3
+	var firstVRPs []VRP
+	var firstStats ValidationStats
+	for _, bottomUp := range []bool{false, true} {
+		repo, anchor, want := hostileRepo(t, perSigner, bottomUp)
+		vrps, stats := runWarmAndCold(t, NewVerdictMemo(1024), repo, tEval, 0, anchor)
+		if len(vrps) != want || stats.CertsValid != 6+33+33 || stats.CertsRejected != 5+1 {
+			t.Fatalf("bottomUp=%v: %d VRPs, stats %+v; want %d VRPs, %d certificates valid and %d rejected",
+				bottomUp, len(vrps), stats, want, 6+33+33, 5+1)
+		}
+		if !bottomUp {
+			firstVRPs, firstStats = vrps, stats
+		} else if !reflect.DeepEqual(vrps, firstVRPs) || stats != firstStats {
+			t.Fatalf("bottom-up publication: %d VRPs %+v; top-down: %d VRPs %+v", len(vrps), stats, len(firstVRPs), firstStats)
+		}
 	}
 }
 
@@ -112,7 +155,7 @@ func (c *cancelAfter) Err() error {
 // it did reach would read as "no ROA covers this route" for the rest.
 // What it verified stays in the memo, and the next run is whole.
 func TestCancelledRunYieldsNoVRPs(t *testing.T) {
-	repo, anchor, want := hostileRepo(t, 20)
+	repo, anchor, want := hostileRepo(t, 20, false)
 	for _, workers := range []int{1, 8} {
 		for _, after := range []int64{0, 1, 57, int64(repo.NumROAs()) - 1} {
 			memo := NewVerdictMemo(1024)

@@ -109,10 +109,8 @@ func (e *ParseError) Error() string { return fmt.Sprintf("rpsl: line %d: %s", e.
 
 // Parser streams objects from an RPSL database dump.
 type Parser struct {
-	sc   *bufio.Scanner
-	line int
-	// peeked holds a line pushed back by the object reader.
-	peeked  *string
+	sc      *bufio.Scanner
+	line    int
 	lastErr error
 }
 
@@ -125,11 +123,6 @@ func NewParser(r io.Reader) *Parser {
 }
 
 func (p *Parser) nextLine() (string, bool) {
-	if p.peeked != nil {
-		l := *p.peeked
-		p.peeked = nil
-		return l, true
-	}
 	if !p.sc.Scan() {
 		p.lastErr = p.sc.Err()
 		return "", false
@@ -137,8 +130,6 @@ func (p *Parser) nextLine() (string, bool) {
 	p.line++
 	return p.sc.Text(), true
 }
-
-func (p *Parser) pushBack(l string) { p.peeked = &l }
 
 // stripComment removes a trailing "#..." comment. RPSL has no quoting
 // construct that protects '#', so a bare scan is correct.

@@ -12,16 +12,10 @@ package serve
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"manrsmeter/internal/durable"
 	"manrsmeter/internal/ihr"
 )
-
-// durableKey is the archive slot for a date under this store's world.
-func (s *Store) durableKey(date time.Time) durable.Key {
-	return durable.Key{Fingerprint: s.world.Fingerprint(), Date: date}
-}
 
 // snapshotData extracts the durable subset of snap: the expensive
 // dataset state and the validation registries. Everything else is

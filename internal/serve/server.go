@@ -138,9 +138,6 @@ func NewServer(store *Store, opts Options) *Server {
 	}
 }
 
-// Store exposes the underlying snapshot store (admin health probes).
-func (s *Server) Store() *Store { return s.store }
-
 // Handler returns the serving mux, so tests (and embedders) can drive
 // it without a socket.
 func (s *Server) Handler() http.Handler {

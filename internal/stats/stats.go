@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the analysis
-// pipeline needs: empirical CDFs, percentiles, summary moments, and
-// fixed-width table rendering for the report harness. Everything operates
-// on float64 slices and is deterministic.
+// pipeline needs: empirical CDFs, percentiles, plain and trimmed means,
+// sparklines and fixed-width table rendering for the report harness.
+// Everything operates on float64 slices and is deterministic.
 package stats
 
 import (
@@ -91,30 +91,6 @@ func (c *CDF) Max() float64 {
 	return c.sorted[len(c.sorted)-1]
 }
 
-// Points returns up to k evenly spaced (x, F(x)) pairs suitable for
-// plotting or textual rendering of the CDF curve.
-func (c *CDF) Points(k int) []Point {
-	n := len(c.sorted)
-	if n == 0 || k <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	if k == 1 {
-		return []Point{{X: c.sorted[n-1], Y: 1}}
-	}
-	pts := make([]Point, 0, k)
-	for i := 0; i < k; i++ {
-		idx := (i * (n - 1)) / (k - 1)
-		pts = append(pts, Point{X: c.sorted[idx], Y: float64(idx+1) / float64(n)})
-	}
-	return pts
-}
-
-// Point is an (x, y) pair on a curve.
-type Point struct{ X, Y float64 }
-
 // Mean returns the arithmetic mean of xs, or NaN when empty.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -123,22 +99,6 @@ func Mean(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or NaN for fewer than
-// one element. The paper reports population variance for IRR propagation
-// spread (§9.2), so that is what we compute.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
 	}
 	return s / float64(len(xs))
 }
@@ -201,9 +161,6 @@ func (t *Table) AddRowf(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with two-space gutters and a dashed rule under
 // the header.

@@ -55,9 +55,6 @@ func TestCDFEmpty(t *testing.T) {
 	if !math.IsNaN(c.Quantile(0.5)) || !math.IsNaN(c.Min()) || !math.IsNaN(c.Max()) {
 		t.Error("empty CDF quantile/min/max should be NaN")
 	}
-	if c.Points(5) != nil {
-		t.Error("empty CDF Points should be nil")
-	}
 }
 
 func TestQuantile(t *testing.T) {
@@ -78,47 +75,12 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("Points(5) len = %d", len(pts))
-	}
-	if pts[0].X != 1 || pts[len(pts)-1].X != 10 {
-		t.Errorf("Points endpoints = %v", pts)
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Errorf("last point Y = %g, want 1", pts[len(pts)-1].Y)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Y < pts[i-1].Y || pts[i].X < pts[i-1].X {
-			t.Errorf("Points not monotone: %v", pts)
-		}
-	}
-	one := c.Points(1)
-	if len(one) != 1 || one[0].Y != 1 {
-		t.Errorf("Points(1) = %v", one)
-	}
-	if got := c.Points(100); len(got) != 10 {
-		t.Errorf("Points(100) len = %d, want clamped 10", len(got))
-	}
-}
-
-func TestMeanVariance(t *testing.T) {
+func TestMean(t *testing.T) {
 	if m := Mean([]float64{2, 4, 6}); m != 4 {
 		t.Errorf("Mean = %g", m)
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
-	}
-	if v := Variance([]float64{2, 4, 6}); math.Abs(v-8.0/3.0) > 1e-12 {
-		t.Errorf("Variance = %g", v)
-	}
-	if v := Variance([]float64{5}); v != 0 {
-		t.Errorf("Variance single = %g", v)
-	}
-	if !math.IsNaN(Variance(nil)) {
-		t.Error("Variance(nil) should be NaN")
 	}
 }
 
@@ -168,9 +130,6 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(lines[3], "3.14") {
 		t.Errorf("float row = %q", lines[3])
-	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
 	}
 	// No trailing spaces on any line.
 	for _, l := range lines {

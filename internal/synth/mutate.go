@@ -14,7 +14,6 @@ import (
 	"sort"
 	"time"
 
-	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/rpki"
 )
@@ -131,22 +130,6 @@ func (w *World) AddOrigination(asn uint32, p netx.Prefix) error {
 	return nil
 }
 
-// RemoveOrigination withdraws p from asn's announcements. Removing a
-// prefix the AS does not announce is a no-op.
-func (w *World) RemoveOrigination(asn uint32, p netx.Prefix) {
-	cur := w.allPrefixes[asn]
-	for i, q := range cur {
-		if q == p {
-			next := make([]netx.Prefix, 0, len(cur)-1)
-			next = append(next, cur[:i]...)
-			next = append(next, cur[i+1:]...)
-			w.allPrefixes[asn] = next
-			w.mutated()
-			return
-		}
-	}
-}
-
 // PublishROA signs and publishes a new ROA under the RIR's trust
 // anchor (a scenario injection: an AS0 or wrong-origin hijack ROA, or a
 // Reuter anchor authorization). The validity window is the caller's —
@@ -251,31 +234,4 @@ func (w *World) RehomeROAs(r rpki.RIR, frac float64, certNotBefore, certNotAfter
 		w.mutated()
 	}
 	return moved, nil
-}
-
-// ScenarioOriginations reports the originations present in this world
-// but absent from base — the announcements a scenario injected. Both
-// worlds must share ancestry (the comparison is by allPrefixes
-// membership).
-func (w *World) ScenarioOriginations(base *World) []astopo.Origination {
-	var out []astopo.Origination
-	for asn, ps := range w.allPrefixes {
-		basePs := base.allPrefixes[asn]
-		in := make(map[netx.Prefix]bool, len(basePs))
-		for _, p := range basePs {
-			in[p] = true
-		}
-		for _, p := range ps {
-			if !in[p] {
-				out = append(out, astopo.Origination{Prefix: p, Origin: asn})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Origin != out[j].Origin {
-			return out[i].Origin < out[j].Origin
-		}
-		return out[i].Prefix.Compare(out[j].Prefix) < 0
-	})
-	return out
 }

@@ -1,9 +1,11 @@
 package synth
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/rpki"
 )
@@ -61,6 +63,9 @@ func TestForkIsolation(t *testing.T) {
 	if len(forkOrigs) != len(baseOrigs)+1 {
 		t.Fatalf("fork originations %d, want base+1 = %d", len(forkOrigs), len(baseOrigs)+1)
 	}
+	if !slices.Contains(forkOrigs, astopo.Origination{Prefix: hijack, Origin: victim}) {
+		t.Fatalf("fork originations lack the injected AS%d %s", victim, hijack)
+	}
 	forkVRPs, err := f.VRPsAt(asOf)
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +93,6 @@ func TestForkIsolation(t *testing.T) {
 	}
 	if w.Mutations() != 0 || w.Scenario() != "" {
 		t.Fatal("base world absorbed scenario state")
-	}
-
-	// Diff helper reports exactly the injected announcement.
-	diff := f.ScenarioOriginations(w)
-	if len(diff) != 1 || diff[0].Origin != victim || diff[0].Prefix != hijack {
-		t.Fatalf("ScenarioOriginations = %v", diff)
 	}
 }
 
@@ -127,7 +126,6 @@ func TestFingerprintIsPinnedAndFollowsMutations(t *testing.T) {
 		mutate func() error
 	}{
 		{"AddOrigination", func() error { return f.AddOrigination(victim, hijack) }},
-		{"RemoveOrigination", func() error { f.RemoveOrigination(victim, hijack); return nil }},
 		{"PublishROA", func() error {
 			return f.PublishROA(rpki.RIPE, 0, []rpki.ROAPrefix{{Prefix: netx.MustParsePrefix("50.0.0.0/8"), MaxLength: 8}}, w.Date(2011), w.Date(2040))
 		}},

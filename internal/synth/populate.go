@@ -859,10 +859,3 @@ func (v *View) Dataset(ctx context.Context, workers int) (*ihr.Dataset, error) {
 	}
 	return ds, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

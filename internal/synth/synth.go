@@ -19,6 +19,7 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -318,7 +319,7 @@ func (w *World) signRepository() error {
 		signers[ca.Cert.SubjectName] = ca
 	}
 	roas := w.Repo.ROAs()
-	return parallel.ForEachErr(len(roas), 0, func(i int) error {
+	return parallel.ForEachErrCtx(context.Background(), len(roas), 0, func(i int) error {
 		ca, ok := signers[roas[i].SignerName]
 		if !ok {
 			return fmt.Errorf("synth: generated ROA %d names signer %q, which is not a trust anchor", i, roas[i].SignerName)

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"manrsmeter/internal/ihr"
+	"manrsmeter/internal/netx"
+	"manrsmeter/internal/rov"
 	"manrsmeter/internal/rpki"
 )
 
@@ -100,6 +102,58 @@ func TestAtMatchesUncachedRoute(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// Trie and linear route origin validation are one more pair of routes to
+// the same answer. Over the seeded worlds, at the headline date, both of
+// a view's indexes give the linear scan's verdict for every origination,
+// for the same prefix from origin + 1, and for one more-specific prefix
+// of it.
+func TestValidateMatchesLinearOnWorlds(t *testing.T) {
+	seen := make(map[rov.Status]int)
+	for seed := int64(1); seed <= 20; seed++ {
+		w := memoTestWorld(t, seed)
+		at := w.Date(w.Config.EndYear)
+		view, err := w.At(context.Background(), at, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range w.OriginationsAt(at) {
+			type query struct {
+				p   netx.Prefix
+				asn uint32
+			}
+			queries := []query{{o.Prefix, o.Origin}, {o.Prefix, o.Origin + 1}}
+			famBits := 32
+			if o.Prefix.Is6() {
+				famBits = 128
+			}
+			if bits := min(o.Prefix.Bits()+1+int(o.Origin%4), famBits); bits > o.Prefix.Bits() {
+				more, err := o.Prefix.NthSubprefix(bits, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries = append(queries, query{more, o.Origin})
+			}
+			for _, ix := range []struct {
+				name string
+				*rov.Index
+			}{{"RPKI", view.RPKI}, {"IRR", view.IRR}} {
+				for _, q := range queries {
+					got, want := ix.Validate(q.p, q.asn), ix.ValidateLinear(q.p, q.asn)
+					if got != want {
+						t.Fatalf("seed %d %s: Validate(%s, AS%d) = %s, linear scan %s", seed, ix.name, q.p, q.asn, got, want)
+					}
+					seen[got]++
+				}
+			}
+		}
+	}
+	for _, s := range []rov.Status{rov.Valid, rov.InvalidASN, rov.InvalidLength, rov.NotFound} {
+		if seen[s] == 0 {
+			t.Errorf("no query came out %s; the worlds are not exercising it (%v)", s, seen)
 		}
 	}
 }

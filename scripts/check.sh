@@ -21,8 +21,9 @@
 #            answer byte-for-byte alike with zero failed requests
 #   memo   — the two-phase relying party and its signature-verdict memo
 #            under -race: the fail-closed tamper table, the hostile
-#            chain shapes at 1 and 8 workers and the cancelled run that
-#            yields no VRPs (rpki), the build deadline reaching a cold
+#            chain shapes at 1 and 8 workers, the depth cap in both
+#            publication orders and the cancelled run that yields no
+#            VRPs (rpki), the build deadline reaching a cold
 #            relying party (serve), the touched-list accumulator
 #            (hegemony), ten passes each of concurrent VRPsAt and
 #            concurrent World.At on a base world and two forks, and the
@@ -143,12 +144,12 @@ bench_oracle() {
 echo "==> cross-path oracle (bench query.gateway: replicas, gateway, in-process handler byte-for-byte)"
 bench_oracle query.gateway
 
-echo "==> relying party (-race): fail-closed table, hostile shapes at 8 workers, cancelled runs, then concurrent dates and forks x10"
+echo "==> relying party (-race): fail-closed table, hostile shapes at 8 workers, depth cap in both orders, cancelled runs, then concurrent dates and forks x10"
 # The serial memo-less oracle over seeded worlds and worker counts
 # (synth.TestVRPsAtMatchesMemolessOracle, ~50 s under -race) ran in the
 # ./... pass above; the concurrency test is repeated because one pass
 # seldom interleaves the same way twice.
-go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$|^TestHostileRepositoryAtEveryWorkerCount$|^TestCancelledRunYieldsNoVRPs$' ./internal/rpki
+go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$|^TestHostileRepositoryAtEveryWorkerCount$|^TestChainDepthCapIndependentOfOrder$|^TestCancelledRunYieldsNoVRPs$' ./internal/rpki
 go test -race -count=1 -run '^TestBuildTimeoutStopsColdRelyingParty$' ./internal/serve
 go test -race -count=1 -run '^TestAccumulator' ./internal/hegemony
 go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$|^TestAtConcurrentBaseAndForks$' ./internal/synth
