@@ -705,7 +705,7 @@ func BenchmarkRTRFetch(b *testing.B) {
 	defer srv.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := rtr.Fetch(addr.String())
+		res, err := rtr.Fetch(context.Background(), addr.String())
 		if err != nil || len(res.VRPs) != len(vrps) {
 			b.Fatalf("fetch: %v", err)
 		}

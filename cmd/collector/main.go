@@ -2,7 +2,10 @@
 // accepts BGP-4 peerings on a TCP port, absorbs announcements into a
 // multi-peer RIB, and writes an MRT TABLE_DUMP_V2 snapshot either
 // periodically or on shutdown — input for cmd/hegemony and
-// cmd/manrs-audit.
+// cmd/manrs-audit. BGP-4 is its only feed. A snapshot holds exactly the
+// paths its peers announced: TestWireSubstrateOracle replays seeded
+// worlds' vantage-point paths into a collector and checks its dump
+// against the same paths written straight to MRT.
 //
 // Usage:
 //
@@ -25,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"manrsmeter/internal/bgp/bmp"
 	"manrsmeter/internal/bgp/collector"
 	"manrsmeter/internal/obsv"
 )
@@ -34,7 +36,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("collector: ")
 	listen := flag.String("listen", "127.0.0.1:1790", "listen address for BGP peers")
-	bmpListen := flag.String("bmp", "", "optional listen address for BMP (RFC 7854) feeds")
 	asn := flag.Uint("asn", 65000, "collector AS number")
 	out := flag.String("out", "rib.mrt", "MRT snapshot path")
 	interval := flag.Duration("interval", 0, "periodic dump interval (0 = dump only on shutdown)")
@@ -53,26 +54,11 @@ func main() {
 	}
 	log.Printf("AS%d collecting on %s", *asn, addr)
 
-	var station *bmp.Station
-	if *bmpListen != "" {
-		station = bmp.NewStation()
-		bmpAddr, err := station.Listen(*bmpListen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("accepting BMP feeds on %s", bmpAddr)
-	}
-
 	if adminAddr, err := adminEP.Start(func() obsv.Health {
-		h := obsv.Health{OK: true, Detail: map[string]string{
+		return obsv.Health{OK: true, Detail: map[string]string{
 			"peers":  fmt.Sprint(c.NumPeers()),
 			"routes": fmt.Sprint(c.RIB().Len()),
 		}}
-		if station != nil {
-			h.Detail["bmp_routers"] = fmt.Sprint(len(station.Routers()))
-			h.Detail["bmp_peers_up"] = fmt.Sprint(station.PeersUp())
-		}
-		return h
 	}); err != nil {
 		log.Fatalf("admin endpoint: %v", err)
 	} else if adminAddr != nil {
@@ -87,10 +73,6 @@ func main() {
 		}
 		if err := c.DumpMRT(f, time.Now().UTC()); err != nil {
 			log.Printf("dump: %v", err)
-		}
-		if station != nil {
-			log.Printf("BMP: %d routers, %d peers up, %d routes (BMP routes are tracked separately)",
-				len(station.Routers()), station.PeersUp(), station.RIB().Len())
 		}
 		if err := f.Close(); err != nil {
 			log.Printf("dump: %v", err)
@@ -112,11 +94,6 @@ func main() {
 		defer cancel()
 		if err := c.Shutdown(drainCtx); err != nil {
 			log.Printf("shutdown: %v", err)
-		}
-		if station != nil {
-			if err := station.Shutdown(drainCtx); err != nil {
-				log.Printf("shutdown BMP: %v", err)
-			}
 		}
 		if err := adminEP.Shutdown(drainCtx); err != nil {
 			log.Printf("shutdown admin: %v", err)

@@ -1,12 +1,17 @@
 // Command rtrd serves a validated-ROA snapshot to routers over the
 // RPKI-to-Router protocol (RFC 8210), like Routinator or StayRTR. Feed
 // it a VRP CSV (from synthgen or a real archive) and point an RTR client
-// at it; rtrd -fetch acts as that client for testing.
+// at it; rtrd -fetch acts as that client for testing: one Reset Query
+// exchange, bounded by -timeout, that prints the snapshot or fails. It
+// does not retry: a restarting cache is a rerun. The served VRPs are the
+// relying party's: TestWireSubstrateOracle fetches and incrementally
+// updates seeded worlds' VRPs through the same server and checks them
+// against the in-memory view of each date.
 //
 // Usage:
 //
 //	rtrd -vrps vrps.csv -listen 127.0.0.1:8282 [-admin 127.0.0.1:9282]
-//	rtrd -fetch 127.0.0.1:8282
+//	rtrd -fetch 127.0.0.1:8282 [-timeout 30s]
 //
 // With -admin ADDR an observability endpoint serves /metrics
 // (Prometheus text), /healthz (session/serial state) and
@@ -34,8 +39,7 @@ func main() {
 	vrpPath := flag.String("vrps", "", "validated-ROA CSV to serve")
 	listen := flag.String("listen", "127.0.0.1:8282", "listen address")
 	fetch := flag.String("fetch", "", "act as a client: fetch a snapshot from this cache and print it")
-	retries := flag.Int("retries", 5, "with -fetch: dial attempts before giving up (cache may be restarting)")
-	timeout := flag.Duration("timeout", 30*time.Second, "with -fetch: overall fetch deadline")
+	timeout := flag.Duration("timeout", 30*time.Second, "with -fetch: bound on the dial and the whole exchange")
 	drain := flag.Duration("drain", 5*time.Second, "bound on waiting for client sessions to finish at shutdown; whatever remains is force-closed")
 	adminEP := obsv.AdminFlag(nil)
 	flag.Parse()
@@ -43,7 +47,7 @@ func main() {
 	if *fetch != "" {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
-		res, err := rtr.FetchRetry(ctx, *fetch, *retries)
+		res, err := rtr.Fetch(ctx, *fetch)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -37,7 +38,11 @@ func main() {
 	}
 	defer cache.Close()
 
-	snapshot, err := rtr.Fetch(cacheAddr.String())
+	// A router bounds every exchange with its cache: a cache that stops
+	// answering costs a refresh, never a hung control plane.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	snapshot, err := rtr.Fetch(ctx, cacheAddr.String())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func main() {
 		{Prefix: netx.MustParsePrefix("203.0.113.0/24"), ASN: 64500, MaxLength: 24},
 		{Prefix: netx.MustParsePrefix("203.0.113.0/24"), ASN: 64666, MaxLength: 24},
 	})
-	updated, err := rtr.Update(cacheAddr.String(), snapshot)
+	updated, err := rtr.Update(ctx, cacheAddr.String(), snapshot)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -83,10 +83,6 @@ func NewQueryServer(reg *Registry) *QueryServer {
 // Listen/Serve. Zero disables it.
 func (s *QueryServer) SetIdleTimeout(d time.Duration) { s.srv.ReadTimeout = d }
 
-// SetMaxConns caps concurrent client connections; call before
-// Listen/Serve. Zero means unlimited.
-func (s *QueryServer) SetMaxConns(n int) { s.srv.MaxConns = n }
-
 // Listen starts serving on addr and returns the bound address.
 func (s *QueryServer) Listen(addr string) (net.Addr, error) {
 	return s.srv.Listen(addr)

@@ -1,6 +1,6 @@
 // server.go is the shared connection-serving harness used by every
 // long-running daemon in the repository (BGP collector, RTR cache, IRR
-// whois server, BMP station). It centralizes the operational concerns a
+// whois server). It centralizes the operational concerns a
 // months-long measurement service needs and that ad-hoc accept loops get
 // wrong: per-connection idle deadlines, a cap on concurrent connections,
 // panic isolation so one malformed peer cannot take the daemon down,
@@ -57,9 +57,6 @@ type Server struct {
 	// MaxConns caps concurrently served connections; beyond it, new
 	// accepts are closed immediately. Zero means unlimited.
 	MaxConns int
-	// Logf, when set, receives operational events (panics, accept
-	// retries).
-	Logf func(format string, args ...any)
 
 	mu     sync.Mutex
 	lns    []net.Listener
@@ -128,9 +125,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			} else if backoff < time.Second {
 				backoff *= 2
 			}
-			if s.Logf != nil {
-				s.Logf("netx: accept failed (retrying in %v): %v", backoff, err)
-			}
 			t := time.NewTimer(backoff)
 			select {
 			case <-t.C:
@@ -175,12 +169,9 @@ func (s *Server) untrack(conn net.Conn) {
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
-		if p := recover(); p != nil {
+		if recover() != nil {
 			s.panics.Add(1)
 			mServerPanics.Inc()
-			if s.Logf != nil {
-				s.Logf("netx: handler panic (connection dropped): %v", p)
-			}
 		}
 		s.untrack(conn)
 		conn.Close()

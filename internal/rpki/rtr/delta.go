@@ -2,9 +2,6 @@ package rtr
 
 import (
 	"bufio"
-	"fmt"
-	"net"
-	"sort"
 
 	"manrsmeter/internal/rpki"
 )
@@ -89,93 +86,4 @@ func (s *Server) sendDelta(bw *bufio.Writer, clientSerial uint32) (bool, error) 
 		return true, err
 	}
 	return true, bw.Flush()
-}
-
-// Update performs an incremental refresh against the cache at addr: a
-// Serial Query from prior's serial, applying announce/withdraw deltas to
-// prior's VRP set. When the cache answers Cache Reset (serial too old,
-// or the cache keeps no history), it transparently falls back to a full
-// Reset Query fetch. The returned result is always complete.
-func Update(addr string, prior *FetchResult) (*FetchResult, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	return UpdateConn(conn, prior)
-}
-
-// UpdateConn is Update over an existing connection.
-func UpdateConn(conn net.Conn, prior *FetchResult) (*FetchResult, error) {
-	if prior == nil {
-		return FetchConn(conn)
-	}
-	bw := bufio.NewWriter(conn)
-	q := &PDU{Version: Version, Type: TypeSerialQuery, Session: prior.Session, Serial: prior.Serial}
-	if err := q.Write(bw); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(conn)
-	first, err := Read(br)
-	if err != nil {
-		return nil, err
-	}
-	switch first.Type {
-	case TypeCacheReset:
-		return FetchConn(conn)
-	case TypeErrorReport:
-		return nil, fmt.Errorf("rtr: cache error %d: %s", first.Session, first.Text)
-	case TypeCacheResponse:
-		// fall through to the delta
-	default:
-		return nil, fmt.Errorf("rtr: expected Cache Response or Cache Reset, got type %d", first.Type)
-	}
-	set := vrpSet(prior.VRPs)
-	for {
-		pdu, err := Read(br)
-		if err != nil {
-			return nil, err
-		}
-		switch pdu.Type {
-		case TypeIPv4Prefix, TypeIPv6Prefix:
-			v, err := PDUToVRP(pdu)
-			if err != nil {
-				return nil, err
-			}
-			if pdu.Flags&FlagAnnounce != 0 {
-				set[v] = struct{}{}
-			} else {
-				delete(set, v)
-			}
-		case TypeEndOfData:
-			out := &FetchResult{Serial: pdu.Serial, Session: first.Session}
-			out.VRPs = make([]rpki.VRP, 0, len(set))
-			for v := range set {
-				out.VRPs = append(out.VRPs, v)
-			}
-			sortVRPs(out.VRPs)
-			return out, nil
-		case TypeErrorReport:
-			return nil, fmt.Errorf("rtr: cache error %d: %s", pdu.Session, pdu.Text)
-		default:
-			return nil, fmt.Errorf("rtr: unexpected PDU type %d in delta", pdu.Type)
-		}
-	}
-}
-
-func sortVRPs(vrps []rpki.VRP) {
-	sort.Slice(vrps, func(i, j int) bool { return lessVRP(vrps[i], vrps[j]) })
-}
-
-func lessVRP(a, b rpki.VRP) bool {
-	if c := a.Prefix.Compare(b.Prefix); c != 0 {
-		return c < 0
-	}
-	if a.ASN != b.ASN {
-		return a.ASN < b.ASN
-	}
-	return a.MaxLength < b.MaxLength
 }

@@ -1,7 +1,6 @@
 package rtr
 
 import (
-	"net"
 	"reflect"
 	"testing"
 
@@ -10,6 +9,7 @@ import (
 )
 
 func TestUpdateDeltaAnnounceAndWithdraw(t *testing.T) {
+	ctx := testCtx(t)
 	initial := sampleVRPs()
 	srv := NewServer(initial)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -18,7 +18,7 @@ func TestUpdateDeltaAnnounceAndWithdraw(t *testing.T) {
 	}
 	defer srv.Close()
 
-	prior, err := Fetch(addr.String())
+	prior, err := Fetch(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestUpdateDeltaAnnounceAndWithdraw(t *testing.T) {
 	}
 	srv.SetVRPs(next)
 
-	got, err := Update(addr.String(), prior)
+	got, err := Update(ctx, addr.String(), prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +49,18 @@ func TestUpdateDeltaAnnounceAndWithdraw(t *testing.T) {
 }
 
 func TestUpdateCurrentSerialEmptyDelta(t *testing.T) {
+	ctx := testCtx(t)
 	srv := NewServer(sampleVRPs())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	prior, err := Fetch(addr.String())
+	prior, err := Fetch(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Update(addr.String(), prior)
+	got, err := Update(ctx, addr.String(), prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +70,7 @@ func TestUpdateCurrentSerialEmptyDelta(t *testing.T) {
 }
 
 func TestUpdateStaleSerialFallsBackToReset(t *testing.T) {
+	ctx := testCtx(t)
 	srv := NewServer(sampleVRPs())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -78,7 +80,7 @@ func TestUpdateStaleSerialFallsBackToReset(t *testing.T) {
 
 	// Client claims a serial the server never had.
 	stale := &FetchResult{Serial: 777, Session: 1}
-	got, err := Update(addr.String(), stale)
+	got, err := Update(ctx, addr.String(), stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +90,14 @@ func TestUpdateStaleSerialFallsBackToReset(t *testing.T) {
 }
 
 func TestUpdateNilPriorIsFullFetch(t *testing.T) {
+	ctx := testCtx(t)
 	srv := NewServer(sampleVRPs())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	got, err := UpdateConn(conn, nil)
+	got, err := Update(ctx, addr.String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +107,14 @@ func TestUpdateNilPriorIsFullFetch(t *testing.T) {
 }
 
 func TestHistoryEviction(t *testing.T) {
+	ctx := testCtx(t)
 	srv := NewServer(sampleVRPs())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	prior, err := Fetch(addr.String())
+	prior, err := Fetch(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func TestHistoryEviction(t *testing.T) {
 		srv.SetVRPs(sampleVRPs()[:1+i%2])
 	}
 	// The stale client still converges via the reset fallback.
-	got, err := Update(addr.String(), prior)
+	got, err := Update(ctx, addr.String(), prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +131,12 @@ func TestHistoryEviction(t *testing.T) {
 		t.Errorf("converged serial = %d, want %d", got.Serial, srv.Serial())
 	}
 	// A fresh client updating across one bump gets a true delta.
-	fresh, err := Fetch(addr.String())
+	fresh, err := Fetch(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.SetVRPs(sampleVRPs())
-	got, err = Update(addr.String(), fresh)
+	got, err = Update(ctx, addr.String(), fresh)
 	if err != nil {
 		t.Fatal(err)
 	}

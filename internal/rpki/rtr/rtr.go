@@ -1,13 +1,14 @@
 // Package rtr implements the RPKI-to-Router protocol (RFC 8210, version
 // 1): the channel through which relying-party software delivers
 // validated ROA payloads to ROV-deploying routers. The server side
-// serves a VRP snapshot; the client side performs the Reset Query
-// exchange and materializes the VRPs into a rov-compatible set.
+// serves a VRP snapshot; the client side (Fetch, Update) performs the
+// Reset or Serial Query exchange within a context's bound and
+// materializes the VRPs into a rov-compatible set.
 //
 // The subset implemented is the snapshot path every deployment exercises
 // (Reset Query → Cache Response → Prefix PDUs → End of Data) plus Serial
-// Query handling (answered with Cache Reset, forcing a fresh snapshot —
-// the behavior of a cache that keeps no deltas) and Error Report PDUs.
+// Query handling (a delta from a recent serial, Cache Reset for an older
+// one) and Error Report PDUs.
 package rtr
 
 import (

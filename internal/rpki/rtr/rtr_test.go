@@ -2,11 +2,13 @@ package rtr
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"net"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/rov"
@@ -14,6 +16,14 @@ import (
 )
 
 func pfx(s string) netx.Prefix { return netx.MustParsePrefix(s) }
+
+// testCtx bounds a test's RTR exchanges, so a hung cache fails the test
+// instead of stalling the suite.
+func testCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	t.Cleanup(cancel)
+	return ctx
+}
 
 func sampleVRPs() []rpki.VRP {
 	return []rpki.VRP{
@@ -109,6 +119,7 @@ func TestVRPPDUConversion(t *testing.T) {
 }
 
 func TestServerFetchEndToEnd(t *testing.T) {
+	ctx := testCtx(t)
 	srv := NewServer(sampleVRPs())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -116,7 +127,7 @@ func TestServerFetchEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
-	res, err := Fetch(addr.String())
+	res, err := Fetch(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +150,7 @@ func TestServerFetchEndToEnd(t *testing.T) {
 
 	// Refresh: serial bumps and the new snapshot is served.
 	srv.SetVRPs(sampleVRPs()[:1])
-	res, err = Fetch(addr.String())
+	res, err = Fetch(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +184,7 @@ func TestServerSerialQueryGetsCacheReset(t *testing.T) {
 		t.Fatalf("serial query answer = type %d, want Cache Reset", got.Type)
 	}
 	// After the reset, a Reset Query on the same connection works.
-	res, err := FetchConn(conn)
+	res, err := exchange(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +224,14 @@ func TestServerRejectsUnsupportedPDU(t *testing.T) {
 }
 
 func TestEmptySnapshot(t *testing.T) {
+	ctx := testCtx(t)
 	srv := NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	res, err := Fetch(addr.String())
+	res, err := Fetch(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,8 @@ const DefaultIdleTimeout = 5 * time.Minute
 
 // Server serves a VRP snapshot to RTR clients. The snapshot can be
 // swapped at runtime (a relying-party refresh); clients that issue a
-// Serial Query receive Cache Reset and re-fetch, which is the behavior
-// of a cache that keeps no deltas. Connections run on the netx.Server
+// Serial Query receive the delta from a retained serial, or Cache Reset
+// and re-fetch when theirs is too old. Connections run on the netx.Server
 // harness: idle clients are disconnected, a malformed query costs only
 // its own connection, and Close force-closes live sessions.
 type Server struct {
@@ -82,10 +82,6 @@ func NewServer(vrps []rpki.VRP) *Server {
 // SetIdleTimeout overrides the per-read idle deadline; call before
 // Listen/Serve. Zero disables it.
 func (s *Server) SetIdleTimeout(d time.Duration) { s.srv.ReadTimeout = d }
-
-// SetMaxConns caps concurrent client connections; call before
-// Listen/Serve. Zero means unlimited.
-func (s *Server) SetMaxConns(n int) { s.srv.MaxConns = n }
 
 // SetVRPs replaces the snapshot and bumps the serial. The previous
 // snapshot is retained (up to maxHistory) for incremental Serial Query
@@ -208,99 +204,4 @@ func (s *Server) sendSnapshot(bw *bufio.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// FetchResult is a completed snapshot fetch.
-type FetchResult struct {
-	VRPs    []rpki.VRP
-	Serial  uint32
-	Session uint16
-}
-
-// Fetch dials an RTR cache, performs a Reset Query exchange, and returns
-// the full VRP snapshot.
-func Fetch(addr string) (*FetchResult, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	return FetchConn(conn)
-}
-
-// FetchRetry fetches a snapshot like Fetch but survives a flapping or
-// restarting cache: dial failures and broken exchanges are retried with
-// exponential backoff (via netx.Redialer) until the exchange succeeds,
-// attempts are exhausted, or ctx is done. attempts <= 0 retries until
-// ctx expires; give the context a deadline in that case.
-func FetchRetry(ctx context.Context, addr string, attempts int) (*FetchResult, error) {
-	rd := &netx.Redialer{Addr: addr, MaxAttempts: attempts}
-	return fetchRedial(ctx, rd)
-}
-
-// fetchRedial runs the Reset Query exchange through an explicit
-// redialer (tests inject fault-wrapped dialers).
-func fetchRedial(ctx context.Context, rd *netx.Redialer) (*FetchResult, error) {
-	var res *FetchResult
-	err := rd.Run(ctx, func(ctx context.Context, conn net.Conn) error {
-		r, err := FetchConn(conn)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// FetchConn runs the Reset Query exchange over an existing connection.
-func FetchConn(conn net.Conn) (*FetchResult, error) {
-	bw := bufio.NewWriter(conn)
-	q := &PDU{Version: Version, Type: TypeResetQuery}
-	if err := q.Write(bw); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(conn)
-	first, err := Read(br)
-	if err != nil {
-		return nil, err
-	}
-	if first.Type == TypeErrorReport {
-		return nil, fmt.Errorf("rtr: cache error %d: %s", first.Session, first.Text)
-	}
-	if first.Type != TypeCacheResponse {
-		return nil, fmt.Errorf("rtr: expected Cache Response, got type %d", first.Type)
-	}
-	res := &FetchResult{Session: first.Session}
-	for {
-		pdu, err := Read(br)
-		if err != nil {
-			return nil, err
-		}
-		switch pdu.Type {
-		case TypeIPv4Prefix, TypeIPv6Prefix:
-			if pdu.Flags&FlagAnnounce == 0 {
-				// Withdrawals cannot appear in a fresh snapshot.
-				return nil, fmt.Errorf("rtr: withdrawal inside snapshot")
-			}
-			v, err := PDUToVRP(pdu)
-			if err != nil {
-				return nil, err
-			}
-			res.VRPs = append(res.VRPs, v)
-		case TypeEndOfData:
-			res.Serial = pdu.Serial
-			return res, nil
-		case TypeErrorReport:
-			return nil, fmt.Errorf("rtr: cache error %d: %s", pdu.Session, pdu.Text)
-		default:
-			return nil, fmt.Errorf("rtr: unexpected PDU type %d in snapshot", pdu.Type)
-		}
-	}
 }

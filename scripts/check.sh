@@ -10,9 +10,13 @@
 #            then an explicit pass over the failure-semantics gates:
 #            the section-timeout chaos test (every report section
 #            stalled past its watchdog), the parallel-pool
-#            goroutine-leak test, and the adversarial scenario suite
+#            goroutine-leak test, the adversarial scenario suite
 #            (relying-party-failure chaos with concurrent baseline
-#            readers, byte-determinism across worker counts)
+#            readers, byte-determinism across worker counts), and the
+#            wire-substrate oracle (TestWireSubstrateOracle: the RTR
+#            cache and the BGP collector against the in-memory pipeline
+#            on seeded worlds) with the RTR client's bound on a silent
+#            or faulty cache
 #   front  — the request-front contract table (serve.TestFrontContract)
 #            under -race: manrsd's and manrs-gw's handlers through the
 #            same cases and assertions; then the bench's cross-path
@@ -117,8 +121,9 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> section-timeout chaos + goroutine-leak gates (-race)"
-go test -race -count=1 -run '^TestRunReportSectionTimeoutChaos$|^TestRunReportCancelDrains$' .
+echo "==> section-timeout chaos + goroutine-leak gates + wire-substrate oracle (-race)"
+go test -race -count=1 -run '^TestRunReportSectionTimeoutChaos$|^TestRunReportCancelDrains$|^TestWireSubstrateOracle$' .
+go test -race -count=1 -run '^TestFetchBoundedBySilentCache$|^TestRTRChaosFetchExactOrError$' ./internal/rpki/rtr
 go test -race -count=1 -run '^TestForEachCtxNoGoroutineLeak$' ./internal/parallel
 
 echo "==> adversarial scenario gates (-race): rp-failure chaos + byte determinism"
