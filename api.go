@@ -113,6 +113,11 @@ func ClassifySize(customerDegree int) SizeClass { return manrs.ClassifySize(cust
 // statuses satisfies MANRS Actions 1/4 (§6.4).
 func Conformant(rpkiStatus, irrStatus Status) bool { return manrs.Conformant(rpkiStatus, irrStatus) }
 
+// Action4Threshold returns the program's Action 4 conformance
+// threshold, in percent of originated prefixes (§8.3): 90 for ISPs,
+// 100 for CDNs.
+func Action4Threshold(program Program) float64 { return manrs.Action4Threshold(program) }
+
 // Unconformant reports whether a prefix-origin is MANRS-unconformant.
 func Unconformant(rpkiStatus, irrStatus Status) bool {
 	return manrs.Unconformant(rpkiStatus, irrStatus)
@@ -140,12 +145,12 @@ type (
 // May 2022 measurements.
 func DefaultConfig(seed int64) Config { return synth.NewConfig(seed) }
 
-// LargeConfig returns the internet-scale preset: ~75k ASes announcing
-// ~1M prefixes, generated through the compact arena layout (one flat
-// prefix slice with per-AS index ranges, aggregate ROAs, compact IRR
-// objects). Cohort behavioral rates match DefaultConfig, so the paper's
-// findings reproduce at scale.
-func LargeConfig(seed int64) Config { return synth.NewLargeConfig(seed) }
+// Preset returns the named world scale: "small" (774 ASes), "full"
+// (DefaultConfig) or "large" (~75k ASes announcing ~1M prefixes,
+// generated through the compact arena layout). Cohort behavioral rates
+// are the same at every scale, so the paper's findings reproduce at
+// each. Any other name is an error listing the three.
+func Preset(name string, seed int64) (Config, error) { return synth.Preset(name, seed) }
 
 // GenerateWorld builds a synthetic Internet from cfg.
 func GenerateWorld(cfg Config) (*World, error) { return synth.Generate(cfg) }

@@ -42,7 +42,7 @@ func main() {
 	holdTime := flag.Duration("hold-time", 90*time.Second, "advertised BGP hold time; silent peers are torn down and their routes withdrawn")
 	maxPeers := flag.Int("max-peers", 0, "cap on concurrent peer connections (0 = unlimited)")
 	drain := flag.Duration("drain", 5*time.Second, "bound on waiting for peer sessions to wind down at shutdown; whatever remains is force-closed")
-	adminEP := obsv.AdminFlag(nil)
+	adminEP := obsv.AdminFlag()
 	flag.Parse()
 
 	c := collector.New(uint32(*asn), [4]byte{192, 0, 2, 255},
@@ -54,12 +54,12 @@ func main() {
 	}
 	log.Printf("AS%d collecting on %s", *asn, addr)
 
-	if adminAddr, err := adminEP.Start(func() obsv.Health {
+	if adminAddr, err := adminEP.Start(&obsv.Admin{Healthz: func() obsv.Health {
 		return obsv.Health{OK: true, Detail: map[string]string{
 			"peers":  fmt.Sprint(c.NumPeers()),
 			"routes": fmt.Sprint(c.RIB().Len()),
 		}}
-	}); err != nil {
+	}}); err != nil {
 		log.Fatalf("admin endpoint: %v", err)
 	} else if adminAddr != nil {
 		log.Printf("admin endpoint on http://%s", adminAddr)

@@ -6,25 +6,18 @@
 // Usage:
 //
 //	hegemony -rib rib.mrt [-prefix 192.0.2.0/24] [-top N]
-//
-// With -admin ADDR an observability endpoint serves /metrics, /healthz
-// and /debug/pprof/ for the duration of the run. Bind it to loopback:
-// it carries no authentication.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"sort"
-	"time"
 
 	"manrsmeter/internal/bgp/mrt"
 	"manrsmeter/internal/hegemony"
 	"manrsmeter/internal/netx"
-	"manrsmeter/internal/obsv"
 )
 
 func main() {
@@ -34,23 +27,12 @@ func main() {
 	prefixArg := flag.String("prefix", "", "only report this prefix")
 	top := flag.Int("top", 5, "transit ASes to print per prefix")
 	trim := flag.Float64("trim", hegemony.DefaultTrim, "trimming fraction")
-	adminEP := obsv.AdminFlag(nil)
 	flag.Parse()
 	if *ribPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if adminAddr, err := adminEP.Start(nil); err != nil {
-		log.Fatalf("admin endpoint: %v", err)
-	} else if adminAddr != nil {
-		log.Printf("admin endpoint on http://%s", adminAddr)
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = adminEP.Shutdown(sctx)
-		}()
-	}
 	f, err := os.Open(*ribPath)
 	if err != nil {
 		log.Fatal(err)

@@ -35,7 +35,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:4343", "listen address")
 	query := flag.String("query", "", "answer one query against the loaded databases and exit")
 	drain := flag.Duration("drain", 5*time.Second, "bound on waiting for in-flight queries at shutdown; whatever remains is force-closed")
-	adminEP := obsv.AdminFlag(nil)
+	adminEP := obsv.AdminFlag()
 	flag.Parse()
 	if flag.NArg() == 0 {
 		log.Fatal("no database dumps given")
@@ -78,12 +78,12 @@ func main() {
 	}
 	log.Printf("serving %d route objects on %s", registry.NumRoutes(), addr)
 
-	if adminAddr, err := adminEP.Start(func() obsv.Health {
+	if adminAddr, err := adminEP.Start(&obsv.Admin{Healthz: func() obsv.Health {
 		return obsv.Health{OK: true, Detail: map[string]string{
 			"databases": fmt.Sprint(flag.NArg()),
 			"routes":    fmt.Sprint(registry.NumRoutes()),
 		}}
-	}); err != nil {
+	}}); err != nil {
 		log.Fatalf("admin endpoint: %v", err)
 	} else if adminAddr != nil {
 		log.Printf("admin endpoint on http://%s", adminAddr)

@@ -17,11 +17,7 @@
 // degradation against the untouched baseline, ending in the health
 // trailer:
 //
-//	manrs-audit -scenario as0-hijack [-seed 8] [-scale seed|large] [-workers N]
-//
-// With -admin ADDR an observability endpoint serves /metrics, /healthz
-// and /debug/pprof/ for the duration of the audit. Bind it to
-// loopback: it carries no authentication.
+//	manrs-audit -scenario as0-hijack [-seed 8] [-scale small|full|large] [-workers N]
 package main
 
 import (
@@ -44,7 +40,6 @@ import (
 	"manrsmeter/internal/ihr"
 	"manrsmeter/internal/irr"
 	"manrsmeter/internal/manrs"
-	"manrsmeter/internal/obsv"
 	"manrsmeter/internal/peeringdb"
 	"manrsmeter/internal/rov"
 	"manrsmeter/internal/rpki"
@@ -60,9 +55,8 @@ func main() {
 	scenName := flag.String("scenario", "", "run a builtin adversarial scenario against a generated world (see -scenario list)")
 	scenFile := flag.String("scenario-file", "", "run a scenario decoded from this file (text or JSON encoding)")
 	seed := flag.Int64("seed", 8, "generator seed for -scenario mode")
-	scale := flag.String("scale", "seed", "generator preset for -scenario mode: seed|large")
+	scale := flag.String("scale", "full", "world scale for -scenario mode: small | full | large")
 	workers := flag.Int("workers", 0, "dataset build parallelism for -scenario mode (<=0: one per CPU)")
-	adminEP := obsv.AdminFlag(nil)
 	flag.Parse()
 	if *dataDir == "" && *scenName == "" && *scenFile == "" {
 		flag.Usage()
@@ -71,17 +65,6 @@ func main() {
 	asOf, err := time.Parse("2006-01-02", *asOfFlag)
 	if err != nil {
 		log.Fatalf("bad -asof: %v", err)
-	}
-
-	if adminAddr, err := adminEP.Start(nil); err != nil {
-		log.Fatalf("admin endpoint: %v", err)
-	} else if adminAddr != nil {
-		log.Printf("admin endpoint on http://%s", adminAddr)
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = adminEP.Shutdown(sctx)
-		}()
 	}
 
 	if *scenName != "" || *scenFile != "" {
@@ -196,11 +179,9 @@ func runScenario(name, file string, seed int64, scale string, workers int) {
 		}
 		return
 	}
-	cfg := manrsmeter.DefaultConfig(seed)
-	if scale == "large" {
-		cfg = manrsmeter.LargeConfig(seed)
-	} else if scale != "seed" {
-		log.Fatalf("bad -scale %q: want seed or large", scale)
+	cfg, err := manrsmeter.Preset(scale, seed)
+	if err != nil {
+		log.Fatalf("-scale: %v", err)
 	}
 	log.Printf("generating world (seed %d, scale %s)", seed, scale)
 	world, err := manrsmeter.GenerateWorld(cfg)

@@ -74,7 +74,7 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", cluster.DefaultRequestTimeout, "end-to-end deadline per proxied request, retry included")
 	drain := flag.Duration("drain", 5*time.Second, "bound on draining in-flight requests at shutdown")
 	accessLogSample := flag.Int("access-log-sample", 1, "access-log head sampling: log 1-in-N proxied requests (errors always logged)")
-	adminEP := obsv.AdminFlag(nil)
+	adminEP := obsv.AdminFlag()
 	flag.Parse()
 
 	var replicas []string
@@ -117,8 +117,7 @@ func main() {
 	}
 	log.Printf("gateway serving on http://%s over %d replicas (ring seed %d)", addr, len(replicas), *ringSeed)
 
-	adminLog := obsv.NewLogger(os.Stderr, obsv.LevelInfo).With("admin")
-	if adminAddr, err := adminEP.StartAdmin(&obsv.Admin{
+	if adminAddr, err := adminEP.Start(&obsv.Admin{
 		Healthz: func() obsv.Health {
 			live := members.Live()
 			detail := map[string]string{"live": fmt.Sprint(len(live))}
@@ -130,9 +129,6 @@ func main() {
 				detail["replica."+r] = state
 			}
 			return obsv.Health{OK: len(live) > 0, Detail: detail}
-		},
-		Logf: func(format string, args ...any) {
-			adminLog.Error(fmt.Sprintf(format, args...))
 		},
 	}); err != nil {
 		log.Fatalf("admin endpoint: %v", err)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	manrs-report [-seed N] [-scale small|full] [-skip-stability] [-weeks N]
+//	manrs-report [-seed N] [-scale small|full|large] [-skip-stability] [-weeks N]
 //	             [-workers N] [-trace] [-cpuprofile FILE] [-admin ADDR]
 //	             [-timeout D] [-section-timeout D] [-continue-on-error]
 //
@@ -40,13 +40,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("manrs-report: ")
 	seed := flag.Int64("seed", 1, "generator seed")
-	scale := flag.String("scale", "full", "world scale: small | full")
+	scale := flag.String("scale", "full", "world scale: small | full | large (internet-scale, ~75k ASes / ~1M prefixes)")
 	skipStability := flag.Bool("skip-stability", false, "skip the §8.5 weekly-snapshot analysis")
 	weeks := flag.Int("weeks", 12, "weekly snapshots for the stability analysis")
 	workers := flag.Int("workers", 0, "worker goroutines for the analysis (0 = one per CPU)")
 	trace := flag.Bool("trace", false, "print the span tree of the run (sections, pipeline, dataset builds) to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	adminEP := obsv.AdminFlag(nil)
+	adminEP := obsv.AdminFlag()
 	timeout := flag.Duration("timeout", 0, "overall deadline for the whole run (0 = none)")
 	sectionTimeout := flag.Duration("section-timeout", 0, "watchdog deadline per report section (0 = none)")
 	continueOnError := flag.Bool("continue-on-error", false, "render diagnostic stanzas for failed sections instead of aborting; ends the report with a health trailer")
@@ -140,12 +140,9 @@ func (h *sectionHealth) health() obsv.Health {
 }
 
 func run(ctx context.Context, seed int64, scale string, opts manrsmeter.ReportOptions, trace bool, adminEP *obsv.AdminEndpoint) error {
-	cfg := manrsmeter.DefaultConfig(seed)
-	if scale == "small" {
-		cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 3, 60, 700, 8
-		cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 70, 20, 3, 4
-	} else if scale != "full" {
-		return fmt.Errorf("unknown -scale %q (want small or full)", scale)
+	cfg, err := manrsmeter.Preset(scale, seed)
+	if err != nil {
+		return fmt.Errorf("-scale: %w", err)
 	}
 
 	tracer := obsv.NewTracer()
@@ -153,7 +150,7 @@ func run(ctx context.Context, seed int64, scale string, opts manrsmeter.ReportOp
 	opts.Tracer = tracer
 	opts.SectionObserver = health.observe
 
-	if addr, err := adminEP.StartAdmin(&obsv.Admin{Tracer: tracer, Healthz: health.health}); err != nil {
+	if addr, err := adminEP.Start(&obsv.Admin{Tracer: tracer, Healthz: health.health}); err != nil {
 		return fmt.Errorf("admin endpoint: %w", err)
 	} else if addr != nil {
 		log.Printf("admin endpoint on http://%s", addr)

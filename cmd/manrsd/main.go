@@ -89,19 +89,12 @@ func main() {
 	snapBudget := flag.Int64("snap-budget", durable.DefaultMaxBytes, "retention budget in bytes for the -data-dir archive directory")
 	accessLogSample := flag.Int("access-log-sample", serve.DefaultAccessLogSample, "access-log head sampling: log 1-in-N requests (server errors always logged); 1 logs every request, 0 the default")
 	traceCap := flag.Int("trace-cap", 4096, "bound on retained request spans for /debug/trace; 0 disables request tracing")
-	adminEP := obsv.AdminFlag(nil)
+	adminEP := obsv.AdminFlag()
 	flag.Parse()
 
-	cfg := manrsmeter.DefaultConfig(*seed)
-	switch *scale {
-	case "small", "seed":
-		cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 3, 60, 700, 8
-		cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 70, 20, 3, 4
-	case "full":
-	case "large":
-		cfg = manrsmeter.LargeConfig(*seed)
-	default:
-		log.Fatalf("unknown -scale %q (want small, full, or large)", *scale)
+	cfg, err := manrsmeter.Preset(*scale, *seed)
+	if err != nil {
+		log.Fatalf("-scale: %v", err)
 	}
 
 	start := time.Now()
@@ -202,16 +195,12 @@ func main() {
 	}
 	log.Printf("serving conformance queries on http://%s", addr)
 
-	adminLog := obsv.NewLogger(os.Stderr, obsv.LevelInfo).With("admin")
-	if adminAddr, err := adminEP.StartAdmin(&obsv.Admin{
+	if adminAddr, err := adminEP.Start(&obsv.Admin{
 		Tracer: tracer,
 		Healthz: func() obsv.Health {
 			detail := store.Status()
 			detail["ready"] = fmt.Sprint(store.Ready())
 			return obsv.Health{OK: store.Ready(), Detail: detail}
-		},
-		Logf: func(format string, args ...any) {
-			adminLog.Error(fmt.Sprintf(format, args...))
 		},
 	}); err != nil {
 		log.Fatalf("admin endpoint: %v", err)

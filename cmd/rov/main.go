@@ -9,25 +9,18 @@
 //
 //	rov -vrps vrps.csv 192.0.2.0/24,64500 10.0.0.0/8,64501
 //	cat routes.txt | rov -vrps vrps.csv
-//
-// With -admin ADDR an observability endpoint serves /metrics, /healthz
-// and /debug/pprof/ for the duration of the run. Bind it to loopback:
-// it carries no authentication.
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"manrsmeter/internal/netx"
-	"manrsmeter/internal/obsv"
 	"manrsmeter/internal/rpki"
 )
 
@@ -35,23 +28,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rov: ")
 	vrpPath := flag.String("vrps", "", "path to the validated-ROA CSV archive (required)")
-	adminEP := obsv.AdminFlag(nil)
 	flag.Parse()
 	if *vrpPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if adminAddr, err := adminEP.Start(nil); err != nil {
-		log.Fatalf("admin endpoint: %v", err)
-	} else if adminAddr != nil {
-		log.Printf("admin endpoint on http://%s", adminAddr)
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = adminEP.Shutdown(sctx)
-		}()
-	}
 	f, err := os.Open(*vrpPath)
 	if err != nil {
 		log.Fatal(err)

@@ -41,7 +41,7 @@ func main() {
 	fetch := flag.String("fetch", "", "act as a client: fetch a snapshot from this cache and print it")
 	timeout := flag.Duration("timeout", 30*time.Second, "with -fetch: bound on the dial and the whole exchange")
 	drain := flag.Duration("drain", 5*time.Second, "bound on waiting for client sessions to finish at shutdown; whatever remains is force-closed")
-	adminEP := obsv.AdminFlag(nil)
+	adminEP := obsv.AdminFlag()
 	flag.Parse()
 
 	if *fetch != "" {
@@ -78,12 +78,12 @@ func main() {
 	}
 	log.Printf("serving %d VRPs on %s (RTR v%d)", len(vrps), addr, rtr.Version)
 
-	if adminAddr, err := adminEP.Start(func() obsv.Health {
+	if adminAddr, err := adminEP.Start(&obsv.Admin{Healthz: func() obsv.Health {
 		return obsv.Health{OK: true, Detail: map[string]string{
 			"serial": fmt.Sprint(srv.Serial()),
 			"vrps":   fmt.Sprint(len(vrps)),
 		}}
-	}); err != nil {
+	}}); err != nil {
 		log.Fatalf("admin endpoint: %v", err)
 	} else if adminAddr != nil {
 		log.Printf("admin endpoint on http://%s", adminAddr)

@@ -39,16 +39,9 @@ func main() {
 	scenFile := flag.String("scenario-file", "", "inject a scenario decoded from this file (text or JSON encoding)")
 	flag.Parse()
 
-	cfg := manrsmeter.DefaultConfig(*seed)
-	switch *scale {
-	case "small", "seed":
-		cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 3, 60, 700, 8
-		cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 70, 20, 3, 4
-	case "full":
-	case "large":
-		cfg = manrsmeter.LargeConfig(*seed)
-	default:
-		log.Fatalf("unknown -scale %q (want small, full, or large)", *scale)
+	cfg, err := manrsmeter.Preset(*scale, *seed)
+	if err != nil {
+		log.Fatalf("-scale: %v", err)
 	}
 	world, err := synth.Generate(cfg)
 	if err != nil {

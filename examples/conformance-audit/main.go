@@ -24,9 +24,10 @@ func main() {
 	asnFlag := flag.Uint("asn", 0, "audit a specific member AS (0 = first five members)")
 	flag.Parse()
 
-	cfg := manrsmeter.DefaultConfig(*seed)
-	cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 3, 60, 700, 8
-	cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 70, 20, 3, 4
+	cfg, err := manrsmeter.Preset("small", *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	world, err := manrsmeter.GenerateWorld(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -75,10 +76,7 @@ func audit(pipe *manrsmeter.Pipeline, m *manrsmeter.ASMetrics, part manrsmeter.P
 		fmt.Printf("  OG_RPKIvalid  (Formula 1): %s\n", pct(m.OGRPKIValid()))
 		fmt.Printf("  OG_IRRvalid   (Formula 2): %s\n", pct(m.OGIRRValid()))
 		fmt.Printf("  OG_conformant (Formula 3): %s", pct(m.OGConformant()))
-		threshold := 90.0
-		if part.Program == manrsmeter.ProgramCDN {
-			threshold = 100.0
-		}
+		threshold := manrsmeter.Action4Threshold(part.Program)
 		if m.OGConformant() >= threshold {
 			fmt.Printf("  → PASS (threshold %.0f%%)\n", threshold)
 		} else {

@@ -21,9 +21,10 @@ func main() {
 	seed := flag.Int64("seed", 3, "generator seed")
 	flag.Parse()
 
-	cfg := manrsmeter.DefaultConfig(*seed)
-	cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 3, 60, 700, 8
-	cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 70, 20, 3, 4
+	cfg, err := manrsmeter.Preset("small", *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	world, err := manrsmeter.GenerateWorld(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -98,8 +98,8 @@ type storeMetrics struct {
 	quarFiles      *obsv.Gauge
 	gcRemoved      *obsv.Counter
 	bytes          *obsv.Gauge
-	persistSeconds *obsv.Histogram
-	loadSeconds    *obsv.Histogram
+	persistSeconds *obsv.QuantileHistogram
+	loadSeconds    *obsv.QuantileHistogram
 }
 
 // Store is one archive directory. All methods are safe for concurrent
@@ -147,8 +147,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			quarFiles:      reg.Gauge("durable_quarantined_files", "quarantined archive files currently on disk"),
 			gcRemoved:      reg.Counter("durable_gc_removed_total", "archives removed by the retention janitor"),
 			bytes:          reg.Gauge("durable_archive_bytes", "bytes of archives referenced by the manifest"),
-			persistSeconds: reg.Histogram("durable_persist_seconds", "snapshot persist latency", nil),
-			loadSeconds:    reg.Histogram("durable_load_seconds", "snapshot load+verify latency (warm-start recovery time)", nil),
+			persistSeconds: reg.Summary("durable_persist_seconds", "snapshot persist latency"),
+			loadSeconds:    reg.Summary("durable_load_seconds", "snapshot load+verify latency (warm-start recovery time)"),
 		},
 	}
 	if s.maxBytes <= 0 {

@@ -16,15 +16,15 @@ import (
 )
 
 // Query-server metrics: session lifecycle plus per-kind query counts
-// and answer latency. The latency histogram covers answer computation
+// and answer latency. The latency summary covers answer computation
 // (index build included on first use), not client I/O.
 var (
 	mWhoisSessions = obsv.NewCounter("irr_sessions_total",
 		"whois client sessions accepted")
 	mWhoisSessionsActive = obsv.NewGauge("irr_sessions_active",
 		"whois client sessions currently connected")
-	mWhoisQueryLatency = obsv.NewHistogram("irr_query_seconds",
-		"latency of computing one query answer", nil)
+	mWhoisQueryLatency = obsv.NewSummary("irr_query_seconds",
+		"latency of computing one query answer")
 	mWhoisQueries = func() map[string]*obsv.Counter {
 		m := make(map[string]*obsv.Counter)
 		for _, kind := range []string{"origin", "as-set", "route", "invalid"} {

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"sort"
 )
 
@@ -16,8 +17,8 @@ type Health struct {
 	Detail map[string]string
 }
 
-// Admin is the opt-in observability endpoint every daemon can serve
-// behind its -admin flag:
+// Admin is the opt-in observability endpoint the long-running commands
+// serve behind their -admin flag (AdminFlag):
 //
 //	/metrics        Prometheus text exposition of Registry
 //	/healthz        200 "ok" / 503 "degraded" from Healthz, plus detail
@@ -39,8 +40,6 @@ type Admin struct {
 	Healthz func() Health
 	// Tracer, when non-nil, is rendered at /debug/trace.
 	Tracer *Tracer
-	// Logf, when set, receives operational events (serve errors).
-	Logf func(format string, args ...any)
 }
 
 // registry resolves the effective metrics source.
@@ -113,7 +112,10 @@ func (a *Admin) Handler() http.Handler {
 }
 
 // Listen binds addr (":0" for an ephemeral port), starts serving in
-// the background, and returns the bound address.
+// the background, and returns the bound address. Serve errors go to
+// stderr as error records of the "admin" component logger.
 func (a *Admin) Listen(addr string) (net.Addr, error) {
-	return a.HTTPServer.Listen(addr, "obsv: admin endpoint", a.Handler(), a.Logf)
+	adminLog := NewLogger(os.Stderr, LevelInfo).With("admin")
+	logf := func(format string, args ...any) { adminLog.Error(fmt.Sprintf(format, args...)) }
+	return a.HTTPServer.Listen(addr, "obsv: admin endpoint", a.Handler(), logf)
 }

@@ -1,8 +1,13 @@
 // Package obsv is the repository's dependency-free observability core:
-// a concurrent metrics registry (counters, gauges, fixed-bucket
-// histograms) with Prometheus text exposition, hierarchical span
-// tracing for the analysis pipeline, a leveled key=value logger, and an
-// admin HTTP endpoint (metrics, health, pprof) every daemon can serve.
+// a concurrent metrics registry with Prometheus text exposition,
+// hierarchical span tracing for the analysis pipeline, a leveled
+// key=value logger, the shared HTTP request front, and the -admin
+// endpoint (metrics, health, pprof, live latency) the long-running
+// commands serve.
+//
+// The registry has three instruments: counters, gauges, and one latency
+// instrument, the QuantileHistogram sketch, registered with Summary and
+// exported as a Prometheus summary (p50/p90/p99/p999, _sum, _count).
 //
 // Everything here is stdlib-only and safe for concurrent use. Metrics
 // are process-global by default (the Default registry), mirroring how
@@ -27,7 +32,6 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindSummary
 )
 
@@ -37,10 +41,8 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindSummary:
-		return "summary"
 	default:
-		return "histogram"
+		return "summary"
 	}
 }
 
@@ -109,76 +111,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets (cumulative on
-// export, per Prometheus convention). All methods are safe for
-// concurrent use; a nil Histogram is a no-op.
-type Histogram struct {
-	uppers  []float64 // sorted upper bounds, exclusive of +Inf
-	counts  []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-// DefBuckets is the default latency bucket layout, in seconds.
-var DefBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
-func newHistogram(uppers []float64) *Histogram {
-	if len(uppers) == 0 {
-		uppers = DefBuckets
-	}
-	sorted := append([]float64(nil), uppers...)
-	sort.Float64s(sorted)
-	return &Histogram{uppers: sorted, counts: make([]atomic.Int64, len(sorted))}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	// Lowest bucket whose upper bound admits v; beyond the last bound
-	// the sample lands only in the implicit +Inf bucket (count/sum).
-	i := sort.SearchFloat64s(h.uppers, v)
-	if i < len(h.counts) {
-		h.counts[i].Add(1)
-	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns how many samples were observed.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// snapshot returns cumulative bucket counts aligned with h.uppers.
-func (h *Histogram) snapshot() []int64 {
-	out := make([]int64, len(h.counts))
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		out[i] = cum
-	}
-	return out
-}
-
 // metric is one registered series: a family name plus a fixed label
 // set, holding exactly one of the three instrument types.
 type metric struct {
@@ -186,16 +118,14 @@ type metric struct {
 	labels string // rendered {k="v",...} or ""
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
 	q      *QuantileHistogram
 }
 
 // family carries the per-name metadata shared by every labeled child.
 type family struct {
-	name    string
-	help    string
-	kind    metricKind
-	buckets []float64
+	name string
+	help string
+	kind metricKind
 }
 
 // Registry holds metrics and renders them. The zero value is not
@@ -258,7 +188,7 @@ func labelKey(kv []string) string {
 // register returns the metric for (name, labels), creating it on first
 // use. Conflicting re-registration of a name with a different kind is a
 // programming error and panics at init time, where it is deterministic.
-func (r *Registry) register(name, help string, kind metricKind, buckets []float64, kv []string) *metric {
+func (r *Registry) register(name, help string, kind metricKind, kv []string) *metric {
 	labels := labelKey(kv)
 	key := name + labels
 	r.mu.RLock()
@@ -274,7 +204,7 @@ func (r *Registry) register(name, help string, kind metricKind, buckets []float6
 	}
 	fam, ok := r.families[name]
 	if !ok {
-		fam = &family{name: name, help: help, kind: kind, buckets: buckets}
+		fam = &family{name: name, help: help, kind: kind}
 		r.families[name] = fam
 	} else if fam.kind != kind {
 		panic(fmt.Sprintf("obsv: metric %q re-registered as %s (was %s)", name, kind, fam.kind))
@@ -285,8 +215,6 @@ func (r *Registry) register(name, help string, kind metricKind, buckets []float6
 		m.c = new(Counter)
 	case kindGauge:
 		m.g = new(Gauge)
-	case kindHistogram:
-		m.h = newHistogram(fam.buckets)
 	case kindSummary:
 		m.q = NewLatencyQuantiles()
 	}
@@ -298,26 +226,20 @@ func (r *Registry) register(name, help string, kind metricKind, buckets []float6
 // "key", "value" label pairs, registering it on first use. Subsequent
 // calls with the same identity return the same instance.
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	return r.register(name, help, kindCounter, nil, kv).c
+	return r.register(name, help, kindCounter, kv).c
 }
 
 // Gauge is Counter for gauges.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	return r.register(name, help, kindGauge, nil, kv).g
+	return r.register(name, help, kindGauge, kv).g
 }
 
-// Histogram is Counter for histograms; buckets are upper bounds (nil
-// means DefBuckets). The bucket layout is fixed by the first
-// registration of the name.
-func (r *Registry) Histogram(name, help string, buckets []float64, kv ...string) *Histogram {
-	return r.register(name, help, kindHistogram, buckets, kv).h
-}
-
-// Summary is Counter for QuantileHistograms, exported in the Prometheus
-// summary format with the SLOQuantiles (p50/p90/p99/p999). Summaries
-// use the latency defaults (100ns..300s, ±2%); observe seconds.
+// Summary is Counter for the latency instrument: a QuantileHistogram
+// exported in the Prometheus summary format with the SLOQuantiles
+// (p50/p90/p99/p999), _sum and _count. Summaries use the latency
+// defaults (100ns..300s, ±2%); observe seconds.
 func (r *Registry) Summary(name, help string, kv ...string) *QuantileHistogram {
-	return r.register(name, help, kindSummary, nil, kv).q
+	return r.register(name, help, kindSummary, kv).q
 }
 
 // OnScrape registers f to run at the top of every WritePrometheus
@@ -340,9 +262,9 @@ func NewGauge(name, help string, kv ...string) *Gauge {
 	return Default().Gauge(name, help, kv...)
 }
 
-// NewHistogram registers a histogram on the Default registry.
-func NewHistogram(name, help string, buckets []float64, kv ...string) *Histogram {
-	return Default().Histogram(name, help, buckets, kv...)
+// NewSummary registers a summary on the Default registry.
+func NewSummary(name, help string, kv ...string) *QuantileHistogram {
+	return Default().Summary(name, help, kv...)
 }
 
 // sortedMetrics returns every registered series sorted by family name
@@ -376,7 +298,7 @@ func formatValue(v float64) string {
 }
 
 // injectLabel merges an extra k="v" pair into an already-rendered label
-// string (used for histogram le labels).
+// string (used for summary quantile labels).
 func injectLabel(labels, k, v string) string {
 	pair := fmt.Sprintf("%s=%q", k, v)
 	if labels == "" {
@@ -428,7 +350,7 @@ func writeSeries(w io.Writer, m *metric) error {
 	case m.g != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, formatValue(m.g.Value()))
 		return err
-	case m.q != nil:
+	default:
 		q := m.q
 		vals := q.Quantiles(SLOQuantiles...)
 		for i, qv := range SLOQuantiles {
@@ -442,40 +364,12 @@ func writeSeries(w io.Writer, m *metric) error {
 		}
 		_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, m.labels, q.Count())
 		return err
-	default:
-		h := m.h
-		cum := h.snapshot()
-		// The exported sample count: buckets are read before the total,
-		// so a concurrent Observe (which increments its bucket first)
-		// can leave the last cumulative bucket ahead of Count. Taking
-		// the max keeps the +Inf bucket monotone over the le series and
-		// exactly equal to _count, the agreement Prometheus-side
-		// histogram_quantile math depends on.
-		total := h.Count()
-		if len(cum) > 0 && cum[len(cum)-1] > total {
-			total = cum[len(cum)-1]
-		}
-		for i, upper := range h.uppers {
-			le := injectLabel(m.labels, "le", formatValue(upper))
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, le, cum[i]); err != nil {
-				return err
-			}
-		}
-		le := injectLabel(m.labels, "le", "+Inf")
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, le, total); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", m.name, m.labels, formatValue(h.Sum())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, m.labels, total)
-		return err
 	}
 }
 
 // Dump renders every series as sorted "name{labels} value" lines with
 // no comment lines — the deterministic form tests assert against.
-// Histograms dump their count and sum series only.
+// Summaries dump their count and sum series only.
 func (r *Registry) Dump() string {
 	var b strings.Builder
 	for _, m := range r.sortedMetrics() {
@@ -484,19 +378,16 @@ func (r *Registry) Dump() string {
 			fmt.Fprintf(&b, "%s%s %d\n", m.name, m.labels, m.c.Value())
 		case m.g != nil:
 			fmt.Fprintf(&b, "%s%s %s\n", m.name, m.labels, formatValue(m.g.Value()))
-		case m.q != nil:
+		default:
 			fmt.Fprintf(&b, "%s_count%s %d\n", m.name, m.labels, m.q.Count())
 			fmt.Fprintf(&b, "%s_sum%s %s\n", m.name, m.labels, formatValue(m.q.Sum()))
-		default:
-			fmt.Fprintf(&b, "%s_count%s %d\n", m.name, m.labels, m.h.Count())
-			fmt.Fprintf(&b, "%s_sum%s %s\n", m.name, m.labels, formatValue(m.h.Sum()))
 		}
 	}
 	return b.String()
 }
 
 // Value returns the current value of the series with the given name
-// and labels: counter values and histogram counts as their integer
+// and labels: counter values and summary counts as their integer
 // value, gauges rounded toward zero. Unregistered series read 0 —
 // convenient for "did this counter move" assertions in tests.
 func (r *Registry) Value(name string, kv ...string) int64 {
@@ -512,10 +403,8 @@ func (r *Registry) Value(name string, kv ...string) int64 {
 		return m.c.Value()
 	case m.g != nil:
 		return int64(m.g.Value())
-	case m.q != nil:
-		return m.q.Count()
 	default:
-		return m.h.Count()
+		return m.q.Count()
 	}
 }
 

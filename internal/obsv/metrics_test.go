@@ -2,13 +2,15 @@ package obsv
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
 // TestMetricsConcurrentExactTotals hammers one counter, gauge, and
-// histogram from N goroutines and asserts the exact totals — the -race
+// summary from N goroutines and asserts the exact totals — the -race
 // gate for the registry's hot paths.
 func TestMetricsConcurrentExactTotals(t *testing.T) {
 	reg := NewRegistry()
@@ -17,7 +19,7 @@ func TestMetricsConcurrentExactTotals(t *testing.T) {
 
 	c := reg.Counter("hammer_total", "test counter")
 	g := reg.Gauge("hammer_gauge", "test gauge")
-	h := reg.Histogram("hammer_seconds", "test histogram", []float64{0.5, 1, 2})
+	h := reg.Summary("hammer_seconds", "test summary")
 
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -48,19 +50,26 @@ func TestMetricsConcurrentExactTotals(t *testing.T) {
 		t.Errorf("gauge = %g, want %g", got, want)
 	}
 	if got, want := h.Count(), int64(goroutines*perG); got != want {
-		t.Errorf("histogram count = %d, want %d", got, want)
+		t.Errorf("summary count = %d, want %d", got, want)
 	}
 	// Each goroutine observes perG/4 each of 0, 0.5, 1, 1.5 → sum 3 per 4.
 	if got, want := h.Sum(), float64(goroutines*perG)/4*3; got != want {
-		t.Errorf("histogram sum = %g, want %g", got, want)
+		t.Errorf("summary sum = %g, want %g", got, want)
 	}
-	// Bucket 0.5 is cumulative over observations ≤ 0.5: the 0 and 0.5 samples.
+	// The exposition carries the exact totals, and the median (rank
+	// 16000 of 32000: the last 0.5 sample) reads 0.5 within the sketch's
+	// relative error.
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `hammer_seconds_bucket{le="0.5"} 16000`) {
-		t.Errorf("exposition missing cumulative 0.5 bucket:\n%s", buf.String())
+	for _, want := range []string{"hammer_seconds_count 32000\n", "hammer_seconds_sum 24000\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+	if p50 := h.Quantile(0.5); math.Abs(p50-0.5) > 0.5*h.RelativeError() {
+		t.Errorf("p50 = %g, want 0.5 ± %g%%", p50, 100*h.RelativeError())
 	}
 }
 
@@ -90,15 +99,15 @@ func TestConcurrentLabeledRegistration(t *testing.T) {
 }
 
 // TestWritePrometheusGolden pins the exposition format: HELP/TYPE
-// comments, sorted families, sorted label sets, cumulative histogram
-// buckets with le labels, _sum and _count series.
+// comments, sorted families, sorted label sets, summary quantiles with
+// quantile labels, _sum and _count series.
 func TestWritePrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("zz_last_total", "sorts last").Add(7)
 	reg.Counter("aa_requests_total", "requests by verb", "verb", "get").Add(3)
 	reg.Counter("aa_requests_total", "requests by verb", "verb", "put").Add(1)
 	reg.Gauge("mm_temperature", "a gauge").Set(2.5)
-	h := reg.Histogram("mm_latency_seconds", "a histogram", []float64{0.1, 1})
+	h := reg.Summary("mm_latency_seconds", "a summary")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -111,11 +120,12 @@ func TestWritePrometheusGolden(t *testing.T) {
 # TYPE aa_requests_total counter
 aa_requests_total{verb="get"} 3
 aa_requests_total{verb="put"} 1
-# HELP mm_latency_seconds a histogram
-# TYPE mm_latency_seconds histogram
-mm_latency_seconds_bucket{le="0.1"} 1
-mm_latency_seconds_bucket{le="1"} 2
-mm_latency_seconds_bucket{le="+Inf"} 3
+# HELP mm_latency_seconds a summary
+# TYPE mm_latency_seconds summary
+mm_latency_seconds{quantile="0.5"} 0.5006
+mm_latency_seconds{quantile="0.9"} 4.979
+mm_latency_seconds{quantile="0.99"} 4.979
+mm_latency_seconds{quantile="0.999"} 4.979
 mm_latency_seconds_sum 5.55
 mm_latency_seconds_count 3
 # HELP mm_temperature a gauge
@@ -125,19 +135,33 @@ mm_temperature 2.5
 # TYPE zz_last_total counter
 zz_last_total 7
 `
-	if buf.String() != want {
+	// Quantile estimates are bucket midpoints (0.5 and 5 within ±2%);
+	// compare them to four significant digits so the golden pins the
+	// format, not the last float bits.
+	got := strings.Split(buf.String(), "\n")
+	for i, line := range got {
+		if j := strings.Index(line, `{quantile="`); j >= 0 {
+			k := strings.LastIndex(line, " ")
+			v, err := strconv.ParseFloat(line[k+1:], 64)
+			if err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+			got[i] = fmt.Sprintf("%s %.4g", line[:k], v)
+		}
+	}
+	if strings.Join(got, "\n") != want {
 		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 
-// TestHistogramExpositionAgreement hammers a histogram while scraping
-// and asserts every rendered exposition is internally consistent: the
-// +Inf bucket equals _count, the le series is monotone, and _sum is
-// present — the invariants Prometheus-side histogram_quantile math
-// needs from fixed-bucket histograms.
+// TestHistogramExpositionAgreement hammers a summary while scraping
+// and asserts every rendered exposition is internally consistent:
+// within one scrape the quantile lines do not decrease as q rises,
+// _count never decreases from one scrape to the next, and no value is
+// NaN — the invariants a reader of the SLO quantiles relies on.
 func TestHistogramExpositionAgreement(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("agree_seconds", "agreement under concurrency", []float64{0.001, 0.01, 0.1, 1})
+	h := reg.Summary("agree_seconds", "agreement under concurrency")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -155,36 +179,46 @@ func TestHistogramExpositionAgreement(t *testing.T) {
 			}
 		}(i)
 	}
+	var lastCount int64
 	for scrape := 0; scrape < 200; scrape++ {
 		var buf strings.Builder
 		if err := reg.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		var prev, inf, count int64 = -1, -1, -1
+		prevQ, prev := -1.0, -1.0
+		count := int64(-1)
 		sawSum := false
 		for _, line := range strings.Split(buf.String(), "\n") {
+			if !strings.HasPrefix(line, "agree_seconds") {
+				continue
+			}
+			v, err := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
+			if err != nil || math.IsNaN(v) {
+				t.Fatalf("bad value in %q (err %v)\n%s", line, err, buf.String())
+			}
 			switch {
-			case strings.HasPrefix(line, "agree_seconds_bucket"):
-				var v int64
-				if _, err := fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &v); err != nil {
+			case strings.HasPrefix(line, `agree_seconds{quantile="`):
+				var q float64
+				if _, err := fmt.Sscanf(line, `agree_seconds{quantile="%g"}`, &q); err != nil {
 					t.Fatalf("parse %q: %v", line, err)
 				}
-				if v < prev {
-					t.Fatalf("non-monotone le series: %q after %d\n%s", line, prev, buf.String())
+				if q <= prevQ || v < prev {
+					t.Fatalf("quantile lines out of order: %q after q=%g value %g\n%s", line, prevQ, prev, buf.String())
 				}
-				prev = v
-				if strings.Contains(line, `le="+Inf"`) {
-					inf = v
-				}
-			case strings.HasPrefix(line, "agree_seconds_count"):
-				fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &count)
-			case strings.HasPrefix(line, "agree_seconds_sum"):
+				prevQ, prev = q, v
+			case strings.HasPrefix(line, "agree_seconds_count "):
+				count = int64(v)
+			case strings.HasPrefix(line, "agree_seconds_sum "):
 				sawSum = true
 			}
 		}
-		if inf != count {
-			t.Fatalf("+Inf bucket %d != _count %d:\n%s", inf, count, buf.String())
+		if prevQ != SLOQuantiles[len(SLOQuantiles)-1] {
+			t.Fatalf("exposition missing quantile lines:\n%s", buf.String())
 		}
+		if count < lastCount {
+			t.Fatalf("_count went backwards: %d after %d\n%s", count, lastCount, buf.String())
+		}
+		lastCount = count
 		if !sawSum {
 			t.Fatalf("exposition missing _sum:\n%s", buf.String())
 		}
@@ -198,7 +232,7 @@ func TestDumpDeterministic(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b_total", "").Add(2)
 	reg.Counter("a_total", "").Add(1)
-	reg.Histogram("c_seconds", "", []float64{1}).Observe(0.5)
+	reg.Summary("c_seconds", "").Observe(0.5)
 	want := "a_total 1\nb_total 2\nc_seconds_count 1\nc_seconds_sum 0.5\n"
 	if got := reg.Dump(); got != want {
 		t.Errorf("Dump = %q, want %q", got, want)
@@ -228,7 +262,7 @@ func TestRegistryIdentity(t *testing.T) {
 func TestNilMetricsAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
+	var h *QuantileHistogram
 	c.Inc()
 	c.Add(3)
 	g.Set(1)

@@ -1,10 +1,12 @@
-// quantile.go is the high-resolution latency instrument: a log-bucketed
-// histogram whose quantile estimates carry a bounded relative error, so
-// p50/p99/p999 read from a scrape are trustworthy without shipping every
-// sample. Fixed-bucket Histograms stay the right tool for coarse
-// Prometheus-side aggregation; QuantileHistogram is for the serving hot
-// path, where "p99 = 1.8ms ± 2%" is the contract /debug/latency and the
-// exported summaries are read on.
+// quantile.go is the repository's one latency instrument: a
+// log-bucketed sketch whose quantile estimates carry a bounded relative
+// error, so p50/p99/p999 read from a scrape are trustworthy without
+// shipping every sample. Every latency — request routes, snapshot
+// builds and persists, pool queue waits, whois answers — is registered
+// with Registry.Summary and read on the same contract ("p99 = 1.8ms ±
+// 2%") at /metrics and /debug/latency. Sketches with equal parameters
+// have identical bucket boundaries, which is what an exact fleet-wide
+// merge needs.
 
 package obsv
 

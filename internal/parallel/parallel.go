@@ -34,8 +34,8 @@ var (
 		"work items whose function panicked (recovered into PanicError)")
 	mTasksCanceled = obsv.NewCounter("parallel_tasks_canceled_total",
 		"work items never dispatched because the context was done")
-	mQueueWait = obsv.NewHistogram("parallel_queue_wait_seconds",
-		"delay between fan-out start and item dispatch", nil)
+	mQueueWait = obsv.NewSummary("parallel_queue_wait_seconds",
+		"delay between fan-out start and item dispatch")
 )
 
 // PanicError is a panic recovered from a worker item, converted into an

@@ -33,10 +33,6 @@ type Options struct {
 	// snapshot build the request waits on; ≤ 0 means
 	// DefaultRequestTimeout. Expiry answers 504.
 	RequestTimeout time.Duration
-	// Workers bounds the goroutines snapshot builds fan out on.
-	Workers int
-	// BuildTimeout bounds one background snapshot build; 0 means none.
-	BuildTimeout time.Duration
 	// Registry receives the serving metrics; nil means obsv.Default().
 	Registry *obsv.Registry
 	// Tracer, when non-nil, records query → snapshot → pipeline spans.

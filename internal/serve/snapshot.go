@@ -167,7 +167,7 @@ type storeMetrics struct {
 	hits         *obsv.Counter
 	backoffs     *obsv.Counter
 	warmStarts   *obsv.Counter
-	buildSeconds *obsv.Histogram
+	buildSeconds *obsv.QuantileHistogram
 	// Cluster replication: snapshots pulled from a peer over the wire
 	// instead of rebuilt, failures doing so, and archives served to
 	// peers via /peer/snapshot.
@@ -234,7 +234,7 @@ func NewStore(w *synth.World, opts StoreOptions) *Store {
 			hits:         reg.Counter("serve_snapshot_hits_total", "requests answered from a published snapshot"),
 			backoffs:     reg.Counter("serve_snapshot_backoff_total", "requests refused because the date key is in build backoff"),
 			warmStarts:   reg.Counter("serve_snapshot_warm_starts_total", "snapshots published from the durable archive at boot"),
-			buildSeconds: reg.Histogram("serve_snapshot_build_seconds", "snapshot build latency", nil),
+			buildSeconds: reg.Summary("serve_snapshot_build_seconds", "snapshot build latency"),
 			wireSyncs: reg.Counter("serve_snapshot_wire_syncs_total",
 				"snapshots published from a peer's wire archive instead of a local rebuild"),
 			wireSyncErrors: reg.Counter("serve_snapshot_wire_sync_errors_total",

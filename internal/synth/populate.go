@@ -27,8 +27,8 @@ var (
 		"View.Dataset calls answered by an earlier build")
 	mDatasetCacheMisses = obsv.NewCounter("synth_dataset_cache_misses_total",
 		"View.Dataset calls that built (or raced to build) a dataset")
-	mDatasetBuild = obsv.NewHistogram("synth_dataset_build_seconds",
-		"wall time of one dataset build", []float64{.05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60})
+	mDatasetBuild = obsv.NewSummary("synth_dataset_build_seconds",
+		"wall time of one dataset build")
 )
 
 // allocator carves per-RIR address space: /13 blocks for large networks

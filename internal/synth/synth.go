@@ -146,6 +146,25 @@ func NewConfig(seed int64) Config {
 	}
 }
 
+// Preset returns the named world scale for seed, the one vocabulary of
+// every command's -scale flag: "small" (774 ASes, the quick world the
+// examples and smoke tests use), "full" (NewConfig, ~9.3k ASes) or
+// "large" (NewLargeConfig, ~75k ASes).
+func Preset(name string, seed int64) (Config, error) {
+	switch name {
+	case "small":
+		cfg := NewConfig(seed)
+		cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 3, 60, 700, 8
+		cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 70, 20, 3, 4
+		return cfg, nil
+	case "full":
+		return NewConfig(seed), nil
+	case "large":
+		return NewLargeConfig(seed), nil
+	}
+	return Config{}, fmt.Errorf("unknown scale %q (want small, full or large)", name)
+}
+
 // World is the generated ecosystem plus everything the analysis needs.
 type World struct {
 	Config Config

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -250,5 +251,39 @@ func TestCohortBiasInGeneratedData(t *testing.T) {
 	nRate := float64(non.allValid) / float64(non.total)
 	if mRate <= nRate {
 		t.Errorf("small MANRS all-valid rate %.2f should exceed non-MANRS %.2f", mRate, nRate)
+	}
+}
+
+// TestPreset pins the -scale vocabulary: each name is the world its
+// commands generated before the presets were shared, and every other
+// name fails with an error that lists the valid ones.
+func TestPreset(t *testing.T) {
+	small := NewConfig(5)
+	small.Tier1s, small.LargeISPs, small.MediumISPs, small.SmallASes, small.CDNs = 3, 3, 60, 700, 8
+	small.MANRSSmall, small.MANRSMedium, small.MANRSLarge, small.MANRSCDNs = 70, 20, 3, 4
+	for _, tc := range []struct {
+		name string
+		want Config
+	}{
+		{"small", small},
+		{"full", NewConfig(5)},
+		{"large", NewLargeConfig(5)},
+	} {
+		got, err := Preset(tc.name, 5)
+		if err != nil || got != tc.want {
+			t.Errorf("Preset(%q) = %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, name := range []string{"seed", "", "Large"} {
+		_, err := Preset(name, 5)
+		if err == nil {
+			t.Errorf("Preset(%q) succeeded, want an error", name)
+			continue
+		}
+		for _, valid := range []string{"small", "full", "large"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("Preset(%q) error %q does not name %q", name, err, valid)
+			}
+		}
 	}
 }

@@ -20,12 +20,9 @@ type ReportOptions struct {
 	// expensive experiment; set SkipStability to omit it.
 	StabilityWeeks int
 	SkipStability  bool
-	// CaseStudyCDNs / CaseStudyISPs bound Table 1; zeros mean 3 and 3.
-	CaseStudyCDNs, CaseStudyISPs int
 	// SkipExtensions omits the beyond-the-paper experiments (hijack
-	// containment); HijackIncidents sets the incident count (zero = 200).
-	SkipExtensions  bool
-	HijackIncidents int
+	// containment, Action 3, route leaks).
+	SkipExtensions bool
 	// Workers bounds the goroutines the staged runner fans the report
 	// sections (and their dataset builds) across; ≤ 0 means one per CPU.
 	// The report bytes are identical for every worker count.
@@ -61,6 +58,13 @@ type ReportOptions struct {
 	// sections.
 	sectionHook func(name string, run sectionRun) sectionRun
 }
+
+// The report's fixed sizes: Table 1 profiles three CDNs and three ISPs,
+// and the hijack-containment extension samples 200 incidents.
+const (
+	caseStudyCDNs, caseStudyISPs = 3, 3
+	hijackIncidents              = 200
+)
 
 // sectionRun computes one section's rendered output. The context is
 // canceled when the section's watchdog expires or the report run is
@@ -156,13 +160,6 @@ func RunReportWithPipeline(w io.Writer, pipe *Pipeline, opts ReportOptions) erro
 // cause; under ContinueOnError the sections already completed are still
 // written first, so interrupted runs keep their finished work.
 func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, opts ReportOptions) error {
-	if opts.CaseStudyCDNs == 0 {
-		opts.CaseStudyCDNs = 3
-	}
-	if opts.CaseStudyISPs == 0 {
-		opts.CaseStudyISPs = 3
-	}
-
 	sections := []section{
 		{"Fig2Growth", func(context.Context) (string, error) { return pipe.Fig2Growth().Render(), nil }},
 		{"Fig4ByRIR", func(context.Context) (string, error) { return pipe.Fig4ByRIR().Render(), nil }},
@@ -171,7 +168,7 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 		{"Fig5bIRROrigination", func(context.Context) (string, error) { return pipe.Fig5bIRROrigination().Render(), nil }},
 		{"Action4", func(context.Context) (string, error) { return core.RenderAction4(pipe.Action4()), nil }},
 		{"Table1CaseStudies", func(ctx context.Context) (string, error) {
-			rows, err := pipe.Table1CaseStudies(ctx, opts.CaseStudyCDNs, opts.CaseStudyISPs)
+			rows, err := pipe.Table1CaseStudies(ctx, caseStudyCDNs, caseStudyISPs)
 			if err != nil {
 				return "", err
 			}
@@ -203,11 +200,7 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 			if opts.SkipExtensions {
 				return "Extension — hijack containment skipped (ReportOptions.SkipExtensions)", nil
 			}
-			n := opts.HijackIncidents
-			if n == 0 {
-				n = 200
-			}
-			res, err := pipe.HijackImpact(ctx, n, 1)
+			res, err := pipe.HijackImpact(ctx, hijackIncidents, 1)
 			if err != nil {
 				return "", err
 			}

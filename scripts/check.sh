@@ -67,8 +67,10 @@
 #            "degraded": true (graceful degradation, never a 5xx),
 #            send one request with a fixed traceparent and find its
 #            trace ID in both the access log and /debug/trace, assert
-#            the coalesce and cache-hit series appear on /metrics, and
-#            SIGTERM-drain cleanly
+#            the coalesce and cache-hit series appear on /metrics, that
+#            the snapshot build and pool queue-wait latencies are
+#            summaries with the build counted and no histogram _bucket
+#            line is left, and SIGTERM-drain cleanly
 #   crash  — crash-recovery smoke: run manrsd with -data-dir until it
 #            archives a snapshot, SIGKILL it, restart over the same
 #            directory, and assert the daemon warm-starts from the
@@ -398,6 +400,25 @@ done
 CACHE_HITS="$(sed -n 's/^serve_cache_hits_total //p' "$TMPDIR_SMOKE/manrsd.metrics")"
 if [ "${CACHE_HITS:-0}" -lt 1 ]; then
     echo "manrsd smoke: serve_cache_hits_total = ${CACHE_HITS:-absent}, want >= 1" >&2
+    exit 1
+fi
+# Snapshot builds and pool queue waits are latency summaries, and the
+# headline build was recorded.
+for family in serve_snapshot_build_seconds parallel_queue_wait_seconds; do
+    grep -q "^# TYPE $family summary\$" "$TMPDIR_SMOKE/manrsd.metrics" || {
+        echo "manrsd smoke: $family is not exported as a summary" >&2
+        grep "^# TYPE $family" "$TMPDIR_SMOKE/manrsd.metrics" >&2 || true
+        exit 1
+    }
+done
+BUILD_COUNT="$(sed -n 's/^serve_snapshot_build_seconds_count //p' "$TMPDIR_SMOKE/manrsd.metrics")"
+if [ "${BUILD_COUNT:-0}" -lt 1 ]; then
+    echo "manrsd smoke: serve_snapshot_build_seconds_count = ${BUILD_COUNT:-absent}, want >= 1" >&2
+    exit 1
+fi
+if grep -q '_bucket{\|^# TYPE .* histogram$' "$TMPDIR_SMOKE/manrsd.metrics"; then
+    echo "manrsd smoke: /metrics still exports a fixed-bucket histogram:" >&2
+    grep '_bucket{\|^# TYPE .* histogram$' "$TMPDIR_SMOKE/manrsd.metrics" >&2
     exit 1
 fi
 # SIGTERM must drain cleanly.
