@@ -743,7 +743,7 @@ func benchSnapshotData(b *testing.B) *durable.SnapshotData {
 }
 
 // BenchmarkSnapshotPersist measures the durable archive write path —
-// encode, checksum, temp+fsync+rename commit, manifest update, GC —
+// encode, checksum, temp+fsync+rename commit, retention janitor —
 // for a full bench-world snapshot. Content alternates between two
 // variants so the identical-content skip never fires and every
 // iteration pays for a real commit.

@@ -8,17 +8,18 @@
 //
 //	manrsd [-seed N] [-scale small|full|large] [-listen 127.0.0.1:8180]
 //	       [-workers N] [-max-inflight N] [-request-timeout D]
-//	       [-build-timeout D] [-no-warm] [-drain D]
+//	       [-build-timeout D] [-drain D] [-peers URL,...]
 //	       [-admin 127.0.0.1:9180] [-data-dir DIR] [-snap-budget BYTES]
 //	       [-access-log-sample N] [-trace-cap N]
 //
 // With -data-dir DIR every successfully built snapshot is archived to
-// DIR (checksummed, written atomically) and a restarted daemon
-// warm-starts from the last known-good archive: every query for an
-// archived date, scenarios included, is answered from what the archive
-// holds, and nothing is rebuilt. Corrupt archives are detected by
-// checksum, moved aside, and never served; -snap-budget bounds the
-// directory size.
+// DIR, one checksummed file per date written atomically over the
+// date's previous archive, and a restarted daemon warm-starts from it:
+// every query for an archived date, scenarios included, is answered
+// from what the archive holds, and nothing is rebuilt. Corrupt
+// archives are detected by checksum, moved aside, and never served;
+// -snap-budget bounds the directory size. Boot tries the archive, then
+// -peers, then builds the headline snapshot cold.
 //
 // Endpoints (all /v1 routes accept ?date=YYYY-MM-DD within the world's
 // study window and return strong ETags; requests beyond -max-inflight
@@ -82,7 +83,6 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "admission limit on concurrently served requests; arrivals beyond it are shed with 503")
 	requestTimeout := flag.Duration("request-timeout", serve.DefaultRequestTimeout, "end-to-end deadline per request, including any snapshot build it waits on")
 	buildTimeout := flag.Duration("build-timeout", 0, "deadline per background snapshot build (0 = none)")
-	noWarm := flag.Bool("no-warm", false, "skip pre-building the headline snapshot; the first queries coalesce onto the cold build instead")
 	drain := flag.Duration("drain", 5*time.Second, "bound on draining in-flight requests at shutdown; whatever remains is force-closed")
 	dataDir := flag.String("data-dir", "", "directory for durable snapshot archives; restarts warm-start from the last known-good archive (empty = no persistence)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs (replicas or a manrs-gw gateway); at boot a snapshot is pulled from the first peer that has one published, skipping the local rebuild")
@@ -149,44 +149,42 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if !*noWarm {
-		warmStart := time.Now()
-		// Try the durable archive first: a restart serves the last
-		// known-good snapshots as they are. The world is immutable and a
-		// version names its content, so a rebuild could only reproduce
-		// the verified bytes just loaded.
-		restored, err := store.WarmStart(ctx)
-		if restored > 0 {
-			log.Printf("warm start: %d snapshot(s) restored from archive (%.3fs)",
-				restored, time.Since(warmStart).Seconds())
-		} else if err != nil {
-			log.Printf("warm start from archive failed (%v); falling back", err)
-		}
-		// Wire replication beats a local rebuild: a replica joining a
-		// fleet whose snapshot is already published pulls the archive
-		// from a peer (or the gateway's coordinator relay) and catches up
-		// in milliseconds instead of rebuilding.
-		if !store.Ready() && *peers != "" {
-			var peerList []string
-			for _, p := range strings.Split(*peers, ",") {
-				if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
-					peerList = append(peerList, p)
-				}
-			}
-			if snap, peer, err := store.SyncPeers(ctx, nil, peerList, store.DefaultDate()); err == nil {
-				log.Printf("synced snapshot %s from peer %s via wire replication (no local rebuild, %.3fs)",
-					snap.Version, peer, time.Since(warmStart).Seconds())
-			} else {
-				log.Printf("peer sync failed (%v); falling back to a cold build", err)
+	warmStart := time.Now()
+	// Try the durable archive first: a restart serves the last
+	// known-good snapshots as they are. The world is immutable and a
+	// version names its content, so a rebuild could only reproduce
+	// the verified bytes just loaded.
+	restored, err := store.WarmStart(ctx)
+	if restored > 0 {
+		log.Printf("warm start: %d snapshot(s) restored from archive (%.3fs)",
+			restored, time.Since(warmStart).Seconds())
+	} else if err != nil {
+		log.Printf("warm start from archive failed (%v); falling back", err)
+	}
+	// Wire replication beats a local rebuild: a replica joining a
+	// fleet whose snapshot is already published pulls the archive
+	// from a peer (or the gateway's coordinator relay) and catches up
+	// in milliseconds instead of rebuilding.
+	if !store.Ready() && *peers != "" {
+		var peerList []string
+		for _, p := range strings.Split(*peers, ",") {
+			if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
+				peerList = append(peerList, p)
 			}
 		}
-		if !store.Ready() {
-			if _, err := store.Get(ctx, store.DefaultDate()); err != nil {
-				log.Fatalf("warm headline snapshot: %v", err)
-			}
-			log.Printf("headline snapshot %s published (%.1fs)",
-				store.Version(store.DefaultDate()), time.Since(warmStart).Seconds())
+		if snap, peer, err := store.SyncPeers(ctx, nil, peerList, store.DefaultDate()); err == nil {
+			log.Printf("synced snapshot %s from peer %s via wire replication (no local rebuild, %.3fs)",
+				snap.Version, peer, time.Since(warmStart).Seconds())
+		} else {
+			log.Printf("peer sync failed (%v); falling back to a cold build", err)
 		}
+	}
+	if !store.Ready() {
+		if _, err := store.Get(ctx, store.DefaultDate()); err != nil {
+			log.Fatalf("warm headline snapshot: %v", err)
+		}
+		log.Printf("headline snapshot %s published (%.1fs)",
+			store.Version(store.DefaultDate()), time.Since(warmStart).Seconds())
 	}
 
 	addr, err := srv.Listen(*listen)

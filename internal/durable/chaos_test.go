@@ -56,6 +56,11 @@ func TestCrashMidWriteRecovery(t *testing.T) {
 			if !reflect.DeepEqual(got, b) {
 				t.Fatalf("crash point %d: save succeeded but recovery returned old state", n)
 			}
+			// Open's mkdir plus one commit: create, write, fsync, rename,
+			// directory fsync.
+			if n > 7 {
+				t.Fatalf("save completes only at %d mutating ops, want <= 7", n)
+			}
 			t.Logf("save completes within %d mutating ops; swept all earlier crash points", n)
 			return
 		}
@@ -82,7 +87,7 @@ func TestChaosProbabilisticFaults(t *testing.T) {
 		ReadRot:    0.05,
 	})
 	dir := t.TempDir()
-	s, err := Open(dir, Options{FS: ffs, Logf: t.Logf, KeepPerKey: 2})
+	s, err := Open(dir, Options{FS: ffs, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("open under faults: %v", err)
 	}
@@ -199,7 +204,6 @@ func TestStoreConcurrentSaveLoad(t *testing.T) {
 					t.Errorf("load: %v", err)
 					return
 				}
-				s.GC()
 				_ = s.Status()
 				_ = s.Keys()
 			}

@@ -81,7 +81,7 @@ func (d *SnapshotData) Key() Key {
 }
 
 // Checksum returns the fnv64a checksum of the encoded archive — the
-// value the footer carries and the filename embeds.
+// value the footer carries.
 func Checksum(encoded []byte) uint64 {
 	if len(encoded) < 8 {
 		return 0

@@ -1,13 +1,14 @@
 // Package durable is the crash-safe snapshot archive behind the serving
 // layer: serve snapshots are encoded to a compact checksummed binary
 // format (codec.go) and written to disk via temp-file + fsync + atomic
-// rename (store.go), with a manifest that always names the last
-// known-good archive per (world fingerprint, date) key. Corrupt or
-// truncated archives are detected on load (fnv64a footer, bounds-checked
-// decode), quarantined, and skipped in favor of the previous good one,
-// so a daemon restart after a crash — even a crash in the middle of a
-// write — warm-starts from the newest snapshot that survived intact. A
-// retention janitor keeps the archive directory under a size budget.
+// rename (store.go), one file per (world fingerprint, date) key, named
+// after the key; the directory listing is the index. A crash in the
+// middle of a write leaves the key's previous archive in place, so a
+// daemon restart warm-starts from what survived. Corrupt or truncated
+// archives are detected on load (fnv64a footer, bounds-checked decode)
+// and quarantined, and the caller peer-syncs or builds that snapshot
+// cold. A retention janitor keeps the archive directory under a size
+// budget.
 //
 // All file I/O goes through the FS interface so chaos tests can inject
 // the failure modes real disks produce (short writes, torn renames,
@@ -22,9 +23,9 @@ import (
 	"os"
 )
 
-// File is the writable handle the store uses for archive and manifest
-// writes: a plain writer plus the Sync barrier the durability protocol
-// depends on.
+// File is the writable handle the store uses for archive writes: a
+// plain writer plus the Sync barrier the durability protocol depends
+// on.
 type File interface {
 	io.Writer
 	// Sync flushes the file's data to stable storage (fsync).

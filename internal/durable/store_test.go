@@ -3,6 +3,7 @@ package durable
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,7 +50,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// A second store over the same directory (a restarted daemon)
-	// loads the same snapshot via the manifest.
+	// loads the same snapshot.
 	s2, _ := openTest(t, dir, Options{})
 	got2, err := s2.Load(ctx, want.Key())
 	if err != nil {
@@ -85,23 +86,20 @@ func TestStoreIdenticalSaveSkipped(t *testing.T) {
 	}
 }
 
-// TestStoreQuarantinesCorruption damages the newest archive on disk
-// and checks Load falls back to the previous good one, quarantining
-// the damaged file and dropping it from the manifest.
+// TestStoreQuarantinesCorruption damages a key's archive on disk and
+// checks Load quarantines it and reports ErrNotFound, that a reopened
+// store does not quarantine again, and that the next save of the key
+// loads again.
 func TestStoreQuarantinesCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s, reg := openTest(t, dir, Options{})
 	ctx := context.Background()
-	old, newer := testSnapshotData(0), testSnapshotData(1)
-	if err := s.Save(ctx, old); err != nil {
+	d := testSnapshotData(0)
+	if err := s.Save(ctx, d); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(ctx, newer); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte in the middle of the newest archive.
-	name := archiveName(newer.Key(), Checksum(Encode(newer)))
-	path := filepath.Join(dir, name)
+	// Flip one byte in the middle of the archive.
+	path := filepath.Join(dir, archiveName(d.Key()))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +109,8 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := s.Load(ctx, old.Key())
-	if err != nil {
-		t.Fatalf("load after corruption: %v", err)
-	}
-	if !reflect.DeepEqual(got, old) {
-		t.Fatal("fallback load did not return the previous good archive")
+	if _, err := s.Load(ctx, d.Key()); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("load after corruption: %v, want ErrNotFound", err)
 	}
 	if reg.Value("durable_quarantine_total") != 1 {
 		t.Errorf("durable_quarantine_total = %d, want 1", reg.Value("durable_quarantine_total"))
@@ -124,37 +118,94 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 	if _, err := os.Stat(path + quarantineSuffix); err != nil {
 		t.Errorf("damaged archive not quarantined: %v", err)
 	}
-	// The manifest no longer references the damaged file: a reopened
-	// store goes straight to the good archive.
+
+	// A reopened store finds no archive for the key and quarantines
+	// nothing; the next save of the key is loadable again.
 	s2, reg2 := openTest(t, dir, Options{})
-	if got, err := s2.Load(ctx, old.Key()); err != nil || !reflect.DeepEqual(got, old) {
-		t.Fatalf("reopened load: %v", err)
+	if _, err := s2.Load(ctx, d.Key()); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("reopened load: %v, want ErrNotFound", err)
 	}
 	if reg2.Value("durable_quarantine_total") != 0 {
 		t.Errorf("reopened store re-quarantined: %d", reg2.Value("durable_quarantine_total"))
 	}
+	if err := s2.Save(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Load(ctx, d.Key()); err != nil || !reflect.DeepEqual(got, d) {
+		t.Fatalf("load after re-save: %v", err)
+	}
 }
 
-// TestStoreManifestCorruptionRescans destroys the manifest and checks
-// Open rebuilds it from the archive files.
-func TestStoreManifestCorruptionRescans(t *testing.T) {
+// TestStoreOneArchivePerKey saves five versions of one key and checks
+// the directory holds one archive, the last, with nothing counted as
+// removed: each save replaces the key's file.
+func TestStoreOneArchivePerKey(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openTest(t, dir, Options{})
+	s, reg := openTest(t, dir, Options{})
 	ctx := context.Background()
-	d := testSnapshotData(0)
-	if err := s.Save(ctx, d); err != nil {
-		t.Fatal(err)
+	var last *SnapshotData
+	for i := 0; i < 5; i++ {
+		last = testSnapshotData(i)
+		if err := s.Save(ctx, last); err != nil {
+			t.Fatalf("save %d: %v", i, err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
+	files, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if len(files) != 1 || filepath.Base(files[0]) != archiveName(last.Key()) {
+		t.Fatalf("directory holds %v, want only %s", files, archiveName(last.Key()))
+	}
+	if reg.Value("durable_persist_total") != 5 || reg.Value("durable_gc_removed_total") != 0 {
+		t.Errorf("persist/gc_removed = %d/%d, want 5/0",
+			reg.Value("durable_persist_total"), reg.Value("durable_gc_removed_total"))
 	}
 	s2, _ := openTest(t, dir, Options{})
-	got, err := s2.Load(ctx, d.Key())
-	if err != nil {
-		t.Fatalf("load after manifest rebuild: %v", err)
+	if got, err := s2.Load(ctx, last.Key()); err != nil || !reflect.DeepEqual(got, last) {
+		t.Fatalf("reopened store must load the last save: %v", err)
 	}
-	if !reflect.DeepEqual(got, d) {
-		t.Fatal("rebuilt manifest loaded wrong content")
+}
+
+// TestStoreIgnoresForeignFiles plants the files of an older directory
+// layout, an index file and an archive whose name carries its
+// checksum, and checks the store neither loads, lists, counts nor
+// removes them, even when the janitor runs over budget.
+func TestStoreIgnoresForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	d := testSnapshotData(0)
+	buf := Encode(d)
+	foreign := []string{
+		filepath.Join(dir, "MANIFEST.json"),
+		filepath.Join(dir, fmt.Sprintf("snap-2022-05-01-%s-%016x.mds", d.Fingerprint, Checksum(buf))),
+	}
+	for _, f := range foreign {
+		if err := os.WriteFile(f, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, reg := openTest(t, dir, Options{MaxBytes: 1})
+	ctx := context.Background()
+	if _, err := s.Load(ctx, d.Key()); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("load: %v, want ErrNotFound", err)
+	}
+	if keys := s.Keys(); len(keys) != 0 {
+		t.Fatalf("Keys() = %v, want none", keys)
+	}
+	other := testSnapshotData(1)
+	other.Date = other.Date.AddDate(0, 0, 1)
+	other.Version = other.Key().String()
+	if err := s.Save(ctx, other); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range foreign {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("foreign file %s removed: %v", filepath.Base(f), err)
+		}
+	}
+	if got := s.Status()["durable.bytes"]; got != fmt.Sprint(len(Encode(other))) {
+		t.Errorf("durable.bytes = %s, want only the one archive (%d)", got, len(Encode(other)))
+	}
+	if reg.Value("durable_gc_removed_total") != 0 || reg.Value("durable_quarantine_total") != 0 {
+		t.Errorf("gc_removed/quarantine = %d/%d, want 0/0",
+			reg.Value("durable_gc_removed_total"), reg.Value("durable_quarantine_total"))
 	}
 }
 
@@ -162,7 +213,7 @@ func TestStoreManifestCorruptionRescans(t *testing.T) {
 // checks Open removes it.
 func TestStoreSweepsTempLeftovers(t *testing.T) {
 	dir := t.TempDir()
-	tmp := filepath.Join(dir, "snap-2022-05-01-wfeed-0000000000000000.mds.tmp")
+	tmp := filepath.Join(dir, "snap-2022-05-01-wfeed.mds.tmp")
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -172,39 +223,13 @@ func TestStoreSweepsTempLeftovers(t *testing.T) {
 	}
 }
 
-// TestStoreGCPerKeyCap saves many versions of one key and checks only
-// KeepPerKey archives survive, newest retained.
-func TestStoreGCPerKeyCap(t *testing.T) {
-	dir := t.TempDir()
-	s, reg := openTest(t, dir, Options{KeepPerKey: 2})
-	ctx := context.Background()
-	var last *SnapshotData
-	for i := 0; i < 5; i++ {
-		last = testSnapshotData(i)
-		if err := s.Save(ctx, last); err != nil {
-			t.Fatalf("save %d: %v", i, err)
-		}
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*"+archiveSuffix))
-	if len(files) != 2 {
-		t.Fatalf("%d archives on disk, want 2 (KeepPerKey)", len(files))
-	}
-	if reg.Value("durable_gc_removed_total") != 3 {
-		t.Errorf("durable_gc_removed_total = %d, want 3", reg.Value("durable_gc_removed_total"))
-	}
-	got, err := s.Load(ctx, last.Key())
-	if err != nil || !reflect.DeepEqual(got, last) {
-		t.Fatalf("newest archive must survive GC: %v", err)
-	}
-}
-
 // TestStoreGCBudget saves archives for several dates under a tiny
 // budget and checks the janitor deletes oldest-first but never the
 // newest archive overall.
 func TestStoreGCBudget(t *testing.T) {
 	dir := t.TempDir()
 	one := Encode(testSnapshotData(0))
-	s, _ := openTest(t, dir, Options{MaxBytes: int64(len(one)) + 10, KeepPerKey: 1})
+	s, _ := openTest(t, dir, Options{MaxBytes: int64(len(one)) + 10})
 	ctx := context.Background()
 	var last *SnapshotData
 	for i := 0; i < 4; i++ {
@@ -230,17 +255,22 @@ func TestStoreGCBudget(t *testing.T) {
 
 func TestParseArchiveName(t *testing.T) {
 	key := Key{Fingerprint: "w0123456789abcdef", Date: time.Date(2022, 5, 1, 0, 0, 0, 0, time.UTC)}
-	name := archiveName(key, 0xdeadbeefcafef00d)
-	got, sum, ok := parseArchiveName(name)
-	if !ok || got.String() != key.String() || sum != 0xdeadbeefcafef00d {
-		t.Fatalf("parse %q: %v %x %v", name, got, sum, ok)
+	name := archiveName(key)
+	if name != "snap-2022-05-01-w0123456789abcdef.mds" {
+		t.Fatalf("archiveName = %q", name)
+	}
+	got, ok := parseArchiveName(name)
+	if !ok || got.String() != key.String() {
+		t.Fatalf("parse %q: %v %v", name, got, ok)
 	}
 	for _, bad := range []string{
-		"", "snap-.mds", "snap-2022-05-01.mds", "other-2022-05-01-w1-0.mds",
-		"snap-2022-13-99-w1-0000000000000000.mds",
-		"snap-2022-05-01-w0123456789abcdef-zzzz.mds",
+		"", "snap-.mds", "snap-2022-05-01.mds", "snap-2022-05-01-.mds",
+		"other-2022-05-01-w1.mds", "snap-2022-05-01-w1.mds.tmp",
+		"snap-2022-13-99-w1.mds",
+		"snap-2022-05-01-w0123456789abcdef-deadbeefcafef00d.mds",
+		"MANIFEST.json",
 	} {
-		if _, _, ok := parseArchiveName(bad); ok {
+		if _, ok := parseArchiveName(bad); ok {
 			t.Errorf("parseArchiveName(%q) accepted", bad)
 		}
 	}

@@ -21,10 +21,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"manrsmeter/internal/durable"
@@ -117,7 +117,6 @@ func (s *Store) published() map[time.Time]*Snapshot {
 		entries = append(entries, e)
 	}
 	s.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].date.Before(entries[j].date) })
 	out := make(map[time.Time]*Snapshot, len(entries))
 	for _, e := range entries {
 		if snap := e.snap.Load(); snap != nil {
@@ -206,8 +205,12 @@ func (s *Store) SyncFrom(ctx context.Context, client *http.Client, base string, 
 
 // SyncPeers tries each peer base URL in order until one sync succeeds,
 // returning the published snapshot. Errors accumulate: a fleet where
-// no peer has published yet reports every attempt.
+// no peer has published yet reports every attempt, each cause still
+// reachable through errors.Is and errors.As.
 func (s *Store) SyncPeers(ctx context.Context, client *http.Client, peers []string, date time.Time) (*Snapshot, string, error) {
+	if len(peers) == 0 {
+		return nil, "", errors.New("serve: no peers configured")
+	}
 	var errs []error
 	for _, p := range peers {
 		snap, err := s.SyncFrom(ctx, client, p, date)
@@ -220,19 +223,5 @@ func (s *Store) SyncPeers(ctx context.Context, client *http.Client, peers []stri
 		}
 	}
 	return nil, "", fmt.Errorf("serve: no peer could provide %s: %w",
-		date.Format("2006-01-02"), joinErrors(errs))
-}
-
-func joinErrors(errs []error) error {
-	if len(errs) == 0 {
-		return fmt.Errorf("no peers configured")
-	}
-	if len(errs) == 1 {
-		return errs[0]
-	}
-	msg := errs[0].Error()
-	for _, e := range errs[1:] {
-		msg += "; " + e.Error()
-	}
-	return fmt.Errorf("%s", msg)
+		date.Format("2006-01-02"), errors.Join(errs...))
 }

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,5 +195,36 @@ func TestSyncFromWrongWorld(t *testing.T) {
 	}
 	if store.publishedAt(store.DefaultDate()) != nil {
 		t.Error("refused sync still published a snapshot")
+	}
+}
+
+// TestSyncPeersKeepsErrorChains: when every peer fails, the returned
+// error reports each attempt and still wraps each cause, so a refused
+// dial is visible to errors.As behind a peer that answered 404.
+func TestSyncPeersKeepsErrorChains(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := "http://" + ln.Addr().String()
+	ln.Close()
+	_, srv, _ := newTestServer(t, Options{}) // nothing published: /peer/snapshot is a 404
+	unpublished := httptest.NewServer(srv.Handler())
+	defer unpublished.Close()
+
+	store := NewStore(testWorld(t), StoreOptions{Registry: obsv.NewRegistry()})
+	_, _, err = store.SyncPeers(context.Background(), nil, []string{refused, unpublished.URL}, store.DefaultDate())
+	if err == nil {
+		t.Fatal("SyncPeers succeeded with no peer able to serve")
+	}
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) {
+		t.Errorf("errors.As cannot find the refused dial's *net.OpError in %q", err)
+	}
+	if !strings.Contains(err.Error(), "status 404") {
+		t.Errorf("error %q does not report the 404 peer", err)
+	}
+	if _, _, err := store.SyncPeers(context.Background(), nil, nil, store.DefaultDate()); err == nil {
+		t.Error("SyncPeers with no peers returned no error")
 	}
 }

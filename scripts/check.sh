@@ -72,7 +72,9 @@
 #            summaries with the build counted and no histogram _bucket
 #            line is left, and SIGTERM-drain cleanly
 #   crash  — crash-recovery smoke: run manrsd with -data-dir until it
-#            archives a snapshot, SIGKILL it, restart over the same
+#            archives a snapshot, SIGKILL it, check the directory holds
+#            exactly one snap-*.mds and no MANIFEST.json (the listing
+#            is the index), restart over the same
 #            directory, and assert the daemon warm-starts from the
 #            archive (first query 200, durable_load_total >= 1,
 #            serve_snapshot_builds_total 0: nothing is rebuilt) before
@@ -462,6 +464,13 @@ fi
 kill -9 "$MANRSD_PID" 2>/dev/null || true
 wait "$MANRSD_PID" 2>/dev/null || true
 MANRSD_PID=""
+# One file per (world, date) key and no index file beside it.
+SNAPFILES="$(find "$SNAPDIR" -maxdepth 1 -name 'snap-*.mds' | wc -l)"
+if [ "$SNAPFILES" -ne 1 ] || [ -e "$SNAPDIR/MANIFEST.json" ]; then
+    echo "crash smoke: archive dir holds $SNAPFILES snap-*.mds files (want 1) or a MANIFEST.json:" >&2
+    ls -l "$SNAPDIR" >&2
+    exit 1
+fi
 # Restart over the same directory: must warm-start from the archive.
 "$TMPDIR_SMOKE/manrsd" -scale small -listen 127.0.0.1:0 -admin 127.0.0.1:0 \
     -data-dir "$SNAPDIR" >"$TMPDIR_SMOKE/crash2.log" 2>&1 &
