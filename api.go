@@ -14,10 +14,10 @@
 //
 // or run every experiment at once:
 //
-//	manrsmeter.RunReport(os.Stdout, world, manrsmeter.ReportOptions{})
+//	manrsmeter.RunReport(ctx, os.Stdout, world, manrsmeter.ReportOptions{})
 //
-// Long-running entry points have context-aware variants (RunReportCtx,
-// NewPipelineCtx) that honor cancellation and deadlines, and RunReport
+// The long-running entry points (RunReport, RunReportWithPipeline,
+// NewPipelineCtx) honor ctx's cancellation and deadline, and the report
 // supports a degraded mode (ReportOptions.ContinueOnError) that renders
 // diagnostics for failed sections instead of aborting — see DESIGN.md,
 // "Failure semantics".
@@ -161,17 +161,12 @@ func NewPipeline(w *World) (*Pipeline, error) {
 	return NewPipelineCtx(context.Background(), w, PipelineOptions{})
 }
 
-// NewPipelineWith is NewPipeline with explicit options, e.g. a bounded
-// worker pool:
+// NewPipelineCtx is NewPipeline with explicit options, e.g. a bounded
+// worker pool, and with cancellation threaded through the headline
+// dataset build: a canceled context aborts construction with the
+// cancellation cause instead of finishing the build.
 //
-//	pipe, err := manrsmeter.NewPipelineWith(world, manrsmeter.PipelineOptions{Workers: 4})
-func NewPipelineWith(w *World, opts PipelineOptions) (*Pipeline, error) {
-	return NewPipelineCtx(context.Background(), w, opts)
-}
-
-// NewPipelineCtx is NewPipelineWith with cancellation threaded through
-// the headline dataset build: a canceled context aborts construction
-// with the cancellation cause instead of finishing the build.
+//	pipe, err := manrsmeter.NewPipelineCtx(ctx, world, manrsmeter.PipelineOptions{Workers: 4})
 func NewPipelineCtx(ctx context.Context, w *World, opts PipelineOptions) (*Pipeline, error) {
 	return core.NewPipeline(ctx, w, w.Date(w.Config.EndYear), opts)
 }

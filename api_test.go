@@ -2,6 +2,7 @@ package manrsmeter
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -110,7 +111,7 @@ func TestRunReportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	err = RunReport(&buf, world, ReportOptions{StabilityWeeks: 3})
+	err = RunReport(context.Background(), &buf, world, ReportOptions{StabilityWeeks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestRunReportSkipStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := RunReport(&buf, world, ReportOptions{SkipStability: true}); err != nil {
+	if err := RunReport(context.Background(), &buf, world, ReportOptions{SkipStability: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "skipped") {

@@ -347,7 +347,7 @@ func BenchmarkFullReport(b *testing.B) {
 	p := pipeline(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := RunReportWithPipeline(io.Discard, p, ReportOptions{SkipStability: true})
+		err := RunReportWithPipeline(context.Background(), io.Discard, p, ReportOptions{SkipStability: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -106,30 +106,21 @@ func main() {
 	}
 }
 
-// sectionHealth tracks live per-section statuses for /healthz — the
-// same states the ContinueOnError health trailer renders at the end of
-// the run.
-type sectionHealth struct {
-	mu       sync.Mutex
-	statuses map[string]string
-}
-
-func (h *sectionHealth) observe(name, status string, _ time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.statuses == nil {
-		h.statuses = make(map[string]string)
-	}
-	h.statuses[name] = status
-}
-
-func (h *sectionHealth) health() obsv.Health {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := obsv.Health{OK: true, Detail: make(map[string]string, len(h.statuses)+1)}
+// sectionHealth is /healthz for a report run: the status of every
+// finished section, read off the "section" spans the run's tracer
+// records (a span carries its name from the start and its status once
+// the section ends) — the same states the ContinueOnError health
+// trailer renders at the end of the run. Running sections are not
+// listed yet.
+func sectionHealth(tracer *obsv.Tracer) obsv.Health {
+	out := obsv.Health{OK: true, Detail: map[string]string{}}
 	done := 0
-	for name, status := range h.statuses {
-		out.Detail["section."+name] = status
+	for _, ev := range tracer.Events() {
+		status := ev.Attr("status")
+		if ev.Name != "section" || status == "" {
+			continue
+		}
+		out.Detail["section."+ev.Attr("name")] = status
 		if status != "ok" {
 			out.OK = false
 		}
@@ -146,11 +137,9 @@ func run(ctx context.Context, seed int64, scale string, opts manrsmeter.ReportOp
 	}
 
 	tracer := obsv.NewTracer()
-	health := &sectionHealth{}
 	opts.Tracer = tracer
-	opts.SectionObserver = health.observe
-
-	if addr, err := adminEP.Start(&obsv.Admin{Tracer: tracer, Healthz: health.health}); err != nil {
+	health := func() obsv.Health { return sectionHealth(tracer) }
+	if addr, err := adminEP.Start(&obsv.Admin{Tracer: tracer, Healthz: health}); err != nil {
 		return fmt.Errorf("admin endpoint: %w", err)
 	} else if addr != nil {
 		log.Printf("admin endpoint on http://%s", addr)
@@ -170,7 +159,7 @@ func run(ctx context.Context, seed int64, scale string, opts manrsmeter.ReportOp
 		world.Graph.NumASes(), world.MANRS.Len(), world.Repo.NumROAs(),
 		world.IRRRegistry.NumRoutes(), time.Since(start).Seconds())
 
-	reportErr := manrsmeter.RunReportCtx(ctx, os.Stdout, world, opts)
+	reportErr := manrsmeter.RunReport(ctx, os.Stdout, world, opts)
 	if trace {
 		// The span tree replaces the old flat -trace wall-time lines:
 		// sections nest under the report root with their status, and

@@ -49,7 +49,7 @@ func TestReportGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := RunReport(&buf, world, ReportOptions{StabilityWeeks: 3, Workers: 2}); err != nil {
+	if err := RunReport(context.Background(), &buf, world, ReportOptions{StabilityWeeks: 3, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.Bytes()

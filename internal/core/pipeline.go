@@ -8,11 +8,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"manrsmeter/internal/ihr"
 	"manrsmeter/internal/manrs"
 	"manrsmeter/internal/obsv"
+	"manrsmeter/internal/scenario"
 	"manrsmeter/internal/synth"
 )
 
@@ -32,6 +34,10 @@ type Pipeline struct {
 
 	ds      *ihr.Dataset
 	metrics map[uint32]*manrs.ASMetrics
+
+	// scenarioMu guards scenarioRuns, RunScenario's memo by scenario name.
+	scenarioMu   sync.Mutex
+	scenarioRuns map[string]*scenario.Result
 }
 
 // Options tunes pipeline construction.

@@ -1,87 +1,112 @@
 package core
 
-import (
-	"context"
-	"sort"
+import "context"
+
+// Offer says where a section is offered.
+type Offer uint8
+
+const (
+	// InReport sections make up the batch report (RunReport).
+	InReport Offer = 1 << iota
+	// Served sections answer on demand at /v1/report/{name}: cheap
+	// enough to render inside a request deadline.
+	Served
+	// Everywhere is both.
+	Everywhere = InReport | Served
 )
 
-// QuerySection is one independently renderable unit of the paper's
-// evaluation that a serving layer can answer on demand: a pure function
-// of an already-built Pipeline, cheap enough to render inside a request
-// deadline. The expensive multi-snapshot analyses (stability, hijack
-// impact, route leaks) and the parameterized tables (case studies) stay
-// in the batch report runner.
-type QuerySection struct {
-	// Name is the stable lookup key (lowercase, dash-separated).
+// Section is one independently renderable unit of the paper's
+// evaluation: a pure function of an already-built Pipeline.
+type Section struct {
+	// Name is the stable key (lowercase, dash-separated): the
+	// /v1/report path segment and the report's span and health name.
 	Name string
 	// Title is the human-readable section heading.
 	Title string
-	// Render computes the section text. The context is the request
-	// context: long sections should honor cancellation.
-	Render func(ctx context.Context, p *Pipeline) (string, error)
+	// Offer says where the section is offered.
+	Offer Offer
+	// Extension, when set, marks a beyond-the-paper experiment that the
+	// report's SkipExtensions omits; it names it in the skip placeholder.
+	Extension string
+	// Render computes the section text. weeks is the stability
+	// analysis's snapshot count (≤ 0: the paper's 12); the other
+	// sections ignore it. Long sections honor ctx's cancellation.
+	Render func(ctx context.Context, p *Pipeline, weeks int) (string, error)
 }
 
-// QuerySections lists the on-demand sections in paper order. The slice
-// is freshly allocated per call; callers may reorder it freely.
-func QuerySections() []QuerySection {
-	plain := func(f func(p *Pipeline) string) func(context.Context, *Pipeline) (string, error) {
-		return func(_ context.Context, p *Pipeline) (string, error) { return f(p), nil }
-	}
-	return []QuerySection{
-		{"fig2-growth", "Figure 2 — MANRS participation growth",
-			plain(func(p *Pipeline) string { return p.Fig2Growth().Render() })},
-		{"fig4-by-rir", "Figure 4 — participation by RIR",
-			plain(func(p *Pipeline) string { return p.Fig4ByRIR().Render() })},
-		{"finding-70", "Finding 7.0 — partial organization registration",
-			plain(func(p *Pipeline) string { return p.Finding70().Render() })},
-		{"fig5a-rpki-origination", "Figure 5a — RPKI-valid origination",
-			plain(func(p *Pipeline) string { return p.Fig5aRPKIOrigination().Render() })},
-		{"fig5b-irr-origination", "Figure 5b — IRR-valid origination",
-			plain(func(p *Pipeline) string { return p.Fig5bIRROrigination().Render() })},
-		{"action4", "Findings 8.3/8.4 — Action 4 conformance",
-			plain(func(p *Pipeline) string { return RenderAction4(p.Action4()) })},
-		{"fig6-saturation", "Figure 6 — RPKI saturation",
-			func(ctx context.Context, p *Pipeline) (string, error) {
-				res, err := p.Fig6Saturation(ctx)
-				if err != nil {
-					return "", err
-				}
-				return res.Render(), nil
-			}},
-		{"fig7a-rpki-propagation", "Figure 7a — RPKI-invalid propagation",
-			plain(func(p *Pipeline) string { return p.Fig7aRPKIPropagation().Render() })},
-		{"fig7b-irr-propagation", "Figure 7b — IRR-invalid propagation",
-			plain(func(p *Pipeline) string { return p.Fig7bIRRPropagation().Render() })},
-		{"fig8-unconformant", "Figure 8 — unconformant propagation",
-			plain(func(p *Pipeline) string { return p.Fig8Unconformant().Render() })},
-		{"table2-action1", "Table 2 — Action 1 conformance",
-			plain(func(p *Pipeline) string { return RenderTable2(p.Table2Action1()) })},
-		{"fig9-preference", "Figure 9 — preference scores",
-			plain(func(p *Pipeline) string { return p.Fig9Preference().Render() })},
-		{"action3", "Extension — Action 3 coordination",
-			plain(func(p *Pipeline) string { return p.Action3().Render() })},
-		{"scenarios", "Adversarial scenarios — measured degradation",
-			func(ctx context.Context, p *Pipeline) (string, error) { return p.RenderScenarios(ctx) }},
-	}
+// The report's fixed sizes: Table 1 profiles three CDNs and three ISPs,
+// the hijack-containment extension samples 200 incidents and the
+// route-leak extension 100.
+const (
+	caseStudyCDNs, caseStudyISPs = 3, 3
+	hijackIncidents              = 200
+	leakIncidents                = 100
+)
+
+// Sections is the paper's evaluation in report order, then the
+// scenarios section only the query routes serve. It is read-only.
+var Sections = []Section{
+	{"fig2-growth", "Figure 2 — MANRS participation growth", Everywhere, "",
+		plain(func(p *Pipeline) string { return p.Fig2Growth().Render() })},
+	{"fig4-by-rir", "Figure 4 — participation by RIR", Everywhere, "",
+		plain(func(p *Pipeline) string { return p.Fig4ByRIR().Render() })},
+	{"finding-70", "Finding 7.0 — partial organization registration", Everywhere, "",
+		plain(func(p *Pipeline) string { return p.Finding70().Render() })},
+	{"fig5a-rpki-origination", "Figure 5a — RPKI-valid origination", Everywhere, "",
+		plain(func(p *Pipeline) string { return p.Fig5aRPKIOrigination().Render() })},
+	{"fig5b-irr-origination", "Figure 5b — IRR-valid origination", Everywhere, "",
+		plain(func(p *Pipeline) string { return p.Fig5bIRROrigination().Render() })},
+	{"action4", "Findings 8.3/8.4 — Action 4 conformance", Everywhere, "",
+		plain(func(p *Pipeline) string { return RenderAction4(p.Action4()) })},
+	{"table1-case-studies", "Table 1 — case studies", InReport, "",
+		func(ctx context.Context, p *Pipeline, _ int) (string, error) {
+			rows, err := p.Table1CaseStudies(ctx, caseStudyCDNs, caseStudyISPs)
+			if err != nil {
+				return "", err
+			}
+			return RenderTable1(rows), nil
+		}},
+	{"stability", "Finding 8.7 — stability", InReport, "",
+		func(ctx context.Context, p *Pipeline, weeks int) (string, error) {
+			return rendered(p.Stability(ctx, weeks))
+		}},
+	{"fig6-saturation", "Figure 6 — RPKI saturation", Everywhere, "",
+		func(ctx context.Context, p *Pipeline, _ int) (string, error) {
+			return rendered(p.Fig6Saturation(ctx))
+		}},
+	{"fig7a-rpki-propagation", "Figure 7a — RPKI-invalid propagation", Everywhere, "",
+		plain(func(p *Pipeline) string { return p.Fig7aRPKIPropagation().Render() })},
+	{"fig7b-irr-propagation", "Figure 7b — IRR-invalid propagation", Everywhere, "",
+		plain(func(p *Pipeline) string { return p.Fig7bIRRPropagation().Render() })},
+	{"fig8-unconformant", "Figure 8 — unconformant propagation", Everywhere, "",
+		plain(func(p *Pipeline) string { return p.Fig8Unconformant().Render() })},
+	{"table2-action1", "Table 2 — Action 1 conformance", Everywhere, "",
+		plain(func(p *Pipeline) string { return RenderTable2(p.Table2Action1()) })},
+	{"fig9-preference", "Figure 9 — preference scores", Everywhere, "",
+		plain(func(p *Pipeline) string { return p.Fig9Preference().Render() })},
+	{"hijack-impact", "Extension — hijack containment", InReport, "hijack containment",
+		func(ctx context.Context, p *Pipeline, _ int) (string, error) {
+			return rendered(p.HijackImpact(ctx, hijackIncidents, 1))
+		}},
+	{"action3", "Extension — Action 3 coordination", Everywhere, "Action 3",
+		plain(func(p *Pipeline) string { return p.Action3().Render() })},
+	{"route-leaks", "Extension — route leaks", InReport, "route leaks",
+		func(_ context.Context, p *Pipeline, _ int) (string, error) {
+			return rendered(p.RouteLeaks(leakIncidents, 1))
+		}},
+	{"scenarios", "Adversarial scenarios — measured degradation", Served, "",
+		func(ctx context.Context, p *Pipeline, _ int) (string, error) { return p.RenderScenarios(ctx) }},
 }
 
-// SectionNames returns the sorted lookup keys of QuerySections.
-func SectionNames() []string {
-	secs := QuerySections()
-	names := make([]string, len(secs))
-	for i, s := range secs {
-		names[i] = s.Name
-	}
-	sort.Strings(names)
-	return names
+// plain adapts an infallible, context-free renderer.
+func plain(f func(p *Pipeline) string) func(context.Context, *Pipeline, int) (string, error) {
+	return func(_ context.Context, p *Pipeline, _ int) (string, error) { return f(p), nil }
 }
 
-// FindSection returns the section registered under name.
-func FindSection(name string) (QuerySection, bool) {
-	for _, s := range QuerySections() {
-		if s.Name == name {
-			return s, true
-		}
+// rendered renders an experiment's result, or passes its error on.
+func rendered[R interface{ Render() string }](res R, err error) (string, error) {
+	if err != nil {
+		return "", err
 	}
-	return QuerySection{}, false
+	return res.Render(), nil
 }

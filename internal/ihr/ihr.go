@@ -237,13 +237,9 @@ func makeTreeKey(origin uint32, rpkiS, irrS rov.Status, havePolicies bool) treeK
 	return treeKey{origin: origin, class: classBenign}
 }
 
-// Build constructs the dataset for every origination in the graph.
-func Build(cfg Config) (*Dataset, error) {
-	return BuildCtx(context.Background(), cfg)
-}
-
-// BuildCtx is Build with cancellation and panic isolation threaded
-// through every fan-out stage: once ctx is done no new originations are
+// BuildCtx constructs the dataset for every origination in the graph,
+// with cancellation and panic isolation threaded through every fan-out
+// stage: once ctx is done no new originations are
 // classified, no new trees are propagated and no new rows are derived,
 // and the build returns the cancellation cause instead of a partial
 // dataset. A panic in any stage surfaces as a *parallel.PanicError.

@@ -1,6 +1,7 @@
 package ihr
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -44,14 +45,14 @@ func richConfig(t *testing.T) Config {
 func TestBuildIdenticalAcrossWorkerCounts(t *testing.T) {
 	cfg := richConfig(t)
 	cfg.Workers = 1
-	base, err := Build(cfg)
+	base, err := BuildCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 0} {
 		cfg := cfg
 		cfg.Workers = workers
-		ds, err := Build(cfg)
+		ds, err := BuildCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func TestBuildIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestBuildTransitsTotallyOrdered(t *testing.T) {
-	ds, err := Build(richConfig(t))
+	ds, err := BuildCtx(context.Background(), richConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +101,13 @@ func TestBuildTransitsTotallyOrdered(t *testing.T) {
 
 func TestBuildOriginationsOverride(t *testing.T) {
 	cfg := richConfig(t)
-	full, err := Build(cfg)
+	full, err := BuildCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := cfg.Graph.Originations()
 	cfg.Originations = all[:2]
-	partial, err := Build(cfg)
+	partial, err := BuildCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestBuildOriginationsOverride(t *testing.T) {
 	}
 	// The full set passed explicitly must reproduce the default build.
 	cfg.Originations = all
-	explicit, err := Build(cfg)
+	explicit, err := BuildCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

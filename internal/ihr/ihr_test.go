@@ -1,6 +1,7 @@
 package ihr
 
 import (
+	"context"
 	"testing"
 
 	"manrsmeter/internal/astopo"
@@ -49,7 +50,7 @@ func TestBuildBasic(t *testing.T) {
 	}
 	rpkiIx := mustIndex(t, rov.Authorization{Prefix: pfx("10.5.0.0/16"), ASN: 5, MaxLength: 16})
 
-	ds, err := Build(Config{
+	ds, err := BuildCtx(context.Background(), Config{
 		Graph:         g,
 		RPKI:          rpkiIx,
 		VantagePoints: []uint32{2, 6},
@@ -107,7 +108,7 @@ func TestBuildROVFilteringCensorsInvalid(t *testing.T) {
 	rpkiIx := mustIndex(t, rov.Authorization{Prefix: pfx("10.5.0.0/16"), ASN: 5, MaxLength: 16})
 
 	// Without filtering the hijack is visible at vantage 2.
-	ds, err := Build(Config{Graph: g, RPKI: rpkiIx, VantagePoints: []uint32{2}})
+	ds, err := BuildCtx(context.Background(), Config{Graph: g, RPKI: rpkiIx, VantagePoints: []uint32{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestBuildROVFilteringCensorsInvalid(t *testing.T) {
 
 	// AS4 (AS6's only provider) deploys ROV: the hijack dies at AS4 and
 	// no vantage sees it.
-	ds, err = Build(Config{
+	ds, err = BuildCtx(context.Background(), Config{
 		Graph:         g,
 		RPKI:          rpkiIx,
 		Policies:      map[uint32]Policy{4: {DropRPKIInvalid: true}},
@@ -130,7 +131,7 @@ func TestBuildROVFilteringCensorsInvalid(t *testing.T) {
 		t.Fatalf("filtered view should be empty: %+v", ds.PrefixOrigins)
 	}
 	// KeepInvisible retains the censored pair with zero visibility.
-	ds, err = Build(Config{
+	ds, err = BuildCtx(context.Background(), Config{
 		Graph:         g,
 		RPKI:          rpkiIx,
 		Policies:      map[uint32]Policy{4: {DropRPKIInvalid: true}},
@@ -157,7 +158,7 @@ func TestBuildIRRCustomerFiltering(t *testing.T) {
 	irrIx := mustIndex(t, rov.Authorization{Prefix: pfx("10.9.0.0/16"), ASN: 777, MaxLength: 16})
 
 	// AS3 filters customers on IRR: the announcement dies at 3.
-	ds, err := Build(Config{
+	ds, err := BuildCtx(context.Background(), Config{
 		Graph:         g,
 		IRR:           irrIx,
 		Policies:      map[uint32]Policy{3: {DropIRRInvalidCustomers: true}},
@@ -178,7 +179,7 @@ func TestBuildIRRCustomerFiltering(t *testing.T) {
 	if err := g2.Originate(2, pfx("10.9.0.0/16")); err != nil {
 		t.Fatal(err)
 	}
-	ds, err = Build(Config{
+	ds, err = BuildCtx(context.Background(), Config{
 		Graph:         g2,
 		IRR:           irrIx,
 		Policies:      map[uint32]Policy{3: {DropIRRInvalidCustomers: true}},
@@ -193,10 +194,10 @@ func TestBuildIRRCustomerFiltering(t *testing.T) {
 }
 
 func TestBuildConfigValidation(t *testing.T) {
-	if _, err := Build(Config{}); err == nil {
+	if _, err := BuildCtx(context.Background(), Config{}); err == nil {
 		t.Error("missing graph should fail")
 	}
-	if _, err := Build(Config{Graph: astopo.NewGraph()}); err == nil {
+	if _, err := BuildCtx(context.Background(), Config{Graph: astopo.NewGraph()}); err == nil {
 		t.Error("missing vantage points should fail")
 	}
 }
@@ -206,7 +207,7 @@ func TestBuildNilIndexes(t *testing.T) {
 	if err := g.Originate(5, pfx("10.5.0.0/16")); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Build(Config{Graph: g, VantagePoints: []uint32{2}})
+	ds, err := BuildCtx(context.Background(), Config{Graph: g, VantagePoints: []uint32{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestBuildDeterministicOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ds, err := Build(Config{Graph: g, VantagePoints: []uint32{2, 6}})
+	ds, err := BuildCtx(context.Background(), Config{Graph: g, VantagePoints: []uint32{2, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestIRRFilterMissRate(t *testing.T) {
 	irrIx := mustIndex(t, rov.Authorization{Prefix: pfx("10.9.0.0/16"), ASN: 777, MaxLength: 16})
 
 	build := func(miss float64) int {
-		ds, err := Build(Config{
+		ds, err := BuildCtx(context.Background(), Config{
 			Graph: g,
 			IRR:   irrIx,
 			Policies: map[uint32]Policy{

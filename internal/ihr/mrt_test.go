@@ -2,6 +2,7 @@ package ihr
 
 import (
 	"bytes"
+	"context"
 	"net/netip"
 	"strings"
 	"testing"
@@ -141,7 +142,7 @@ func TestDatasetCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rpkiIx := mustIndex(t, rov.Authorization{Prefix: pfx("10.5.0.0/16"), ASN: 5, MaxLength: 16})
-	ds, err := Build(Config{Graph: g, RPKI: rpkiIx, VantagePoints: []uint32{2, 6}})
+	ds, err := BuildCtx(context.Background(), Config{Graph: g, RPKI: rpkiIx, VantagePoints: []uint32{2, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -412,12 +413,27 @@ type ReportIndex struct {
 	Sections []string `json:"sections"`
 }
 
+// reportNames is the /v1/report index: the served sections, sorted.
+var reportNames = func() []string {
+	var names []string
+	for _, sec := range core.Sections {
+		if sec.Offer&core.Served != 0 {
+			names = append(names, sec.Name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}()
+
 func reportSection(ctx context.Context, snap *Snapshot, name string) (*ReportSection, error) {
-	sec, ok := core.FindSection(name)
-	if !ok {
+	i := slices.IndexFunc(core.Sections, func(sec core.Section) bool {
+		return sec.Name == name && sec.Offer&core.Served != 0
+	})
+	if i < 0 {
 		return nil, errf(http.StatusNotFound, "unknown section %q (GET /v1/report lists them)", name)
 	}
-	text, err := sec.Render(ctx, snap.Pipeline)
+	sec := core.Sections[i]
+	text, err := sec.Render(ctx, snap.Pipeline, 0)
 	if err != nil {
 		return nil, fmt.Errorf("render %s: %w", name, err)
 	}

@@ -9,6 +9,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"slices"
 
 	"manrsmeter/internal/scenario"
 )
@@ -39,8 +40,14 @@ func scenarioIndex(snap *Snapshot) *ScenarioIndex {
 	}
 }
 
+// scenarioRun runs the named builtin scenario against snap. The run is
+// memoized by snap's pipeline, which the "scenarios" report section
+// shares. Unknown names are a 404, not a server error.
 func scenarioRun(ctx context.Context, snap *Snapshot, name string) (*ScenarioResponse, error) {
-	res, err := snap.ScenarioResult(ctx, name)
+	if !slices.Contains(scenario.Names(), name) {
+		return nil, errf(http.StatusNotFound, "unknown scenario %q (GET /v1/scenario lists them)", name)
+	}
+	res, err := snap.Pipeline.RunScenario(ctx, name)
 	if err != nil {
 		return nil, err
 	}
@@ -50,45 +57,4 @@ func scenarioRun(ctx context.Context, snap *Snapshot, name string) (*ScenarioRes
 		Result:   res,
 		Rendered: res.Render(),
 	}, nil
-}
-
-// ScenarioResult runs the named builtin scenario against this
-// snapshot, memoizing per snapshot (results are deterministic per
-// version). Unknown names are a 404, not a server error.
-func (s *Snapshot) ScenarioResult(ctx context.Context, name string) (*scenario.Result, error) {
-	known := false
-	for _, n := range scenario.Names() {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return nil, errf(http.StatusNotFound, "unknown scenario %q (GET /v1/scenario lists them)", name)
-	}
-	s.scenMu.Lock()
-	if res, ok := s.scenResults[name]; ok {
-		s.scenMu.Unlock()
-		return res, nil
-	}
-	s.scenMu.Unlock()
-
-	// Run outside the lock: scenario builds take seconds, and holding
-	// scenMu across them would serialize unrelated scenario queries.
-	// A concurrent duplicate run is wasted work, not a correctness
-	// problem — both produce the identical result.
-	res, err := s.Pipeline.RunScenario(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	s.scenMu.Lock()
-	defer s.scenMu.Unlock()
-	if prev, ok := s.scenResults[name]; ok {
-		return prev, nil
-	}
-	if s.scenResults == nil {
-		s.scenResults = make(map[string]*scenario.Result, len(scenario.Names()))
-	}
-	s.scenResults[name] = res
-	return res, nil
 }

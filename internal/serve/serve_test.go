@@ -561,10 +561,10 @@ func TestBuildFailureRetries(t *testing.T) {
 		t.Errorf("serve_snapshot_backoff_total = %d, want 1", reg.Value("serve_snapshot_backoff_total"))
 	}
 
-	// Past the window (first-failure delay is at most BackoffBase): the
+	// Past the window (first-failure delay is at most backoffBase): the
 	// next request triggers a fresh build.
 	fail.Store(false)
-	offset.Add(int64(2 * DefaultBackoffBase))
+	offset.Add(int64(2 * backoffBase))
 	if rec := get(srv.Handler(), "/v1/stats", nil); rec.Code != http.StatusOK {
 		t.Fatalf("retry after backoff window: got %d, want 200: %s", rec.Code, rec.Body.String())
 	}
@@ -600,7 +600,7 @@ func TestBuildTimeoutStopsColdRelyingParty(t *testing.T) {
 	}
 
 	store.buildTimeout = 0
-	offset.Add(int64(2 * DefaultBackoffBase))
+	offset.Add(int64(2 * backoffBase))
 	snap, err := store.Get(ctx, date)
 	if err != nil {
 		t.Fatalf("rebuild after the backoff window: %v", err)
@@ -621,11 +621,7 @@ func TestBuildTimeoutStopsColdRelyingParty(t *testing.T) {
 // zero on the first successful build.
 func TestBackoffEscalatesAndResets(t *testing.T) {
 	reg := obsv.NewRegistry()
-	store := NewStore(testWorld(t), StoreOptions{
-		Registry:    reg,
-		BackoffBase: time.Second,
-		BackoffMax:  time.Minute,
-	})
+	store := NewStore(testWorld(t), StoreOptions{Registry: reg})
 	base := time.Now()
 	var offset atomic.Int64
 	store.nowFn = func() time.Time { return base.Add(time.Duration(offset.Load())) }

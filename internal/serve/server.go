@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"manrsmeter/internal/core"
 	"manrsmeter/internal/obsv"
 )
 
@@ -179,7 +178,7 @@ func (s *Server) Handler() http.Handler {
 			return &ReportIndex{
 				AsOf:     snap.Date.Format("2006-01-02"),
 				Snapshot: snap.Version,
-				Sections: core.SectionNames(),
+				Sections: reportNames,
 			}, nil
 		}))
 	mux.HandleFunc("GET /v1/report/{section}", s.route("report_section",

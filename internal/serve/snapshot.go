@@ -24,7 +24,6 @@ import (
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/obsv"
 	"manrsmeter/internal/rov"
-	"manrsmeter/internal/scenario"
 	"manrsmeter/internal/synth"
 )
 
@@ -56,14 +55,6 @@ type Snapshot struct {
 	// slice costs 4 bytes/row where the map it replaced cost ~100 —
 	// material at a million originations.
 	byPrefix []int32
-
-	// scenMu guards scenResults, the lazy per-snapshot cache of
-	// adversarial scenario runs (GET /v1/scenario/{name}). Results are
-	// deterministic per snapshot version, so caching them preserves the
-	// ETag contract; the baseline side of each run is the world's view
-	// this snapshot was assembled from.
-	scenMu      sync.Mutex
-	scenResults map[string]*scenario.Result
 }
 
 // rowsFor returns the PrefixOrigins row indexes announcing p, ascending.
@@ -127,9 +118,7 @@ type Store struct {
 	durable   *durable.Store
 	persistWG sync.WaitGroup
 
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	logf        func(format string, args ...any)
+	logf func(format string, args ...any)
 
 	mu      sync.Mutex
 	entries map[int64]*storeEntry
@@ -188,22 +177,17 @@ type StoreOptions struct {
 	// Durable, when non-nil, archives every successful build and
 	// answers WarmStart at boot.
 	Durable *durable.Store
-	// BackoffBase and BackoffMax shape the retry schedule after failed
-	// builds: the Nth consecutive failure blocks new attempts for
-	// roughly Base·2^(N-1), jittered, capped at Max. Zero means
-	// DefaultBackoffBase / DefaultBackoffMax.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Logf, when set, receives operational events (persist failures,
 	// warm starts, build backoff).
 	Logf func(format string, args ...any)
 }
 
-// Backoff defaults: the first failed build blocks retries for about a
-// second; repeated failures double the wait up to two minutes.
+// The retry schedule after failed builds: the first failure blocks new
+// attempts for about a second; repeated failures double the wait up to
+// two minutes.
 const (
-	DefaultBackoffBase = time.Second
-	DefaultBackoffMax  = 2 * time.Minute
+	backoffBase = time.Second
+	backoffMax  = 2 * time.Minute
 )
 
 // NewStore returns a Store over w. The world is shared and read-only:
@@ -223,8 +207,6 @@ func NewStore(w *synth.World, opts StoreOptions) *Store {
 		buildTimeout: opts.BuildTimeout,
 		nowFn:        time.Now,
 		durable:      opts.Durable,
-		backoffBase:  opts.BackoffBase,
-		backoffMax:   opts.BackoffMax,
 		logf:         opts.Logf,
 		entries:      make(map[int64]*storeEntry),
 		met: storeMetrics{
@@ -242,12 +224,6 @@ func NewStore(w *synth.World, opts StoreOptions) *Store {
 			peerServes: reg.Counter("serve_peer_snapshot_serves_total",
 				"snapshot archives served to peers over /peer/snapshot"),
 		},
-	}
-	if s.backoffBase <= 0 {
-		s.backoffBase = DefaultBackoffBase
-	}
-	if s.backoffMax <= 0 {
-		s.backoffMax = DefaultBackoffMax
 	}
 	s.buildFn = s.buildSnapshot
 	return s
@@ -369,13 +345,11 @@ func (s *Store) backoffLocked(e *storeEntry) error {
 // fixed, half uniform random — so a fleet of clients whose builds all
 // broke at once does not retry in lockstep.
 func (s *Store) backoffDelay(n int) time.Duration {
-	d := s.backoffBase
-	for i := 1; i < n && d < s.backoffMax; i++ {
+	d := backoffBase
+	for i := 1; i < n && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > s.backoffMax {
-		d = s.backoffMax
-	}
+	d = min(d, backoffMax)
 	half := d / 2
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }

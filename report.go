@@ -28,18 +28,15 @@ type ReportOptions struct {
 	// The report bytes are identical for every worker count.
 	Workers int
 	// Tracer, when non-nil, records the run as hierarchical spans: a
-	// "report" root, one "section" span per section (with its terminal
-	// status, and the goroutine stack if it panicked), and whatever the sections start beneath them (pipeline
-	// and dataset builds). Render with Tracer.WriteTree or export
-	// Tracer.Events. Tracing never touches w, so report bytes stay
-	// identical across worker counts with tracing enabled.
+	// "report" root, one "section" span per section (its name from the
+	// start; its terminal status once it ends, and the goroutine stack if
+	// it panicked), and whatever the sections start beneath them
+	// (pipeline and dataset builds). An admin /healthz can read the
+	// live section statuses off these spans. Render with
+	// Tracer.WriteTree or export Tracer.Events. Tracing never touches w,
+	// so report bytes stay identical across worker counts with tracing
+	// enabled.
 	Tracer *obsv.Tracer
-	// SectionObserver, when non-nil, is called as each section reaches a
-	// terminal status — the live feed an admin /healthz endpoint watches
-	// while the run is in flight (the ContinueOnError health trailer is
-	// the end-of-run rendering of the same states). Sections finish
-	// concurrently; the observer must be safe for concurrent use.
-	SectionObserver func(name, status string, wall time.Duration)
 	// SectionTimeout is the per-section watchdog: a section still running
 	// after this long is recorded as timed-out and its slot is abandoned
 	// (its context is canceled so cooperative work stops). Zero disables
@@ -59,25 +56,11 @@ type ReportOptions struct {
 	sectionHook func(name string, run sectionRun) sectionRun
 }
 
-// The report's fixed sizes: Table 1 profiles three CDNs and three ISPs,
-// and the hijack-containment extension samples 200 incidents.
-const (
-	caseStudyCDNs, caseStudyISPs = 3, 3
-	hijackIncidents              = 200
-)
-
 // sectionRun computes one section's rendered output. The context is
 // canceled when the section's watchdog expires or the report run is
 // canceled; long-running sections (the stability fan-out) honor it,
 // cheap pure-CPU sections may ignore it.
 type sectionRun func(ctx context.Context) (string, error)
-
-// section is one independently computable unit of the report: sections
-// run concurrently and their outputs are emitted in declaration order.
-type section struct {
-	name string
-	run  sectionRun
-}
 
 // sectionStatus classifies how a section's run ended. The zero value is
 // statusCanceled so sections never dispatched (cancellation stopped the
@@ -120,28 +103,21 @@ type sectionOutcome struct {
 }
 
 // RunReport regenerates every table and figure of the paper's evaluation
-// over the given world and writes the rendered results to w.
-func RunReport(w io.Writer, world *World, opts ReportOptions) error {
-	return RunReportCtx(context.Background(), w, world, opts)
-}
-
-// RunReportCtx is RunReport with cancellation: ctx aborts the pipeline
-// build and the section fan-out (SIGINT/SIGTERM wiring in cmd/ routes
-// through here). See RunReportWithPipelineCtx for the failure semantics.
-func RunReportCtx(ctx context.Context, w io.Writer, world *World, opts ReportOptions) error {
+// over the given world and writes the rendered results to w. ctx aborts
+// the pipeline build and the section fan-out (SIGINT/SIGTERM wiring in
+// cmd/ routes through here). See RunReportWithPipeline for the failure
+// semantics.
+func RunReport(ctx context.Context, w io.Writer, world *World, opts ReportOptions) error {
 	pipe, err := NewPipelineCtx(ctx, world, core.Options{Workers: opts.Workers})
 	if err != nil {
 		return err
 	}
-	return RunReportWithPipelineCtx(ctx, w, pipe, opts)
+	return RunReportWithPipeline(ctx, w, pipe, opts)
 }
 
-// RunReportWithPipeline is RunReport over an already-built pipeline.
-func RunReportWithPipeline(w io.Writer, pipe *Pipeline, opts ReportOptions) error {
-	return RunReportWithPipelineCtx(context.Background(), w, pipe, opts)
-}
-
-// RunReportWithPipelineCtx is the staged report runner.
+// RunReportWithPipeline is the staged report runner over an
+// already-built pipeline. The report is the InReport sections of
+// core.Sections, in table order.
 //
 // The sections are staged: every section is a pure function of the
 // pipeline's immutable state, so they execute concurrently across
@@ -159,69 +135,12 @@ func RunReportWithPipeline(w io.Writer, pipe *Pipeline, opts ReportOptions) erro
 // Cancellation of ctx stops the fan-out and returns the cancellation
 // cause; under ContinueOnError the sections already completed are still
 // written first, so interrupted runs keep their finished work.
-func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, opts ReportOptions) error {
-	sections := []section{
-		{"Fig2Growth", func(context.Context) (string, error) { return pipe.Fig2Growth().Render(), nil }},
-		{"Fig4ByRIR", func(context.Context) (string, error) { return pipe.Fig4ByRIR().Render(), nil }},
-		{"Finding70", func(context.Context) (string, error) { return pipe.Finding70().Render(), nil }},
-		{"Fig5aRPKIOrigination", func(context.Context) (string, error) { return pipe.Fig5aRPKIOrigination().Render(), nil }},
-		{"Fig5bIRROrigination", func(context.Context) (string, error) { return pipe.Fig5bIRROrigination().Render(), nil }},
-		{"Action4", func(context.Context) (string, error) { return core.RenderAction4(pipe.Action4()), nil }},
-		{"Table1CaseStudies", func(ctx context.Context) (string, error) {
-			rows, err := pipe.Table1CaseStudies(ctx, caseStudyCDNs, caseStudyISPs)
-			if err != nil {
-				return "", err
-			}
-			return core.RenderTable1(rows), nil
-		}},
-		{"Stability", func(ctx context.Context) (string, error) {
-			if opts.SkipStability {
-				return "Finding 8.7 — stability analysis skipped (ReportOptions.SkipStability)", nil
-			}
-			res, err := pipe.Stability(ctx, opts.StabilityWeeks)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"Fig6Saturation", func(ctx context.Context) (string, error) {
-			res, err := pipe.Fig6Saturation(ctx)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"Fig7aRPKIPropagation", func(context.Context) (string, error) { return pipe.Fig7aRPKIPropagation().Render(), nil }},
-		{"Fig7bIRRPropagation", func(context.Context) (string, error) { return pipe.Fig7bIRRPropagation().Render(), nil }},
-		{"Fig8Unconformant", func(context.Context) (string, error) { return pipe.Fig8Unconformant().Render(), nil }},
-		{"Table2Action1", func(context.Context) (string, error) { return core.RenderTable2(pipe.Table2Action1()), nil }},
-		{"Fig9Preference", func(context.Context) (string, error) { return pipe.Fig9Preference().Render(), nil }},
-		{"HijackImpact", func(ctx context.Context) (string, error) {
-			if opts.SkipExtensions {
-				return "Extension — hijack containment skipped (ReportOptions.SkipExtensions)", nil
-			}
-			res, err := pipe.HijackImpact(ctx, hijackIncidents, 1)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"Action3", func(context.Context) (string, error) {
-			if opts.SkipExtensions {
-				return "Extension — Action 3 skipped (ReportOptions.SkipExtensions)", nil
-			}
-			return pipe.Action3().Render(), nil
-		}},
-		{"RouteLeaks", func(context.Context) (string, error) {
-			if opts.SkipExtensions {
-				return "Extension — route leaks skipped (ReportOptions.SkipExtensions)", nil
-			}
-			res, err := pipe.RouteLeaks(100, 1)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
+func RunReportWithPipeline(ctx context.Context, w io.Writer, pipe *Pipeline, opts ReportOptions) error {
+	var sections []core.Section
+	for _, sec := range core.Sections {
+		if sec.Offer&core.InReport != 0 {
+			sections = append(sections, sec)
+		}
 	}
 
 	if opts.Tracer != nil {
@@ -237,20 +156,18 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 	// inside runSection and cancellation leaves undispatched slots at
 	// their zero value, which reads as statusCanceled.
 	_ = parallel.ForEachCtx(ctx, len(sections), opts.Workers, func(i int) {
-		run := sections[i].run
+		name := sections[i].Name
+		run := reportRun(pipe, sections[i], opts)
 		if opts.sectionHook != nil {
-			run = opts.sectionHook(sections[i].name, run)
+			run = opts.sectionHook(name, run)
 		}
-		sctx, span := obsv.StartSpan(ctx, "section", obsv.KV("name", sections[i].name))
+		sctx, span := obsv.StartSpan(ctx, "section", obsv.KV("name", name))
 		outcomes[i] = runSection(sctx, run, opts.SectionTimeout)
 		span.SetAttr("status", outcomes[i].status.String())
 		if len(outcomes[i].stack) > 0 {
 			span.SetAttr("stack", string(outcomes[i].stack))
 		}
 		span.End()
-		if opts.SectionObserver != nil {
-			opts.SectionObserver(sections[i].name, outcomes[i].status.String(), outcomes[i].wall)
-		}
 	})
 	runWall := time.Since(runStart)
 
@@ -265,7 +182,7 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 				}
 				return fmt.Errorf("report: canceled: %w", cause)
 			default:
-				return fmt.Errorf("report: section %s: %w", sections[i].name, o.err)
+				return fmt.Errorf("report: section %s: %w", sections[i].Name, o.err)
 			}
 		}
 	}
@@ -273,7 +190,7 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 	for i, o := range outcomes {
 		text := o.out
 		if o.status != statusOK {
-			text = diagnosticStanza(sections[i].name, o)
+			text = diagnosticStanza(sections[i].Name, o)
 		}
 		if _, err := fmt.Fprintln(w, text); err != nil {
 			return err
@@ -290,6 +207,22 @@ func RunReportWithPipelineCtx(ctx context.Context, w io.Writer, pipe *Pipeline, 
 		return fmt.Errorf("report: canceled: %w", err)
 	}
 	return nil
+}
+
+// reportRun is sec's run function in the report: its renderer, or its
+// skip placeholder when opts omit it.
+func reportRun(pipe *Pipeline, sec core.Section, opts ReportOptions) sectionRun {
+	skipped := ""
+	switch {
+	case sec.Extension != "" && opts.SkipExtensions:
+		skipped = "Extension — " + sec.Extension + " skipped (ReportOptions.SkipExtensions)"
+	case sec.Name == "stability" && opts.SkipStability:
+		skipped = "Finding 8.7 — stability analysis skipped (ReportOptions.SkipStability)"
+	}
+	if skipped != "" {
+		return func(context.Context) (string, error) { return skipped, nil }
+	}
+	return func(ctx context.Context) (string, error) { return sec.Render(ctx, pipe, opts.StabilityWeeks) }
 }
 
 // runSection executes one section under its watchdog. The section runs
@@ -365,7 +298,7 @@ func diagnosticStanza(name string, o sectionOutcome) string {
 // writeHealthTrailer emits the machine-readable run summary that ends a
 // degraded-mode report: one aggregate line, then one line per section
 // with its status and wall time (and error, when it has one).
-func writeHealthTrailer(w io.Writer, sections []section, outcomes []sectionOutcome, wall time.Duration) error {
+func writeHealthTrailer(w io.Writer, sections []core.Section, outcomes []sectionOutcome, wall time.Duration) error {
 	var ok, failed, panicked, timedOut, canceled int
 	for _, o := range outcomes {
 		switch o.status {
@@ -388,12 +321,12 @@ func writeHealthTrailer(w io.Writer, sections []section, outcomes []sectionOutco
 	for i, sec := range sections {
 		o := outcomes[i]
 		if o.status == statusOK {
-			if _, err := fmt.Fprintf(w, "health: section=%s status=%s wall=%v\n", sec.name, o.status, o.wall.Round(time.Microsecond)); err != nil {
+			if _, err := fmt.Fprintf(w, "health: section=%s status=%s wall=%v\n", sec.Name, o.status, o.wall.Round(time.Microsecond)); err != nil {
 				return err
 			}
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "health: section=%s status=%s wall=%v err=%q\n", sec.name, o.status, o.wall.Round(time.Microsecond), errText(o.err)); err != nil {
+		if _, err := fmt.Fprintf(w, "health: section=%s status=%s wall=%v err=%q\n", sec.Name, o.status, o.wall.Round(time.Microsecond), errText(o.err)); err != nil {
 			return err
 		}
 	}

@@ -32,14 +32,14 @@ func degradedPipe(t *testing.T) *Pipeline {
 	return pipe
 }
 
-// faultHook forces Fig6Saturation to panic and Fig9Preference to stall
+// faultHook forces fig6-saturation to panic and fig9-preference to stall
 // until its context dies — the two failure modes the watchdog and the
 // panic isolation exist for.
 func faultHook(name string, run sectionRun) sectionRun {
 	switch name {
-	case "Fig6Saturation":
+	case "fig6-saturation":
 		return func(context.Context) (string, error) { panic("injected section panic") }
-	case "Fig9Preference":
+	case "fig9-preference":
 		return func(ctx context.Context) (string, error) {
 			<-ctx.Done()
 			return "", ctx.Err()
@@ -56,7 +56,7 @@ func TestRunReportDegradedContinueOnError(t *testing.T) {
 	pipe := degradedPipe(t)
 	render := func(workers int) string {
 		var buf bytes.Buffer
-		err := RunReportWithPipeline(&buf, pipe, ReportOptions{
+		err := RunReportWithPipeline(context.Background(), &buf, pipe, ReportOptions{
 			SkipStability:   true,
 			SkipExtensions:  true,
 			Workers:         workers,
@@ -71,13 +71,13 @@ func TestRunReportDegradedContinueOnError(t *testing.T) {
 	}
 
 	out := render(2)
-	panicAt := strings.Index(out, "!! section Fig6Saturation unavailable (panicked)")
-	timeoutAt := strings.Index(out, "!! section Fig9Preference unavailable (timed-out)")
+	panicAt := strings.Index(out, "!! section fig6-saturation unavailable (panicked)")
+	timeoutAt := strings.Index(out, "!! section fig9-preference unavailable (timed-out)")
 	if panicAt < 0 || timeoutAt < 0 {
 		t.Fatalf("missing diagnostic stanzas:\n%s", out)
 	}
 	if panicAt > timeoutAt {
-		t.Error("stanzas out of paper order: Fig6Saturation must precede Fig9Preference")
+		t.Error("stanzas out of paper order: fig6-saturation must precede fig9-preference")
 	}
 	if !strings.Contains(out, "injected section panic") {
 		t.Error("panic value missing from the diagnostic stanza")
@@ -92,12 +92,12 @@ func TestRunReportDegradedContinueOnError(t *testing.T) {
 	if trailerAt < timeoutAt {
 		t.Error("health trailer must come after every section slot")
 	}
-	if !strings.Contains(out, `health: section=Fig6Saturation status=panicked`) ||
-		!strings.Contains(out, `health: section=Fig9Preference status=timed-out`) {
+	if !strings.Contains(out, `health: section=fig6-saturation status=panicked`) ||
+		!strings.Contains(out, `health: section=fig9-preference status=timed-out`) {
 		t.Error("per-section health lines missing")
 	}
 	// Healthy sections still render: the report is degraded, not empty.
-	if !strings.Contains(out, "health: section=Fig2Growth status=ok") {
+	if !strings.Contains(out, "health: section=fig2-growth status=ok") {
 		t.Error("healthy section missing from health trailer")
 	}
 
@@ -108,11 +108,11 @@ func TestRunReportDegradedContinueOnError(t *testing.T) {
 
 // TestRunReportStrictLowestIndexError: the same faults without
 // ContinueOnError abort the report with the lowest-index section's
-// error — the panic in Fig6Saturation, not the later timeout.
+// error — the panic in fig6-saturation, not the later timeout.
 func TestRunReportStrictLowestIndexError(t *testing.T) {
 	pipe := degradedPipe(t)
 	var buf bytes.Buffer
-	err := RunReportWithPipeline(&buf, pipe, ReportOptions{
+	err := RunReportWithPipeline(context.Background(), &buf, pipe, ReportOptions{
 		SkipStability:  true,
 		SkipExtensions: true,
 		Workers:        4,
@@ -122,8 +122,8 @@ func TestRunReportStrictLowestIndexError(t *testing.T) {
 	if err == nil {
 		t.Fatal("strict run with a panicking section returned nil")
 	}
-	if !strings.Contains(err.Error(), "section Fig6Saturation") || !strings.Contains(err.Error(), "injected section panic") {
-		t.Errorf("err = %v, want the Fig6Saturation panic (lowest failing index)", err)
+	if !strings.Contains(err.Error(), "section fig6-saturation") || !strings.Contains(err.Error(), "injected section panic") {
+		t.Errorf("err = %v, want the fig6-saturation panic (lowest failing index)", err)
 	}
 	if buf.Len() != 0 {
 		t.Error("strict mode wrote partial report output before failing")
@@ -139,7 +139,7 @@ func TestRunReportSectionTimeoutChaos(t *testing.T) {
 	pipe := degradedPipe(t)
 	before := runtime.NumGoroutine()
 	var buf bytes.Buffer
-	err := RunReportWithPipeline(&buf, pipe, ReportOptions{
+	err := RunReportWithPipeline(context.Background(), &buf, pipe, ReportOptions{
 		SkipStability:   true,
 		SkipExtensions:  true,
 		Workers:         4,
@@ -177,13 +177,13 @@ func TestRunReportCancelDrains(t *testing.T) {
 	var buf bytes.Buffer
 	errc := make(chan error, 1)
 	go func() {
-		errc <- RunReportWithPipelineCtx(ctx, &buf, pipe, ReportOptions{
+		errc <- RunReportWithPipeline(ctx, &buf, pipe, ReportOptions{
 			SkipStability:   true,
 			SkipExtensions:  true,
 			Workers:         2,
 			ContinueOnError: true,
 			sectionHook: func(name string, run sectionRun) sectionRun {
-				if name != "Fig9Preference" {
+				if name != "fig9-preference" {
 					return run
 				}
 				return func(ctx context.Context) (string, error) {

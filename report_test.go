@@ -2,6 +2,7 @@ package manrsmeter
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func TestRunReportByteIdentical(t *testing.T) {
 	}
 	render := func(workers int) string {
 		var buf bytes.Buffer
-		err := RunReport(&buf, world, ReportOptions{StabilityWeeks: 3, Workers: workers})
+		err := RunReport(context.Background(), &buf, world, ReportOptions{StabilityWeeks: 3, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,14 +53,14 @@ func TestConcurrentPipelinesSharedWorld(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pipe, err := NewPipelineWith(world, PipelineOptions{Workers: 2})
+			pipe, err := NewPipelineCtx(context.Background(), world, PipelineOptions{Workers: 2})
 			if err != nil {
 				t.Errorf("pipeline %d: %v", i, err)
 				return
 			}
 			pipes[i] = pipe
 			opts := ReportOptions{StabilityWeeks: 3, Workers: 2}
-			if err := RunReportWithPipeline(&outs[i], pipe, opts); err != nil {
+			if err := RunReportWithPipeline(context.Background(), &outs[i], pipe, opts); err != nil {
 				t.Errorf("report %d: %v", i, err)
 			}
 		}(i)
@@ -89,7 +90,7 @@ func TestRunReportTracerDeterministic(t *testing.T) {
 		tracer := obsv.NewTracer()
 		var buf bytes.Buffer
 		opts := ReportOptions{StabilityWeeks: 3, Workers: workers, Tracer: tracer}
-		if err := RunReport(&buf, world, opts); err != nil {
+		if err := RunReport(context.Background(), &buf, world, opts); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String(), tracer
@@ -100,7 +101,7 @@ func TestRunReportTracerDeterministic(t *testing.T) {
 		t.Error("report with Tracer differs between Workers=1 and Workers=8")
 	}
 	var plain bytes.Buffer
-	if err := RunReport(&plain, world, ReportOptions{StabilityWeeks: 3, Workers: 1}); err != nil {
+	if err := RunReport(context.Background(), &plain, world, ReportOptions{StabilityWeeks: 3, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if plain.String() != narrow {
@@ -141,7 +142,7 @@ func TestRunReportSectionSpans(t *testing.T) {
 	var report bytes.Buffer
 	tracer := obsv.NewTracer()
 	opts := ReportOptions{SkipStability: true, SkipExtensions: true, Tracer: tracer}
-	if err := RunReport(&report, world, opts); err != nil {
+	if err := RunReport(context.Background(), &report, world, opts); err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
@@ -156,7 +157,7 @@ func TestRunReportSectionSpans(t *testing.T) {
 	if len(names) != 17 {
 		t.Fatalf("section spans = %d, want one per section (17): %v", len(names), names)
 	}
-	for _, name := range []string{"Fig2Growth", "Stability", "RouteLeaks"} {
+	for _, name := range []string{"fig2-growth", "stability", "route-leaks"} {
 		if !names[name] {
 			t.Errorf("trace missing section %s", name)
 		}

@@ -55,6 +55,10 @@
 #   fuzz   — `make fuzz`: a short smoke of six decoder fuzzers (BGP
 #            wire messages and attributes, MRT, durable archive, VRP
 #            CSV, scenario codec)
+#   report — end-to-end smoke of the batch report: run manrs-report
+#            -scale small -skip-stability -continue-on-error and assert
+#            its health trailer counts 17 sections, all ok, under the
+#            section table's names (fig2-growth)
 #   admin  — end-to-end smoke of the observability endpoint: start a
 #            collector with -admin, curl /healthz and /metrics, and
 #            assert the expected metric families are exposed
@@ -244,6 +248,18 @@ echo "large serve smoke: conformance query answered from the ~75k-AS world"
 
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 make -s fuzz FUZZTIME="$FUZZTIME"
+
+echo "==> report smoke (manrs-report -continue-on-error: 17 sections, all ok)"
+go build -o "$TMPDIR_SMOKE/manrs-report" ./cmd/manrs-report
+"$TMPDIR_SMOKE/manrs-report" -scale small -skip-stability -continue-on-error \
+    >"$TMPDIR_SMOKE/report.txt"
+for want in 'health: sections=17 ok=17' 'health: section=fig2-growth status=ok'; do
+    grep -q "^$want " "$TMPDIR_SMOKE/report.txt" || {
+        echo "report smoke: health trailer missing \"$want\":" >&2
+        grep '^health' "$TMPDIR_SMOKE/report.txt" >&2 || true
+        exit 1
+    }
+done
 
 echo "==> admin endpoint smoke (collector -admin)"
 go build -o "$TMPDIR_SMOKE/collector" ./cmd/collector
