@@ -53,7 +53,7 @@ func main() {
 	unconfOnly := flag.Bool("unconformant-only", false, "print only unconformant participants")
 	asOfFlag := flag.String("asof", "2022-05-01", "evaluation date for freshness checks (YYYY-MM-DD)")
 	scenName := flag.String("scenario", "", "run a builtin adversarial scenario against a generated world (see -scenario list)")
-	scenFile := flag.String("scenario-file", "", "run a scenario decoded from this file (text or JSON encoding)")
+	scenFile := flag.String("scenario-file", "", "run a scenario decoded from this file (text encoding)")
 	seed := flag.Int64("seed", 8, "generator seed for -scenario mode")
 	scale := flag.String("scale", "full", "world scale for -scenario mode: small | full | large")
 	workers := flag.Int("workers", 0, "dataset build parallelism for -scenario mode (<=0: one per CPU)")

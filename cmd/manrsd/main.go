@@ -12,14 +12,14 @@
 //	       [-admin 127.0.0.1:9180] [-data-dir DIR] [-snap-budget BYTES]
 //	       [-access-log-sample N] [-trace-cap N]
 //
-// With -data-dir DIR every successfully built snapshot is archived to
-// DIR, one checksummed file per date written atomically over the
-// date's previous archive, and a restarted daemon warm-starts from it:
-// every query for an archived date, scenarios included, is answered
-// from what the archive holds, and nothing is rebuilt. Corrupt
-// archives are detected by checksum, moved aside, and never served;
-// -snap-budget bounds the directory size. Boot tries the archive, then
-// -peers, then builds the headline snapshot cold.
+// A date's snapshot, the headline's at boot and any ?date= later, comes
+// from the first of three sources that has it: the -data-dir archive,
+// then each of -peers in order, then a local build. Every build is
+// archived to -data-dir, one checksummed file per date written
+// atomically, so a restarted daemon answers archived dates, scenarios
+// included, from what the archive holds. Corrupt archives are detected
+// by checksum, moved aside, and never served; -snap-budget bounds the
+// directory size.
 //
 // Endpoints (all /v1 routes accept ?date=YYYY-MM-DD within the world's
 // study window and return strong ETags; requests beyond -max-inflight
@@ -82,10 +82,10 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines per snapshot build (0 = one per CPU)")
 	maxInFlight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "admission limit on concurrently served requests; arrivals beyond it are shed with 503")
 	requestTimeout := flag.Duration("request-timeout", serve.DefaultRequestTimeout, "end-to-end deadline per request, including any snapshot build it waits on")
-	buildTimeout := flag.Duration("build-timeout", 0, "deadline per background snapshot build (0 = none)")
+	buildTimeout := flag.Duration("build-timeout", 0, "deadline per cold snapshot, archive and peer attempts included (0 = none)")
 	drain := flag.Duration("drain", 5*time.Second, "bound on draining in-flight requests at shutdown; whatever remains is force-closed")
-	dataDir := flag.String("data-dir", "", "directory for durable snapshot archives; restarts warm-start from the last known-good archive (empty = no persistence)")
-	peers := flag.String("peers", "", "comma-separated peer base URLs (replicas or a manrs-gw gateway); at boot a snapshot is pulled from the first peer that has one published, skipping the local rebuild")
+	dataDir := flag.String("data-dir", "", "directory for durable snapshot archives; a cold date is read from it before peers or a build (empty = no persistence)")
+	peers := flag.String("peers", "", "comma-separated peer base URLs (replicas or a manrs-gw gateway); a cold date missing from the archive is pulled from the first peer that has it published before it is built")
 	snapBudget := flag.Int64("snap-budget", durable.DefaultMaxBytes, "retention budget in bytes for the -data-dir archive directory")
 	accessLogSample := flag.Int("access-log-sample", serve.DefaultAccessLogSample, "access-log head sampling: log 1-in-N requests (server errors always logged); 1 logs every request, 0 the default")
 	traceCap := flag.Int("trace-cap", 4096, "bound on retained request spans for /debug/trace; 0 disables request tracing")
@@ -117,11 +117,18 @@ func main() {
 		log.Printf("durable snapshot archive at %s (budget %d bytes)", dstore.Dir(), *snapBudget)
 	}
 
+	var peerList []string
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
+			peerList = append(peerList, p)
+		}
+	}
 	serveLog := obsv.NewLogger(os.Stderr, obsv.LevelInfo).With("serve")
 	store := serve.NewStore(world, serve.StoreOptions{
 		Workers:      *workers,
 		BuildTimeout: *buildTimeout,
 		Durable:      dstore,
+		Peers:        peerList,
 		Logf:         log.Printf,
 	})
 	// The bounded tracer and the sampled access log are the two halves
@@ -150,42 +157,18 @@ func main() {
 	defer stop()
 
 	warmStart := time.Now()
-	// Try the durable archive first: a restart serves the last
-	// known-good snapshots as they are. The world is immutable and a
-	// version names its content, so a rebuild could only reproduce
-	// the verified bytes just loaded.
-	restored, err := store.WarmStart(ctx)
-	if restored > 0 {
+	if restored, err := store.WarmStart(ctx); restored > 0 {
 		log.Printf("warm start: %d snapshot(s) restored from archive (%.3fs)",
 			restored, time.Since(warmStart).Seconds())
 	} else if err != nil {
 		log.Printf("warm start from archive failed (%v); falling back", err)
 	}
-	// Wire replication beats a local rebuild: a replica joining a
-	// fleet whose snapshot is already published pulls the archive
-	// from a peer (or the gateway's coordinator relay) and catches up
-	// in milliseconds instead of rebuilding.
-	if !store.Ready() && *peers != "" {
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		if snap, peer, err := store.SyncPeers(ctx, nil, peerList, store.DefaultDate()); err == nil {
-			log.Printf("synced snapshot %s from peer %s via wire replication (no local rebuild, %.3fs)",
-				snap.Version, peer, time.Since(warmStart).Seconds())
-		} else {
-			log.Printf("peer sync failed (%v); falling back to a cold build", err)
-		}
+	snap, err := store.Get(ctx, store.DefaultDate())
+	if err != nil {
+		log.Fatalf("warm headline snapshot: %v", err)
 	}
-	if !store.Ready() {
-		if _, err := store.Get(ctx, store.DefaultDate()); err != nil {
-			log.Fatalf("warm headline snapshot: %v", err)
-		}
-		log.Printf("headline snapshot %s published (%.1fs)",
-			store.Version(store.DefaultDate()), time.Since(warmStart).Seconds())
-	}
+	log.Printf("headline snapshot %s published from %s (%.1fs)",
+		snap.Version, snap.Source, time.Since(warmStart).Seconds())
 
 	addr, err := srv.Listen(*listen)
 	if err != nil {

@@ -36,7 +36,7 @@ func main() {
 	scale := flag.String("scale", "small", "world scale: small | full | large (internet-scale, ~75k ASes / ~1M prefixes)")
 	out := flag.String("out", "synth-data", "output directory")
 	scenName := flag.String("scenario", "", "inject a builtin adversarial scenario before writing archives (as0-hijack, expired-certs, rp-failure, anchor-pairs, roa-delay)")
-	scenFile := flag.String("scenario-file", "", "inject a scenario decoded from this file (text or JSON encoding)")
+	scenFile := flag.String("scenario-file", "", "inject a scenario decoded from this file (text encoding)")
 	flag.Parse()
 
 	cfg, err := manrsmeter.Preset(*scale, *seed)

@@ -82,20 +82,20 @@ type replica struct {
 	url   string
 }
 
-// startReplica boots a replica. When syncFrom is non-empty the store
-// catches up over the wire from that base URL instead of building.
+// startReplica boots a replica. When syncFrom is non-empty it is the
+// store's one peer, so the headline comes over the wire from it.
 func startReplica(t *testing.T, syncFrom string) *replica {
 	t.Helper()
 	rep := &replica{reg: obsv.NewRegistry(), log: &syncBuffer{}}
-	rep.store = serve.NewStore(tinyWorld(t), serve.StoreOptions{Registry: rep.reg})
+	opts := serve.StoreOptions{Registry: rep.reg}
+	if syncFrom != "" {
+		opts.Peers = []string{syncFrom}
+	}
+	rep.store = serve.NewStore(tinyWorld(t), opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if syncFrom != "" {
-		if _, err := rep.store.SyncFrom(ctx, nil, syncFrom, rep.store.DefaultDate()); err != nil {
-			t.Fatalf("sync from %s: %v", syncFrom, err)
-		}
-	} else if _, err := rep.store.Get(ctx, rep.store.DefaultDate()); err != nil {
-		t.Fatalf("build snapshot: %v", err)
+	if _, err := rep.store.Get(ctx, rep.store.DefaultDate()); err != nil {
+		t.Fatalf("resolve snapshot: %v", err)
 	}
 	rep.srv = serve.NewServer(rep.store, serve.Options{
 		AccessLog:       obsv.NewLogger(rep.log, obsv.LevelInfo).With("access"),

@@ -225,8 +225,8 @@ func (g *Gateway) ringState(w http.ResponseWriter, r *http.Request) {
 
 // relaySnapshot is the coordinator endpoint of the replication
 // protocol: it streams /peer/snapshot from the first live replica that
-// answers, so a booting replica needs only the gateway address to
-// catch up with the fleet (see serve.Store.SyncFrom).
+// answers, so a replica needs only the gateway address to catch up
+// with the fleet (see serve.StoreOptions.Peers).
 func (g *Gateway) relaySnapshot(ctx context.Context, w http.ResponseWriter, r *http.Request, rq *obsv.Request) {
 	live := g.ring.Owners("peer/snapshot", g.ring.Len())
 	if len(live) == 0 {

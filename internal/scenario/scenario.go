@@ -6,10 +6,10 @@
 // measuring how verdicts, conformance, and visibility degrade relative
 // to the untouched baseline.
 //
-// A scenario is an ordered event list with two compact encodings (a
-// line-oriented text form and JSON, both fuzzable); applying one forks
-// the world copy-on-write (synth.World.Fork), so the baseline keeps
-// serving queries while the fork degrades. The engine's contract is
+// A scenario is an ordered event list with a compact, fuzzable,
+// line-oriented text encoding; applying one forks the world
+// copy-on-write (synth.World.Fork), so the baseline keeps serving
+// queries while the fork degrades. The engine's contract is
 // graceful degradation: a failing relying party shrinks the VRP set and
 // verdicts move Invalid→NotFound, never Invalid→Valid (see the rov
 // downgrade tests), and every run ends in a machine-readable health
@@ -17,7 +17,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -104,7 +103,7 @@ var rirByName = func() map[string]rpki.RIR {
 }()
 
 // Validate checks one event's shape. A field that means nothing for the
-// event's Op must be unset: neither codec writes such a field, so
+// event's Op must be unset: Encode never writes such a field, so
 // accepting one would decode to an event that does not survive a round
 // trip.
 func (e *Event) Validate() error {
@@ -207,8 +206,8 @@ func validYears(from, to int) error {
 }
 
 // Validate checks the whole scenario. The name must be one token of
-// valid UTF-8, which is what both codecs can carry: the text form splits
-// lines on white space and JSON replaces invalid bytes.
+// valid UTF-8: the text form splits lines on white space, and results
+// carry the name in JSON, which replaces invalid bytes.
 func (s *Scenario) Validate() error {
 	if !utf8.ValidString(s.Name) || strings.ContainsFunc(s.Name, unicode.IsSpace) {
 		return fmt.Errorf("scenario: name %q is not one token of valid UTF-8", s.Name)
@@ -276,111 +275,11 @@ func (e *Event) encode() string {
 	return b.String()
 }
 
-// eventJSON is the JSON wire form of an Event.
-type eventJSON struct {
-	Op      string  `json:"op"`
-	ASN     uint32  `json:"asn,omitempty"`
-	Prefix  string  `json:"prefix,omitempty"`
-	Invalid string  `json:"invalid,omitempty"`
-	MaxLen  int     `json:"maxlen,omitempty"`
-	RIR     string  `json:"rir,omitempty"`
-	Frac    float64 `json:"frac,omitempty"`
-	Skew    string  `json:"skew,omitempty"`
-	Lag     string  `json:"lag,omitempty"`
-	From    int     `json:"from,omitempty"`
-	To      int     `json:"to,omitempty"`
-}
-
-type scenarioJSON struct {
-	Name   string      `json:"name,omitempty"`
-	Events []eventJSON `json:"events"`
-}
-
-// EncodeJSON renders the scenario as JSON.
-func (s *Scenario) EncodeJSON() ([]byte, error) {
-	out := scenarioJSON{Name: s.Name, Events: make([]eventJSON, 0, len(s.Events))}
-	for i := range s.Events {
-		e := &s.Events[i]
-		j := eventJSON{Op: string(e.Op), ASN: e.ASN, MaxLen: e.MaxLen, Frac: e.Frac, From: e.FromYear, To: e.ToYear}
-		if e.Prefix.IsValid() {
-			j.Prefix = e.Prefix.String()
-		}
-		if e.Invalid.IsValid() {
-			j.Invalid = e.Invalid.String()
-		}
-		switch e.Op {
-		case OpRPFail, OpExpire:
-			j.RIR = e.RIR.String()
-		}
-		if e.Skew != 0 {
-			j.Skew = e.Skew.String()
-		}
-		if e.Lag != 0 {
-			j.Lag = e.Lag.String()
-		}
-		out.Events = append(out.Events, j)
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// Decode parses either encoding, sniffing JSON by a leading '{'. The
-// result is validated; adversarial input fails with an explicit error,
-// never a panic (see FuzzDecode).
+// Decode parses the text form. The result is validated; adversarial
+// input fails with an explicit error, never a panic (see FuzzDecode).
 func Decode(data []byte) (*Scenario, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		return decodeJSON([]byte(trimmed))
-	}
-	return decodeText(trimmed)
-}
-
-func decodeJSON(data []byte) (*Scenario, error) {
-	if len(data) > MaxEvents*MaxLineLen {
-		return nil, fmt.Errorf("scenario: JSON input exceeds %d bytes", MaxEvents*MaxLineLen)
-	}
-	var wire scenarioJSON
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	s := &Scenario{Name: wire.Name}
-	if len(wire.Events) > MaxEvents {
-		return nil, fmt.Errorf("scenario: %d events exceeds cap %d", len(wire.Events), MaxEvents)
-	}
-	for i, j := range wire.Events {
-		e := Event{Op: Op(j.Op), ASN: j.ASN, MaxLen: j.MaxLen, Frac: j.Frac, FromYear: j.From, ToYear: j.To}
-		var err error
-		if e.Prefix, err = parsePrefixField(j.Prefix); err != nil {
-			return nil, fmt.Errorf("scenario: event %d: prefix: %w", i, err)
-		}
-		if e.Invalid, err = parsePrefixField(j.Invalid); err != nil {
-			return nil, fmt.Errorf("scenario: event %d: invalid: %w", i, err)
-		}
-		if j.RIR != "" {
-			r, ok := rirByName[j.RIR]
-			if !ok {
-				return nil, fmt.Errorf("scenario: event %d: unknown RIR %q", i, j.RIR)
-			}
-			e.RIR = r
-		}
-		if e.Skew, err = parseDurField(j.Skew); err != nil {
-			return nil, fmt.Errorf("scenario: event %d: skew: %w", i, err)
-		}
-		if e.Lag, err = parseDurField(j.Lag); err != nil {
-			return nil, fmt.Errorf("scenario: event %d: lag: %w", i, err)
-		}
-		s.Events = append(s.Events, e)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func decodeText(text string) (*Scenario, error) {
 	s := &Scenario{}
-	for ln, line := range strings.Split(text, "\n") {
+	for ln, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -483,22 +382,4 @@ func (e *Event) setField(k, v string) error {
 		return fmt.Errorf("unknown key %q", k)
 	}
 	return nil
-}
-
-func parsePrefixField(s string) (netx.Prefix, error) {
-	if s == "" {
-		return netx.Prefix{}, nil
-	}
-	return netx.ParsePrefix(s)
-}
-
-func parseDurField(s string) (time.Duration, error) {
-	if s == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, err
-	}
-	return d, nil
 }

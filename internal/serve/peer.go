@@ -1,15 +1,12 @@
 // peer.go is the replica side of the cluster replication protocol: a
 // published snapshot is exportable over the wire as the same compact,
-// checksummed archive the durable store writes to disk (durable.Encode
-// / durable.Decode), and a booting or lagging replica pulls that
-// archive from a peer — or from the gateway's coordinator relay — and
-// publishes it through the identical restore path a disk warm-start
-// uses, instead of paying a multi-second (small world) to multi-minute
-// (large world) local rebuild. The World.Fingerprint version scheme
-// makes this safe end to end: restoreSnapshot refuses an archive whose
-// fingerprint or version disagrees with the receiving store's world,
-// so a peer can never inject a snapshot the replica would not have
-// built itself.
+// checksummed archive the durable store writes to disk, and a store
+// with Peers pulls a cold date's archive from a peer (or the gateway's
+// coordinator relay) instead of paying a multi-second (small world) to
+// multi-minute (large world) local build. restoreSnapshot refuses an
+// archive whose fingerprint or version disagrees with the receiving
+// store's world, so a peer can never inject a snapshot the replica
+// would not have built itself.
 //
 // Endpoints (mounted on the serving mux, fleet-internal):
 //
@@ -21,7 +18,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -31,7 +27,7 @@ import (
 	"manrsmeter/internal/obsv"
 )
 
-// maxWireArchive bounds how many bytes SyncFrom will read from a peer:
+// maxWireArchive bounds how many bytes fromPeer will read from a peer:
 // large-world archives run ~100 MB; 1 GiB is far above any plausible
 // archive and far below a memory-exhaustion attack surface.
 const maxWireArchive = 1 << 30
@@ -139,89 +135,33 @@ func (s *Store) publishedAt(date time.Time) *Snapshot {
 	return e.snap.Load()
 }
 
-// SyncFrom pulls the archive for date from a peer (a replica base URL,
-// or a gateway base URL via its /cluster/snapshot relay — both paths
-// accept the same query) and publishes the restored snapshot, skipping
-// the local pipeline build entirely. The restore path validates the
-// archive checksum, the world fingerprint, and the snapshot version,
-// so a wrong or torn archive is an error, never a wrong answer. When a
-// snapshot for the date is already published, SyncFrom is a no-op
-// returning it.
-func (s *Store) SyncFrom(ctx context.Context, client *http.Client, base string, date time.Time) (*Snapshot, error) {
-	e := s.entry(date)
-	if snap := e.snap.Load(); snap != nil {
-		return snap, nil
-	}
-	if client == nil {
-		client = http.DefaultClient
-	}
-	// Both a replica and the gateway answer /peer/snapshot (the gateway
-	// aliases its coordinator relay there), so one URL shape covers
-	// "catch up from a sibling" and "catch up through the coordinator".
-	url := base + "/peer/snapshot?date=" + date.Format("2006-01-02")
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// fromPeer pulls the archive for date from a peer (a replica base URL,
+// or a gateway, which aliases its coordinator relay at the same path)
+// and restores it. The restore checks the archive checksum, the world
+// fingerprint and the snapshot version, so a wrong or torn archive is
+// an error, never a wrong answer.
+func (s *Store) fromPeer(ctx context.Context, base string, date time.Time) (*Snapshot, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		base+"/peer/snapshot?date="+date.Format("2006-01-02"), nil)
 	if err != nil {
-		return nil, fmt.Errorf("serve: sync from %s: %w", base, err)
+		return nil, err
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		s.met.wireSyncErrors.Inc()
-		return nil, fmt.Errorf("serve: sync from %s: %w", base, err)
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		s.met.wireSyncErrors.Inc()
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("serve: sync from %s: status %d: %s", base, resp.StatusCode, body)
+		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
 	}
 	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxWireArchive))
 	if err != nil {
-		s.met.wireSyncErrors.Inc()
-		return nil, fmt.Errorf("serve: sync from %s: read archive: %w", base, err)
+		return nil, fmt.Errorf("read archive: %w", err)
 	}
 	d, err := durable.Decode(buf)
 	if err != nil {
-		s.met.wireSyncErrors.Inc()
-		return nil, fmt.Errorf("serve: sync from %s: decode archive: %w", base, err)
+		return nil, fmt.Errorf("decode archive: %w", err)
 	}
-	snap, err := s.restoreSnapshot(ctx, d)
-	if err != nil {
-		s.met.wireSyncErrors.Inc()
-		return nil, fmt.Errorf("serve: sync from %s: %w", base, err)
-	}
-	e.mu.Lock()
-	if published := e.snap.Load(); published != nil {
-		// A concurrent build won the race; its snapshot has the same
-		// version by construction, so keep it.
-		e.mu.Unlock()
-		return published, nil
-	}
-	s.publishLocked(e, snap)
-	e.mu.Unlock()
-	s.met.wireSyncs.Inc()
-	s.logp("serve: synced snapshot %s from peer %s via wire replication (no local rebuild)", snap.Version, base)
-	return snap, nil
-}
-
-// SyncPeers tries each peer base URL in order until one sync succeeds,
-// returning the published snapshot. Errors accumulate: a fleet where
-// no peer has published yet reports every attempt, each cause still
-// reachable through errors.Is and errors.As.
-func (s *Store) SyncPeers(ctx context.Context, client *http.Client, peers []string, date time.Time) (*Snapshot, string, error) {
-	if len(peers) == 0 {
-		return nil, "", errors.New("serve: no peers configured")
-	}
-	var errs []error
-	for _, p := range peers {
-		snap, err := s.SyncFrom(ctx, client, p, date)
-		if err == nil {
-			return snap, p, nil
-		}
-		errs = append(errs, err)
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, "", fmt.Errorf("serve: no peer could provide %s: %w",
-		date.Format("2006-01-02"), errors.Join(errs...))
+	return s.restoreSnapshot(ctx, d)
 }

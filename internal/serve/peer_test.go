@@ -109,8 +109,9 @@ func TestPeerEndpoints(t *testing.T) {
 }
 
 // TestSyncFromNoRebuild is the wire-replication acceptance criterion:
-// a lagging store catches up from a peer without running the build
-// pipeline, and then answers byte-identically with the same ETag.
+// a store with Peers resolves a cold date from a peer without running
+// the build pipeline, and then answers byte-identically with the same
+// ETag.
 func TestSyncFromNoRebuild(t *testing.T) {
 	srcStore, srcSrv, _ := newTestServer(t, Options{})
 	if _, err := srcStore.Get(context.Background(), srcStore.DefaultDate()); err != nil {
@@ -120,13 +121,13 @@ func TestSyncFromNoRebuild(t *testing.T) {
 	defer src.Close()
 
 	lagReg := obsv.NewRegistry()
-	lagStore := NewStore(testWorld(t), StoreOptions{Registry: lagReg})
-	snap, err := lagStore.SyncFrom(context.Background(), nil, src.URL, lagStore.DefaultDate())
+	lagStore := NewStore(testWorld(t), StoreOptions{Registry: lagReg, Peers: []string{src.URL}})
+	snap, err := lagStore.Get(context.Background(), lagStore.DefaultDate())
 	if err != nil {
-		t.Fatalf("SyncFrom: %v", err)
+		t.Fatalf("Get: %v", err)
 	}
-	if snap.Version != srcStore.Version(srcStore.DefaultDate()) {
-		t.Errorf("synced version %q != source %q", snap.Version, srcStore.Version(srcStore.DefaultDate()))
+	if snap.Version != srcStore.Version(srcStore.DefaultDate()) || snap.Source != "peer" {
+		t.Errorf("synced %q from %q; want %q from the peer", snap.Version, snap.Source, srcStore.Version(srcStore.DefaultDate()))
 	}
 	if n := lagReg.Value("serve_snapshot_builds_total"); n != 0 {
 		t.Fatalf("sync ran %d local builds, want 0", n)
@@ -150,16 +151,43 @@ func TestSyncFromNoRebuild(t *testing.T) {
 		}
 	}
 
-	// A second SyncFrom is a published-snapshot no-op, not another pull.
-	again, err := lagStore.SyncFrom(context.Background(), nil, src.URL, lagStore.DefaultDate())
-	if err != nil || again != snap {
-		t.Errorf("repeat SyncFrom = (%v, %v), want the published snapshot unchanged", again, err)
+	// A second Get is a hit on the published snapshot, not another pull.
+	hits := lagReg.Value("serve_snapshot_hits_total")
+	again, err := lagStore.Get(context.Background(), lagStore.DefaultDate())
+	if err != nil || again != snap || lagReg.Value("serve_snapshot_hits_total") != hits+1 {
+		t.Errorf("repeat Get: err %v, same snapshot %t; want a hit on the published snapshot", err, again == snap)
+	}
+	if n := lagReg.Value("serve_snapshot_wire_syncs_total"); n != 1 {
+		t.Errorf("wire syncs after a repeat Get = %d, want 1", n)
+	}
+}
+
+// A store with Peers answers any date a peer has published, not only
+// the headline: a ?date= the peer built is pulled, never built here.
+func TestPeersServeAnyPublishedDate(t *testing.T) {
+	srcStore, srcSrv, _ := newTestServer(t, Options{})
+	date := srcStore.DefaultDate().AddDate(0, 0, -7)
+	if _, err := srcStore.Get(context.Background(), date); err != nil {
+		t.Fatal(err)
+	}
+	src := httptest.NewServer(srcSrv.Handler())
+	defer src.Close()
+
+	reg := obsv.NewRegistry()
+	store := NewStore(testWorld(t), StoreOptions{Registry: reg, Peers: []string{src.URL}})
+	path := "/v1/stats?date=" + date.Format("2006-01-02")
+	want, got := get(srcSrv.Handler(), path, nil), get(NewServer(store, Options{Registry: reg}).Handler(), path, nil)
+	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() || got.Header().Get("ETag") != want.Header().Get("ETag") {
+		t.Fatalf("%s: %d, ETag %s; the peer answers 200, ETag %s", path, got.Code, got.Header().Get("ETag"), want.Header().Get("ETag"))
+	}
+	if b, w := reg.Value("serve_snapshot_builds_total"), reg.Value("serve_snapshot_wire_syncs_total"); b != 0 || w != 1 {
+		t.Errorf("%d builds and %d wire syncs, want 0 and 1", b, w)
 	}
 }
 
 // TestSyncFromWrongWorld: a peer serving a different world is refused —
 // the fingerprint check means wire replication can mislead a replica
-// into at worst an error, never a wrong answer.
+// into at worst a local build, never a wrong answer.
 func TestSyncFromWrongWorld(t *testing.T) {
 	srcStore, srcSrv, _ := newTestServer(t, Options{})
 	if _, err := srcStore.Get(context.Background(), srcStore.DefaultDate()); err != nil {
@@ -183,24 +211,27 @@ func TestSyncFromWrongWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obsv.NewRegistry()
-	store := NewStore(other, StoreOptions{Registry: reg})
+	store := NewStore(other, StoreOptions{Registry: reg, Peers: []string{src.URL}})
+	stubBuilds(store)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := store.SyncFrom(ctx, nil, src.URL, store.DefaultDate()); err == nil {
-		t.Fatal("SyncFrom accepted an archive from a different world")
+	snap, err := store.Get(ctx, store.DefaultDate())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if reg.Value("serve_snapshot_wire_sync_errors_total") == 0 {
 		t.Error("refused sync not counted as a wire sync error")
 	}
-	if store.publishedAt(store.DefaultDate()) != nil {
-		t.Error("refused sync still published a snapshot")
+	if snap.Source != "build" || snap.Version != store.Version(store.DefaultDate()) || reg.Value("serve_snapshot_builds_total") != 1 {
+		t.Errorf("after a refused sync the store serves %s from %q; want its own version, built", snap.Version, snap.Source)
 	}
 }
 
-// TestSyncPeersKeepsErrorChains: when every peer fails, the returned
-// error reports each attempt and still wraps each cause, so a refused
-// dial is visible to errors.As behind a peer that answered 404.
+// TestSyncPeersKeepsErrorChains: when every source fails, the error
+// reports each attempt and still wraps each cause, so a refused dial is
+// visible to errors.As behind a peer that answered 404 and the build's
+// own failure.
 func TestSyncPeersKeepsErrorChains(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -212,10 +243,12 @@ func TestSyncPeersKeepsErrorChains(t *testing.T) {
 	unpublished := httptest.NewServer(srv.Handler())
 	defer unpublished.Close()
 
-	store := NewStore(testWorld(t), StoreOptions{Registry: obsv.NewRegistry()})
-	_, _, err = store.SyncPeers(context.Background(), nil, []string{refused, unpublished.URL}, store.DefaultDate())
+	store := NewStore(testWorld(t), StoreOptions{Registry: obsv.NewRegistry(), Peers: []string{refused, unpublished.URL}})
+	buildErr := errors.New("injected build failure")
+	store.buildFn = func(context.Context, time.Time) (*Snapshot, error) { return nil, buildErr }
+	_, err = store.Get(context.Background(), store.DefaultDate())
 	if err == nil {
-		t.Fatal("SyncPeers succeeded with no peer able to serve")
+		t.Fatal("Get succeeded with no source able to serve")
 	}
 	var opErr *net.OpError
 	if !errors.As(err, &opErr) {
@@ -224,7 +257,7 @@ func TestSyncPeersKeepsErrorChains(t *testing.T) {
 	if !strings.Contains(err.Error(), "status 404") {
 		t.Errorf("error %q does not report the 404 peer", err)
 	}
-	if _, _, err := store.SyncPeers(context.Background(), nil, nil, store.DefaultDate()); err == nil {
-		t.Error("SyncPeers with no peers returned no error")
+	if !errors.Is(err, buildErr) {
+		t.Errorf("error %q does not wrap the build failure", err)
 	}
 }

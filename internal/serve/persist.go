@@ -3,18 +3,20 @@
 // goes to disk, restoring a loaded archive back into a fully usable
 // Snapshot (recomputing the metrics, aggregates, and indexes that are
 // deterministic functions of the dataset), persisting asynchronously
-// after every successful build, and warm-starting a freshly booted
-// store from the last known-good archives so the first query is a 200
-// instead of a multi-second cold build.
+// after every build, and warm-starting a freshly booted store from the
+// archive so the first query is a 200 instead of a cold build.
 
 package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"time"
 
 	"manrsmeter/internal/durable"
 	"manrsmeter/internal/ihr"
+	"manrsmeter/internal/synth"
 )
 
 // snapshotData extracts the durable subset of snap: the expensive
@@ -73,54 +75,42 @@ func (s *Store) persistSnapshot(ctx context.Context, snap *Snapshot) {
 // assert on archive contents).
 func (s *Store) WaitPersist() { s.persistWG.Wait() }
 
-// WarmStart publishes snapshots restored from the durable archive for
-// every date the archive holds under this store's world, skipping
-// dates that already have a published snapshot. It returns how many
-// snapshots it published. Queries for those dates, their report
-// sections and scenarios included, are served from the restored state;
-// nothing is rebuilt.
+// fromArchive restores the snapshot at date from the durable archive.
+func (s *Store) fromArchive(ctx context.Context, date time.Time) (*Snapshot, error) {
+	d, err := s.durable.Load(ctx, durable.Key{Fingerprint: s.world.Fingerprint(), Date: date})
+	if err != nil {
+		return nil, err
+	}
+	return s.restoreSnapshot(ctx, d)
+}
+
+// WarmStart resolves the archived dates of this store's world, newest
+// first and at most synth.ViewCacheCap of them, so they are published
+// before the first query asks. It returns how many came from the
+// archive, and an error only when none did and some date failed.
 func (s *Store) WarmStart(ctx context.Context) (int, error) {
 	if s.durable == nil {
 		return 0, nil
 	}
-	fp := s.world.Fingerprint()
-	published := 0
-	var firstErr error
+	restored, tried := 0, 0
+	var errs []error
 	for _, key := range s.durable.Keys() {
-		if key.Fingerprint != fp {
+		if tried == synth.ViewCacheCap {
+			break
+		}
+		if key.Fingerprint != s.world.Fingerprint() {
 			continue
 		}
-		e := s.entry(key.Date)
-		if e.snap.Load() != nil {
-			continue
-		}
-		d, err := s.durable.Load(ctx, key)
+		tried++
+		snap, err := s.Get(ctx, key.Date)
 		if err != nil {
-			s.logp("serve: warm start %s: %v", key, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+			errs = append(errs, err)
+		} else if snap.Source == "archive" {
+			restored++
 		}
-		snap, err := s.restoreSnapshot(ctx, d)
-		if err != nil {
-			s.logp("serve: warm start %s: %v", key, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		e.mu.Lock()
-		if e.snap.Load() == nil {
-			s.publishLocked(e, snap)
-			published++
-			s.met.warmStarts.Inc()
-			s.logp("serve: warm start: restored snapshot %s from archive", snap.Version)
-		}
-		e.mu.Unlock()
 	}
-	if published > 0 {
-		return published, nil
+	if restored > 0 {
+		return restored, nil
 	}
-	return 0, firstErr
+	return 0, errors.Join(errs...)
 }

@@ -9,6 +9,7 @@ import (
 
 	"manrsmeter/internal/durable"
 	"manrsmeter/internal/obsv"
+	"manrsmeter/internal/synth"
 )
 
 // signatureChecks is how many RPKI signature checks this process has
@@ -159,5 +160,70 @@ func TestPersistFailureDoesNotAffectServing(t *testing.T) {
 	}
 	if reg.Value("durable_persist_total") != 0 {
 		t.Errorf("durable_persist_total = %d, want 0", reg.Value("durable_persist_total"))
+	}
+}
+
+// archiveDays saves a routeless archive of w for each of the n days
+// before its headline, oldest first, and returns their dates. Restoring
+// one needs no relying-party run and no dataset build.
+func archiveDays(t *testing.T, d *durable.Store, w *synth.World, n int) []time.Time {
+	t.Helper()
+	headline := w.Date(w.Config.EndYear)
+	dates := make([]time.Time, n)
+	for i := range dates {
+		dates[i] = headline.AddDate(0, 0, i-n)
+		data := &durable.SnapshotData{Fingerprint: w.Fingerprint(), Version: versionAt(w, dates[i]), Date: dates[i]}
+		if err := d.Save(context.Background(), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dates
+}
+
+// A date dropped past the publish cap is read back from its archive,
+// not rebuilt.
+func TestDroppedDateReloadsFromArchive(t *testing.T) {
+	ctx := context.Background()
+	reg := obsv.NewRegistry()
+	d := openDurable(t, t.TempDir(), reg)
+	w := coldWorld(t)
+	dates := archiveDays(t, d, w, synth.ViewCacheCap+1)
+	store := NewStore(w, StoreOptions{Registry: reg, Durable: d, Logf: t.Logf})
+	for _, date := range dates {
+		if _, err := store.Get(ctx, date); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if store.publishedAt(dates[0]) != nil {
+		t.Fatalf("%d dates published, the first still is; cap %d", len(dates), synth.ViewCacheCap)
+	}
+	snap, err := store.Get(ctx, dates[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Source != "archive" || reg.Value("serve_snapshot_builds_total") != 0 {
+		t.Errorf("dropped date came back from %q after %d builds, want the archive and 0", snap.Source, reg.Value("serve_snapshot_builds_total"))
+	}
+	if n := reg.Value("durable_load_total"); n != int64(len(dates))+1 {
+		t.Errorf("durable_load_total = %d, want %d", n, len(dates)+1)
+	}
+}
+
+// WarmStart reads no more archives than the store can keep published.
+func TestWarmStartReadsAtMostTheCap(t *testing.T) {
+	reg := obsv.NewRegistry()
+	d := openDurable(t, t.TempDir(), reg)
+	w := coldWorld(t)
+	archiveDays(t, d, w, 20)
+	store := NewStore(w, StoreOptions{Registry: reg, Durable: d, Logf: t.Logf})
+	n, err := store.WarmStart(context.Background())
+	if err != nil || n != synth.ViewCacheCap {
+		t.Fatalf("WarmStart = %d, %v; want %d, nil", n, err, synth.ViewCacheCap)
+	}
+	if loads := reg.Value("durable_load_total"); loads > synth.ViewCacheCap {
+		t.Errorf("WarmStart over 20 archives loaded %d, cap %d", loads, synth.ViewCacheCap)
+	}
+	if builds := reg.Value("serve_snapshot_builds_total"); builds != 0 {
+		t.Errorf("WarmStart ran %d builds, want 0", builds)
 	}
 }

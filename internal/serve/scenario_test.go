@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"strings"
 	"testing"
+
+	"manrsmeter/internal/obsv"
+	"manrsmeter/internal/synth"
 )
 
 // GET /v1/scenario/rp-failure must answer 200 with the degraded-health
@@ -63,5 +67,38 @@ func TestScenarioIndexAndUnknown(t *testing.T) {
 	rec = get(h, "/v1/scenario/nope", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown scenario: status %d, want 404: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// The world's view cache keeps the headline however many other dates
+// pass through it, so a scenario on a warm-started store's headline
+// builds only its fork: the restored baseline is still the world's view.
+func TestScenarioOnRestoredHeadlineBuildsOnlyTheFork(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	reg := obsv.NewRegistry()
+	built := NewStore(coldWorld(t), StoreOptions{Registry: reg, Durable: openDurable(t, dir, reg)})
+	if _, err := built.Get(ctx, built.DefaultDate()); err != nil {
+		t.Fatal(err)
+	}
+	built.WaitPersist()
+
+	w := coldWorld(t)
+	reg = obsv.NewRegistry()
+	store := NewStore(w, StoreOptions{Registry: reg, Durable: openDurable(t, dir, reg)})
+	if n, err := store.WarmStart(ctx); err != nil || n != 1 {
+		t.Fatalf("WarmStart = %d, %v; want 1, nil", n, err)
+	}
+	for i := 1; i <= synth.ViewCacheCap; i++ {
+		if _, err := w.At(ctx, store.DefaultDate().AddDate(0, 0, -7*i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := datasetBuilds()
+	if rec := get(NewServer(store, Options{Registry: reg}).Handler(), "/v1/scenario/rp-failure", nil); rec.Code != http.StatusOK {
+		t.Fatalf("scenario: %d %s", rec.Code, rec.Body.String())
+	}
+	if n := datasetBuilds() - before; n != 1 {
+		t.Errorf("scenario on the restored headline built %d datasets, want 1 (the fork's)", n)
 	}
 }

@@ -11,6 +11,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -49,6 +50,9 @@ type Snapshot struct {
 	RPKI, IRR *rov.Index
 	// Stats are the precomputed /v1/stats aggregates.
 	Stats *EcosystemStats
+	// Source is how the snapshot came to exist: "archive", "peer" (a
+	// peer's archive, over the wire) or "build". No answer depends on it.
+	Source string
 
 	// byPrefix is the point-lookup index: PrefixOrigins row numbers
 	// ordered by (prefix, row), searched by prefix range. A permutation
@@ -88,24 +92,24 @@ func buildByPrefix(pos []ihr.PrefixOrigin) []int32 {
 // Dataset is shorthand for the snapshot's IHR dataset.
 func (s *Snapshot) Dataset() *ihr.Dataset { return s.Pipeline.Dataset() }
 
-// Store builds, versions, and publishes snapshots per date key.
+// Store resolves, versions, and publishes snapshots per date key.
 //
 // The hot path — Get on a date whose snapshot is published — is one
 // mutex-free atomic pointer load after the entry lookup. Cold queries
-// coalesce: the first request starts a background build and every
-// concurrent request for the same date waits on that one build (the
-// serve_snapshot_coalesced_total counter proves exactly one build ran).
-// Builds run detached from the requesting context, so a canceled
-// request never aborts a build other requests are waiting on. A
-// published snapshot is final: the world is immutable and the version
-// names its content, so there is nothing to refresh.
+// coalesce: the first request starts one background resolve (archive,
+// then peers, then a build) and every concurrent request for the same
+// date waits on it (serve_snapshot_coalesced_total counts the joiners).
+// A resolve runs detached from the requesting context, so a canceled
+// request never aborts one other requests are waiting on. A published
+// snapshot is final: the world is immutable and the version names its
+// content, so there is nothing to refresh.
 type Store struct {
 	world   *synth.World
 	workers int
 	// headline is DefaultDate, headlineVer its Version: publish-time facts.
 	headline    time.Time
 	headlineVer string
-	// buildTimeout bounds one background build; 0 means none.
+	// buildTimeout bounds one background resolve; 0 means none.
 	buildTimeout time.Duration
 	// buildFn builds the snapshot for a date. Tests swap it to inject
 	// slow or failing builds; the default is buildSnapshot.
@@ -113,10 +117,12 @@ type Store struct {
 	// nowFn is the clock; tests swap it to drive the backoff schedule.
 	nowFn func() time.Time
 
-	// durable, when non-nil, receives every successfully built snapshot
-	// (asynchronously) and answers WarmStart at boot.
+	// durable, when non-nil, is the first source of a cold date and
+	// receives every built snapshot (asynchronously).
 	durable   *durable.Store
 	persistWG sync.WaitGroup
+	// peers are tried in order after the archive, before a build.
+	peers []string
 
 	logf func(format string, args ...any)
 
@@ -157,9 +163,7 @@ type storeMetrics struct {
 	backoffs     *obsv.Counter
 	warmStarts   *obsv.Counter
 	buildSeconds *obsv.QuantileHistogram
-	// Cluster replication: snapshots pulled from a peer over the wire
-	// instead of rebuilt, failures doing so, and archives served to
-	// peers via /peer/snapshot.
+	// Cluster replication: peer pulls, failed pulls, archives served.
 	wireSyncs      *obsv.Counter
 	wireSyncErrors *obsv.Counter
 	peerServes     *obsv.Counter
@@ -170,13 +174,16 @@ type StoreOptions struct {
 	// Workers bounds the goroutines a snapshot build fans out on; ≤ 0
 	// means one per CPU.
 	Workers int
-	// BuildTimeout bounds one background snapshot build; 0 means none.
+	// BuildTimeout bounds the whole resolve of a cold date; 0 means none.
 	BuildTimeout time.Duration
 	// Registry receives the store's metrics; nil means obsv.Default().
 	Registry *obsv.Registry
-	// Durable, when non-nil, archives every successful build and
-	// answers WarmStart at boot.
+	// Durable, when non-nil, is a cold date's first source and archives
+	// every build.
 	Durable *durable.Store
+	// Peers are base URLs (replicas, or a manrs-gw gateway) whose
+	// /peer/snapshot a cold date is pulled from before it is built.
+	Peers []string
 	// Logf, when set, receives operational events (persist failures,
 	// warm starts, build backoff).
 	Logf func(format string, args ...any)
@@ -207,6 +214,7 @@ func NewStore(w *synth.World, opts StoreOptions) *Store {
 		buildTimeout: opts.BuildTimeout,
 		nowFn:        time.Now,
 		durable:      opts.Durable,
+		peers:        opts.Peers,
 		logf:         opts.Logf,
 		entries:      make(map[int64]*storeEntry),
 		met: storeMetrics{
@@ -215,10 +223,10 @@ func NewStore(w *synth.World, opts StoreOptions) *Store {
 			coalesced:    reg.Counter("serve_snapshot_coalesced_total", "requests that joined an in-flight snapshot build"),
 			hits:         reg.Counter("serve_snapshot_hits_total", "requests answered from a published snapshot"),
 			backoffs:     reg.Counter("serve_snapshot_backoff_total", "requests refused because the date key is in build backoff"),
-			warmStarts:   reg.Counter("serve_snapshot_warm_starts_total", "snapshots published from the durable archive at boot"),
+			warmStarts:   reg.Counter("serve_snapshot_warm_starts_total", "snapshots restored from the durable archive instead of a build"),
 			buildSeconds: reg.Summary("serve_snapshot_build_seconds", "snapshot build latency"),
 			wireSyncs: reg.Counter("serve_snapshot_wire_syncs_total",
-				"snapshots published from a peer's wire archive instead of a local rebuild"),
+				"snapshots restored from a peer's wire archive instead of a build"),
 			wireSyncErrors: reg.Counter("serve_snapshot_wire_sync_errors_total",
 				"failed attempts to sync a snapshot from a peer"),
 			peerServes: reg.Counter("serve_peer_snapshot_serves_total",
@@ -264,9 +272,9 @@ func (s *Store) entry(date time.Time) *storeEntry {
 	return e
 }
 
-// Get returns the snapshot at date, building it if no build has
-// succeeded yet. Concurrent cold calls for one date coalesce onto a
-// single build; ctx cancels only this caller's wait, never the build.
+// Get returns the snapshot at date, resolving it if none is published.
+// Concurrent cold calls for one date coalesce onto a single resolve;
+// ctx cancels only this caller's wait, never the resolve.
 func (s *Store) Get(ctx context.Context, date time.Time) (*Snapshot, error) {
 	ctx, span := obsv.StartSpan(ctx, "serve.snapshot", obsv.KV("date", date.Format("2006-01-02")))
 	defer span.End()
@@ -296,7 +304,7 @@ func (s *Store) Get(ctx context.Context, date time.Time) (*Snapshot, error) {
 		call = &buildCall{done: make(chan struct{})}
 		e.building = call
 		s.startBuild(ctx, e, call)
-		span.SetAttr("source", "build")
+		span.SetAttr("source", "resolve")
 	} else {
 		s.met.coalesced.Inc()
 		span.SetAttr("source", "coalesced")
@@ -354,13 +362,12 @@ func (s *Store) backoffDelay(n int) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
-// startBuild launches the build goroutine for call. The build runs on
-// a context detached from the requester (inheriting only its tracer)
-// so request cancellation cannot abort a build other waiters share.
-// Successful builds publish atomically and archive to the durable
-// store in the background; failures arm the entry's retry backoff.
+// startBuild launches the resolve goroutine for call. It runs on a
+// context detached from the requester (inheriting only its tracer) so
+// request cancellation cannot abort a resolve other waiters share. A
+// resolved snapshot is published atomically, and a built one archived
+// in the background; a failure arms the entry's retry backoff.
 func (s *Store) startBuild(ctx context.Context, e *storeEntry, call *buildCall) {
-	s.met.builds.Inc()
 	bctx := obsv.ContextWithTracer(context.Background(), obsv.TracerFrom(ctx))
 	go func() {
 		var cancel context.CancelFunc = func() {}
@@ -368,16 +375,12 @@ func (s *Store) startBuild(ctx context.Context, e *storeEntry, call *buildCall) 
 			bctx, cancel = context.WithTimeout(bctx, s.buildTimeout)
 		}
 		defer cancel()
-		start := time.Now()
-		snap, err := s.buildFn(bctx, e.date)
-		s.met.buildSeconds.Observe(time.Since(start).Seconds())
-		if err != nil {
-			s.met.buildErrors.Inc()
-		}
+		snap, err := s.resolve(bctx, e.date)
 		call.snap, call.err = snap, err
+		persist := err == nil && snap.Source == "build" && s.durable != nil
 		e.mu.Lock()
 		if err == nil {
-			if s.durable != nil {
+			if persist {
 				// Registered before the publish is visible, so a caller
 				// that saw the snapshot and calls WaitPersist observes
 				// this persist.
@@ -389,12 +392,12 @@ func (s *Store) startBuild(ctx context.Context, e *storeEntry, call *buildCall) 
 			delay := s.backoffDelay(e.failures)
 			e.retryAt = s.nowFn().Add(delay)
 			e.lastErr = err
-			s.logp("serve: snapshot build %s failed (%d consecutive): %v; next attempt in %s",
+			s.logp("serve: snapshot %s failed (%d consecutive): %v; next attempt in %s",
 				e.date.Format("2006-01-02"), e.failures, err, delay.Round(time.Millisecond))
 		}
-		e.building = nil // a later request may retry a failed build
+		e.building = nil // a later request may retry a failed resolve
 		e.mu.Unlock()
-		if err == nil && s.durable != nil {
+		if persist {
 			// Detached from the build timeout: a slow disk must not be
 			// cut off by a deadline meant for the build.
 			pctx := obsv.ContextWithTracer(context.Background(), obsv.TracerFrom(bctx))
@@ -407,11 +410,54 @@ func (s *Store) startBuild(ctx context.Context, e *storeEntry, call *buildCall) 
 	}()
 }
 
+// resolve is the one way a date's snapshot comes to exist. It tries the
+// durable archive, then each peer in order, then a build, and returns
+// the first snapshot it gets, its Source set. A miss or failure is
+// logged and counted and the next source tried; if the build fails
+// too, the error joins every cause.
+func (s *Store) resolve(ctx context.Context, date time.Time) (*Snapshot, error) {
+	day := date.Format("2006-01-02")
+	var errs []error
+	if s.durable != nil {
+		snap, err := s.fromArchive(ctx, date)
+		if err == nil {
+			snap.Source = "archive"
+			s.met.warmStarts.Inc()
+			s.logp("serve: restored snapshot %s from archive", snap.Version)
+			return snap, nil
+		}
+		errs = append(errs, fmt.Errorf("serve: archive %s: %w", day, err))
+		s.logp("%v", errs[len(errs)-1])
+	}
+	for _, peer := range s.peers {
+		snap, err := s.fromPeer(ctx, peer, date)
+		if err == nil {
+			snap.Source = "peer"
+			s.met.wireSyncs.Inc()
+			s.logp("serve: synced snapshot %s from peer %s via wire replication (no local rebuild)", snap.Version, peer)
+			return snap, nil
+		}
+		s.met.wireSyncErrors.Inc()
+		errs = append(errs, fmt.Errorf("serve: sync %s from %s: %w", day, peer, err))
+		s.logp("%v", errs[len(errs)-1])
+	}
+	s.met.builds.Inc()
+	start := time.Now()
+	snap, err := s.buildFn(ctx, date)
+	s.met.buildSeconds.Observe(time.Since(start).Seconds())
+	if err != nil {
+		s.met.buildErrors.Inc()
+		return nil, errors.Join(append(errs, err)...)
+	}
+	snap.Source = "build"
+	return snap, nil
+}
+
 // publishLocked (e.mu held) makes snap the entry's answer; readers never
 // block on it. Past synth.ViewCacheCap published dates the
-// longest-published one other than the headline is dropped, to be built
-// again if it is asked for again. A published entry has no build in
-// flight, so none is ever dropped under its waiters.
+// longest-published one other than the headline is dropped, to be
+// resolved again if it is asked for again. A published entry has no
+// resolve in flight, so none is ever dropped under its waiters.
 func (s *Store) publishLocked(e *storeEntry, snap *Snapshot) {
 	e.snap.Store(snap)
 	e.failures, e.retryAt, e.lastErr = 0, time.Time{}, nil

@@ -44,8 +44,8 @@ func TestColdGetRunsRelyingPartyOnce(t *testing.T) {
 	}
 }
 
-// A store published by WarmStart and one published by SyncFrom hold the
-// builder's dataset and registries, so they answer every report section
+// A store published by WarmStart and one that pulled from a peer hold
+// the builder's dataset and registries, so they answer every report section
 // and scenario byte for byte like the store that built — without a
 // relying-party run until a request needs one the archive cannot hold
 // (a scenario's fork, Figure 6's other years), and without building any
@@ -53,9 +53,9 @@ func TestColdGetRunsRelyingPartyOnce(t *testing.T) {
 func TestRestoredStoresAnswerLikeTheBuilder(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	server := func(w *synth.World, durable bool) (*Store, http.Handler, *obsv.Registry) {
+	server := func(w *synth.World, durable bool, peers ...string) (*Store, http.Handler, *obsv.Registry) {
 		reg := obsv.NewRegistry()
-		opts := StoreOptions{Registry: reg, Logf: t.Logf}
+		opts := StoreOptions{Registry: reg, Logf: t.Logf, Peers: peers}
 		if durable {
 			opts.Durable = openDurable(t, dir, reg)
 		}
@@ -79,9 +79,13 @@ func TestRestoredStoresAnswerLikeTheBuilder(t *testing.T) {
 	if n, err := warm.WarmStart(ctx); err != nil || n != 1 {
 		t.Fatalf("WarmStart = %d, %v; want 1, nil", n, err)
 	}
-	synced, syncedH, syncedReg := server(coldWorld(t), false)
-	if _, err := synced.SyncFrom(ctx, nil, peer.URL, headline); err != nil {
+	synced, syncedH, syncedReg := server(coldWorld(t), false, peer.URL)
+	snap, err := synced.Get(ctx, headline)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if snap.Source != "peer" {
+		t.Fatalf("the synced store's snapshot came from %q, want the peer", snap.Source)
 	}
 
 	same := func(path string) {

@@ -755,8 +755,8 @@ type View struct {
 // At returns the world's view at t, running the relying party only if no
 // earlier call for t finished first. ctx and workers are VRPsAtCtx's; a
 // failed or cancelled run is not remembered, so a later call starts
-// over. The cache holds ViewCacheCap dates, oldest out first, and is
-// emptied by every mutation.
+// over. The cache holds ViewCacheCap dates, oldest out first but the
+// headline kept, and is emptied by every mutation.
 func (w *World) At(ctx context.Context, t time.Time, workers int) (*View, error) {
 	key := t.Unix()
 	w.viewMu.Lock()
@@ -806,7 +806,9 @@ func (w *World) Adopt(t time.Time, rpkiAuths, irrAuths []rov.Authorization, ds *
 }
 
 // remember caches v under its date unless a concurrent caller got there
-// first, and returns the cached view.
+// first, and returns the cached view. A full cache drops its oldest
+// date other than the headline, whose view the serving layer's pinned
+// snapshot and its scenarios read.
 func (w *World) remember(v *View) *View {
 	key := v.Date.Unix()
 	w.viewMu.Lock()
@@ -818,8 +820,12 @@ func (w *World) remember(v *View) *View {
 		w.views = make(map[int64]*View)
 	}
 	if len(w.viewDates) >= ViewCacheCap {
-		delete(w.views, w.viewDates[0])
-		w.viewDates = w.viewDates[1:]
+		i := 0
+		if w.viewDates[0] == w.Date(w.Config.EndYear).Unix() {
+			i = 1
+		}
+		delete(w.views, w.viewDates[i])
+		w.viewDates = append(w.viewDates[:i], w.viewDates[i+1:]...)
 	}
 	w.views[key] = v
 	w.viewDates = append(w.viewDates, key)

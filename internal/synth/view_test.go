@@ -200,21 +200,26 @@ func TestCancelledAtCachesNothing(t *testing.T) {
 	checkView(t, w, at, 2)
 }
 
-// The cache holds ViewCacheCap dates, oldest out first.
+// The cache holds ViewCacheCap dates, oldest out first, except the
+// headline, which stays however old it is.
 func TestViewCacheIsBounded(t *testing.T) {
 	w := memoTestWorld(t, 2)
-	first := w.Date(w.Config.EndYear)
-	v0, _ := w.At(context.Background(), first, 1)
-	for i := 1; i <= ViewCacheCap; i++ {
-		if _, err := w.At(context.Background(), first.AddDate(0, 0, -7*i), 1); err != nil {
+	headline := w.Date(w.Config.EndYear)
+	v0, _ := w.At(context.Background(), headline, 1)
+	week1, _ := w.At(context.Background(), headline.AddDate(0, 0, -7), 1)
+	for i := 2; i <= ViewCacheCap; i++ {
+		if _, err := w.At(context.Background(), headline.AddDate(0, 0, -7*i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(w.views) != ViewCacheCap || len(w.viewDates) != ViewCacheCap {
 		t.Fatalf("cache holds %d views (%d dates), cap %d", len(w.views), len(w.viewDates), ViewCacheCap)
 	}
-	if again, _ := w.At(context.Background(), first, 1); again == v0 {
-		t.Fatal("the oldest view survived ViewCacheCap newer dates")
+	if again, _ := w.At(context.Background(), headline, 1); again != v0 {
+		t.Fatal("the headline view was evicted")
+	}
+	if again, _ := w.At(context.Background(), headline.AddDate(0, 0, -7), 1); again == week1 {
+		t.Fatal("the oldest other view survived ViewCacheCap newer dates")
 	}
 }
 

@@ -86,6 +86,7 @@
 #   cluster — distributed serve tier smoke: boot 2 replicas on the seed
 #            world, boot a 3rd with -peers so it catches up over wire
 #            replication (asserted from its log) instead of rebuilding,
+#            pull a ?date= replica 1 built the same way (same ETag),
 #            front all 3 with manrs-gw, assert ETag coherence (the
 #            gateway's ETag matches a direct replica query; 304
 #            revalidation works through the gateway), then SIGTERM one
@@ -591,6 +592,21 @@ grep -q 'via wire replication (no local rebuild' "$TMPDIR_SMOKE/r3.log" || {
     exit 1
 }
 echo "cluster smoke: replica 3 synced from a peer without a local rebuild"
+# Any date a peer has published comes over the wire, not only the
+# headline: 2022-04-24 is a week before the seed world's headline.
+dated_etag() {
+    curl -s -D - -o /dev/null "http://$1/v1/stats?date=2022-04-24" \
+        | tr -d '\r' | sed -n 's/^[Ee][Tt]ag: //p'
+}
+R1_DATED_ETAG="$(dated_etag "$R1_ADDR")"
+R3_DATED_ETAG="$(dated_etag "$R3_ADDR")"
+R3_SYNCS="$(grep -c 'via wire replication (no local rebuild' "$TMPDIR_SMOKE/r3.log" || true)"
+if [ "$R3_SYNCS" != 2 ] || [ -z "$R1_DATED_ETAG" ] || [ "$R1_DATED_ETAG" != "$R3_DATED_ETAG" ]; then
+    echo "cluster smoke: dated query: $R3_SYNCS wire syncs on replica 3 (want 2), ETags $R1_DATED_ETAG vs $R3_DATED_ETAG" >&2
+    cat "$TMPDIR_SMOKE/r3.log" >&2
+    exit 1
+fi
+echo "cluster smoke: replica 3 pulled a dated snapshot from its peer (same ETag)"
 
 # The gateway fronts all three with fast probes so the drain test
 # converges quickly.
