@@ -230,7 +230,7 @@ func BuiltinScenario(ctx context.Context, name string, w *World, date time.Time)
 	return scenario.Builtin(ctx, name, w, date)
 }
 
-// DecodeScenario parses a scenario from its text or JSON encoding.
+// DecodeScenario parses a scenario from its text encoding.
 func DecodeScenario(data []byte) (*Scenario, error) { return scenario.Decode(data) }
 
 // RunScenario applies sc to a copy-on-write fork of w and measures the

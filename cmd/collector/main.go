@@ -12,6 +12,12 @@
 //	collector -listen 127.0.0.1:1790 -asn 65000 -out rib.mrt [-interval 5m]
 //	          [-admin 127.0.0.1:9790]
 //
+// Each dump replaces -out whole: the snapshot is written to a temporary
+// file beside it and renamed over it only once it is complete, so a
+// failed or interrupted dump leaves the previous snapshot in place.
+// SIGINT/SIGTERM write a final dump, then give live sessions up to 5s
+// to wind down; the collector exits non-zero if that final dump fails.
+//
 // With -admin ADDR an observability endpoint serves /metrics
 // (Prometheus text: routes received/withdrawn, MRT bytes, peer
 // sessions), /healthz (live peer and RIB counts) and /debug/pprof/.
@@ -22,9 +28,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -41,7 +49,6 @@ func main() {
 	interval := flag.Duration("interval", 0, "periodic dump interval (0 = dump only on shutdown)")
 	holdTime := flag.Duration("hold-time", 90*time.Second, "advertised BGP hold time; silent peers are torn down and their routes withdrawn")
 	maxPeers := flag.Int("max-peers", 0, "cap on concurrent peer connections (0 = unlimited)")
-	drain := flag.Duration("drain", 5*time.Second, "bound on waiting for peer sessions to wind down at shutdown; whatever remains is force-closed")
 	adminEP := obsv.AdminFlag()
 	flag.Parse()
 
@@ -65,56 +72,64 @@ func main() {
 		log.Printf("admin endpoint on http://%s", adminAddr)
 	}
 
-	dump := func() {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Printf("dump: %v", err)
-			return
-		}
-		if err := c.DumpMRT(f, time.Now().UTC()); err != nil {
-			log.Printf("dump: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Printf("dump: %v", err)
-			return
+	dumpRIB := func(context.Context) error {
+		if err := dump(*out, func(w io.Writer) error { return c.DumpMRT(w, time.Now().UTC()) }); err != nil {
+			return fmt.Errorf("dump: %w", err)
 		}
 		log.Printf("wrote %s: %d peers, %d routes", *out, c.NumPeers(), c.RIB().Len())
+		return nil
 	}
 
-	// SIGINT/SIGTERM start a graceful shutdown: the final snapshot is
-	// written first (it is the artifact this daemon exists to produce),
-	// then live sessions get -drain to wind down before a forced close.
 	// A second signal kills the process via the restored default handler.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-
-	shutdown := func() {
-		dump()
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := c.Shutdown(drainCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-		if err := adminEP.Shutdown(drainCtx); err != nil {
-			log.Printf("shutdown admin: %v", err)
-		}
-	}
-
+	var tick <-chan time.Time // nil with -interval 0: only a signal ends the wait
 	if *interval > 0 {
 		ticker := time.NewTicker(*interval)
 		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				dump()
-			case <-ctx.Done():
-				log.Printf("shutting down (draining up to %v)", *drain)
-				shutdown()
-				return
+		tick = ticker.C
+	}
+	for {
+		select {
+		case <-tick:
+			if err := dumpRIB(ctx); err != nil {
+				log.Print(err)
 			}
+		case <-ctx.Done():
+			// The final snapshot goes first: it is the artifact this
+			// daemon exists to produce.
+			if err := adminEP.Drain(dumpRIB, c.Shutdown); err != nil {
+				log.Fatalf("shutdown: %v", err)
+			}
+			return
 		}
 	}
-	<-ctx.Done()
-	log.Printf("shutting down (draining up to %v)", *drain)
-	shutdown()
+}
+
+// dump writes a snapshot through write into a temporary file beside
+// path and renames it over path only once write, Sync and Close have
+// all succeeded, so a failed dump leaves the previous snapshot intact.
+// The snapshot is world-readable, as a file os.Create made would be.
+func dump(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = write(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

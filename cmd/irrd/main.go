@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"manrsmeter/internal/irr"
 	"manrsmeter/internal/obsv"
@@ -34,7 +33,6 @@ func main() {
 	log.SetPrefix("irrd: ")
 	listen := flag.String("listen", "127.0.0.1:4343", "listen address")
 	query := flag.String("query", "", "answer one query against the loaded databases and exit")
-	drain := flag.Duration("drain", 5*time.Second, "bound on waiting for in-flight queries at shutdown; whatever remains is force-closed")
 	adminEP := obsv.AdminFlag()
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -89,20 +87,13 @@ func main() {
 		log.Printf("admin endpoint on http://%s", adminAddr)
 	}
 
-	// SIGINT/SIGTERM drain in-flight queries for up to -drain before
+	// SIGINT/SIGTERM drain in-flight queries for up to 5s before
 	// force-closing them; a second signal kills the process via the
 	// restored default handler.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
-	log.Printf("shutting down (draining up to %v)", *drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	err = srv.Shutdown(drainCtx)
-	if aerr := adminEP.Shutdown(drainCtx); aerr != nil {
-		log.Printf("shutdown admin: %v", aerr)
-	}
-	if err != nil {
-		log.Fatal(err)
+	if err := adminEP.Drain(srv.Shutdown); err != nil {
+		log.Fatalf("shutdown: %v", err)
 	}
 }

@@ -7,16 +7,17 @@
 // Usage:
 //
 //	manrs-gw -replicas http://h1:8180,http://h2:8180,http://h3:8180
-//	         [-listen 127.0.0.1:8170] [-ring-seed N]
+//	         [-listen 127.0.0.1:8170]
 //	         [-probe-interval D] [-probe-timeout D]
-//	         [-fail-after N] [-rise-after N]
-//	         [-max-inflight N] [-request-timeout D] [-drain D]
+//	         [-max-inflight N] [-request-timeout D]
 //	         [-admin 127.0.0.1:9170] [-access-log-sample N]
 //
-// Failure model: replica health is probed every -probe-interval with
-// hysteresis (-fail-after consecutive failures demote, -rise-after
-// promote), and connect failures seen while proxying count as failed
-// probes, so a dead replica leaves the ring within a probe or two.
+// Every gateway routes on the same ring seed, so any instance sends a
+// key to the same replica. Failure model: replica health is probed
+// every -probe-interval with hysteresis (two consecutive failures
+// demote, two consecutive successes promote), and connect failures
+// seen while proxying count as failed probes, so a dead replica leaves
+// the ring within a probe or two.
 // Idempotent GETs are retried once on a distinct replica after a
 // connect failure or 503; requests past -max-inflight are shed with
 // 503 and the same pressure-scaled Retry-After the replicas use (1s,
@@ -28,16 +29,11 @@
 // replica serving an unexpected snapshot version for a date raises
 // cluster_version_mismatch_total instead of silently mixing worlds.
 //
-// The gateway is also the replication coordinator: GET /cluster/snapshot
-// (aliased at /peer/snapshot, so a replica's -peers flag can point
-// here) relays a published snapshot archive from a live replica, which
-// is how a lagging replica catches up without a local rebuild.
-//
 // Every proxied request carries a W3C traceparent (honored or minted),
 // echoed downstream and back, so one trace ID correlates the load
 // generator, the gateway access log, and the owning replica's access
-// log. Every exit — sheds, 405s, no-replica refusals, 404s and
-// snapshot relays included — is counted in
+// log. Every exit — sheds, 405s, no-replica refusals and 404s
+// included — is counted in
 // cluster_gateway_requests_total{route,code}, timed in
 // cluster_gateway_request_duration_seconds{route}, and reaches the
 // sampled access log. With -admin the usual observability endpoint
@@ -54,7 +50,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"manrsmeter/internal/cluster"
 	"manrsmeter/internal/obsv"
@@ -65,14 +60,10 @@ func main() {
 	log.SetPrefix("manrs-gw: ")
 	replicasFlag := flag.String("replicas", "", "comma-separated replica base URLs (required), e.g. http://127.0.0.1:8180,http://127.0.0.1:8181")
 	listen := flag.String("listen", "127.0.0.1:8170", "listen address for the gateway")
-	ringSeed := flag.Uint64("ring-seed", 1, "rendezvous ring seed; fleet-wide constant so every gateway instance routes identically")
 	probeInterval := flag.Duration("probe-interval", cluster.DefaultProbeInterval, "replica health-check period")
 	probeTimeout := flag.Duration("probe-timeout", cluster.DefaultProbeTimeout, "deadline per health probe")
-	failAfter := flag.Int("fail-after", cluster.DefaultFailAfter, "consecutive failed observations before a replica leaves the ring")
-	riseAfter := flag.Int("rise-after", cluster.DefaultRiseAfter, "consecutive successful probes before a demoted replica rejoins")
 	maxInFlight := flag.Int("max-inflight", cluster.DefaultMaxInFlight, "admission limit on concurrently proxied requests; arrivals beyond it are shed with 503")
 	requestTimeout := flag.Duration("request-timeout", cluster.DefaultRequestTimeout, "end-to-end deadline per proxied request, retry included")
-	drain := flag.Duration("drain", 5*time.Second, "bound on draining in-flight requests at shutdown")
 	accessLogSample := flag.Int("access-log-sample", 1, "access-log head sampling: log 1-in-N proxied requests (errors always logged)")
 	adminEP := obsv.AdminFlag()
 	flag.Parse()
@@ -89,12 +80,10 @@ func main() {
 	}
 
 	gwLog := obsv.NewLogger(os.Stderr, obsv.LevelInfo).With("cluster")
-	ring := cluster.NewRing(*ringSeed, replicas...)
+	ring := cluster.NewRing(1, replicas...)
 	members := cluster.NewMembership(ring, replicas, cluster.MembershipOptions{
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
-		FailAfter:     *failAfter,
-		RiseAfter:     *riseAfter,
 		Logf:          log.Printf,
 	})
 	gw := cluster.NewGateway(members, cluster.GatewayOptions{
@@ -115,7 +104,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("gateway serving on http://%s over %d replicas (ring seed %d)", addr, len(replicas), *ringSeed)
+	log.Printf("gateway serving on http://%s over %d replicas", addr, len(replicas))
 
 	if adminAddr, err := adminEP.Start(&obsv.Admin{
 		Healthz: func() obsv.Health {
@@ -137,15 +126,7 @@ func main() {
 	}
 
 	<-ctx.Done()
-	log.Printf("shutting down (draining up to %v)", *drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	err = gw.Shutdown(drainCtx)
-	if aerr := adminEP.Shutdown(drainCtx); aerr != nil {
-		log.Printf("shutdown admin: %v", aerr)
-	}
-	if err != nil {
+	if err := adminEP.Drain(gw.Shutdown); err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
-	log.Printf("drained cleanly")
 }

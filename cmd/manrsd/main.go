@@ -8,7 +8,7 @@
 //
 //	manrsd [-seed N] [-scale small|full|large] [-listen 127.0.0.1:8180]
 //	       [-workers N] [-max-inflight N] [-request-timeout D]
-//	       [-build-timeout D] [-drain D] [-peers URL,...]
+//	       [-build-timeout D] [-peers URL,...]
 //	       [-admin 127.0.0.1:9180] [-data-dir DIR] [-snap-budget BYTES]
 //	       [-access-log-sample N] [-trace-cap N]
 //
@@ -47,13 +47,13 @@
 // -trace-cap bounds the retained span tree, so tracing stays on in
 // long-running daemons.
 //
-// SIGINT/SIGTERM drain in-flight requests for up to -drain before
-// force-closing; a second signal kills the process via the restored
-// default handler. With -admin ADDR the observability endpoint serves
-// /metrics (per-route RED counters and latency summaries, runtime
-// gauges, GC pause quantiles), /healthz (snapshot publication state),
-// /debug/pprof/, /debug/trace (the span tree) and /debug/latency
-// (live p50/p90/p99/p99.9 per route).
+// SIGINT/SIGTERM drain in-flight requests and any snapshot archive
+// being written for up to 5s before force-closing; a second signal
+// kills the process via the restored default handler. With -admin ADDR
+// the observability endpoint serves /metrics (per-route RED counters
+// and latency summaries, runtime gauges, GC pause quantiles), /healthz
+// (snapshot publication state), /debug/pprof/, /debug/trace (the span
+// tree) and /debug/latency (live p50/p90/p99/p99.9 per route).
 package main
 
 import (
@@ -83,9 +83,8 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "admission limit on concurrently served requests; arrivals beyond it are shed with 503")
 	requestTimeout := flag.Duration("request-timeout", serve.DefaultRequestTimeout, "end-to-end deadline per request, including any snapshot build it waits on")
 	buildTimeout := flag.Duration("build-timeout", 0, "deadline per cold snapshot, archive and peer attempts included (0 = none)")
-	drain := flag.Duration("drain", 5*time.Second, "bound on draining in-flight requests at shutdown; whatever remains is force-closed")
 	dataDir := flag.String("data-dir", "", "directory for durable snapshot archives; a cold date is read from it before peers or a build (empty = no persistence)")
-	peers := flag.String("peers", "", "comma-separated peer base URLs (replicas or a manrs-gw gateway); a cold date missing from the archive is pulled from the first peer that has it published before it is built")
+	peers := flag.String("peers", "", "comma-separated replica base URLs; a cold date missing from the archive is pulled from the first peer that has it published before it is built")
 	snapBudget := flag.Int64("snap-budget", durable.DefaultMaxBytes, "retention budget in bytes for the -data-dir archive directory")
 	accessLogSample := flag.Int("access-log-sample", serve.DefaultAccessLogSample, "access-log head sampling: log 1-in-N requests (server errors always logged); 1 logs every request, 0 the default")
 	traceCap := flag.Int("trace-cap", 4096, "bound on retained request spans for /debug/trace; 0 disables request tracing")
@@ -190,18 +189,10 @@ func main() {
 	}
 
 	<-ctx.Done()
-	log.Printf("shutting down (draining up to %v)", *drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	err = srv.Shutdown(drainCtx)
-	if aerr := adminEP.Shutdown(drainCtx); aerr != nil {
-		log.Printf("shutdown admin: %v", aerr)
-	}
 	// Let an in-flight snapshot archive finish: losing it only costs
 	// the next boot a cold build, but it is cheap to keep.
-	store.WaitPersist()
-	if err != nil {
+	waitPersist := func(context.Context) error { store.WaitPersist(); return nil }
+	if err := adminEP.Drain(srv.Shutdown, waitPersist); err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
-	log.Printf("drained cleanly")
 }

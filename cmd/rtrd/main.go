@@ -40,7 +40,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:8282", "listen address")
 	fetch := flag.String("fetch", "", "act as a client: fetch a snapshot from this cache and print it")
 	timeout := flag.Duration("timeout", 30*time.Second, "with -fetch: bound on the dial and the whole exchange")
-	drain := flag.Duration("drain", 5*time.Second, "bound on waiting for client sessions to finish at shutdown; whatever remains is force-closed")
 	adminEP := obsv.AdminFlag()
 	flag.Parse()
 
@@ -89,20 +88,13 @@ func main() {
 		log.Printf("admin endpoint on http://%s", adminAddr)
 	}
 
-	// SIGINT/SIGTERM drain client sessions for up to -drain before
+	// SIGINT/SIGTERM drain client sessions for up to 5s before
 	// force-closing them; a second signal kills the process via the
 	// restored default handler.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
-	log.Printf("shutting down (draining up to %v)", *drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	err = srv.Shutdown(drainCtx)
-	if aerr := adminEP.Shutdown(drainCtx); aerr != nil {
-		log.Printf("shutdown admin: %v", aerr)
-	}
-	if err != nil {
-		log.Fatal(err)
+	if err := adminEP.Drain(srv.Shutdown); err != nil {
+		log.Fatalf("shutdown: %v", err)
 	}
 }

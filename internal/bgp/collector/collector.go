@@ -143,6 +143,10 @@ func (c *Collector) servePeer(ctx context.Context, conn net.Conn) {
 		return // harness closes the conn
 	}
 	defer sess.Close()
+	// A peering never ends on its own: Shutdown, which cancels ctx, ends
+	// it with a Cease, and the peer keeps its routes as on any clean
+	// disconnect.
+	defer context.AfterFunc(ctx, func() { sess.Close() })()
 
 	// Keep our side of the hold timer fed.
 	stopKeepalives := sess.StartKeepalives(0)
@@ -179,9 +183,11 @@ func (c *Collector) Close() error {
 	return c.srv.Close()
 }
 
-// Shutdown stops accepting and waits for peer sessions to wind down on
-// their own, force-closing whatever remains when ctx expires. Routes
-// from cleanly departed peers stay in the RIB, as with Close.
+// Shutdown stops accepting, ends every established peering with a
+// Cease NOTIFICATION and waits for the sessions to wind down,
+// force-closing whatever remains (a peer still in the handshake) when
+// ctx expires. The departed peers' routes stay in the RIB, as with
+// Close.
 func (c *Collector) Shutdown(ctx context.Context) error {
 	return c.srv.Shutdown(ctx)
 }

@@ -2,6 +2,8 @@ package collector
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net"
 	"net/netip"
 	"runtime"
@@ -167,5 +169,51 @@ func TestCollectorRecordsPeerAddress(t *testing.T) {
 	want := conn.LocalAddr().(*net.TCPAddr).IP.String()
 	if got := dump.Peers[0].Addr.String(); got != want {
 		t.Errorf("recorded peer addr = %s, want %s", got, want)
+	}
+}
+
+// Shutdown ends a live peering at once with a Cease instead of waiting
+// out its deadline for a session that never ends on its own, and the
+// peer's routes stay in the RIB.
+func TestCollectorShutdownCeasesLivePeers(t *testing.T) {
+	c := New(65000, [4]byte{10, 0, 0, 6})
+	addr, err := c.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sess, err := bgp.Establish(conn, bgp.Config{ASN: 64513, BGPID: [4]byte{6, 6, 6, 6}}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.SendUpdate(&wire.Update{
+		Origin:  wire.OriginIGP,
+		ASPath:  []wire.ASPathSegment{{Type: wire.ASSequence, ASNs: []uint32{64513}}},
+		NextHop: netip.MustParseAddr("192.0.2.1"),
+		NLRI:    []netx.Prefix{pfx("203.0.113.0/24")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return c.RIB().Len() == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with a live peer = %v after %v, want nil", err, time.Since(start))
+	}
+	var n *wire.Notification
+	if _, err := sess.Recv(); !errors.As(err, &n) || n.Code != 6 {
+		t.Errorf("peer saw %v at shutdown, want a Cease NOTIFICATION", err)
+	}
+	if c.RIB().Len() != 1 {
+		t.Errorf("RIB len = %d after shutdown, want the peer's 1 route kept", c.RIB().Len())
 	}
 }

@@ -19,6 +19,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -176,8 +177,7 @@ func (g *Gateway) Handler() http.Handler {
 		fmt.Fprint(w, "manrs-gw — consistent-hash gateway over manrsd replicas\n"+
 			"GET /v1/...             proxied to the owning replica\n"+
 			"GET /healthz            gateway liveness (503 when no replica is live)\n"+
-			"GET /cluster/ring       ring membership and health\n"+
-			"GET /cluster/snapshot   relay a snapshot archive from a live replica\n")
+			"GET /cluster/ring       ring membership and health\n")
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -189,11 +189,6 @@ func (g *Gateway) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /cluster/ring", g.ringState)
-	relay := g.front.Route("snapshot", g.relaySnapshot)
-	mux.HandleFunc("GET /cluster/snapshot", relay)
-	// Alias: a replica pointed at the gateway with -peers uses the same
-	// /peer/snapshot path it would use against a sibling replica.
-	mux.HandleFunc("GET /peer/snapshot", relay)
 	mux.HandleFunc("/v1/", g.front.Route("proxy", g.proxy))
 	// Unknown paths collapse into one bounded label set, as on the
 	// replicas; the full path still reaches the access log.
@@ -204,78 +199,25 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
+// ringReplica is one replica's row in /cluster/ring.
+type ringReplica struct {
+	Replica string `json:"replica"`
+	Up      bool   `json:"up"`
+}
+
 // ringState renders ring membership as JSON — the operational view the
 // smoke gate and chaos tests poll for convergence.
 func (g *Gateway) ringState(w http.ResponseWriter, r *http.Request) {
-	live := g.members.Live()
-	var b strings.Builder
-	b.WriteString("{\n  \"live\": ")
-	b.WriteString(strconv.Itoa(len(live)))
-	b.WriteString(",\n  \"replicas\": [\n")
-	for i, rep := range g.members.Replicas() {
-		if i > 0 {
-			b.WriteString(",\n")
-		}
-		fmt.Fprintf(&b, "    {\"replica\": %q, \"up\": %v}", rep, g.members.Up(rep))
+	state := struct {
+		Live     int           `json:"live"`
+		Replicas []ringReplica `json:"replicas"`
+	}{Live: len(g.members.Live())}
+	for _, rep := range g.members.Replicas() {
+		state.Replicas = append(state.Replicas, ringReplica{rep, g.members.Up(rep)})
 	}
-	b.WriteString("\n  ]\n}\n")
+	body, _ := json.MarshalIndent(state, "", "  ") // strings, ints and bools always encode
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_, _ = io.WriteString(w, b.String())
-}
-
-// relaySnapshot is the coordinator endpoint of the replication
-// protocol: it streams /peer/snapshot from the first live replica that
-// answers, so a replica needs only the gateway address to catch up
-// with the fleet (see serve.StoreOptions.Peers).
-func (g *Gateway) relaySnapshot(ctx context.Context, w http.ResponseWriter, r *http.Request, rq *obsv.Request) {
-	live := g.ring.Owners("peer/snapshot", g.ring.Len())
-	if len(live) == 0 {
-		g.noReplica(w, rq)
-		return
-	}
-	var lastErr error
-	for _, rep := range live {
-		url := rep + "/peer/snapshot"
-		if r.URL.RawQuery != "" {
-			url += "?" + r.URL.RawQuery
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		req.Header.Set("traceparent", rq.Trace.String())
-		resp, err := g.client.Do(req)
-		if err != nil {
-			g.members.Observe(rep, false)
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			resp.Body.Close()
-			lastErr = fmt.Errorf("%s: status %d: %s", rep, resp.StatusCode, strings.TrimSpace(string(body)))
-			continue
-		}
-		copyHeader(w.Header(), resp.Header, "Content-Type", "X-MANRS-Snapshot")
-		w.Header().Set("X-MANRS-Replica", rep)
-		w.WriteHeader(http.StatusOK)
-		_, _ = io.Copy(w, resp.Body)
-		resp.Body.Close()
-		rq.Code, rq.Snapshot = http.StatusOK, resp.Header.Get("X-MANRS-Snapshot")
-		rq.Set("replica", rep)
-		return
-	}
-	rq.Outcome = "upstream_error"
-	rq.Error(w, http.StatusBadGateway, fmt.Sprintf("no replica could serve the snapshot: %v", lastErr))
-}
-
-// noReplica refuses a request that found the ring empty.
-func (g *Gateway) noReplica(w http.ResponseWriter, rq *obsv.Request) {
-	g.met.noReplica.Inc()
-	rq.Outcome = "no_replica"
-	w.Header().Set("Retry-After", "1")
-	rq.Error(w, http.StatusServiceUnavailable, "no live replicas")
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // relayedHeaders are the response headers the gateway preserves from
@@ -286,14 +228,6 @@ var relayedHeaders = []string{
 }
 
 var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }} // proxy's body copy buffers
-
-func copyHeader(dst, src http.Header, keys ...string) {
-	for _, k := range keys {
-		if v := src.Get(k); v != "" {
-			dst.Set(k, v)
-		}
-	}
-}
 
 // proxy is the /v1 forwarding path.
 func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Request, rq *obsv.Request) {
@@ -308,7 +242,10 @@ func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Requ
 
 	owners := g.ring.Owners(shardKey(r.URL.Path), 2)
 	if len(owners) == 0 {
-		g.noReplica(w, rq)
+		g.met.noReplica.Inc()
+		rq.Outcome = "no_replica"
+		w.Header().Set("Retry-After", "1")
+		rq.Error(w, http.StatusServiceUnavailable, "no live replicas")
 		return
 	}
 
@@ -342,7 +279,11 @@ func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Requ
 
 	g.checkVersion(r, resp, replica)
 
-	copyHeader(w.Header(), resp.Header, relayedHeaders...)
+	for _, k := range relayedHeaders {
+		if v := resp.Header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
 	w.Header().Set("X-MANRS-Replica", replica)
 	w.WriteHeader(resp.StatusCode)
 	// Via w's buffered writer, one write: w's own ReadFrom flushes at 512 B.

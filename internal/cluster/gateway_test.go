@@ -14,9 +14,9 @@ import (
 	"manrsmeter/internal/obsv"
 )
 
-// stubReplica fakes a manrsd replica: /healthz, /peer/snapshot, and a
-// /v1 surface answering 200 + fingerprint-scoped ETag (or a forced
-// status), recording every request's path and traceparent.
+// stubReplica fakes a manrsd replica: /healthz and a /v1 surface
+// answering 200 + fingerprint-scoped ETag (or a forced status),
+// recording every request's path and traceparent.
 type stubReplica struct {
 	version string
 	status  int           // forced /v1 status; 0 means 200
@@ -40,14 +40,8 @@ func newStubReplica(t *testing.T, version string) *stubReplica {
 func (s *stubReplica) url() string { return s.ts.URL }
 
 func (s *stubReplica) handle(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/healthz":
+	if r.URL.Path == "/healthz" {
 		fmt.Fprintln(w, "ok")
-		return
-	case "/peer/snapshot":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-MANRS-Snapshot", s.version)
-		fmt.Fprintf(w, "archive-bytes-from-%s", s.version)
 		return
 	}
 	s.mu.Lock()
@@ -196,9 +190,9 @@ func TestGatewayRetryConnectFailure(t *testing.T) {
 	if reg.Value("cluster_probe_failures_total") == 0 {
 		t.Error("connect failure not fed back to membership")
 	}
-	// A second failing request reaches FailAfter=2: the dead replica
-	// leaves the ring and subsequent requests route straight to the
-	// survivor with no retry.
+	// A second failing request reaches the hysteresis of 2: the dead
+	// replica leaves the ring and subsequent requests route straight to
+	// the survivor with no retry.
 	gwGet(gw, path, nil)
 	if members.Up(deadURL) {
 		t.Error("dead replica still in ring after two passive failures")
@@ -257,7 +251,7 @@ func TestGatewayNoLiveReplicas(t *testing.T) {
 	a := newStubReplica(t, "v@2026-08-07")
 	gw, members, reg := newTestGateway(t, []string{a.url()}, GatewayOptions{})
 	members.Observe(a.url(), false)
-	members.Observe(a.url(), false) // FailAfter = 2
+	members.Observe(a.url(), false) // hysteresis = 2
 
 	rec := gwGet(gw, "/v1/stats", nil)
 	if rec.Code != http.StatusServiceUnavailable {
@@ -320,29 +314,54 @@ func TestGatewayVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestGatewayRelaySnapshot: the coordinator endpoint streams a live
-// replica's archive under both its canonical and aliased paths.
+// TestGatewayRelaySnapshot: snapshots replicate replica to replica
+// only, so the gateway serves no archive — /cluster/snapshot and
+// /peer/snapshot are unknown paths (404 under route="other"), and
+// nothing reaches a replica. A replica whose -peers names the gateway
+// falls through to its next source.
 func TestGatewayRelaySnapshot(t *testing.T) {
 	a := newStubReplica(t, "v@2026-08-07")
 	gw, _, reg := newTestGateway(t, []string{a.url()}, GatewayOptions{})
 
 	for _, path := range []string{"/cluster/snapshot", "/peer/snapshot"} {
-		rec := gwGet(gw, path+"?date=2026-08-07", nil)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, rec.Code)
-		}
-		if got := rec.Body.String(); got != "archive-bytes-from-v@2026-08-07" {
-			t.Errorf("GET %s body %q, want the replica archive", path, got)
-		}
-		if rec.Header().Get("X-MANRS-Snapshot") != "v@2026-08-07" {
-			t.Errorf("GET %s lost the snapshot version header", path)
-		}
-		if rec.Header().Get("X-MANRS-Replica") != a.url() {
-			t.Errorf("GET %s lost the serving-replica header", path)
+		if rec := gwGet(gw, path+"?date=2026-08-07", nil); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, rec.Code)
 		}
 	}
-	if got := reg.Value("cluster_gateway_requests_total", "route", "snapshot", "code", "200"); got != 2 {
-		t.Errorf(`relays counted under route="snapshot" = %d, want 2`, got)
+	if got := reg.Value("cluster_gateway_requests_total", "route", "other", "code", "404"); got != 2 {
+		t.Errorf(`404s counted under route="other" = %d, want 2`, got)
+	}
+	if paths, _ := a.seen(); len(paths) != 0 {
+		t.Errorf("snapshot requests reached the replica: %v", paths)
+	}
+}
+
+// TestGatewayRingState: /cluster/ring is JSON whatever the replica
+// names hold, and its live count and up flags follow a demotion.
+func TestGatewayRingState(t *testing.T) {
+	replicas := []string{"http://a.example", "http://b\x7f\x01.example"}
+	gw, members, _ := newTestGateway(t, replicas, GatewayOptions{})
+	members.Observe(replicas[0], false)
+	members.Observe(replicas[0], false) // hysteresis = 2
+
+	rec := gwGet(gw, "/cluster/ring", nil)
+	var state struct {
+		Live     int           `json:"live"`
+		Replicas []ringReplica `json:"replicas"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &state); err != nil {
+		t.Fatalf("/cluster/ring is not JSON: %v\n%q", err, rec.Body.String())
+	}
+	if state.Live != 1 || len(state.Replicas) != 2 {
+		t.Fatalf("ring state %+v, want 1 live of 2 replicas", state)
+	}
+	for i, want := range []bool{false, true} {
+		if got := state.Replicas[i]; got.Replica != replicas[i] || got.Up != want {
+			t.Errorf("replica %d = %+v, want %q up=%v", i, got, replicas[i], want)
+		}
+	}
+	if !strings.Contains(rec.Body.String(), `"live": 1`) {
+		t.Errorf("live count not rendered as the smoke gate greps it:\n%s", rec.Body)
 	}
 }
 

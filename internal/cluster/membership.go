@@ -1,9 +1,8 @@
 // membership.go is the health-checked ring membership: a prober loop
 // GETs each replica's /healthz on an interval, and state transitions
-// apply hysteresis — a replica must fail FailAfter consecutive
-// observations to leave the ring and pass RiseAfter consecutive
-// observations to rejoin, so one dropped probe (or one slow answer
-// under load) cannot flap the ring and reshuffle keys. The gateway's
+// apply hysteresis — a replica must fail two consecutive observations
+// to leave the ring and pass two to rejoin, so one dropped probe (or
+// one slow answer under load) cannot flap the ring and reshuffle keys. The gateway's
 // forwarding path feeds the same counters passively: a connect failure
 // while proxying counts like a failed probe, so a dead replica leaves
 // the ring faster than the probe interval alone would allow.
@@ -24,8 +23,9 @@ import (
 const (
 	DefaultProbeInterval = 500 * time.Millisecond
 	DefaultProbeTimeout  = 2 * time.Second
-	DefaultFailAfter     = 2
-	DefaultRiseAfter     = 2
+	// hysteresis is how many consecutive failures demote a replica and
+	// how many consecutive successes promote it again.
+	hysteresis = 2
 )
 
 // MembershipOptions tunes a Membership.
@@ -35,10 +35,6 @@ type MembershipOptions struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe; ≤ 0 means DefaultProbeTimeout.
 	ProbeTimeout time.Duration
-	// FailAfter is how many consecutive failures demote a replica;
-	// RiseAfter how many consecutive successes promote it. ≤ 0 means
-	// the defaults. Both are the hysteresis the chaos tests rely on.
-	FailAfter, RiseAfter int
 	// Probe overrides the health check (tests). The default GETs
 	// replica + "/healthz" and demands a 2xx.
 	Probe func(ctx context.Context, replica string) error
@@ -74,7 +70,7 @@ type Membership struct {
 
 // NewMembership builds a membership over the fixed replica fleet,
 // driving ring. Every replica starts live (optimistic: the gateway can
-// serve the moment it boots; a dead replica is demoted after FailAfter
+// serve the moment it boots; a dead replica is demoted after hysteresis
 // observations).
 func NewMembership(ring *Ring, replicas []string, opts MembershipOptions) *Membership {
 	if opts.ProbeInterval <= 0 {
@@ -82,12 +78,6 @@ func NewMembership(ring *Ring, replicas []string, opts MembershipOptions) *Membe
 	}
 	if opts.ProbeTimeout <= 0 {
 		opts.ProbeTimeout = DefaultProbeTimeout
-	}
-	if opts.FailAfter <= 0 {
-		opts.FailAfter = DefaultFailAfter
-	}
-	if opts.RiseAfter <= 0 {
-		opts.RiseAfter = DefaultRiseAfter
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -179,23 +169,10 @@ func (m *Membership) Observe(replica string, ok bool) {
 		m.probeFails.Inc()
 	}
 	changed := false
-	switch {
-	case st.up && !ok:
-		st.streak++
-		if st.streak >= m.opts.FailAfter {
-			st.up, st.streak = false, 0
-			changed = true
-		}
-	case !st.up && ok:
-		st.streak++
-		if st.streak >= m.opts.RiseAfter {
-			st.up, st.streak = true, 0
-			changed = true
-		}
-	default:
-		// Observation agrees with current state: reset any pending
-		// transition streak.
-		st.streak = 0
+	if st.up == ok {
+		st.streak = 0 // the observation agrees: no transition is pending
+	} else if st.streak++; st.streak >= hysteresis {
+		st.up, st.streak, changed = ok, 0, true
 	}
 	var liveSet []string
 	if changed {

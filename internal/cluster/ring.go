@@ -60,13 +60,6 @@ func (r *Ring) SetMembers(members []string) {
 	r.mu.Unlock()
 }
 
-// Len returns the current member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
 // score is the rendezvous weight of key on member: fnv64a over the
 // seed, the member, and the key, with a NUL fence between the strings
 // so ("ab","c") and ("a","bc") cannot collide, finished with a

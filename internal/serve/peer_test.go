@@ -62,7 +62,7 @@ func TestSnapshotVersionHeader(t *testing.T) {
 
 // TestPeerEndpoints: /peer/snapshot answers 404 until a snapshot is
 // published, then streams an archive durable.Decode accepts, with the
-// version both in the header and in /peer/version's inventory.
+// version in the header.
 func TestPeerEndpoints(t *testing.T) {
 	store, srv, reg := newTestServer(t, Options{})
 	h := srv.Handler()
@@ -77,19 +77,7 @@ func TestPeerEndpoints(t *testing.T) {
 	}
 	ver := store.Version(date)
 
-	rec := get(h, "/peer/version", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("peer version: %d", rec.Code)
-	}
-	pv := decode[PeerVersion](t, rec)
-	if pv.Fingerprint != testWorld(t).Fingerprint() {
-		t.Errorf("peer version fingerprint %q != world %q", pv.Fingerprint, testWorld(t).Fingerprint())
-	}
-	if got := pv.Published[date.Format("2006-01-02")]; got != ver {
-		t.Errorf("peer version inventory says %q, store version is %q", got, ver)
-	}
-
-	rec = get(h, "/peer/snapshot?date="+date.Format("2006-01-02"), nil)
+	rec := get(h, "/peer/snapshot?date="+date.Format("2006-01-02"), nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("peer snapshot: %d", rec.Code)
 	}

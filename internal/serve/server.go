@@ -74,12 +74,6 @@ type Server struct {
 	cache      map[string]cachedResponse
 	cacheOrder []string
 
-	// peerEncoded memoizes durable-encoded archives served to peers
-	// over /peer/snapshot, keyed by snapshot version (FIFO, bounded).
-	peerMu      sync.Mutex
-	peerEncoded map[string][]byte
-	peerOrder   []string
-
 	met serverMetrics
 }
 
@@ -110,10 +104,9 @@ func NewServer(store *Store, opts Options) *Server {
 		reg = obsv.Default()
 	}
 	return &Server{
-		store:       store,
-		opts:        opts,
-		cache:       make(map[string]cachedResponse),
-		peerEncoded: make(map[string][]byte),
+		store: store,
+		opts:  opts,
+		cache: make(map[string]cachedResponse),
 		front: obsv.NewFront(obsv.FrontOptions{
 			Prefix:          "serve",
 			Msg:             "request",
@@ -157,9 +150,8 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "warming") // still 200: serving, first build pending
 	})
-	// Fleet-internal replication protocol: peers (and the gateway's
-	// coordinator relay) pull published snapshots as durable archives.
-	mux.HandleFunc("GET /peer/version", s.peerVersion)
+	// Fleet-internal replication protocol: sibling replicas pull
+	// published snapshots as durable archives.
 	mux.HandleFunc("GET /peer/snapshot", s.peerSnapshot)
 	mux.HandleFunc("GET /v1/as/{asn}/conformance", s.route("as_conformance",
 		func(ctx context.Context, snap *Snapshot, r *http.Request) (any, error) {

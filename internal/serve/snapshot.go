@@ -181,8 +181,8 @@ type StoreOptions struct {
 	// Durable, when non-nil, is a cold date's first source and archives
 	// every build.
 	Durable *durable.Store
-	// Peers are base URLs (replicas, or a manrs-gw gateway) whose
-	// /peer/snapshot a cold date is pulled from before it is built.
+	// Peers are sibling replicas' base URLs whose /peer/snapshot a cold
+	// date is pulled from before it is built.
 	Peers []string
 	// Logf, when set, receives operational events (persist failures,
 	// warm starts, build backoff).

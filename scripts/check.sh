@@ -61,7 +61,10 @@
 #            section table's names (fig2-growth)
 #   admin  — end-to-end smoke of the observability endpoint: start a
 #            collector with -admin, curl /healthz and /metrics, and
-#            assert the expected metric families are exposed
+#            assert the expected metric families are exposed; SIGTERM
+#            it and assert exit 0, "drained cleanly" and a non-empty
+#            rib.mrt; then SIGTERM a collector whose -out directory is
+#            missing and assert a non-zero exit and no clean drain
 #   manrsd — end-to-end smoke of the query daemon: start it on a small
 #            synthetic world with -access-log-sample 1, query a
 #            conformance lookup twice (200 then 304 via the captured
@@ -307,9 +310,40 @@ for metric in collector_peers_active collector_routes_received_total \
         exit 1
     }
 done
-kill "$COLLECTOR_PID" 2>/dev/null || true
-wait "$COLLECTOR_PID" 2>/dev/null || true
+# SIGTERM: the final dump lands and the collector drains cleanly.
+kill -TERM "$COLLECTOR_PID"
+COLLECTOR_STATUS=0
+wait "$COLLECTOR_PID" || COLLECTOR_STATUS=$?
 COLLECTOR_PID=""
+if [ "$COLLECTOR_STATUS" != 0 ] || ! grep -q 'drained cleanly' "$TMPDIR_SMOKE/collector.log" \
+    || [ ! -s "$TMPDIR_SMOKE/rib.mrt" ]; then
+    echo "admin smoke: collector exited $COLLECTOR_STATUS on SIGTERM, want 0 with a clean drain and a non-empty rib.mrt:" >&2
+    cat "$TMPDIR_SMOKE/collector.log" >&2
+    exit 1
+fi
+# A final dump that cannot be written is a failed shutdown: non-zero
+# exit and no clean-drain line.
+"$TMPDIR_SMOKE/collector" -listen 127.0.0.1:0 \
+    -out "$TMPDIR_SMOKE/missing/rib.mrt" >"$TMPDIR_SMOKE/collector-bad.log" 2>&1 &
+COLLECTOR_PID=$!
+for _ in $(seq 1 50); do
+    grep -q 'collecting on' "$TMPDIR_SMOKE/collector-bad.log" && break
+    sleep 0.1
+done
+grep -q 'collecting on' "$TMPDIR_SMOKE/collector-bad.log" || {
+    echo "admin smoke: collector with an unwritable -out never started collecting:" >&2
+    cat "$TMPDIR_SMOKE/collector-bad.log" >&2
+    exit 1
+}
+kill -TERM "$COLLECTOR_PID"
+COLLECTOR_STATUS=0
+wait "$COLLECTOR_PID" || COLLECTOR_STATUS=$?
+COLLECTOR_PID=""
+if [ "$COLLECTOR_STATUS" = 0 ] || grep -q 'drained cleanly' "$TMPDIR_SMOKE/collector-bad.log"; then
+    echo "admin smoke: collector with an unwritable -out exited $COLLECTOR_STATUS, want non-zero and no clean drain:" >&2
+    cat "$TMPDIR_SMOKE/collector-bad.log" >&2
+    exit 1
+fi
 
 echo "==> query daemon smoke (manrsd)"
 go build -o "$TMPDIR_SMOKE/manrsd" ./cmd/manrsd
