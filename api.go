@@ -103,9 +103,6 @@ const (
 	Large  = manrs.Large
 )
 
-// NewMANRSRegistry returns an empty participant registry.
-func NewMANRSRegistry() *MANRSRegistry { return manrs.NewRegistry() }
-
 // ClassifySize maps a customer degree to its size class.
 func ClassifySize(customerDegree int) SizeClass { return manrs.ClassifySize(customerDegree) }
 

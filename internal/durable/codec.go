@@ -331,9 +331,9 @@ func Decode(data []byte) (*SnapshotData, error) {
 			if err != nil {
 				return nil, fmt.Errorf("durable: authorization %d/%d: %w", s, i, err)
 			}
-			maxBits := 32
-			if a.Prefix.Is6() {
-				maxBits = 128
+			maxBits := 128
+			if a.Prefix.Is4() {
+				maxBits = 32
 			}
 			if int(ml) < a.Prefix.Bits() || int(ml) > maxBits {
 				return nil, fmt.Errorf("durable: authorization %d/%d: max length %d out of range", s, i, ml)

@@ -220,6 +220,7 @@ func (r *Registry) rebuild() error {
 		return r.rebuildErr
 	}
 	ix := rov.NewIndex()
+	ix.Grow(r.NumRoutes())
 	var errs []error
 	for _, db := range r.dbs {
 		for _, ro := range db.routes {

@@ -73,6 +73,9 @@ func NewQueryServer(reg *Registry) *QueryServer {
 		ReadTimeout:  DefaultQueryIdleTimeout,
 		WriteTimeout: 30 * time.Second,
 		Handler: func(ctx context.Context, conn net.Conn) {
+			// A drain cancels ctx: close the session rather than wait
+			// out an idle client's read deadline.
+			defer context.AfterFunc(ctx, func() { conn.Close() })()
 			s.serve(conn)
 		},
 	}

@@ -2,10 +2,12 @@ package irr
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/rpsl"
@@ -158,5 +160,36 @@ func TestWhoisDeduplicatesMirroredRoutes(t *testing.T) {
 	got := srv.Answer("!g" + rpsl.FormatASN(64500))
 	if strings.Count(got, "10.0.0.0/16") != 1 {
 		t.Errorf("mirrored route duplicated: %q", got)
+	}
+}
+
+// A whois client that stays connected, idle, after a query must not
+// hold a drain: Shutdown closes its session and returns at once instead
+// of waiting out the idle timeout.
+func TestShutdownWithIdleClient(t *testing.T) {
+	srv := NewQueryServer(whoisRegistry(t))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "!gAS64501\n")
+	if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with an idle client: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Shutdown with an idle client took %s, want < 1s", d)
 	}
 }

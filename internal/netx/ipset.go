@@ -23,7 +23,7 @@ func (s *IPSet4) AddPrefix(p Prefix) {
 	if !p.IsValid() || !p.Is4() {
 		return
 	}
-	lo := uint64(be32(p.Addr().As4()))
+	lo := p.hi >> 32
 	hi := lo + uint64(p.AddressCount())
 	s.dirty = append(s.dirty, r4{lo, hi})
 }

@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -77,7 +78,8 @@ func TestIPSet4SizeMatchesBruteForce(t *testing.T) {
 				return false
 			}
 			s.AddPrefix(sub)
-			start := be32(sub.Addr().As4())
+			a4 := sub.Addr().As4()
+			start := binary.BigEndian.Uint32(a4[:])
 			for a := uint64(0); a < uint64(sub.AddressCount()); a++ {
 				covered[start+uint32(a)] = true
 			}

@@ -1,15 +1,21 @@
 // Package netx provides the address and prefix substrate used throughout
 // manrsmeter: a compact Prefix representation for IPv4 and IPv6, parsing
-// and formatting helpers, and a binary radix trie (see trie.go) supporting
-// the covering-entry lookups required by RFC 6811 route origin validation
-// and by IRR route-object matching.
+// and formatting helpers, and a sorted prefix table (see trie.go)
+// supporting the covering-entry lookups required by RFC 6811 route
+// origin validation and by IRR route-object matching.
 //
-// The package deliberately builds on net/netip from the standard library:
-// netip.Prefix is comparable, allocation-free, and canonical, which makes
-// it suitable both as a map key and as a trie key.
+// A Prefix is a plain value: the masked address as two 64-bit halves,
+// the length and the address width, with no pointer in it. It is
+// comparable (usable as a map key), and ordering and containment are
+// integer operations. Every struct that embeds one (originations,
+// dataset rows, authorizations) stays pointer-free, so the garbage
+// collector allocates their slices in no-scan spans and never walks
+// them. Parsing and formatting go through net/netip.
 package netx
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net/netip"
@@ -17,13 +23,14 @@ import (
 )
 
 // Prefix is a validated, masked IP prefix. The zero value is invalid.
-//
-// Prefix wraps netip.Prefix rather than aliasing it so that methods with
-// routing-specific semantics (covering, more-specific, address-span) live
-// on a domain type, and so the rest of the repository never depends on
-// netip directly.
 type Prefix struct {
-	p netip.Prefix
+	// hi and lo hold the masked address, most significant bit first: an
+	// IPv4 address sits in the top 32 bits of hi.
+	hi, lo uint64
+	bits   uint8
+	// width is the address width: 32 for IPv4, 128 for IPv6 (4-in-6
+	// included), 0 for the invalid zero value.
+	width uint8
 }
 
 // ParsePrefix parses s as an IP prefix in CIDR notation ("192.0.2.0/24",
@@ -34,7 +41,7 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, fmt.Errorf("netx: parse prefix %q: %w", s, err)
 	}
-	return Prefix{p.Masked()}, nil
+	return fromNetip(p.Addr(), p.Bits()), nil
 }
 
 // MustParsePrefix is ParsePrefix for statically known inputs; it panics on
@@ -52,61 +59,105 @@ func MustParsePrefix(s string) Prefix {
 // PrefixFrom builds a Prefix from an address and a length, masking host bits.
 // It returns an error when bits is out of range for the address family.
 func PrefixFrom(addr netip.Addr, bits int) (Prefix, error) {
-	p := netip.PrefixFrom(addr, bits)
-	if !p.IsValid() {
+	if !netip.PrefixFrom(addr, bits).IsValid() {
 		return Prefix{}, fmt.Errorf("netx: invalid prefix %s/%d", addr, bits)
 	}
-	return Prefix{p.Masked()}, nil
+	return fromNetip(addr, bits), nil
+}
+
+// fromNetip converts a valid address and length, masking host bits.
+func fromNetip(addr netip.Addr, bits int) Prefix {
+	p := Prefix{bits: uint8(bits), width: uint8(addr.BitLen())}
+	if addr.Is4() {
+		a := addr.As4()
+		p.hi = uint64(binary.BigEndian.Uint32(a[:])) << 32
+	} else {
+		a := addr.As16()
+		p.hi, p.lo = binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])
+	}
+	mhi, mlo := mask(p.bits)
+	p.hi &= mhi
+	p.lo &= mlo
+	return p
+}
+
+// mask returns the network mask of a length-bits prefix as two halves.
+func mask(bits uint8) (hi, lo uint64) {
+	hi = ^(^uint64(0) >> bits)
+	if bits > 64 {
+		lo = ^(^uint64(0) >> (bits - 64))
+	}
+	return hi, lo
 }
 
 // Addr returns the (masked) network address.
-func (p Prefix) Addr() netip.Addr { return p.p.Addr() }
+func (p Prefix) Addr() netip.Addr {
+	switch p.width {
+	case 32:
+		var a [4]byte
+		binary.BigEndian.PutUint32(a[:], uint32(p.hi>>32))
+		return netip.AddrFrom4(a)
+	case 128:
+		var a [16]byte
+		binary.BigEndian.PutUint64(a[:8], p.hi)
+		binary.BigEndian.PutUint64(a[8:], p.lo)
+		return netip.AddrFrom16(a)
+	}
+	return netip.Addr{}
+}
 
-// Bits returns the prefix length.
-func (p Prefix) Bits() int { return p.p.Bits() }
+// Bits returns the prefix length, or -1 for the zero value.
+func (p Prefix) Bits() int {
+	if p.width == 0 {
+		return -1
+	}
+	return int(p.bits)
+}
 
 // IsValid reports whether p is a valid, non-zero prefix.
-func (p Prefix) IsValid() bool { return p.p.IsValid() }
+func (p Prefix) IsValid() bool { return p.width != 0 }
 
 // Is4 reports whether p is an IPv4 prefix.
-func (p Prefix) Is4() bool { return p.p.Addr().Is4() }
+func (p Prefix) Is4() bool { return p.width == 32 }
 
 // Is6 reports whether p is an IPv6 (non-4-mapped) prefix.
-func (p Prefix) Is6() bool { return p.p.Addr().Is6() && !p.p.Addr().Is4In6() }
+func (p Prefix) Is6() bool { return p.width == 128 && (p.hi != 0 || p.lo>>32 != 0xffff) }
 
 // String returns CIDR notation, or "invalid Prefix" for the zero value.
 func (p Prefix) String() string {
-	if !p.p.IsValid() {
+	if !p.IsValid() {
 		return "invalid Prefix"
 	}
-	return p.p.String()
+	return netip.PrefixFrom(p.Addr(), int(p.bits)).String()
 }
 
 // Covers reports whether p contains o entirely: o's network address lies
 // inside p and o is at least as specific as p. A prefix covers itself.
-// Prefixes of different address families never cover one another.
+// IPv4 prefixes and 128-bit prefixes (4-in-6 included) never cover one
+// another.
 func (p Prefix) Covers(o Prefix) bool {
-	if !p.IsValid() || !o.IsValid() || p.Is4() != o.Is4() {
+	if p.width == 0 || p.width != o.width || p.bits > o.bits {
 		return false
 	}
-	return p.Bits() <= o.Bits() && p.p.Contains(o.p.Addr())
+	mhi, mlo := mask(p.bits)
+	return o.hi&mhi == p.hi && o.lo&mlo == p.lo
 }
 
 // Compare orders prefixes first by family (IPv4 before IPv6), then by
 // network address, then by length (shorter first). It is suitable for
-// slices.SortFunc.
+// slices.SortFunc. In this order every prefix precedes the prefixes it
+// covers, and those follow it contiguously.
 func (p Prefix) Compare(o Prefix) int {
-	pa, oa := p.p.Addr(), o.p.Addr()
-	if c := pa.Compare(oa); c != 0 {
+	if c := cmp.Compare(p.width, o.width); c != 0 {
 		return c
 	}
-	switch {
-	case p.Bits() < o.Bits():
-		return -1
-	case p.Bits() > o.Bits():
-		return 1
+	if c := cmp.Compare(p.hi, o.hi); c != 0 {
+		return c
 	}
-	return 0
+	if c := cmp.Compare(p.lo, o.lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.bits, o.bits)
 }
 
 // AddressCount returns the number of addresses spanned by p as a float64.
@@ -117,11 +168,7 @@ func (p Prefix) AddressCount() float64 {
 	if !p.IsValid() {
 		return 0
 	}
-	hostBits := 32 - p.Bits()
-	if p.Is6() {
-		hostBits = 128 - p.Bits()
-	}
-	return math.Exp2(float64(hostBits))
+	return math.Exp2(float64(p.width - p.bits))
 }
 
 // NthSubprefix returns the i-th subprefix of p at length newBits. It is the
@@ -132,57 +179,20 @@ func (p Prefix) NthSubprefix(newBits int, i uint64) (Prefix, error) {
 	if !p.IsValid() {
 		return Prefix{}, fmt.Errorf("netx: NthSubprefix of invalid prefix")
 	}
-	max := 32
-	if p.Is6() {
-		max = 128
-	}
-	if newBits <= p.Bits() || newBits > max {
+	if newBits <= p.Bits() || newBits > int(p.width) {
 		return Prefix{}, fmt.Errorf("netx: bad subprefix length %d for %s", newBits, p)
 	}
 	span := newBits - p.Bits()
 	if span < 64 && i >= uint64(1)<<span {
 		return Prefix{}, fmt.Errorf("netx: subprefix index %d out of range for %s/%d", i, p, newBits)
 	}
-	addr := p.Addr()
-	if addr.Is4() {
-		v := uint32(be32(addr.As4()))
-		v |= uint32(i) << (32 - newBits)
-		a4 := [4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
-		return PrefixFrom(netip.AddrFrom4(a4), newBits)
+	// The index fills bits [p.Bits(), newBits), which p's mask left zero.
+	q := Prefix{hi: p.hi, lo: p.lo, bits: uint8(newBits), width: p.width}
+	if shift := 128 - newBits; shift >= 64 {
+		q.hi |= i << (shift - 64)
+	} else {
+		q.hi |= i >> (64 - shift)
+		q.lo |= i << shift
 	}
-	a16 := addr.As16()
-	// Set the subprefix index into bits [p.Bits(), newBits).
-	setBits(&a16, p.Bits(), newBits, i)
-	return PrefixFrom(netip.AddrFrom16(a16), newBits)
-}
-
-func be32(b [4]byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-// setBits writes the low (to-from) bits of v into bit positions [from, to)
-// of the 16-byte address, where bit 0 is the most significant bit.
-func setBits(a *[16]byte, from, to int, v uint64) {
-	width := to - from
-	for i := 0; i < width; i++ {
-		bitPos := to - 1 - i // absolute bit index from MSB
-		bit := (v >> uint(i)) & 1
-		byteIdx := bitPos / 8
-		mask := byte(1) << uint(7-bitPos%8)
-		if bit == 1 {
-			a[byteIdx] |= mask
-		} else {
-			a[byteIdx] &^= mask
-		}
-	}
-}
-
-// bitAt returns bit i (0 = most significant) of the address.
-func bitAt(addr netip.Addr, i int) byte {
-	if addr.Is4() {
-		b := addr.As4()
-		return (b[i/8] >> uint(7-i%8)) & 1
-	}
-	b := addr.As16()
-	return (b[i/8] >> uint(7-i%8)) & 1
+	return q, nil
 }

@@ -229,3 +229,67 @@ func TestCoversProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// randomNetip draws an IPv4, IPv6 or 4-in-6 address and a length valid
+// for it.
+func randomNetip(r *rand.Rand) (netip.Addr, int) {
+	var a [16]byte
+	r.Read(a[:])
+	var addr netip.Addr
+	switch r.Intn(3) {
+	case 0:
+		addr = netip.AddrFrom4([4]byte(a[:4]))
+	case 1:
+		addr = netip.AddrFrom16(a)
+	default:
+		addr = netip.AddrFrom16([16]byte{10: 0xff, 11: 0xff, 12: a[0], 13: a[1], 14: a[2], 15: a[3]})
+	}
+	return addr, r.Intn(addr.BitLen() + 1)
+}
+
+// Property: Prefix answers like net/netip over random IPv4, IPv6 and
+// 4-in-6 values: the parse round trip, Addr, Bits, String, the sign of
+// Compare, and Covers.
+func TestPrefixMatchesNetip(t *testing.T) {
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		aa, abits := randomNetip(r)
+		ba, bbits := randomNetip(r)
+		if r.Intn(2) == 0 { // same family, often nested
+			ba, bbits = aa, r.Intn(aa.BitLen()+1)
+		}
+		na, nb := netip.PrefixFrom(aa, abits).Masked(), netip.PrefixFrom(ba, bbits).Masked()
+		pa, err := PrefixFrom(aa, abits)
+		if err != nil {
+			t.Logf("PrefixFrom(%s, %d): %v", aa, abits, err)
+			return false
+		}
+		pb, _ := PrefixFrom(ba, bbits)
+		if q, err := ParsePrefix(pa.String()); err != nil || q != pa {
+			t.Logf("%s does not round-trip: %v, %v", pa, q, err)
+			return false
+		}
+		if pa.Addr() != na.Addr() || pa.Bits() != na.Bits() || pa.String() != na.String() {
+			t.Logf("%s: Addr %s Bits %d, netip says %s", pa, pa.Addr(), pa.Bits(), na)
+			return false
+		}
+		wantCmp := na.Addr().Compare(nb.Addr())
+		if wantCmp == 0 {
+			wantCmp = na.Bits() - nb.Bits()
+		}
+		if sign(pa.Compare(pb)) != sign(wantCmp) {
+			t.Logf("%s.Compare(%s) = %d, netip order says %d", pa, pb, pa.Compare(pb), wantCmp)
+			return false
+		}
+		wantCovers := na.Bits() <= nb.Bits() && na.Contains(nb.Addr())
+		if pa.Covers(pb) != wantCovers {
+			t.Logf("%s.Covers(%s) = %v, netip says %v", pa, pb, pa.Covers(pb), wantCovers)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -1,200 +1,203 @@
 package netx
 
-import "net/netip"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
-// Trie is a binary radix trie mapping prefixes to values of type V. It
-// supports the two lookup shapes routing-security validation needs:
+// Table maps prefixes of both families to values of type V. It supports
+// the two lookup shapes routing-security validation needs:
 //
 //   - Covering: all entries whose prefix covers a query prefix (used by
 //     RFC 6811 — "covering VRPs" — and by IRR route-object matching).
-//   - Exact and longest-prefix match.
+//   - Exact match.
 //
-// One Trie stores a single address family; Table (below) pairs two tries to
-// give a family-agnostic view. The zero value of Table is ready to use; a
-// Trie must be created with NewTrie.
+// Table is one slice of (prefix, value) entries. Insert appends; the
+// first read after an Insert sorts the slice by Prefix.Compare (stably,
+// so the values of one prefix keep their insertion order) and links each
+// distinct prefix to its nearest covering one. In Compare order a
+// prefix's covering prefixes all precede it, so Covering is a binary
+// search for the last prefix at or before the query and a climb along
+// those links.
 //
-// Trie is not safe for concurrent mutation; concurrent readers are safe
-// once building is done, which matches the snapshot-oriented access pattern
-// of the analysis pipeline.
-type Trie[V any] struct {
-	root *trieNode[V]
-	size int
-	v6   bool
+// Table is not safe for concurrent mutation; any number of readers may
+// run concurrently once inserting is done (the sort is done once, under
+// a lock), which matches the snapshot-oriented access pattern of the
+// analysis pipeline. An Insert after a read is allowed and sorts again.
+type Table[V any] struct {
+	ents   []tableEntry[V]
+	sorted atomic.Bool // ents is sorted; keys, runs and n4 describe it
+	mu     sync.Mutex
+
+	// One run per distinct prefix, in order; the IPv4 runs are runs[:n4].
+	// keys[i] is the high half of run i's prefix: a dense array the
+	// search reads instead of the entries.
+	runs []prefixRun
+	keys []uint64
+	n4   int
 }
 
-type trieNode[V any] struct {
-	child [2]*trieNode[V]
-	vals  []V
-	has   bool
+type tableEntry[V any] struct {
+	p Prefix
+	v V
 }
 
-// NewTrie returns an empty trie for the given address family.
-func NewTrie[V any](ipv6 bool) *Trie[V] {
-	return &Trie[V]{root: &trieNode[V]{}, v6: ipv6}
+type prefixRun struct {
+	lo int32 // the run's first entry; it ends where the next run starts
+	up int32 // index of the nearest covering run, -1 if none
 }
 
-// Len returns the number of prefixes with at least one value.
-func (t *Trie[V]) Len() int { return t.size }
+// NewTable returns an empty table.
+func NewTable[V any]() *Table[V] { return &Table[V]{} }
+
+// Grow makes room for n more entries, so that inserting them allocates
+// nothing.
+func (t *Table[V]) Grow(n int) { t.ents = slices.Grow(t.ents, n) }
+
+// Len returns the number of distinct prefixes stored.
+func (t *Table[V]) Len() int {
+	t.sort()
+	return len(t.runs)
+}
 
 // Insert appends v to the value list at prefix p. Multiple values per
 // prefix are kept in insertion order (e.g. several VRPs or route objects
-// for the same prefix). Inserting a prefix of the wrong family is a no-op
-// returning false.
-func (t *Trie[V]) Insert(p Prefix, v V) bool {
-	if !p.IsValid() || p.Is6() != t.v6 {
+// for the same prefix). Inserting an invalid prefix is a no-op returning
+// false.
+func (t *Table[V]) Insert(p Prefix, v V) bool {
+	if !p.IsValid() {
 		return false
 	}
-	n := t.root
-	addr := p.Addr()
-	for i := 0; i < p.Bits(); i++ {
-		b := bitAt(addr, i)
-		if n.child[b] == nil {
-			n.child[b] = &trieNode[V]{}
-		}
-		n = n.child[b]
-	}
-	if !n.has {
-		n.has = true
-		t.size++
-	}
-	n.vals = append(n.vals, v)
+	t.ents = append(t.ents, tableEntry[V]{p, v})
+	t.sorted.Store(false)
 	return true
 }
 
-// Exact returns the values stored at exactly prefix p, or nil.
-func (t *Trie[V]) Exact(p Prefix) []V {
-	n := t.node(p)
-	if n == nil || !n.has {
-		return nil
+// sort orders the entries and rebuilds the runs over them.
+func (t *Table[V]) sort() {
+	if t.sorted.Load() {
+		return
 	}
-	return n.vals
-}
-
-func (t *Trie[V]) node(p Prefix) *trieNode[V] {
-	if !p.IsValid() || p.Is6() != t.v6 {
-		return nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sorted.Load() {
+		return
 	}
-	n := t.root
-	addr := p.Addr()
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(addr, i)]
-		if n == nil {
-			return nil
+	slices.SortStableFunc(t.ents, func(a, b tableEntry[V]) int { return a.p.Compare(b.p) })
+	t.runs, t.keys, t.n4 = slices.Grow(t.runs[:0], len(t.ents)), slices.Grow(t.keys[:0], len(t.ents)), 0
+	var open []int32 // the runs covering the current one, outermost first
+	for i, e := range t.ents {
+		if i > 0 && t.ents[i-1].p == e.p {
+			continue
+		}
+		for len(open) > 0 && !t.prefix(int(open[len(open)-1])).Covers(e.p) {
+			open = open[:len(open)-1]
+		}
+		up := int32(-1)
+		if len(open) > 0 {
+			up = open[len(open)-1]
+		}
+		open = append(open, int32(len(t.runs)))
+		t.runs = append(t.runs, prefixRun{lo: int32(i), up: up})
+		t.keys = append(t.keys, e.p.hi)
+		if e.p.width == 32 {
+			t.n4 = len(t.runs)
 		}
 	}
-	return n
+	t.sorted.Store(true)
+}
+
+// prefix returns run i's prefix.
+func (t *Table[V]) prefix(i int) Prefix { return t.ents[t.runs[i].lo].p }
+
+// entries returns run i's entries.
+func (t *Table[V]) entries(i int) []tableEntry[V] {
+	end := len(t.ents)
+	if i+1 < len(t.runs) {
+		end = int(t.runs[i+1].lo)
+	}
+	return t.ents[t.runs[i].lo:end]
+}
+
+// search returns the index of the last run at or before p in Compare
+// order (-1 if none) and whether that run is p itself.
+func (t *Table[V]) search(p Prefix) (int, bool) {
+	t.sort()
+	lo, hi := 0, t.n4
+	switch p.width {
+	case 0:
+		return -1, false
+	case 128:
+		lo, hi = t.n4, len(t.runs)
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if k := t.keys[m]; k < p.hi || k == p.hi && t.prefix(m).Compare(p) <= 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo - 1, lo > 0 && t.prefix(lo-1) == p
+}
+
+// Exact returns a copy of the values stored at exactly prefix p, or nil.
+func (t *Table[V]) Exact(p Prefix) []V {
+	i, found := t.search(p)
+	if !found {
+		return nil
+	}
+	return appendValues(nil, t.entries(i))
+}
+
+func appendValues[V any](dst []V, ents []tableEntry[V]) []V {
+	for _, e := range ents {
+		dst = append(dst, e.v)
+	}
+	return dst
 }
 
 // Covering appends to dst the values of every stored prefix that covers p
-// (including p itself if present), walking from the root so results are
-// ordered shortest prefix first. It returns the extended slice.
-func (t *Trie[V]) Covering(dst []V, p Prefix) []V {
-	if !p.IsValid() || p.Is6() != t.v6 {
+// (including p itself if present), shortest prefix first. It returns the
+// extended slice.
+func (t *Table[V]) Covering(dst []V, p Prefix) []V {
+	deepest, _ := t.search(p)
+	for deepest >= 0 && !t.prefix(deepest).Covers(p) {
+		deepest = int(t.runs[deepest].up)
+	}
+	// Climb from the deepest covering prefix twice: to size the result,
+	// then to fill it from the back, so the shortest prefix comes first.
+	n := 0
+	for i := deepest; i >= 0; i = int(t.runs[i].up) {
+		n += len(t.entries(i))
+	}
+	if n == 0 {
 		return dst
 	}
-	n := t.root
-	addr := p.Addr()
-	if n.has {
-		dst = append(dst, n.vals...)
-	}
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(addr, i)]
-		if n == nil {
-			break
-		}
-		if n.has {
-			dst = append(dst, n.vals...)
+	end := len(dst) + n
+	dst = slices.Grow(dst, n)[:end]
+	for i := deepest; i >= 0; i = int(t.runs[i].up) {
+		ents := t.entries(i)
+		end -= len(ents)
+		for j, e := range ents {
+			dst[end+j] = e.v
 		}
 	}
 	return dst
 }
 
-// Walk visits every stored prefix/value-list pair in lexicographic bit
-// order. Returning false from fn stops the walk early.
-func (t *Trie[V]) Walk(fn func(p Prefix, vals []V) bool) {
-	var bits [128]byte
-	t.walk(t.root, bits[:0], fn)
-}
-
-func (t *Trie[V]) walk(n *trieNode[V], path []byte, fn func(Prefix, []V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.has {
-		if !fn(t.prefixFromPath(path), n.vals) {
-			return false
-		}
-	}
-	for b := 0; b < 2; b++ {
-		if !t.walk(n.child[b], append(path, byte(b)), fn) {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *Trie[V]) prefixFromPath(path []byte) Prefix {
-	if t.v6 {
-		var a [16]byte
-		for i, b := range path {
-			if b == 1 {
-				a[i/8] |= 1 << uint(7-i%8)
-			}
-		}
-		p, _ := PrefixFrom(netip.AddrFrom16(a), len(path))
-		return p
-	}
-	var a [4]byte
-	for i, b := range path {
-		if b == 1 {
-			a[i/8] |= 1 << uint(7-i%8)
-		}
-	}
-	p, _ := PrefixFrom(netip.AddrFrom4(a), len(path))
-	return p
-}
-
-// Table pairs an IPv4 and an IPv6 trie behind one interface. The zero
-// value is NOT ready; use NewTable.
-type Table[V any] struct {
-	v4 *Trie[V]
-	v6 *Trie[V]
-}
-
-// NewTable returns an empty dual-family table.
-func NewTable[V any]() *Table[V] {
-	return &Table[V]{v4: NewTrie[V](false), v6: NewTrie[V](true)}
-}
-
-// Len returns the total number of stored prefixes across both families.
-func (t *Table[V]) Len() int { return t.v4.Len() + t.v6.Len() }
-
-func (t *Table[V]) trieFor(p Prefix) *Trie[V] {
-	if p.Is6() {
-		return t.v6
-	}
-	return t.v4
-}
-
-// Insert adds v at p in the appropriate family.
-func (t *Table[V]) Insert(p Prefix, v V) bool { return t.trieFor(p).Insert(p, v) }
-
-// Exact returns the values stored at exactly p.
-func (t *Table[V]) Exact(p Prefix) []V { return t.trieFor(p).Exact(p) }
-
-// Covering appends values of all stored prefixes covering p to dst.
-func (t *Table[V]) Covering(dst []V, p Prefix) []V { return t.trieFor(p).Covering(dst, p) }
-
-// Walk visits IPv4 entries then IPv6 entries.
+// Walk visits every stored prefix and its values in Compare order: IPv4
+// before IPv6, and within a family the pre-order of a binary trie over
+// the prefixes' bits. vals is valid only during the call. Returning
+// false from fn stops the walk early.
 func (t *Table[V]) Walk(fn func(p Prefix, vals []V) bool) {
-	done := false
-	t.v4.Walk(func(p Prefix, vals []V) bool {
-		ok := fn(p, vals)
-		done = !ok
-		return ok
-	})
-	if done {
-		return
+	t.sort()
+	var vals []V
+	for i := range t.runs {
+		vals = appendValues(vals[:0], t.entries(i))
+		if !fn(t.prefix(i), vals) {
+			return
+		}
 	}
-	t.v6.Walk(fn)
 }

@@ -1,14 +1,17 @@
 package netx
 
 import (
+	"fmt"
 	"math/rand"
+	"net/netip"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
 func TestTrieInsertExact(t *testing.T) {
-	tr := NewTrie[string](false)
+	tr := NewTable[string]()
 	p := MustParsePrefix("10.0.0.0/8")
 	if !tr.Insert(p, "a") {
 		t.Fatal("insert failed")
@@ -26,14 +29,14 @@ func TestTrieInsertExact(t *testing.T) {
 	if tr.Exact(MustParsePrefix("10.0.0.0/9")) != nil {
 		t.Error("Exact on absent prefix should be nil")
 	}
-	// Wrong family rejected.
-	if tr.Insert(MustParsePrefix("2001:db8::/32"), "x") {
-		t.Error("v6 insert into v4 trie should fail")
+	// An invalid prefix is rejected.
+	if tr.Insert(Prefix{}, "x") {
+		t.Error("insert of the zero Prefix should fail")
 	}
 }
 
 func TestTrieCovering(t *testing.T) {
-	tr := NewTrie[string](false)
+	tr := NewTable[string]()
 	for _, e := range []struct{ p, v string }{
 		{"0.0.0.0/0", "default"},
 		{"10.0.0.0/8", "ten8"},
@@ -63,7 +66,7 @@ func TestTrieCovering(t *testing.T) {
 }
 
 func TestTrieCoveringNotFound(t *testing.T) {
-	tr := NewTrie[int](false)
+	tr := NewTable[int]()
 	tr.Insert(MustParsePrefix("10.0.0.0/8"), 1)
 	if got := tr.Covering(nil, MustParsePrefix("11.0.0.0/8")); got != nil {
 		t.Errorf("Covering of uncovered prefix = %v, want nil", got)
@@ -71,7 +74,7 @@ func TestTrieCoveringNotFound(t *testing.T) {
 }
 
 func TestTrieWalkOrderAndReconstruction(t *testing.T) {
-	tr := NewTrie[int](false)
+	tr := NewTable[int]()
 	ins := []string{"10.0.0.0/8", "10.1.0.0/16", "0.0.0.0/0", "192.0.2.0/24", "10.1.128.0/17"}
 	for i, s := range ins {
 		tr.Insert(MustParsePrefix(s), i)
@@ -98,7 +101,7 @@ func TestTrieWalkOrderAndReconstruction(t *testing.T) {
 }
 
 func TestTrieWalkV6Reconstruction(t *testing.T) {
-	tr := NewTrie[int](true)
+	tr := NewTable[int]()
 	want := []string{"2001:db8::/32", "2001:db8:5::/48", "::/0"}
 	for i, s := range want {
 		tr.Insert(MustParsePrefix(s), i)
@@ -149,7 +152,7 @@ func TestTableDualFamily(t *testing.T) {
 func TestTrieCoveringMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tr := NewTrie[Prefix](false)
+		tr := NewTable[Prefix]()
 		var all []Prefix
 		for i := 0; i < 40; i++ {
 			p := randomPrefix4(r)
@@ -185,7 +188,7 @@ func TestTrieCoveringMatchesBruteForce(t *testing.T) {
 func TestTrieInsertFindProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tr := NewTrie[int](true)
+		tr := NewTable[int]()
 		set := map[Prefix]bool{}
 		for i := 0; i < 30; i++ {
 			p := randomPrefix6(r)
@@ -215,4 +218,203 @@ func TestTrieInsertFindProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// randomTablePrefix draws from two address bases in each family (IPv4,
+// IPv6, 4-in-6) at random lengths, sometimes with one address bit
+// flipped, so that duplicates, nested chains, near misses and short IPv6
+// prefixes covering 4-in-6 ones are all common.
+func randomTablePrefix(r *rand.Rand) Prefix {
+	var a [16]byte
+	switch r.Intn(3) {
+	case 0:
+		a = [16]byte{10, byte(r.Intn(2))}
+	case 1:
+		a = [16]byte{0x20, 0x01, 0x0d, 0xb8, byte(r.Intn(2))}
+	default:
+		a = [16]byte{10: 0xff, 11: 0xff, 12: 10, 13: byte(r.Intn(2))}
+	}
+	width := 128
+	if a[0] == 10 {
+		width = 32
+	}
+	if r.Intn(4) == 0 {
+		i := r.Intn(width)
+		a[i/8] ^= 0x80 >> (i % 8)
+	}
+	addr := netip.AddrFrom16(a)
+	if width == 32 {
+		addr = netip.AddrFrom4([4]byte(a[:4]))
+	}
+	p, _ := PrefixFrom(addr, r.Intn(width+1))
+	return p
+}
+
+// checkTable compares tb, which holds value i at ins[i] for every i,
+// against linear scans of ins: Covering(q) and Exact(q) for each query,
+// then Len and Walk.
+func checkTable(tb *Table[int], ins []Prefix, queries []Prefix) error {
+	for _, q := range queries {
+		var want []int
+		for i, p := range ins {
+			if p.Covers(q) {
+				want = append(want, i)
+			}
+		}
+		// Shortest prefix first; one prefix's values in insertion order.
+		slices.SortStableFunc(want, func(a, b int) int { return ins[a].Bits() - ins[b].Bits() })
+		if got := tb.Covering(nil, q); !slices.Equal(got, want) {
+			return fmt.Errorf("Covering(%s) = %v, linear scan %v", q, got, want)
+		}
+		var exact []int
+		for i, p := range ins {
+			if p == q {
+				exact = append(exact, i)
+			}
+		}
+		if got := tb.Exact(q); !slices.Equal(got, exact) {
+			return fmt.Errorf("Exact(%s) = %v, linear scan %v", q, got, exact)
+		}
+	}
+	distinct := map[Prefix][]int{}
+	for i, p := range ins {
+		distinct[p] = append(distinct[p], i)
+	}
+	if tb.Len() != len(distinct) {
+		return fmt.Errorf("Len = %d, want %d", tb.Len(), len(distinct))
+	}
+	var prev Prefix
+	var err error
+	n := 0
+	tb.Walk(func(p Prefix, vals []int) bool {
+		switch {
+		case n > 0 && prev.Compare(p) >= 0:
+			err = fmt.Errorf("Walk visits %s after %s", p, prev)
+		case !slices.Equal(vals, distinct[p]):
+			err = fmt.Errorf("Walk(%s) = %v, want %v", p, vals, distinct[p])
+		}
+		prev = p
+		n++
+		return err == nil
+	})
+	if err == nil && n != len(distinct) {
+		err = fmt.Errorf("Walk visited %d prefixes, want %d", n, len(distinct))
+	}
+	return err
+}
+
+// Differential: on random tables mixing IPv4, IPv6 and 4-in-6 prefixes,
+// with duplicates and nested chains, and with every round inserting
+// after the previous round's reads, the table answers like a linear
+// scan of everything inserted.
+func TestTableMatchesLinearScan(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tb := NewTable[int]()
+		var ins []Prefix
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 25; i++ {
+				p := randomTablePrefix(r)
+				tb.Insert(p, len(ins))
+				ins = append(ins, p)
+			}
+			queries := make([]Prefix, 30)
+			for i := range queries {
+				queries[i] = randomTablePrefix(r)
+			}
+			if err := checkTable(tb, ins, queries); err != nil {
+				t.Logf("seed %d round %d: %v", seed, round, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The first read after inserts sorts the table. Readers that race to be
+// first, and readers after a later Insert, must all see the whole table
+// (this test earns its keep under -race).
+func TestTableConcurrentFirstReads(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	tb := NewTable[int]()
+	var ins []Prefix
+	queries := make([]Prefix, 64)
+	for i := range queries {
+		queries[i] = randomTablePrefix(r)
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 200; i++ {
+			p := randomTablePrefix(r)
+			tb.Insert(p, len(ins))
+			ins = append(ins, p)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[g] = checkTable(tb, ins, queries)
+			}()
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d reader %d: %v", round, g, err)
+			}
+		}
+	}
+}
+
+// FuzzPrefixTable builds a table from fuzz bytes and checks it against
+// linear scans. Each record is a tag byte, an address (4 bytes for
+// IPv4 and 4-in-6, 16 for IPv6) and a length byte; the tag's low two
+// bits pick the family and bit 2 makes the record a query, checked
+// against everything inserted so far, instead of an insert.
+func FuzzPrefixTable(f *testing.F) {
+	f.Add([]byte{0, 10, 0, 0, 0, 8, 0, 10, 1, 0, 0, 16, 4, 10, 1, 2, 0, 24})
+	f.Add([]byte{1, 0x20, 1, 0xd, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8,
+		2, 10, 0, 0, 0, 104, 6, 10, 0, 0, 0, 120, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 104})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb := NewTable[int]()
+		var ins []Prefix
+		for len(data) > 0 {
+			tag := data[0]
+			n := 4
+			if tag&3 == 1 {
+				n = 16
+			}
+			if len(data) < 2+n {
+				return
+			}
+			var addr netip.Addr
+			switch tag & 3 {
+			case 1:
+				addr = netip.AddrFrom16([16]byte(data[1:17]))
+			case 2, 3:
+				addr = netip.AddrFrom16([16]byte{10: 0xff, 11: 0xff, 12: data[1], 13: data[2], 14: data[3], 15: data[4]})
+			default:
+				addr = netip.AddrFrom4([4]byte(data[1:5]))
+			}
+			p, err := PrefixFrom(addr, int(data[1+n])%(addr.BitLen()+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = data[2+n:]
+			if tag&4 != 0 {
+				if err := checkTable(tb, ins, []Prefix{p}); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			tb.Insert(p, len(ins))
+			ins = append(ins, p)
+		}
+		if err := checkTable(tb, ins, ins); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -90,9 +90,9 @@ func (ix *Index) Add(a Authorization) error {
 	if !a.Prefix.IsValid() {
 		return fmt.Errorf("rov: authorization with invalid prefix")
 	}
-	maxBits := 32
-	if a.Prefix.Is6() {
-		maxBits = 128
+	maxBits := 128 // 4-in-6 prefixes included: only IPv4 stops at 32
+	if a.Prefix.Is4() {
+		maxBits = 32
 	}
 	if a.MaxLength < a.Prefix.Bits() || a.MaxLength > maxBits {
 		return fmt.Errorf("rov: authorization %s-%d (AS%d): max length out of range",
@@ -102,6 +102,10 @@ func (ix *Index) Add(a Authorization) error {
 	ix.count++
 	return nil
 }
+
+// Grow makes room for n more authorizations, so that adding them
+// allocates nothing.
+func (ix *Index) Grow(n int) { ix.table.Grow(n) }
 
 // Len returns the number of authorizations added.
 func (ix *Index) Len() int { return ix.count }
@@ -144,7 +148,7 @@ func (ix *Index) Validate(p netx.Prefix, asn uint32) Status {
 
 // ValidateLinear is the brute-force reference implementation used by the
 // ablation benchmark and by property tests: it scans every authorization
-// instead of using the trie.
+// instead of using the sorted table.
 func (ix *Index) ValidateLinear(p netx.Prefix, asn uint32) Status {
 	var covering []Authorization
 	ix.table.Walk(func(_ netx.Prefix, vals []Authorization) bool {

@@ -3,6 +3,7 @@ package rov
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -204,7 +205,7 @@ func TestAuthorizationPermits(t *testing.T) {
 	}
 }
 
-// Property: trie-backed Validate agrees with the linear reference on
+// Property: table-backed Validate agrees with the linear reference on
 // random authorization sets and queries.
 func TestValidateMatchesLinear(t *testing.T) {
 	f := func(seed int64) bool {
@@ -269,5 +270,94 @@ func TestValidMonotoneUnderAdds(t *testing.T) {
 func mustAddQuick(ix *Index, p netx.Prefix, asn uint32, maxLen int) {
 	if err := ix.Add(Authorization{Prefix: p, ASN: asn, MaxLength: maxLen}); err != nil {
 		panic(err)
+	}
+}
+
+// A 4-in-6 prefix is a 128-bit prefix: IPv4 authorizations never cover
+// it, short IPv6 ones do, and its max length may reach 128.
+func TestFourInSixIsNotIPv4(t *testing.T) {
+	q := netx.MustParsePrefix("::ffff:10.0.0.0/104")
+	v4 := NewIndex()
+	mustAdd(t, v4, "0.0.0.0/8", 65000, 24)
+	v6 := NewIndex()
+	mustAdd(t, v6, "::/8", 65000, 24)
+	for _, tc := range []struct {
+		name string
+		ix   *Index
+		want Status
+	}{{"under 0.0.0.0/8", v4, NotFound}, {"under ::/8", v6, InvalidASN}} {
+		if got, lin := tc.ix.Validate(q, 1), tc.ix.ValidateLinear(q, 1); got != tc.want || lin != tc.want {
+			t.Errorf("%s: Validate(%s, AS1) = %v, ValidateLinear = %v, want %v", tc.name, q, got, lin, tc.want)
+		}
+	}
+	ix := NewIndex()
+	mustAdd(t, ix, "::ffff:10.0.0.0/104", 65000, 128)
+	if got := ix.Validate(netx.MustParsePrefix("::ffff:10.1.2.3/128"), 65000); got != Valid {
+		t.Errorf("4-in-6 authorization with max length 128: Validate = %v, want Valid", got)
+	}
+}
+
+// randomAuthPrefix draws from two address bases in each family (IPv4,
+// IPv6, 4-in-6) at random lengths, so nested chains, duplicates and
+// IPv6 authorizations covering 4-in-6 routes are common.
+func randomAuthPrefix(r *rand.Rand) netx.Prefix {
+	var addr netip.Addr
+	switch r.Intn(3) {
+	case 0:
+		addr = netip.AddrFrom4([4]byte{10, byte(r.Intn(2)), byte(r.Intn(4) << 6)})
+	case 1:
+		addr = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(r.Intn(2))})
+	default:
+		addr = netip.AddrFrom16([16]byte{10: 0xff, 11: 0xff, 12: 10, 13: byte(r.Intn(2)), 14: byte(r.Intn(4) << 6)})
+	}
+	p, _ := netx.PrefixFrom(addr, r.Intn(addr.BitLen()+1))
+	return p
+}
+
+// Differential: on random indexes over both families and 4-in-6, with
+// duplicates, nested chains and adds after reads, Validate equals
+// ValidateLinear and Covering equals a linear covering scan.
+func TestValidateAndCoveringMatchLinear(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		ix := NewIndex()
+		var added []Authorization
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 20; i++ {
+				p := randomAuthPrefix(r)
+				width := 128
+				if p.Is4() {
+					width = 32
+				}
+				a := Authorization{Prefix: p, ASN: uint32(64500 + r.Intn(3)), MaxLength: p.Bits() + r.Intn(width-p.Bits()+1)}
+				if err := ix.Add(a); err != nil {
+					t.Log(err)
+					return false
+				}
+				added = append(added, a)
+			}
+			for q := 0; q < 30; q++ {
+				p, asn := randomAuthPrefix(r), uint32(64500+r.Intn(4))
+				if got, want := ix.Validate(p, asn), ix.ValidateLinear(p, asn); got != want {
+					t.Logf("seed %d: Validate(%s, AS%d) = %v, ValidateLinear = %v", seed, p, asn, got, want)
+					return false
+				}
+				var want []Authorization
+				for _, a := range added {
+					if a.Covers(p) {
+						want = append(want, a)
+					}
+				}
+				slices.SortStableFunc(want, func(a, b Authorization) int { return a.Prefix.Bits() - b.Prefix.Bits() })
+				if got := ix.Covering(p); !slices.Equal(got, want) {
+					t.Logf("seed %d: Covering(%s) = %v, linear scan %v", seed, p, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

@@ -514,6 +514,7 @@ func (rp *RelyingParty) validROA(roa *ROA, now time.Time, signers map[string][]*
 // indicate a programming bug and are returned for the caller to surface.
 func BuildIndex(vrps []VRP) (*rov.Index, error) {
 	ix := rov.NewIndex()
+	ix.Grow(len(vrps))
 	for _, v := range vrps {
 		if err := ix.Add(v.Authorization()); err != nil {
 			return nil, fmt.Errorf("rpki: BuildIndex: %w", err)

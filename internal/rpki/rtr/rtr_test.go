@@ -264,3 +264,33 @@ func TestReadNeverPanics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A router that fetched a snapshot and stays connected, idle, must not
+// hold a drain: Shutdown closes its session and returns at once instead
+// of waiting out the idle timeout.
+func TestShutdownWithIdleRouter(t *testing.T) {
+	srv := NewServer(sampleVRPs())
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := exchange(conn, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with an idle router: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Shutdown with an idle router took %s, want < 1s", d)
+	}
+}

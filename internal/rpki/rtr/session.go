@@ -73,6 +73,9 @@ func NewServer(vrps []rpki.VRP) *Server {
 		ReadTimeout:  DefaultIdleTimeout,
 		WriteTimeout: 30 * time.Second,
 		Handler: func(ctx context.Context, conn net.Conn) {
+			// A drain cancels ctx: close the session rather than wait
+			// out an idle router's read deadline.
+			defer context.AfterFunc(ctx, func() { conn.Close() })()
 			_ = s.serve(conn)
 		},
 	}

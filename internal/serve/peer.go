@@ -45,7 +45,7 @@ func (s *Server) peerSnapshot(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no published snapshot for %s", date.Format("2006-01-02")))
 		return
 	}
-	buf := durable.Encode(snapshotData(snap))
+	buf := durable.Encode(s.store.snapshotData(snap.Date, snap.Dataset(), snap.RPKI, snap.IRR))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-MANRS-Snapshot", snap.Version)
 	w.Header().Set("Content-Length", fmt.Sprint(len(buf)))

@@ -1,10 +1,10 @@
 // persist.go bridges the snapshot store to the durable archive layer:
-// converting a built Snapshot to the compact durable.SnapshotData that
-// goes to disk, restoring a loaded archive back into a fully usable
-// Snapshot (recomputing the metrics, aggregates, and indexes that are
-// deterministic functions of the dataset), persisting asynchronously
-// after every build, and warm-starting a freshly booted store from the
-// archive so the first query is a 200 instead of a cold build.
+// extracting the compact durable.SnapshotData that goes to disk,
+// restoring a loaded archive back into a fully usable Snapshot
+// (recomputing the metrics, aggregates, and indexes that are
+// deterministic functions of the dataset), archiving every build in the
+// background, and warm-starting a freshly booted store from the archive
+// so the first query is a 200 instead of a cold build.
 
 package serve
 
@@ -16,23 +16,24 @@ import (
 
 	"manrsmeter/internal/durable"
 	"manrsmeter/internal/ihr"
+	"manrsmeter/internal/obsv"
+	"manrsmeter/internal/rov"
 	"manrsmeter/internal/synth"
 )
 
-// snapshotData extracts the durable subset of snap: the expensive
-// dataset state and the validation registries. Everything else is
-// recomputed at restore time.
-func snapshotData(snap *Snapshot) *durable.SnapshotData {
-	ds := snap.Dataset()
+// snapshotData extracts the durable subset of the snapshot at date: the
+// expensive dataset state and the validation registries it was built
+// against. Everything else is recomputed at restore time.
+func (s *Store) snapshotData(date time.Time, ds *ihr.Dataset, rpki, irr *rov.Index) *durable.SnapshotData {
 	return &durable.SnapshotData{
-		Fingerprint:   snap.World.Fingerprint(),
-		Version:       snap.Version,
-		Date:          snap.Date,
+		Fingerprint:   s.world.Fingerprint(),
+		Version:       s.Version(date),
+		Date:          date,
 		PrefixOrigins: ds.PrefixOrigins,
 		Transits:      ds.Transits,
 		Visibility:    ds.Visibility,
-		RPKI:          snap.RPKI.All(),
-		IRR:           snap.IRR.All(),
+		RPKI:          rpki.All(),
+		IRR:           irr.All(),
 	}
 }
 
@@ -58,16 +59,31 @@ func (s *Store) restoreSnapshot(ctx context.Context, d *durable.SnapshotData) (*
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore registries: %w", err)
 	}
-	return s.assemble(ctx, view)
+	ds, err := view.Dataset(ctx, s.workers)
+	if err != nil {
+		return nil, fmt.Errorf("serve: build dataset: %w", err)
+	}
+	return s.assemble(view, ds), nil
 }
 
-// persistSnapshot archives snap in the durable store. Failures are
-// logged, never propagated: persistence is an availability investment
-// for the next boot, not a serving dependency.
-func (s *Store) persistSnapshot(ctx context.Context, snap *Snapshot) {
-	if err := s.durable.Save(ctx, snapshotData(snap)); err != nil {
-		s.logp("serve: persist snapshot %s: %v", snap.Version, err)
-	}
+// persistBuild archives a freshly built view of date in the background,
+// beside the rest of its snapshot's assembly: the archive reads only the
+// dataset and the registries, which are final once built. The persist is
+// registered before it starts, and so before the snapshot can publish,
+// so a caller that saw the snapshot and calls WaitPersist observes it.
+// It runs detached from the build timeout — a slow disk must not be cut
+// off by a deadline meant for the build — and its failures are logged,
+// never propagated: persistence is an availability investment for the
+// next boot, not a serving dependency.
+func (s *Store) persistBuild(ctx context.Context, view *synth.View, ds *ihr.Dataset) {
+	s.persistWG.Add(1)
+	pctx := obsv.ContextWithTracer(context.Background(), obsv.TracerFrom(ctx))
+	go func() {
+		defer s.persistWG.Done()
+		if err := s.durable.Save(pctx, s.snapshotData(view.Date, ds, view.RPKI, view.IRR)); err != nil {
+			s.logp("serve: persist snapshot %s: %v", s.Version(view.Date), err)
+		}
+	}()
 }
 
 // WaitPersist blocks until every in-flight background persist has

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -225,5 +229,78 @@ func TestWarmStartReadsAtMostTheCap(t *testing.T) {
 	}
 	if builds := reg.Value("serve_snapshot_builds_total"); builds != 0 {
 		t.Errorf("WarmStart ran %d builds, want 0", builds)
+	}
+}
+
+// TestColdBuildArchivesBeforePublish: a cold build writes its archive
+// beside the snapshot's tail, not after the publish. Inside the build —
+// after assemble has returned, before anything is published —
+// WaitPersist already finds the archive on disk, byte for byte the
+// encoding of the snapshot's dataset and registries. Restores, from the
+// archive or from a peer, never write one.
+func TestColdBuildArchivesBeforePublish(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	reg := obsv.NewRegistry()
+	store := NewStore(testWorld(t), StoreOptions{Registry: reg, Durable: openDurable(t, dir, reg), Logf: t.Logf})
+	var onDisk []string
+	build := store.buildFn
+	store.buildFn = func(ctx context.Context, date time.Time) (*Snapshot, error) {
+		snap, err := build(ctx, date)
+		store.WaitPersist()
+		onDisk, _ = filepath.Glob(filepath.Join(dir, "snap-*.mds"))
+		return snap, err
+	}
+	snap, err := store.Get(ctx, store.DefaultDate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(onDisk) != 1 {
+		t.Fatalf("archives on disk before the publish: %v, want one", onDisk)
+	}
+	got, err := os.ReadFile(onDisk[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := snap.Dataset()
+	want := durable.Encode(&durable.SnapshotData{
+		Fingerprint:   snap.World.Fingerprint(),
+		Version:       snap.Version,
+		Date:          snap.Date,
+		PrefixOrigins: ds.PrefixOrigins,
+		Transits:      ds.Transits,
+		Visibility:    ds.Visibility,
+		RPKI:          snap.RPKI.All(),
+		IRR:           snap.IRR.All(),
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("archive on disk (%d bytes) differs from the encoding of the built snapshot (%d bytes)", len(got), len(want))
+	}
+
+	src := httptest.NewServer(NewServer(store, Options{Registry: reg}).Handler())
+	defer src.Close()
+	for name, archiveDir := range map[string]string{"archive": dir, "peer": t.TempDir()} {
+		rreg := obsv.NewRegistry()
+		restored := NewStore(testWorld(t), StoreOptions{
+			Registry: rreg,
+			Durable:  openDurable(t, archiveDir, rreg),
+			Peers:    []string{src.URL},
+		})
+		snap, err := restored.Get(ctx, restored.DefaultDate())
+		if err != nil {
+			t.Fatalf("%s restore: %v", name, err)
+		}
+		restored.WaitPersist()
+		if snap.Source != name {
+			t.Errorf("restored from %q, want %q", snap.Source, name)
+		}
+		for _, m := range []string{"serve_snapshot_builds_total", "durable_persist_total", "durable_persist_skipped_total"} {
+			if n := rreg.Value(m); n != 0 {
+				t.Errorf("%s restore: %s = %d, want 0", name, m, n)
+			}
+		}
+	}
+	if n := reg.Value("durable_persist_total"); n != 1 {
+		t.Errorf("durable_persist_total = %d, want 1 (the build only)", n)
 	}
 }

@@ -118,7 +118,7 @@ type Store struct {
 	nowFn func() time.Time
 
 	// durable, when non-nil, is the first source of a cold date and
-	// receives every built snapshot (asynchronously).
+	// receives every built snapshot (asynchronously, see persistBuild).
 	durable   *durable.Store
 	persistWG sync.WaitGroup
 	// peers are tried in order after the archive, before a build.
@@ -365,8 +365,9 @@ func (s *Store) backoffDelay(n int) time.Duration {
 // startBuild launches the resolve goroutine for call. It runs on a
 // context detached from the requester (inheriting only its tracer) so
 // request cancellation cannot abort a resolve other waiters share. A
-// resolved snapshot is published atomically, and a built one archived
-// in the background; a failure arms the entry's retry backoff.
+// resolved snapshot is published atomically (a built one is already
+// being archived, see persistBuild); a failure arms the entry's retry
+// backoff.
 func (s *Store) startBuild(ctx context.Context, e *storeEntry, call *buildCall) {
 	bctx := obsv.ContextWithTracer(context.Background(), obsv.TracerFrom(ctx))
 	go func() {
@@ -377,15 +378,8 @@ func (s *Store) startBuild(ctx context.Context, e *storeEntry, call *buildCall) 
 		defer cancel()
 		snap, err := s.resolve(bctx, e.date)
 		call.snap, call.err = snap, err
-		persist := err == nil && snap.Source == "build" && s.durable != nil
 		e.mu.Lock()
 		if err == nil {
-			if persist {
-				// Registered before the publish is visible, so a caller
-				// that saw the snapshot and calls WaitPersist observes
-				// this persist.
-				s.persistWG.Add(1)
-			}
 			s.publishLocked(e, snap)
 		} else {
 			e.failures++
@@ -397,15 +391,6 @@ func (s *Store) startBuild(ctx context.Context, e *storeEntry, call *buildCall) 
 		}
 		e.building = nil // a later request may retry a failed resolve
 		e.mu.Unlock()
-		if persist {
-			// Detached from the build timeout: a slow disk must not be
-			// cut off by a deadline meant for the build.
-			pctx := obsv.ContextWithTracer(context.Background(), obsv.TracerFrom(bctx))
-			go func() {
-				defer s.persistWG.Done()
-				s.persistSnapshot(pctx, snap)
-			}()
-		}
 		close(call.done)
 	}()
 }
@@ -475,7 +460,8 @@ func (s *Store) publishLocked(e *storeEntry, snap *Snapshot) {
 }
 
 // buildSnapshot is the production build: the world's view of the date
-// (one relying-party run) and its dataset, then the shared tail.
+// (one relying-party run) and its dataset, archived (when the store has
+// an archive) while the shared tail runs.
 func (s *Store) buildSnapshot(ctx context.Context, date time.Time) (*Snapshot, error) {
 	ctx, span := obsv.StartSpan(ctx, "serve.snapshot.build", obsv.KV("date", date.Format("2006-01-02")))
 	defer span.End()
@@ -483,17 +469,20 @@ func (s *Store) buildSnapshot(ctx context.Context, date time.Time) (*Snapshot, e
 	if err != nil {
 		return nil, fmt.Errorf("serve: relying party: %w", err)
 	}
-	return s.assemble(ctx, view)
-}
-
-// assemble is the tail a built and a restored snapshot share: the
-// view's dataset (built here, or the archive's), per-AS metrics, the
-// prefix row index and the precomputed aggregates.
-func (s *Store) assemble(ctx context.Context, view *synth.View) (*Snapshot, error) {
 	ds, err := view.Dataset(ctx, s.workers)
 	if err != nil {
 		return nil, fmt.Errorf("serve: build dataset: %w", err)
 	}
+	if s.durable != nil {
+		s.persistBuild(ctx, view, ds)
+	}
+	return s.assemble(view, ds), nil
+}
+
+// assemble is the tail a built and a restored snapshot share: per-AS
+// metrics over the view's dataset ds (built, or the archive's), the
+// prefix row index and the precomputed aggregates.
+func (s *Store) assemble(view *synth.View, ds *ihr.Dataset) *Snapshot {
 	snap := &Snapshot{
 		Version:  s.Version(view.Date),
 		Date:     view.Date,
@@ -504,7 +493,7 @@ func (s *Store) assemble(ctx context.Context, view *synth.View) (*Snapshot, erro
 		byPrefix: buildByPrefix(ds.PrefixOrigins),
 	}
 	snap.Stats = computeStats(snap)
-	return snap, nil
+	return snap
 }
 
 // Status summarizes the store for an admin /healthz probe: one

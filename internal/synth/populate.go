@@ -788,6 +788,7 @@ func (w *World) At(ctx context.Context, t time.Time, workers int) (*View, error)
 // party's.
 func (w *World) Adopt(t time.Time, rpkiAuths, irrAuths []rov.Authorization, ds *ihr.Dataset) (*View, error) {
 	v := &View{Date: t, VRPs: make([]rpki.VRP, len(rpkiAuths)), IRR: rov.NewIndex(), w: w}
+	v.IRR.Grow(len(irrAuths))
 	for i, a := range rpkiAuths {
 		v.VRPs[i] = rpki.VRP{Prefix: a.Prefix, ASN: a.ASN, MaxLength: a.MaxLength}
 	}

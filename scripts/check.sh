@@ -37,6 +37,11 @@
 #            build oracle (`go run ./bench --workload build.weekly`): snapshot
 #            digests equal across ops and worker counts, and a
 #            warm-started store answering like the one that built
+#   prefix — the sorted prefix table under -race: Prefix against
+#            net/netip, the table and rov.Index against linear scans
+#            (IPv4, IPv6 and 4-in-6, duplicates, nested chains, inserts
+#            after reads), concurrent first reads, and a cold build's
+#            archive on disk before its snapshot publishes (serve)
 #   flood  — vantage-point-restricted floods under -race: the
 #            need-set-vs-full-flood property on random DAGs and the
 #            misuse test (astopo), and the dataset oracle over seeded
@@ -52,9 +57,9 @@
 #            bytes/op regression against the committed
 #            BENCH_DatasetBuild_large.json, which it only reads; then
 #            query the large world through manrsd in the same budget
-#   fuzz   — `make fuzz`: a short smoke of six decoder fuzzers (BGP
-#            wire messages and attributes, MRT, durable archive, VRP
-#            CSV, scenario codec)
+#   fuzz   — `make fuzz`: a short smoke of seven fuzzers (BGP wire
+#            messages and attributes, MRT, durable archive, VRP CSV,
+#            scenario codec, and the prefix table against a linear scan)
 #   report — end-to-end smoke of the batch report: run manrs-report
 #            -scale small -skip-stability -continue-on-error and assert
 #            its health trailer counts 17 sections, all ok, under the
@@ -174,6 +179,11 @@ go test -race -count=1 -run '^TestMemoIsPerWorld$|^TestAtMatchesUncachedRoute$' 
 
 echo "==> build oracle (bench build.weekly: digests equal across ops and worker counts, warm start answers like the builder)"
 bench_oracle build.weekly
+
+echo "==> prefix table (-race): netip property, table and rov.Index vs linear scans, concurrent first reads, archive before publish"
+go test -race -count=1 -run '^TestPrefixMatchesNetip$|^TestTableMatchesLinearScan$|^TestTableConcurrentFirstReads$' ./internal/netx
+go test -race -count=1 -run '^TestValidateAndCoveringMatchLinear$|^TestFourInSixIsNotIPv4$' ./internal/rov
+go test -race -count=1 -run '^TestColdBuildArchivesBeforePublish$' ./internal/serve
 
 echo "==> need-set floods (-race): exactness property + misuse, then the full-flood dataset oracle"
 go test -race -count=1 -run '^TestNeedSetFloodMatchesFull$|^TestPartialTreeNeverGuesses$' ./internal/astopo
