@@ -8,16 +8,16 @@
 //
 // Quick start:
 //
-//	world, err := manrsmeter.GenerateWorld(manrsmeter.DefaultConfig(42))
+//	cfg, err := manrsmeter.Preset("full", 42)
+//	world, err := manrsmeter.GenerateWorld(cfg)
 //	pipe, err := manrsmeter.NewPipeline(world)
 //	fmt.Print(pipe.Fig5aRPKIOrigination().Render())
 //
 // or run every experiment at once:
 //
-//	manrsmeter.RunReport(ctx, os.Stdout, world, manrsmeter.ReportOptions{})
+//	manrsmeter.RunReport(ctx, os.Stdout, world, manrsmeter.ReportOptions{Workers: 4})
 //
-// The long-running entry points (RunReport, RunReportWithPipeline,
-// NewPipelineCtx) honor ctx's cancellation and deadline, and the report
+// RunReport honors ctx's cancellation and deadline, and the report
 // supports a degraded mode (ReportOptions.ContinueOnError) that renders
 // diagnostics for failed sections instead of aborting — see DESIGN.md,
 // "Failure semantics".
@@ -34,7 +34,6 @@ import (
 	"manrsmeter/internal/rov"
 	"manrsmeter/internal/rpki"
 	"manrsmeter/internal/scenario"
-	"manrsmeter/internal/serve"
 	"manrsmeter/internal/synth"
 )
 
@@ -130,20 +129,13 @@ type (
 	Pipeline = core.Pipeline
 	// Cohort is one of the six comparison groups (size class × membership).
 	Cohort = core.Cohort
-	// PipelineOptions tunes pipeline construction (worker-pool sizing).
-	PipelineOptions = core.Options
 	// Dataset is the IHR-style view: prefix-origin and transit datasets.
 	Dataset = ihr.Dataset
-	// FilterPolicy is one AS's route filtering behavior.
-	FilterPolicy = ihr.Policy
 )
 
-// DefaultConfig returns the generator defaults calibrated to the paper's
-// May 2022 measurements.
-func DefaultConfig(seed int64) Config { return synth.NewConfig(seed) }
-
 // Preset returns the named world scale: "small" (774 ASes), "full"
-// (DefaultConfig) or "large" (~75k ASes announcing ~1M prefixes,
+// (the generator defaults calibrated to the paper's May 2022
+// measurements) or "large" (~75k ASes announcing ~1M prefixes,
 // generated through the compact arena layout). Cohort behavioral rates
 // are the same at every scale, so the paper's findings reproduce at
 // each. Any other name is an error listing the three.
@@ -155,51 +147,7 @@ func GenerateWorld(cfg Config) (*World, error) { return synth.Generate(cfg) }
 // NewPipeline prepares the experiment pipeline (builds the headline
 // dataset and per-AS metrics).
 func NewPipeline(w *World) (*Pipeline, error) {
-	return NewPipelineCtx(context.Background(), w, PipelineOptions{})
-}
-
-// NewPipelineCtx is NewPipeline with explicit options, e.g. a bounded
-// worker pool, and with cancellation threaded through the headline
-// dataset build: a canceled context aborts construction with the
-// cancellation cause instead of finishing the build.
-//
-//	pipe, err := manrsmeter.NewPipelineCtx(ctx, world, manrsmeter.PipelineOptions{Workers: 4})
-func NewPipelineCtx(ctx context.Context, w *World, opts PipelineOptions) (*Pipeline, error) {
-	return core.NewPipeline(ctx, w, w.Date(w.Config.EndYear), opts)
-}
-
-// ComputeMetrics aggregates a dataset into per-AS metrics (Formulas 1–6).
-func ComputeMetrics(ds *Dataset) map[uint32]*ASMetrics { return manrs.ComputeMetrics(ds) }
-
-// Serving layer: the versioned snapshot store and HTTP/JSON query
-// server behind cmd/manrsd — see DESIGN.md, "Serving layer".
-type (
-	// SnapshotStore builds, versions, and publishes date-keyed dataset
-	// snapshots with singleflight-coalesced builds and atomic swaps.
-	SnapshotStore = serve.Store
-	// SnapshotStoreOptions tunes a SnapshotStore.
-	SnapshotStoreOptions = serve.StoreOptions
-	// QueryServer answers MANRS conformance queries over HTTP/JSON with
-	// admission control, a version-keyed response cache, and ETags.
-	QueryServer = serve.Server
-	// QueryServerOptions tunes a QueryServer.
-	QueryServerOptions = serve.Options
-)
-
-// NewSnapshotStore returns a snapshot store over w. The world is
-// shared and read-only; any number of stores and pipelines may run
-// over one world.
-func NewSnapshotStore(w *World, opts SnapshotStoreOptions) *SnapshotStore {
-	return serve.NewStore(w, opts)
-}
-
-// NewQueryServer returns the HTTP query server over store:
-//
-//	store := manrsmeter.NewSnapshotStore(world, manrsmeter.SnapshotStoreOptions{})
-//	srv := manrsmeter.NewQueryServer(store, manrsmeter.QueryServerOptions{})
-//	addr, err := srv.Listen("127.0.0.1:0")
-func NewQueryServer(store *SnapshotStore, opts QueryServerOptions) *QueryServer {
-	return serve.NewServer(store, opts)
+	return core.NewPipeline(context.Background(), w, w.Date(w.Config.EndYear), core.Options{})
 }
 
 // Adversarial scenario engine: deterministic data-plane fault

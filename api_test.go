@@ -8,7 +8,7 @@ import (
 )
 
 func smallConfig(seed int64) Config {
-	cfg := DefaultConfig(seed)
+	cfg, _ := Preset("full", seed)
 	cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 3, 50, 500, 6
 	cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 50, 15, 2, 3
 	return cfg
@@ -153,7 +153,7 @@ func TestComputeMetricsThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := pipe.Dataset()
-	ms := ComputeMetrics(ds)
+	ms := pipe.Metrics()
 	if len(ms) == 0 {
 		t.Fatal("no metrics")
 	}

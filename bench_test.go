@@ -1,7 +1,7 @@
 package manrsmeter
 
 // One benchmark per table and figure of the paper's evaluation (see
-// DESIGN.md's per-experiment index), plus the ablation benches for the
+// DESIGN.md, "Per-experiment index"), plus the ablation benches for the
 // design choices DESIGN.md calls out. Each figure bench re-runs the
 // experiment computation over a shared, lazily-built pipeline so -bench
 // output reports the marginal cost of the analysis itself; the dataset
@@ -36,6 +36,7 @@ import (
 	"manrsmeter/internal/rpki"
 	"manrsmeter/internal/rpki/rtr"
 	"manrsmeter/internal/rpsl"
+	"manrsmeter/internal/serve"
 	"manrsmeter/internal/synth"
 )
 
@@ -354,7 +355,7 @@ func BenchmarkFullReport(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md "design choices") ---
+// --- Ablation benches (DESIGN.md, "Ablations") ---
 
 // rovFixture builds an index with n random authorizations plus the query
 // set used by both variants.
@@ -799,8 +800,8 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 // admission, cache lookup, ETag, and write path).
 func BenchmarkServeConformance(b *testing.B) {
 	p := pipeline(b)
-	store := NewSnapshotStore(p.World, SnapshotStoreOptions{})
-	srv := NewQueryServer(store, QueryServerOptions{})
+	store := serve.NewStore(p.World, serve.StoreOptions{})
+	srv := serve.NewServer(store, serve.Options{})
 	h := srv.Handler()
 	path := fmt.Sprintf("/v1/as/%d/conformance", p.World.Graph.ASNs()[0])
 

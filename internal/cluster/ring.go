@@ -2,10 +2,8 @@
 // gateway that routes /v1 conformance queries across N manrsd replicas
 // with a deterministic rendezvous-hash ring, health-checked ring
 // membership with hysteresis, one-shot retry of idempotent GETs on a
-// distinct replica, load shedding when the surviving set saturates,
-// and a coordinator endpoint relaying snapshot archives so a lagging
-// replica can catch up over the wire instead of rebuilding. See
-// DESIGN.md, "Distributed serve tier".
+// distinct replica, and load shedding when the surviving set
+// saturates. See DESIGN.md, "Gateway".
 package cluster
 
 import (

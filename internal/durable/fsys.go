@@ -13,8 +13,7 @@
 // All file I/O goes through the FS interface so chaos tests can inject
 // the failure modes real disks produce (short writes, torn renames,
 // ENOSPC, EIO, failed fsync, bit rot on read) via FaultFS. Production
-// code always runs on OSFS. See DESIGN.md, "Durability & crash
-// recovery".
+// code always runs on OSFS. See DESIGN.md, "Archive".
 package durable
 
 import (

@@ -133,7 +133,15 @@ func sampleDataset() *ihr.Dataset {
 }
 
 func TestComputeMetricsFormulas(t *testing.T) {
-	ms := ComputeMetrics(sampleDataset())
+	ds := sampleDataset()
+	ms := ComputeMetrics(ds)
+	origTotal := 0
+	for _, m := range ms {
+		origTotal += m.Originated
+	}
+	if origTotal != len(ds.PrefixOrigins) {
+		t.Errorf("metrics cover %d originations, dataset has %d", origTotal, len(ds.PrefixOrigins))
+	}
 	m100 := ms[100]
 	if m100.Originated != 4 {
 		t.Fatalf("originated = %d", m100.Originated)

@@ -6,7 +6,7 @@
 // aggregate, and rendered-report-section queries, hardened with
 // bounded-concurrency admission control, a snapshot-version-keyed
 // response cache with ETags, request timeouts, and graceful drain.
-// See DESIGN.md, "Serving layer".
+// See DESIGN.md, "Snapshot".
 package serve
 
 import (

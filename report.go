@@ -108,7 +108,7 @@ type sectionOutcome struct {
 // cmd/ routes through here). See RunReportWithPipeline for the failure
 // semantics.
 func RunReport(ctx context.Context, w io.Writer, world *World, opts ReportOptions) error {
-	pipe, err := NewPipelineCtx(ctx, world, core.Options{Workers: opts.Workers})
+	pipe, err := core.NewPipeline(ctx, world, world.Date(world.Config.EndYear), core.Options{Workers: opts.Workers})
 	if err != nil {
 		return err
 	}

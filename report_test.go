@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"manrsmeter/internal/core"
 	"manrsmeter/internal/obsv"
 )
 
@@ -53,7 +54,7 @@ func TestConcurrentPipelinesSharedWorld(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pipe, err := NewPipelineCtx(context.Background(), world, PipelineOptions{Workers: 2})
+			pipe, err := core.NewPipeline(context.Background(), world, world.Date(world.Config.EndYear), core.Options{Workers: 2})
 			if err != nil {
 				t.Errorf("pipeline %d: %v", i, err)
 				return

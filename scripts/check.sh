@@ -17,6 +17,7 @@
 #            cache and the BGP collector against the in-memory pipeline
 #            on seeded worlds) with the RTR client's bound on a silent
 #            or faulty cache
+#   docs   — the docs gate, TestDocsNameLiveCode, runs in the race leg
 #   front  — the request-front contract table (serve.TestFrontContract)
 #            under -race: manrsd's and manrs-gw's handlers through the
 #            same cases and assertions; then the bench's cross-path
