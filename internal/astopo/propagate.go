@@ -216,6 +216,19 @@ func (v PartialTree) AppendPathAt(dst []uint32, i int32) []uint32 {
 	return v.t.AppendPathAt(dst, i)
 }
 
+// AppendIndexPathAt is AppendPathAt in interned indexes: it appends the
+// path's nodes, not their ASNs, for callers that count in index space.
+func (v PartialTree) AppendIndexPathAt(dst []int32, i int32) []int32 {
+	v.check(i)
+	if v.t.info[i].Class == classNone {
+		return dst
+	}
+	for ; i >= 0; i = v.t.next[i] {
+		dst = append(dst, i)
+	}
+	return dst
+}
+
 // Propagate floods (prefix, origin) through the topology under
 // Gao–Rexford (valley-free) routing and returns the resulting route
 // tree. The tree aliases the Propagator's scratch and is valid only

@@ -275,6 +275,14 @@ func TestNeedSetFloodMatchesFull(t *testing.T) {
 						t.Logf("seed %d round %d filter %d: AS%d path %v want %v", seed, round, fi, c.Intern.ASN(i), got, want)
 						return false
 					}
+					var byIndex []uint32
+					for _, j := range part.AppendIndexPathAt(nil, i) {
+						byIndex = append(byIndex, c.Intern.ASN(j))
+					}
+					if !reflect.DeepEqual(byIndex, want) {
+						t.Logf("seed %d round %d filter %d: AS%d index path %v want %v", seed, round, fi, c.Intern.ASN(i), byIndex, want)
+						return false
+					}
 				}
 				// A full flood through the same Propagator, between
 				// restricted ones, is still the full flood.
@@ -357,6 +365,9 @@ func TestPartialTreeNeverGuesses(t *testing.T) {
 		}
 		if !mustPanic(func() { tree.AppendPathAt(nil, i) }) {
 			t.Errorf("AppendPathAt(AS%d) outside the need-set answered instead of panicking", asn)
+		}
+		if !mustPanic(func() { tree.AppendIndexPathAt(nil, i) }) {
+			t.Errorf("AppendIndexPathAt(AS%d) outside the need-set answered instead of panicking", asn)
 		}
 	}
 	// The unrestricted form answers everywhere.

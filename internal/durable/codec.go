@@ -1,24 +1,25 @@
 // codec.go is the archive wire format: a compact, versioned binary
-// encoding of one serve snapshot's dataset state with an fnv64a
+// encoding of one serve snapshot's dataset state with a CRC-32C
 // integrity footer over the whole file. Encoding is deterministic
 // (maps are emitted in sorted order), so identical snapshot content
 // yields identical bytes and an identical checksum — the store uses
-// the checksum both as the integrity seal and as the content address
-// in archive filenames.
+// the checksum as the integrity seal and to skip re-saving content a
+// key's archive already holds.
 //
 // Decode is the adversarial side: it must survive arbitrary bytes
 // (truncation, bit flips, hostile counts) returning an error, never a
 // panic and never a silently wrong snapshot. Every read is
 // bounds-checked, every count is capped against the bytes that could
-// plausibly back it, and the checksum is verified before any section
-// is parsed. FuzzDecodeArchive drives this contract.
+// plausibly back it, and the magic, the format version and then the
+// checksum are verified before any section is parsed.
+// FuzzDecodeArchive drives this contract.
 
 package durable
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
 	"math/bits"
 	"net/netip"
@@ -33,10 +34,17 @@ import (
 // Magic and version of the archive format. The version bumps on any
 // incompatible layout change; decoders reject unknown versions so an
 // old binary never misreads a new archive (or vice versa).
+//
+// v2 sealed with fnv64a; v3 seals with CRC-32C (Castagnoli) in the same
+// 8-byte footer, zero-extended. A v2 archive fails Decode as a format
+// mismatch, so the store quarantines it once and the date resolves from
+// its next source.
 const (
 	archiveMagic   = "MANRSNAP"
-	archiveVersion = 2 // v2: visibility as sorted parallel slices (ihr.Visibility)
+	archiveVersion = 3
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SnapshotData is the durable subset of a serve snapshot: everything
 // expensive to recompute (the propagated IHR dataset and the
@@ -80,15 +88,13 @@ func (d *SnapshotData) Key() Key {
 	return Key{Fingerprint: d.Fingerprint, Date: d.Date}
 }
 
-// Checksum returns the fnv64a checksum of the encoded archive — the
-// value the footer carries.
+// Checksum returns the CRC-32C of the encoded archive before its
+// footer — the value the footer carries.
 func Checksum(encoded []byte) uint64 {
 	if len(encoded) < 8 {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write(encoded[:len(encoded)-8])
-	return h.Sum64()
+	return uint64(crc32.Checksum(encoded[:len(encoded)-8], castagnoli))
 }
 
 // Encode serializes d with the integrity footer appended.
@@ -121,14 +127,16 @@ func Encode(d *SnapshotData) []byte {
 		e.bool(tr.FromCustomer)
 	}
 
-	// Visibility is canonically sorted by (origin, prefix) — emit a
-	// normalized copy so the encoding, and therefore the checksum and
-	// filename, is a pure function of the content even for callers that
-	// assembled the slices by hand.
+	// Visibility is canonically sorted by (origin, prefix) — emit it
+	// normalized, through a copy when the caller's slices are not, so
+	// the encoding, and therefore the checksum, is a pure function of
+	// the content even for callers that assembled the slices by hand.
 	vis := d.Visibility
-	vis.Origs = append([]astopo.Origination(nil), vis.Origs...)
-	vis.Counts = append([]int32(nil), vis.Counts...)
-	vis.Normalize()
+	if !vis.Normalized() {
+		vis.Origs = append([]astopo.Origination(nil), vis.Origs...)
+		vis.Counts = append([]int32(nil), vis.Counts...)
+		vis.Normalize()
+	}
 	e.uvarint(uint64(vis.Len()))
 	for i, og := range vis.Origs {
 		e.prefix(og.Prefix)
@@ -145,9 +153,7 @@ func Encode(d *SnapshotData) []byte {
 		}
 	}
 
-	h := fnv.New64a()
-	h.Write(e.buf)
-	e.u64(h.Sum64())
+	e.u64(uint64(crc32.Checksum(e.buf, castagnoli)))
 	return e.buf
 }
 
@@ -190,30 +196,29 @@ func prefixLen(p netx.Prefix) int {
 	return 1 + 16 + 1
 }
 
-// Decode parses an encoded archive, verifying the footer checksum
-// before touching any section. It returns an error — never panics —
-// on truncated, corrupted, or version-skewed input.
+// Decode parses an encoded archive. It checks the magic and the format
+// version, then the footer checksum, before touching any section, so an
+// archive of another version reads as a format mismatch rather than as
+// damage. It returns an error — never panics — on truncated,
+// corrupted, or version-skewed input.
 func Decode(data []byte) (*SnapshotData, error) {
-	const headerMin = len(archiveMagic) + 2
-	if len(data) < headerMin+8 {
+	const header = len(archiveMagic) + 2
+	if len(data) < header+8 {
 		return nil, fmt.Errorf("durable: archive truncated: %d bytes", len(data))
 	}
 	if string(data[:len(archiveMagic)]) != archiveMagic {
 		return nil, fmt.Errorf("durable: bad archive magic")
 	}
+	if ver := binary.LittleEndian.Uint16(data[len(archiveMagic):header]); ver != archiveVersion {
+		return nil, fmt.Errorf("durable: archive format v%d, want v%d", ver, archiveVersion)
+	}
 	footer := binary.LittleEndian.Uint64(data[len(data)-8:])
 	if sum := Checksum(data); sum != footer {
 		return nil, fmt.Errorf("durable: archive checksum mismatch: footer %016x, computed %016x", footer, sum)
 	}
-	r := &decoder{b: data[len(archiveMagic) : len(data)-8]}
-	ver, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if ver != archiveVersion {
-		return nil, fmt.Errorf("durable: archive format v%d, want v%d", ver, archiveVersion)
-	}
+	r := &decoder{b: data[header : len(data)-8]}
 	d := &SnapshotData{}
+	var err error
 	if d.Fingerprint, err = r.str(); err != nil {
 		return nil, fmt.Errorf("durable: fingerprint: %w", err)
 	}
@@ -409,14 +414,6 @@ func (r *decoder) byte() (byte, error) {
 		return 0, err
 	}
 	return p[0], nil
-}
-
-func (r *decoder) u16() (uint16, error) {
-	p, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(p), nil
 }
 
 func (r *decoder) u64() (uint64, error) {

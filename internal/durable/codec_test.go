@@ -2,8 +2,12 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,6 +78,20 @@ func TestCodecDeterministic(t *testing.T) {
 	if bytes.Equal(a, Encode(testSnapshotData(1))) {
 		t.Fatal("distinct content encoded identically")
 	}
+	// Visibility assembled by hand, out of order and with a duplicate,
+	// encodes as its normalized form and is left as the caller built it.
+	d := testSnapshotData(0)
+	v := &d.Visibility
+	v.Origs = []astopo.Origination{v.Origs[2], v.Origs[0], v.Origs[1], v.Origs[0]}
+	v.Counts = []int32{v.Counts[2], v.Counts[0], v.Counts[1], v.Counts[0]}
+	before := *v
+	before.Origs, before.Counts = slices.Clone(v.Origs), slices.Clone(v.Counts)
+	if !bytes.Equal(Encode(d), a) {
+		t.Error("an unnormalized Visibility encodes differently from its normalized form")
+	}
+	if !reflect.DeepEqual(*v, before) {
+		t.Error("Encode modified the caller's Visibility")
+	}
 }
 
 // TestEncodeSizedOnce holds encodedSize to the encoder's layout: Encode
@@ -134,6 +152,32 @@ func TestCodecRejectsVersionSkew(t *testing.T) {
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("format")) {
 		t.Fatalf("version skew not rejected: %v", err)
 	}
+
+	// A v2 archive, as the v2 encoder wrote testSnapshotData(0): its
+	// fnv64a seal is intact, but not as CRC-32C. It must read as a
+	// format mismatch, not as damage — and it is this encoding with only
+	// the version and the seal changed.
+	v2, err := os.ReadFile("testdata/archive-v2.mds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(v2); err == nil || !bytes.Contains([]byte(err.Error()), []byte("format")) {
+		t.Fatalf("v2 archive not rejected as a format mismatch: %v", err)
+	}
+	if !bytes.Equal(asV2(full), v2) {
+		t.Fatal("the v3 body differs from the v2 body beyond the version and the seal")
+	}
+}
+
+// asV2 rewrites an archive as the v2 format wrote it: the same body
+// under version 2, sealed with fnv64a.
+func asV2(archive []byte) []byte {
+	buf := append([]byte(nil), archive...)
+	binary.LittleEndian.PutUint16(buf[len(archiveMagic):], 2)
+	h := fnv.New64a()
+	h.Write(buf[:len(buf)-8])
+	binary.LittleEndian.PutUint64(buf[len(buf)-8:], h.Sum64())
+	return buf
 }
 
 func TestKeyString(t *testing.T) {

@@ -5,7 +5,7 @@
 // after the key; the directory listing is the index. A crash in the
 // middle of a write leaves the key's previous archive in place, so a
 // daemon restart warm-starts from what survived. Corrupt or truncated
-// archives are detected on load (fnv64a footer, bounds-checked decode)
+// archives are detected on load (CRC-32C footer, bounds-checked decode)
 // and quarantined, and the caller peer-syncs or builds that snapshot
 // cold. A retention janitor keeps the archive directory under a size
 // budget.

@@ -11,7 +11,7 @@
 //   - a leftover *.tmp file (crash mid-write): removed at Open; the
 //     key's file still holds the previous archive, if any.
 //   - an archive whose rename landed but whose data is torn: the
-//     fnv64a footer fails at Load; the file is quarantined and Load
+//     CRC-32C footer fails at Load; the file is quarantined and Load
 //     reports ErrNotFound, so the caller peer-syncs or builds cold.
 //
 // The store never serves bytes that fail the checksum: Load either

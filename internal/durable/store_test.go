@@ -86,53 +86,61 @@ func TestStoreIdenticalSaveSkipped(t *testing.T) {
 	}
 }
 
-// TestStoreQuarantinesCorruption damages a key's archive on disk and
-// checks Load quarantines it and reports ErrNotFound, that a reopened
-// store does not quarantine again, and that the next save of the key
-// loads again.
+// TestStoreQuarantinesCorruption damages a key's archive on disk — a
+// flipped byte, or the archive rewritten in the v2 format — and checks
+// Load quarantines it and reports ErrNotFound, that a reopened store
+// does not quarantine again, and that the next save of the key loads
+// again.
 func TestStoreQuarantinesCorruption(t *testing.T) {
-	dir := t.TempDir()
-	s, reg := openTest(t, dir, Options{})
-	ctx := context.Background()
-	d := testSnapshotData(0)
-	if err := s.Save(ctx, d); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte in the middle of the archive.
-	path := filepath.Join(dir, archiveName(d.Key()))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for name, damage := range map[string]func([]byte) []byte{
+		"bit flip":   func(raw []byte) []byte { raw[len(raw)/2] ^= 0xff; return raw },
+		"v2 archive": asV2,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, reg := openTest(t, dir, Options{})
+			ctx := context.Background()
+			d := testSnapshotData(0)
+			if err := s.Save(ctx, d); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, archiveName(d.Key()))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	if _, err := s.Load(ctx, d.Key()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("load after corruption: %v, want ErrNotFound", err)
-	}
-	if reg.Value("durable_quarantine_total") != 1 {
-		t.Errorf("durable_quarantine_total = %d, want 1", reg.Value("durable_quarantine_total"))
-	}
-	if _, err := os.Stat(path + quarantineSuffix); err != nil {
-		t.Errorf("damaged archive not quarantined: %v", err)
-	}
+			for range 2 { // quarantined once; the second Load finds no file
+				if _, err := s.Load(ctx, d.Key()); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("load after damage: %v, want ErrNotFound", err)
+				}
+			}
+			if reg.Value("durable_quarantine_total") != 1 {
+				t.Errorf("durable_quarantine_total = %d, want 1", reg.Value("durable_quarantine_total"))
+			}
+			if _, err := os.Stat(path + quarantineSuffix); err != nil {
+				t.Errorf("damaged archive not quarantined: %v", err)
+			}
 
-	// A reopened store finds no archive for the key and quarantines
-	// nothing; the next save of the key is loadable again.
-	s2, reg2 := openTest(t, dir, Options{})
-	if _, err := s2.Load(ctx, d.Key()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("reopened load: %v, want ErrNotFound", err)
-	}
-	if reg2.Value("durable_quarantine_total") != 0 {
-		t.Errorf("reopened store re-quarantined: %d", reg2.Value("durable_quarantine_total"))
-	}
-	if err := s2.Save(ctx, d); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s2.Load(ctx, d.Key()); err != nil || !reflect.DeepEqual(got, d) {
-		t.Fatalf("load after re-save: %v", err)
+			// A reopened store finds no archive for the key and quarantines
+			// nothing; the next save of the key is loadable again.
+			s2, reg2 := openTest(t, dir, Options{})
+			if _, err := s2.Load(ctx, d.Key()); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("reopened load: %v, want ErrNotFound", err)
+			}
+			if reg2.Value("durable_quarantine_total") != 0 {
+				t.Errorf("reopened store re-quarantined: %d", reg2.Value("durable_quarantine_total"))
+			}
+			if err := s2.Save(ctx, d); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := s2.Load(ctx, d.Key()); err != nil || !reflect.DeepEqual(got, d) {
+				t.Fatalf("load after re-save: %v", err)
+			}
+		})
 	}
 }
 

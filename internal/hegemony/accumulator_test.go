@@ -10,10 +10,20 @@ import (
 // TestAccumulatorMatchesScores is the differential gate: for random path
 // sets (with empty paths, single-hop paths, prepending duplicates, and
 // varied trims) the Accumulator must reproduce Ranked(Scores(...))
-// bit-for-bit.
+// bit-for-bit, fed ASNs (AddPath) and fed slots (AddIndexPath). The
+// index accumulator's symbol table is shuffled, so slot order is not
+// ASN order and ties must still rank by ASN.
 func TestAccumulatorMatchesScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	acc := NewAccumulator()
+	asns := make([]uint32, 40)
+	slotOf := map[uint32]int32{}
+	for i, j := range rng.Perm(len(asns)) {
+		asns[i] = uint32(1 + j)
+		slotOf[asns[i]] = int32(i)
+	}
+	idx := NewIndexAccumulator(asns)
+	var slotPath []int32
 	for trial := 0; trial < 200; trial++ {
 		nPaths := rng.Intn(30)
 		paths := make([][]uint32, 0, nPaths)
@@ -32,19 +42,29 @@ func TestAccumulatorMatchesScores(t *testing.T) {
 		trim := []float64{0, 0.1, 0.25, 0.5, 0.9}[rng.Intn(5)]
 
 		acc.Reset()
+		idx.Reset()
 		for _, p := range paths {
 			acc.AddPath(p)
+			slotPath = slotPath[:0]
+			for _, asn := range p {
+				slotPath = append(slotPath, slotOf[asn])
+			}
+			idx.AddIndexPath(slotPath)
 		}
-		got := acc.Ranked(trim)
-
 		want := Ranked(Scores(paths, trim))
-		if len(got) != len(want) {
-			t.Fatalf("trial %d trim %v: %d scores, want %d\n got %v\nwant %v",
-				trial, trim, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i].ASN != want[i].ASN || got[i].Hegemony != want[i].Hegemony {
-				t.Fatalf("trial %d trim %v: score[%d] = %v, want %v", trial, trim, i, got[i], want[i])
+		for name, a := range map[string]*Accumulator{"AddPath": acc, "AddIndexPath": idx} {
+			got := a.Ranked(trim)
+			if len(got) != len(want) {
+				t.Fatalf("%s trial %d trim %v: %d scores, want %d\n got %v\nwant %v",
+					name, trial, trim, len(got), len(want), got, want)
+			}
+			for i := range want {
+				if got[i].ASN != want[i].ASN || got[i].Hegemony != want[i].Hegemony {
+					t.Fatalf("%s trial %d trim %v: score[%d] = %v, want %v", name, trial, trim, i, got[i], want[i])
+				}
+				if a == idx && asns[a.RankedSlot(i)] != got[i].ASN {
+					t.Fatalf("%s trial %d: RankedSlot(%d) is AS%d, score is AS%d", name, trial, i, asns[a.RankedSlot(i)], got[i].ASN)
+				}
 			}
 		}
 	}

@@ -12,8 +12,9 @@
 package hegemony
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"manrsmeter/internal/stats"
 )
@@ -81,13 +82,20 @@ func Ranked(scores map[uint32]float64) []Score {
 	for asn, h := range scores {
 		out = append(out, Score{ASN: asn, Hegemony: h})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hegemony != out[j].Hegemony {
-			return out[i].Hegemony > out[j].Hegemony
-		}
-		return out[i].ASN < out[j].ASN
-	})
+	slices.SortFunc(out, func(x, y Score) int { return byRank(x.Hegemony, y.Hegemony, x.ASN, y.ASN) })
 	return out
+}
+
+// byRank is the ranking order: descending hegemony, ties by ascending
+// ASN.
+func byRank(hx, hy float64, asnX, asnY uint32) int {
+	if hx != hy {
+		if hx > hy {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(asnX, asnY)
 }
 
 // Accumulator computes the same scores as Scores/Ranked while reusing
@@ -96,88 +104,139 @@ func Ranked(scores map[uint32]float64) []Score {
 //
 // The equivalence rests on the indicator vectors being 0/1: the trimmed
 // mean of a 0/1 vector depends only on the count of ones c and the
-// vector length n, so per-AS crossing counts are sufficient. Reset
-// starts a destination, AddPath folds in one vantage path (consumed
-// immediately; the caller may reuse the slice), and Ranked returns the
-// same ordering Ranked(Scores(paths, trim)) would. Not safe for
-// concurrent use; give each worker its own.
+// vector length n, so per-AS crossing counts are sufficient. Counting
+// runs over dense slots, one per AS: AddIndexPath folds in a path
+// already given as slots (an ihr build walks its route trees in
+// interned CSR indexes), AddPath interns ASNs into slots first. Reset
+// starts a destination, and Ranked returns the same ordering
+// Ranked(Scores(paths, trim)) would. Paths are consumed immediately;
+// the caller may reuse the slice. Not safe for concurrent use; give
+// each worker its own.
 type Accumulator struct {
-	ver  int
-	n    int // non-empty paths this destination
-	ents map[uint32]accEntry
-	// touched lists the ASes on this destination's paths, so Ranked does
-	// not walk every AS the worker has ever scored.
-	touched []uint32
+	n     int32 // non-empty paths this destination
+	slots []slotState
+	asns  []uint32         // slot → ASN
+	index map[uint32]int32 // ASN → slot, for AddPath; built on its first call
+	// touched lists the slots on this destination's paths, so Ranked
+	// and Reset do not walk every AS the worker has ever scored.
+	touched []int32
+	ranked  []rankedSlot
 	out     []Score
 }
 
-type accEntry struct {
-	cnt, ver, pathSeq int
+// slotState is one AS's count on the current destination; last is the
+// path that counted it last, so prepending duplicates count once. Reset
+// zeroes the touched slots, so every other slot reads as zero.
+type slotState struct {
+	cnt, last int32
 }
 
-// NewAccumulator returns an empty Accumulator.
-func NewAccumulator() *Accumulator {
-	// ver starts past the zero accEntry's, so an AS never seen reads as
-	// belonging to an earlier destination.
-	return &Accumulator{ver: 1, ents: make(map[uint32]accEntry)}
+type rankedSlot struct {
+	slot int32
+	h    float64
+}
+
+// NewAccumulator returns an empty Accumulator that interns ASNs as
+// AddPath meets them.
+func NewAccumulator() *Accumulator { return NewIndexAccumulator(nil) }
+
+// NewIndexAccumulator returns an Accumulator whose slot i is asns[i],
+// for paths given as indexes into asns (AddIndexPath). asns is shared,
+// never modified; an astopo.CSR's Intern.ASNs() is such a table.
+func NewIndexAccumulator(asns []uint32) *Accumulator {
+	return &Accumulator{asns: asns[:len(asns):len(asns)], slots: make([]slotState, len(asns))}
 }
 
 // Reset starts a new destination, discarding all accumulated paths.
 func (a *Accumulator) Reset() {
-	a.ver++
+	for _, s := range a.touched {
+		a.slots[s] = slotState{}
+	}
 	a.n = 0
 	a.touched = a.touched[:0]
 }
 
-// AddPath folds in one vantage path (vantage-first, origin-last). Empty
-// paths are ignored, the vantage AS is excluded from its own path, and
-// prepending duplicates count once — exactly as Scores.
-func (a *Accumulator) AddPath(p []uint32) {
+// AddIndexPath folds in one vantage path given as slots (vantage-first,
+// origin-last). Empty paths are ignored, the vantage AS is excluded from
+// its own path, and prepending duplicates count once — exactly as
+// Scores.
+func (a *Accumulator) AddIndexPath(p []int32) {
 	if len(p) == 0 {
 		return
 	}
 	a.n++
-	seq := a.n
-	for i, asn := range p {
-		if i == 0 && len(p) > 1 {
-			continue
-		}
-		e := a.ents[asn]
-		if e.ver != a.ver {
-			e = accEntry{ver: a.ver}
-			a.touched = append(a.touched, asn)
-		}
-		if e.pathSeq == seq {
-			continue
-		}
-		e.pathSeq = seq
-		e.cnt++
-		a.ents[asn] = e
+	if len(p) > 1 {
+		p = p[1:]
 	}
+	for _, s := range p {
+		a.count(s)
+	}
+}
+
+// AddPath is AddIndexPath for a path of ASNs: one symbol-table lookup
+// per hop, and an insert only for an ASN the accumulator has not met.
+func (a *Accumulator) AddPath(p []uint32) {
+	if len(p) == 0 {
+		return
+	}
+	if a.index == nil {
+		a.index = make(map[uint32]int32, len(a.asns))
+		for i, asn := range a.asns {
+			a.index[asn] = int32(i)
+		}
+	}
+	a.n++
+	if len(p) > 1 {
+		p = p[1:]
+	}
+	for _, asn := range p {
+		s, ok := a.index[asn]
+		if !ok {
+			s = int32(len(a.asns))
+			a.index[asn] = s
+			a.asns = append(a.asns, asn)
+			a.slots = append(a.slots, slotState{})
+		}
+		a.count(s)
+	}
+}
+
+func (a *Accumulator) count(s int32) {
+	e := &a.slots[s]
+	if e.last == a.n {
+		return
+	}
+	if e.cnt == 0 {
+		a.touched = append(a.touched, s)
+	}
+	e.last = a.n
+	e.cnt++
 }
 
 // Ranked returns the destination's scores sorted by descending hegemony,
 // ties by ascending ASN — identical to Ranked(Scores(paths, trim)). The
 // returned slice is reused by the next Ranked call on this Accumulator.
 func (a *Accumulator) Ranked(trim float64) []Score {
+	rs := a.ranked[:0]
+	if a.n > 0 {
+		for _, s := range a.touched {
+			if h := indicatorTrimmedMean(int(a.slots[s].cnt), int(a.n), trim); h > 0 {
+				rs = append(rs, rankedSlot{slot: s, h: h})
+			}
+		}
+	}
+	slices.SortFunc(rs, func(x, y rankedSlot) int { return byRank(x.h, y.h, a.asns[x.slot], a.asns[y.slot]) })
 	out := a.out[:0]
-	if a.n == 0 {
-		return out
+	for _, r := range rs {
+		out = append(out, Score{ASN: a.asns[r.slot], Hegemony: r.h})
 	}
-	for _, asn := range a.touched {
-		if h := indicatorTrimmedMean(a.ents[asn].cnt, a.n, trim); h > 0 {
-			out = append(out, Score{ASN: asn, Hegemony: h})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hegemony != out[j].Hegemony {
-			return out[i].Hegemony > out[j].Hegemony
-		}
-		return out[i].ASN < out[j].ASN
-	})
-	a.out = out
+	a.ranked, a.out = rs, out
 	return out
 }
+
+// RankedSlot returns the slot of the k-th score the last Ranked call
+// returned: for an index accumulator, the AS's index.
+func (a *Accumulator) RankedSlot(k int) int32 { return a.ranked[k].slot }
 
 // indicatorTrimmedMean is stats.TrimmedMean specialized to a 0/1 vector
 // with c ones among n entries: sorting places the n-c zeros first, so

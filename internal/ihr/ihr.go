@@ -11,10 +11,12 @@
 package ihr
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"manrsmeter/internal/astopo"
@@ -156,26 +158,37 @@ func (v Visibility) Count(og astopo.Origination) int {
 }
 
 func visLess(a, b astopo.Origination) bool {
-	if a.Origin != b.Origin {
-		return a.Origin < b.Origin
+	return compareOrigination(a.Origin, a.Prefix, b.Origin, b.Prefix) < 0
+}
+
+// compareOrigination orders originations by (origin, prefix): the order
+// of Visibility and the leading key of both dataset tables.
+func compareOrigination(ao uint32, ap netx.Prefix, bo uint32, bp netx.Prefix) int {
+	if c := cmp.Compare(ao, bo); c != 0 {
+		return c
 	}
-	return a.Prefix.Compare(b.Prefix) < 0
+	return ap.Compare(bp)
+}
+
+// Normalized reports whether Origs is strictly ascending by (origin,
+// prefix), as Normalize leaves it.
+func (v Visibility) Normalized() bool {
+	for i := 1; i < len(v.Origs); i++ {
+		if !visLess(v.Origs[i-1], v.Origs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Normalize sorts the parallel slices by (origin, prefix) and collapses
 // duplicate originations (which necessarily carry equal counts), so
 // Count's binary search is valid for any input order.
 func (v *Visibility) Normalize() {
-	sorted := true
-	for i := 1; i < len(v.Origs); i++ {
-		if visLess(v.Origs[i], v.Origs[i-1]) {
-			sorted = false
-			break
-		}
+	if v.Normalized() {
+		return
 	}
-	if !sorted {
-		sort.Sort(visByOrig{v})
-	}
+	sort.Sort(visByOrig{v})
 	w := 0
 	for i := range v.Origs {
 		if i > 0 && v.Origs[i] == v.Origs[w-1] {
@@ -344,8 +357,8 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	}
 	err = parallel.ForEachCtx(ctx, chunks, workers, func(chunk int) {
 		prop := astopo.NewCSRPropagator(csr)
-		acc := hegemony.NewAccumulator()
-		var pathBuf []uint32
+		acc := hegemony.NewIndexAccumulator(csr.Intern.ASNs())
+		var pathBuf []int32
 		floods, settled := 0, 0
 		defer func() {
 			mFloods.Add(int64(floods))
@@ -370,10 +383,10 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 			acc.Reset()
 			seen := int32(0)
 			for _, vi := range vpIdx {
-				pathBuf = tree.AppendPathAt(pathBuf[:0], vi)
+				pathBuf = tree.AppendIndexPathAt(pathBuf[:0], vi)
 				if len(pathBuf) > 0 {
 					seen++
-					acc.AddPath(pathBuf)
+					acc.AddIndexPath(pathBuf)
 				}
 			}
 			tpl := keyTemplate{seen: seen}
@@ -387,14 +400,15 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 				}
 				if n > 0 {
 					tpl.transits = make([]transitTpl, 0, n)
-					for _, sc := range ranked {
+					for k, sc := range ranked {
 						if sc.ASN == og.Origin {
 							continue // trivial transit: lives in the prefix-origin dataset
 						}
+						info, _ := tree.InfoAt(acc.RankedSlot(k))
 						tpl.transits = append(tpl.transits, transitTpl{
 							transit:      sc.ASN,
 							hegemony:     sc.Hegemony,
-							fromCustomer: fromCustomer(csr, tree, sc.ASN),
+							fromCustomer: info.Class == astopo.ClassCustomer,
 						})
 					}
 				}
@@ -449,45 +463,29 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 			})
 		}
 	}
-	ds.Visibility.Normalize()
-	poLess := func(i, j int) bool {
-		a, b := ds.PrefixOrigins[i], ds.PrefixOrigins[j]
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		return a.Prefix.Compare(b.Prefix) < 0
-	}
-	// Snapshot views feed originations in (origin, prefix) order, so the
-	// tables usually arrive sorted; skip the sort when they do.
-	if !sort.SliceIsSorted(ds.PrefixOrigins, poLess) {
-		sort.Slice(ds.PrefixOrigins, poLess)
-	}
-	trLess := func(i, j int) bool {
-		a, b := ds.Transits[i], ds.Transits[j]
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		if c := a.Prefix.Compare(b.Prefix); c != 0 {
-			return c < 0
-		}
-		if a.Hegemony != b.Hegemony {
-			return a.Hegemony > b.Hegemony
-		}
-		return a.Transit < b.Transit
-	}
-	if !sort.SliceIsSorted(ds.Transits, trLess) {
-		sort.SliceStable(ds.Transits, trLess)
+	// Originations strictly ascending by (origin, prefix), which is what
+	// snapshot views feed, give both tables in order: rows follow their
+	// origination, and a template's transits are already ranked
+	// (hegemony desc, transit asc). Any other input is sorted here.
+	if !ds.Visibility.Normalized() {
+		ds.Visibility.Normalize()
+		slices.SortFunc(ds.PrefixOrigins, func(a, b PrefixOrigin) int {
+			return compareOrigination(a.Origin, a.Prefix, b.Origin, b.Prefix)
+		})
+		slices.SortStableFunc(ds.Transits, func(a, b TransitRow) int {
+			if c := compareOrigination(a.Origin, a.Prefix, b.Origin, b.Prefix); c != 0 {
+				return c
+			}
+			if a.Hegemony != b.Hegemony {
+				if a.Hegemony > b.Hegemony {
+					return -1
+				}
+				return 1
+			}
+			return cmp.Compare(a.Transit, b.Transit)
+		})
 	}
 	return ds, nil
-}
-
-func fromCustomer(c *astopo.CSR, tree astopo.PartialTree, asn uint32) bool {
-	i, ok := c.Intern.Index(asn)
-	if !ok {
-		return false
-	}
-	info, ok := tree.InfoAt(i)
-	return ok && info.Class == astopo.ClassCustomer
 }
 
 // PolicyFilter returns a per-pair import-filter factory for the given

@@ -2,9 +2,11 @@ package ihr
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/rov"
 )
 
@@ -123,5 +125,58 @@ func TestBuildOriginationsOverride(t *testing.T) {
 	}
 	if !reflect.DeepEqual(explicit, full) {
 		t.Error("explicit full origination list should equal the default build")
+	}
+}
+
+// Originations out of (origin, prefix) order, or repeated, skip the
+// in-order fast path and are sorted: the tables are the ordered build's,
+// each row repeated once per copy of its origination, at any worker
+// count.
+func TestBuildUnorderedOriginations(t *testing.T) {
+	cfg := richConfig(t)
+	ordered, err := BuildCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := cfg.Graph.Originations()
+	copies := map[astopo.Origination]int{}
+	var input []astopo.Origination
+	for i, og := range all {
+		n := 1 + i%3 // one, two or three copies
+		copies[og] = n
+		for range n {
+			input = append(input, og)
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(input), func(i, j int) { input[i], input[j] = input[j], input[i] })
+
+	var wantPO []PrefixOrigin
+	for _, po := range ordered.PrefixOrigins {
+		for range copies[astopo.Origination{Prefix: po.Prefix, Origin: po.Origin}] {
+			wantPO = append(wantPO, po)
+		}
+	}
+	var wantTR []TransitRow
+	for _, tr := range ordered.Transits {
+		for range copies[astopo.Origination{Prefix: tr.Prefix, Origin: tr.Origin}] {
+			wantTR = append(wantTR, tr)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := cfg
+		cfg.Originations, cfg.Workers = input, workers
+		ds, err := BuildCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ds.PrefixOrigins, wantPO) {
+			t.Errorf("workers=%d: PrefixOrigins %v, want %v", workers, ds.PrefixOrigins, wantPO)
+		}
+		if !reflect.DeepEqual(ds.Transits, wantTR) {
+			t.Errorf("workers=%d: Transits %v, want %v", workers, ds.Transits, wantTR)
+		}
+		if !reflect.DeepEqual(ds.Visibility, ordered.Visibility) {
+			t.Errorf("workers=%d: Visibility %v, want %v", workers, ds.Visibility, ordered.Visibility)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package netx
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // IPSet4 accumulates IPv4 address ranges and answers union-size and
 // intersection queries with overlap handled correctly. The paper's
@@ -34,7 +37,10 @@ func (s *IPSet4) normalize() {
 	}
 	all := append(s.ranges, s.dirty...)
 	s.dirty = nil
-	sort.Slice(all, func(i, j int) bool { return all[i].lo < all[j].lo })
+	byLo := func(a, b r4) int { return cmp.Compare(a.lo, b.lo) }
+	if !slices.IsSortedFunc(all, byLo) {
+		slices.SortFunc(all, byLo)
+	}
 	out := all[:0]
 	for _, r := range all {
 		if n := len(out); n > 0 && r.lo <= out[n-1].hi {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -69,7 +70,7 @@ func TestIPSet4SizeMatchesBruteForce(t *testing.T) {
 	base := MustParsePrefix("192.168.0.0/16")
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		var s IPSet4
+		var subs []Prefix
 		covered := make(map[uint32]bool)
 		for i := 0; i < 12; i++ {
 			bits := 20 + r.Intn(13) // /20../32 inside the /16
@@ -77,14 +78,42 @@ func TestIPSet4SizeMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			s.AddPrefix(sub)
+			subs = append(subs, sub)
 			a4 := sub.Addr().As4()
 			start := binary.BigEndian.Uint32(a4[:])
 			for a := uint64(0); a < uint64(sub.AddressCount()); a++ {
 				covered[start+uint32(a)] = true
 			}
 		}
-		return s.Size() == uint64(len(covered))
+		// The same ranges in random, sorted and reversed order, and with
+		// duplicate starts (each network again one bit longer, covering
+		// nothing new); all at once and in two batches, the second
+		// appended to the first's normalized ranges.
+		sorted := slices.Clone(subs)
+		slices.SortFunc(sorted, Prefix.Compare)
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		dupStarts := slices.Clone(subs)
+		for _, p := range subs {
+			if p.Bits() < 32 {
+				q, _ := PrefixFrom(p.Addr(), p.Bits()+1)
+				dupStarts = append(dupStarts, q)
+			}
+		}
+		for _, order := range [][]Prefix{subs, sorted, reversed, dupStarts} {
+			var once, twice IPSet4
+			for i, p := range order {
+				once.AddPrefix(p)
+				twice.AddPrefix(p)
+				if i == len(order)/2 {
+					twice.Size()
+				}
+			}
+			if once.Size() != uint64(len(covered)) || twice.Size() != uint64(len(covered)) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -10,8 +10,9 @@
 package rov
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"manrsmeter/internal/netx"
 )
@@ -179,21 +180,26 @@ func (ix *Index) ValidateLinear(p netx.Prefix, asn uint32) Status {
 }
 
 // All returns every authorization, ordered by prefix then ASN then max
-// length — a stable order for snapshots and diffs.
+// length — a stable order for snapshots and diffs. Walk already gives
+// prefix order; the sort runs only when some prefix's authorizations
+// were added out of (ASN, max length) order.
 func (ix *Index) All() []Authorization {
 	out := make([]Authorization, 0, ix.count)
 	ix.table.Walk(func(_ netx.Prefix, vals []Authorization) bool {
 		out = append(out, vals...)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Prefix.Compare(out[j].Prefix); c != 0 {
-			return c < 0
+	byKey := func(a, b Authorization) int {
+		if c := a.Prefix.Compare(b.Prefix); c != 0 {
+			return c
 		}
-		if out[i].ASN != out[j].ASN {
-			return out[i].ASN < out[j].ASN
+		if c := cmp.Compare(a.ASN, b.ASN); c != 0 {
+			return c
 		}
-		return out[i].MaxLength < out[j].MaxLength
-	})
+		return cmp.Compare(a.MaxLength, b.MaxLength)
+	}
+	if !slices.IsSortedFunc(out, byKey) {
+		slices.SortFunc(out, byKey)
+	}
 	return out
 }

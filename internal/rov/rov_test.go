@@ -3,6 +3,7 @@ package rov
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -186,6 +187,34 @@ func TestCoveringAndAll(t *testing.T) {
 	}
 	if !all[2].Prefix.Is6() {
 		t.Errorf("All[2] should be v6: %v", all[2])
+	}
+
+	// Several authorizations per prefix, added out of (ASN, max length)
+	// order and with prefixes out of order too: All sorts them.
+	ix = NewIndex()
+	for _, a := range []struct {
+		p      string
+		asn    uint32
+		maxLen int
+	}{
+		{"10.1.0.0/16", 64502, 16}, {"10.0.0.0/16", 64501, 20}, {"10.0.0.0/16", 64500, 24},
+		{"10.0.0.0/16", 64501, 18}, {"2001:db8::/32", 64500, 48}, {"10.0.0.0/16", 64500, 16},
+		{"10.1.0.0/16", 64501, 24}, {"10.0.0.0/8", 64503, 8},
+	} {
+		mustAdd(t, ix, a.p, a.asn, a.maxLen)
+	}
+	want := []Authorization{
+		{netx.MustParsePrefix("10.0.0.0/8"), 64503, 8},
+		{netx.MustParsePrefix("10.0.0.0/16"), 64500, 16},
+		{netx.MustParsePrefix("10.0.0.0/16"), 64500, 24},
+		{netx.MustParsePrefix("10.0.0.0/16"), 64501, 18},
+		{netx.MustParsePrefix("10.0.0.0/16"), 64501, 20},
+		{netx.MustParsePrefix("10.1.0.0/16"), 64501, 24},
+		{netx.MustParsePrefix("10.1.0.0/16"), 64502, 16},
+		{netx.MustParsePrefix("2001:db8::/32"), 64500, 48},
+	}
+	if got := ix.All(); !reflect.DeepEqual(got, want) {
+		t.Errorf("All = %v\nwant %v", got, want)
 	}
 }
 

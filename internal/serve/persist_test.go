@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -302,5 +304,51 @@ func TestColdBuildArchivesBeforePublish(t *testing.T) {
 	}
 	if n := reg.Value("durable_persist_total"); n != 1 {
 		t.Errorf("durable_persist_total = %d, want 1 (the build only)", n)
+	}
+}
+
+// An archive in the v2 format (the same body under version 2, sealed
+// with fnv64a) is quarantined once and its date cold-builds; the next
+// boot restores the build's own archive.
+func TestV2ArchiveQuarantinedOnceThenColdBuilds(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	w := coldWorld(t)
+	reg := obsv.NewRegistry()
+	first := NewStore(w, StoreOptions{Registry: reg, Durable: openDurable(t, dir, reg)})
+	if _, err := first.Get(ctx, first.DefaultDate()); err != nil {
+		t.Fatal(err)
+	}
+	first.WaitPersist()
+	files, _ := filepath.Glob(filepath.Join(dir, "snap-*.mds"))
+	if len(files) != 1 {
+		t.Fatalf("archives after the build: %v, want one", files)
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(raw[len("MANRSNAP"):], 2) // the version follows the magic
+	h := fnv.New64a()
+	h.Write(raw[:len(raw)-8])
+	binary.LittleEndian.PutUint64(raw[len(raw)-8:], h.Sum64())
+	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for boot, want := range []string{"build", "archive"} {
+		reg := obsv.NewRegistry()
+		store := NewStore(w, StoreOptions{Registry: reg, Durable: openDurable(t, dir, reg), Logf: t.Logf})
+		snap, err := store.Get(ctx, store.DefaultDate())
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.WaitPersist()
+		if snap.Source != want {
+			t.Errorf("boot %d: snapshot from %q, want %q", boot, snap.Source, want)
+		}
+		if q, wantQ := reg.Value("durable_quarantine_total"), int64(1-boot); q != wantQ {
+			t.Errorf("boot %d: durable_quarantine_total = %d, want %d", boot, q, wantQ)
+		}
 	}
 }

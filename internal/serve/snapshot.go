@@ -10,10 +10,12 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,18 +76,28 @@ func (s *Snapshot) rowsFor(p netx.Prefix) []int32 {
 	return s.byPrefix[lo:hi]
 }
 
-// buildByPrefix builds the rowsFor permutation over the dataset rows.
+// buildByPrefix builds the rowsFor permutation over the dataset rows. It
+// sorts (prefix, row) pairs flat, so no comparison reads a row through
+// the permutation.
 func buildByPrefix(pos []ihr.PrefixOrigin) []int32 {
-	idx := make([]int32, len(pos))
-	for i := range idx {
-		idx[i] = int32(i)
+	type prefixRow struct {
+		p   netx.Prefix
+		row int32
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if c := pos[idx[a]].Prefix.Compare(pos[idx[b]].Prefix); c != 0 {
-			return c < 0
+	pairs := make([]prefixRow, len(pos))
+	for i, po := range pos {
+		pairs[i] = prefixRow{po.Prefix, int32(i)}
+	}
+	slices.SortFunc(pairs, func(a, b prefixRow) int {
+		if c := a.p.Compare(b.p); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a.row, b.row)
 	})
+	idx := make([]int32, len(pairs))
+	for i, pr := range pairs {
+		idx[i] = pr.row
+	}
 	return idx
 }
 

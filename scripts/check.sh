@@ -46,8 +46,15 @@
 #   flood  — vantage-point-restricted floods under -race: the
 #            need-set-vs-full-flood property on random DAGs and the
 #            misuse test (astopo), and the dataset oracle over seeded
-#            worlds in both layouts at 1 and N workers (ihr); then the
-#            bench's build oracle on the propagation-bound world
+#            worlds in both layouts at 1 and N workers, against the
+#            full flood and against hegemony.Scores over full-flood
+#            paths (ihr); the build's skipped sorts and its seal:
+#            shuffled and duplicated originations (ihr), the accumulator
+#            fed ASNs and slots (hegemony), authorizations added out of
+#            order (rov), IPv4 ranges in any order (netx), and a v2
+#            archive rejected as a format mismatch, quarantined once and
+#            cold-built (durable, serve); then the bench's build oracle
+#            on the propagation-bound world
 #            (`go run ./bench --workload build.topology`)
 #   bench  — single-iteration smoke of the headline benchmarks (dataset
 #            build, propagation, full report, snapshot persist/load);
@@ -186,9 +193,14 @@ go test -race -count=1 -run '^TestPrefixMatchesNetip$|^TestTableMatchesLinearSca
 go test -race -count=1 -run '^TestValidateAndCoveringMatchLinear$|^TestFourInSixIsNotIPv4$' ./internal/rov
 go test -race -count=1 -run '^TestColdBuildArchivesBeforePublish$' ./internal/serve
 
-echo "==> need-set floods (-race): exactness property + misuse, then the full-flood dataset oracle"
+echo "==> need-set floods (-race): exactness property + misuse, the dataset oracles, skipped sorts and the archive seal"
 go test -race -count=1 -run '^TestNeedSetFloodMatchesFull$|^TestPartialTreeNeverGuesses$' ./internal/astopo
-go test -race -count=1 -run '^TestBuildMatchesFullFloodOracle$' ./internal/ihr
+go test -race -count=1 -run '^TestBuildMatchesFullFloodOracle$|^TestBuildUnorderedOriginations$' ./internal/ihr
+go test -race -count=1 -run '^TestAccumulatorMatchesScores$' ./internal/hegemony
+go test -race -count=1 -run '^TestCoveringAndAll$' ./internal/rov
+go test -race -count=1 -run '^TestIPSet4SizeMatchesBruteForce$' ./internal/netx
+go test -race -count=1 -run '^TestCodecRejectsVersionSkew$|^TestStoreQuarantinesCorruption$' ./internal/durable
+go test -race -count=1 -run '^TestV2ArchiveQuarantinedOnceThenColdBuilds$' ./internal/serve
 
 echo "==> build oracle (bench build.topology: propagation-bound world, digests equal across ops and worker counts)"
 bench_oracle build.topology
