@@ -16,8 +16,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"slices"
 	"sort"
+	"sync"
 
 	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/hegemony"
@@ -34,6 +36,8 @@ var (
 		"Route propagations run by dataset builds, one per tree key.")
 	mFloodNodes = obsv.NewCounter("ihr_flood_nodes_total",
 		"Routes settled by those propagations, summed over ASes.")
+	mTemplateReuses = obsv.NewCounter("ihr_template_reuses_total",
+		"Tree keys a dataset build took from its template table instead of flooding.")
 )
 
 // Policy is one AS's route filtering behavior.
@@ -118,6 +122,12 @@ type Config struct {
 	// construction; ≤ 0 means one per CPU. The dataset is byte-identical
 	// for every worker count.
 	Workers int
+	// Templates, when it was made for this config's graph, policies,
+	// vantage points and trim, supplies the scored route trees earlier
+	// builds computed and keeps the ones this build computes. Nil, or a
+	// table made for anything else, builds every tree. The dataset is
+	// byte-identical either way.
+	Templates *Templates
 }
 
 // Dataset is the pair of IHR views plus the route trees they came from.
@@ -250,6 +260,146 @@ func makeTreeKey(origin uint32, rpkiS, irrS rov.Status, havePolicies bool) treeK
 	return treeKey{origin: origin, class: classBenign}
 }
 
+// templateKey is everything a tree key's flood reads beyond the config:
+// the origin, whether an import filter runs at all (the class), the one
+// bit of RPKI status the filter reads, and, for the IRR-InvalidASN class
+// only, the prefix its filter-miss hash reads. Two tree keys with equal
+// template keys, in any build over one config, flood identical trees.
+type templateKey struct {
+	origin      uint32
+	class       uint8
+	rpkiInvalid bool
+	prefix      netx.Prefix // zero unless class is classIRRInvAS
+}
+
+func makeTemplateKey(k treeKey, prefix netx.Prefix) templateKey {
+	tk := templateKey{origin: k.origin, class: k.class, rpkiInvalid: k.class != classBenign && k.rpki.IsInvalid()}
+	if k.class == classIRRInvAS {
+		tk.prefix = prefix
+	}
+	return tk
+}
+
+// keyTemplate is one tree key's scored route tree: how many vantage
+// points saw the route and the non-trivial transits in rank order.
+type keyTemplate struct {
+	seen     int32
+	transits []transitTpl
+}
+
+type transitTpl struct {
+	transit      uint32
+	hegemony     float64
+	fromCustomer bool
+}
+
+// Templates is a table of scored route trees that dataset builds over
+// one graph, policy set, vantage-point set and trim share: the builds of
+// one world at many dates, and of its forks. Graph, policies and vantage
+// points do not change with the date, so a tree key seen at one date
+// floods the same tree at every other; keyed exactly by what the flood
+// reads (templateKey), a template is reused without a hash or a
+// fingerprint. A table serves only builds of the config it was made for
+// (compared by content, policies and vantage points as of NewTemplates)
+// and only over the topology its first build used, so a graph whose
+// relationships change afterwards builds without it.
+//
+// A table holds at most limit templates. Once full it stops inserting,
+// and builds flood what it does not hold, so a long-lived process whose
+// forks keep adding originations cannot grow it without bound. Builds
+// may share a table concurrently.
+type Templates struct {
+	graph    *astopo.Graph
+	policies map[uint32]Policy
+	vps      []uint32
+	trim     float64
+	limit    int
+
+	mu  sync.RWMutex
+	csr *astopo.CSR // topology of the held templates; set by the first build
+	m   map[templateKey]keyTemplate
+}
+
+// NewTemplates returns an empty table for builds with cfg's Graph,
+// Policies, VantagePoints and Trim, holding at most limit templates.
+func NewTemplates(cfg Config, limit int) *Templates {
+	return &Templates{
+		graph:    cfg.Graph,
+		policies: maps.Clone(cfg.Policies),
+		vps:      slices.Clone(cfg.VantagePoints),
+		trim:     trimOf(cfg),
+		limit:    limit,
+		m:        make(map[templateKey]keyTemplate),
+	}
+}
+
+// Len returns how many templates the table holds.
+func (t *Templates) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.m)
+}
+
+// fill copies into templates every key's template the table holds and
+// returns the keys it lacks, all of them for a nil table.
+func (t *Templates) fill(templates []keyTemplate, key func(s int32) templateKey) (todo []int32) {
+	todo = make([]int32, 0, len(templates))
+	if t == nil {
+		for s := range templates {
+			todo = append(todo, int32(s))
+		}
+		return todo
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for s := range templates {
+		if tpl, ok := t.m[key(int32(s))]; ok {
+			templates[s] = tpl
+		} else {
+			todo = append(todo, int32(s))
+		}
+	}
+	mTemplateReuses.Add(int64(len(templates) - len(todo)))
+	return todo
+}
+
+// keep stores the templates of the todo keys while the table has room.
+func (t *Templates) keep(templates []keyTemplate, todo []int32, key func(s int32) templateKey) {
+	if t == nil || len(todo) == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range todo {
+		if len(t.m) >= t.limit {
+			return
+		}
+		t.m[key(s)] = templates[s]
+	}
+}
+
+// serves reports whether builds of cfg over the topology csr may use t.
+func (t *Templates) serves(cfg Config, csr *astopo.CSR) bool {
+	if t == nil || cfg.Graph != t.graph || trimOf(cfg) != t.trim ||
+		!slices.Equal(cfg.VantagePoints, t.vps) || !maps.Equal(cfg.Policies, t.policies) {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.csr == nil {
+		t.csr = csr
+	}
+	return t.csr == csr
+}
+
+// trimOf is cfg's hegemony trim, zero meaning the default.
+func trimOf(cfg Config) float64 {
+	if cfg.Trim == 0 {
+		return hegemony.DefaultTrim
+	}
+	return cfg.Trim
+}
+
 // BuildCtx constructs the dataset for every origination in the graph,
 // with cancellation and panic isolation threaded through every fan-out
 // stage: once ctx is done no new originations are
@@ -269,10 +419,7 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	if len(cfg.VantagePoints) == 0 {
 		return nil, fmt.Errorf("ihr: at least one vantage point is required")
 	}
-	trim := cfg.Trim
-	if trim == 0 {
-		trim = hegemony.DefaultTrim
-	}
+	trim := trimOf(cfg)
 	validate := func(ix *rov.Index, p netx.Prefix, o uint32) rov.Status {
 		if ix == nil {
 			return rov.NotFound
@@ -307,19 +454,32 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	havePolicies := len(cfg.Policies) > 0
 	keyIdx := make([]int32, len(origs))
 	slot := make(map[treeKey]int32)
-	var reps []int32 // index of the representative origination per key
+	var keys []treeKey // per key, in first-appearance order
+	var reps []int32   // index of the representative origination per key
 	for i, og := range origs {
 		key := makeTreeKey(og.Origin, statuses[i].rpki, statuses[i].irr, havePolicies)
 		s, ok := slot[key]
 		if !ok {
 			s = int32(len(reps))
 			slot[key] = s
+			keys = append(keys, key)
 			reps = append(reps, int32(i))
 		}
 		keyIdx[i] = s
 	}
 
-	// Stage 3: per key — propagate, walk the vantage paths, score
+	// Keys the template table holds need no flood; the rest are todo.
+	// The full-flood reference never consults a table.
+	csr := cfg.Graph.CSR()
+	table := cfg.Templates
+	if !vpOnly || !table.serves(cfg, csr) {
+		table = nil
+	}
+	tmplKey := func(s int32) templateKey { return makeTemplateKey(keys[s], origs[reps[s]].Prefix) }
+	templates := make([]keyTemplate, len(reps))
+	todo := table.fill(templates, tmplKey)
+
+	// Stage 3: per todo key — propagate, walk the vantage paths, score
 	// hegemony, and reduce to a compact row template. Everything a row
 	// needs beyond the (Prefix, Origin, RPKI, IRR) labels depends only on
 	// the key, so the route tree itself is worker scratch: each worker
@@ -329,17 +489,6 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	// only at the vantage points and at the transits on their paths, so
 	// each flood is restricted to the vantage points' need-set, computed
 	// once and shared read-only.
-	type transitTpl struct {
-		transit      uint32
-		hegemony     float64
-		fromCustomer bool
-	}
-	type keyTemplate struct {
-		seen     int32
-		transits []transitTpl
-	}
-	templates := make([]keyTemplate, len(reps))
-	csr := cfg.Graph.CSR()
 	vpIdx := make([]int32, 0, len(cfg.VantagePoints))
 	for _, v := range cfg.VantagePoints {
 		if vi, ok := csr.Intern.Index(v); ok {
@@ -350,11 +499,8 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	if vpOnly {
 		need = csr.NeedSet(vpIdx)
 	}
-	workers := parallel.Workers(cfg.Workers, len(reps))
-	chunks := workers * 4
-	if chunks > len(reps) {
-		chunks = len(reps)
-	}
+	workers := parallel.Workers(cfg.Workers, len(todo))
+	chunks := min(workers*4, len(todo))
 	err = parallel.ForEachCtx(ctx, chunks, workers, func(chunk int) {
 		prop := astopo.NewCSRPropagator(csr)
 		acc := hegemony.NewIndexAccumulator(csr.Intern.ASNs())
@@ -364,18 +510,17 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 			mFloods.Add(int64(floods))
 			mFloodNodes.Add(int64(settled))
 		}()
-		lo := chunk * len(reps) / chunks
-		hi := (chunk + 1) * len(reps) / chunks
-		for s := lo; s < hi; s++ {
+		lo := chunk * len(todo) / chunks
+		hi := (chunk + 1) * len(todo) / chunks
+		for _, s := range todo[lo:hi] {
 			if ctx.Err() != nil {
 				return
 			}
 			rep := reps[s]
 			og := origs[rep]
-			st := statuses[rep]
 			var filter astopo.ImportFilter
-			if makeTreeKey(og.Origin, st.rpki, st.irr, havePolicies).class != classBenign {
-				filter = makeFilter(csr, cfg.Policies, st.rpki, st.irr)
+			if keys[s].class != classBenign {
+				filter = makeFilter(csr, cfg.Policies, statuses[rep].rpki, statuses[rep].irr)
 			}
 			tree := prop.PropagateTo(og.Prefix, og.Origin, filter, need)
 			floods++
@@ -419,6 +564,7 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ihr: propagate and score route trees: %w", err)
 	}
+	table.keep(templates, todo, tmplKey)
 
 	// Stage 4: replicate each key's template across its originations in
 	// input order, then impose total orders so the dataset is

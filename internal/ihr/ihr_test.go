@@ -2,6 +2,8 @@ package ihr
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"manrsmeter/internal/astopo"
@@ -289,5 +291,51 @@ func TestFilterMissesDeterministic(t *testing.T) {
 	frac := float64(miss) / n
 	if frac < 0.05 || frac > 0.2 {
 		t.Errorf("miss fraction = %.3f, want ≈0.1", frac)
+	}
+}
+
+// An IRR-InvalidASN flood reads its representative prefix: whether each
+// IRR filter misses depends on it. So a template for one prefix never
+// answers for another of the same origin and statuses: here AS3's
+// filter passes one prefix and drops the other, and a build of the
+// second through a table holding the first sees what a build without
+// the table sees.
+func TestTemplateKeyReadsInvalidASNPrefix(t *testing.T) {
+	const rate = 0.5
+	var passed, dropped netx.Prefix
+	for i := 0; i < 256 && (!passed.IsValid() || !dropped.IsValid()); i++ {
+		p := pfx(fmt.Sprintf("10.%d.0.0/16", i))
+		if filterMisses(3, p, rate) {
+			passed = p
+		} else {
+			dropped = p
+		}
+	}
+	cfg := Config{
+		Graph:         topo(t),
+		IRR:           mustIndex(t, rov.Authorization{Prefix: pfx("10.0.0.0/8"), ASN: 777, MaxLength: 24}),
+		Policies:      map[uint32]Policy{3: {DropIRRInvalidCustomers: true, IRRFilterMissRate: rate}},
+		VantagePoints: []uint32{2},
+	}
+	tab := NewTemplates(cfg, 16)
+	for _, p := range []netx.Prefix{passed, dropped, passed} {
+		c := cfg
+		c.Originations = []astopo.Origination{{Prefix: p, Origin: 5}}
+		want, err := BuildCtx(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Templates = tab
+		got, err := BuildCtx(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s through a table holding other prefixes of AS5: %d pairs seen, without the table %d",
+				p, len(got.PrefixOrigins), len(want.PrefixOrigins))
+		}
+	}
+	if tab.Len() != 2 {
+		t.Fatalf("the table holds %d templates, want one per prefix", tab.Len())
 	}
 }

@@ -131,6 +131,14 @@ func (p Prefix) String() string {
 	return netip.PrefixFrom(p.Addr(), int(p.bits)).String()
 }
 
+// AppendTo appends String's text to b without allocating a string.
+func (p Prefix) AppendTo(b []byte) []byte {
+	if !p.IsValid() {
+		return append(b, "invalid Prefix"...)
+	}
+	return netip.PrefixFrom(p.Addr(), int(p.bits)).AppendTo(b)
+}
+
 // Covers reports whether p contains o entirely: o's network address lies
 // inside p and o is at least as specific as p. A prefix covers itself.
 // IPv4 prefixes and 128-bit prefixes (4-in-6 included) never cover one

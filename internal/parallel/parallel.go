@@ -25,8 +25,8 @@ import (
 
 // Pool metrics, exported on the Default registry so the daemons' admin
 // endpoints surface fan-out behavior (dispatch volume, panic isolation
-// hits, cancellation truncation, and how long items queue before a
-// worker picks them up).
+// hits, cancellation truncation, and how long a worker waits for its
+// first item). Each worker adds its dispatch count once, when it exits.
 var (
 	mTasksDispatched = obsv.NewCounter("parallel_tasks_dispatched_total",
 		"work items handed to a pool worker")
@@ -35,7 +35,7 @@ var (
 	mTasksCanceled = obsv.NewCounter("parallel_tasks_canceled_total",
 		"work items never dispatched because the context was done")
 	mQueueWait = obsv.NewSummary("parallel_queue_wait_seconds",
-		"delay between fan-out start and item dispatch")
+		"delay between fan-out start and a worker's first item, one sample per worker")
 )
 
 // PanicError is a panic recovered from a worker item, converted into an
@@ -100,62 +100,105 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 // error does not depend on scheduling. When the context is canceled
 // before every item could run and no item failed, the context's cause is
 // returned.
+//
+// Workers claim contiguous blocks of indexes (see blockSize), so one
+// shared atomic add covers a block, and each worker keeps its own
+// dispatch count and first error: no per-item shared state.
 func ForEachErrCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
+	workers = Workers(workers, n)
+	block := blockSize(n, workers)
 	start := time.Now()
-	errs := make([]error, n)
-	var dispatched atomic.Int64
-	run := func(i int) {
-		mTasksDispatched.Inc()
-		mQueueWait.Observe(time.Since(start).Seconds())
-		defer func() {
-			if r := recover(); r != nil {
-				mTasksPanicked.Inc()
-				errs[i] = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
+	var next atomic.Int64
+	results := make([]workerResult, workers)
+	work := func(r *workerResult) {
+		defer func() { mTasksDispatched.Add(int64(r.ran)) }()
+		for {
+			lo := int(next.Add(int64(block))) - block
+			if lo >= n {
+				return
 			}
-		}()
-		errs[i] = fn(i)
+			hi := min(lo+block, n)
+			for i := lo; i < hi; i++ {
+				if ctx.Err() != nil {
+					return
+				}
+				if r.ran == 0 {
+					mQueueWait.Observe(time.Since(start).Seconds())
+				}
+				r.ran++
+				// A worker's blocks ascend, so its first error is its
+				// lowest-index one.
+				if err := call(fn, i); err != nil && r.err == nil {
+					r.err, r.errAt = err, i
+				}
+			}
+		}
 	}
 
-	workers = Workers(workers, n)
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			dispatched.Add(1)
-			run(i)
-		}
+		work(&results[0])
 	} else {
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
+		for w := range results {
+			go func(r *workerResult) {
 				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					dispatched.Add(1)
-					run(i)
-				}
-			}()
+				work(r)
+			}(&results[w])
 		}
 		wg.Wait()
 	}
 
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var first *workerResult
+	ran := 0
+	for w := range results {
+		r := &results[w]
+		ran += r.ran
+		if r.err != nil && (first == nil || r.errAt < first.errAt) {
+			first = r
 		}
 	}
-	if d := int(dispatched.Load()); d < n {
-		mTasksCanceled.Add(int64(n - d))
+	if first != nil {
+		return first.err
+	}
+	if ran < n {
+		mTasksCanceled.Add(int64(n - ran))
 		return context.Cause(ctx)
 	}
 	return nil
+}
+
+// workerResult is one worker's tally: items it ran and its first error.
+type workerResult struct {
+	ran   int
+	err   error
+	errAt int
+}
+
+// blocksPerWorker is how many blocks each worker's share of the index
+// space is cut into. Blocks are claimed first come, first served, so the
+// workers finish at most one block apart: at 64 blocks per worker that
+// is about 1.5 % of the fan-out, while a fan-out over tens of thousands
+// of microsecond items pays one shared atomic add per hundreds of items.
+const blocksPerWorker = 64
+
+// blockSize returns how many consecutive indexes a worker claims at a
+// time: at least one, and small enough that every worker gets about
+// blocksPerWorker blocks.
+func blockSize(n, workers int) int {
+	return max(1, n/(workers*blocksPerWorker))
+}
+
+// call runs fn(i), recovering a panic into a *PanicError.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			mTasksPanicked.Inc()
+			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
 }

@@ -189,3 +189,37 @@ func TestForEachCtxNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestForEachTelemetryPerWorker pins the pool's bookkeeping to its
+// workers, not its items: a fan-out adds one queue-wait sample per
+// worker that ran an item (the wait for its first one), and the
+// dispatch counter still counts every item once, at any worker count.
+func TestForEachTelemetryPerWorker(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		const n = 5000
+		waits, dispatched := mQueueWait.Count(), mTasksDispatched.Value()
+		if err := ForEachCtx(context.Background(), n, workers, func(int) {}); err != nil {
+			t.Fatal(err)
+		}
+		if got := mQueueWait.Count() - waits; got < 1 || got > int64(workers) {
+			t.Errorf("workers=%d: %d queue-wait samples for %d items, want 1..%d", workers, got, n, workers)
+		}
+		if got := mTasksDispatched.Value() - dispatched; got != n {
+			t.Errorf("workers=%d: dispatched counter moved by %d, want %d", workers, got, n)
+		}
+	}
+}
+
+// TestBlockSizeKeepsWorkersBalanced: blocks are never empty, and every
+// worker's share is cut into many blocks once there are enough items.
+func TestBlockSizeKeepsWorkersBalanced(t *testing.T) {
+	for _, tc := range []struct{ n, workers int }{{1, 1}, {10, 4}, {2700, 2}, {57000, 1}, {57000, 2}, {1 << 20, 8}} {
+		b := blockSize(tc.n, tc.workers)
+		if b < 1 {
+			t.Fatalf("blockSize(%d, %d) = %d", tc.n, tc.workers, b)
+		}
+		if blocks := (tc.n + b - 1) / b; tc.n >= tc.workers*blocksPerWorker && blocks < tc.workers*blocksPerWorker {
+			t.Errorf("blockSize(%d, %d) = %d: %d blocks, want ≥ %d", tc.n, tc.workers, b, blocks, tc.workers*blocksPerWorker)
+		}
+	}
+}

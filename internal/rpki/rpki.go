@@ -79,14 +79,15 @@ type Certificate struct {
 // payload returns the byte string that is signed: every field except the
 // signature, deterministically encoded.
 func (c *Certificate) payload() []byte {
-	var b []byte
+	b := make([]byte, 0, 4+len("cert")+4+len(c.SubjectName)+4+len(c.IssuerName)+4+len(c.PublicKey)+
+		4+len(c.Resources)*(4+maxPrefixText)+16)
 	b = appendString(b, "cert")
 	b = appendString(b, c.SubjectName)
 	b = appendString(b, c.IssuerName)
 	b = appendString(b, string(c.PublicKey))
 	b = binary.BigEndian.AppendUint32(b, uint32(len(c.Resources)))
 	for _, p := range c.Resources {
-		b = appendString(b, p.String())
+		b = appendPrefix(b, p)
 	}
 	b = binary.BigEndian.AppendUint64(b, uint64(c.NotBefore.Unix()))
 	b = binary.BigEndian.AppendUint64(b, uint64(c.NotAfter.Unix()))
@@ -111,13 +112,13 @@ type ROA struct {
 }
 
 func (r *ROA) payload() []byte {
-	var b []byte
+	b := make([]byte, 0, 4+len("roa")+4+len(r.SignerName)+8+len(r.Prefixes)*(4+maxPrefixText+4)+16)
 	b = appendString(b, "roa")
 	b = appendString(b, r.SignerName)
 	b = binary.BigEndian.AppendUint32(b, r.ASN)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Prefixes)))
 	for _, p := range r.Prefixes {
-		b = appendString(b, p.Prefix.String())
+		b = appendPrefix(b, p.Prefix)
 		b = binary.BigEndian.AppendUint32(b, uint32(p.MaxLength))
 	}
 	b = binary.BigEndian.AppendUint64(b, uint64(r.NotBefore.Unix()))
@@ -128,6 +129,18 @@ func (r *ROA) payload() []byte {
 func appendString(b []byte, s string) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
+}
+
+// maxPrefixText is the longest prefix text: a full IPv6 address and /128.
+const maxPrefixText = len("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128")
+
+// appendPrefix appends p.String() framed as appendString frames it,
+// writing the text in place instead of allocating it.
+func appendPrefix(b []byte, p netx.Prefix) []byte {
+	at := len(b)
+	b = p.AppendTo(append(b, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
 }
 
 // CA is a certification authority: a certificate plus its private key.

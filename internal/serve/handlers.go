@@ -17,6 +17,7 @@ import (
 
 	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/core"
+	"manrsmeter/internal/ihr"
 	"manrsmeter/internal/manrs"
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/rov"
@@ -355,7 +356,13 @@ func computeStats(snap *Snapshot) *EcosystemStats {
 	for i, a := range auths {
 		vrps[i] = rpki.VRP{Prefix: a.Prefix, ASN: a.ASN, MaxLength: a.MaxLength}
 	}
-	member, non := manrs.RPKISaturation(ds.PrefixOrigins, vrps, w.MANRS, snap.Date)
+	// Rows in prefix order give the saturation's address sets sorted,
+	// so they are merged without a sort.
+	rows := make([]ihr.PrefixOrigin, len(snap.byPrefix))
+	for i, r := range snap.byPrefix {
+		rows[i] = ds.PrefixOrigins[r]
+	}
+	member, non := manrs.RPKISaturation(rows, vrps, w.MANRS, snap.Date)
 	out.RPKISaturationPct.Member = pctPtr(100 * member.Ratio())
 	out.RPKISaturationPct.NonMember = pctPtr(100 * non.Ratio())
 	type cohortAgg struct {

@@ -24,9 +24,11 @@ import (
 // registries, policies, vantage points, churn windows, and prefix
 // storage with the base; the RPKI repository is shallow-cloned so ROAs
 // can be replaced, and the view cache starts empty. The base world
-// is never mutated through the fork; the one thing a fork writes that
-// its base reads is the signature-verdict memo, whose entries are pure
-// functions of the signed bytes.
+// is never mutated through the fork; the two things a fork writes that
+// its base reads are the signature-verdict memo, whose entries are pure
+// functions of the signed bytes, and the route-tree template table,
+// whose entries are pure functions of the graph, policies and vantage
+// points both worlds share and of the template key.
 //
 // Fork does not deep-copy the AS graph: mutators that would need to
 // rewrite it (AddOrigination) route new prefixes through allPrefixes,
@@ -50,6 +52,7 @@ func (w *World) Fork(tag string) *World {
 		arena:         w.arena,
 		prefixWindows: w.prefixWindows,
 		sigMemo:       w.sigMemo,
+		templates:     w.templates,
 		scenarioTag:   tag,
 		mutations:     w.mutations,
 		roaLag:        w.roaLag,
@@ -61,6 +64,9 @@ func (w *World) Fork(tag string) *World {
 	for asn, ps := range w.allPrefixes {
 		nw.allPrefixes[asn] = ps[:len(ps):len(ps)]
 	}
+	w.origMu.Lock()
+	nw.origTab = w.origTab
+	w.origMu.Unlock()
 	if len(w.failedRPs) > 0 {
 		nw.failedRPs = make(map[rpki.RIR]bool, len(w.failedRPs))
 		for r, v := range w.failedRPs {
@@ -94,7 +100,8 @@ func (w *World) FailedRPs() []rpki.RIR {
 func (w *World) ROAVisibilityLag() time.Duration { return w.roaLag }
 
 // mutated records one absorbed mutation and invalidates every cached
-// view: the next At sees the mutated world.
+// view and the origination table: the next At and OriginationsAt see
+// the mutated world.
 func (w *World) mutated() {
 	w.viewMu.Lock()
 	w.mutations++
@@ -102,6 +109,9 @@ func (w *World) mutated() {
 	w.views = nil
 	w.viewDates = nil
 	w.viewMu.Unlock()
+	w.origMu.Lock()
+	w.origTab = nil
+	w.origMu.Unlock()
 }
 
 // AddOrigination makes asn additionally announce p (a scenario

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -621,37 +621,88 @@ func (w *World) pickVantagePoints(rng *rand.Rand, infos []*asInfo) {
 // active reports whether the origination og is announced at time t.
 func (w *World) active(og astopo.Origination, t time.Time) bool {
 	wd, ok := w.prefixWindows[og]
-	return !ok || (!t.Before(wd.from) && t.Before(wd.to))
+	return !ok || wd.covers(t)
+}
+
+// covers reports whether t falls in the window [from, to).
+func (wd window) covers(t time.Time) bool { return !t.Before(wd.from) && t.Before(wd.to) }
+
+// originTable is every origination the world announces at some date,
+// sorted by (origin, prefix), and the rows among them that churn: what
+// OriginationsAt filters. It is immutable once built.
+type originTable struct {
+	rows  []astopo.Origination
+	churn []churnRow // ascending by row
+}
+
+// churnRow is a row announced only inside its window.
+type churnRow struct {
+	row int
+	window
+}
+
+// originations returns the world's origination table, building it on
+// first use after generation or the last mutation.
+func (w *World) originations() *originTable {
+	w.origMu.Lock()
+	defer w.origMu.Unlock()
+	if w.origTab != nil {
+		return w.origTab
+	}
+	asns := make([]uint32, 0, len(w.allPrefixes))
+	n := 0
+	for asn, ps := range w.allPrefixes {
+		asns = append(asns, asn)
+		n += len(ps)
+	}
+	slices.Sort(asns)
+	tab := &originTable{rows: make([]astopo.Origination, 0, n)}
+	for _, asn := range asns {
+		start := len(tab.rows)
+		for _, p := range w.allPrefixes[asn] {
+			tab.rows = append(tab.rows, astopo.Origination{Prefix: p, Origin: asn})
+		}
+		// Arena-carved prefix lists are already in prefix order; only
+		// sort rows that need it (seed-scale random sampling).
+		row := tab.rows[start:]
+		byPrefix := func(a, b astopo.Origination) int { return a.Prefix.Compare(b.Prefix) }
+		if !slices.IsSortedFunc(row, byPrefix) {
+			slices.SortFunc(row, byPrefix)
+		}
+	}
+	for i, og := range tab.rows {
+		if wd, ok := w.prefixWindows[og]; ok {
+			tab.churn = append(tab.churn, churnRow{row: i, window: wd})
+		}
+	}
+	w.origTab = tab
+	return tab
 }
 
 // OriginationsAt returns the announcements active at time t as an
 // immutable point-in-time view, without touching the graph. The ordering
 // matches Graph.Originations (ascending origin, then prefix), so a
 // dataset built from this view is identical to one built after
-// SetSnapshot(t).
+// SetSnapshot(t). It filters the world's origination table: the runs
+// between churn rows inactive at t are copied whole, into a slice of
+// exactly the result's size.
 func (w *World) OriginationsAt(t time.Time) []astopo.Origination {
-	asns := make([]uint32, 0, len(w.allPrefixes))
-	for asn := range w.allPrefixes {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	var out []astopo.Origination
-	for _, asn := range asns {
-		start := len(out)
-		for _, p := range w.allPrefixes[asn] {
-			og := astopo.Origination{Prefix: p, Origin: asn}
-			if w.active(og, t) {
-				out = append(out, og)
-			}
-		}
-		row := out[start:]
-		// Arena-carved prefix lists are already in prefix order; only
-		// sort rows that need it (seed-scale random sampling).
-		if !sort.SliceIsSorted(row, func(i, j int) bool { return row[i].Prefix.Compare(row[j].Prefix) < 0 }) {
-			sort.Slice(row, func(i, j int) bool { return row[i].Prefix.Compare(row[j].Prefix) < 0 })
+	tab := w.originations()
+	gone := 0
+	for _, c := range tab.churn {
+		if !c.covers(t) {
+			gone++
 		}
 	}
-	return out
+	out := make([]astopo.Origination, 0, len(tab.rows)-gone)
+	from := 0
+	for _, c := range tab.churn {
+		if !c.covers(t) {
+			out = append(out, tab.rows[from:c.row]...)
+			from = c.row + 1
+		}
+	}
+	return append(out, tab.rows[from:]...)
 }
 
 // SetSnapshot restricts every AS's announced prefixes to those active at
@@ -857,6 +908,7 @@ func (v *View) Dataset(ctx context.Context, workers int) (*ihr.Dataset, error) {
 		VantagePoints: v.w.VantagePoints,
 		Originations:  v.w.OriginationsAt(v.Date),
 		Workers:       workers,
+		Templates:     v.w.templates,
 	})
 	if err != nil {
 		return nil, err

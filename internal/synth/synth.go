@@ -197,6 +197,11 @@ type World struct {
 	// allPrefixes remembers each AS's full prefix list so snapshots can
 	// re-derive the active set.
 	allPrefixes map[uint32][]netx.Prefix
+	// origTab is allPrefixes and prefixWindows as one sorted table,
+	// built on the first OriginationsAt and dropped by every mutation;
+	// origMu guards the pointer. Forks share it until they mutate.
+	origMu  sync.Mutex
+	origTab *originTable
 
 	// viewMu guards the per-date views At hands out. Views are immutable,
 	// so cached values are shared across callers.
@@ -209,6 +214,12 @@ type World struct {
 	// world rather than once per date. Forks share it (a verdict depends
 	// only on key, payload and signature bytes); nil verifies every time.
 	sigMemo *rpki.VerdictMemo
+	// templates remembers the scored route tree of every tree key a
+	// dataset build of this world has flooded, so a week floods only the
+	// keys no earlier date had. Graph, policies and vantage points are
+	// fixed at generation and no mutation touches them, so forks share
+	// it; nil floods every key.
+	templates *ihr.Templates
 
 	// Scenario state (internal/scenario mutation API, set via Fork and
 	// the mutators in mutate.go). A pristine generated world has the
@@ -323,6 +334,16 @@ func Generate(cfg Config) (*World, error) {
 	}
 	// Empty: the first relying-party run verifies everything it trusts.
 	w.sigMemo = rpki.NewVerdictMemo(sigMemoObjectFactor * (len(w.Anchors) + w.Repo.NumCerts() + w.Repo.NumROAs()))
+	// The template table holds one template per generated origination.
+	// A date has at most one tree key per origination and in practice
+	// about one per origin (a quarter of the cap on a 1.8k-AS seed-layout
+	// world), so every date fits with room for the keys scenario forks
+	// add; past the cap new keys flood on every build.
+	announced := 0
+	for _, ps := range w.allPrefixes {
+		announced += len(ps)
+	}
+	w.templates = ihr.NewTemplates(ihr.Config{Graph: w.Graph, Policies: w.Policies, VantagePoints: w.VantagePoints}, announced)
 	w.fingerprint = w.computeFingerprint()
 	return w, nil
 }

@@ -56,6 +56,14 @@
 #            cold-built (durable, serve); then the bench's build oracle
 #            on the propagation-bound world
 #            (`go run ./bench --workload build.topology`)
+#   tmpl   — the route-tree template table under -race, since
+#            concurrent stability weeks share one: builds through a
+#            table equal builds without one (archive bytes) over seeded
+#            worlds at the twelve stability dates, 1 and 2 workers,
+#            cold and concurrent then warm, on forks after each
+#            mutation kind (synth); a table ignores other configs and
+#            stops inserting at its cap (ihr); the origination table
+#            against the map derivation at every churn boundary (synth)
 #   bench  — single-iteration smoke of the headline benchmarks (dataset
 #            build, propagation, full report, snapshot persist/load);
 #            nothing is recorded — `go run ./bench` is the one ledger
@@ -201,6 +209,10 @@ go test -race -count=1 -run '^TestCoveringAndAll$' ./internal/rov
 go test -race -count=1 -run '^TestIPSet4SizeMatchesBruteForce$' ./internal/netx
 go test -race -count=1 -run '^TestCodecRejectsVersionSkew$|^TestStoreQuarantinesCorruption$' ./internal/durable
 go test -race -count=1 -run '^TestV2ArchiveQuarantinedOnceThenColdBuilds$' ./internal/serve
+
+echo "==> template table (-race): templated vs template-less builds, concurrent weeks, forks, foreign configs, the cap, the origination table"
+go test -race -count=1 -run '^TestTemplatesMatchTemplatelessBuilds$|^TestForkTemplatesMatchTemplatelessBuilds$|^TestTemplateReusesCountedOnSecondDate$|^TestOriginationsAtMatchesMapDerivation$' ./internal/synth
+go test -race -count=1 -run '^TestTemplatesIgnoreOtherConfigs$|^TestTemplatesStopInsertingAtCap$' ./internal/ihr
 
 echo "==> build oracle (bench build.topology: propagation-bound world, digests equal across ops and worker counts)"
 bench_oracle build.topology
