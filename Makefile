@@ -15,8 +15,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Short smoke of six decoder fuzzers and the prefix table against a
-# linear scan (scripts/check.sh runs this);
+# Short smoke of eight fuzzers: six decoders, the prefix table against a
+# linear scan, and the prepared-key Ed25519 verifier against
+# crypto/ed25519 (scripts/check.sh runs this);
 # raise FUZZTIME for a longer soak (e.g. make fuzz FUZZTIME=2m).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/bgp/wire
@@ -24,6 +25,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAll$$' -fuzztime $(FUZZTIME) ./internal/bgp/mrt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeArchive$$' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVRPCSV$$' -fuzztime $(FUZZTIME) ./internal/rpki
+	$(GO) test -run '^$$' -fuzz '^FuzzPreparedVerifyMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/rpki
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPrefixTable$$' -fuzztime $(FUZZTIME) ./internal/netx
 

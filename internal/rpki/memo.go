@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"manrsmeter/internal/obsv"
+	"manrsmeter/internal/rpki/edwards25519"
 )
 
 // Signature checks by outcome. "miss" counts Ed25519 verifications
@@ -34,16 +35,44 @@ const sigChecksHelp = "RPKI signature checks, by whether a verdict memo answered
 // A memo holds at most limit verdicts. Once full it stops inserting and
 // verifies what it does not know on every check, so a long-lived process
 // that keeps re-signing objects cannot grow it without bound.
+//
+// The memo also prepares the keys that sign many objects: a key's
+// prepareAt'th real verification builds it a fixed-base table
+// (edwards25519.PublicKey), which verifies every later signature under
+// it in well under half the time of crypto/ed25519.Verify with the same
+// verdict. A memo counts at most limit keys and builds at most maxTables
+// tables; every other key goes through crypto/ed25519.Verify.
 type VerdictMemo struct {
 	limit int
 
 	mu       sync.Mutex
 	verdicts map[[sha256.Size]byte]bool
+	keys     map[[ed25519.PublicKeySize]byte]*issuerKey
+	tables   int // tables built or being built
 }
+
+// issuerKey is what a memo knows of one public key.
+type issuerKey struct {
+	checks   int                     // real verifications under the key
+	prepared *edwards25519.PublicKey // nil until its table is built
+}
+
+const (
+	// prepareAt is the real verification that builds a key's table. A
+	// table costs about as much as two or three verifications; a key
+	// that signs fewer objects is verified by crypto/ed25519 alone.
+	prepareAt = 32
+	// maxTables caps a memo's tables, about 30 KB each.
+	maxTables = 64
+)
 
 // NewVerdictMemo returns an empty memo that holds at most limit verdicts.
 func NewVerdictMemo(limit int) *VerdictMemo {
-	return &VerdictMemo{limit: limit, verdicts: make(map[[sha256.Size]byte]bool)}
+	return &VerdictMemo{
+		limit:    limit,
+		verdicts: make(map[[sha256.Size]byte]bool),
+		keys:     make(map[[ed25519.PublicKeySize]byte]*issuerKey),
+	}
 }
 
 // Len returns how many verdicts the memo holds.
@@ -54,42 +83,89 @@ func (m *VerdictMemo) Len() int {
 }
 
 // verify reports whether sig is pub's signature over payload. It is the
-// package's only signature check; a nil memo verifies directly. A public
-// key of the wrong size fails instead of panicking the verifier:
-// certificates come from a repository the relying party does not trust.
+// package's only signature check: a nil memo verifies with
+// crypto/ed25519, so the memo-less relying party is the standard
+// library's oracle, and a memo answers from its verdicts or verifies
+// under the key's table when it has one. A public key of the wrong size
+// fails instead of panicking the verifier: certificates come from a
+// repository the relying party does not trust.
 func (m *VerdictMemo) verify(pub ed25519.PublicKey, payload, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize {
 		return false
 	}
+	if m == nil {
+		mSigMiss.Inc()
+		return ed25519.Verify(pub, payload, sig)
+	}
+	// The public key has a fixed size and the payload is length-framed,
+	// so no two (key, payload, signature) triples share a preimage.
 	var key [sha256.Size]byte
-	if m != nil {
-		// The public key has a fixed size and the payload is length-framed,
-		// so no two (key, payload, signature) triples share a preimage.
-		var payloadLen [8]byte
-		binary.BigEndian.PutUint64(payloadLen[:], uint64(len(payload)))
-		h := sha256.New()
-		h.Write(pub)
-		h.Write(payloadLen[:])
-		h.Write(payload)
-		h.Write(sig)
-		h.Sum(key[:0])
+	var payloadLen [8]byte
+	binary.BigEndian.PutUint64(payloadLen[:], uint64(len(payload)))
+	h := sha256.New()
+	h.Write(pub)
+	h.Write(payloadLen[:])
+	h.Write(payload)
+	h.Write(sig)
+	h.Sum(key[:0])
 
-		m.mu.Lock()
-		ok, known := m.verdicts[key]
+	m.mu.Lock()
+	if ok, known := m.verdicts[key]; known {
 		m.mu.Unlock()
-		if known {
-			mSigHit.Inc()
-			return ok
-		}
+		mSigHit.Inc()
+		return ok
+	}
+	issuer, prepared, build := m.issuerLocked(pub)
+	m.mu.Unlock()
+	if build {
+		prepared = m.prepare(issuer, pub)
 	}
 	mSigMiss.Inc()
-	ok := ed25519.Verify(pub, payload, sig)
-	if m != nil {
-		m.mu.Lock()
-		if len(m.verdicts) < m.limit {
-			m.verdicts[key] = ok
-		}
-		m.mu.Unlock()
+	var ok bool
+	if prepared != nil {
+		ok = prepared.Verify(payload, sig)
+	} else {
+		ok = ed25519.Verify(pub, payload, sig)
 	}
+	m.mu.Lock()
+	if len(m.verdicts) < m.limit {
+		m.verdicts[key] = ok
+	}
+	m.mu.Unlock()
 	return ok
+}
+
+// issuerLocked counts a real verification under pub and returns the
+// key's table, or that this verification is the one to build it. m.mu
+// must be held.
+func (m *VerdictMemo) issuerLocked(pub ed25519.PublicKey) (k *issuerKey, prepared *edwards25519.PublicKey, build bool) {
+	k = m.keys[[ed25519.PublicKeySize]byte(pub)]
+	if k == nil {
+		if len(m.keys) >= m.limit {
+			return nil, nil, false
+		}
+		k = new(issuerKey)
+		m.keys[[ed25519.PublicKeySize]byte(pub)] = k
+	}
+	k.checks++
+	if k.checks == prepareAt && m.tables < maxTables {
+		m.tables++
+		return k, nil, true
+	}
+	return k, k.prepared, false
+}
+
+// prepare builds k's table outside the lock; checks under k that run
+// meanwhile use crypto/ed25519. A key off the curve gets no table and
+// gives its slot back: crypto/ed25519 rejects whatever it signs.
+func (m *VerdictMemo) prepare(k *issuerKey, pub ed25519.PublicKey) *edwards25519.PublicKey {
+	prepared, err := edwards25519.NewPublicKey(pub)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err != nil {
+		m.tables--
+		return nil
+	}
+	k.prepared = prepared
+	return prepared
 }

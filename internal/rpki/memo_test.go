@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"manrsmeter/internal/rpki/edwards25519"
 )
 
 // runWarmAndCold is the relying party's oracle: it runs over repo on one
@@ -241,20 +243,35 @@ func TestVerdictMemoCap(t *testing.T) {
 }
 
 // A certificate the anchor really signed may still carry a public key of
-// the wrong size; objects under it are rejected, with or without a memo,
-// rather than panicking the relying party.
+// the wrong size, or one off the curve; objects under it are rejected,
+// with or without a memo, rather than panicking the relying party, and
+// the key gets no table however many objects it signs.
 func TestShortPublicKeyFailsClosed(t *testing.T) {
-	ta := newAnchor(t, RIPE, "10.0.0.0/8")
-	short := &Certificate{SubjectName: "SHORT", IssuerName: "RIPE", PublicKey: make(ed25519.PublicKey, 16),
-		Resources: prefixes("10.1.0.0/16"), NotBefore: t0, NotAfter: t1}
-	short.Signature = ed25519.Sign(ta.key, short.payload())
-	roa := &ROA{SignerName: "SHORT", ASN: 64500, Prefixes: []ROAPrefix{{Prefix: pfx("10.1.0.0/16"), MaxLength: 16}},
-		NotBefore: t0, NotAfter: t1, Signature: make([]byte, ed25519.SignatureSize)}
-	repo := &Repository{}
-	repo.AddCert(short)
-	repo.AddROA(roa)
-	vrps, stats := runWarmAndCold(t, NewVerdictMemo(64), repo, tEval, 0, ta.Cert)
-	if len(vrps) != 0 || stats.CertsValid != 1 || stats.ROAsRejected != 1 {
-		t.Fatalf("vrps=%v stats=%+v", vrps, stats)
+	offCurve := make(ed25519.PublicKey, ed25519.PublicKeySize)
+	for offCurve[0] = 2; ; offCurve[0]++ {
+		if _, err := edwards25519.NewPublicKey(offCurve); err != nil {
+			break
+		}
+	}
+	for _, pub := range []ed25519.PublicKey{make(ed25519.PublicKey, 16), make(ed25519.PublicKey, 31), make(ed25519.PublicKey, 33), offCurve} {
+		ta := newAnchor(t, RIPE, "10.0.0.0/8")
+		bad := &Certificate{SubjectName: "BAD", IssuerName: "RIPE", PublicKey: pub,
+			Resources: prefixes("10.1.0.0/16"), NotBefore: t0, NotAfter: t1}
+		bad.Signature = ed25519.Sign(ta.key, bad.payload())
+		repo := &Repository{}
+		repo.AddCert(bad)
+		const roas = 2 * prepareAt
+		for i := 0; i < roas; i++ {
+			repo.AddROA(&ROA{SignerName: "BAD", ASN: uint32(64500 + i), Prefixes: []ROAPrefix{{Prefix: pfx("10.1.0.0/16"), MaxLength: 16}},
+				NotBefore: t0, NotAfter: t1, Signature: make([]byte, ed25519.SignatureSize)})
+		}
+		memo := NewVerdictMemo(1024)
+		vrps, stats := runWarmAndCold(t, memo, repo, tEval, 0, ta.Cert)
+		if len(vrps) != 0 || stats.CertsValid != 1 || stats.ROAsRejected != roas {
+			t.Fatalf("%d-byte key %x: vrps=%v stats=%+v", len(pub), pub, vrps, stats)
+		}
+		if slots, held := tablesBuilt(memo); slots != 0 || held != 0 {
+			t.Fatalf("%d-byte key %x: %d table slots, %d held", len(pub), pub, slots, held)
+		}
 	}
 }

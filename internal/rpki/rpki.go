@@ -14,13 +14,14 @@ package rpki
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -403,14 +404,14 @@ func (rp *RelyingParty) Run(ctx context.Context, repo *Repository, workers int) 
 			vrps = append(vrps, VRP{Prefix: p.Prefix, ASN: roa.ASN, MaxLength: p.MaxLength})
 		}
 	}
-	sort.Slice(vrps, func(i, j int) bool {
-		if c := vrps[i].Prefix.Compare(vrps[j].Prefix); c != 0 {
-			return c < 0
+	slices.SortFunc(vrps, func(a, b VRP) int {
+		if c := a.Prefix.Compare(b.Prefix); c != 0 {
+			return c
 		}
-		if vrps[i].ASN != vrps[j].ASN {
-			return vrps[i].ASN < vrps[j].ASN
+		if c := cmp.Compare(a.ASN, b.ASN); c != 0 {
+			return c
 		}
-		return vrps[i].MaxLength < vrps[j].MaxLength
+		return cmp.Compare(a.MaxLength, b.MaxLength)
 	})
 	return vrps, stats, nil
 }
@@ -438,7 +439,7 @@ func (rp *RelyingParty) validSigners(repo *Repository, now time.Time) (map[strin
 	for name := range rp.anchors {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	valid := make(map[*Certificate]bool)
 	signers := make(map[string][]*Certificate)
 	var level []*Certificate

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/ed25519"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -338,5 +339,35 @@ func TestAS0ROA(t *testing.T) {
 	}
 	if got := ix.Validate(pfx("203.0.113.0/24"), 23947); got != rov.InvalidASN {
 		t.Errorf("AS0-covered route = %v, want InvalidASN", got)
+	}
+}
+
+// Run orders VRPs by prefix, then ASN, then max length, whatever the
+// publication order.
+func TestVRPOrder(t *testing.T) {
+	ta := newAnchor(t, RIPE, "10.0.0.0/8")
+	repo := &Repository{}
+	for _, r := range []struct {
+		asn      uint32
+		prefixes []ROAPrefix
+	}{
+		{2, []ROAPrefix{{pfx("10.0.0.0/16"), 24}, {pfx("10.0.0.0/16"), 16}, {pfx("10.0.0.0/8"), 8}}},
+		{1, []ROAPrefix{{pfx("10.0.0.0/16"), 20}}},
+	} {
+		roa, err := ta.SignROA(r.asn, r.prefixes, t0, t1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repo.AddROA(roa)
+	}
+	rp, err := NewRelyingParty(ta.Cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.Now = tEval
+	vrps, _ := runOnce(t, rp, repo)
+	want := []VRP{{pfx("10.0.0.0/8"), 2, 8}, {pfx("10.0.0.0/16"), 1, 20}, {pfx("10.0.0.0/16"), 2, 16}, {pfx("10.0.0.0/16"), 2, 24}}
+	if !reflect.DeepEqual(vrps, want) {
+		t.Fatalf("VRPs %v, want %v", vrps, want)
 	}
 }

@@ -92,10 +92,22 @@ func sigChecks() (hit, miss int64) {
 // date, for the base and for a fork carrying each RPKI mutation kind, a
 // relying party at 1, 2 and 8 workers, memo-less or with a memo warmed by
 // the other dates and the other forks, returns exactly what a serial
-// memo-less one does, VRP for VRP and stat for stat.
+// memo-less one does, VRP for VRP and stat for stat. The memo-less run
+// verifies with crypto/ed25519; the memo prepares a key on its 32nd miss,
+// so worlds where one anchor signs 36 ROAs or more (a few are in no
+// study date's window) also hold the prepared-key verifier to the
+// standard library.
 func TestVRPsAtMatchesMemolessOracle(t *testing.T) {
+	prepared := 0 // worlds with a key the memo prepares
 	for seed := int64(1); seed <= 20; seed++ {
 		w := memoTestWorld(t, seed)
+		signed := map[string]int{}
+		for _, roa := range w.Repo.ROAs() {
+			if signed[roa.SignerName]++; signed[roa.SignerName] == 36 {
+				prepared++
+				break
+			}
+		}
 		if w.sigMemo.Len() != 0 {
 			t.Fatalf("seed %d: Generate left %d verdicts in the memo; the first run must verify everything", seed, w.sigMemo.Len())
 		}
@@ -142,6 +154,9 @@ func TestVRPsAtMatchesMemolessOracle(t *testing.T) {
 		if limit := sigMemoObjectFactor * (len(w.Anchors) + w.Repo.NumCerts() + w.Repo.NumROAs()); w.sigMemo.Len() > limit {
 			t.Errorf("seed %d: memo holds %d verdicts, cap is %d", seed, w.sigMemo.Len(), limit)
 		}
+	}
+	if prepared < 5 {
+		t.Errorf("only %d of 20 worlds have a key that signs 36 ROAs: the oracle barely reaches prepared keys", prepared)
 	}
 }
 
@@ -209,6 +224,31 @@ func TestVRPsAtConcurrentDatesAndForks(t *testing.T) {
 				t.Errorf("world %q at %s: concurrent VRPsAt gave %d VRPs, oracle %d",
 					f.Scenario(), at.Format("2006-01-02"), len(got[wi*len(dates)+di]), len(want))
 			}
+		}
+	}
+}
+
+// Prepared keys change how a signature is verified, not which ones are:
+// a cold op of the seed-1 build.weekly world (its four weekly relying
+// party runs on a fresh world) verifies 2,455 signatures, as it did when
+// every check went through crypto/ed25519, at one worker and at two.
+func TestColdWeeklyRunMissCount(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := NewConfig(1)
+		cfg.Tier1s, cfg.LargeISPs, cfg.MediumISPs, cfg.SmallASes, cfg.CDNs = 3, 0, 150, 1600, 0
+		cfg.MANRSSmall, cfg.MANRSMedium, cfg.MANRSLarge, cfg.MANRSCDNs = 90, 40, 1, 0
+		w, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, m0 := sigChecks()
+		for d := 3; d >= 0; d-- {
+			if _, err := w.VRPsAtCtx(context.Background(), w.Date(cfg.EndYear).AddDate(0, 0, -7*d), workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, m1 := sigChecks(); m1-m0 != 2455 {
+			t.Errorf("%d workers: a cold weekly op verified %d signatures, want 2455", workers, m1-m0)
 		}
 	}
 }

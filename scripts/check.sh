@@ -28,13 +28,19 @@
 #            under -race: the fail-closed tamper table, the hostile
 #            chain shapes at 1 and 8 workers, the depth cap in both
 #            publication orders and the cancelled run that yields no
-#            VRPs (rpki), the build deadline reaching a cold
+#            VRPs, the prepared-key verifier against crypto/ed25519
+#            (edge key and signature encodings with and without a memo,
+#            6,000 random and mutated signatures), its table bounds on
+#            hostile shapes and its table and key caps (rpki), the build
+#            deadline reaching a cold
 #            relying party (serve), the touched-list accumulator
 #            (hegemony), ten passes each of concurrent VRPsAt and
-#            concurrent World.At on a base world and two forks, and the
+#            concurrent World.At on a base world and two forks, the
 #            view oracle (At against the uncached route over seeded
-#            worlds × forks × worker counts) (synth; the serial
-#            memo-less oracle runs in the race pass); then the bench's
+#            worlds × forks × worker counts) and the cold weekly op's
+#            signature count (synth; the serial memo-less oracle, now
+#            also the stdlib oracle for prepared keys, runs in the race
+#            pass); then the bench's
 #            build oracle (`go run ./bench --workload build.weekly`): snapshot
 #            digests equal across ops and worker counts, and a
 #            warm-started store answering like the one that built
@@ -73,9 +79,10 @@
 #            bytes/op regression against the committed
 #            BENCH_DatasetBuild_large.json, which it only reads; then
 #            query the large world through manrsd in the same budget
-#   fuzz   — `make fuzz`: a short smoke of seven fuzzers (BGP wire
+#   fuzz   — `make fuzz`: a short smoke of eight fuzzers (BGP wire
 #            messages and attributes, MRT, durable archive, VRP CSV,
-#            scenario codec, and the prefix table against a linear scan)
+#            scenario codec, the prefix table against a linear scan, and
+#            the prepared-key Ed25519 verifier against crypto/ed25519)
 #   report — end-to-end smoke of the batch report: run manrs-report
 #            -scale small -skip-stability -continue-on-error and assert
 #            its health trailer counts 17 sections, all ok, under the
@@ -182,16 +189,16 @@ bench_oracle() {
 echo "==> cross-path oracle (bench query.gateway: replicas, gateway, in-process handler byte-for-byte)"
 bench_oracle query.gateway
 
-echo "==> relying party (-race): fail-closed table, hostile shapes at 8 workers, depth cap in both orders, cancelled runs, then concurrent dates and forks x10"
+echo "==> relying party (-race): fail-closed table, hostile shapes at 8 workers, depth cap in both orders, cancelled runs, prepared keys vs crypto/ed25519, then concurrent dates and forks x10"
 # The serial memo-less oracle over seeded worlds and worker counts
 # (synth.TestVRPsAtMatchesMemolessOracle, ~50 s under -race) ran in the
 # ./... pass above; the concurrency test is repeated because one pass
 # seldom interleaves the same way twice.
-go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$|^TestHostileRepositoryAtEveryWorkerCount$|^TestChainDepthCapIndependentOfOrder$|^TestCancelledRunYieldsNoVRPs$' ./internal/rpki
+go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$|^TestHostileRepositoryAtEveryWorkerCount$|^TestChainDepthCapIndependentOfOrder$|^TestCancelledRunYieldsNoVRPs$|^TestEdgeEncodingsMatchStdlib$|^TestPreparedVerifyMatchesStdlib$|^TestPreparedKeysBounded$|^TestPreparedTablesCapped$' ./internal/rpki
 go test -race -count=1 -run '^TestBuildTimeoutStopsColdRelyingParty$' ./internal/serve
 go test -race -count=1 -run '^TestAccumulator' ./internal/hegemony
 go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$|^TestAtConcurrentBaseAndForks$' ./internal/synth
-go test -race -count=1 -run '^TestMemoIsPerWorld$|^TestAtMatchesUncachedRoute$' ./internal/synth
+go test -race -count=1 -run '^TestMemoIsPerWorld$|^TestAtMatchesUncachedRoute$|^TestColdWeeklyRunMissCount$' ./internal/synth
 
 echo "==> build oracle (bench build.weekly: digests equal across ops and worker counts, warm start answers like the builder)"
 bench_oracle build.weekly

@@ -22,5 +22,6 @@ for f in $(find internal -name '*.go' ! -name '*_test.go' | sort); do
 		sed "s|^|$f $mod/$(dirname "$f").|"
 done >"$tmp/declared"
 # Generic instantiations read Trie[go.shape.int]; match them as Trie.
-sed -nE 's/^ *[0-9a-f]+ [tT] //p' "$tmp/nm" | sed -E ':a; s/\[[^][]*\]//g; ta' |
+# Assembly functions read feMul.abi0; match them as feMul.
+sed -nE 's/^ *[0-9a-f]+ [tT] //p' "$tmp/nm" | sed -E ':a; s/\[[^][]*\]//g; ta; s/\.abi0$//' |
 	awk 'NR == FNR { linked[$0] = 1; next } !($2 in linked) && $2 !~ /\.init$/ { print $1 ": " $2 }' - "$tmp/declared"
