@@ -15,9 +15,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Short smoke of eight fuzzers: six decoders, the prefix table against a
-# linear scan, and the prepared-key Ed25519 verifier against
-# crypto/ed25519 (scripts/check.sh runs this);
+# Short smoke of nine fuzzers: six decoders, the prefix table against a
+# linear scan, and the prepared-key Ed25519 verifier and the batch signer
+# against crypto/ed25519 (scripts/check.sh runs this);
 # raise FUZZTIME for a longer soak (e.g. make fuzz FUZZTIME=2m).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/bgp/wire
@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeArchive$$' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVRPCSV$$' -fuzztime $(FUZZTIME) ./internal/rpki
 	$(GO) test -run '^$$' -fuzz '^FuzzPreparedVerifyMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/rpki
+	$(GO) test -run '^$$' -fuzz '^FuzzSignBatchMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/rpki/edwards25519
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPrefixTable$$' -fuzztime $(FUZZTIME) ./internal/netx
 

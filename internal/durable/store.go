@@ -41,6 +41,11 @@ const (
 	// directory.
 	DefaultMaxBytes = 256 << 20
 
+	// MaxArchiveBytes bounds one archive, read from disk or from a peer:
+	// large-world archives run ~100 MB; 1 GiB is far above any plausible
+	// archive and far below a memory-exhaustion attack surface.
+	MaxArchiveBytes = 1 << 30
+
 	archiveSuffix    = ".mds"
 	tmpSuffix        = ".tmp"
 	quarantineSuffix = ".quarantined"
@@ -48,6 +53,9 @@ const (
 
 // ErrNotFound reports that no intact archive exists for a key.
 var ErrNotFound = errors.New("durable: no archive for key")
+
+// errDamaged marks an archive file readLocked refuses by its size alone.
+var errDamaged = errors.New("bad size")
 
 // Options tunes a Store.
 type Options struct {
@@ -267,14 +275,17 @@ func (s *Store) Load(ctx context.Context, key Key) (*SnapshotData, error) {
 		span.SetAttr("found", false)
 		return nil, fmt.Errorf("%w %s", ErrNotFound, key)
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, errDamaged) {
 		s.met.loadErrors.Inc()
 		span.SetAttr("error", err.Error())
 		return nil, fmt.Errorf("durable: load %s: %w", key, err)
 	}
-	_, dspan := obsv.StartSpan(ctx, "durable.decode", obsv.KV("bytes", len(data)))
-	d, err := Decode(data)
-	dspan.End()
+	var d *SnapshotData
+	if err == nil {
+		_, dspan := obsv.StartSpan(ctx, "durable.decode", obsv.KV("bytes", len(data)))
+		d, err = Decode(data)
+		dspan.End()
+	}
 	if err == nil && d.Key().String() != key.String() {
 		err = fmt.Errorf("archive holds %s", d.Key())
 	}
@@ -292,13 +303,31 @@ func (s *Store) Load(ctx context.Context, key Key) (*SnapshotData, error) {
 	return d, nil
 }
 
+// readLocked reads archive name whole: its size from Stat, then one read
+// into a buffer of exactly that size. A file over MaxArchiveBytes is
+// damage, refused before anything is allocated for it; so is a file
+// shorter than Stat said.
 func (s *Store) readLocked(name string) ([]byte, error) {
-	f, err := s.fs.Open(filepath.Join(s.dir, name))
+	path := filepath.Join(s.dir, name)
+	fi, err := s.fs.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() > MaxArchiveBytes {
+		return nil, fmt.Errorf("%w: %d bytes, over the %d-byte bound", errDamaged, fi.Size(), MaxArchiveBytes)
+	}
+	f, err := s.fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("%w: fewer bytes than the %d Stat reported", errDamaged, fi.Size())
+	} else if err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // quarantineLocked moves a damaged archive aside (never deletes it —

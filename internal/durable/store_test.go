@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -139,6 +141,67 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			}
 			if got, err := s2.Load(ctx, d.Key()); err != nil || !reflect.DeepEqual(got, d) {
 				t.Fatalf("load after re-save: %v", err)
+			}
+		})
+	}
+}
+
+// sizeFS reports each archive's size from Stat as statSize(the real
+// size) and, when archives are unreadable, fails the test on opening one.
+type sizeFS struct {
+	OSFS
+	t          *testing.T
+	statSize   func(int64) int64
+	unreadable bool
+}
+
+type sizedInfo struct {
+	fs.FileInfo
+	size int64
+}
+
+func (i sizedInfo) Size() int64 { return i.size }
+
+func (f sizeFS) Stat(name string) (fs.FileInfo, error) {
+	fi, err := f.OSFS.Stat(name)
+	if err != nil || !strings.HasSuffix(name, archiveSuffix) {
+		return fi, err
+	}
+	return sizedInfo{fi, f.statSize(fi.Size())}, nil
+}
+
+func (f sizeFS) Open(name string) (io.ReadCloser, error) {
+	if f.unreadable && strings.HasSuffix(name, archiveSuffix) {
+		f.t.Errorf("opened %s, whose size alone condemns it", name)
+	}
+	return f.OSFS.Open(name)
+}
+
+// TestStoreBoundsArchiveRead: an archive file whose Stat says one byte
+// over MaxArchiveBytes is quarantined without being read, and one shorter
+// than its Stat size is quarantined too; either way the key loads as
+// ErrNotFound, so its date cold-builds.
+func TestStoreBoundsArchiveRead(t *testing.T) {
+	for name, fsys := range map[string]sizeFS{
+		"over the bound": {t: t, statSize: func(int64) int64 { return MaxArchiveBytes + 1 }, unreadable: true},
+		"short of Stat":  {t: t, statSize: func(n int64) int64 { return n + 1 }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := openTest(t, dir, Options{})
+			d := testSnapshotData(0)
+			if err := s.Save(context.Background(), d); err != nil {
+				t.Fatal(err)
+			}
+			bounded, reg := openTest(t, dir, Options{FS: fsys})
+			if _, err := bounded.Load(context.Background(), d.Key()); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("load: %v, want ErrNotFound", err)
+			}
+			if reg.Value("durable_quarantine_total") != 1 {
+				t.Errorf("durable_quarantine_total = %d, want 1", reg.Value("durable_quarantine_total"))
+			}
+			if _, err := os.Stat(filepath.Join(dir, archiveName(d.Key())+quarantineSuffix)); err != nil {
+				t.Errorf("archive not quarantined: %v", err)
 			}
 		})
 	}

@@ -84,15 +84,8 @@ func (v *Point) Set(u *Point) *Point {
 
 // Encoding.
 
-// Bytes returns the canonical 32-byte encoding of v, according to RFC 8032,
-// Section 5.1.2.
-func (v *Point) Bytes() []byte {
-	// This function is outlined to make the allocations inline in the caller
-	// rather than happen on the heap.
-	var buf [32]byte
-	return v.bytes(&buf)
-}
-
+// bytes sets buf to the canonical 32-byte encoding of v, according to
+// RFC 8032, Section 5.1.2, and returns it.
 func (v *Point) bytes(buf *[32]byte) []byte {
 	checkInitialized(v)
 

@@ -1,24 +1,20 @@
-// Package edwards25519 verifies Ed25519 signatures under prepared public
-// keys. Ed25519 verification checks [S]B + [k](−A) = R. crypto/ed25519
-// computes that with a variable-base double-scalar multiplication, about
-// 256 doublings per signature. A key that signs many objects can instead
-// carry a fixed-base table for −A, laid out like the one Go keeps for the
-// base point B, so that each check costs about 128 table additions and
-// four doublings.
+// Package edwards25519 signs and verifies Ed25519 signatures in batches.
+// Both ends use one process-wide table of B, 32 × 128 affine multiples
+// for signed radix-2⁸ digits, so [s]B costs 32 additions and no
+// doubling. A prepared public key carries a table of −A in Go's radix-16
+// layout, so a check of [S]B + [k](−A) = R costs about 96 additions and
+// four doublings, where crypto/ed25519 pays about 256 doublings. A batch
+// encodes its points with one field inversion (Montgomery's trick).
 //
-// The field arithmetic, the point types and formulas, the lookup-table
-// layout and the radix-16 recoding are copied from the Go standard
-// library's crypto/internal/fips140/edwards25519 (Go 1.24), trimmed to
-// what verification reaches; LICENSE is the Go license they ship under.
-// This file is not copied. Lookups here are variable-time: every input
-// to verification is public.
+// The field arithmetic, the point types and formulas and the radix-16
+// recoding are copied from the Go standard library's
+// crypto/internal/fips140/edwards25519 (Go 1.24), trimmed to what is
+// used; LICENSE is the Go license they ship under. This file is not
+// copied. Lookups are variable-time, and so is signing: see SignBatch.
 package edwards25519
 
 import (
-	"bytes"
 	"crypto/sha512"
-	"math/big"
-	"slices"
 	"sync"
 
 	"manrsmeter/internal/rpki/edwards25519/field"
@@ -28,7 +24,7 @@ import (
 // costs about 30 KB.
 type PublicKey struct {
 	a     [32]byte
-	table [32]affineLookupTable // table[i].points[j] = (j+1)·256^i·(−A)
+	table [32 * 8]affineCached // table[8i+j] = (j+1)·256^i·(−A)
 }
 
 // NewPublicKey decodes pub exactly as crypto/ed25519 does, non-canonical
@@ -42,80 +38,137 @@ func NewPublicKey(pub []byte) (*PublicKey, error) {
 	}
 	k := new(PublicKey)
 	copy(k.a[:], pub)
-	fixedBaseTable(&k.table, a.Negate(a))
+	fixedBaseTable(k.table[:], 8, a.Negate(a))
 	return k, nil
 }
 
-// basepointTable is the fixed-base table of B, built at first use.
-var basepointTable = sync.OnceValue(func() *[32]affineLookupTable {
-	t := new([32]affineLookupTable)
-	fixedBaseTable(t, NewGeneratorPoint())
+// wideTable is the fixed-base table of B, wide[128i+j] = (j+1)·256^i·B,
+// about 480 KB, built once per process at first use.
+var wideTable = sync.OnceValue(func() *[32 * 128]affineCached {
+	t := new([32 * 128]affineCached)
+	fixedBaseTable(t[:], 128, NewGeneratorPoint())
 	return t
 })
 
-// fixedBaseTable sets t[i].points[j] to (j+1)·256^i·p in affine form. It
-// pays one field inversion for all 256 entries (Montgomery's trick) where
-// upstream's affineLookupTable.FromP3 pays one per entry.
-func fixedBaseTable(t *[32]affineLookupTable, p *Point) {
-	var pts [256]Point
+// fixedBaseTable sets t[n·i+j] to (j+1)·256^i·p in affine form, for n
+// multiples per row, paying one field inversion for the whole table.
+func fixedBaseTable(t []affineCached, n int, p *Point) {
+	pts := make([]Point, len(t))
 	var cached projCached
 	var sum projP1xP1
 	q := new(Point).Set(p)
-	for i := 0; i < 32; i++ {
+	for i := 0; i < len(t); i += n {
 		cached.FromP3(q)
-		pts[8*i].Set(q)
-		for j := 1; j < 8; j++ {
-			pts[8*i+j].fromP1xP1(sum.Add(&pts[8*i+j-1], &cached))
+		pts[i].Set(q)
+		for j := i + 1; j < i+n; j++ {
+			pts[j].fromP1xP1(sum.Add(&pts[j-1], &cached))
 		}
-		for j := 0; j < 8; j++ {
+		for range 8 {
 			q.Add(q, q)
 		}
 	}
-
-	// prefix[i] = z_0···z_{i−1}, then acc = 1/(z_0···z_{i}) walking down.
-	var prefix [256]field.Element
-	var acc, zInv field.Element
-	acc.One()
+	zInv := make([]field.Element, len(pts))
+	invertZ(pts, zInv) // multiples of a curve point: no Z is zero
 	for i := range pts {
-		prefix[i].Set(&acc)
-		acc.Multiply(&acc, &pts[i].z)
-	}
-	acc.Invert(&acc)
-	for i := len(pts) - 1; i >= 0; i-- {
-		pt, e := &pts[i], &t[i/8].points[i%8]
-		zInv.Multiply(&acc, &prefix[i])
-		acc.Multiply(&acc, &pt.z)
-		e.YplusX.Multiply(e.YplusX.Add(&pt.y, &pt.x), &zInv)
-		e.YminusX.Multiply(e.YminusX.Subtract(&pt.y, &pt.x), &zInv)
-		e.T2d.Multiply(e.T2d.Multiply(&pt.t, d2), &zInv)
+		pt, e := &pts[i], &t[i]
+		e.YplusX.Multiply(e.YplusX.Add(&pt.y, &pt.x), &zInv[i])
+		e.YminusX.Multiply(e.YminusX.Subtract(&pt.y, &pt.x), &zInv[i])
+		e.T2d.Multiply(e.T2d.Multiply(&pt.t, d2), &zInv[i])
 	}
 }
 
-// Verify reports whether sig is a valid signature of message by k. It
-// accepts exactly what crypto/ed25519.Verify accepts: a 64-byte signature
-// with the top three bits of its last byte clear, a canonical S, and an
-// R equal byte for byte to the encoding of [S]B + [k](−A), where k =
-// SHA-512(R ‖ A ‖ message) mod ℓ hashes A as it was given.
-func (k *PublicKey) Verify(message, sig []byte) bool {
-	if len(sig) != 64 || sig[63]&224 != 0 || !isReduced(sig[32:]) {
+// invertZ sets zInv[i] = 1/pts[i].z with one field inversion. It reports
+// false, and leaves zInv meaningless, if some Z is zero, which the
+// complete addition formulas never produce from curve points.
+func invertZ(pts []Point, zInv []field.Element) bool {
+	// zInv[i] = z_0···z_{i−1}, then acc = 1/(z_0···z_i) walking down.
+	var acc, zero field.Element
+	acc.One()
+	for i := range pts {
+		zInv[i].Set(&acc)
+		acc.Multiply(&acc, &pts[i].z)
+	}
+	if acc.Equal(&zero) == 1 {
 		return false
 	}
-	h := sha512.New()
-	h.Write(sig[:32])
-	h.Write(k.a[:])
-	h.Write(message)
-	var digest [64]byte
-	kDigits := signedRadix16(reduce(h.Sum(digest[:0])))
-	sDigits := signedRadix16((*[32]byte)(sig[32:]))
+	acc.Invert(&acc)
+	for i := len(pts) - 1; i >= 0; i-- {
+		zInv[i].Multiply(&zInv[i], &acc)
+		acc.Multiply(&acc, &pts[i].z)
+	}
+	return true
+}
 
+// encodeBatch returns the encodings of pts, sharing one field inversion;
+// if invertZ refuses, each point is encoded on its own.
+func encodeBatch(pts []Point) [][32]byte {
+	if len(pts) == 0 {
+		return nil
+	}
+	out := make([][32]byte, len(pts))
+	zInv := make([]field.Element, len(pts))
+	if !invertZ(pts, zInv) {
+		for i := range pts {
+			pts[i].bytes(&out[i])
+		}
+		return out
+	}
+	var x, y field.Element
+	for i := range pts {
+		x.Multiply(&pts[i].x, &zInv[i])
+		y.Multiply(&pts[i].y, &zInv[i])
+		copy(out[i][:], y.Bytes())
+		out[i][31] |= byte(x.IsNegative() << 7)
+	}
+	return out
+}
+
+// Check is one signature to verify: Sig over Message under Key.
+type Check struct {
+	Key          *PublicKey
+	Message, Sig []byte
+}
+
+// VerifyBatch sets ok[i] to whether checks[i].Sig is a valid signature
+// of checks[i].Message by checks[i].Key. It accepts exactly what
+// crypto/ed25519.Verify accepts: a 64-byte signature with the top three
+// bits of its last byte clear, a canonical S, and an R equal byte for
+// byte to the encoding of [S]B + [k](−A), where k = SHA-512(R ‖ A ‖
+// message) mod ℓ hashes A as it was given. Each check's point is
+// computed on its own; the batch shares only the inversion that encodes
+// them.
+func VerifyBatch(checks []Check, ok []bool) {
+	pts := make([]Point, len(checks))
+	h := sha512.New()
+	var digest [64]byte
+	for i, c := range checks {
+		ok[i] = len(c.Sig) == 64 && c.Sig[63]&224 == 0 && isReduced(c.Sig[32:])
+		if !ok[i] {
+			pts[i].Set(identity)
+			continue
+		}
+		h.Reset()
+		h.Write(c.Sig[:32])
+		h.Write(c.Key.a[:])
+		h.Write(c.Message)
+		k := reduceDigest(h.Sum(digest[:0]))
+		kBytes := k.bytes()
+		pts[i].verifySum(c.Key, signedRadix16(&kBytes), signedRadix256((*[32]byte)(c.Sig[32:])))
+	}
+	for i, r := range encodeBatch(pts) {
+		ok[i] = ok[i] && [32]byte(checks[i].Sig[:32]) == r
+	}
+}
+
+// verifySum sets v = [s]B + [k](−A) from k's radix-16 digits on key's
+// table and s's radix-2⁸ digits on the wide table of B.
+func (v *Point) verifySum(key *PublicKey, kDigits [64]int8, sDigits [32]int8) {
 	// As in upstream's ScalarBaseMult: the odd radix-16 digits first,
-	// times 16, then the even ones, for both tables at once.
-	b := basepointTable()
-	v := new(Point).Set(identity)
+	// times 16, then the even ones.
+	v.Set(identity)
 	var sum projP1xP1
 	for i := 1; i < 64; i += 2 {
-		v.addMultiple(&b[i/2], sDigits[i], &sum)
-		v.addMultiple(&k.table[i/2], kDigits[i], &sum)
+		v.addMultiple(key.table[8*(i/2):], kDigits[i], &sum)
 	}
 	var p2 projP2
 	p2.FromP3(v)
@@ -124,38 +177,26 @@ func (k *PublicKey) Verify(message, sig []byte) bool {
 	}
 	v.fromP1xP1(&sum)
 	for i := 0; i < 64; i += 2 {
-		v.addMultiple(&b[i/2], sDigits[i], &sum)
-		v.addMultiple(&k.table[i/2], kDigits[i], &sum)
+		v.addMultiple(key.table[8*(i/2):], kDigits[i], &sum)
 	}
-	return bytes.Equal(sig[:32], v.Bytes())
+	v.addBase(sDigits, &sum)
 }
 
-// addMultiple sets v += d·Q, where t holds Q…8Q and −8 ≤ d ≤ 8, using sum
-// as scratch.
-func (v *Point) addMultiple(t *affineLookupTable, d int8, sum *projP1xP1) {
+// addBase sets v += Σ d[i]·256^i·B on the wide table.
+func (v *Point) addBase(d [32]int8, sum *projP1xP1) {
+	w := wideTable()
+	for i, di := range d {
+		v.addMultiple(w[128*i:], di, sum)
+	}
+}
+
+// addMultiple sets v += d·Q, where t starts with Q, 2Q, … up to |d|·Q,
+// using sum as scratch.
+func (v *Point) addMultiple(t []affineCached, d int8, sum *projP1xP1) {
 	switch {
 	case d > 0:
-		v.fromP1xP1(sum.AddAffine(v, &t.points[d-1]))
+		v.fromP1xP1(sum.AddAffine(v, &t[d-1]))
 	case d < 0:
-		v.fromP1xP1(sum.SubAffine(v, &t.points[-d-1]))
+		v.fromP1xP1(sum.SubAffine(v, &t[-int(d)-1]))
 	}
-}
-
-// order is ℓ, the order of the prime-order subgroup.
-var order = func() *big.Int {
-	be := scalarMinusOneBytes
-	slices.Reverse(be[:])
-	n := new(big.Int).SetBytes(be[:])
-	return n.Add(n, big.NewInt(1))
-}()
-
-// reduce returns a 64-byte little-endian integer mod ℓ, little-endian.
-func reduce(digest []byte) *[32]byte {
-	be := slices.Clone(digest)
-	slices.Reverse(be)
-	n := new(big.Int).SetBytes(be)
-	var out [32]byte
-	n.Mod(n, order).FillBytes(out[:])
-	slices.Reverse(out[:])
-	return &out
 }

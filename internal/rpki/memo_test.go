@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"manrsmeter/internal/obsv"
 	"manrsmeter/internal/rpki/edwards25519"
 )
 
@@ -272,6 +273,40 @@ func TestShortPublicKeyFailsClosed(t *testing.T) {
 		}
 		if slots, held := tablesBuilt(memo); slots != 0 || held != 0 {
 			t.Fatalf("%d-byte key %x: %d table slots, %d held", len(pub), pub, slots, held)
+		}
+	}
+}
+
+// A run is one rpki.run span whose attributes say what it did: its ROAs,
+// its signature checks the memo answered and those it verified, and the
+// tables it built.
+func TestRunSpanAttributes(t *testing.T) {
+	repo, anchor := oneIssuer(t, prepareAt+8)
+	tracer := obsv.NewTracer()
+	ctx := obsv.ContextWithTracer(context.Background(), tracer)
+	rp, err := NewRelyingPartyMemo(NewVerdictMemo(1<<10), anchor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.Now = tEval
+	for _, want := range []map[string]string{
+		// The anchor again (a hit), the issuer's certificate and 40 ROAs
+		// under one key, which gets its table before the first check.
+		{"roas": "40", "hits": "1", "misses": "41", "tables": "1"},
+		{"roas": "40", "hits": "42", "misses": "0", "tables": "0"},
+	} {
+		tracer.Reset()
+		if _, _, err := rp.Run(ctx, repo, 2); err != nil {
+			t.Fatal(err)
+		}
+		events := tracer.Events()
+		if len(events) != 1 || events[0].Name != "rpki.run" || events[0].Wall() <= 0 {
+			t.Fatalf("spans %+v, want one ended rpki.run", events)
+		}
+		for k, v := range want {
+			if got := events[0].Attr(k); got != v {
+				t.Errorf("rpki.run %s = %q, want %q", k, got, v)
+			}
 		}
 	}
 }

@@ -83,7 +83,14 @@ func edgeSignatures(seed, message []byte) [][]byte {
 // rejects every signature.
 func preparedVerify(pub, message, sig []byte) bool {
 	k, err := edwards25519.NewPublicKey(pub)
-	return err == nil && k.Verify(message, sig)
+	return err == nil && verifyOne(k, message, sig)
+}
+
+// verifyOne is a batch of one under k.
+func verifyOne(k *edwards25519.PublicKey, message, sig []byte) bool {
+	var ok [1]bool
+	edwards25519.VerifyBatch([]edwards25519.Check{{Key: k, Message: message, Sig: sig}}, ok[:])
+	return ok[0]
 }
 
 // tablesBuilt returns how many tables the memo built and how many of its
@@ -92,7 +99,7 @@ func tablesBuilt(m *VerdictMemo) (slots, held int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, k := range m.keys {
-		if k.prepared != nil {
+		if k != nil {
 			held++
 		}
 	}
@@ -110,16 +117,14 @@ func TestEdgeEncodingsMatchStdlib(t *testing.T) {
 	}
 	for ki, pub := range keys {
 		memo := NewVerdictMemo(1 << 12)
-		for i := 0; i < prepareAt; i++ {
-			memo.verify(pub, []byte{byte(i)}, make([]byte, ed25519.SignatureSize))
-		}
+		memo.prepareKeys([]ed25519.PublicKey{pub})
 		_, decodeErr := edwards25519.NewPublicKey(pub)
 		wantTables := 0
 		if decodeErr == nil {
 			wantTables = 1
 		}
 		if slots, held := tablesBuilt(memo); slots != wantTables || held != wantTables {
-			t.Fatalf("key %d %x: %d table slots, %d held after %d checks, want %d", ki, pub, slots, held, prepareAt, wantTables)
+			t.Fatalf("key %d %x: %d table slots, %d held, want %d", ki, pub, slots, held, wantTables)
 		}
 		accepted := 0
 		for seed := byte(1); seed <= 2; seed++ {
@@ -127,7 +132,7 @@ func TestEdgeEncodingsMatchStdlib(t *testing.T) {
 				message := []byte(fmt.Sprintf("message %d", m))
 				for si, sig := range edgeSignatures(append(make([]byte, 31), seed), message) {
 					want := ed25519.Verify(pub, message, sig)
-					got := [3]bool{preparedVerify(pub, message, sig), memo.verify(pub, message, sig), (*VerdictMemo)(nil).verify(pub, message, sig)}
+					got := [3]bool{preparedVerify(pub, message, sig), memo.verify(pub, message, sig, nil), (*VerdictMemo)(nil).verify(pub, message, sig, nil)}
 					if got != [3]bool{want, want, want} {
 						t.Fatalf("key %d %x, seed %d, message %d, signature %d: stdlib %t, prepared/memo/memo-less %v", ki, pub, seed, m, si, want, got)
 					}
@@ -177,7 +182,7 @@ func TestPreparedVerifyMatchesStdlib(t *testing.T) {
 				sig[63] &= 15
 			}
 			want := ed25519.Verify(pub, message, sig)
-			if got := prepared.Verify(message, sig); got != want {
+			if got := verifyOne(prepared, message, sig); got != want {
 				t.Fatalf("key %d signature %d: prepared %t, stdlib %t", key, i, got, want)
 			}
 			total++
@@ -216,10 +221,188 @@ func FuzzPreparedVerifyMatchesStdlib(f *testing.F) {
 			sigs := edgeSignatures(seed, message)
 			sig = sigs[int(sigKind-1)%len(sigs)]
 		}
-		if got, want := preparedVerify(pub, message, sig), ed25519.Verify(pub, message, sig); got != want {
+		want := ed25519.Verify(pub, message, sig)
+		if got := preparedVerify(pub, message, sig); got != want {
 			t.Fatalf("pub %x sig %x: prepared %t, stdlib %t", pub, sig, got, want)
 		}
+		// Batched between two signatures that verify, under another key
+		// and under pub's own table: the same verdict.
+		other := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
+		good := triple{other.Public().(ed25519.PublicKey), message, ed25519.Sign(other, message)}
+		if got := batchVerdicts(t, []triple{good, {pub, message, sig}, good}); got[1] != want || !got[0] || !got[2] {
+			t.Fatalf("pub %x sig %x: batched %v, stdlib %t", pub, sig, got, want)
+		}
 	})
+}
+
+// triple is one signature check: sig over msg under pub.
+type triple struct{ pub, msg, sig []byte }
+
+// batchVerdicts verifies batch as one edwards25519.VerifyBatch over
+// prepared keys and as one batch of a memo that prepared them first, and
+// fails unless both agree with crypto/ed25519.Verify on every triple. A
+// key that gets no table must be one crypto/ed25519 rejects everything
+// under; it sits out the direct batch. It returns the verdicts.
+func batchVerdicts(t testing.TB, batch []triple) []bool {
+	t.Helper()
+	want := make([]bool, len(batch))
+	var checks []edwards25519.Check
+	var at []int
+	var pubs []ed25519.PublicKey
+	for i, c := range batch {
+		want[i] = ed25519.Verify(c.pub, c.msg, c.sig)
+		pubs = append(pubs, c.pub)
+		if k, err := edwards25519.NewPublicKey(c.pub); err == nil {
+			checks = append(checks, edwards25519.Check{Key: k, Message: c.msg, Sig: c.sig})
+			at = append(at, i)
+		} else if want[i] {
+			t.Fatalf("check %d: key %x has no table, but crypto/ed25519 accepts %x", i, c.pub, c.sig)
+		}
+	}
+	ok := make([]bool, len(checks))
+	for i := range ok {
+		ok[i] = true // a verdict left unset would read as accepted
+	}
+	edwards25519.VerifyBatch(checks, ok)
+	for j, i := range at {
+		if ok[j] != want[i] {
+			t.Fatalf("check %d of %d, key %x, sig %x: batched %t, stdlib %t", i, len(batch), batch[i].pub, batch[i].sig, ok[j], want[i])
+		}
+	}
+
+	memo := NewVerdictMemo(1 << 16)
+	memo.prepareKeys(pubs)
+	sigChecks := make([]sigCheck, len(batch))
+	for i, c := range batch {
+		sigChecks[i] = sigCheck{pub: c.pub, payload: c.msg, sig: c.sig, ok: true}
+	}
+	memo.verifyBatch(sigChecks, nil)
+	for i, c := range sigChecks {
+		if c.ok != want[i] {
+			t.Fatalf("check %d of %d, key %x, sig %x: memo batch %t, stdlib %t", i, len(batch), c.pub, c.sig, c.ok, want[i])
+		}
+	}
+	return want
+}
+
+// signedBatch is n checks under priv, one in every three tampered.
+func signedBatch(rng *rand.Rand, priv ed25519.PrivateKey, n int) []triple {
+	pub := priv.Public().(ed25519.PublicKey)
+	var batch []triple
+	for i := 0; i < n; i++ {
+		msg := make([]byte, rng.Intn(100))
+		rng.Read(msg)
+		sig := ed25519.Sign(priv, msg)
+		if i%3 == 2 {
+			sig[rng.Intn(64)] ^= 1 << rng.Intn(8)
+		}
+		batch = append(batch, triple{pub, msg, sig})
+	}
+	return batch
+}
+
+// The batched verifiers, edwards25519.VerifyBatch and a memo's batch,
+// give crypto/ed25519's verdict for every check of a batch, whatever
+// else the batch holds: keys mixed, early rejects among accepts, nothing
+// but rejects, sizes about Run's block of 64, and the edge encodings of
+// TestEdgeEncodingsMatchStdlib as the key and as R. Run itself checks
+// 1, 63, 64 and 65 ROAs under one key like the memo-less oracle.
+func TestVerifyBatchTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	keys := make([]ed25519.PrivateKey, 3)
+	for i := range keys {
+		seed := make([]byte, ed25519.SeedSize)
+		rng.Read(seed)
+		keys[i] = ed25519.NewKeyFromSeed(seed)
+	}
+	pub0 := keys[0].Public().(ed25519.PublicKey)
+	msg := []byte("object")
+	valid := ed25519.Sign(keys[0], msg)
+	identityR := le32(big.NewInt(1))
+	// Early rejects: short, long, a high bit in sig[63], S + ℓ; one with
+	// R the identity, which a verifier that forgets the early reject
+	// would find equal to its untouched point's encoding.
+	early := [][]byte{
+		valid[:63], append(slices.Clone(valid), 0),
+		append(slices.Clone(valid[:63]), valid[63]|0x80),
+		append(slices.Clone(valid[:32]), le32(new(big.Int).Add(leInt(valid[32:]), groupL))...),
+		append(slices.Clone(identityR), append(make([]byte, 31), 0x20)...),
+	}
+	var mixed, between, rejects []triple
+	for i := 0; i < 40; i++ {
+		mixed = append(mixed, signedBatch(rng, keys[i%3], 1)...)
+	}
+	for i, sig := range early {
+		between = append(between, triple{pub0, msg, valid}, triple{pub0, msg, sig})
+		rejects = append(rejects, triple{pub0, msg, sig}, triple{pub0, []byte("other"), valid})
+		if i%2 == 0 {
+			between = append(between, triple{pub0, msg, valid})
+		}
+	}
+	edgeA := signedBatch(rng, keys[1], 2)
+	for _, pub := range edgeKeys() {
+		for _, sig := range edgeSignatures(append(make([]byte, 31), 1), msg) {
+			edgeA = append(edgeA, triple{pub, msg, sig})
+		}
+	}
+	// Each edge encoding as R, with S = 0, 1 and 2, under ordinary and
+	// edge keys: a small-order key accepts R = [S]B only if R is that
+	// point's canonical encoding.
+	var edgeR []triple
+	for _, r := range edgeKeys() {
+		for s := int64(0); s < 3; s++ {
+			sig := append(slices.Clone(r), le32(big.NewInt(s))...)
+			for _, pub := range append(edgeKeys()[:6], pub0) {
+				edgeR = append(edgeR, triple{pub, msg, sig})
+			}
+		}
+	}
+	cases := []struct {
+		name      string
+		batch     []triple
+		minAccept int
+	}{
+		{"mixed keys", mixed, 20},
+		{"early rejects between accepts", between, 8},
+		{"nothing but rejects", rejects, 0},
+		{"edge encodings as A", edgeA, 3},
+		{"edge encodings as R", edgeR, 1},
+	}
+	for _, n := range []int{1, 63, 64, 65} {
+		cases = append(cases, struct {
+			name      string
+			batch     []triple
+			minAccept int
+		}{fmt.Sprintf("%d checks", n), signedBatch(rng, keys[2], n), (n + 2) / 3})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			accepted := 0
+			for _, ok := range batchVerdicts(t, tc.batch) {
+				if ok {
+					accepted++
+				}
+			}
+			if accepted < tc.minAccept || tc.minAccept == 0 && accepted != 0 {
+				t.Fatalf("%d of %d checks accepted, want at least %d (none if 0)", accepted, len(tc.batch), tc.minAccept)
+			}
+		})
+	}
+
+	for _, n := range []int{1, 63, 64, 65} {
+		t.Run(fmt.Sprintf("run over %d ROAs", n), func(t *testing.T) {
+			repo, anchor := oneIssuer(t, n)
+			for i, roa := range repo.ROAs() {
+				if i%5 == 2 { // not the first or the last, at any n here
+					roa.Signature[i%64] ^= 1
+				}
+			}
+			vrps, stats := runWarmAndCold(t, NewVerdictMemo(1<<12), repo, tEval, 0, anchor)
+			if want := n - (n+2)/5; len(vrps) != want || stats.ROAsValid != want {
+				t.Fatalf("%d VRPs, stats %+v; want %d valid", len(vrps), stats, want)
+			}
+		})
+	}
 }
 
 // issuerTree is anchor → 30 CAs → 900 → the rest, n CAs in all, each
@@ -329,48 +512,61 @@ func TestPreparedKeysBounded(t *testing.T) {
 	}
 }
 
-// A memo builds at most maxTables tables and counts at most limit keys:
-// past either, keys are verified by crypto/ed25519, with the same
-// verdicts. A key's table comes with its 32nd real verification.
+// A memo builds at most maxTables tables and prepares at most limit
+// keys: past either, keys are verified by crypto/ed25519, with the same
+// verdicts. A key listed twice gets one table. A run prepares a key its
+// repository lists 32 ROAs under before its first check, and none for 31.
 func TestPreparedTablesCapped(t *testing.T) {
-	memo := NewVerdictMemo(maxTables + 6)
 	var keys []ed25519.PrivateKey
+	var pubs []ed25519.PublicKey
 	for i := 0; i < maxTables+8; i++ {
 		keys = append(keys, ed25519.NewKeyFromSeed(append(make([]byte, 30), byte(i>>8), byte(i))))
+		pubs = append(pubs, keys[i].Public().(ed25519.PublicKey))
 	}
-	for round := 0; round < prepareAt+1; round++ {
-		for i, priv := range keys {
-			message := []byte(fmt.Sprintf("object %d", round))
-			sig := ed25519.Sign(priv, message)
-			if round%2 == 1 {
-				sig[0] ^= 1
-			}
-			pub := priv.Public().(ed25519.PublicKey)
-			if got, want := memo.verify(pub, message, sig), round%2 == 0; got != want {
-				t.Fatalf("key %d, object %d: verdict %t, want %t", i, round, got, want)
+	for _, limit := range []int{maxTables + 6, 10} {
+		memo := NewVerdictMemo(limit)
+		want := min(limit, maxTables)
+		if built := memo.prepareKeys(append(pubs, pubs...)); built != want {
+			t.Fatalf("limit %d: built %d tables, want %d", limit, built, want)
+		}
+		for round := 0; round < 4; round++ {
+			for i, priv := range keys {
+				message := []byte(fmt.Sprintf("object %d", round))
+				sig := ed25519.Sign(priv, message)
+				if round%2 == 1 {
+					sig[0] ^= 1
+				}
+				if got, want := memo.verify(pubs[i], message, sig, nil), round%2 == 0; got != want {
+					t.Fatalf("limit %d, key %d, object %d: verdict %t, want %t", limit, i, round, got, want)
+				}
 			}
 		}
-	}
-	if slots, held := tablesBuilt(memo); slots != maxTables || held != maxTables {
-		t.Fatalf("%d table slots, %d held, want the cap, %d", slots, held, maxTables)
-	}
-	if len(memo.keys) != maxTables+6 {
-		t.Fatalf("memo counts %d keys, want its limit, %d", len(memo.keys), maxTables+6)
+		if slots, held := tablesBuilt(memo); slots != want || held != want || len(memo.keys) != want {
+			t.Fatalf("limit %d: %d table slots, %d held, %d keys, want %d", limit, slots, held, len(memo.keys), want)
+		}
 	}
 
-	// A key that has signed 31 objects has no table; its 32nd builds one.
-	memo = NewVerdictMemo(1 << 10)
-	pub := keys[0].Public().(ed25519.PublicKey)
-	for i := 1; i <= 32; i++ {
-		memo.verify(pub, []byte{byte(i)}, make([]byte, ed25519.SignatureSize))
-		if _, held := tablesBuilt(memo); held != i/32 {
-			t.Fatalf("after %d checks under one key, %d tables", i, held)
+	// No ROA is visible yet, so none is checked: a table comes before
+	// the first check, from the listing alone.
+	for _, n := range []int{prepareAt - 1, prepareAt} {
+		repo, anchor := oneIssuer(t, n)
+		memo := NewVerdictMemo(1 << 10)
+		rp, err := NewRelyingPartyMemo(memo, anchor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp.Now, rp.ROAVisibilityLag = tEval, tEval.Sub(t0)+time.Hour
+		if vrps, stats, err := rp.Run(context.Background(), repo, 0); err != nil || len(vrps) != 0 || stats.ROAsRejected != n {
+			t.Fatalf("%d ROAs, none visible: %d VRPs %+v, err %v", n, len(vrps), stats, err)
+		}
+		if _, held := tablesBuilt(memo); held != n/prepareAt {
+			t.Fatalf("%d listed ROAs, none checked: %d tables", n, held)
 		}
 	}
 }
 
-// BenchmarkVerify is one signature check by crypto/ed25519 and under a
-// prepared key, and the cost of preparing one.
+// BenchmarkVerify is one signature check by crypto/ed25519, under a
+// prepared key alone and in a batch of 64, and the cost of preparing one.
 func BenchmarkVerify(b *testing.B) {
 	priv := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
 	pub := priv.Public().(ed25519.PublicKey)
@@ -389,7 +585,21 @@ func BenchmarkVerify(b *testing.B) {
 	})
 	b.Run("prepared", func(b *testing.B) {
 		for range b.N {
-			if !prepared.Verify(message, sig) {
+			if !verifyOne(prepared, message, sig) {
+				b.Fatal("rejected")
+			}
+		}
+	})
+	b.Run("batch64", func(b *testing.B) {
+		checks := make([]edwards25519.Check, 64)
+		for i := range checks {
+			checks[i] = edwards25519.Check{Key: prepared, Message: message, Sig: sig}
+		}
+		ok := make([]bool, 64)
+		b.ResetTimer()
+		for i := 0; i < b.N; i += 64 {
+			edwards25519.VerifyBatch(checks, ok)
+			if !ok[63] {
 				b.Fatal("rejected")
 			}
 		}

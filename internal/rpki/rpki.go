@@ -26,8 +26,10 @@ import (
 	"time"
 
 	"manrsmeter/internal/netx"
+	"manrsmeter/internal/obsv"
 	"manrsmeter/internal/parallel"
 	"manrsmeter/internal/rov"
+	"manrsmeter/internal/rpki/edwards25519"
 )
 
 // RIR identifies one of the five Regional Internet Registries, each of
@@ -168,7 +170,7 @@ func NewTrustAnchor(rir RIR, resources []netx.Prefix, notBefore, notAfter time.T
 		NotBefore:   notBefore,
 		NotAfter:    notAfter,
 	}
-	cert.Signature = ed25519.Sign(priv, cert.payload())
+	cert.Signature = sign(priv, cert.payload())
 	return &CA{Cert: cert, key: priv}, nil
 }
 
@@ -193,7 +195,7 @@ func (ca *CA) IssueCA(subject string, resources []netx.Prefix, notBefore, notAft
 		NotBefore:   notBefore,
 		NotAfter:    notAfter,
 	}
-	cert.Signature = ed25519.Sign(ca.key, cert.payload())
+	cert.Signature = sign(ca.key, cert.payload())
 	return &CA{Cert: cert, key: priv}, nil
 }
 
@@ -237,11 +239,22 @@ func (ca *CA) NewROA(asn uint32, prefixes []ROAPrefix, notBefore, notAfter time.
 	}, nil
 }
 
-// Sign sets the signature of a ROA built by ca.NewROA. A signature is a
-// function of the key and the ROA's fields only, so ROAs may be signed in
-// any order, or concurrently.
-func (ca *CA) Sign(roa *ROA) {
-	roa.Signature = ed25519.Sign(ca.key, roa.payload())
+// Sign sets the signatures of ROAs built by ca.NewROA, as one batch. A
+// signature is a function of the key and the ROA's fields only, so ROAs
+// may be signed in any order and batching, or concurrently.
+func (ca *CA) Sign(roas ...*ROA) {
+	payloads := make([][]byte, len(roas))
+	for i, roa := range roas {
+		payloads[i] = roa.payload()
+	}
+	for i, sig := range edwards25519.SignBatch(ca.key, payloads) {
+		roas[i].Signature = sig
+	}
+}
+
+// sign returns key's signature of payload: a batch of one.
+func sign(key ed25519.PrivateKey, payload []byte) []byte {
+	return edwards25519.SignBatch(key, [][]byte{payload})[0]
 }
 
 func coveredByAny(p netx.Prefix, holders []netx.Prefix) bool {
@@ -348,7 +361,7 @@ func NewRelyingPartyMemo(memo *VerdictMemo, anchors ...*Certificate) (*RelyingPa
 		if a.SubjectName != a.IssuerName {
 			return nil, fmt.Errorf("rpki: anchor %s is not self-issued", a.SubjectName)
 		}
-		if !memo.verify(a.PublicKey, a.payload(), a.Signature) {
+		if !memo.verify(a.PublicKey, a.payload(), a.Signature, nil) {
 			return nil, fmt.Errorf("rpki: anchor %s has a bad self-signature", a.SubjectName)
 		}
 		rp.anchors[a.SubjectName] = a
@@ -370,25 +383,40 @@ func NewRelyingPartyMemo(memo *VerdictMemo, anchors ...*Certificate) (*RelyingPa
 // objects a repository's CAs amount to. It ends in a table of valid
 // signers that nothing writes again, so the ROA checks — where the
 // signatures are — fan out over workers goroutines (≤ 0 means one per
-// CPU), each into its own slot, and are merged in publication order: the
-// result does not depend on the worker count. A context done before every
-// ROA was checked yields its cause and no VRPs at all; a partial set
-// would silently turn Valid and Invalid routes into NotFound. A context
-// already done starts nothing, not even the walk.
+// CPU) in blocks of roaBlock, each ROA into its own slot, and are merged
+// in publication order: the result does not depend on the worker count.
+// Between the phases a memo prepares the keys busyKeys lists. A context
+// done before every ROA was checked yields its cause and no VRPs at all;
+// a partial set would silently turn Valid and Invalid routes into
+// NotFound. A context already done starts nothing, not even the walk.
+// The run is one "rpki.run" span, with its signature hits and misses and
+// the tables it built as attributes.
 func (rp *RelyingParty) Run(ctx context.Context, repo *Repository, workers int) ([]VRP, ValidationStats, error) {
 	if ctx.Err() != nil {
 		return nil, ValidationStats{}, fmt.Errorf("rpki: relying party run: %w", context.Cause(ctx))
 	}
+	ctx, span := obsv.StartSpan(ctx, "rpki.run", obsv.KV("roas", len(repo.roas)))
+	defer span.End()
 	now := rp.Now
 	if now.IsZero() {
 		now = time.Now()
 	}
-	signers, stats := rp.validSigners(repo, now)
+	var tally sigTally
+	signers, stats := rp.validSigners(repo, now, &tally)
+	tables := rp.memo.prepareKeys(rp.busyKeys(repo, signers))
 
 	valid := make([]bool, len(repo.roas))
-	err := parallel.ForEachCtx(ctx, len(repo.roas), workers, func(i int) {
-		valid[i] = rp.validROA(repo.roas[i], now, signers)
+	blocks := (len(repo.roas) + roaBlock - 1) / roaBlock
+	err := parallel.ForEachCtx(ctx, blocks, workers, func(b int) {
+		lo, hi := b*roaBlock, min((b+1)*roaBlock, len(repo.roas))
+		rp.validROAs(ctx, repo.roas[lo:hi], now, signers, valid[lo:hi], &tally)
 	})
+	if err == nil && ctx.Err() != nil { // a block stopped between its ROAs
+		err = context.Cause(ctx)
+	}
+	span.SetAttr("hits", tally.hits.Load())
+	span.SetAttr("misses", tally.misses.Load())
+	span.SetAttr("tables", tables)
 	if err != nil {
 		return nil, ValidationStats{}, fmt.Errorf("rpki: relying party run: %w", err)
 	}
@@ -416,6 +444,27 @@ func (rp *RelyingParty) Run(ctx context.Context, repo *Repository, workers int) 
 	return vrps, stats, nil
 }
 
+// roaBlock is how many ROAs one item of Run's fan-out checks, and so the
+// most signatures one edwards25519.VerifyBatch shares an inversion over.
+const roaBlock = 64
+
+// busyKeys lists the first candidate key of each signer that the
+// repository lists at least prepareAt ROAs under: the keys worth a table
+// before the run's first check. A memo-less run lists none.
+func (rp *RelyingParty) busyKeys(repo *Repository, signers map[string][]*Certificate) []ed25519.PublicKey {
+	if rp.memo == nil {
+		return nil
+	}
+	counts := make(map[string]int)
+	var busy []ed25519.PublicKey
+	for _, roa := range repo.roas {
+		if counts[roa.SignerName]++; counts[roa.SignerName] == prepareAt && len(signers[roa.SignerName]) > 0 {
+			busy = append(busy, signers[roa.SignerName][0].PublicKey)
+		}
+	}
+	return busy
+}
+
 // maxChainDepth is how many issuances below its trust anchor a
 // certificate may sit: the anchor is depth 0, a certificate it issued
 // depth 1. No real chain comes close; the cap bounds a hostile one.
@@ -432,7 +481,7 @@ const maxChainDepth = 33
 // cross-signing diamond validates through whichever issuer verifies, a
 // cycle with no path to an anchor is never reached, and a certificate
 // more than maxChainDepth issuances below its anchor is never accepted.
-func (rp *RelyingParty) validSigners(repo *Repository, now time.Time) (map[string][]*Certificate, ValidationStats) {
+func (rp *RelyingParty) validSigners(repo *Repository, now time.Time, tally *sigTally) (map[string][]*Certificate, ValidationStats) {
 	inWindow := func(c *Certificate) bool { return !now.Before(c.NotBefore) && !now.After(c.NotAfter) }
 
 	names := make([]string, 0, len(rp.anchors))
@@ -445,7 +494,7 @@ func (rp *RelyingParty) validSigners(repo *Repository, now time.Time) (map[strin
 	var level []*Certificate
 	for _, name := range names {
 		a := rp.anchors[name]
-		if rp.memo.verify(a.PublicKey, a.payload(), a.Signature) && inWindow(a) {
+		if rp.memo.verify(a.PublicKey, a.payload(), a.Signature, tally) && inWindow(a) {
 			valid[a] = true
 			signers[name] = []*Certificate{a}
 			level = append(level, a)
@@ -465,7 +514,7 @@ func (rp *RelyingParty) validSigners(repo *Repository, now time.Time) (map[strin
 		var next []*Certificate
 		for _, iss := range level {
 			for _, c := range children[iss.SubjectName] {
-				if valid[c] || !inWindow(c) || !rp.memo.verify(iss.PublicKey, c.payload(), c.Signature) {
+				if valid[c] || !inWindow(c) || !rp.memo.verify(iss.PublicKey, c.payload(), c.Signature, tally) {
 					continue
 				}
 				covered := true
@@ -496,31 +545,55 @@ func (rp *RelyingParty) validSigners(repo *Repository, now time.Time) (map[strin
 	return signers, stats
 }
 
-// validROA is one item of Run's parallel phase; it reads signers and
-// writes nothing but the verdict memo.
-func (rp *RelyingParty) validROA(roa *ROA, now time.Time, signers map[string][]*Certificate) bool {
-	if now.Before(roa.NotBefore) || now.After(roa.NotAfter) {
-		return false
-	}
-	if rp.ROAVisibilityLag > 0 && now.Before(roa.NotBefore.Add(rp.ROAVisibilityLag)) {
-		return false // created, but not yet visible to this relying party
-	}
-	for _, signer := range signers[roa.SignerName] {
-		if !rp.memo.verify(signer.PublicKey, roa.payload(), roa.Signature) {
+// validROAs is one item of Run's parallel phase: it sets valid[i] for
+// roas[i], reading signers and writing nothing but the verdict memo. ctx
+// is checked before each ROA; a done ctx stops the block, and Run.
+//
+// Each ROA's first candidate signer is verified in one batch for the
+// block. A ROA whose first candidate fails, by signature or containment,
+// falls back to the next candidates one at a time.
+func (rp *RelyingParty) validROAs(ctx context.Context, roas []*ROA, now time.Time, signers map[string][]*Certificate, valid []bool, tally *sigTally) {
+	checks := make([]sigCheck, 0, len(roas))
+	at := make([]int, 0, len(roas))
+	for i, roa := range roas {
+		if ctx.Err() != nil {
+			return
+		}
+		if now.Before(roa.NotBefore) || now.After(roa.NotAfter) {
 			continue
 		}
-		covered := true
-		for _, p := range roa.Prefixes {
-			if !coveredByAny(p.Prefix, signer.Resources) {
-				covered = false
+		if rp.ROAVisibilityLag > 0 && now.Before(roa.NotBefore.Add(rp.ROAVisibilityLag)) {
+			continue // created, but not yet visible to this relying party
+		}
+		if cands := signers[roa.SignerName]; len(cands) > 0 {
+			checks = append(checks, sigCheck{pub: cands[0].PublicKey, payload: roa.payload(), sig: roa.Signature})
+			at = append(at, i)
+		}
+	}
+	rp.memo.verifyBatch(checks, tally)
+	for j, i := range at {
+		roa := roas[i]
+		for n, signer := range signers[roa.SignerName] {
+			verified := checks[j].ok
+			if n > 0 {
+				verified = rp.memo.verify(signer.PublicKey, checks[j].payload, roa.Signature, tally)
+			}
+			if verified && covers(signer, roa) {
+				valid[i] = true
 				break
 			}
 		}
-		if covered {
-			return true
+	}
+}
+
+// covers reports whether signer's resources cover every prefix of roa.
+func covers(signer *Certificate, roa *ROA) bool {
+	for _, p := range roa.Prefixes {
+		if !coveredByAny(p.Prefix, signer.Resources) {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // BuildIndex loads VRPs into a fresh rov.Index for route origin

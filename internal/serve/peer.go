@@ -24,11 +24,6 @@ import (
 	"manrsmeter/internal/obsv"
 )
 
-// maxWireArchive bounds how many bytes fromPeer will read from a peer:
-// large-world archives run ~100 MB; 1 GiB is far above any plausible
-// archive and far below a memory-exhaustion attack surface.
-const maxWireArchive = 1 << 30
-
 // peerSnapshot streams the encoded archive of the published snapshot
 // at ?date (default: headline). 404 until a snapshot is published —
 // the peer should try another replica or fall back to a local build,
@@ -85,7 +80,7 @@ func (s *Store) fromPeer(ctx context.Context, base string, date time.Time) (*Sna
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
 	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxWireArchive))
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, durable.MaxArchiveBytes))
 	if err != nil {
 		return nil, fmt.Errorf("read archive: %w", err)
 	}

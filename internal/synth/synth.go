@@ -352,22 +352,33 @@ func Generate(cfg Config) (*World, error) {
 // published unsigned, in rng order; a signature draws nothing from rng
 // and is a function of its anchor's key and the ROA's fields alone, so
 // signing them here, together and on every core, publishes the
-// repository that signing each at its draw would have.
+// repository that signing each at its draw would have. Each anchor signs
+// its ROAs in batches of signBlock, which share one field inversion.
 func (w *World) signRepository() error {
 	signers := make(map[string]*rpki.CA, len(w.Anchors))
 	for _, ca := range w.Anchors {
 		signers[ca.Cert.SubjectName] = ca
 	}
-	roas := w.Repo.ROAs()
-	return parallel.ForEachErrCtx(context.Background(), len(roas), 0, func(i int) error {
-		ca, ok := signers[roas[i].SignerName]
-		if !ok {
-			return fmt.Errorf("synth: generated ROA %d names signer %q, which is not a trust anchor", i, roas[i].SignerName)
+	bySigner := make(map[string][]*rpki.ROA, len(w.Anchors))
+	for i, roa := range w.Repo.ROAs() {
+		if signers[roa.SignerName] == nil {
+			return fmt.Errorf("synth: generated ROA %d names signer %q, which is not a trust anchor", i, roa.SignerName)
 		}
-		ca.Sign(roas[i])
-		return nil
+		bySigner[roa.SignerName] = append(bySigner[roa.SignerName], roa)
+	}
+	var blocks [][]*rpki.ROA // in any order: no signature depends on another
+	for _, roas := range bySigner {
+		for ; len(roas) > 0; roas = roas[min(signBlock, len(roas)):] {
+			blocks = append(blocks, roas[:min(signBlock, len(roas))])
+		}
+	}
+	return parallel.ForEachCtx(context.Background(), len(blocks), 0, func(i int) {
+		signers[blocks[i][0].SignerName].Sign(blocks[i]...)
 	})
 }
+
+// signBlock is how many ROAs one signing batch holds.
+const signBlock = 64
 
 // Date returns the canonical May-1 measurement date for a year.
 func (w *World) Date(year int) time.Time {

@@ -30,8 +30,11 @@
 #            publication orders and the cancelled run that yields no
 #            VRPs, the prepared-key verifier against crypto/ed25519
 #            (edge key and signature encodings with and without a memo,
-#            6,000 random and mutated signatures), its table bounds on
-#            hostile shapes and its table and key caps (rpki), the build
+#            6,000 random and mutated signatures, the batch table), its
+#            table bounds on hostile shapes, its table and key caps and
+#            the run's span (rpki), the batch signer against
+#            crypto/ed25519 and the scalar arithmetic against math/big
+#            (edwards25519), the build
 #            deadline reaching a cold
 #            relying party (serve), the touched-list accumulator
 #            (hegemony), ten passes each of concurrent VRPsAt and
@@ -79,10 +82,15 @@
 #            bytes/op regression against the committed
 #            BENCH_DatasetBuild_large.json, which it only reads; then
 #            query the large world through manrsd in the same budget
-#   fuzz   — `make fuzz`: a short smoke of eight fuzzers (BGP wire
+#   purego — the rpki tests again on the generic field arithmetic
+#            (-tags purego, fe_amd64_noasm.go), which non-amd64 builds
+#            run instead of the assembly: every differential test
+#            against crypto/ed25519 and math/big
+#   fuzz   — `make fuzz`: a short smoke of nine fuzzers (BGP wire
 #            messages and attributes, MRT, durable archive, VRP CSV,
 #            scenario codec, the prefix table against a linear scan, and
-#            the prepared-key Ed25519 verifier against crypto/ed25519)
+#            the prepared-key Ed25519 verifier and the batch signer
+#            against crypto/ed25519)
 #   report — end-to-end smoke of the batch report: run manrs-report
 #            -scale small -skip-stability -continue-on-error and assert
 #            its health trailer counts 17 sections, all ok, under the
@@ -189,12 +197,13 @@ bench_oracle() {
 echo "==> cross-path oracle (bench query.gateway: replicas, gateway, in-process handler byte-for-byte)"
 bench_oracle query.gateway
 
-echo "==> relying party (-race): fail-closed table, hostile shapes at 8 workers, depth cap in both orders, cancelled runs, prepared keys vs crypto/ed25519, then concurrent dates and forks x10"
+echo "==> relying party (-race): fail-closed table, hostile shapes at 8 workers, depth cap in both orders, cancelled runs, prepared keys, batches and the batch signer vs crypto/ed25519, then concurrent dates and forks x10"
 # The serial memo-less oracle over seeded worlds and worker counts
 # (synth.TestVRPsAtMatchesMemolessOracle, ~50 s under -race) ran in the
 # ./... pass above; the concurrency test is repeated because one pass
 # seldom interleaves the same way twice.
-go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$|^TestHostileRepositoryAtEveryWorkerCount$|^TestChainDepthCapIndependentOfOrder$|^TestCancelledRunYieldsNoVRPs$|^TestEdgeEncodingsMatchStdlib$|^TestPreparedVerifyMatchesStdlib$|^TestPreparedKeysBounded$|^TestPreparedTablesCapped$' ./internal/rpki
+go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$|^TestHostileRepositoryAtEveryWorkerCount$|^TestChainDepthCapIndependentOfOrder$|^TestCancelledRunYieldsNoVRPs$|^TestEdgeEncodingsMatchStdlib$|^TestPreparedVerifyMatchesStdlib$|^TestPreparedKeysBounded$|^TestPreparedTablesCapped$|^TestVerifyBatchTable$|^TestRunSpanAttributes$' ./internal/rpki
+go test -race -count=1 ./internal/rpki/edwards25519
 go test -race -count=1 -run '^TestBuildTimeoutStopsColdRelyingParty$' ./internal/serve
 go test -race -count=1 -run '^TestAccumulator' ./internal/hegemony
 go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$|^TestAtConcurrentBaseAndForks$' ./internal/synth
@@ -291,6 +300,9 @@ kill -TERM "$MANRSD_PID"
 wait "$MANRSD_PID" || true
 MANRSD_PID=""
 echo "large serve smoke: conformance query answered from the ~75k-AS world"
+
+echo "==> generic field arithmetic (-tags purego): rpki differential tests"
+go test -tags purego -count=1 ./internal/rpki/...
 
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 make -s fuzz FUZZTIME="$FUZZTIME"
