@@ -54,7 +54,7 @@ func main() {
 			log.Fatalf("load %s: %v", path, err)
 		}
 		log.Printf("loaded %s: %d objects, %d routes (%d malformed skipped)",
-			db.Name, db.NumObjects(), len(db.Routes()), skipped)
+			db.Name, db.NumObjects(), db.NumRoutes(), skipped)
 		registry.AddDatabase(db)
 	}
 

@@ -122,9 +122,9 @@ func TestIRRDumpLoadAtScale(t *testing.T) {
 		if err != nil || skipped != 0 {
 			t.Fatalf("%s: load skipped=%d err=%v", db.Name, skipped, err)
 		}
-		if db2.NumObjects() != db.NumObjects() || len(db2.Routes()) != len(db.Routes()) {
+		if db2.NumObjects() != db.NumObjects() || db2.NumRoutes() != db.NumRoutes() {
 			t.Fatalf("%s: %d/%d objects, %d/%d routes", db.Name,
-				db2.NumObjects(), db.NumObjects(), len(db2.Routes()), len(db.Routes()))
+				db2.NumObjects(), db.NumObjects(), db2.NumRoutes(), db.NumRoutes())
 		}
 	}
 }

@@ -61,7 +61,10 @@ var errDamaged = errors.New("bad size")
 type Options struct {
 	// FS is the filesystem; nil means the real one (OSFS).
 	FS FS
-	// MaxBytes is the retention budget; ≤ 0 means DefaultMaxBytes.
+	// MaxBytes is the retention budget; ≤ 0 means DefaultMaxBytes. It
+	// also bounds one archive read (ReadLimit): a file over it is
+	// quarantined unread, so a budget smaller than one archive keeps
+	// nothing a restart can load.
 	MaxBytes int64
 	// Registry receives the store's metrics; nil means obsv.Default().
 	Registry *obsv.Registry
@@ -303,18 +306,28 @@ func (s *Store) Load(ctx context.Context, key Key) (*SnapshotData, error) {
 	return d, nil
 }
 
+// ReadLimit is the largest archive the store reads, from its directory
+// or from a peer: its byte budget, capped at MaxArchiveBytes. A nil
+// store reads up to MaxArchiveBytes.
+func (s *Store) ReadLimit() int64 {
+	if s == nil {
+		return MaxArchiveBytes
+	}
+	return min(s.maxBytes, MaxArchiveBytes)
+}
+
 // readLocked reads archive name whole: its size from Stat, then one read
-// into a buffer of exactly that size. A file over MaxArchiveBytes is
-// damage, refused before anything is allocated for it; so is a file
-// shorter than Stat said.
+// into a buffer of exactly that size. A file over ReadLimit is damage,
+// refused before anything is allocated for it; so is a file shorter
+// than Stat said.
 func (s *Store) readLocked(name string) ([]byte, error) {
 	path := filepath.Join(s.dir, name)
 	fi, err := s.fs.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	if fi.Size() > MaxArchiveBytes {
-		return nil, fmt.Errorf("%w: %d bytes, over the %d-byte bound", errDamaged, fi.Size(), MaxArchiveBytes)
+	if limit := s.ReadLimit(); fi.Size() > limit {
+		return nil, fmt.Errorf("%w: %d bytes, over the %d-byte bound", errDamaged, fi.Size(), limit)
 	}
 	f, err := s.fs.Open(path)
 	if err != nil {

@@ -178,22 +178,28 @@ func (f sizeFS) Open(name string) (io.ReadCloser, error) {
 }
 
 // TestStoreBoundsArchiveRead: an archive file whose Stat says one byte
-// over MaxArchiveBytes is quarantined without being read, and one shorter
-// than its Stat size is quarantined too; either way the key loads as
-// ErrNotFound, so its date cold-builds.
+// over MaxArchiveBytes is quarantined without being read, and so is one
+// byte over the store's own budget; one shorter than its Stat size is
+// quarantined too. Either way the key loads as ErrNotFound, so its date
+// cold-builds.
 func TestStoreBoundsArchiveRead(t *testing.T) {
-	for name, fsys := range map[string]sizeFS{
-		"over the bound": {t: t, statSize: func(int64) int64 { return MaxArchiveBytes + 1 }, unreadable: true},
-		"short of Stat":  {t: t, statSize: func(n int64) int64 { return n + 1 }},
+	d := testSnapshotData(0)
+	size := int64(len(Encode(d)))
+	for name, tc := range map[string]struct {
+		fsys   sizeFS
+		budget int64
+	}{
+		"over the bound":  {fsys: sizeFS{t: t, statSize: func(int64) int64 { return MaxArchiveBytes + 1 }, unreadable: true}},
+		"over the budget": {fsys: sizeFS{t: t, statSize: func(n int64) int64 { return n }, unreadable: true}, budget: size - 1},
+		"short of Stat":   {fsys: sizeFS{t: t, statSize: func(n int64) int64 { return n + 1 }}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s, _ := openTest(t, dir, Options{})
-			d := testSnapshotData(0)
 			if err := s.Save(context.Background(), d); err != nil {
 				t.Fatal(err)
 			}
-			bounded, reg := openTest(t, dir, Options{FS: fsys})
+			bounded, reg := openTest(t, dir, Options{FS: tc.fsys, MaxBytes: tc.budget})
 			if _, err := bounded.Load(context.Background(), d.Key()); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("load: %v, want ErrNotFound", err)
 			}

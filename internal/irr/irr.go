@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -22,20 +23,29 @@ import (
 	"manrsmeter/internal/rpsl"
 )
 
-// RouteObject is a parsed route or route6 object: the authorization for
-// Origin to announce Prefix, registered in database Source.
-type RouteObject struct {
+// Route is one stored route row: the authorization for Origin to
+// announce Prefix. It holds no pointer, so a database's rows sit in
+// memory the garbage collector never scans; the source of a row is its
+// database's Name, and the descr attribute of a parsed object is kept
+// beside the rows.
+type Route struct {
 	Prefix netx.Prefix
 	Origin uint32
+}
+
+// Authorization converts the route into the rov vocabulary. IRR has no
+// max-length attribute, so the prefix length is used (§6.1).
+func (r Route) Authorization() rov.Authorization {
+	return rov.Authorization{Prefix: r.Prefix, ASN: r.Origin, MaxLength: r.Prefix.Bits()}
+}
+
+// RouteObject is a route or route6 object as its database reports it:
+// the row, the database it is registered in, and its description.
+type RouteObject struct {
+	Route
 	Source string
 	// Descr is the free-form description attribute, when present.
 	Descr string
-}
-
-// Authorization converts the route object into the rov vocabulary. IRR
-// has no max-length attribute, so the prefix length is used (§6.1).
-func (r RouteObject) Authorization() rov.Authorization {
-	return rov.Authorization{Prefix: r.Prefix, ASN: r.Origin, MaxLength: r.Prefix.Bits()}
 }
 
 // ASSet is a parsed as-set object. Members may be AS numbers or names of
@@ -50,11 +60,20 @@ type ASSet struct {
 // objects. The zero value is unusable; use NewDatabase.
 type Database struct {
 	Name   string
-	routes []RouteObject
+	routes []Route
+	// descrs holds the descr attribute of the parsed route objects that
+	// carry one, by row index.
+	descrs map[int]string
 	asSets map[string]*ASSet
-	// objects retains every parsed object, including classes this package
-	// does not interpret, so snapshots round-trip losslessly.
+	// objects retains every object AddObject ingested, including classes
+	// this package does not interpret, so snapshots round-trip
+	// losslessly.
 	objects []*rpsl.Object
+	// dumped lists what Dump writes, in registration order: a value
+	// i ≥ 0 is route row i, registered by AddRoute and rendered from the
+	// row; i < 0 is objects[-i-1]. Rows AddRouteCompact registered are
+	// not in it.
+	dumped []int32
 }
 
 // NewDatabase returns an empty database named name (upper-cased, matching
@@ -87,8 +106,13 @@ func (db *Database) AddObject(o *rpsl.Object) error {
 		if err != nil {
 			return fmt.Errorf("irr: %s object %q: %w", o.Class(), o.Key(), err)
 		}
-		descr, _ := o.Get("descr")
-		db.routes = append(db.routes, RouteObject{Prefix: p, Origin: origin, Source: db.Name, Descr: descr})
+		if descr, _ := o.Get("descr"); descr != "" {
+			if db.descrs == nil {
+				db.descrs = make(map[int]string)
+			}
+			db.descrs[len(db.routes)] = descr
+		}
+		db.routes = append(db.routes, Route{Prefix: p, Origin: origin})
 	case "as-set":
 		name := strings.ToUpper(o.Key())
 		set := &ASSet{Name: name, Source: db.Name}
@@ -103,48 +127,56 @@ func (db *Database) AddObject(o *rpsl.Object) error {
 		db.asSets[name] = set
 	}
 	db.objects = append(db.objects, o)
+	db.dumped = append(db.dumped, -int32(len(db.objects)))
 	return nil
 }
 
-// AddRoute is a convenience to register a route object directly. It
-// returns an error for an invalid (e.g. zero-value) prefix rather than
-// registering an object that would poison later validation.
+// AddRoute registers a route (IPv4) or route6 (IPv6) object for origin
+// announcing prefix, with this database as its source. Only the row is
+// stored: Dump renders the object's text, in registration order, as
+// "route: …", "origin: …" and "source: …" lines. It returns an error for
+// an invalid (e.g. zero-value) or 4-in-6 prefix rather than registering
+// an object that would poison later validation.
 func (db *Database) AddRoute(prefix netx.Prefix, origin uint32) error {
 	if !prefix.IsValid() {
 		return fmt.Errorf("irr: AddRoute: invalid prefix %v", prefix)
 	}
-	o := &rpsl.Object{}
-	cls := "route"
-	if prefix.Is6() {
-		cls = "route6"
+	if !prefix.Is4() && !prefix.Is6() {
+		return fmt.Errorf("irr: AddRoute: route object %q is not IPv4", prefix.String())
 	}
-	o.Add(cls, prefix.String())
-	o.Add("origin", rpsl.FormatASN(origin))
-	o.Add("source", db.Name)
-	if err := db.AddObject(o); err != nil {
-		return fmt.Errorf("irr: AddRoute: %w", err)
-	}
+	db.dumped = append(db.dumped, int32(len(db.routes)))
+	db.routes = append(db.routes, Route{Prefix: prefix, Origin: origin})
 	return nil
 }
 
-// AddRouteCompact registers a route object without materializing an RPSL
-// object for it: only the parsed RouteObject is retained, so it
-// validates and indexes like any other route but is absent from Dump.
-// This is the bulk path for internet-scale synthetic worlds, where a
-// million RPSL objects would dominate the generator's footprint.
+// AddRouteCompact registers a route like AddRoute, but as a row alone:
+// it validates and indexes like any other route and is absent from Dump
+// and NumObjects. This is the bulk path for internet-scale synthetic
+// worlds, whose million routes no caller ever renders.
 func (db *Database) AddRouteCompact(prefix netx.Prefix, origin uint32) error {
 	if !prefix.IsValid() {
 		return fmt.Errorf("irr: AddRouteCompact: invalid prefix %v", prefix)
 	}
-	db.routes = append(db.routes, RouteObject{Prefix: prefix, Origin: origin, Source: db.Name})
+	db.routes = append(db.routes, Route{Prefix: prefix, Origin: origin})
 	return nil
 }
 
-// Routes returns the parsed route objects in registration order.
-func (db *Database) Routes() []RouteObject { return db.routes }
+// Routes returns a copy of the route objects in registration order, each
+// with its source and description.
+func (db *Database) Routes() []RouteObject {
+	out := make([]RouteObject, len(db.routes))
+	for i, r := range db.routes {
+		out[i] = RouteObject{Route: r, Source: db.Name, Descr: db.descrs[i]}
+	}
+	return out
+}
 
-// NumObjects returns the total number of objects ingested.
-func (db *Database) NumObjects() int { return len(db.objects) }
+// NumRoutes returns the number of route rows, however registered.
+func (db *Database) NumRoutes() int { return len(db.routes) }
+
+// NumObjects returns the number of objects Dump writes: every object
+// AddObject ingested plus every route AddRoute registered.
+func (db *Database) NumObjects() int { return len(db.dumped) }
 
 // Load parses an RPSL dump into the database, skipping malformed
 // interpreted objects but returning the first syntax error.
@@ -164,13 +196,34 @@ func (db *Database) Load(r io.Reader) (skipped int, err error) {
 	}
 }
 
-// Dump serializes every object to w as an RPSL snapshot.
+// Dump serializes the database to w as an RPSL snapshot, each object
+// followed by a blank line: ingested objects verbatim, and AddRoute's
+// routes rendered from their rows.
 func (db *Database) Dump(w io.Writer) error {
-	for _, o := range db.objects {
-		if _, err := io.WriteString(w, o.String()); err != nil {
-			return err
+	var b []byte
+	for _, i := range db.dumped {
+		b = b[:0]
+		if i < 0 {
+			b = append(b, db.objects[-i-1].String()...)
+		} else {
+			r := db.routes[i]
+			if r.Prefix.Is6() {
+				b = append(b, "route6: "...)
+			} else {
+				b = append(b, "route: "...)
+			}
+			b = r.Prefix.AppendTo(b)
+			b = append(b, "\norigin: AS"...)
+			b = strconv.AppendUint(b, uint64(r.Origin), 10)
+			b = append(b, "\nsource:"...)
+			if db.Name != "" { // as rpsl.Object.String writes an empty value
+				b = append(b, ' ')
+				b = append(b, db.Name...)
+			}
+			b = append(b, '\n')
 		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
+		b = append(b, '\n')
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
@@ -260,7 +313,7 @@ func (r *Registry) Index() (*rov.Index, error) {
 func (r *Registry) NumRoutes() int {
 	n := 0
 	for _, db := range r.dbs {
-		n += len(db.routes)
+		n += db.NumRoutes()
 	}
 	return n
 }

@@ -70,8 +70,8 @@ func TestMntnerObjectParsing(t *testing.T) {
 	if err := db.AddObject(obj("mntner", "MAINT-OBJ", "auth", "PLAIN-PW hunter2", "source", "TEST")); err != nil {
 		t.Fatal(err)
 	}
-	if db.NumObjects() != 1 || len(db.Routes()) != 0 {
-		t.Fatalf("objects = %d, routes = %d; want 1, 0", db.NumObjects(), len(db.Routes()))
+	if db.NumObjects() != 1 || db.NumRoutes() != 0 {
+		t.Fatalf("objects = %d, routes = %d; want 1, 0", db.NumObjects(), db.NumRoutes())
 	}
 	var buf bytes.Buffer
 	if err := db.Dump(&buf); err != nil {
@@ -199,8 +199,8 @@ source: TEST
 	if err != nil || skipped != 0 {
 		t.Fatalf("Load: skipped=%d err=%v", skipped, err)
 	}
-	if db.NumObjects() != 3 || len(db.Routes()) != 2 {
-		t.Fatalf("objects=%d routes=%d", db.NumObjects(), len(db.Routes()))
+	if db.NumObjects() != 3 || db.NumRoutes() != 2 {
+		t.Fatalf("objects=%d routes=%d", db.NumObjects(), db.NumRoutes())
 	}
 	var buf bytes.Buffer
 	if err := db.Dump(&buf); err != nil {
@@ -210,9 +210,9 @@ source: TEST
 	if _, err := db2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if db2.NumObjects() != db.NumObjects() || len(db2.Routes()) != len(db.Routes()) {
+	if db2.NumObjects() != db.NumObjects() || db2.NumRoutes() != db.NumRoutes() {
 		t.Errorf("round trip lost objects: %d/%d routes %d/%d",
-			db2.NumObjects(), db.NumObjects(), len(db2.Routes()), len(db.Routes()))
+			db2.NumObjects(), db.NumObjects(), db2.NumRoutes(), db.NumRoutes())
 	}
 }
 
@@ -230,8 +230,8 @@ source: TEST
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 1 || len(db.Routes()) != 1 {
-		t.Errorf("skipped=%d routes=%d", skipped, len(db.Routes()))
+	if skipped != 1 || db.NumRoutes() != 1 {
+		t.Errorf("skipped=%d routes=%d", skipped, db.NumRoutes())
 	}
 }
 

@@ -117,7 +117,7 @@ func (s *QueryServer) ensureIndex() {
 	v4 := make(map[uint32][]netx.Prefix)
 	v6 := make(map[uint32][]netx.Prefix)
 	for _, db := range s.registry.Databases() {
-		for _, ro := range db.Routes() {
+		for _, ro := range db.routes {
 			if ro.Prefix.Is6() {
 				v6[ro.Origin] = append(v6[ro.Origin], ro.Prefix)
 			} else {
@@ -245,7 +245,7 @@ func (s *QueryServer) answer(bw *bufio.Writer, line string) {
 		var sb strings.Builder
 		found := false
 		for _, db := range s.registry.Databases() {
-			for _, ro := range db.Routes() {
+			for _, ro := range db.routes {
 				if ro.Prefix == prefix {
 					found = true
 					cls := "route"
@@ -253,7 +253,7 @@ func (s *QueryServer) answer(bw *bufio.Writer, line string) {
 						cls = "route6"
 					}
 					fmt.Fprintf(&sb, "%s: %s\norigin: %s\nsource: %s\n\n",
-						cls, ro.Prefix, rpsl.FormatASN(ro.Origin), ro.Source)
+						cls, ro.Prefix, rpsl.FormatASN(ro.Origin), db.Name)
 				}
 			}
 		}

@@ -80,7 +80,7 @@ func (s *Store) fromPeer(ctx context.Context, base string, date time.Time) (*Sna
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
 	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, durable.MaxArchiveBytes))
+	buf, err := readArchive(resp, s.durable.ReadLimit())
 	if err != nil {
 		return nil, fmt.Errorf("read archive: %w", err)
 	}
@@ -89,4 +89,29 @@ func (s *Store) fromPeer(ctx context.Context, base string, date time.Time) (*Sna
 		return nil, fmt.Errorf("decode archive: %w", err)
 	}
 	return s.restoreSnapshot(ctx, d)
+}
+
+// readArchive reads a peer's archive body whole, refusing one over limit
+// bytes before allocating for it: one read into a buffer sized from
+// Content-Length or, for a body of unknown length, a read that stops
+// one byte past the limit.
+func readArchive(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("%d bytes, over the %d-byte bound", resp.ContentLength, limit)
+	}
+	if resp.ContentLength >= 0 {
+		buf := make([]byte, resp.ContentLength)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(buf)) > limit {
+		return nil, fmt.Errorf("over the %d-byte bound", limit)
+	}
+	return buf, nil
 }

@@ -249,3 +249,43 @@ func TestSyncPeersKeepsErrorChains(t *testing.T) {
 		t.Errorf("error %q does not wrap the build failure", err)
 	}
 }
+
+// TestPeerReadBoundedByBudget: a replica with an archive directory
+// refuses a peer's archive over its budget without reading it whole,
+// whether Content-Length announces the size or a body of unknown length
+// runs past the budget. Both peers hold the connection open after what
+// they sent, so a read that waited for the whole body would hang.
+func TestPeerReadBoundedByBudget(t *testing.T) {
+	const budget = 1 << 10
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/sized/peer/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(budget+1))
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		<-release
+	})
+	mux.HandleFunc("/unsized/peer/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(make([]byte, budget+1))
+		w.(http.Flusher).Flush()
+		<-release
+	})
+	peer := httptest.NewServer(mux)
+	defer peer.Close()
+	defer close(release)
+
+	archive, err := durable.Open(t.TempDir(), durable.Options{MaxBytes: budget, Registry: obsv.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(testWorld(t), StoreOptions{Registry: obsv.NewRegistry(), Durable: archive})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, base := range []string{peer.URL + "/sized", peer.URL + "/unsized"} {
+		_, err := store.fromPeer(ctx, base, store.DefaultDate())
+		if err == nil || !strings.Contains(err.Error(), "over the 1024-byte bound") {
+			t.Errorf("%s: %v, want a refusal over the 1024-byte bound", base, err)
+		}
+	}
+}

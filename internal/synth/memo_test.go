@@ -93,10 +93,10 @@ func sigChecks() (hit, miss int64) {
 // relying party at 1, 2 and 8 workers, memo-less or with a memo warmed by
 // the other dates and the other forks, returns exactly what a serial
 // memo-less one does, VRP for VRP and stat for stat. The memo-less run
-// verifies with crypto/ed25519; the memo prepares a key on its 32nd miss,
-// so worlds where one anchor signs 36 ROAs or more (a few are in no
-// study date's window) also hold the prepared-key verifier to the
-// standard library.
+// verifies with crypto/ed25519; before a run's first check, the memo
+// prepares each key the repository lists 32 or more ROAs under, so
+// worlds where one anchor signs that many also hold the prepared-key
+// verifier to the standard library.
 func TestVRPsAtMatchesMemolessOracle(t *testing.T) {
 	prepared := 0 // worlds with a key the memo prepares
 	for seed := int64(1); seed <= 20; seed++ {

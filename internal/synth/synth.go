@@ -324,12 +324,17 @@ func Generate(cfg Config) (*World, error) {
 			}
 		}
 	}
+	// Population published the last ROA, and nothing after it reads a
+	// ROA or draws for one: sign while the serial tail runs, and join
+	// the signers before the world is handed out.
+	signed := make(chan error, 1)
+	go func() { signed <- w.signRepository() }()
 	w.addChurn(rng, infos)
 	w.assignPolicies(rng, infos)
 	w.populateContacts(rng, infos)
 	w.pickVantagePoints(rng, infos)
 	w.SetSnapshot(w.Date(cfg.EndYear))
-	if err := w.signRepository(); err != nil {
+	if err := <-signed; err != nil {
 		return nil, err
 	}
 	// Empty: the first relying-party run verifies everything it trusts.
@@ -351,9 +356,10 @@ func Generate(cfg Config) (*World, error) {
 // signRepository signs the ROAs generation published. They were built and
 // published unsigned, in rng order; a signature draws nothing from rng
 // and is a function of its anchor's key and the ROA's fields alone, so
-// signing them here, together and on every core, publishes the
-// repository that signing each at its draw would have. Each anchor signs
-// its ROAs in batches of signBlock, which share one field inversion.
+// signing them here, together, on every core and beside the rest of
+// generation, publishes the repository that signing each at its draw
+// would have. Each anchor signs its ROAs in batches of signBlock, which
+// share one field inversion.
 func (w *World) signRepository() error {
 	signers := make(map[string]*rpki.CA, len(w.Anchors))
 	for _, ca := range w.Anchors {

@@ -6,6 +6,7 @@ import (
 
 	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/ihr"
+	"manrsmeter/internal/irr"
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/rov"
 	"manrsmeter/internal/rpki"
@@ -37,7 +38,7 @@ func hasPointers(t reflect.Type) bool {
 func TestPerPrefixRowsArePointerFree(t *testing.T) {
 	for _, v := range []any{
 		netx.Prefix{}, astopo.Origination{}, ihr.PrefixOrigin{}, ihr.TransitRow{},
-		rov.Authorization{}, rpki.VRP{},
+		rov.Authorization{}, rpki.VRP{}, irr.Route{},
 	} {
 		if typ := reflect.TypeOf(v); hasPointers(typ) {
 			t.Errorf("%s holds a pointer", typ)

@@ -5,74 +5,29 @@
 #   gofmt  — formatting gate (fails listing unformatted files)
 #   vet    — static analysis
 #   build  — every package and command compiles
-#   race   — full test suite under the race detector (includes the
-#            chaos suites driving each daemon through injected faults),
-#            then an explicit pass over the failure-semantics gates:
-#            the section-timeout chaos test (every report section
-#            stalled past its watchdog), the parallel-pool
-#            goroutine-leak test, the adversarial scenario suite
-#            (relying-party-failure chaos with concurrent baseline
-#            readers, byte-determinism across worker counts), and the
-#            wire-substrate oracle (TestWireSubstrateOracle: the RTR
-#            cache and the BGP collector against the in-memory pipeline
-#            on seeded worlds) with the RTR client's bound on a silent
-#            or faulty cache
+#   race   — the whole suite once under the race detector at
+#            -count=1, so no result comes from the test cache. That
+#            pass holds every gate a test states (each test's doc
+#            comment says what): the report's section-timeout chaos,
+#            the pool's goroutine-leak test, the adversarial scenario
+#            suite, the wire-substrate oracle and the RTR client's
+#            bound on a silent cache, the request-front contract table,
+#            the relying party's fail-closed table and its prepared-key
+#            and batch oracles against crypto/ed25519, the prefix table,
+#            need-set flood and route-tree template oracles, the
+#            archive's bounds, and world generation's joined signers
 #   docs   — the docs gate, TestDocsNameLiveCode, runs in the race leg
-#   front  — the request-front contract table (serve.TestFrontContract)
-#            under -race: manrsd's and manrs-gw's handlers through the
-#            same cases and assertions; then the bench's cross-path
-#            oracle (`go run ./bench --workload query.gateway`): each
-#            replica, the gateway and an in-process handler must
-#            answer byte-for-byte alike with zero failed requests
-#   memo   — the two-phase relying party and its signature-verdict memo
-#            under -race: the fail-closed tamper table, the hostile
-#            chain shapes at 1 and 8 workers, the depth cap in both
-#            publication orders and the cancelled run that yields no
-#            VRPs, the prepared-key verifier against crypto/ed25519
-#            (edge key and signature encodings with and without a memo,
-#            6,000 random and mutated signatures, the batch table), its
-#            table bounds on hostile shapes, its table and key caps and
-#            the run's span (rpki), the batch signer against
-#            crypto/ed25519 and the scalar arithmetic against math/big
-#            (edwards25519), the build
-#            deadline reaching a cold
-#            relying party (serve), the touched-list accumulator
-#            (hegemony), ten passes each of concurrent VRPsAt and
-#            concurrent World.At on a base world and two forks, the
-#            view oracle (At against the uncached route over seeded
-#            worlds × forks × worker counts) and the cold weekly op's
-#            signature count (synth; the serial memo-less oracle, now
-#            also the stdlib oracle for prepared keys, runs in the race
-#            pass); then the bench's
-#            build oracle (`go run ./bench --workload build.weekly`): snapshot
-#            digests equal across ops and worker counts, and a
-#            warm-started store answering like the one that built
-#   prefix — the sorted prefix table under -race: Prefix against
-#            net/netip, the table and rov.Index against linear scans
-#            (IPv4, IPv6 and 4-in-6, duplicates, nested chains, inserts
-#            after reads), concurrent first reads, and a cold build's
-#            archive on disk before its snapshot publishes (serve)
-#   flood  — vantage-point-restricted floods under -race: the
-#            need-set-vs-full-flood property on random DAGs and the
-#            misuse test (astopo), and the dataset oracle over seeded
-#            worlds in both layouts at 1 and N workers, against the
-#            full flood and against hegemony.Scores over full-flood
-#            paths (ihr); the build's skipped sorts and its seal:
-#            shuffled and duplicated originations (ihr), the accumulator
-#            fed ASNs and slots (hegemony), authorizations added out of
-#            order (rov), IPv4 ranges in any order (netx), and a v2
-#            archive rejected as a format mismatch, quarantined once and
-#            cold-built (durable, serve); then the bench's build oracle
-#            on the propagation-bound world
-#            (`go run ./bench --workload build.topology`)
-#   tmpl   — the route-tree template table under -race, since
-#            concurrent stability weeks share one: builds through a
-#            table equal builds without one (archive bytes) over seeded
-#            worlds at the twelve stability dates, 1 and 2 workers,
-#            cold and concurrent then warm, on forks after each
-#            mutation kind (synth); a table ignores other configs and
-#            stops inserting at its cap (ihr); the origination table
-#            against the map derivation at every churn boundary (synth)
+#   front  — the bench's cross-path oracle (`go run ./bench --workload
+#            query.gateway`): each replica, the gateway and an
+#            in-process handler must answer byte-for-byte alike with
+#            zero failed requests
+#   forks  — ten more race passes of concurrent VRPsAt and concurrent
+#            World.At on a base world and two forks (synth), since one
+#            pass seldom interleaves the same way twice
+#   oracle — the bench's build oracles (`go run ./bench --workload
+#            build.weekly`, then `build.topology`): snapshot digests
+#            equal across ops and worker counts, and a warm-started
+#            store answering like the one that built
 #   bench  — single-iteration smoke of the headline benchmarks (dataset
 #            build, propagation, full report, snapshot persist/load);
 #            nothing is recorded — `go run ./bench` is the one ledger
@@ -166,19 +121,11 @@ go vet ./internal/obsv
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go test -race ./..."
-go test -race ./...
-
-echo "==> section-timeout chaos + goroutine-leak gates + wire-substrate oracle (-race)"
-go test -race -count=1 -run '^TestRunReportSectionTimeoutChaos$|^TestRunReportCancelDrains$|^TestWireSubstrateOracle$' .
-go test -race -count=1 -run '^TestFetchBoundedBySilentCache$|^TestRTRChaosFetchExactOrError$' ./internal/rpki/rtr
-go test -race -count=1 -run '^TestForEachCtxNoGoroutineLeak$' ./internal/parallel
-
-echo "==> adversarial scenario gates (-race): rp-failure chaos + byte determinism"
-go test -race -count=1 ./internal/scenario
-
-echo "==> request-front contract (-race): one table, manrsd and manrs-gw handlers"
-go test -race -count=1 -run '^TestFrontContract$' ./internal/serve
+echo "==> go test -race -count=1 ./..."
+# One pass, never from the test cache: every test runs once under the
+# race detector, the failure-semantics gates, the relying-party and
+# template oracles and the chaos suites included.
+go test -race -count=1 ./...
 
 # bench_oracle WORKLOAD: a 2-second run of one bench workload must end in
 # a JSON line saying "correct":true and "failed":0.
@@ -197,38 +144,12 @@ bench_oracle() {
 echo "==> cross-path oracle (bench query.gateway: replicas, gateway, in-process handler byte-for-byte)"
 bench_oracle query.gateway
 
-echo "==> relying party (-race): fail-closed table, hostile shapes at 8 workers, depth cap in both orders, cancelled runs, prepared keys, batches and the batch signer vs crypto/ed25519, then concurrent dates and forks x10"
-# The serial memo-less oracle over seeded worlds and worker counts
-# (synth.TestVRPsAtMatchesMemolessOracle, ~50 s under -race) ran in the
-# ./... pass above; the concurrency test is repeated because one pass
-# seldom interleaves the same way twice.
-go test -race -count=1 -run 'VerdictMemo|^TestShortPublicKeyFailsClosed$|^TestCrossSignedDiamondOrderIndependence$|^TestCertificateCycleStillRejected$|^TestHostileRepositoryAtEveryWorkerCount$|^TestChainDepthCapIndependentOfOrder$|^TestCancelledRunYieldsNoVRPs$|^TestEdgeEncodingsMatchStdlib$|^TestPreparedVerifyMatchesStdlib$|^TestPreparedKeysBounded$|^TestPreparedTablesCapped$|^TestVerifyBatchTable$|^TestRunSpanAttributes$' ./internal/rpki
-go test -race -count=1 ./internal/rpki/edwards25519
-go test -race -count=1 -run '^TestBuildTimeoutStopsColdRelyingParty$' ./internal/serve
-go test -race -count=1 -run '^TestAccumulator' ./internal/hegemony
+echo "==> concurrent dates and forks (-race, x10)"
+# One pass seldom interleaves the same way twice.
 go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$|^TestAtConcurrentBaseAndForks$' ./internal/synth
-go test -race -count=1 -run '^TestMemoIsPerWorld$|^TestAtMatchesUncachedRoute$|^TestColdWeeklyRunMissCount$' ./internal/synth
 
 echo "==> build oracle (bench build.weekly: digests equal across ops and worker counts, warm start answers like the builder)"
 bench_oracle build.weekly
-
-echo "==> prefix table (-race): netip property, table and rov.Index vs linear scans, concurrent first reads, archive before publish"
-go test -race -count=1 -run '^TestPrefixMatchesNetip$|^TestTableMatchesLinearScan$|^TestTableConcurrentFirstReads$' ./internal/netx
-go test -race -count=1 -run '^TestValidateAndCoveringMatchLinear$|^TestFourInSixIsNotIPv4$' ./internal/rov
-go test -race -count=1 -run '^TestColdBuildArchivesBeforePublish$' ./internal/serve
-
-echo "==> need-set floods (-race): exactness property + misuse, the dataset oracles, skipped sorts and the archive seal"
-go test -race -count=1 -run '^TestNeedSetFloodMatchesFull$|^TestPartialTreeNeverGuesses$' ./internal/astopo
-go test -race -count=1 -run '^TestBuildMatchesFullFloodOracle$|^TestBuildUnorderedOriginations$' ./internal/ihr
-go test -race -count=1 -run '^TestAccumulatorMatchesScores$' ./internal/hegemony
-go test -race -count=1 -run '^TestCoveringAndAll$' ./internal/rov
-go test -race -count=1 -run '^TestIPSet4SizeMatchesBruteForce$' ./internal/netx
-go test -race -count=1 -run '^TestCodecRejectsVersionSkew$|^TestStoreQuarantinesCorruption$' ./internal/durable
-go test -race -count=1 -run '^TestV2ArchiveQuarantinedOnceThenColdBuilds$' ./internal/serve
-
-echo "==> template table (-race): templated vs template-less builds, concurrent weeks, forks, foreign configs, the cap, the origination table"
-go test -race -count=1 -run '^TestTemplatesMatchTemplatelessBuilds$|^TestForkTemplatesMatchTemplatelessBuilds$|^TestTemplateReusesCountedOnSecondDate$|^TestOriginationsAtMatchesMapDerivation$' ./internal/synth
-go test -race -count=1 -run '^TestTemplatesIgnoreOtherConfigs$|^TestTemplatesStopInsertingAtCap$' ./internal/ihr
 
 echo "==> build oracle (bench build.topology: propagation-bound world, digests equal across ops and worker counts)"
 bench_oracle build.topology
