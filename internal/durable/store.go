@@ -185,7 +185,9 @@ func parseArchiveName(name string) (Key, bool) {
 
 // Save encodes d and commits it over its key's archive with the temp +
 // fsync + rename protocol, then runs the retention janitor. Saving the
-// content the key's archive already holds is a no-op.
+// content the key's archive already holds is a no-op. An archive over
+// ReadLimit is refused before anything is written, as a failed persist:
+// Load would quarantine it unread.
 func (s *Store) Save(ctx context.Context, d *SnapshotData) error {
 	start := time.Now()
 	_, span := obsv.StartSpan(ctx, "durable.save", obsv.KV("key", d.Key().String()))
@@ -199,6 +201,12 @@ func (s *Store) Save(ctx context.Context, d *SnapshotData) error {
 	key := d.Key()
 	name := archiveName(key)
 	span.SetAttr("file", name)
+	if limit := s.ReadLimit(); int64(len(buf)) > limit {
+		err := fmt.Errorf("durable: archive %s is %d bytes, over the %d-byte read limit", name, len(buf), limit)
+		s.met.persistErrors.Inc()
+		span.SetAttr("error", err.Error())
+		return err
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

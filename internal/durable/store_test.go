@@ -213,6 +213,41 @@ func TestStoreBoundsArchiveRead(t *testing.T) {
 	}
 }
 
+// TestStoreSaveWithinReadLimit saves an archive one byte over the budget:
+// Save fails and counts a persist error, writes nothing (no temp file,
+// no archive), and a later Load finds nothing to quarantine. At exactly
+// the budget the same archive saves and loads.
+func TestStoreSaveWithinReadLimit(t *testing.T) {
+	d := testSnapshotData(0)
+	size := int64(len(Encode(d)))
+	dir := t.TempDir()
+	s, reg := openTest(t, dir, Options{MaxBytes: size - 1})
+	ctx := context.Background()
+	if err := s.Save(ctx, d); err == nil {
+		t.Fatal("save over the read limit succeeded")
+	}
+	if got := reg.Value("durable_persist_errors_total"); got != 1 {
+		t.Errorf("durable_persist_errors_total = %d, want 1", got)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("directory holds %v (%v), want nothing", entries, err)
+	}
+	if _, err := s.Load(ctx, d.Key()); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("load: %v, want ErrNotFound", err)
+	}
+	if got := reg.Value("durable_quarantine_total"); got != 0 {
+		t.Errorf("durable_quarantine_total = %d, want 0", got)
+	}
+
+	fits, _ := openTest(t, dir, Options{MaxBytes: size})
+	if err := fits.Save(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fits.Load(ctx, d.Key()); err != nil {
+		t.Fatalf("load at exactly the budget: %v", err)
+	}
+}
+
 // TestStoreOneArchivePerKey saves five versions of one key and checks
 // the directory holds one archive, the last, with nothing counted as
 // removed: each save replaces the key's file.
@@ -258,7 +293,12 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, reg := openTest(t, dir, Options{MaxBytes: 1})
+	other := testSnapshotData(1)
+	other.Date = other.Date.AddDate(0, 0, 1)
+	other.Version = other.Key().String()
+	// A budget of exactly one archive: the store reads and saves that
+	// one, and the foreign files count against nothing.
+	s, reg := openTest(t, dir, Options{MaxBytes: int64(len(Encode(other)))})
 	ctx := context.Background()
 	if _, err := s.Load(ctx, d.Key()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("load: %v, want ErrNotFound", err)
@@ -266,9 +306,6 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	if keys := s.Keys(); len(keys) != 0 {
 		t.Fatalf("Keys() = %v, want none", keys)
 	}
-	other := testSnapshotData(1)
-	other.Date = other.Date.AddDate(0, 0, 1)
-	other.Version = other.Key().String()
 	if err := s.Save(ctx, other); err != nil {
 		t.Fatal(err)
 	}

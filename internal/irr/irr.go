@@ -161,6 +161,14 @@ func (db *Database) AddRouteCompact(prefix netx.Prefix, origin uint32) error {
 	return nil
 }
 
+// Grow makes room for n more route rows, so that registering them does
+// not reallocate.
+func (db *Database) Grow(n int) {
+	if cap(db.routes)-len(db.routes) < n {
+		db.routes = append(make([]Route, 0, len(db.routes)+n), db.routes...)
+	}
+}
+
 // Routes returns a copy of the route objects in registration order, each
 // with its source and description.
 func (db *Database) Routes() []RouteObject {

@@ -31,16 +31,32 @@ func SignBatch(priv []byte, messages [][]byte) [][]byte {
 	h := sha512.New()
 	var digest [64]byte
 	nonces := make([]scalar, len(messages))
-	pts := make([]Point, len(messages))
-	var sum projP1xP1
+	digits := make([][32]int8, len(messages))
 	for i, m := range messages {
 		h.Reset()
 		h.Write(expanded[32:])
 		h.Write(m)
 		nonces[i] = reduceDigest(h.Sum(digest[:0]))
 		rBytes := nonces[i].bytes()
-		pts[i].Set(identity)
-		pts[i].addBase(signedRadix256(&rBytes), &sum)
+		digits[i] = signedRadix256(&rBytes)
+	}
+	pts := make([]Point, len(messages))
+	if useLanes {
+		var lanePts [8]Point
+		var r [8][32]int8
+		forGroups(len(messages), func(lo, n int, at *[8]int) {
+			for l, i := range at {
+				r[l] = digits[i]
+			}
+			signLanes(lanePts[:], &r)
+			copy(pts[lo:lo+n], lanePts[:n])
+		})
+	} else {
+		var sum projP1xP1
+		for i := range pts {
+			pts[i].Set(identity)
+			pts[i].addBase(digits[i], &sum)
+		}
 	}
 	sigs := make([][]byte, len(messages))
 	buf := make([]byte, 64*len(messages))

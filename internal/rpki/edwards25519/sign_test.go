@@ -8,41 +8,54 @@ import (
 )
 
 // signBatchMatches signs messages as batches split at split and fails
-// unless every signature is crypto/ed25519.Sign's.
+// unless every signature is crypto/ed25519.Sign's. Its messages name the
+// kernel.
 func signBatchMatches(t *testing.T, priv ed25519.PrivateKey, messages [][]byte, split int) {
 	t.Helper()
 	split = min(split, len(messages))
 	sigs := append(SignBatch(priv, messages[:split]), SignBatch(priv, messages[split:])...)
 	for i, m := range messages {
 		if want := ed25519.Sign(priv, m); !bytes.Equal(sigs[i], want) {
-			t.Fatalf("key %x, message %d of %d (split %d) %x: signature %x, want %x", priv.Seed(), i, len(messages), split, m, sigs[i], want)
+			t.Fatalf("%s kernel, key %x, message %d of %d (split %d) %x: signature %x, want %x", Kernel(), priv.Seed(), i, len(messages), split, m, sigs[i], want)
 		}
 	}
 }
 
 // Random keys, messages of 0 to 300 bytes and batch sizes 0 to 65, split
-// anywhere: every signature is crypto/ed25519.Sign's bytes.
+// anywhere, then batches of 1, 7, 8, 9, 63, 64 and 65 whole, on each
+// kernel: every signature is crypto/ed25519.Sign's bytes.
 func TestSignBatchMatchesStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for key := 0; key < 40; key++ {
-		seed := make([]byte, ed25519.SeedSize)
-		rng.Read(seed)
-		if key == 0 {
-			clear(seed)
-		}
-		var messages [][]byte
-		for range rng.Intn(66) {
-			m := make([]byte, rng.Intn(301))
-			rng.Read(m)
-			messages = append(messages, m)
-		}
-		signBatchMatches(t, ed25519.NewKeyFromSeed(seed), messages, rng.Intn(len(messages)+1))
+	for _, lanes := range kernels() {
+		withKernel(lanes, func() {
+			rng := rand.New(rand.NewSource(1))
+			randomMessages := func(n int) [][]byte {
+				messages := make([][]byte, n)
+				for i := range messages {
+					messages[i] = make([]byte, rng.Intn(301))
+					rng.Read(messages[i])
+				}
+				return messages
+			}
+			for key := 0; key < 40; key++ {
+				seed := make([]byte, ed25519.SeedSize)
+				rng.Read(seed)
+				if key == 0 {
+					clear(seed)
+				}
+				messages := randomMessages(rng.Intn(66))
+				signBatchMatches(t, ed25519.NewKeyFromSeed(seed), messages, rng.Intn(len(messages)+1))
+			}
+			priv := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
+			for _, n := range []int{1, 7, 8, 9, 63, 64, 65} {
+				signBatchMatches(t, priv, randomMessages(n), n)
+			}
+		})
 	}
 }
 
 // FuzzSignBatchMatchesStdlib signs the fuzzed messages under the fuzzed
-// seed's key, split into two batches at split: every signature must be
-// crypto/ed25519.Sign's bytes.
+// seed's key, split into two batches at split, on each kernel: every
+// signature must be crypto/ed25519.Sign's bytes.
 func FuzzSignBatchMatchesStdlib(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint16(0), uint8(0))
 	f.Add([]byte("seed"), []byte("a message"), uint16(9), uint8(1))
@@ -56,11 +69,14 @@ func FuzzSignBatchMatchesStdlib(f *testing.F) {
 			messages = append(messages, m)
 			data = data[len(m):]
 		}
-		signBatchMatches(t, ed25519.NewKeyFromSeed(seed), messages, int(split))
+		for _, lanes := range kernels() {
+			withKernel(lanes, func() { signBatchMatches(t, ed25519.NewKeyFromSeed(seed), messages, int(split)) })
+		}
 	})
 }
 
-// BenchmarkSign is one signature by crypto/ed25519 and in a batch of 64.
+// BenchmarkSign is one signature by crypto/ed25519 and in a batch of 64,
+// on the scalar path too where the lane kernel is selected.
 func BenchmarkSign(b *testing.B) {
 	priv := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
 	messages := make([][]byte, 64)
@@ -72,11 +88,15 @@ func BenchmarkSign(b *testing.B) {
 			ed25519.Sign(priv, messages[i%64])
 		}
 	})
-	b.Run("batch64", func(b *testing.B) {
+	batch64 := func(b *testing.B) {
 		wideTable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 64 {
 			SignBatch(priv, messages)
 		}
-	})
+	}
+	b.Run("batch64", batch64)
+	if lanesSupported() {
+		b.Run("batch64-scalar", func(b *testing.B) { withKernel(false, func() { batch64(b) }) })
+	}
 }

@@ -278,8 +278,8 @@ func TestShortPublicKeyFailsClosed(t *testing.T) {
 }
 
 // A run is one rpki.run span whose attributes say what it did: its ROAs,
-// its signature checks the memo answered and those it verified, and the
-// tables it built.
+// its signature checks the memo answered and those it verified, the
+// tables it built and the kernel it verified on.
 func TestRunSpanAttributes(t *testing.T) {
 	repo, anchor := oneIssuer(t, prepareAt+8)
 	tracer := obsv.NewTracer()
@@ -292,8 +292,8 @@ func TestRunSpanAttributes(t *testing.T) {
 	for _, want := range []map[string]string{
 		// The anchor again (a hit), the issuer's certificate and 40 ROAs
 		// under one key, which gets its table before the first check.
-		{"roas": "40", "hits": "1", "misses": "41", "tables": "1"},
-		{"roas": "40", "hits": "42", "misses": "0", "tables": "0"},
+		{"roas": "40", "hits": "1", "misses": "41", "tables": "1", "kernel": edwards25519.Kernel()},
+		{"roas": "40", "hits": "42", "misses": "0", "tables": "0", "kernel": edwards25519.Kernel()},
 	} {
 		tracer.Reset()
 		if _, _, err := rp.Run(ctx, repo, 2); err != nil {

@@ -10,9 +10,32 @@ import (
 	"slices"
 	"testing"
 	"time"
+	_ "unsafe" // for go:linkname
 
 	"manrsmeter/internal/rpki/edwards25519"
 )
+
+// useLanes is edwards25519's one kernel seam, so that the verifier
+// tests here run on the lane kernel, where this build and CPU have it,
+// and on the scalar path.
+//
+//go:linkname useLanes manrsmeter/internal/rpki/edwards25519.useLanes
+var useLanes bool
+
+// laneKernel is whether edwards25519 selected its lane kernel.
+var laneKernel = edwards25519.Kernel() == "ifma8"
+
+// forEachKernel runs f with each kernel selected in turn.
+func forEachKernel(f func()) {
+	defer func(saved bool) { useLanes = saved }(useLanes)
+	for _, lanes := range []bool{true, false} {
+		if lanes && !laneKernel {
+			continue
+		}
+		useLanes = lanes
+		f()
+	}
+}
 
 var (
 	fieldP = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
@@ -196,10 +219,10 @@ func TestPreparedVerifyMatchesStdlib(t *testing.T) {
 	}
 }
 
-// FuzzPreparedVerifyMatchesStdlib compares the prepared-key verifier with
-// crypto/ed25519.Verify. The key is seed's, an edge encoding, or seed's
-// bytes taken as an encoding; the signature is sig's bytes or one of the
-// edge signatures over message.
+// FuzzPreparedVerifyMatchesStdlib compares the prepared-key verifier, on
+// each kernel, with crypto/ed25519.Verify. The key is seed's, an edge
+// encoding, or seed's bytes taken as an encoding; the signature is sig's
+// bytes or one of the edge signatures over message.
 func FuzzPreparedVerifyMatchesStdlib(f *testing.F) {
 	for k := 0; k <= len(edgeKeys())+1; k++ {
 		for s := 0; s <= len(edgeSignatures(make([]byte, 32), nil)); s++ {
@@ -222,9 +245,11 @@ func FuzzPreparedVerifyMatchesStdlib(f *testing.F) {
 			sig = sigs[int(sigKind-1)%len(sigs)]
 		}
 		want := ed25519.Verify(pub, message, sig)
-		if got := preparedVerify(pub, message, sig); got != want {
-			t.Fatalf("pub %x sig %x: prepared %t, stdlib %t", pub, sig, got, want)
-		}
+		forEachKernel(func() {
+			if got := preparedVerify(pub, message, sig); got != want {
+				t.Fatalf("%s kernel, pub %x sig %x: prepared %t, stdlib %t", edwards25519.Kernel(), pub, sig, got, want)
+			}
+		})
 		// Batched between two signatures that verify, under another key
 		// and under pub's own table: the same verdict.
 		other := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
@@ -239,10 +264,11 @@ func FuzzPreparedVerifyMatchesStdlib(f *testing.F) {
 type triple struct{ pub, msg, sig []byte }
 
 // batchVerdicts verifies batch as one edwards25519.VerifyBatch over
-// prepared keys and as one batch of a memo that prepared them first, and
-// fails unless both agree with crypto/ed25519.Verify on every triple. A
-// key that gets no table must be one crypto/ed25519 rejects everything
-// under; it sits out the direct batch. It returns the verdicts.
+// prepared keys, on each kernel, and as one batch of a memo that
+// prepared them first, and fails unless each agrees with
+// crypto/ed25519.Verify on every triple. A key that gets no table must
+// be one crypto/ed25519 rejects everything under; it sits out the direct
+// batch. It returns the verdicts.
 func batchVerdicts(t testing.TB, batch []triple) []bool {
 	t.Helper()
 	want := make([]bool, len(batch))
@@ -259,16 +285,18 @@ func batchVerdicts(t testing.TB, batch []triple) []bool {
 			t.Fatalf("check %d: key %x has no table, but crypto/ed25519 accepts %x", i, c.pub, c.sig)
 		}
 	}
-	ok := make([]bool, len(checks))
-	for i := range ok {
-		ok[i] = true // a verdict left unset would read as accepted
-	}
-	edwards25519.VerifyBatch(checks, ok)
-	for j, i := range at {
-		if ok[j] != want[i] {
-			t.Fatalf("check %d of %d, key %x, sig %x: batched %t, stdlib %t", i, len(batch), batch[i].pub, batch[i].sig, ok[j], want[i])
+	forEachKernel(func() {
+		ok := make([]bool, len(checks))
+		for i := range ok {
+			ok[i] = true // a verdict left unset would read as accepted
 		}
-	}
+		edwards25519.VerifyBatch(checks, ok)
+		for j, i := range at {
+			if ok[j] != want[i] {
+				t.Fatalf("%s kernel, check %d of %d, key %x, sig %x: batched %t, stdlib %t", edwards25519.Kernel(), i, len(batch), batch[i].pub, batch[i].sig, ok[j], want[i])
+			}
+		}
+	})
 
 	memo := NewVerdictMemo(1 << 16)
 	memo.prepareKeys(pubs)
@@ -301,12 +329,14 @@ func signedBatch(rng *rand.Rand, priv ed25519.PrivateKey, n int) []triple {
 	return batch
 }
 
-// The batched verifiers, edwards25519.VerifyBatch and a memo's batch,
-// give crypto/ed25519's verdict for every check of a batch, whatever
-// else the batch holds: keys mixed, early rejects among accepts, nothing
-// but rejects, sizes about Run's block of 64, and the edge encodings of
-// TestEdgeEncodingsMatchStdlib as the key and as R. Run itself checks
-// 1, 63, 64 and 65 ROAs under one key like the memo-less oracle.
+// The batched verifiers, edwards25519.VerifyBatch on each kernel and a
+// memo's batch, give crypto/ed25519's verdict for every check of a
+// batch, whatever else the batch holds: keys mixed across lanes, early
+// rejects among accepts inside a group of eight, nothing but rejects,
+// sizes about the lane kernel's group of 8 and Run's block of 64, and
+// the edge encodings of TestEdgeEncodingsMatchStdlib as the key and as
+// R. Run itself checks 1, 63, 64 and 65 ROAs under one key like the
+// memo-less oracle, on each kernel.
 func TestVerifyBatchTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	keys := make([]ed25519.PrivateKey, 3)
@@ -368,7 +398,7 @@ func TestVerifyBatchTable(t *testing.T) {
 		{"edge encodings as A", edgeA, 3},
 		{"edge encodings as R", edgeR, 1},
 	}
-	for _, n := range []int{1, 63, 64, 65} {
+	for _, n := range []int{1, 7, 8, 9, 63, 64, 65} {
 		cases = append(cases, struct {
 			name      string
 			batch     []triple
@@ -397,10 +427,12 @@ func TestVerifyBatchTable(t *testing.T) {
 					roa.Signature[i%64] ^= 1
 				}
 			}
-			vrps, stats := runWarmAndCold(t, NewVerdictMemo(1<<12), repo, tEval, 0, anchor)
-			if want := n - (n+2)/5; len(vrps) != want || stats.ROAsValid != want {
-				t.Fatalf("%d VRPs, stats %+v; want %d valid", len(vrps), stats, want)
-			}
+			forEachKernel(func() {
+				vrps, stats := runWarmAndCold(t, NewVerdictMemo(1<<12), repo, tEval, 0, anchor)
+				if want := n - (n+2)/5; len(vrps) != want || stats.ROAsValid != want {
+					t.Fatalf("%s kernel: %d VRPs, stats %+v; want %d valid", edwards25519.Kernel(), len(vrps), stats, want)
+				}
+			})
 		})
 	}
 }
@@ -566,7 +598,8 @@ func TestPreparedTablesCapped(t *testing.T) {
 }
 
 // BenchmarkVerify is one signature check by crypto/ed25519, under a
-// prepared key alone and in a batch of 64, and the cost of preparing one.
+// prepared key alone and in a batch of 64 (on the scalar path too, where
+// the lane kernel is selected), and the cost of preparing one.
 func BenchmarkVerify(b *testing.B) {
 	priv := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
 	pub := priv.Public().(ed25519.PublicKey)
@@ -590,7 +623,7 @@ func BenchmarkVerify(b *testing.B) {
 			}
 		}
 	})
-	b.Run("batch64", func(b *testing.B) {
+	batch64 := func(b *testing.B) {
 		checks := make([]edwards25519.Check, 64)
 		for i := range checks {
 			checks[i] = edwards25519.Check{Key: prepared, Message: message, Sig: sig}
@@ -603,7 +636,15 @@ func BenchmarkVerify(b *testing.B) {
 				b.Fatal("rejected")
 			}
 		}
-	})
+	}
+	b.Run("batch64", batch64)
+	if laneKernel {
+		b.Run("batch64-scalar", func(b *testing.B) {
+			defer func() { useLanes = true }()
+			useLanes = false
+			batch64(b)
+		})
+	}
 	b.Run("prepare", func(b *testing.B) {
 		for range b.N {
 			if _, err := edwards25519.NewPublicKey(pub); err != nil {

@@ -389,8 +389,9 @@ func NewRelyingPartyMemo(memo *VerdictMemo, anchors ...*Certificate) (*RelyingPa
 // done before every ROA was checked yields its cause and no VRPs at all;
 // a partial set would silently turn Valid and Invalid routes into
 // NotFound. A context already done starts nothing, not even the walk.
-// The run is one "rpki.run" span, with its signature hits and misses and
-// the tables it built as attributes.
+// The run is one "rpki.run" span, with its signature hits and misses,
+// the tables it built and the point kernel its checks ran on
+// (edwards25519.Kernel) as attributes.
 func (rp *RelyingParty) Run(ctx context.Context, repo *Repository, workers int) ([]VRP, ValidationStats, error) {
 	if ctx.Err() != nil {
 		return nil, ValidationStats{}, fmt.Errorf("rpki: relying party run: %w", context.Cause(ctx))
@@ -417,6 +418,7 @@ func (rp *RelyingParty) Run(ctx context.Context, repo *Repository, workers int) 
 	span.SetAttr("hits", tally.hits.Load())
 	span.SetAttr("misses", tally.misses.Load())
 	span.SetAttr("tables", tables)
+	span.SetAttr("kernel", edwards25519.Kernel())
 	if err != nil {
 		return nil, ValidationStats{}, fmt.Errorf("rpki: relying party run: %w", err)
 	}

@@ -126,6 +126,16 @@ func (w *World) populateLarge(rng *rand.Rand, infos []*asInfo, irrDBs map[rpki.R
 	spans := make([]span, 0, len(infos))
 	capHint := cfg.CDNs*860 + (cfg.Tier1s+cfg.LargeISPs)*260 + cfg.MediumISPs*46 + cfg.SmallASes*4
 	w.arena = make([]netx.Prefix, 0, capHint)
+	// IRR rows are drawn here in registration order and registered after
+	// the loop, each database grown once to its share. An AS registers
+	// at most one row per /24 plus its block, so the arena's size plus
+	// one per CDN (whose block is not in it) bounds them.
+	type irrRow struct {
+		rir   rpki.RIR
+		route irr.Route
+	}
+	irrRows := make([]irrRow, 0, capHint+cfg.CDNs)
+	var perRIR [rpki.RIPE + 1]int
 	notAfter := time.Date(2040, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	for _, info := range infos {
@@ -287,7 +297,10 @@ func (w *World) populateLarge(rng *rand.Rand, infos []*asInfo, irrDBs map[rpki.R
 		// classify as the tolerated invalid-length), and stale
 		// wrong-origin objects on the tail — all compact, all into the
 		// authoritative per-RIR database only.
-		auth := irrDBs[info.rir]
+		addIRR := func(p netx.Prefix, origin uint32) {
+			irrRows = append(irrRows, irrRow{info.rir, irr.Route{Prefix: p, Origin: origin}})
+			perRIR[info.rir]++
+		}
 		nIRR := int(irrFrac*float64(n) + 0.5)
 		nStale := 0
 		if stale {
@@ -304,19 +317,26 @@ func (w *World) populateLarge(rng *rand.Rand, infos []*asInfo, irrDBs map[rpki.R
 		// exact object into the tolerated invalid-length bucket.
 		skipBlock := stale && (info.class == manrs.Large || info.cdn)
 		if irrFrac > 0 && !skipBlock && (announceBlock || nIRR < n) {
-			if err := auth.AddRouteCompact(block, info.asn); err != nil {
-				return err
-			}
+			addIRR(block, info.asn)
 		}
 		for i := 0; i < nIRR; i++ {
-			if err := auth.AddRouteCompact(subs[i], info.asn); err != nil {
-				return err
-			}
+			addIRR(subs[i], info.asn)
 		}
 		for k := 0; k < nStale; k++ {
-			if err := auth.AddRouteCompact(subs[n-1-k], w.wrongOrigin(rng, info)); err != nil {
-				return err
-			}
+			addIRR(subs[n-1-k], w.wrongOrigin(rng, info))
+		}
+	}
+
+	var dbs [rpki.RIPE + 1]*irr.Database
+	for rir, n := range perRIR {
+		if n > 0 {
+			dbs[rir] = irrDBs[rpki.RIR(rir)]
+			dbs[rir].Grow(n)
+		}
+	}
+	for _, r := range irrRows {
+		if err := dbs[r.rir].AddRouteCompact(r.route.Prefix, r.route.Origin); err != nil {
+			return err
 		}
 	}
 

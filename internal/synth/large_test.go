@@ -2,6 +2,8 @@ package synth
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"manrsmeter/internal/netx"
@@ -239,3 +241,28 @@ func TestLargeScaleGraphSharesArena(t *testing.T) {
 		t.Fatal("graph prefix lists do not alias the arena views")
 	}
 }
+
+// A large-layout world registers its compact IRR rows in the order it
+// draws them, AS by AS: block, exact /24s, then the stale tail. The
+// rows of every database, in order, hash to the digest of the
+// row-at-a-time registration that preceded presized databases.
+func TestLargeIRRRowsInDrawOrder(t *testing.T) {
+	w, err := Generate(miniLargeConfig(28))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	rows := 0
+	for _, db := range w.IRRRegistry.Databases() {
+		fmt.Fprintln(h, db.Name)
+		for _, r := range db.Routes() {
+			fmt.Fprintln(h, r.Prefix, r.Origin)
+			rows++
+		}
+	}
+	if got := h.Sum64(); got != largeIRRDigest {
+		t.Fatalf("IRR rows (%d) hash to %#x, want %#x", rows, got, largeIRRDigest)
+	}
+}
+
+const largeIRRDigest = 0x6618cdd8c9d1ab03

@@ -40,7 +40,11 @@
 #   purego — the rpki tests again on the generic field arithmetic
 #            (-tags purego, fe_amd64_noasm.go), which non-amd64 builds
 #            run instead of the assembly: every differential test
-#            against crypto/ed25519 and math/big
+#            against crypto/ed25519 and math/big, on the scalar path
+#            only (the lane kernel is amd64 assembly)
+#   kernel — logs which Ed25519 point kernel this machine selected,
+#            ifma8 (AVX-512 IFMA lanes) or scalar, so the log says
+#            whether the race leg's lane tests ran or skipped
 #   fuzz   — `make fuzz`: a short smoke of nine fuzzers (BGP wire
 #            messages and attributes, MRT, durable archive, VRP CSV,
 #            scenario codec, the prefix table against a linear scan, and
@@ -224,6 +228,9 @@ echo "large serve smoke: conformance query answered from the ~75k-AS world"
 
 echo "==> generic field arithmetic (-tags purego): rpki differential tests"
 go test -tags purego -count=1 ./internal/rpki/...
+
+echo "==> Ed25519 point kernel this machine selected"
+go test -count=1 -run '^TestKernelSelection$' -v ./internal/rpki/edwards25519 | grep 'kernel:'
 
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 make -s fuzz FUZZTIME="$FUZZTIME"
