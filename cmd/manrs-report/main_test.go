@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 // a still-running section and spans that are not sections stay out.
 func TestSectionHealthReadsSectionSpans(t *testing.T) {
 	tracer := obsv.NewTracer()
-	root := tracer.Start("report", obsv.KV("sections", 17))
+	ctx := obsv.ContextWithTracer(context.Background(), tracer)
+	_, root := obsv.StartSpan(ctx, "report", obsv.KV("sections", 17))
 	section := func(name, status string, extra ...obsv.Attr) {
-		sp := tracer.Start("section", obsv.KV("name", name))
+		_, sp := obsv.StartSpan(ctx, "section", obsv.KV("name", name))
 		if status == "" {
 			return // still running
 		}
@@ -24,7 +26,7 @@ func TestSectionHealthReadsSectionSpans(t *testing.T) {
 		}
 		sp.End()
 	}
-	build := tracer.Start("dataset.build")
+	_, build := obsv.StartSpan(ctx, "dataset.build")
 	build.SetAttr("status", "failed")
 	build.End()
 

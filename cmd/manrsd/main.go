@@ -52,8 +52,8 @@
 // kills the process via the restored default handler. With -admin ADDR
 // the observability endpoint serves /metrics (per-route RED counters
 // and latency summaries, runtime gauges, GC pause quantiles), /healthz
-// (snapshot publication state), /debug/pprof/, /debug/trace (the span
-// tree) and /debug/latency (live p50/p90/p99/p99.9 per route).
+// (snapshot publication state), /debug/pprof/ and /debug/trace (the
+// span tree).
 package main
 
 import (

@@ -1,10 +1,15 @@
 package manrsmeter
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,6 +36,7 @@ var (
 	repoPath      = regexp.MustCompile(`^[\w.\-]+(?:/[\w.\-]+)*/?$`)
 	headingRef    = regexp.MustCompile(`DESIGN\.md,?\s+"([^"]+)"`)
 	goCommentWrap = regexp.MustCompile(`\n\s*//\s*`)
+	nameWord      = regexp.MustCompile(`[a-z0-9_]+`)
 )
 
 // TestDocsNameLiveCode fails when the documents name code that does not
@@ -142,6 +148,113 @@ func TestDocsNameLiveCode(t *testing.T) {
 			t.Errorf("DESIGN.md %q has no row for section %s", experimentIndexSec, sec.Name)
 		}
 	}
+}
+
+// metricCtors are the registry calls whose first argument names a
+// metric family: Registry.Counter/Gauge/Summary and the Default
+// registry's NewCounter/NewGauge/NewSummary.
+var metricCtors = map[string]bool{
+	"Counter": true, "Gauge": true, "Summary": true,
+	"NewCounter": true, "NewGauge": true, "NewSummary": true,
+}
+
+// TestEveryMetricHasAReader fails, naming the family, for each metric
+// family non-test code registers that no reader names: no _test.go, no
+// scripts/check.sh leg, no bench/ file and no DESIGN.md line. A family
+// is a string literal passed to a registry call, or a request front's
+// Prefix joined to a "_suffix" literal it registers. A summary counts as
+// named by its _count or _sum series too. A test that reads a family
+// through a Go variable names the family in its doc comment.
+func TestEveryMetricHasAReader(t *testing.T) {
+	families := map[string]string{} // family -> where it is registered
+	var prefixes, suffixes []string
+	named := map[string]bool{} // the lower-case words readers contain
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") || path == filepath.Join("bench", "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		reader := strings.HasSuffix(path, "_test.go") || path == "DESIGN.md" ||
+			path == filepath.Join("scripts", "check.sh") ||
+			strings.HasPrefix(path, "bench"+string(filepath.Separator))
+		if reader {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, w := range nameWord.FindAll(src, -1) {
+				named[string(w)] = true
+			}
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok && k.Name == "Prefix" {
+					if s, ok := stringLit(n.Value); ok {
+						prefixes = append(prefixes, s)
+					}
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || !metricCtors[sel.Sel.Name] || len(n.Args) == 0 {
+					return true
+				}
+				if s, ok := stringLit(n.Args[0]); ok {
+					families[s] = fset.Position(n.Pos()).String()
+				} else if b, ok := n.Args[0].(*ast.BinaryExpr); ok && b.Op == token.ADD {
+					if s, ok := stringLit(b.Y); ok && strings.HasPrefix(s, "_") {
+						suffixes = append(suffixes, s)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range prefixes {
+		for _, s := range suffixes {
+			families[p+s] = "request front " + p
+		}
+	}
+	if len(families) == 0 {
+		t.Fatal("found no registered metric families")
+	}
+	var unread []string
+	for name, where := range families {
+		if !named[name] && !named[name+"_count"] && !named[name+"_sum"] {
+			unread = append(unread, name+" ("+where+")")
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("metric family %s has no reader: no _test.go, scripts/check.sh, bench/ file or DESIGN.md names it", u)
+	}
+}
+
+// stringLit returns the value of a string literal expression.
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }
 
 // docPath reports whether a code span names a repository path and

@@ -28,9 +28,10 @@ import (
 )
 
 // Collector metrics: peer session lifecycle, route churn absorbed into
-// the RIB, and MRT snapshot output. Dead feeds (hold-timer expiries
-// followed by withdrawals) and dump anomalies (skipped routes) are the
-// failure modes the paper's longitudinal collection cares about.
+// the RIB, and MRT snapshot output (its bytes move on every dump). Dead
+// feeds (hold-timer expiries followed by withdrawals) and dump
+// anomalies (skipped routes) are the failure modes the paper's
+// longitudinal collection cares about.
 var (
 	mPeerSessions = obsv.NewCounter("collector_peer_sessions_total",
 		"BGP peer sessions that completed the handshake")
@@ -42,8 +43,6 @@ var (
 		"prefixes withdrawn across all UPDATE messages")
 	mHoldExpired = obsv.NewCounter("collector_hold_expired_total",
 		"peer sessions torn down by the hold timer (routes withdrawn)")
-	mMRTDumps = obsv.NewCounter("collector_mrt_dumps_total",
-		"MRT snapshots written")
 	mMRTBytes = obsv.NewCounter("collector_mrt_bytes_written_total",
 		"bytes of MRT snapshot output written")
 	mMRTSkipped = obsv.NewCounter("collector_mrt_routes_skipped_total",
@@ -229,10 +228,7 @@ func (c *Collector) DumpMRT(w interface{ Write([]byte) (int, error) }, ts time.T
 	sort.Slice(order, func(i, j int) bool { return order[i].Compare(order[j]) < 0 })
 
 	cw := &countingWriter{w: w}
-	defer func() {
-		mMRTBytes.Add(cw.n)
-		mMRTDumps.Inc()
-	}()
+	defer func() { mMRTBytes.Add(cw.n) }()
 	mw := mrt.NewWriter(cw, ts)
 	if err := mw.WritePeerIndexTable(c.cfg.BGPID, "collector-rib", peers); err != nil {
 		return err

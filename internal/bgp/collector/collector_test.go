@@ -104,7 +104,11 @@ func TestCollectorEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCollectorWithdraw: an announced route enters the RIB and an
+// UPDATE withdrawal takes it out; collector_routes_received_total and
+// collector_routes_withdrawn_total count one prefix each.
 func TestCollectorWithdraw(t *testing.T) {
+	received, withdrawn := mRoutesReceived.Value(), mRoutesWithdrawn.Value()
 	c := New(65000, [4]byte{10, 0, 0, 2})
 	addr, err := c.Listen("127.0.0.1:0")
 	if err != nil {
@@ -135,10 +139,24 @@ func TestCollectorWithdraw(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return c.RIB().Len() == 0 })
+	if r, w := mRoutesReceived.Value()-received, mRoutesWithdrawn.Value()-withdrawn; r != 1 || w != 1 {
+		t.Errorf("routes received %d, withdrawn %d; want 1 each", r, w)
+	}
 }
 
+// TestCollectorEmptyDump: a collector with no registered peer dumps an
+// empty snapshot, even when its RIB holds a route: a route whose peer
+// is not in the dump's peer table (it registered mid-dump) is skipped
+// and counted in collector_mrt_routes_skipped_total.
 func TestCollectorEmptyDump(t *testing.T) {
 	c := New(65000, [4]byte{1, 1, 1, 1})
+	c.rib.Apply(64999, &wire.Update{
+		Origin:  wire.OriginIGP,
+		ASPath:  []wire.ASPathSegment{{Type: wire.ASSequence, ASNs: []uint32{64999}}},
+		NextHop: netip.MustParseAddr("192.0.2.1"),
+		NLRI:    []netx.Prefix{pfx("203.0.113.0/24")},
+	})
+	skipped := mMRTSkipped.Value()
 	var buf bytes.Buffer
 	if err := c.DumpMRT(&buf, time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)); err != nil {
 		t.Fatal(err)
@@ -149,5 +167,8 @@ func TestCollectorEmptyDump(t *testing.T) {
 	}
 	if len(dump.Peers) != 0 || len(dump.Records) != 0 {
 		t.Errorf("empty dump = %+v", dump)
+	}
+	if got := mMRTSkipped.Value() - skipped; got != 1 {
+		t.Errorf("skipped routes counted %d, want 1", got)
 	}
 }

@@ -18,8 +18,12 @@ import (
 
 // A peer that completes the handshake and then falls silent must be torn
 // down by the hold timer and its routes withdrawn — a dead feed may not
-// freeze stale routes into future snapshots.
+// freeze stale routes into future snapshots. The session counts in
+// collector_peer_sessions_total, the teardown in
+// collector_hold_expired_total and its one route in
+// collector_routes_withdrawn_total.
 func TestCollectorWithdrawsSilentPeer(t *testing.T) {
+	sessions, expired, withdrawn := mPeerSessions.Value(), mHoldExpired.Value(), mRoutesWithdrawn.Value()
 	c := New(65000, [4]byte{10, 0, 0, 3}, WithHoldTime(time.Second))
 	addr, err := c.Listen("127.0.0.1:0")
 	if err != nil {
@@ -50,6 +54,10 @@ func TestCollectorWithdrawsSilentPeer(t *testing.T) {
 	// No keepalives from here on: the collector's hold timer (≈1s) fires
 	// and withdraws the peer's routes.
 	waitFor(t, func() bool { return c.RIB().Len() == 0 })
+	waitFor(t, func() bool { return mRoutesWithdrawn.Value()-withdrawn == 1 })
+	if s, e := mPeerSessions.Value()-sessions, mHoldExpired.Value()-expired; s != 1 || e != 1 {
+		t.Errorf("peer sessions %d, hold expiries %d; want 1 each", s, e)
+	}
 
 	// The peer stays in the peer table so earlier dumps remain
 	// attributable, but contributes no records.

@@ -228,8 +228,9 @@ func TestClusterETagCoherence(t *testing.T) {
 // TestClusterReplicaCrashMidLoad kills 1 of 3 replicas during a seeded
 // 6000-request run through the gateway. The contract: zero wrong
 // answers (no version mismatch, survivors byte-identical), bounded 5xx,
-// the ring converges on the survivors, and the run's first trace ID
-// appears in both the gateway and a replica access log.
+// the ring converges on the survivors (the membership /cluster/ring
+// renders, and one more cluster_ring_transitions_total), and the run's
+// first trace ID appears in both the gateway and a replica access log.
 func TestClusterReplicaCrashMidLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster chaos run")
@@ -301,6 +302,9 @@ func TestClusterReplicaCrashMidLoad(t *testing.T) {
 	}
 	if !converged {
 		t.Fatalf("ring did not converge on survivors: live=%v", members.Live())
+	}
+	if n := reg.Value("cluster_ring_transitions_total"); n < 1 {
+		t.Errorf("cluster_ring_transitions_total = %d after the victim left the ring, want ≥ 1", n)
 	}
 
 	<-loadDone

@@ -62,10 +62,8 @@ type Membership struct {
 	mu     sync.Mutex
 	states map[string]*replicaHealth
 
-	live        *obsv.Gauge
 	transitions *obsv.Counter
 	probeFails  *obsv.Counter
-	upGauges    map[string]*obsv.Gauge
 }
 
 // NewMembership builds a membership over the fixed replica fleet,
@@ -106,21 +104,14 @@ func NewMembership(ring *Ring, replicas []string, opts MembershipOptions) *Membe
 		replicas: append([]string(nil), replicas...),
 		opts:     opts,
 		states:   make(map[string]*replicaHealth, len(replicas)),
-		live: reg.Gauge("cluster_ring_live_replicas",
-			"replicas currently in the routing ring"),
 		transitions: reg.Counter("cluster_ring_transitions_total",
 			"replica up/down transitions applied to the ring"),
 		probeFails: reg.Counter("cluster_probe_failures_total",
 			"failed health observations (probes and passive forwarding failures)"),
-		upGauges: make(map[string]*obsv.Gauge, len(replicas)),
 	}
 	for _, r := range replicas {
 		m.states[r] = &replicaHealth{up: true}
-		m.upGauges[r] = reg.Gauge("cluster_replica_up",
-			"1 when the replica is in the routing ring", "replica", r)
-		m.upGauges[r].Set(1)
 	}
-	m.live.Set(float64(len(replicas)))
 	ring.SetMembers(replicas)
 	return m
 }
@@ -183,14 +174,6 @@ func (m *Membership) Observe(replica string, ok bool) {
 	if changed {
 		m.ring.SetMembers(liveSet)
 		m.transitions.Inc()
-		m.live.Set(float64(len(liveSet)))
-		if g := m.upGauges[replica]; g != nil {
-			if ok {
-				g.Set(1)
-			} else {
-				g.Set(0)
-			}
-		}
 		if m.opts.Logf != nil {
 			state := "down"
 			if ok {

@@ -80,11 +80,7 @@ type storeMetrics struct {
 	loads          *obsv.Counter
 	loadErrors     *obsv.Counter
 	quarantines    *obsv.Counter
-	quarFiles      *obsv.Gauge
 	gcRemoved      *obsv.Counter
-	bytes          *obsv.Gauge
-	persistSeconds *obsv.QuantileHistogram
-	loadSeconds    *obsv.QuantileHistogram
 }
 
 // Store is one archive directory. All methods are safe for concurrent
@@ -128,11 +124,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			loads:          reg.Counter("durable_load_total", "snapshot archives loaded and verified"),
 			loadErrors:     reg.Counter("durable_load_errors_total", "archive loads that failed verification or I/O"),
 			quarantines:    reg.Counter("durable_quarantine_total", "damaged archives quarantined"),
-			quarFiles:      reg.Gauge("durable_quarantined_files", "quarantined archive files currently on disk"),
 			gcRemoved:      reg.Counter("durable_gc_removed_total", "archives removed by the retention janitor"),
-			bytes:          reg.Gauge("durable_archive_bytes", "bytes of archive and quarantined files in the directory"),
-			persistSeconds: reg.Summary("durable_persist_seconds", "snapshot persist latency"),
-			loadSeconds:    reg.Summary("durable_load_seconds", "snapshot load+verify latency (warm-start recovery time)"),
 		},
 	}
 	if s.maxBytes <= 0 {
@@ -152,7 +144,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.logp("durable: swept crashed temp file %s", de.Name())
 		}
 	}
-	s.setGauges(s.listLocked())
 	return s, nil
 }
 
@@ -189,7 +180,6 @@ func parseArchiveName(name string) (Key, bool) {
 // ReadLimit is refused before anything is written, as a failed persist:
 // Load would quarantine it unread.
 func (s *Store) Save(ctx context.Context, d *SnapshotData) error {
-	start := time.Now()
 	_, span := obsv.StartSpan(ctx, "durable.save", obsv.KV("key", d.Key().String()))
 	defer span.End()
 
@@ -228,7 +218,6 @@ func (s *Store) Save(ctx context.Context, d *SnapshotData) error {
 	s.sums[name] = sum
 	s.gcLocked()
 	s.met.persists.Inc()
-	s.met.persistSeconds.Observe(time.Since(start).Seconds())
 	s.logp("durable: archived snapshot %s (%d bytes) as %s", key, len(buf), name)
 	return nil
 }
@@ -274,7 +263,6 @@ func (s *Store) commitLocked(name string, buf []byte) error {
 // means the key has no intact archive; any other error is an I/O
 // failure that left the file where it is.
 func (s *Store) Load(ctx context.Context, key Key) (*SnapshotData, error) {
-	start := time.Now()
 	_, span := obsv.StartSpan(ctx, "durable.load", obsv.KV("key", key.String()))
 	defer span.End()
 
@@ -303,13 +291,11 @@ func (s *Store) Load(ctx context.Context, key Key) (*SnapshotData, error) {
 	if err != nil {
 		s.met.loadErrors.Inc()
 		s.quarantineLocked(name, err)
-		s.setGauges(s.listLocked())
 		span.SetAttr("found", false)
 		return nil, fmt.Errorf("%w %s", ErrNotFound, key)
 	}
 	s.sums[name] = binary.LittleEndian.Uint64(data[len(data)-8:]) // verified by Decode
 	s.met.loads.Inc()
-	s.met.loadSeconds.Observe(time.Since(start).Seconds())
 	span.SetAttr("found", true)
 	return d, nil
 }
@@ -371,7 +357,7 @@ func (s *Store) quarantineLocked(name string, cause error) {
 func (s *Store) gcLocked() {
 	archives, quarantined := s.listLocked()
 	total := size(archives) + size(quarantined)
-	evict := func(files []archiveFile, keep int) []archiveFile {
+	evict := func(files []archiveFile, keep int) {
 		for total > s.maxBytes && len(files) > keep {
 			oldest := files[len(files)-1]
 			files = files[:len(files)-1]
@@ -381,11 +367,9 @@ func (s *Store) gcLocked() {
 			}
 			delete(s.sums, oldest.name)
 		}
-		return files
 	}
-	quarantined = evict(quarantined, 0)
-	archives = evict(archives, 1)
-	s.setGauges(archives, quarantined)
+	evict(quarantined, 0)
+	evict(archives, 1)
 }
 
 // archiveFile is one entry of the directory listing.
@@ -440,11 +424,6 @@ func size(files []archiveFile) int64 {
 		total += f.size
 	}
 	return total
-}
-
-func (s *Store) setGauges(archives, quarantined []archiveFile) {
-	s.met.bytes.Set(float64(size(archives) + size(quarantined)))
-	s.met.quarFiles.Set(float64(len(quarantined)))
 }
 
 // Keys lists the keys with an archive, newest first.

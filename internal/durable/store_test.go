@@ -120,8 +120,9 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 					t.Fatalf("load after damage: %v, want ErrNotFound", err)
 				}
 			}
-			if reg.Value("durable_quarantine_total") != 1 {
-				t.Errorf("durable_quarantine_total = %d, want 1", reg.Value("durable_quarantine_total"))
+			if reg.Value("durable_quarantine_total") != 1 || reg.Value("durable_load_errors_total") != 1 {
+				t.Errorf("durable_quarantine_total = %d, durable_load_errors_total = %d, want 1 each",
+					reg.Value("durable_quarantine_total"), reg.Value("durable_load_errors_total"))
 			}
 			if _, err := os.Stat(path + quarantineSuffix); err != nil {
 				t.Errorf("damaged archive not quarantined: %v", err)

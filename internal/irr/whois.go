@@ -15,12 +15,11 @@ import (
 	"manrsmeter/internal/rpsl"
 )
 
-// Query-server metrics: session lifecycle plus per-kind query counts
-// and answer latency. The latency summary covers answer computation
-// (index build included on first use), not client I/O.
+// Query-server metrics: live sessions plus per-kind query counts and
+// answer latency. The latency summary covers answer computation (index
+// build included on first use), not client I/O. Accepted sessions are
+// netx_server_conns_total.
 var (
-	mWhoisSessions = obsv.NewCounter("irr_sessions_total",
-		"whois client sessions accepted")
 	mWhoisSessionsActive = obsv.NewGauge("irr_sessions_active",
 		"whois client sessions currently connected")
 	mWhoisQueryLatency = obsv.NewSummary("irr_query_seconds",
@@ -142,7 +141,6 @@ func (s *QueryServer) ensureIndex() {
 }
 
 func (s *QueryServer) serve(conn net.Conn) {
-	mWhoisSessions.Inc()
 	mWhoisSessionsActive.Inc()
 	defer mWhoisSessionsActive.Dec()
 	sc := bufio.NewScanner(conn)

@@ -82,7 +82,17 @@ func TestWhoisAnswerRouteLookup(t *testing.T) {
 	}
 }
 
+// TestWhoisOverTCP drives one session through an origin, an as-set and
+// an unrecognized query, then !q. The open session shows in
+// irr_sessions_active and leaves it on close; irr_queries_total counts
+// each query under its kind, the unrecognized one as "invalid", and
+// irr_query_seconds times all three.
 func TestWhoisOverTCP(t *testing.T) {
+	active, answered := mWhoisSessionsActive.Value(), mWhoisQueryLatency.Count()
+	kinds := map[string]int64{}
+	for kind, c := range mWhoisQueries {
+		kinds[kind] = c.Value()
+	}
 	srv := NewQueryServer(whoisRegistry(t))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -128,9 +138,30 @@ func TestWhoisOverTCP(t *testing.T) {
 	if _, err := br.ReadString('\n'); err != nil {
 		t.Fatal(err)
 	}
+	fmt.Fprintf(conn, "bogus\n")
+	if line, err := br.ReadString('\n'); err != nil || line != "F unrecognized query\n" {
+		t.Fatalf("unrecognized query answered %q, err %v", line, err)
+	}
+	if got := mWhoisSessionsActive.Value() - active; got != 1 {
+		t.Errorf("sessions active moved by %g with one session open, want 1", got)
+	}
+	for kind, want := range map[string]int64{"origin": 1, "as-set": 1, "route": 0, "invalid": 1} {
+		if got := mWhoisQueries[kind].Value() - kinds[kind]; got != want {
+			t.Errorf("queries kind=%s moved by %d, want %d", kind, got, want)
+		}
+	}
+	if got := mWhoisQueryLatency.Count() - answered; got != 3 {
+		t.Errorf("query latency observed %d answers, want 3", got)
+	}
 	fmt.Fprintf(conn, "!q\n")
 	if _, err := br.ReadByte(); err == nil {
 		t.Error("connection should close after !q")
+	}
+	for deadline := time.Now().Add(5 * time.Second); mWhoisSessionsActive.Value() != active; {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions active = %g after !q, want %g", mWhoisSessionsActive.Value(), active)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

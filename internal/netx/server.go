@@ -14,16 +14,14 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"manrsmeter/internal/obsv"
 )
 
-// Harness metrics, aggregated across every Server in the process. The
-// per-daemon /healthz detail carries the per-server view; these make
-// harness-level anomalies (panic storms, accept churn, cap rejections)
-// scrapeable.
+// Harness metrics, aggregated across every Server in the process: they
+// make harness-level anomalies (panic storms, accept churn, cap
+// rejections) scrapeable, and are the one count of each.
 var (
 	mServerAcceptRetries = obsv.NewCounter("netx_server_accept_retries_total",
 		"transient accept failures retried with backoff")
@@ -65,9 +63,6 @@ type Server struct {
 	cancel context.CancelFunc
 	closed bool
 	wg     sync.WaitGroup
-
-	panics   atomic.Int64
-	rejected atomic.Int64
 }
 
 // initLocked lazily creates the server's run state; callers hold s.mu.
@@ -136,7 +131,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		backoff = 0
 		if !s.track(conn) {
-			s.rejected.Add(1)
 			mServerRejected.Inc()
 			conn.Close()
 			continue
@@ -170,7 +164,6 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
 		if recover() != nil {
-			s.panics.Add(1)
 			mServerPanics.Inc()
 		}
 		s.untrack(conn)
@@ -195,13 +188,6 @@ func (s *Server) ActiveConns() int {
 	defer s.mu.Unlock()
 	return len(s.conns)
 }
-
-// Panics returns how many handler panics the harness absorbed.
-func (s *Server) Panics() int64 { return s.panics.Load() }
-
-// Rejected returns how many connections were refused by the MaxConns
-// cap.
-func (s *Server) Rejected() int64 { return s.rejected.Load() }
 
 // Shutdown drains the server: it stops accepting, cancels the handler
 // context, and waits for handlers to finish on their own until ctx

@@ -45,7 +45,10 @@ func TestServerServesConnections(t *testing.T) {
 	}
 }
 
+// TestServerPanicRecovery: a panicking handler costs only its own
+// connection, and netx_server_handler_panics_total counts it once.
 func TestServerPanicRecovery(t *testing.T) {
+	before := mServerPanics.Value()
 	s := &Server{Handler: func(ctx context.Context, conn net.Conn) {
 		buf := make([]byte, 1)
 		conn.Read(buf)
@@ -61,11 +64,11 @@ func TestServerPanicRecovery(t *testing.T) {
 	conn.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Panics() == 0 && time.Now().Before(deadline) {
+	for mServerPanics.Value() == before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if s.Panics() != 1 {
-		t.Fatalf("panics = %d, want 1", s.Panics())
+	if got := mServerPanics.Value() - before; got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
 	}
 
 	// The server is still alive after the panic.
@@ -79,7 +82,10 @@ func TestServerPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestServerMaxConns: a connection beyond MaxConns is closed unserved,
+// and netx_server_conns_rejected_total counts it.
 func TestServerMaxConns(t *testing.T) {
+	before := mServerRejected.Value()
 	release := make(chan struct{})
 	s := &Server{
 		MaxConns: 2,
@@ -114,7 +120,7 @@ func TestServerMaxConns(t *testing.T) {
 	if _, err := io.ReadFull(c3, buf); err == nil {
 		t.Fatal("third conn served beyond MaxConns")
 	}
-	if s.Rejected() == 0 {
+	if mServerRejected.Value() == before {
 		t.Error("rejection not counted")
 	}
 }
@@ -215,7 +221,11 @@ func TestServerShutdownGracefulThenForced(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesAcceptFailures: transient accept failures are
+// retried with backoff, never fatal to the listener, and each retry is
+// counted in netx_server_accept_retries_total.
 func TestServerSurvivesAcceptFailures(t *testing.T) {
+	before := mServerAcceptRetries.Value()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +258,14 @@ func TestServerSurvivesAcceptFailures(t *testing.T) {
 	if served.Load() != 6 {
 		t.Errorf("served = %d, want 6", served.Load())
 	}
-	if inj.Counts()[FaultAcceptFail] == 0 {
+	// The loop may be mid-retry: a failure is injected before it is
+	// counted, so read the counter first.
+	retries := mServerAcceptRetries.Value() - before
+	injected := int64(inj.Counts()[FaultAcceptFail])
+	if injected == 0 {
 		t.Error("no accept failures injected")
+	}
+	if retries < 1 || retries > injected {
+		t.Errorf("accept retries counted %d, want 1..%d (the injected failures)", retries, injected)
 	}
 }

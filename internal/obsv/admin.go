@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -23,12 +22,10 @@ type Health struct {
 //	/metrics        Prometheus text exposition of Registry
 //	/healthz        200 "ok" / 503 "degraded" from Healthz, plus detail
 //	/debug/pprof/   the standard pprof handlers
-//	/debug/vars     expvar JSON
 //	/debug/trace    the Tracer's span tree, when a tracer is attached
-//	/debug/latency  live p50/p90/p99/p999 of every registered summary
 //
-// Configure the exported fields before Listen; Addr and Shutdown come
-// from the embedded lifecycle. The endpoint carries no authentication —
+// Configure the exported fields before Listen; Shutdown comes from the
+// embedded lifecycle. The endpoint carries no authentication —
 // bind it to loopback (or a trusted management network) only; see
 // DESIGN.md "Observability".
 type Admin struct {
@@ -60,7 +57,7 @@ func (a *Admin) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, "manrsmeter admin endpoint\n/metrics\n/healthz\n/debug/pprof/\n/debug/vars\n/debug/trace\n/debug/latency\n")
+		fmt.Fprint(w, "manrsmeter admin endpoint\n/metrics\n/healthz\n/debug/pprof/\n/debug/trace\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -92,7 +89,6 @@ func (a *Admin) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if a.Tracer == nil {
@@ -100,10 +96,6 @@ func (a *Admin) Handler() http.Handler {
 			return
 		}
 		_ = a.Tracer.WriteTree(w)
-	})
-	mux.HandleFunc("/debug/latency", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = a.registry().WriteLatency(w)
 	})
 	// Runtime series (goroutines, heap, GC pause quantiles) come free
 	// with every admin endpoint; they refresh at scrape time.

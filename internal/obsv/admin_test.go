@@ -28,7 +28,7 @@ func TestAdminEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("demo_requests_total", "demo").Add(9)
 	tr := NewTracer()
-	sp := tr.Start("boot")
+	_, sp := StartSpan(ContextWithTracer(context.Background(), tr), "boot")
 	sp.End()
 
 	healthy := true
@@ -76,13 +76,14 @@ func TestAdminEndpoint(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %d", code)
 	}
-	code, _ = get(t, base+"/debug/vars")
-	if code != http.StatusOK {
-		t.Errorf("/debug/vars = %d", code)
-	}
 	code, body = get(t, base+"/debug/trace")
 	if code != http.StatusOK || !strings.Contains(body, "boot") {
 		t.Errorf("/debug/trace = %d %q", code, body)
+	}
+	// The index lists exactly the routes above.
+	code, body = get(t, base+"/")
+	if want := "manrsmeter admin endpoint\n/metrics\n/healthz\n/debug/pprof/\n/debug/trace\n"; code != http.StatusOK || body != want {
+		t.Errorf("index = %d %q, want %q", code, body, want)
 	}
 	code, _ = get(t, base+"/nope")
 	if code != http.StatusNotFound {

@@ -11,13 +11,11 @@ import (
 
 // HTTPServer is the one http.Server lifecycle behind every HTTP face
 // in this repository (manrsd, manrs-gw, the admin endpoint): bind,
-// serve in the background, report the bound address, drain. Embed it;
-// the embedder's own Listen/Serve supply the handler. The zero value
-// is ready to use.
+// serve in the background, drain. Embed it; the embedder's own
+// Listen/Serve supply the handler. The zero value is ready to use.
 type HTTPServer struct {
 	mu     sync.Mutex
 	srv    *http.Server
-	ln     net.Listener
 	closed bool
 }
 
@@ -48,7 +46,6 @@ func (s *HTTPServer) Serve(ln net.Listener, what string, h http.Handler, logf fu
 	if s.srv != nil {
 		return fmt.Errorf("%s already serving", what)
 	}
-	s.ln = ln
 	s.srv = &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	srv := s.srv
 	go func() {
@@ -57,16 +54,6 @@ func (s *HTTPServer) Serve(ln net.Listener, what string, h http.Handler, logf fu
 		}
 	}()
 	return nil
-}
-
-// Addr returns the bound address (nil before Listen).
-func (s *HTTPServer) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // Shutdown gracefully drains the server: no new connections, in-flight

@@ -2,7 +2,7 @@
 // a concurrent metrics registry with Prometheus text exposition,
 // hierarchical span tracing for the analysis pipeline, a leveled
 // key=value logger, the shared HTTP request front, and the -admin
-// endpoint (metrics, health, pprof, live latency) the long-running
+// endpoint (metrics, health, pprof, span trees) the long-running
 // commands serve.
 //
 // The registry has three instruments: counters, gauges, and one latency
@@ -23,7 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // metricKind discriminates the three metric families.
@@ -367,25 +366,6 @@ func writeSeries(w io.Writer, m *metric) error {
 	}
 }
 
-// Dump renders every series as sorted "name{labels} value" lines with
-// no comment lines — the deterministic form tests assert against.
-// Summaries dump their count and sum series only.
-func (r *Registry) Dump() string {
-	var b strings.Builder
-	for _, m := range r.sortedMetrics() {
-		switch {
-		case m.c != nil:
-			fmt.Fprintf(&b, "%s%s %d\n", m.name, m.labels, m.c.Value())
-		case m.g != nil:
-			fmt.Fprintf(&b, "%s%s %s\n", m.name, m.labels, formatValue(m.g.Value()))
-		default:
-			fmt.Fprintf(&b, "%s_count%s %d\n", m.name, m.labels, m.q.Count())
-			fmt.Fprintf(&b, "%s_sum%s %s\n", m.name, m.labels, formatValue(m.q.Sum()))
-		}
-	}
-	return b.String()
-}
-
 // Value returns the current value of the series with the given name
 // and labels: counter values and summary counts as their integer
 // value, gauges rounded toward zero. Unregistered series read 0 —
@@ -405,45 +385,5 @@ func (r *Registry) Value(name string, kv ...string) int64 {
 		return int64(m.g.Value())
 	default:
 		return m.q.Count()
-	}
-}
-
-// WriteLatency renders every registered summary as one line of live
-// quantiles — "name{labels} count=N p50=… p90=… p99=… p999=…" with
-// human-readable durations — the admin /debug/latency view. Summaries
-// observe seconds, so the rendering assumes seconds.
-func (r *Registry) WriteLatency(w io.Writer) error {
-	n := 0
-	for _, m := range r.sortedMetrics() {
-		if m.q == nil {
-			continue
-		}
-		n++
-		vals := m.q.Quantiles(SLOQuantiles...)
-		line := fmt.Sprintf("%s%s count=%d", m.name, m.labels, m.q.Count())
-		for i, q := range SLOQuantiles {
-			line += fmt.Sprintf(" p%s=%s", formatValue(q*100), secondsDuration(vals[i]))
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	if n == 0 {
-		_, err := fmt.Fprintln(w, "no latency summaries registered")
-		return err
-	}
-	return nil
-}
-
-// secondsDuration renders a seconds value as a rounded time.Duration.
-func secondsDuration(s float64) string {
-	d := time.Duration(s * float64(time.Second))
-	switch {
-	case d >= time.Second:
-		return d.Round(time.Millisecond).String()
-	case d >= time.Millisecond:
-		return d.Round(time.Microsecond).String()
-	default:
-		return d.Round(time.Nanosecond).String()
 	}
 }

@@ -68,8 +68,8 @@ func TestMetricsConcurrentExactTotals(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, buf.String())
 		}
 	}
-	if p50 := h.Quantile(0.5); math.Abs(p50-0.5) > 0.5*h.RelativeError() {
-		t.Errorf("p50 = %g, want 0.5 ± %g%%", p50, 100*h.RelativeError())
+	if p50 := h.Quantiles(0.5)[0]; math.Abs(p50-0.5) > 0.5*quantileErr {
+		t.Errorf("p50 = %g, want 0.5 ± %g%%", p50, 100*quantileErr)
 	}
 }
 
@@ -227,15 +227,29 @@ func TestHistogramExpositionAgreement(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDumpDeterministic checks the sorted test-dump form.
-func TestDumpDeterministic(t *testing.T) {
+// TestExpositionDeterministic checks the exposition renders families
+// sorted by name, whatever the registration order, and renders the same
+// bytes twice over unchanged values.
+func TestExpositionDeterministic(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b_total", "").Add(2)
 	reg.Counter("a_total", "").Add(1)
 	reg.Summary("c_seconds", "").Observe(0.5)
-	want := "a_total 1\nb_total 2\nc_seconds_count 1\nc_seconds_sum 0.5\n"
-	if got := reg.Dump(); got != want {
-		t.Errorf("Dump = %q, want %q", got, want)
+	render := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	got := render()
+	head := "# TYPE a_total counter\na_total 1\n# TYPE b_total counter\nb_total 2\n# TYPE c_seconds summary\n"
+	tail := "c_seconds_sum 0.5\nc_seconds_count 1\n"
+	if !strings.HasPrefix(got, head) || !strings.HasSuffix(got, tail) {
+		t.Errorf("exposition = %q, want sorted families starting %q and ending %q", got, head, tail)
+	}
+	if again := render(); again != got {
+		t.Errorf("second render differs:\n%s\nvs\n%s", again, got)
 	}
 }
 

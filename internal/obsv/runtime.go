@@ -24,8 +24,8 @@ var (
 // it again for the same registry is a no-op.
 //
 // Series: runtime_goroutines, runtime_heap_alloc_bytes,
-// runtime_heap_sys_bytes, runtime_heap_objects, runtime_gomaxprocs,
-// runtime_gc_cycles, and the runtime_gc_pause_seconds summary
+// runtime_gomaxprocs, runtime_gc_cycles, and the
+// runtime_gc_pause_seconds summary
 // (p50/p90/p99/p999 over the runtime's recent-pause ring).
 func EnableRuntimeMetrics(r *Registry) {
 	if r == nil {
@@ -41,8 +41,6 @@ func EnableRuntimeMetrics(r *Registry) {
 	c := &runtimeCollector{
 		goroutines: r.Gauge("runtime_goroutines", "live goroutines"),
 		heapAlloc:  r.Gauge("runtime_heap_alloc_bytes", "bytes of allocated heap objects"),
-		heapSys:    r.Gauge("runtime_heap_sys_bytes", "heap memory obtained from the OS"),
-		heapObjs:   r.Gauge("runtime_heap_objects", "live heap objects"),
 		maxprocs:   r.Gauge("runtime_gomaxprocs", "GOMAXPROCS"),
 		gcRuns:     r.Gauge("runtime_gc_cycles", "completed GC cycles"),
 		gcPause:    r.Summary("runtime_gc_pause_seconds", "stop-the-world GC pause quantiles"),
@@ -55,8 +53,6 @@ type runtimeCollector struct {
 	lastNumGC  uint32
 	goroutines *Gauge
 	heapAlloc  *Gauge
-	heapSys    *Gauge
-	heapObjs   *Gauge
 	maxprocs   *Gauge
 	gcRuns     *Gauge
 	gcPause    *QuantileHistogram
@@ -70,8 +66,6 @@ func (c *runtimeCollector) collect() {
 	runtime.ReadMemStats(&ms)
 	c.goroutines.Set(float64(runtime.NumGoroutine()))
 	c.heapAlloc.Set(float64(ms.HeapAlloc))
-	c.heapSys.Set(float64(ms.HeapSys))
-	c.heapObjs.Set(float64(ms.HeapObjects))
 	c.maxprocs.Set(float64(runtime.GOMAXPROCS(0)))
 	c.gcRuns.Set(float64(ms.NumGC))
 

@@ -134,14 +134,6 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 	return context.WithValue(ctx, tracerKey, &spanScope{tracer: sc.tracer, spanID: sp.rec.id}), sp
 }
 
-// Start opens a root-level span directly on the tracer (nil-safe).
-func (t *Tracer) Start(name string, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.start(0, name, attrs)
-}
-
 func (t *Tracer) start(parent int64, name string, attrs []Attr) *Span {
 	rec := &spanRecord{
 		parent: parent,

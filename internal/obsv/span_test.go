@@ -13,8 +13,9 @@ import (
 // manrsd keep a tracer attached under production load.
 func TestBoundedTracerCompacts(t *testing.T) {
 	tr := NewBoundedTracer(100)
+	ctx := ContextWithTracer(context.Background(), tr)
 	for i := 0; i < 1000; i++ {
-		sp := tr.Start("op", KV("i", i))
+		_, sp := StartSpan(ctx, "op", KV("i", i))
 		sp.End()
 	}
 	events := tr.Events()
@@ -95,7 +96,9 @@ func TestSpanNoTracerIsFree(t *testing.T) {
 	sp.End()
 
 	var tr *Tracer
-	tr.Start("x").End()
+	if _, sp := StartSpan(ContextWithTracer(ctx, tr), "x"); sp != nil {
+		t.Error("expected nil span from a nil tracer")
+	}
 	if err := tr.WriteTree(io.Discard); err != nil {
 		t.Error("nil tracer WriteTree should be a no-op")
 	}

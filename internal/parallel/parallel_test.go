@@ -75,9 +75,11 @@ func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 
 // TestForEachErrCtxPanicLowestIndex injects panics at several indexes
 // and requires the deterministic lowest-index PanicError, with the
-// stack attached, at every worker count.
+// stack attached, at every worker count, and each recovered panic
+// counted once in parallel_tasks_panicked_total.
 func TestForEachErrCtxPanicLowestIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 0} {
+		panicked := mTasksPanicked.Value()
 		err := ForEachErrCtx(context.Background(), 50, workers, func(i int) error {
 			switch i {
 			case 11, 29, 41:
@@ -97,6 +99,9 @@ func TestForEachErrCtxPanicLowestIndex(t *testing.T) {
 		}
 		if len(pe.Stack) == 0 || !strings.Contains(pe.Error(), "boom") {
 			t.Errorf("workers=%d: PanicError lacks stack or message: %q", workers, pe.Error())
+		}
+		if got := mTasksPanicked.Value() - panicked; got != 3 {
+			t.Errorf("workers=%d: panicked counter moved by %d, want 3", workers, got)
 		}
 	}
 }
@@ -144,8 +149,10 @@ func TestForEachErrCtxCancelStopsDispatch(t *testing.T) {
 }
 
 // TestForEachErrCtxPreCanceled: a context canceled before the call
-// dispatches nothing and returns the cause.
+// dispatches nothing, returns the cause, and counts every item in
+// parallel_tasks_canceled_total.
 func TestForEachErrCtxPreCanceled(t *testing.T) {
+	canceled := mTasksCanceled.Value()
 	cause := errors.New("deadline blown")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
@@ -156,6 +163,9 @@ func TestForEachErrCtxPreCanceled(t *testing.T) {
 	}
 	if ran {
 		t.Error("items dispatched under a pre-canceled context")
+	}
+	if got := mTasksCanceled.Value() - canceled; got != 8 {
+		t.Errorf("canceled counter moved by %d, want 8", got)
 	}
 }
 
@@ -191,9 +201,10 @@ func TestForEachCtxNoGoroutineLeak(t *testing.T) {
 }
 
 // TestForEachTelemetryPerWorker pins the pool's bookkeeping to its
-// workers, not its items: a fan-out adds one queue-wait sample per
-// worker that ran an item (the wait for its first one), and the
-// dispatch counter still counts every item once, at any worker count.
+// workers, not its items: a fan-out adds one parallel_queue_wait_seconds
+// sample per worker that ran an item (the wait for its first one), and
+// parallel_tasks_dispatched_total still counts every item once, at any
+// worker count.
 func TestForEachTelemetryPerWorker(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		const n = 5000

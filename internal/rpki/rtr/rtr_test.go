@@ -159,7 +159,14 @@ func TestServerFetchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerSerialQueryGetsCacheReset: a Serial Query for an unknown
+// serial is answered with Cache Reset, and a Reset Query on the same
+// connection then fetches the snapshot. rtr_queries_total counts each
+// query under its type and rtr_cache_resets_total the reset; the open
+// session shows in rtr_sessions_active and leaves it on close.
 func TestServerSerialQueryGetsCacheReset(t *testing.T) {
+	active := mSessionsActive.Value()
+	serials, resetQueries, resets := mSerialQueries.Value(), mResetQueries.Value(), mCacheResets.Value()
 	srv := NewServer(sampleVRPs())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -190,6 +197,19 @@ func TestServerSerialQueryGetsCacheReset(t *testing.T) {
 	}
 	if len(res.VRPs) != 3 {
 		t.Errorf("post-reset fetch = %d VRPs", len(res.VRPs))
+	}
+	if got := mSessionsActive.Value() - active; got != 1 {
+		t.Errorf("sessions active moved by %g with one session open, want 1", got)
+	}
+	if s, r, c := mSerialQueries.Value()-serials, mResetQueries.Value()-resetQueries, mCacheResets.Value()-resets; s != 1 || r != 1 || c != 1 {
+		t.Errorf("queries serial=%d reset=%d, cache resets %d; want 1 each", s, r, c)
+	}
+	conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); mSessionsActive.Value() != active; {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions active = %g after the session closed, want %g", mSessionsActive.Value(), active)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

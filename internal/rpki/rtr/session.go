@@ -14,13 +14,11 @@ import (
 	"manrsmeter/internal/rpki"
 )
 
-// RTR cache metrics: the session lifecycle (connects, live sessions),
-// the query mix, and the serial/VRP state being served. A relying
-// party stuck in Cache Reset loops or a serial that stops advancing is
-// visible here without attaching a debugger.
+// RTR cache metrics: live sessions and the query mix. A relying party
+// stuck in Cache Reset loops is visible here without attaching a
+// debugger. Accepted sessions are netx_server_conns_total; the serial
+// and VRP count being served are rtrd's /healthz detail.
 var (
-	mSessions = obsv.NewCounter("rtr_sessions_total",
-		"RTR client sessions accepted")
 	mSessionsActive = obsv.NewGauge("rtr_sessions_active",
 		"RTR client sessions currently connected")
 	mResetQueries = obsv.NewCounter("rtr_queries_total",
@@ -29,12 +27,6 @@ var (
 		"RTR queries served by type", "type", "serial")
 	mCacheResets = obsv.NewCounter("rtr_cache_resets_total",
 		"Serial Queries answered with Cache Reset (serial too old)")
-	mVRPsSent = obsv.NewCounter("rtr_vrps_sent_total",
-		"VRP PDUs sent in full snapshots")
-	mSerial = obsv.NewGauge("rtr_serial",
-		"current snapshot serial")
-	mVRPsServing = obsv.NewGauge("rtr_vrps_serving",
-		"VRPs in the current snapshot")
 )
 
 // DefaultIdleTimeout disconnects RTR clients that send no query for
@@ -67,8 +59,6 @@ func NewServer(vrps []rpki.VRP) *Server {
 		serial:  1,
 		session: 0x5249, // "RI"
 	}
-	mSerial.Set(float64(s.serial))
-	mVRPsServing.Set(float64(len(s.vrps)))
 	s.srv = &netx.Server{
 		ReadTimeout:  DefaultIdleTimeout,
 		WriteTimeout: 30 * time.Second,
@@ -98,8 +88,6 @@ func (s *Server) SetVRPs(vrps []rpki.VRP) {
 	}
 	s.vrps = append([]rpki.VRP(nil), vrps...)
 	s.serial++
-	mSerial.Set(float64(s.serial))
-	mVRPsServing.Set(float64(len(s.vrps)))
 }
 
 // Serial returns the current snapshot serial.
@@ -134,7 +122,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // serve handles one client connection: each query gets its response;
 // unknown PDUs get an Error Report and the connection ends.
 func (s *Server) serve(conn net.Conn) error {
-	mSessions.Inc()
 	mSessionsActive.Inc()
 	defer mSessionsActive.Dec()
 	br := bufio.NewReader(conn)
@@ -201,7 +188,6 @@ func (s *Server) sendSnapshot(bw *bufio.Writer) error {
 			return err
 		}
 	}
-	mVRPsSent.Add(int64(len(vrps)))
 	eod := &PDU{Version: Version, Type: TypeEndOfData, Session: session, Serial: serial}
 	if err := eod.Write(bw); err != nil {
 		return err

@@ -296,10 +296,13 @@ var frontContract = []struct {
 			}
 		}
 		fe.agree(t, "other", http.StatusNotFound, len(paths))
-		dump := fe.reg.Dump()
+		var dump strings.Builder
+		if err := fe.reg.WritePrometheus(&dump); err != nil {
+			t.Fatal(err)
+		}
 		for _, leak := range []string{"nope", "favicon"} {
-			if strings.Contains(dump, leak) {
-				t.Errorf("per-URL label leaked into metrics: %q in\n%s", leak, dump)
+			if strings.Contains(dump.String(), leak) {
+				t.Errorf("per-URL label leaked into metrics: %q in\n%s", leak, dump.String())
 			}
 		}
 		// The access log, by contrast, keeps the real path for debugging.
@@ -331,6 +334,17 @@ var frontContract = []struct {
 	}},
 }
 
+// TestFrontContract runs every contract case against both front ends,
+// so the cases read each front family under both prefixes:
+// serve_requests_total and cluster_gateway_requests_total,
+// serve_request_duration_seconds and
+// cluster_gateway_request_duration_seconds, serve_inflight_requests and
+// cluster_gateway_inflight_requests (a held admission slot),
+// serve_shed_total and cluster_gateway_shed_total, and the head
+// sample's serve_access_log_written_total,
+// serve_access_log_suppressed_total,
+// cluster_gateway_access_log_written_total and
+// cluster_gateway_access_log_suppressed_total.
 func TestFrontContract(t *testing.T) {
 	for _, c := range frontContract {
 		for _, mk := range []func(*testing.T, frontConfig) *frontEnd{newServeFront, newGatewayFront} {

@@ -19,17 +19,11 @@ import (
 	"manrsmeter/internal/rpki"
 )
 
-// Dataset-engine metrics: whether View.Dataset found the date's dataset
-// already built (a stability loop re-requesting a snapshot should hit, a
-// fresh date misses and pays a build) and how long builds take.
-var (
-	mDatasetCacheHits = obsv.NewCounter("synth_dataset_cache_hits_total",
-		"View.Dataset calls answered by an earlier build")
-	mDatasetCacheMisses = obsv.NewCounter("synth_dataset_cache_misses_total",
-		"View.Dataset calls that built (or raced to build) a dataset")
-	mDatasetBuild = obsv.NewSummary("synth_dataset_build_seconds",
-		"wall time of one dataset build")
-)
+// mDatasetBuild times each dataset build View.Dataset starts; its
+// _count is how many builds ran (a date answered by an earlier build
+// adds nothing).
+var mDatasetBuild = obsv.NewSummary("synth_dataset_build_seconds",
+	"wall time of one dataset build")
 
 // allocator carves per-RIR address space: /13 blocks for large networks
 // and CDNs, /18 for medium, /22 for small, all disjoint within the RIR's
@@ -892,10 +886,8 @@ func (w *World) remember(v *View) *View {
 // nothing. The graph is never mutated, so builds may run concurrently.
 func (v *View) Dataset(ctx context.Context, workers int) (*ihr.Dataset, error) {
 	if ds := v.ds.Load(); ds != nil {
-		mDatasetCacheHits.Inc()
 		return ds, nil
 	}
-	mDatasetCacheMisses.Inc()
 	ctx, span := obsv.StartSpan(ctx, "dataset.build", obsv.KV("date", v.Date.Format("2006-01-02")))
 	defer span.End()
 	start := time.Now()

@@ -16,7 +16,9 @@
 #            and batch oracles against crypto/ed25519, the prefix table,
 #            need-set flood and route-tree template oracles, the
 #            archive's bounds, and world generation's joined signers
-#   docs   — the docs gate, TestDocsNameLiveCode, runs in the race leg
+#   docs   — the docs gates run in the race leg: TestDocsNameLiveCode,
+#            and TestEveryMetricHasAReader (each registered metric
+#            family is named by a test, this script, bench/ or DESIGN.md)
 #   front  — the bench's cross-path oracle (`go run ./bench --workload
 #            query.gateway`): each replica, the gateway and an
 #            in-process handler must answer byte-for-byte alike with
