@@ -387,7 +387,7 @@ func (p *Pipeline) Fig6Saturation(ctx context.Context) (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		member, non := manrs.RPKISaturation(p.ds.PrefixOrigins, vrps, p.World.MANRS, t)
+		member, non := manrs.RPKISaturation(p.ds.PrefixOrigins, nil, vrps, p.World.MANRS, t)
 		res.Years = append(res.Years, y)
 		res.Member = append(res.Member, member)
 		res.NonMember = append(res.NonMember, non)

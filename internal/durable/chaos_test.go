@@ -183,15 +183,22 @@ func TestChaosLoadNeverReturnsWrongBytes(t *testing.T) {
 }
 
 // TestStoreConcurrentSaveLoad exercises the mutex under the race
-// detector: writers archiving distinct keys while readers load them.
+// detector: writers archiving distinct keys while readers load them. The
+// goroutines share two stores, whose saves run at once on the package's
+// pool of encode buffers; every load returns what was saved.
 func TestStoreConcurrentSaveLoad(t *testing.T) {
 	ctx := context.Background()
-	s, _ := openTest(t, t.TempDir(), Options{})
+	stores := []*Store{}
+	for range 2 {
+		s, _ := openTest(t, t.TempDir(), Options{})
+		stores = append(stores, s)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			s := stores[g%2]
 			for i := 0; i < 10; i++ {
 				d := testSnapshotData(g*100 + i)
 				d.Date = d.Date.AddDate(0, 0, g)
@@ -200,8 +207,8 @@ func TestStoreConcurrentSaveLoad(t *testing.T) {
 					t.Errorf("save: %v", err)
 					return
 				}
-				if _, err := s.Load(ctx, d.Key()); err != nil {
-					t.Errorf("load: %v", err)
+				if got, err := s.Load(ctx, d.Key()); err != nil || !reflect.DeepEqual(got, d) {
+					t.Errorf("load: %v, or other content than saved", err)
 					return
 				}
 				_ = s.Status()

@@ -122,7 +122,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			persistErrors:  reg.Counter("durable_persist_errors_total", "snapshot persist attempts that failed"),
 			persistSkipped: reg.Counter("durable_persist_skipped_total", "persists skipped because the key's archive already has this content"),
 			loads:          reg.Counter("durable_load_total", "snapshot archives loaded and verified"),
-			loadErrors:     reg.Counter("durable_load_errors_total", "archive loads that failed verification or I/O"),
+			loadErrors:     reg.Counter("durable_load_errors_total", "archive loads that failed on I/O (damaged archives count under durable_quarantine_total)"),
 			quarantines:    reg.Counter("durable_quarantine_total", "damaged archives quarantined"),
 			gcRemoved:      reg.Counter("durable_gc_removed_total", "archives removed by the retention janitor"),
 		},
@@ -183,11 +183,16 @@ func (s *Store) Save(ctx context.Context, d *SnapshotData) error {
 	_, span := obsv.StartSpan(ctx, "durable.save", obsv.KV("key", d.Key().String()))
 	defer span.End()
 
+	// The archive is encoded into a pooled buffer, reused from save to
+	// save, and written from it.
 	_, espan := obsv.StartSpan(ctx, "durable.encode")
-	buf := Encode(d)
+	pooled := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(pooled)
+	*pooled = appendArchive((*pooled)[:0], d)
+	buf := *pooled
 	espan.SetAttr("bytes", len(buf))
 	espan.End()
-	sum := binary.LittleEndian.Uint64(buf[len(buf)-8:]) // the footer Encode just computed
+	sum := binary.LittleEndian.Uint64(buf[len(buf)-8:]) // the footer just computed
 	key := d.Key()
 	name := archiveName(key)
 	span.SetAttr("file", name)
@@ -289,7 +294,6 @@ func (s *Store) Load(ctx context.Context, key Key) (*SnapshotData, error) {
 		err = fmt.Errorf("archive holds %s", d.Key())
 	}
 	if err != nil {
-		s.met.loadErrors.Inc()
 		s.quarantineLocked(name, err)
 		span.SetAttr("found", false)
 		return nil, fmt.Errorf("%w %s", ErrNotFound, key)

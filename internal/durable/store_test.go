@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -120,8 +121,9 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 					t.Fatalf("load after damage: %v, want ErrNotFound", err)
 				}
 			}
-			if reg.Value("durable_quarantine_total") != 1 || reg.Value("durable_load_errors_total") != 1 {
-				t.Errorf("durable_quarantine_total = %d, durable_load_errors_total = %d, want 1 each",
+			// Damage is counted as a quarantine, not as a load error.
+			if reg.Value("durable_quarantine_total") != 1 || reg.Value("durable_load_errors_total") != 0 {
+				t.Errorf("durable_quarantine_total = %d, durable_load_errors_total = %d, want 1 and 0",
 					reg.Value("durable_quarantine_total"), reg.Value("durable_load_errors_total"))
 			}
 			if _, err := os.Stat(path + quarantineSuffix); err != nil {
@@ -144,6 +146,33 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 				t.Fatalf("load after re-save: %v", err)
 			}
 		})
+	}
+}
+
+// TestStoreLoadIOError: an archive that cannot be read (the open fails
+// with EIO) is an I/O failure, not damage: Load returns the error, not
+// ErrNotFound, leaves the file where it is and counts one load error and
+// no quarantine; once the disk reads again the archive loads.
+func TestStoreLoadIOError(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(OSFS{}, FaultConfig{Seed: 1, OpenFail: 1})
+	s, reg := openTest(t, dir, Options{FS: ffs})
+	ctx := context.Background()
+	d := testSnapshotData(0)
+	if err := s.Save(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Load(ctx, d.Key())
+	if err == nil || errors.Is(err, ErrNotFound) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("load on a failing disk: %v, want the EIO", err)
+	}
+	if reg.Value("durable_load_errors_total") != 1 || reg.Value("durable_quarantine_total") != 0 {
+		t.Errorf("durable_load_errors_total = %d, durable_quarantine_total = %d, want 1 and 0",
+			reg.Value("durable_load_errors_total"), reg.Value("durable_quarantine_total"))
+	}
+	ffs.Disable()
+	if got, err := s.Load(ctx, d.Key()); err != nil || !reflect.DeepEqual(got, d) {
+		t.Fatalf("load once the disk reads: %v", err)
 	}
 }
 

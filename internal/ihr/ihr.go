@@ -116,7 +116,10 @@ type Config struct {
 	KeepInvisible bool
 	// Originations overrides the set of announcements to build from; nil
 	// means every origination currently in the graph. Snapshot views use
-	// this to build historical datasets without mutating the graph.
+	// this to build historical datasets without mutating the graph. The
+	// build never writes it, and keeps a strictly (origin, prefix)
+	// ascending list as the dataset's Visibility.Origs without a copy,
+	// so the caller must not modify it afterwards.
 	Originations []astopo.Origination
 	// Workers bounds the goroutines used for propagation and row
 	// construction; ≤ 0 means one per CPU. The dataset is byte-identical
@@ -316,8 +319,8 @@ type Templates struct {
 	limit    int
 
 	mu  sync.RWMutex
-	csr *astopo.CSR // topology of the held templates; set by the first build
-	m   map[templateKey]keyTemplate
+	csr *astopo.CSR                 // topology of the held templates; set by the first build
+	m   map[templateKey]keyTemplate // made by the first keep
 }
 
 // NewTemplates returns an empty table for builds with cfg's Graph,
@@ -329,7 +332,6 @@ func NewTemplates(cfg Config, limit int) *Templates {
 		vps:      slices.Clone(cfg.VantagePoints),
 		trim:     trimOf(cfg),
 		limit:    limit,
-		m:        make(map[templateKey]keyTemplate),
 	}
 }
 
@@ -370,6 +372,9 @@ func (t *Templates) keep(templates []keyTemplate, todo []int32, key func(s int32
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.m == nil { // sized by the first build, which brings most keys
+		t.m = make(map[templateKey]keyTemplate, min(len(todo), t.limit))
+	}
 	for _, s := range todo {
 		if len(t.m) >= t.limit {
 			return
@@ -420,29 +425,14 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 		return nil, fmt.Errorf("ihr: at least one vantage point is required")
 	}
 	trim := trimOf(cfg)
-	validate := func(ix *rov.Index, p netx.Prefix, o uint32) rov.Status {
-		if ix == nil {
-			return rov.NotFound
-		}
-		return ix.Validate(p, o)
-	}
 
 	origs := cfg.Originations
 	if origs == nil {
 		origs = cfg.Graph.Originations()
 	}
 
-	// Stage 1: classify every origination. Validation is a pure lookup
-	// against immutable indexes, so it fans out safely.
-	type status struct{ rpki, irr rov.Status }
-	statuses := make([]status, len(origs))
-	err := parallel.ForEachCtx(ctx, len(origs), cfg.Workers, func(i int) {
-		og := origs[i]
-		statuses[i] = status{
-			rpki: validate(cfg.RPKI, og.Prefix, og.Origin),
-			irr:  validate(cfg.IRR, og.Prefix, og.Origin),
-		}
-	})
+	// Stage 1: classify every origination (see classify).
+	statuses, err := classify(ctx, origs, cfg.RPKI, cfg.IRR, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("ihr: classify originations: %w", err)
 	}
@@ -568,52 +558,65 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 
 	// Stage 4: replicate each key's template across its originations in
 	// input order, then impose total orders so the dataset is
-	// byte-identical regardless of worker count. Row counts are known up
-	// front, so both tables are allocated exactly once.
-	nPO, nTR := 0, 0
-	for i := range origs {
-		tpl := &templates[keyIdx[i]]
-		if tpl.seen == 0 && !cfg.KeepInvisible {
-			continue
+	// byte-identical regardless of worker count. A counting pass gives
+	// each chunk of originations the offsets its rows start at, so both
+	// tables are allocated exactly once and the chunks fill them side
+	// by side.
+	workers = parallel.Workers(cfg.Workers, len(origs))
+	chunks = min(workers*4, len(origs))
+	type offset struct{ po, tr int }
+	starts := make([]offset, chunks)
+	var at offset
+	for c := range chunks {
+		starts[c] = at
+		for i := c * len(origs) / chunks; i < (c+1)*len(origs)/chunks; i++ {
+			if tpl := &templates[keyIdx[i]]; tpl.seen > 0 || cfg.KeepInvisible {
+				at.po++
+				at.tr += len(tpl.transits)
+			}
 		}
-		nPO++
-		nTR += len(tpl.transits)
 	}
 	ds := &Dataset{
-		PrefixOrigins: make([]PrefixOrigin, 0, nPO),
-		Transits:      make([]TransitRow, 0, nTR),
-		Visibility: Visibility{
-			Origs:  make([]astopo.Origination, len(origs)),
-			Counts: make([]int32, len(origs)),
-		},
+		PrefixOrigins: make([]PrefixOrigin, at.po),
+		Transits:      make([]TransitRow, at.tr),
+		Visibility:    Visibility{Origs: origs, Counts: make([]int32, len(origs))},
 	}
-	for i, og := range origs {
-		tpl := &templates[keyIdx[i]]
-		ds.Visibility.Origs[i] = og
-		ds.Visibility.Counts[i] = tpl.seen
-		if tpl.seen == 0 && !cfg.KeepInvisible {
-			continue
+	ordered := ds.Visibility.Normalized()
+	if !ordered {
+		ds.Visibility.Origs = slices.Clone(origs) // Normalize below sorts it
+	}
+	err = parallel.ForEachCtx(ctx, chunks, workers, func(c int) {
+		at := starts[c]
+		for i := c * len(origs) / chunks; i < (c+1)*len(origs)/chunks; i++ {
+			og, st, tpl := origs[i], statuses[i], &templates[keyIdx[i]]
+			ds.Visibility.Counts[i] = tpl.seen
+			if tpl.seen == 0 && !cfg.KeepInvisible {
+				continue
+			}
+			ds.PrefixOrigins[at.po] = PrefixOrigin{Prefix: og.Prefix, Origin: og.Origin, RPKI: st.rpki, IRR: st.irr}
+			at.po++
+			for _, tt := range tpl.transits {
+				ds.Transits[at.tr] = TransitRow{
+					Prefix:       og.Prefix,
+					Origin:       og.Origin,
+					Transit:      tt.transit,
+					Hegemony:     tt.hegemony,
+					RPKI:         st.rpki,
+					IRR:          st.irr,
+					FromCustomer: tt.fromCustomer,
+				}
+				at.tr++
+			}
 		}
-		ds.PrefixOrigins = append(ds.PrefixOrigins, PrefixOrigin{
-			Prefix: og.Prefix, Origin: og.Origin, RPKI: statuses[i].rpki, IRR: statuses[i].irr,
-		})
-		for _, tt := range tpl.transits {
-			ds.Transits = append(ds.Transits, TransitRow{
-				Prefix:       og.Prefix,
-				Origin:       og.Origin,
-				Transit:      tt.transit,
-				Hegemony:     tt.hegemony,
-				RPKI:         statuses[i].rpki,
-				IRR:          statuses[i].irr,
-				FromCustomer: tt.fromCustomer,
-			})
-		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ihr: fill dataset rows: %w", err)
 	}
 	// Originations strictly ascending by (origin, prefix), which is what
 	// snapshot views feed, give both tables in order: rows follow their
 	// origination, and a template's transits are already ranked
 	// (hegemony desc, transit asc). Any other input is sorted here.
-	if !ds.Visibility.Normalized() {
+	if !ordered {
 		ds.Visibility.Normalize()
 		slices.SortFunc(ds.PrefixOrigins, func(a, b PrefixOrigin) int {
 			return compareOrigination(a.Origin, a.Prefix, b.Origin, b.Prefix)
@@ -632,6 +635,38 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 		})
 	}
 	return ds, nil
+}
+
+// status is one origination's pair of registry verdicts.
+type status struct{ rpki, irr rov.Status }
+
+// classify returns the RPKI and IRR status of each origination, as
+// rpkiIx.Validate and irrIx.Validate would give them (NotFound for a nil
+// index). It walks the originations in prefix order, every family on the
+// one path, with a rov.Cursor per registry, so each verdict is a short
+// step forward through the registry's table rather than a search of it.
+// The walk is cut into one contiguous share per worker, each share with
+// its own cursors; validation is a pure lookup against immutable
+// indexes, so the shares run side by side. Once ctx is done no further
+// share starts, and a running share stops within 1024 originations.
+func classify(ctx context.Context, origs []astopo.Origination, rpkiIx, irrIx *rov.Index, workers int) ([]status, error) {
+	order := netx.PrefixOrder(len(origs), func(i int) netx.Prefix { return origs[i].Prefix })
+	statuses := make([]status, len(origs))
+	workers = parallel.Workers(workers, len(origs))
+	err := parallel.ForEachCtx(ctx, workers, workers, func(w int) {
+		rc, ic := rpkiIx.Cursor(), irrIx.Cursor()
+		for n, i := range order[w*len(order)/workers : (w+1)*len(order)/workers] {
+			if n%1024 == 0 && ctx.Err() != nil {
+				return
+			}
+			og := origs[i]
+			statuses[i] = status{rpki: rc.Validate(og.Prefix, og.Origin), irr: ic.Validate(og.Prefix, og.Origin)}
+		}
+	})
+	if err == nil {
+		err = context.Cause(ctx)
+	}
+	return statuses, err
 }
 
 // PolicyFilter returns a per-pair import-filter factory for the given

@@ -28,18 +28,29 @@ func (s Saturation) Ratio() float64 {
 // RPKISaturation computes Eq. 7 and Eq. 8: the ROA-covered fraction of
 // routed IPv4 space for MANRS member ASes and for all other ASes, from
 // the routed prefix-origin pairs and the VRP set, as of time t (zero
-// means current membership).
-func RPKISaturation(origins []ihr.PrefixOrigin, vrps []rpki.VRP, reg *Registry, t time.Time) (member, nonMember Saturation) {
+// means current membership). order, when not nil, is the permutation
+// the rows are read in; rows (and VRPs) read in prefix order build the
+// address sets already merged, with no sort.
+func RPKISaturation(origins []ihr.PrefixOrigin, order []int32, vrps []rpki.VRP, reg *Registry, t time.Time) (member, nonMember Saturation) {
 	var vrpSpace netx.IPSet4
 	for _, v := range vrps {
 		vrpSpace.AddPrefix(v.Prefix)
 	}
 	var memberSet, nonSet netx.IPSet4
-	for _, po := range origins {
+	add := func(po *ihr.PrefixOrigin) {
 		if reg.IsMember(po.Origin, t) {
 			memberSet.AddPrefix(po.Prefix)
 		} else {
 			nonSet.AddPrefix(po.Prefix)
+		}
+	}
+	if order == nil {
+		for i := range origins {
+			add(&origins[i])
+		}
+	} else {
+		for _, i := range order {
+			add(&origins[i])
 		}
 	}
 	member = Saturation{RoutedSpace: memberSet.Size(), CoveredSpace: memberSet.IntersectSize(&vrpSpace)}

@@ -28,6 +28,12 @@ func (s *IPSet4) AddPrefix(p Prefix) {
 	}
 	lo := p.hi >> 32
 	hi := lo + uint64(p.AddressCount())
+	// A range that starts inside or just past the last one added joins
+	// it: prefixes added in ascending order keep only disjoint ranges.
+	if n := len(s.dirty); n > 0 && lo >= s.dirty[n-1].lo && lo <= s.dirty[n-1].hi {
+		s.dirty[n-1].hi = max(s.dirty[n-1].hi, hi)
+		return
+	}
 	s.dirty = append(s.dirty, r4{lo, hi})
 }
 

@@ -139,6 +139,33 @@ func (p Prefix) AppendTo(b []byte) []byte {
 	return netip.PrefixFrom(p.Addr(), int(p.bits)).AppendTo(b)
 }
 
+// Halves returns p's masked network address as two 64-bit halves, most
+// significant bit first; an IPv4 address sits in the top 32 bits of hi.
+// With Bits and Is4 it is the whole prefix, for codecs that store
+// prefixes as integers.
+func (p Prefix) Halves() (hi, lo uint64) { return p.hi, p.lo }
+
+// PrefixFromHalves inverts Halves: the IPv4 (is4) or 128-bit prefix of
+// length bits at the address hi, lo. It fails when bits is out of range
+// for the family or the address has bits set past the length (an IPv4
+// address beyond the top 32 bits of hi), so a decoder rejects an
+// unmasked encoding instead of masking it.
+func PrefixFromHalves(hi, lo uint64, bits int, is4 bool) (Prefix, error) {
+	width := 128
+	if is4 {
+		width = 32
+	}
+	if bits < 0 || bits > width {
+		return Prefix{}, fmt.Errorf("prefix length %d out of range", bits)
+	}
+	p := Prefix{hi: hi, lo: lo, bits: uint8(bits), width: uint8(width)}
+	if mhi, mlo := mask(p.bits); hi&^mhi != 0 || lo&^mlo != 0 {
+		p.hi, p.lo = hi&mhi, lo&mlo
+		return Prefix{}, fmt.Errorf("prefix %s has host bits set", p)
+	}
+	return p, nil
+}
+
 // Covers reports whether p contains o entirely: o's network address lies
 // inside p and o is at least as specific as p. A prefix covers itself.
 // IPv4 prefixes and 128-bit prefixes (4-in-6 included) never cover one

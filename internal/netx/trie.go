@@ -19,7 +19,8 @@ import (
 // distinct prefix to its nearest covering one. In Compare order a
 // prefix's covering prefixes all precede it, so Covering is a binary
 // search for the last prefix at or before the query and a climb along
-// those links.
+// those links. A Cursor replaces the search with a step forward when
+// queries come in ascending order.
 //
 // Table is not safe for concurrent mutation; any number of readers may
 // run concurrently once inserting is done (the sort is done once, under
@@ -84,7 +85,11 @@ func (t *Table[V]) sort() {
 	if t.sorted.Load() {
 		return
 	}
-	slices.SortStableFunc(t.ents, func(a, b tableEntry[V]) int { return a.p.Compare(b.p) })
+	// Entries often arrive in order (a relying party's sorted VRPs): a
+	// stable sort of sorted entries leaves them as they are.
+	if byPrefix := func(a, b tableEntry[V]) int { return a.p.Compare(b.p) }; !slices.IsSortedFunc(t.ents, byPrefix) {
+		slices.SortStableFunc(t.ents, byPrefix)
+	}
 	t.runs, t.keys, t.n4 = slices.Grow(t.runs[:0], len(t.ents)), slices.Grow(t.keys[:0], len(t.ents)), 0
 	var open []int32 // the runs covering the current one, outermost first
 	for i, e := range t.ents {
@@ -120,17 +125,24 @@ func (t *Table[V]) entries(i int) []tableEntry[V] {
 	return t.ents[t.runs[i].lo:end]
 }
 
-// search returns the index of the last run at or before p in Compare
-// order (-1 if none) and whether that run is p itself.
-func (t *Table[V]) search(p Prefix) (int, bool) {
-	t.sort()
-	lo, hi := 0, t.n4
+// family returns the runs of p's family: [0, n4) for IPv4, [n4, len)
+// for 128-bit prefixes, none for the zero value.
+func (t *Table[V]) family(p Prefix) (lo, hi int) {
 	switch p.width {
-	case 0:
-		return -1, false
+	case 32:
+		return 0, t.n4
 	case 128:
-		lo, hi = t.n4, len(t.runs)
+		return t.n4, len(t.runs)
 	}
+	return 0, 0
+}
+
+// upper returns the first run in [lo, hi) after p, hi if none: a binary
+// search over runs [lo, hi), all of p's family. A run is at or before p
+// when its key is below p's high half, or equal to it and the run's
+// prefix compares at or before p (written out here and in gallop: a
+// method would not inline into these loops).
+func (t *Table[V]) upper(p Prefix, lo, hi int) int {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		if k := t.keys[m]; k < p.hi || k == p.hi && t.prefix(m).Compare(p) <= 0 {
@@ -139,13 +151,15 @@ func (t *Table[V]) search(p Prefix) (int, bool) {
 			hi = m
 		}
 	}
-	return lo - 1, lo > 0 && t.prefix(lo-1) == p
+	return lo
 }
 
 // Exact returns a copy of the values stored at exactly prefix p, or nil.
 func (t *Table[V]) Exact(p Prefix) []V {
-	i, found := t.search(p)
-	if !found {
+	t.sort()
+	lo, hi := t.family(p)
+	i := t.upper(p, lo, hi) - 1
+	if i < lo || t.prefix(i) != p {
 		return nil
 	}
 	return appendValues(nil, t.entries(i))
@@ -162,7 +176,65 @@ func appendValues[V any](dst []V, ents []tableEntry[V]) []V {
 // (including p itself if present), shortest prefix first. It returns the
 // extended slice.
 func (t *Table[V]) Covering(dst []V, p Prefix) []V {
-	deepest, _ := t.search(p)
+	c := t.Cursor()
+	return c.Covering(dst, p)
+}
+
+// Cursor answers Covering for a sequence of queries over one table. A
+// query at or after the previous one in Compare order gallops forward
+// from where the previous one stopped, so queries in ascending order
+// cost an amortized step each instead of a binary search: a prefix-ordered
+// walk merges with the table. Any other query (the first, a step back,
+// or one in a family the cursor has passed) binary-searches its family.
+// A cursor is one goroutine's; any number may read one table at once.
+type Cursor[V any] struct {
+	t    *Table[V]
+	next int // runs[:next] of last's family are at or before last
+	last Prefix
+}
+
+// Cursor returns a cursor over t, which must not be inserted into
+// while the cursor is in use.
+func (t *Table[V]) Cursor() Cursor[V] {
+	t.sort()
+	return Cursor[V]{t: t}
+}
+
+// Covering is Table.Covering.
+func (c *Cursor[V]) Covering(dst []V, p Prefix) []V {
+	t := c.t
+	lo, hi := t.family(p)
+	if c.last.width == p.width && c.next >= lo && p.Compare(c.last) >= 0 {
+		c.next = t.gallop(p, c.next, hi)
+	} else {
+		c.next = t.upper(p, lo, hi)
+	}
+	c.last = p
+	deepest := c.next - 1
+	if deepest < lo {
+		return dst
+	}
+	return t.appendCovering(dst, deepest, p)
+}
+
+// gallop is upper(p, from, hi) for runs[:from] known at or before p: it
+// doubles its step from from until it passes p, then binary-searches
+// the last step, so a short advance costs a few comparisons.
+func (t *Table[V]) gallop(p Prefix, from, hi int) int {
+	step := 1
+	for from+step <= hi {
+		if k := t.keys[from+step-1]; k > p.hi || k == p.hi && t.prefix(from+step-1).Compare(p) > 0 {
+			break
+		}
+		from += step
+		step <<= 1
+	}
+	return t.upper(p, from, min(from+step-1, hi))
+}
+
+// appendCovering appends the values of every run covering p, shortest
+// first, climbing from deepest, the last run at or before p.
+func (t *Table[V]) appendCovering(dst []V, deepest int, p Prefix) []V {
 	for deepest >= 0 && !t.prefix(deepest).Covers(p) {
 		deepest = int(t.runs[deepest].up)
 	}

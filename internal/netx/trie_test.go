@@ -276,6 +276,9 @@ func checkTable(tb *Table[int], ins []Prefix, queries []Prefix) error {
 			return fmt.Errorf("Exact(%s) = %v, linear scan %v", q, got, exact)
 		}
 	}
+	if err := checkCursor(tb, queries); err != nil {
+		return err
+	}
 	distinct := map[Prefix][]int{}
 	for i, p := range ins {
 		distinct[p] = append(distinct[p], i)
@@ -301,6 +304,38 @@ func checkTable(tb *Table[int], ins []Prefix, queries []Prefix) error {
 		err = fmt.Errorf("Walk visited %d prefixes, want %d", n, len(distinct))
 	}
 	return err
+}
+
+// checkCursor checks that one Cursor answers like Covering on the
+// queries in ascending order, each asked twice (the prefix-ordered walk),
+// and on the queries as given, where a step back or a change of family
+// takes the cursor's binary-search fallback. It also checks PrefixOrder
+// on the queries against a stable comparator sort.
+func checkCursor(tb *Table[int], queries []Prefix) error {
+	order := PrefixOrder(len(queries), func(i int) Prefix { return queries[i] })
+	want := make([]int32, len(queries))
+	for i := range want {
+		want[i] = int32(i)
+	}
+	slices.SortStableFunc(want, func(a, b int32) int { return queries[a].Compare(queries[b]) })
+	if !slices.Equal(order, want) {
+		return fmt.Errorf("PrefixOrder = %v, stable sort %v", order, want)
+	}
+	walk := tb.Cursor()
+	for _, i := range order {
+		for range 2 {
+			if got, want := walk.Covering(nil, queries[i]), tb.Covering(nil, queries[i]); !slices.Equal(got, want) {
+				return fmt.Errorf("ascending Cursor.Covering(%s) = %v, Covering %v", queries[i], got, want)
+			}
+		}
+	}
+	given := tb.Cursor()
+	for _, q := range queries {
+		if got, want := given.Covering(nil, q), tb.Covering(nil, q); !slices.Equal(got, want) {
+			return fmt.Errorf("Cursor.Covering(%s) in given order = %v, Covering %v", q, got, want)
+		}
+	}
+	return nil
 }
 
 // Differential: on random tables mixing IPv4, IPv6 and 4-in-6 prefixes,
@@ -417,4 +452,20 @@ func FuzzPrefixTable(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// PrefixOrder places zero values first, then IPv4 by packed key, then
+// 128-bit prefixes (IPv6 and 4-in-6) by the comparator tail, equal
+// prefixes by index.
+func TestPrefixOrderMixedFamilies(t *testing.T) {
+	ps := []Prefix{
+		MustParsePrefix("2001:db8::/32"), MustParsePrefix("10.0.0.0/8"), {},
+		MustParsePrefix("::ffff:10.0.0.0/104"), MustParsePrefix("10.0.0.0/16"),
+		MustParsePrefix("10.0.0.0/8"), {}, MustParsePrefix("2001:db8::/32"), MustParsePrefix("0.0.0.0/0"),
+	}
+	got := PrefixOrder(len(ps), func(i int) Prefix { return ps[i] })
+	want := []int32{2, 6, 8, 1, 5, 4, 3, 0, 7}
+	if !slices.Equal(got, want) {
+		t.Errorf("PrefixOrder = %v, want %v", got, want)
+	}
 }

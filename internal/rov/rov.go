@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"manrsmeter/internal/netx"
 )
@@ -78,6 +79,8 @@ func (a Authorization) Permits(p netx.Prefix, asn uint32) bool {
 type Index struct {
 	table *netx.Table[Authorization]
 	count int
+	// all is All's result, kept until the next Add.
+	all atomic.Pointer[[]Authorization]
 }
 
 // NewIndex returns an empty index.
@@ -101,6 +104,7 @@ func (ix *Index) Add(a Authorization) error {
 	}
 	ix.table.Insert(a.Prefix, a)
 	ix.count++
+	ix.all.Store(nil)
 	return nil
 }
 
@@ -127,7 +131,39 @@ func (ix *Index) Covering(p netx.Prefix) []Authorization {
 func (ix *Index) Validate(p netx.Prefix, asn uint32) Status {
 	// Few authorizations cover one prefix: collected on the stack, no allocation.
 	var buf [8]Authorization
-	covering := ix.table.Covering(buf[:0], p)
+	return classify(ix.table.Covering(buf[:0], p), p, asn)
+}
+
+// Cursor validates a sequence of (prefix, origin) pairs against one
+// index: Validate, with the table search of netx.Cursor, so pairs in
+// ascending prefix order merge with the index instead of each searching
+// it. A nil index's cursor answers NotFound. A cursor is one
+// goroutine's; the index must not be added to while it is in use.
+type Cursor struct {
+	table *netx.Table[Authorization]
+	c     netx.Cursor[Authorization]
+	// Few authorizations cover one prefix: collected here, no allocation.
+	buf [8]Authorization
+}
+
+// Cursor returns a cursor over ix.
+func (ix *Index) Cursor() Cursor {
+	if ix == nil {
+		return Cursor{}
+	}
+	return Cursor{table: ix.table, c: ix.table.Cursor()}
+}
+
+// Validate is Index.Validate.
+func (c *Cursor) Validate(p netx.Prefix, asn uint32) Status {
+	if c.table == nil {
+		return NotFound
+	}
+	return classify(c.c.Covering(c.buf[:0], p), p, asn)
+}
+
+// classify is Validate's verdict given the authorizations covering p.
+func classify(covering []Authorization, p netx.Prefix, asn uint32) Status {
 	if len(covering) == 0 {
 		return NotFound
 	}
@@ -160,30 +196,20 @@ func (ix *Index) ValidateLinear(p netx.Prefix, asn uint32) Status {
 		}
 		return true
 	})
-	if len(covering) == 0 {
-		return NotFound
-	}
-	asnMatch := false
-	for _, a := range covering {
-		if a.ASN != asn {
-			continue
-		}
-		if p.Bits() <= a.MaxLength {
-			return Valid
-		}
-		asnMatch = true
-	}
-	if asnMatch {
-		return InvalidLength
-	}
-	return InvalidASN
+	return classify(covering, p, asn)
 }
 
 // All returns every authorization, ordered by prefix then ASN then max
 // length — a stable order for snapshots and diffs. Walk already gives
 // prefix order; the sort runs only when some prefix's authorizations
-// were added out of (ASN, max length) order.
+// were added out of (ASN, max length) order. The slice is made once and
+// shared by every call until the next Add (an index shared by many
+// dates, like a world's IRR, lists its authorizations once): callers
+// must not modify it.
 func (ix *Index) All() []Authorization {
+	if all := ix.all.Load(); all != nil {
+		return *all
+	}
 	out := make([]Authorization, 0, ix.count)
 	ix.table.Walk(func(_ netx.Prefix, vals []Authorization) bool {
 		out = append(out, vals...)
@@ -201,5 +227,6 @@ func (ix *Index) All() []Authorization {
 	if !slices.IsSortedFunc(out, byKey) {
 		slices.SortFunc(out, byKey)
 	}
+	ix.all.Store(&out)
 	return out
 }

@@ -1,9 +1,11 @@
 package rpki
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -107,9 +109,15 @@ func (m *VerdictMemo) verify(pub ed25519.PublicKey, payload, sig []byte, tally *
 // edwards25519.VerifyBatch. A public key of the wrong size fails instead
 // of panicking the verifier: certificates come from a repository the
 // relying party does not trust. tally, if not nil, counts the checks.
+//
+// A check the memo knows costs its digest and one map lookup. Only the
+// checks it does not know look up their key's table, once per run of
+// checks under one key (a block's ROAs mostly share a signer).
 func (m *VerdictMemo) verifyBatch(checks []sigCheck, tally *sigTally) {
-	keys := make([][sha256.Size]byte, len(checks))
-	var todo []int
+	sc := batchScratches.Get().(*batchScratch)
+	defer sc.put()
+	keys := slices.Grow(sc.keys[:0], len(checks))[:len(checks)]
+	todo := sc.todo[:0]
 	for i := range checks {
 		checks[i].ok = false
 		if len(checks[i].pub) != ed25519.PublicKeySize {
@@ -117,26 +125,33 @@ func (m *VerdictMemo) verifyBatch(checks []sigCheck, tally *sigTally) {
 		}
 		todo = append(todo, i)
 		if m != nil {
-			keys[i] = verdictKey(checks[i])
+			keys[i] = sc.verdictKey(checks[i])
 		}
 	}
 	// Under the lock: answer what the memo knows and find the tables of
 	// the rest.
-	tables := make([]*edwards25519.PublicKey, len(checks))
+	tables := slices.Grow(sc.tables[:0], len(checks))[:len(checks)]
 	hits := int64(len(todo))
 	if m != nil {
 		m.mu.Lock()
 		todo = slices.DeleteFunc(todo, func(i int) bool {
 			ok, known := m.verdicts[keys[i]]
-			checks[i].ok, tables[i] = ok, m.keys[[ed25519.PublicKeySize]byte(checks[i].pub)]
+			checks[i].ok = ok
 			return known
 		})
+		var last []byte
+		var table *edwards25519.PublicKey
+		for _, i := range todo {
+			if pub := checks[i].pub; !bytes.Equal(pub, last) {
+				last, table = pub, m.keys[[ed25519.PublicKeySize]byte(pub)]
+			}
+			tables[i] = table
+		}
 		m.mu.Unlock()
 	}
 	hits -= int64(len(todo))
 
-	var batch []edwards25519.Check
-	var batchAt []int
+	batch, batchAt := sc.batch[:0], sc.batchAt[:0]
 	for _, i := range todo {
 		c := &checks[i]
 		if tables[i] != nil {
@@ -146,13 +161,13 @@ func (m *VerdictMemo) verifyBatch(checks []sigCheck, tally *sigTally) {
 			c.ok = ed25519.Verify(c.pub, c.payload, c.sig)
 		}
 	}
-	ok := make([]bool, len(batch))
+	ok := slices.Grow(sc.ok[:0], len(batch))[:len(batch)]
 	edwards25519.VerifyBatch(batch, ok)
 	for j, i := range batchAt {
 		checks[i].ok = ok[j]
 	}
 
-	if m != nil {
+	if m != nil && len(todo) > 0 {
 		m.mu.Lock()
 		for _, i := range todo {
 			if len(m.verdicts) < m.limit {
@@ -167,21 +182,47 @@ func (m *VerdictMemo) verifyBatch(checks []sigCheck, tally *sigTally) {
 		tally.hits.Add(hits)
 		tally.misses.Add(int64(len(todo)))
 	}
+	sc.keys, sc.todo, sc.tables, sc.batch, sc.batchAt, sc.ok = keys, todo, tables, batch, batchAt, ok
+}
+
+// batchScratch is verifyBatch's reusable scratch: the checks' memo keys,
+// the unanswered ones, their tables and batch, and one SHA-256 hasher
+// with its buffers.
+type batchScratch struct {
+	keys    [][sha256.Size]byte
+	todo    []int
+	tables  []*edwards25519.PublicKey
+	batch   []edwards25519.Check
+	batchAt []int
+	ok      []bool
+	h       hash.Hash
+	frame   [8]byte // a payload's length
+	sum     []byte
+}
+
+var batchScratches = sync.Pool{New: func() any { return &batchScratch{h: sha256.New()} }}
+
+// put drops the scratch's references to tables and messages and hands it
+// back.
+func (sc *batchScratch) put() {
+	clear(sc.tables)
+	clear(sc.batch)
+	batchScratches.Put(sc)
 }
 
 // verdictKey is the memo key of c: a SHA-256 digest of its public key,
-// length-framed payload and signature. The public key has a fixed size
-// and the payload is length-framed, so no two checks share a preimage.
-func verdictKey(c sigCheck) (key [sha256.Size]byte) {
-	var payloadLen [8]byte
-	binary.BigEndian.PutUint64(payloadLen[:], uint64(len(c.payload)))
-	h := sha256.New()
-	h.Write(c.pub)
-	h.Write(payloadLen[:])
-	h.Write(c.payload)
-	h.Write(c.sig)
-	h.Sum(key[:0])
-	return key
+// length-framed payload and signature, hashed with the scratch's hasher
+// into its buffers. The public key has a fixed size and the payload is
+// length-framed, so no two checks share a preimage.
+func (sc *batchScratch) verdictKey(c sigCheck) (key [sha256.Size]byte) {
+	binary.BigEndian.PutUint64(sc.frame[:], uint64(len(c.payload)))
+	sc.h.Reset()
+	sc.h.Write(c.pub)
+	sc.h.Write(sc.frame[:])
+	sc.h.Write(c.payload)
+	sc.h.Write(c.sig)
+	sc.sum = sc.h.Sum(sc.sum[:0])
+	return [sha256.Size]byte(sc.sum)
 }
 
 // prepareKeys builds a table, before a run's first check, for each of

@@ -23,6 +23,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"manrsmeter/internal/netx"
@@ -115,7 +116,11 @@ type ROA struct {
 }
 
 func (r *ROA) payload() []byte {
-	b := make([]byte, 0, 4+len("roa")+4+len(r.SignerName)+8+len(r.Prefixes)*(4+maxPrefixText+4)+16)
+	return r.appendPayload(make([]byte, 0, 4+len("roa")+4+len(r.SignerName)+8+len(r.Prefixes)*(4+maxPrefixText+4)+16))
+}
+
+// appendPayload appends the ROA's payload to b.
+func (r *ROA) appendPayload(b []byte) []byte {
 	b = appendString(b, "roa")
 	b = appendString(b, r.SignerName)
 	b = binary.BigEndian.AppendUint32(b, r.ASN)
@@ -423,7 +428,16 @@ func (rp *RelyingParty) Run(ctx context.Context, repo *Repository, workers int) 
 		return nil, ValidationStats{}, fmt.Errorf("rpki: relying party run: %w", err)
 	}
 
+	n := 0
+	for i, roa := range repo.roas {
+		if valid[i] {
+			n += len(roa.Prefixes)
+		}
+	}
 	var vrps []VRP
+	if n > 0 {
+		vrps = make([]VRP, 0, n)
+	}
 	for i, roa := range repo.roas {
 		if !valid[i] {
 			stats.ROAsRejected++
@@ -555,8 +569,11 @@ func (rp *RelyingParty) validSigners(repo *Repository, now time.Time, tally *sig
 // block. A ROA whose first candidate fails, by signature or containment,
 // falls back to the next candidates one at a time.
 func (rp *RelyingParty) validROAs(ctx context.Context, roas []*ROA, now time.Time, signers map[string][]*Certificate, valid []bool, tally *sigTally) {
-	checks := make([]sigCheck, 0, len(roas))
-	at := make([]int, 0, len(roas))
+	// The block's payloads are built into one scratch buffer, reused by
+	// the next block this worker checks; a check's payload is its slice.
+	sc := blockScratches.Get().(*blockScratch)
+	defer blockScratches.Put(sc)
+	checks, at, ends, buf := sc.checks[:0], sc.at[:0], sc.ends[:0], sc.payloads[:0]
 	for i, roa := range roas {
 		if ctx.Err() != nil {
 			return
@@ -568,10 +585,17 @@ func (rp *RelyingParty) validROAs(ctx context.Context, roas []*ROA, now time.Tim
 			continue // created, but not yet visible to this relying party
 		}
 		if cands := signers[roa.SignerName]; len(cands) > 0 {
-			checks = append(checks, sigCheck{pub: cands[0].PublicKey, payload: roa.payload(), sig: roa.Signature})
+			buf = roa.appendPayload(buf)
+			checks = append(checks, sigCheck{pub: cands[0].PublicKey, sig: roa.Signature})
 			at = append(at, i)
+			ends = append(ends, len(buf))
 		}
 	}
+	start := 0
+	for j, end := range ends {
+		checks[j].payload, start = buf[start:end:end], end
+	}
+	sc.checks, sc.at, sc.ends, sc.payloads = checks, at, ends, buf
 	rp.memo.verifyBatch(checks, tally)
 	for j, i := range at {
 		roa := roas[i]
@@ -586,7 +610,18 @@ func (rp *RelyingParty) validROAs(ctx context.Context, roas []*ROA, now time.Tim
 			}
 		}
 	}
+	clear(checks) // drop the block's keys and signatures until reuse
 }
+
+// blockScratch is validROAs' reusable scratch: one block's checks, their
+// ROAs' indexes, and their payloads, back to back, with where each ends.
+type blockScratch struct {
+	checks   []sigCheck
+	at, ends []int
+	payloads []byte
+}
+
+var blockScratches = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // covers reports whether signer's resources cover every prefix of roa.
 func covers(signer *Certificate, roa *ROA) bool {

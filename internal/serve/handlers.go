@@ -320,60 +320,70 @@ type SizeClassStats struct {
 	ConformantPct *float64 `json:"conformant_pct,omitempty"`
 }
 
-// computeStats precomputes the /v1/stats aggregates at snapshot build
-// time, so the handler is a cache render.
-func computeStats(snap *Snapshot) *EcosystemStats {
-	w := snap.World
-	ds := snap.Dataset()
-	out := &EcosystemStats{
+// The /v1/stats aggregates are precomputed when a snapshot is
+// assembled, so the handler is a cache render: headlineStats fills the
+// counts, and assemble's two halves add the rest (cohortStats from the
+// per-AS metrics, rowStats from the rows in prefix order).
+
+// headlineStats returns the aggregates that are plain counts.
+func headlineStats(snap *Snapshot, ds *ihr.Dataset) *EcosystemStats {
+	return &EcosystemStats{
 		AsOf:          snap.Date.Format("2006-01-02"),
 		Snapshot:      snap.Version,
-		ASes:          w.Graph.NumASes(),
-		Members:       len(w.MANRS.Members(snap.Date)),
+		ASes:          snap.World.Graph.NumASes(),
+		Members:       len(snap.World.MANRS.Members(snap.Date)),
 		PrefixOrigins: len(ds.PrefixOrigins),
 		Transits:      len(ds.Transits),
 		VRPs:          snap.RPKI.Len(),
 		IRRObjects:    snap.IRR.Len(),
-		OriginRPKI:    map[string]int{},
-		OriginIRR:     map[string]int{},
 	}
+}
+
+// rowStats fills the per-row aggregates: the status and conformance
+// counts, and the RPKI saturation over the rows in snap's prefix order
+// (so the address sets merge without a sort) against vrps, the VRPs the
+// snapshot's RPKI index holds. Rows are counted per (RPKI, IRR) status
+// pair, rov's four statuses each, and the pairs summed.
+func rowStats(out *EcosystemStats, snap *Snapshot, ds *ihr.Dataset, vrps []rpki.VRP) {
+	var pairs [4][4]int
 	for _, po := range ds.PrefixOrigins {
-		out.OriginRPKI[statusKey(po.RPKI)]++
-		out.OriginIRR[statusKey(po.IRR)]++
-		switch {
-		case manrs.Conformant(po.RPKI, po.IRR):
-			out.Conformant++
-		case manrs.Unconformant(po.RPKI, po.IRR):
-			out.Unconformant++
-		default:
-			out.Unregistered++
+		pairs[po.RPKI][po.IRR]++
+	}
+	out.OriginRPKI, out.OriginIRR = map[string]int{}, map[string]int{}
+	for r := range pairs {
+		for i, n := range pairs[r] {
+			if n == 0 {
+				continue
+			}
+			rs, is := rov.Status(r), rov.Status(i)
+			out.OriginRPKI[statusKey(rs)] += n
+			out.OriginIRR[statusKey(is)] += n
+			switch {
+			case manrs.Conformant(rs, is):
+				out.Conformant += n
+			case manrs.Unconformant(rs, is):
+				out.Unconformant += n
+			default:
+				out.Unregistered += n
+			}
 		}
 	}
-	// The covered space comes from the snapshot's own index, not a fresh
-	// relying-party run: a restored snapshot answers from its archive.
-	auths := snap.RPKI.All()
-	vrps := make([]rpki.VRP, len(auths))
-	for i, a := range auths {
-		vrps[i] = rpki.VRP{Prefix: a.Prefix, ASN: a.ASN, MaxLength: a.MaxLength}
-	}
-	// Rows in prefix order give the saturation's address sets sorted,
-	// so they are merged without a sort.
-	rows := make([]ihr.PrefixOrigin, len(snap.byPrefix))
-	for i, r := range snap.byPrefix {
-		rows[i] = ds.PrefixOrigins[r]
-	}
-	member, non := manrs.RPKISaturation(rows, vrps, w.MANRS, snap.Date)
+	member, non := manrs.RPKISaturation(ds.PrefixOrigins, snap.byPrefix, vrps, snap.World.MANRS, snap.Date)
 	out.RPKISaturationPct.Member = pctPtr(100 * member.Ratio())
 	out.RPKISaturationPct.NonMember = pctPtr(100 * non.Ratio())
+}
+
+// cohortStats fills the size-class breakdown from the per-AS metrics.
+func cohortStats(out *EcosystemStats, p *core.Pipeline) {
 	type cohortAgg struct {
 		ases, originated, rpkiValid, conformant int
 	}
 	agg := map[core.Cohort]*cohortAgg{}
-	for asn, m := range snap.Pipeline.Metrics() {
+	for asn, m := range p.Metrics() {
 		if m.Originated == 0 {
 			continue
 		}
-		c := snap.Pipeline.CohortOf(asn)
+		c := p.CohortOf(asn)
 		a := agg[c]
 		if a == nil {
 			a = &cohortAgg{}
@@ -401,7 +411,6 @@ func computeStats(snap *Snapshot) *EcosystemStats {
 		}
 		out.SizeClasses = append(out.SizeClasses, row)
 	}
-	return out
 }
 
 // ReportSection is the /v1/report/{section} response.

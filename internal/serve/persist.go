@@ -63,7 +63,7 @@ func (s *Store) restoreSnapshot(ctx context.Context, d *durable.SnapshotData) (*
 	if err != nil {
 		return nil, fmt.Errorf("serve: build dataset: %w", err)
 	}
-	return s.assemble(view, ds), nil
+	return s.assemble(view, ds)
 }
 
 // persistBuild archives a freshly built view of date in the background,

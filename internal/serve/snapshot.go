@@ -10,12 +10,10 @@
 package serve
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,6 +24,7 @@ import (
 	"manrsmeter/internal/ihr"
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/obsv"
+	"manrsmeter/internal/parallel"
 	"manrsmeter/internal/rov"
 	"manrsmeter/internal/synth"
 )
@@ -74,31 +73,6 @@ func (s *Snapshot) rowsFor(p netx.Prefix) []int32 {
 		hi++
 	}
 	return s.byPrefix[lo:hi]
-}
-
-// buildByPrefix builds the rowsFor permutation over the dataset rows. It
-// sorts (prefix, row) pairs flat, so no comparison reads a row through
-// the permutation.
-func buildByPrefix(pos []ihr.PrefixOrigin) []int32 {
-	type prefixRow struct {
-		p   netx.Prefix
-		row int32
-	}
-	pairs := make([]prefixRow, len(pos))
-	for i, po := range pos {
-		pairs[i] = prefixRow{po.Prefix, int32(i)}
-	}
-	slices.SortFunc(pairs, func(a, b prefixRow) int {
-		if c := a.p.Compare(b.p); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.row, b.row)
-	})
-	idx := make([]int32, len(pairs))
-	for i, pr := range pairs {
-		idx[i] = pr.row
-	}
-	return idx
 }
 
 // Dataset is shorthand for the snapshot's IHR dataset.
@@ -488,24 +462,39 @@ func (s *Store) buildSnapshot(ctx context.Context, date time.Time) (*Snapshot, e
 	if s.durable != nil {
 		s.persistBuild(ctx, view, ds)
 	}
-	return s.assemble(view, ds), nil
+	return s.assemble(view, ds)
 }
 
 // assemble is the tail a built and a restored snapshot share: per-AS
 // metrics over the view's dataset ds (built, or the archive's), the
-// prefix row index and the precomputed aggregates.
-func (s *Store) assemble(view *synth.View, ds *ihr.Dataset) *Snapshot {
+// prefix row index and the precomputed aggregates. It has two
+// independent halves, run side by side when the store has a second
+// worker: the metrics and the cohort breakdown read from them, and the
+// prefix index and the row aggregates that walk it. Each half writes
+// only its own fields. The error is a panic in either half.
+func (s *Store) assemble(view *synth.View, ds *ihr.Dataset) (*Snapshot, error) {
 	snap := &Snapshot{
-		Version:  s.Version(view.Date),
-		Date:     view.Date,
-		World:    s.world,
-		Pipeline: core.RestorePipeline(s.world, view.Date, s.workers, ds),
-		RPKI:     view.RPKI,
-		IRR:      view.IRR,
-		byPrefix: buildByPrefix(ds.PrefixOrigins),
+		Version: s.Version(view.Date),
+		Date:    view.Date,
+		World:   s.world,
+		RPKI:    view.RPKI,
+		IRR:     view.IRR,
 	}
-	snap.Stats = computeStats(snap)
-	return snap
+	snap.Stats = headlineStats(snap, ds)
+	err := parallel.ForEachCtx(context.Background(), 2, s.workers, func(half int) {
+		if half == 0 {
+			snap.Pipeline = core.RestorePipeline(s.world, view.Date, s.workers, ds)
+			cohortStats(snap.Stats, snap.Pipeline)
+			return
+		}
+		// Prefix order, ties by row: packed integer keys, no comparator.
+		snap.byPrefix = netx.PrefixOrder(len(ds.PrefixOrigins), func(i int) netx.Prefix { return ds.PrefixOrigins[i].Prefix })
+		rowStats(snap.Stats, snap, ds, view.VRPs)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: assemble snapshot %s: %w", snap.Version, err)
+	}
+	return snap, nil
 }
 
 // Status summarizes the store for an admin /healthz probe: one
