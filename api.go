@@ -144,6 +144,12 @@ func Preset(name string, seed int64) (Config, error) { return synth.Preset(name,
 // GenerateWorld builds a synthetic Internet from cfg.
 func GenerateWorld(cfg Config) (*World, error) { return synth.Generate(cfg) }
 
+// LoadWorld reads a directory of the paper's input archives, as synthgen
+// writes them, into a world whose one date is its RIB dump's. RunReport
+// over it renders the sections those files support and a skip
+// placeholder for the rest.
+func LoadWorld(dir string) (*World, error) { return synth.LoadFiles(dir) }
+
 // NewPipeline prepares the experiment pipeline (builds the headline
 // dataset and per-AS metrics).
 func NewPipeline(w *World) (*Pipeline, error) {

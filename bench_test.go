@@ -1,11 +1,11 @@
 package manrsmeter
 
-// One benchmark per table and figure of the paper's evaluation (see
-// DESIGN.md, "Per-experiment index"), plus the ablation benches for the
-// design choices DESIGN.md calls out. Each figure bench re-runs the
-// experiment computation over a shared, lazily-built pipeline so -bench
-// output reports the marginal cost of the analysis itself; the dataset
-// build and world generation are benchmarked separately.
+// One sub-benchmark per section of the paper's evaluation
+// (BenchmarkSections; see DESIGN.md, "Per-experiment index"), plus the
+// ablation benches for the design choices DESIGN.md calls out. Each
+// section re-runs over a shared, lazily-built pipeline so -bench output
+// reports the marginal cost of the analysis itself; the dataset build
+// and world generation are benchmarked separately.
 
 import (
 	"bytes"
@@ -102,153 +102,19 @@ func pipeline(b *testing.B) *core.Pipeline {
 
 // --- Figure and table benches ---
 
-func BenchmarkFig2Growth(b *testing.B) {
+// BenchmarkSections renders each section of core.Sections over the
+// shared pipeline, one sub-benchmark per section name. The stability
+// section runs over three weekly snapshots rather than the paper's 12.
+func BenchmarkSections(b *testing.B) {
 	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := p.Fig2Growth(); len(r.Years) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkFig4aASesByRIR(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := p.Fig4ByRIR(); len(r.ASes) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkFig4bAddressSpace(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := p.Fig4ByRIR(); len(r.SpacePct) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkFinding70Completeness(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := p.Finding70(); r.MemberOrgs == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkFig5aRPKIOrigination(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f := p.Fig5aRPKIOrigination(); len(f.Cohorts) != 6 {
-			b.Fatal("bad figure")
-		}
-	}
-}
-
-func BenchmarkFig5bIRROrigination(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f := p.Fig5bIRROrigination(); len(f.Cohorts) != 6 {
-			b.Fatal("bad figure")
-		}
-	}
-}
-
-func BenchmarkAction4Conformance(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rs := p.Action4(); len(rs) != 2 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkTable1CaseStudies(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Table1CaseStudies(context.Background(), 3, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStability(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Stability(context.Background(), 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6Saturation(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Fig6Saturation(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7aRPKIPropagation(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f := p.Fig7aRPKIPropagation(); len(f.Cohorts) != 6 {
-			b.Fatal("bad figure")
-		}
-	}
-}
-
-func BenchmarkFig7bIRRPropagation(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f := p.Fig7bIRRPropagation(); len(f.Cohorts) != 6 {
-			b.Fatal("bad figure")
-		}
-	}
-}
-
-func BenchmarkFig8Unconformant(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f := p.Fig8Unconformant(); len(f.Cohorts) != 6 {
-			b.Fatal("bad figure")
-		}
-	}
-}
-
-func BenchmarkTable2Action1(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := p.Table2Action1(); len(rows) != 3 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-func BenchmarkFig9PreferenceScore(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := p.Fig9Preference(); len(r.Scores) == 0 {
-			b.Fatal("empty result")
-		}
+	for _, sec := range core.Sections {
+		b.Run(sec.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if out, err := sec.Render(context.Background(), p, 3); err != nil || out == "" {
+					b.Fatalf("%q, %v", out, err)
+				}
+			}
+		})
 	}
 }
 
@@ -542,39 +408,6 @@ func BenchmarkBGPUpdateEncodeDecode(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkHijackImpact runs the §12-extension incident simulation.
-func BenchmarkHijackImpact(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.HijackImpact(context.Background(), 50, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAction3 evaluates the contact-registration extension.
-func BenchmarkAction3(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := p.Action3(); r.MemberTotal == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// BenchmarkRouteLeaks runs the RFC 7908 leak-incident extension.
-func BenchmarkRouteLeaks(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.RouteLeaks(20, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Substrate micro-benches (cont.) ---

@@ -1,8 +1,8 @@
 // Command collector runs a RouteViews-style BGP route collector: it
 // accepts BGP-4 peerings on a TCP port, absorbs announcements into a
 // multi-peer RIB, and writes an MRT TABLE_DUMP_V2 snapshot either
-// periodically or on shutdown — input for cmd/hegemony and
-// cmd/manrs-audit. BGP-4 is its only feed. A snapshot holds exactly the
+// periodically or on shutdown — the rib.mrt of a manrs-report -data
+// directory. BGP-4 is its only feed. A snapshot holds exactly the
 // paths its peers announced: TestWireSubstrateOracle replays seeded
 // worlds' vantage-point paths into a collector and checks its dump
 // against the same paths written straight to MRT.

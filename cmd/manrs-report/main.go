@@ -4,9 +4,23 @@
 //
 // Usage:
 //
-//	manrs-report [-seed N] [-scale small|full|large] [-skip-stability] [-weeks N]
+//	manrs-report [-seed N] [-scale small|full|large] [-data DIR] [-skip-stability] [-weeks N]
 //	             [-workers N] [-trace] [-cpuprofile FILE] [-admin ADDR]
 //	             [-timeout D] [-section-timeout D] [-continue-on-error]
+//	manrs-report -scenario NAME|list [-scenario-file FILE] [-seed N] [-scale S] [-workers N]
+//
+// With -data DIR the report runs over the paper's input archives in DIR
+// (as synthgen writes them, or real ones in the same formats) instead
+// of a generated world: the sections those files support render as they
+// would over the world that wrote them, and the rest (the by-RIR split,
+// the dated series and the simulations) render a skip placeholder.
+//
+// With -scenario NAME it instead generates a world, injects the named
+// adversarial scenario (as0-hijack, expired-certs, rp-failure,
+// anchor-pairs, roa-delay; "list" names them), or one decoded from
+// -scenario-file, into a copy-on-write fork, and prints the measured
+// degradation against the untouched baseline, ending in the health
+// trailer.
 //
 // SIGINT/SIGTERM cancel the run: in-flight sections are asked to stop,
 // and with -continue-on-error the sections already completed are still
@@ -41,6 +55,9 @@ func main() {
 	log.SetPrefix("manrs-report: ")
 	seed := flag.Int64("seed", 1, "generator seed")
 	scale := flag.String("scale", "full", "world scale: small | full | large (internet-scale, ~75k ASes / ~1M prefixes)")
+	data := flag.String("data", "", "run over the archives in this directory (as synthgen writes them) instead of a generated world")
+	scenName := flag.String("scenario", "", "print the measured degradation of a builtin adversarial scenario instead of the report (list: name them)")
+	scenFile := flag.String("scenario-file", "", "like -scenario, for a scenario decoded from this file (text encoding)")
 	skipStability := flag.Bool("skip-stability", false, "skip the §8.5 weekly-snapshot analysis")
 	weeks := flag.Int("weeks", 12, "weekly snapshots for the stability analysis")
 	workers := flag.Int("workers", 0, "worker goroutines for the analysis (0 = one per CPU)")
@@ -51,6 +68,15 @@ func main() {
 	sectionTimeout := flag.Duration("section-timeout", 0, "watchdog deadline per report section (0 = none)")
 	continueOnError := flag.Bool("continue-on-error", false, "render diagnostic stanzas for failed sections instead of aborting; ends the report with a health trailer")
 	flag.Parse()
+	if *scenName != "" || *scenFile != "" {
+		if *data != "" {
+			log.Fatal("-scenario runs on a generated world: drop -data")
+		}
+		if err := runScenario(*scenName, *scenFile, *seed, *scale, *workers); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 
 	// stopProfile flushes and closes the CPU profile exactly once, on
 	// whichever exit path runs first (deferred return, cancellation, or
@@ -95,7 +121,7 @@ func main() {
 		SectionTimeout:  *sectionTimeout,
 		ContinueOnError: *continueOnError,
 	}
-	err := run(ctx, *seed, *scale, opts, *trace, adminEP)
+	err := run(ctx, *seed, *scale, *data, opts, *trace, adminEP)
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		stopProfile()
 		log.Fatalf("canceled: %v", err)
@@ -130,12 +156,7 @@ func sectionHealth(tracer *obsv.Tracer) obsv.Health {
 	return out
 }
 
-func run(ctx context.Context, seed int64, scale string, opts manrsmeter.ReportOptions, trace bool, adminEP *obsv.AdminEndpoint) error {
-	cfg, err := manrsmeter.Preset(scale, seed)
-	if err != nil {
-		return fmt.Errorf("-scale: %w", err)
-	}
-
+func run(ctx context.Context, seed int64, scale, data string, opts manrsmeter.ReportOptions, trace bool, adminEP *obsv.AdminEndpoint) error {
 	tracer := obsv.NewTracer()
 	opts.Tracer = tracer
 	health := func() obsv.Health { return sectionHealth(tracer) }
@@ -151,13 +172,27 @@ func run(ctx context.Context, seed int64, scale string, opts manrsmeter.ReportOp
 	}
 
 	start := time.Now()
-	world, err := manrsmeter.GenerateWorld(cfg)
-	if err != nil {
-		return fmt.Errorf("generate world: %w", err)
+	var world *manrsmeter.World
+	if data != "" {
+		var err error
+		if world, err = manrsmeter.LoadWorld(data); err != nil {
+			return err
+		}
+		fmt.Printf("loaded %s as of %s: %d ASes, %d MANRS members, %d IRR objects, %d vantage points (%.1fs)\n\n",
+			data, world.Date(world.Config.EndYear).Format(time.DateOnly), world.Graph.NumASes(), world.MANRS.Len(),
+			world.IRRRegistry.NumRoutes(), len(world.VantagePoints), time.Since(start).Seconds())
+	} else {
+		cfg, err := manrsmeter.Preset(scale, seed)
+		if err != nil {
+			return fmt.Errorf("-scale: %w", err)
+		}
+		if world, err = manrsmeter.GenerateWorld(cfg); err != nil {
+			return fmt.Errorf("generate world: %w", err)
+		}
+		fmt.Printf("generated synthetic Internet: %d ASes, %d MANRS members, %d ROAs, %d IRR objects (%.1fs)\n\n",
+			world.Graph.NumASes(), world.MANRS.Len(), world.Repo.NumROAs(),
+			world.IRRRegistry.NumRoutes(), time.Since(start).Seconds())
 	}
-	fmt.Printf("generated synthetic Internet: %d ASes, %d MANRS members, %d ROAs, %d IRR objects (%.1fs)\n\n",
-		world.Graph.NumASes(), world.MANRS.Len(), world.Repo.NumROAs(),
-		world.IRRRegistry.NumRoutes(), time.Since(start).Seconds())
 
 	reportErr := manrsmeter.RunReport(ctx, os.Stdout, world, opts)
 	if trace {
@@ -172,5 +207,45 @@ func run(ctx context.Context, seed int64, scale string, opts manrsmeter.ReportOp
 	if reportErr != nil {
 		return fmt.Errorf("report: %w", reportErr)
 	}
+	return nil
+}
+
+// runScenario is the -scenario mode: generate a world, inject the
+// adversarial scenario into a copy-on-write fork, and print the
+// measured degradation against the untouched baseline.
+func runScenario(name, file string, seed int64, scale string, workers int) error {
+	if name == "list" {
+		for _, n := range manrsmeter.ScenarioNames() {
+			fmt.Println(n)
+		}
+		return nil
+	}
+	cfg, err := manrsmeter.Preset(scale, seed)
+	if err != nil {
+		return fmt.Errorf("-scale: %w", err)
+	}
+	log.Printf("generating world (seed %d, scale %s)", seed, scale)
+	world, err := manrsmeter.GenerateWorld(cfg)
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
+	var sc *manrsmeter.Scenario
+	if file != "" {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
+		if sc, err = manrsmeter.DecodeScenario(data); err != nil {
+			return err
+		}
+	} else if sc, err = manrsmeter.BuiltinScenario(ctx, name, world, time.Time{}); err != nil {
+		return err
+	}
+	res, err := manrsmeter.RunScenario(ctx, world, sc, manrsmeter.ScenarioOptions{Workers: workers})
+	if err != nil {
+		return err
+	}
+	fmt.Print(res.Render())
 	return nil
 }

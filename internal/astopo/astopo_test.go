@@ -257,6 +257,14 @@ func TestReadASRelErrors(t *testing.T) {
 	if err := g.ReadASRel(strings.NewReader("# comment only\n\n")); err != nil {
 		t.Errorf("comments/blanks should parse: %v", err)
 	}
+	for _, bad := range []string{"1|2|-1x", "1|2|-1|bgp|x", "1|2", "1||-1", "-1|2|0", "4294967296|2|0"} {
+		if err := NewGraph().ReadASRel(strings.NewReader(bad + "\n")); err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("%q: error %v, want one naming line 1", bad, err)
+		}
+	}
+	if err := NewGraph().ReadASRel(strings.NewReader("1|2|-1|bgp\n")); err != nil {
+		t.Errorf("CAIDA's source field should parse: %v", err)
+	}
 }
 
 func TestExportsAS2OrgAndPrefix2AS(t *testing.T) {

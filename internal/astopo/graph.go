@@ -214,7 +214,8 @@ func (g *Graph) WriteASRel(w io.Writer) error {
 }
 
 // ReadASRel parses the CAIDA as-rel format into an existing graph,
-// creating placeholder ASes (org "unknown") for ASNs not yet present.
+// creating placeholder ASes (org "unknown") for ASNs not yet present. A
+// line is "a|b|rel", optionally followed by CAIDA's "|source" field.
 func (g *Graph) ReadASRel(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	line := 0
@@ -224,9 +225,8 @@ func (g *Graph) ReadASRel(r io.Reader) error {
 		if text == "" || text[0] == '#' {
 			continue
 		}
-		var a, b uint32
-		var rel int
-		if _, err := fmt.Sscanf(text, "%d|%d|%d", &a, &b, &rel); err != nil {
+		a, b, rel, err := parseASRel(text)
+		if err != nil {
 			return fmt.Errorf("astopo: as-rel line %d: %w", line, err)
 		}
 		for _, asn := range []uint32{a, b} {
@@ -236,18 +236,45 @@ func (g *Graph) ReadASRel(r io.Reader) error {
 		}
 		switch rel {
 		case -1:
-			if err := g.SetProviderCustomer(a, b); err != nil {
-				return err
-			}
+			err = g.SetProviderCustomer(a, b)
 		case 0:
-			if err := g.SetPeer(a, b); err != nil {
-				return err
-			}
+			err = g.SetPeer(a, b)
 		default:
-			return fmt.Errorf("astopo: as-rel line %d: unknown relationship %d", line, rel)
+			err = fmt.Errorf("unknown relationship %d", rel)
+		}
+		if err != nil {
+			return fmt.Errorf("astopo: as-rel line %d: %w", line, err)
 		}
 	}
-	return sc.Err()
+	return scanErr("as-rel", line, sc)
+}
+
+// parseASRel parses one as-rel line: two ASNs and a relationship.
+func parseASRel(text string) (a, b uint32, rel int, err error) {
+	f := strings.Split(text, "|")
+	if len(f) != 3 && len(f) != 4 {
+		return 0, 0, 0, fmt.Errorf("want a|b|rel, got %d fields", len(f))
+	}
+	var asn [2]uint32
+	for i := range asn {
+		n, err := strconv.ParseUint(f[i], 10, 32)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("bad ASN %q", f[i])
+		}
+		asn[i] = uint32(n)
+	}
+	if rel, err = strconv.Atoi(f[2]); err != nil {
+		return 0, 0, 0, fmt.Errorf("bad relationship %q", f[2])
+	}
+	return asn[0], asn[1], rel, nil
+}
+
+// scanErr is sc's error, if any, at the line after the last one read.
+func scanErr(format string, line int, sc *bufio.Scanner) error {
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("astopo: %s line %d: %w", format, line+1, err)
+	}
+	return nil
 }
 
 // WriteAS2Org writes a simplified CAIDA as2org mapping:
@@ -355,7 +382,7 @@ func (g *Graph) ReadAS2Org(r io.Reader) error {
 		}
 		g.AddAS(asn, parts[1], parts[2], parts[3], rpki.ARIN)
 	}
-	return sc.Err()
+	return scanErr("as2org", line, sc)
 }
 
 // ReadPrefix2AS parses the CAIDA prefix2as format
@@ -387,8 +414,8 @@ func (g *Graph) ReadPrefix2AS(r io.Reader) error {
 			g.AddAS(asn, fmt.Sprintf("org-unknown-%d", asn), "unknown", "ZZ", rpki.ARIN)
 		}
 		if err := g.Originate(asn, prefix); err != nil {
-			return err
+			return fmt.Errorf("astopo: prefix2as line %d: %w", line, err)
 		}
 	}
-	return sc.Err()
+	return scanErr("prefix2as", line, sc)
 }

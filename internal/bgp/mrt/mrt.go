@@ -184,52 +184,58 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // ReadAll parses the whole stream into a Dump. The first record must be
-// the PEER_INDEX_TABLE.
+// the PEER_INDEX_TABLE. An error names the record it stopped at,
+// counting from 1.
 func (rd *Reader) ReadAll() (*Dump, error) {
 	d := &Dump{}
-	first := true
-	for {
-		subtype, ts, body, err := rd.readRecord()
+	for n := 1; ; n++ {
+		err := rd.readInto(d, n == 1)
 		if err == io.EOF {
-			if first {
+			if n == 1 {
 				return nil, errors.New("mrt: empty stream")
 			}
 			return d, nil
 		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("mrt: record %d: %w", n, err)
 		}
-		if first {
-			if subtype != SubtypePeerIndexTable {
-				return nil, fmt.Errorf("mrt: first record subtype %d, want peer index table", subtype)
-			}
-			d.Timestamp = ts
-			if err := d.parsePeerIndex(body); err != nil {
-				return nil, err
-			}
-			first = false
-			continue
+	}
+}
+
+// readInto reads one record into d: the peer index table if first, a
+// RIB record otherwise.
+func (rd *Reader) readInto(d *Dump, first bool) error {
+	subtype, ts, body, err := rd.readRecord()
+	if err != nil {
+		return err
+	}
+	if first {
+		if subtype != SubtypePeerIndexTable {
+			return fmt.Errorf("subtype %d, want peer index table", subtype)
 		}
-		switch subtype {
-		case SubtypeRIBIPv4Unicast, SubtypeRIBIPv6Unicast:
-			rec, err := parseRIB(body, subtype == SubtypeRIBIPv6Unicast)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.checkPeerIndexes(rec); err != nil {
-				return nil, err
-			}
-			d.Records = append(d.Records, rec)
-		default:
-			return nil, fmt.Errorf("mrt: unsupported subtype %d", subtype)
+		d.Timestamp = ts
+		return d.parsePeerIndex(body)
+	}
+	switch subtype {
+	case SubtypeRIBIPv4Unicast, SubtypeRIBIPv6Unicast:
+		rec, err := parseRIB(body, subtype == SubtypeRIBIPv6Unicast)
+		if err != nil {
+			return err
 		}
+		if err := d.checkPeerIndexes(rec); err != nil {
+			return err
+		}
+		d.Records = append(d.Records, rec)
+		return nil
+	default:
+		return fmt.Errorf("unsupported subtype %d", subtype)
 	}
 }
 
 func (d *Dump) checkPeerIndexes(rec RIBRecord) error {
 	for _, e := range rec.Entries {
 		if int(e.PeerIndex) >= len(d.Peers) {
-			return fmt.Errorf("mrt: record %d references peer %d of %d", rec.Sequence, e.PeerIndex, len(d.Peers))
+			return fmt.Errorf("references peer %d of %d", e.PeerIndex, len(d.Peers))
 		}
 	}
 	return nil
@@ -239,7 +245,7 @@ func (rd *Reader) readRecord() (subtype uint16, ts time.Time, body []byte, err e
 	var hdr [12]byte
 	if _, err = io.ReadFull(rd.r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			err = errors.New("mrt: truncated record header")
+			err = errors.New("truncated record header")
 		}
 		return 0, time.Time{}, nil, err
 	}
@@ -248,27 +254,27 @@ func (rd *Reader) readRecord() (subtype uint16, ts time.Time, body []byte, err e
 	subtype = binary.BigEndian.Uint16(hdr[6:8])
 	length := binary.BigEndian.Uint32(hdr[8:12])
 	if typ != TypeTableDumpV2 {
-		return 0, time.Time{}, nil, fmt.Errorf("mrt: unsupported record type %d", typ)
+		return 0, time.Time{}, nil, fmt.Errorf("unsupported record type %d", typ)
 	}
 	const maxRecord = 64 << 20
 	if length > maxRecord {
-		return 0, time.Time{}, nil, fmt.Errorf("mrt: record length %d exceeds limit", length)
+		return 0, time.Time{}, nil, fmt.Errorf("record length %d exceeds limit", length)
 	}
 	body = make([]byte, length)
 	if _, err = io.ReadFull(rd.r, body); err != nil {
-		return 0, time.Time{}, nil, fmt.Errorf("mrt: truncated record body: %w", err)
+		return 0, time.Time{}, nil, fmt.Errorf("truncated record body: %w", err)
 	}
 	return subtype, ts, body, nil
 }
 
 func (d *Dump) parsePeerIndex(b []byte) error {
 	if len(b) < 8 {
-		return errors.New("mrt: peer index table truncated")
+		return errors.New("peer index table truncated")
 	}
 	copy(d.CollectorID[:], b[0:4])
 	nameLen := int(binary.BigEndian.Uint16(b[4:6]))
 	if len(b) < 6+nameLen+2 {
-		return errors.New("mrt: peer index table truncated")
+		return errors.New("peer index table truncated")
 	}
 	d.ViewName = string(b[6 : 6+nameLen])
 	off := 6 + nameLen
@@ -276,13 +282,13 @@ func (d *Dump) parsePeerIndex(b []byte) error {
 	off += 2
 	for i := 0; i < count; i++ {
 		if off >= len(b) {
-			return errors.New("mrt: peer entry truncated")
+			return errors.New("peer entry truncated")
 		}
 		ptype := b[off]
 		off++
 		var p Peer
 		if off+4 > len(b) {
-			return errors.New("mrt: peer entry truncated")
+			return errors.New("peer entry truncated")
 		}
 		copy(p.BGPID[:], b[off:off+4])
 		off += 4
@@ -291,7 +297,7 @@ func (d *Dump) parsePeerIndex(b []byte) error {
 			addrLen = 16
 		}
 		if off+addrLen > len(b) {
-			return errors.New("mrt: peer entry truncated")
+			return errors.New("peer entry truncated")
 		}
 		if addrLen == 16 {
 			p.Addr = netip.AddrFrom16([16]byte(b[off : off+16]))
@@ -304,7 +310,7 @@ func (d *Dump) parsePeerIndex(b []byte) error {
 			asnLen = 4
 		}
 		if off+asnLen > len(b) {
-			return errors.New("mrt: peer entry truncated")
+			return errors.New("peer entry truncated")
 		}
 		if asnLen == 4 {
 			p.ASN = binary.BigEndian.Uint32(b[off:])
@@ -320,7 +326,7 @@ func (d *Dump) parsePeerIndex(b []byte) error {
 func parseRIB(b []byte, v6 bool) (RIBRecord, error) {
 	var rec RIBRecord
 	if len(b) < 5 {
-		return rec, errors.New("mrt: RIB record truncated")
+		return rec, errors.New("RIB record truncated")
 	}
 	rec.Sequence = binary.BigEndian.Uint32(b[0:4])
 	bits := int(b[4])
@@ -329,11 +335,11 @@ func parseRIB(b []byte, v6 bool) (RIBRecord, error) {
 		maxBits = 128
 	}
 	if bits > maxBits {
-		return rec, fmt.Errorf("mrt: prefix length %d out of range", bits)
+		return rec, fmt.Errorf("prefix length %d out of range", bits)
 	}
 	nbytes := (bits + 7) / 8
 	if len(b) < 5+nbytes+2 {
-		return rec, errors.New("mrt: RIB record truncated")
+		return rec, errors.New("RIB record truncated")
 	}
 	var addr netip.Addr
 	if v6 {
@@ -355,7 +361,7 @@ func parseRIB(b []byte, v6 bool) (RIBRecord, error) {
 	off += 2
 	for i := 0; i < count; i++ {
 		if off+8 > len(b) {
-			return rec, errors.New("mrt: RIB entry truncated")
+			return rec, errors.New("RIB entry truncated")
 		}
 		var e RIBEntry
 		e.PeerIndex = binary.BigEndian.Uint16(b[off:])
@@ -363,11 +369,11 @@ func parseRIB(b []byte, v6 bool) (RIBRecord, error) {
 		attrLen := int(binary.BigEndian.Uint16(b[off+6:]))
 		off += 8
 		if off+attrLen > len(b) {
-			return rec, errors.New("mrt: RIB entry attributes truncated")
+			return rec, errors.New("RIB entry attributes truncated")
 		}
 		u, err := wire.DecodeAttributes(b[off : off+attrLen])
 		if err != nil {
-			return rec, fmt.Errorf("mrt: RIB entry attributes: %w", err)
+			return rec, fmt.Errorf("RIB entry attributes: %w", err)
 		}
 		e.Path = u.PathASNs()
 		off += attrLen

@@ -11,7 +11,12 @@ const (
 	// Served sections answer on demand at /v1/report/{name}: cheap
 	// enough to render inside a request deadline.
 	Served
-	// Everywhere is both.
+	// FromFiles sections also render over a world read from its on-disk
+	// archives (synth.LoadFiles), exactly as over the generated world:
+	// they read only the headline date's dataset and registries, the
+	// graph, the participant list and the contact records.
+	FromFiles
+	// Everywhere is both InReport and Served.
 	Everywhere = InReport | Served
 )
 
@@ -46,19 +51,19 @@ const (
 // Sections is the paper's evaluation in report order, then the
 // scenarios section only the query routes serve. It is read-only.
 var Sections = []Section{
-	{"fig2-growth", "Figure 2 — MANRS participation growth", Everywhere, "",
+	{"fig2-growth", "Figure 2 — MANRS participation growth", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return p.Fig2Growth().Render() })},
 	{"fig4-by-rir", "Figure 4 — participation by RIR", Everywhere, "",
 		plain(func(p *Pipeline) string { return p.Fig4ByRIR().Render() })},
-	{"finding-70", "Finding 7.0 — partial organization registration", Everywhere, "",
+	{"finding-70", "Finding 7.0 — partial organization registration", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return p.Finding70().Render() })},
-	{"fig5a-rpki-origination", "Figure 5a — RPKI-valid origination", Everywhere, "",
+	{"fig5a-rpki-origination", "Figure 5a — RPKI-valid origination", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return p.Fig5aRPKIOrigination().Render() })},
-	{"fig5b-irr-origination", "Figure 5b — IRR-valid origination", Everywhere, "",
+	{"fig5b-irr-origination", "Figure 5b — IRR-valid origination", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return p.Fig5bIRROrigination().Render() })},
-	{"action4", "Findings 8.3/8.4 — Action 4 conformance", Everywhere, "",
+	{"action4", "Findings 8.3/8.4 — Action 4 conformance", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return RenderAction4(p.Action4()) })},
-	{"table1-case-studies", "Table 1 — case studies", InReport, "",
+	{"table1-case-studies", "Table 1 — case studies", InReport | FromFiles, "",
 		func(ctx context.Context, p *Pipeline, _ int) (string, error) {
 			rows, err := p.Table1CaseStudies(ctx, caseStudyCDNs, caseStudyISPs)
 			if err != nil {
@@ -74,21 +79,21 @@ var Sections = []Section{
 		func(ctx context.Context, p *Pipeline, _ int) (string, error) {
 			return rendered(p.Fig6Saturation(ctx))
 		}},
-	{"fig7a-rpki-propagation", "Figure 7a — RPKI-invalid propagation", Everywhere, "",
+	{"fig7a-rpki-propagation", "Figure 7a — RPKI-invalid propagation", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return p.Fig7aRPKIPropagation().Render() })},
-	{"fig7b-irr-propagation", "Figure 7b — IRR-invalid propagation", Everywhere, "",
+	{"fig7b-irr-propagation", "Figure 7b — IRR-invalid propagation", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return p.Fig7bIRRPropagation().Render() })},
-	{"fig8-unconformant", "Figure 8 — unconformant propagation", Everywhere, "",
+	{"fig8-unconformant", "Figure 8 — unconformant propagation", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return p.Fig8Unconformant().Render() })},
-	{"table2-action1", "Table 2 — Action 1 conformance", Everywhere, "",
+	{"table2-action1", "Table 2 — Action 1 conformance", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return RenderTable2(p.Table2Action1()) })},
-	{"fig9-preference", "Figure 9 — preference scores", Everywhere, "",
+	{"fig9-preference", "Figure 9 — preference scores", Everywhere | FromFiles, "",
 		plain(func(p *Pipeline) string { return p.Fig9Preference().Render() })},
 	{"hijack-impact", "Extension — hijack containment", InReport, "hijack containment",
 		func(ctx context.Context, p *Pipeline, _ int) (string, error) {
 			return rendered(p.HijackImpact(ctx, hijackIncidents, 1))
 		}},
-	{"action3", "Extension — Action 3 coordination", Everywhere, "Action 3",
+	{"action3", "Extension — Action 3 coordination", Everywhere | FromFiles, "Action 3",
 		plain(func(p *Pipeline) string { return p.Action3().Render() })},
 	{"route-leaks", "Extension — route leaks", InReport, "route leaks",
 		func(_ context.Context, p *Pipeline, _ int) (string, error) {

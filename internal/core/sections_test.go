@@ -9,11 +9,12 @@ import (
 
 // The one section table: unique dash-case names, the report in the
 // paper's order, the query routes on the sections cheap enough to serve,
-// and the extension marker on exactly the beyond-the-paper experiments.
+// the sections the on-disk archives support, and the extension marker on
+// exactly the beyond-the-paper experiments.
 func TestSectionTable(t *testing.T) {
 	dashCase := regexp.MustCompile(`^[a-z0-9]+(-[a-z0-9]+)*$`)
 	seen := map[string]bool{}
-	var report, served []string
+	var report, served, fromFiles []string
 	byName := map[string]Section{}
 	for _, sec := range Sections {
 		if !dashCase.MatchString(sec.Name) {
@@ -32,6 +33,9 @@ func TestSectionTable(t *testing.T) {
 		}
 		if sec.Offer&Served != 0 {
 			served = append(served, sec.Name)
+		}
+		if sec.Offer&FromFiles != 0 {
+			fromFiles = append(fromFiles, sec.Name)
 		}
 	}
 
@@ -56,9 +60,20 @@ func TestSectionTable(t *testing.T) {
 	}
 
 	for _, name := range []string{"table1-case-studies", "stability", "hijack-impact", "route-leaks"} {
-		if byName[name].Offer != InReport {
+		if byName[name].Offer&Everywhere != InReport {
 			t.Errorf("%s: offer %d, want report only", name, byName[name].Offer)
 		}
+	}
+
+	// The rest need each AS's RIR (fig4-by-rir), dated archives
+	// (stability, fig6-saturation) or the simulated world (hijack-impact,
+	// route-leaks, scenarios).
+	if want := []string{
+		"fig2-growth", "finding-70", "fig5a-rpki-origination", "fig5b-irr-origination",
+		"action4", "table1-case-studies", "fig7a-rpki-propagation", "fig7b-irr-propagation",
+		"fig8-unconformant", "table2-action1", "fig9-preference", "action3",
+	}; !reflect.DeepEqual(fromFiles, want) {
+		t.Errorf("sections from files\n got %v\nwant %v", fromFiles, want)
 	}
 
 	var extensions []string

@@ -4,11 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-
-	"manrsmeter/internal/netx"
-	"manrsmeter/internal/rov"
 )
 
 // WritePrefixOriginCSV exports the prefix-origin dataset in the layout
@@ -41,114 +36,4 @@ func (d *Dataset) WriteTransitCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadDatasetCSV loads a dataset from the two CSV streams written by the
-// Write methods. Either reader may be nil to skip that half.
-func ReadDatasetCSV(prefixOrigins, transits io.Reader) (*Dataset, error) {
-	d := &Dataset{}
-	if prefixOrigins != nil {
-		if err := eachCSVRow(prefixOrigins, 4, func(f []string, line int) error {
-			prefix, origin, err := parsePrefixOrigin(f[0], f[1])
-			if err != nil {
-				return fmt.Errorf("prefix-origin line %d: %w", line, err)
-			}
-			rpkiS, err := parseStatus(f[2])
-			if err != nil {
-				return fmt.Errorf("prefix-origin line %d: %w", line, err)
-			}
-			irrS, err := parseStatus(f[3])
-			if err != nil {
-				return fmt.Errorf("prefix-origin line %d: %w", line, err)
-			}
-			d.PrefixOrigins = append(d.PrefixOrigins, PrefixOrigin{Prefix: prefix, Origin: origin, RPKI: rpkiS, IRR: irrS})
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if transits != nil {
-		if err := eachCSVRow(transits, 7, func(f []string, line int) error {
-			prefix, origin, err := parsePrefixOrigin(f[0], f[1])
-			if err != nil {
-				return fmt.Errorf("transit line %d: %w", line, err)
-			}
-			transit, err := strconv.ParseUint(f[2], 10, 32)
-			if err != nil {
-				return fmt.Errorf("transit line %d: bad transit ASN %q", line, f[2])
-			}
-			heg, err := strconv.ParseFloat(f[3], 64)
-			if err != nil {
-				return fmt.Errorf("transit line %d: bad hegemony %q", line, f[3])
-			}
-			rpkiS, err := parseStatus(f[4])
-			if err != nil {
-				return fmt.Errorf("transit line %d: %w", line, err)
-			}
-			irrS, err := parseStatus(f[5])
-			if err != nil {
-				return fmt.Errorf("transit line %d: %w", line, err)
-			}
-			fromCust, err := strconv.ParseBool(f[6])
-			if err != nil {
-				return fmt.Errorf("transit line %d: bad from_customer %q", line, f[6])
-			}
-			d.Transits = append(d.Transits, TransitRow{
-				Prefix: prefix, Origin: origin, Transit: uint32(transit),
-				Hegemony: heg, RPKI: rpkiS, IRR: irrS, FromCustomer: fromCust,
-			})
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
-func eachCSVRow(r io.Reader, fields int, fn func(f []string, line int) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if line == 1 || text == "" { // header / blank
-			continue
-		}
-		f := strings.Split(text, ",")
-		if len(f) != fields {
-			return fmt.Errorf("ihr: line %d: want %d fields, got %d", line, fields, len(f))
-		}
-		if err := fn(f, line); err != nil {
-			return fmt.Errorf("ihr: %w", err)
-		}
-	}
-	return sc.Err()
-}
-
-func parsePrefixOrigin(prefixStr, originStr string) (netx.Prefix, uint32, error) {
-	prefix, err := netx.ParsePrefix(prefixStr)
-	if err != nil {
-		return netx.Prefix{}, 0, err
-	}
-	origin, err := strconv.ParseUint(originStr, 10, 32)
-	if err != nil {
-		return netx.Prefix{}, 0, fmt.Errorf("bad origin ASN %q", originStr)
-	}
-	return prefix, uint32(origin), nil
-}
-
-func parseStatus(s string) (rov.Status, error) {
-	switch s {
-	case "NotFound":
-		return rov.NotFound, nil
-	case "Valid":
-		return rov.Valid, nil
-	case "Invalid":
-		return rov.InvalidASN, nil
-	case "InvalidLength":
-		return rov.InvalidLength, nil
-	default:
-		return 0, fmt.Errorf("unknown status %q", s)
-	}
 }

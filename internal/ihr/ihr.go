@@ -230,9 +230,9 @@ func (s visByOrig) Swap(i, j int) {
 // InvalidASN-IRR branch consults the announced prefix (the deterministic
 // filter-miss hash). So:
 //
-//   - irr == InvalidASN: prefix-sensitive; group by the full
-//     (origin, rpki, irr) statuses exactly as a sequential walk would,
-//     seeding the filter with the first-appearing pair's prefix.
+//   - irr == InvalidASN: prefix-sensitive; one class per (origin, rpki,
+//     prefix), each flooded with its own prefix, since the filter misses
+//     of one prefix say nothing about another's.
 //   - otherwise RPKI-invalid: one class per origin (both invalid kinds
 //     and every non-InvalidASN IRR status behave identically).
 //   - otherwise (or no policies at all): the benign class — the filter
@@ -242,6 +242,7 @@ type treeKey struct {
 	class  uint8 // 0 benign, 1 rpki-invalid, 2 irr-invalid-asn
 	rpki   rov.Status
 	irr    rov.Status
+	prefix netx.Prefix // zero unless class is classIRRInvAS
 }
 
 const (
@@ -250,12 +251,12 @@ const (
 	classIRRInvAS = 2
 )
 
-func makeTreeKey(origin uint32, rpkiS, irrS rov.Status, havePolicies bool) treeKey {
+func makeTreeKey(origin uint32, prefix netx.Prefix, rpkiS, irrS rov.Status, havePolicies bool) treeKey {
 	if !havePolicies {
 		return treeKey{origin: origin, class: classBenign}
 	}
 	if irrS == rov.InvalidASN {
-		return treeKey{origin: origin, class: classIRRInvAS, rpki: rpkiS, irr: irrS}
+		return treeKey{origin: origin, class: classIRRInvAS, rpki: rpkiS, irr: irrS, prefix: prefix}
 	}
 	if rpkiS.IsInvalid() {
 		return treeKey{origin: origin, class: classRPKIInv}
@@ -275,12 +276,8 @@ type templateKey struct {
 	prefix      netx.Prefix // zero unless class is classIRRInvAS
 }
 
-func makeTemplateKey(k treeKey, prefix netx.Prefix) templateKey {
-	tk := templateKey{origin: k.origin, class: k.class, rpkiInvalid: k.class != classBenign && k.rpki.IsInvalid()}
-	if k.class == classIRRInvAS {
-		tk.prefix = prefix
-	}
-	return tk
+func makeTemplateKey(k treeKey) templateKey {
+	return templateKey{origin: k.origin, class: k.class, rpkiInvalid: k.class != classBenign && k.rpki.IsInvalid(), prefix: k.prefix}
 }
 
 // keyTemplate is one tree key's scored route tree: how many vantage
@@ -438,16 +435,15 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	}
 
 	// Stage 2: group originations into tree-equivalence classes (see
-	// treeKey). Keys are collected in first-appearance order so the
-	// representative origination (whose prefix seeds the prefix-sensitive
-	// filters) matches what a sequential walk would pick.
+	// treeKey). Keys are collected in first-appearance order, each
+	// flooded from its first origination, so the build is deterministic.
 	havePolicies := len(cfg.Policies) > 0
 	keyIdx := make([]int32, len(origs))
 	slot := make(map[treeKey]int32)
 	var keys []treeKey // per key, in first-appearance order
 	var reps []int32   // index of the representative origination per key
 	for i, og := range origs {
-		key := makeTreeKey(og.Origin, statuses[i].rpki, statuses[i].irr, havePolicies)
+		key := makeTreeKey(og.Origin, og.Prefix, statuses[i].rpki, statuses[i].irr, havePolicies)
 		s, ok := slot[key]
 		if !ok {
 			s = int32(len(reps))
@@ -465,7 +461,7 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	if !vpOnly || !table.serves(cfg, csr) {
 		table = nil
 	}
-	tmplKey := func(s int32) templateKey { return makeTemplateKey(keys[s], origs[reps[s]].Prefix) }
+	tmplKey := func(s int32) templateKey { return makeTemplateKey(keys[s]) }
 	templates := make([]keyTemplate, len(reps))
 	todo := table.fill(templates, tmplKey)
 

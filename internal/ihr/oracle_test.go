@@ -10,9 +10,7 @@ import (
 	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/hegemony"
 	"manrsmeter/internal/ihr"
-	"manrsmeter/internal/netx"
 	"manrsmeter/internal/obsv"
-	"manrsmeter/internal/rov"
 	"manrsmeter/internal/synth"
 )
 
@@ -118,34 +116,18 @@ func TestBuildMatchesFullFloodOracle(t *testing.T) {
 
 // scoredByHand is the dataset of a worldConfig computed the slow,
 // independent way: one full flood per origination under
-// ihr.PolicyFilter, the vantage points' PathFrom paths scored by
-// hegemony.Scores and Ranked, and the tables sorted by their documented
-// order. It shares no tree keys, templates, accumulator or index walk
-// with BuildCtx. Only the build's prefix rule for IRR-InvalidASN pairs
-// is reproduced: such a pair floods with the prefix of the first pair of
-// its (origin, RPKI, IRR) class, since the filter-miss hash reads the
-// prefix.
+// ihr.PolicyFilter with the origination's own prefix, the vantage
+// points' PathFrom paths scored by hegemony.Scores and Ranked, and the
+// tables sorted by their documented order. It shares no tree keys,
+// templates, accumulator or index walk with BuildCtx; it shares the
+// import filter (ihr.PolicyFilter) and the propagator's route choice.
 func scoredByHand(cfg ihr.Config) *ihr.Dataset {
-	type class struct {
-		origin    uint32
-		rpki, irr rov.Status
-	}
-	floodPrefix := map[class]netx.Prefix{}
 	filterFor := ihr.PolicyFilter(cfg.Graph, cfg.Policies, cfg.RPKI, cfg.IRR)
 	prop := astopo.NewPropagator(cfg.Graph)
 	ds := &ihr.Dataset{}
 	for _, og := range cfg.Originations {
 		rpkiS, irrS := cfg.RPKI.Validate(og.Prefix, og.Origin), cfg.IRR.Validate(og.Prefix, og.Origin)
-		p := og.Prefix
-		if irrS == rov.InvalidASN && len(cfg.Policies) > 0 {
-			k := class{og.Origin, rpkiS, irrS}
-			if first, ok := floodPrefix[k]; ok {
-				p = first
-			} else {
-				floodPrefix[k] = p
-			}
-		}
-		tree := prop.Propagate(p, og.Origin, filterFor(p, og.Origin))
+		tree := prop.Propagate(og.Prefix, og.Origin, filterFor(og.Prefix, og.Origin))
 		var paths [][]uint32
 		for _, vp := range cfg.VantagePoints {
 			if path := tree.PathFrom(vp); path != nil {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,8 +72,7 @@ type Database struct {
 	objects []*rpsl.Object
 	// dumped lists what Dump writes, in registration order: a value
 	// i ≥ 0 is route row i, registered by AddRoute and rendered from the
-	// row; i < 0 is objects[-i-1]. Rows AddRouteCompact registered are
-	// not in it.
+	// row; i < 0 is objects[-i-1].
 	dumped []int32
 }
 
@@ -149,24 +149,11 @@ func (db *Database) AddRoute(prefix netx.Prefix, origin uint32) error {
 	return nil
 }
 
-// AddRouteCompact registers a route like AddRoute, but as a row alone:
-// it validates and indexes like any other route and is absent from Dump
-// and NumObjects. This is the bulk path for internet-scale synthetic
-// worlds, whose million routes no caller ever renders.
-func (db *Database) AddRouteCompact(prefix netx.Prefix, origin uint32) error {
-	if !prefix.IsValid() {
-		return fmt.Errorf("irr: AddRouteCompact: invalid prefix %v", prefix)
-	}
-	db.routes = append(db.routes, Route{Prefix: prefix, Origin: origin})
-	return nil
-}
-
 // Grow makes room for n more route rows, so that registering them does
 // not reallocate.
 func (db *Database) Grow(n int) {
-	if cap(db.routes)-len(db.routes) < n {
-		db.routes = append(make([]Route, 0, len(db.routes)+n), db.routes...)
-	}
+	db.routes = slices.Grow(db.routes, n)
+	db.dumped = slices.Grow(db.dumped, n)
 }
 
 // Routes returns a copy of the route objects in registration order, each

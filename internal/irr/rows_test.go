@@ -10,18 +10,17 @@ import (
 
 // mixedDatabase registers routes every way a database takes them, in
 // one interleaved order: parsed objects (one route with a descr, a
-// route6, a mntner, an as-set), AddRoute routes of both families, and
-// AddRouteCompact routes, which no dump holds.
+// route6, a mntner, an as-set) and AddRoute routes of both families.
 func mixedDatabase(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase("mixed")
 	mustAddObj(t, db, obj("route", "192.0.2.0/24", "descr", "parsed net", "origin", "AS64500", "mnt-by", "MAINT-X", "source", "MIXED"))
 	mustAddRoute(t, db.AddRoute, "10.0.0.0/16", 64500)
 	mustAddObj(t, db, obj("mntner", "MAINT-X", "auth", "PLAIN-PW hunter2", "source", "MIXED"))
-	mustAddRoute(t, db.AddRouteCompact, "10.9.0.0/16", 64509)
+	mustAddRoute(t, db.AddRoute, "10.9.0.0/16", 64509)
 	mustAddRoute(t, db.AddRoute, "2001:db8::/32", 64501)
 	mustAddObj(t, db, obj("route6", "2001:db8:1::/48", "origin", "AS64502", "source", "MIXED"))
-	mustAddRoute(t, db.AddRouteCompact, "2001:db8:9::/48", 64500)
+	mustAddRoute(t, db.AddRoute, "2001:db8:9::/48", 64500)
 	mustAddObj(t, db, obj("as-set", "AS-MIXED", "members", "AS64500, AS64501"))
 	mustAddRoute(t, db.AddRoute, "192.0.2.0/24", 64501)
 	return db
@@ -51,12 +50,20 @@ mntner: MAINT-X
 auth: PLAIN-PW hunter2
 source: MIXED
 
+route: 10.9.0.0/16
+origin: AS64509
+source: MIXED
+
 route6: 2001:db8::/32
 origin: AS64501
 source: MIXED
 
 route6: 2001:db8:1::/48
 origin: AS64502
+source: MIXED
+
+route6: 2001:db8:9::/48
+origin: AS64500
 source: MIXED
 
 as-set: AS-MIXED
@@ -70,7 +77,7 @@ source: MIXED
 
 // TestDumpRendersRowsInRegistrationOrder pins Dump's bytes on a mixed
 // database and loads them back: the same rows (prefix, origin, source,
-// descr) less the compact ones, and the same object count.
+// descr) and the same object count.
 func TestDumpRendersRowsInRegistrationOrder(t *testing.T) {
 	db := mixedDatabase(t)
 	var buf bytes.Buffer
@@ -80,17 +87,14 @@ func TestDumpRendersRowsInRegistrationOrder(t *testing.T) {
 	if buf.String() != mixedDump {
 		t.Fatalf("Dump wrote\n%s\nwant\n%s", buf.String(), mixedDump)
 	}
-	if db.NumObjects() != 7 || db.NumRoutes() != 7 {
-		t.Errorf("%d objects, %d routes; want 7 and 7", db.NumObjects(), db.NumRoutes())
+	if db.NumObjects() != 9 || db.NumRoutes() != 7 {
+		t.Errorf("%d objects, %d routes; want 9 and 7", db.NumObjects(), db.NumRoutes())
 	}
 	back := NewDatabase(db.Name)
 	if skipped, err := back.Load(&buf); err != nil || skipped != 0 {
 		t.Fatalf("Load: skipped=%d err=%v", skipped, err)
 	}
-	want := slices.DeleteFunc(db.Routes(), func(r RouteObject) bool {
-		return r.Origin == 64509 || r.Prefix == netx.MustParsePrefix("2001:db8:9::/48")
-	})
-	if got := back.Routes(); !slices.Equal(got, want) {
+	if got, want := back.Routes(), db.Routes(); !slices.Equal(got, want) {
 		t.Errorf("loaded rows\n%+v\nwant\n%+v", got, want)
 	}
 	if back.NumObjects() != db.NumObjects() {
@@ -102,7 +106,7 @@ func TestDumpRendersRowsInRegistrationOrder(t *testing.T) {
 }
 
 // TestWhoisAnswersFromRows: route and origin queries over the mixed
-// database answer from the rows, compact ones included, byte for byte
+// database answer from the rows, byte for byte
 // as when every route carried its own source string.
 func TestWhoisAnswersFromRows(t *testing.T) {
 	reg := NewRegistry()

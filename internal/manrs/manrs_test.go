@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +68,49 @@ func TestRegistryAddKeepsEarliestJoin(t *testing.T) {
 	p, _ = r.Lookup(100)
 	if !p.Joined.Equal(y2018) {
 		t.Errorf("later join must not override: %+v", p)
+	}
+}
+
+// The participant list round-trips through its CSV form, and a
+// malformed list fails closed with an error naming the line.
+func TestParticipantsCSV(t *testing.T) {
+	reg := NewRegistry()
+	reg.Add(Participant{ASN: 64501, OrgID: "org-b", Program: ProgramCDN, Joined: y2020})
+	reg.Add(Participant{ASN: 64500, OrgID: "org-a", Program: ProgramISP, Joined: y2018})
+	var buf strings.Builder
+	if err := reg.WriteCSV(&buf, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "asn,org,program,joined\nAS64500,org-a,ISP,2018-06-01\nAS64501,org-b,CDN,2020-06-01\n"
+	if buf.String() != want {
+		t.Fatalf("WriteCSV wrote\n%s\nwant\n%s", buf.String(), want)
+	}
+	back := NewRegistry()
+	if err := back.ReadCSV(strings.NewReader(buf.String())); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Members(time.Time{}); !reflect.DeepEqual(got, reg.Members(time.Time{})) {
+		t.Fatalf("read back %+v", got)
+	}
+
+	const header = "asn,org,program,joined\n"
+	for name, tc := range map[string]struct{ in, err string }{
+		"bad ASN":          {header + "ASx,org-a,ISP,2018-06-01\n", "line 2: bad ASN"},
+		"ASN out of range": {header + "AS4294967296,org-a,ISP,2018-06-01\n", "line 2: bad ASN"},
+		"missing fields":   {header + "AS64500,org-a,ISP\n", "line 2: want 4 fields"},
+		"extra field":      {header + "AS64500,org-a,ISP,2018-06-01,x\n", "line 2: want 4 fields"},
+		"no organization":  {header + "AS64500,,ISP,2018-06-01\n", "line 2: AS64500 has no organization"},
+		"unknown program":  {header + "AS64500,org-a,IXP,2018-06-01\n", "line 2: unknown program"},
+		"bad date":         {header + "AS64500,org-a,ISP,2018-13-01\n", "line 2: bad join date"},
+		"bad later row":    {header + "AS64500,org-a,ISP,2018-06-01\n\nAS64501,org-b,CDN,06/01/2020\n", "line 4: bad join date"},
+		"header only":      {header, "line 1: no participant rows"},
+		"empty":            {"", "line 0: no participant rows"},
+		"no header":        {"AS64500,org-a,ISP,2018-06-01\n", "line 1: header"},
+	} {
+		err := NewRegistry().ReadCSV(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: ReadCSV error %v, want one containing %q", name, err, tc.err)
+		}
 	}
 }
 

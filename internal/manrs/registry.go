@@ -6,8 +6,12 @@
 package manrs
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -110,6 +114,86 @@ func (r *Registry) MemberOrgs(t time.Time) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// participantsHeader is the first line of the participant list's CSV
+// form.
+const participantsHeader = "asn,org,program,joined"
+
+// WriteCSV writes the participants joined by t (zero t means all) as the
+// participant list's CSV form: a header line, then one
+// "AS<asn>,<org>,<program>,<joined YYYY-MM-DD>" row per AS in ASN order.
+func (r *Registry) WriteCSV(w io.Writer, t time.Time) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, participantsHeader)
+	for _, p := range r.Members(t) {
+		fmt.Fprintf(bw, "AS%d,%s,%s,%s\n", p.ASN, p.OrgID, p.Program, p.Joined.Format(time.DateOnly))
+	}
+	return bw.Flush()
+}
+
+// ReadCSV adds the participants of a list in WriteCSV's form. It fails
+// closed: a missing or different header, a row without exactly four
+// fields, a bad ASN, an unknown program, a bad join date, and a list
+// with no participant are errors naming the line.
+func (r *Registry) ReadCSV(rd io.Reader) error {
+	sc := bufio.NewScanner(rd)
+	line, rows := 0, 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if line == 1 {
+			if text != participantsHeader {
+				return fmt.Errorf("manrs: participants line 1: header %q, want %q", text, participantsHeader)
+			}
+			continue
+		}
+		if text == "" {
+			continue
+		}
+		p, err := parseParticipant(text)
+		if err != nil {
+			return fmt.Errorf("manrs: participants line %d: %w", line, err)
+		}
+		r.Add(p)
+		rows++
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("manrs: participants line %d: %w", line+1, err)
+	}
+	if rows == 0 {
+		return fmt.Errorf("manrs: participants line %d: no participant rows", line)
+	}
+	return nil
+}
+
+// parseParticipant parses one row of the participant list.
+func parseParticipant(row string) (Participant, error) {
+	f := strings.Split(row, ",")
+	if len(f) != 4 {
+		return Participant{}, fmt.Errorf("want 4 fields (%s), got %d", participantsHeader, len(f))
+	}
+	asn, err := strconv.ParseUint(strings.TrimPrefix(f[0], "AS"), 10, 32)
+	if err != nil {
+		return Participant{}, fmt.Errorf("bad ASN %q", f[0])
+	}
+	if f[1] == "" {
+		return Participant{}, fmt.Errorf("AS%d has no organization", asn)
+	}
+	var prog Program
+	switch f[2] {
+	case ProgramISP.String():
+		prog = ProgramISP
+	case ProgramCDN.String():
+		prog = ProgramCDN
+	default:
+		return Participant{}, fmt.Errorf("unknown program %q", f[2])
+	}
+	joined, err := time.Parse(time.DateOnly, f[3])
+	if err != nil {
+		return Participant{}, fmt.Errorf("bad join date %q", f[3])
+	}
+	return Participant{ASN: uint32(asn), OrgID: f[1], Program: prog, Joined: joined}, nil
 }
 
 // SizeClass buckets ASes by customer degree using the Dhamdhere &

@@ -8,7 +8,9 @@
 package peeringdb
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -107,17 +109,36 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // ReadJSON loads a snapshot written by WriteJSON (or a real PeeringDB
 // net dump with the same fields), replacing any records with matching
-// ASNs.
+// ASNs. It fails closed, loading nothing: malformed JSON, trailing data
+// and a mistyped field are errors naming the line, and an entry without
+// an ASN is an error naming the entry.
 func (r *Registry) ReadJSON(reader io.Reader) (int, error) {
+	b, err := io.ReadAll(reader)
+	if err != nil {
+		return 0, fmt.Errorf("peeringdb: read snapshot: %w", err)
+	}
 	var s snapshot
-	dec := json.NewDecoder(reader)
-	if err := dec.Decode(&s); err != nil {
+	if err := json.Unmarshal(b, &s); err != nil {
+		var offset int64 = -1
+		var syn *json.SyntaxError
+		var typ *json.UnmarshalTypeError
+		if errors.As(err, &syn) {
+			offset = syn.Offset
+		} else if errors.As(err, &typ) {
+			offset = typ.Offset
+		}
+		if offset >= 0 {
+			line := 1 + bytes.Count(b[:min(offset, int64(len(b)))], []byte{'\n'})
+			return 0, fmt.Errorf("peeringdb: snapshot line %d: %w", line, err)
+		}
 		return 0, fmt.Errorf("peeringdb: decode snapshot: %w", err)
 	}
-	for _, n := range s.Data {
+	for i, n := range s.Data {
 		if n == nil || n.ASN == 0 {
-			return 0, fmt.Errorf("peeringdb: snapshot entry missing ASN")
+			return 0, fmt.Errorf("peeringdb: snapshot entry %d has no ASN", i+1)
 		}
+	}
+	for _, n := range s.Data {
 		r.Upsert(*n)
 	}
 	return len(s.Data), nil

@@ -99,11 +99,18 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONErrors(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.ReadJSON(strings.NewReader("{not json")); err == nil {
-		t.Error("bad JSON should fail")
-	}
-	if _, err := r.ReadJSON(strings.NewReader(`{"data":[{"name":"no-asn"}]}`)); err == nil {
-		t.Error("record without ASN should fail")
+	for in, want := range map[string]string{
+		"{not json":                              "line 1",
+		"{\"data\": [\n  {\"asn\": \"x\"}\n]}":   "line 2",
+		"{\"data\": []}\n{}":                     "line 2",
+		`{"data":[{"asn":1},{"name":"no-asn"}]}`: "entry 2 has no ASN",
+	} {
+		r := NewRegistry()
+		if _, err := r.ReadJSON(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadJSON(%q) = %v, want an error naming %q", in, err, want)
+		}
+		if r.Len() != 0 {
+			t.Errorf("ReadJSON(%q) loaded %d records from a bad snapshot", in, r.Len())
+		}
 	}
 }

@@ -111,6 +111,7 @@ func (e *ParseError) Error() string { return fmt.Sprintf("rpsl: line %d: %s", e.
 type Parser struct {
 	sc      *bufio.Scanner
 	line    int
+	start   int // first line of the object Next returned last
 	lastErr error
 }
 
@@ -124,7 +125,9 @@ func NewParser(r io.Reader) *Parser {
 
 func (p *Parser) nextLine() (string, bool) {
 	if !p.sc.Scan() {
-		p.lastErr = p.sc.Err()
+		if err := p.sc.Err(); err != nil {
+			p.lastErr = &ParseError{Line: p.line + 1, Msg: err.Error()}
+		}
 		return "", false
 	}
 	p.line++
@@ -157,6 +160,7 @@ func (p *Parser) Next() (*Object, error) {
 			continue
 		}
 		first = l
+		p.start = p.line
 		break
 	}
 	obj := &Object{}
@@ -203,6 +207,10 @@ func (p *Parser) Next() (*Object, error) {
 	}
 	return obj, nil
 }
+
+// Line returns the line number, counting from 1, on which the object
+// Next returned last begins.
+func (p *Parser) Line() int { return p.start }
 
 func (p *Parser) parseAttrStart(l string) (name, value string, err error) {
 	i := strings.IndexByte(l, ':')

@@ -335,7 +335,7 @@ func (w *World) populateLarge(rng *rand.Rand, infos []*asInfo, irrDBs map[rpki.R
 		}
 	}
 	for _, r := range irrRows {
-		if err := dbs[r.rir].AddRouteCompact(r.route.Prefix, r.route.Origin); err != nil {
+		if err := dbs[r.rir].AddRoute(r.route.Prefix, r.route.Origin); err != nil {
 			return err
 		}
 	}

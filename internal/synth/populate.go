@@ -744,6 +744,9 @@ func (w *World) VRPsAt(t time.Time) ([]rpki.VRP, error) {
 // CPU) with the same result at any count; a context done mid-run yields
 // its cause and no VRPs.
 func (w *World) VRPsAtCtx(ctx context.Context, t time.Time, workers int) ([]rpki.VRP, error) {
+	if w.Repo == nil {
+		return nil, fmt.Errorf("synth: no RPKI repository to validate at %s: the world was read from files", t.Format(time.DateOnly))
+	}
 	rp, err := w.relyingPartyAt(t, w.sigMemo)
 	if err != nil {
 		return nil, err

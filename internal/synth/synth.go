@@ -141,10 +141,13 @@ func NewConfig(seed int64) Config {
 		},
 		QuietMemberISP: 0.11, // 95 of 849 MANRS ISP ASes originated nothing
 
-		StartYear: 2015,
+		StartYear: studyStartYear,
 		EndYear:   2022,
 	}
 }
+
+// studyStartYear is the first year of the paper's study window.
+const studyStartYear = 2015
 
 // Preset returns the named world scale for seed, the one vocabulary of
 // every command's -scale flag: "small" (774 ASes, the quick world the
@@ -185,6 +188,10 @@ type World struct {
 	OrgASNs map[string][]uint32
 	// PeeringDB holds each network's contact record (MANRS Action 3).
 	PeeringDB *peeringdb.Registry
+
+	// asOf, when set, is the measurement date of the last study year:
+	// the RIB dump's date in a world LoadFiles read.
+	asOf time.Time
 
 	// arena backs every AS's prefix list at ScaleLarge: one flat slice,
 	// with per-AS index ranges published as capacity-clamped views
@@ -386,8 +393,12 @@ func (w *World) signRepository() error {
 // signBlock is how many ROAs one signing batch holds.
 const signBlock = 64
 
-// Date returns the canonical May-1 measurement date for a year.
+// Date returns the canonical May-1 measurement date for a year. A
+// world LoadFiles read measures its last year at its RIB dump's date.
 func (w *World) Date(year int) time.Time {
+	if year == w.Config.EndYear && !w.asOf.IsZero() {
+		return w.asOf
+	}
 	return time.Date(year, 5, 1, 0, 0, 0, 0, time.UTC)
 }
 

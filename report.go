@@ -210,10 +210,14 @@ func RunReportWithPipeline(ctx context.Context, w io.Writer, pipe *Pipeline, opt
 }
 
 // reportRun is sec's run function in the report: its renderer, or its
-// skip placeholder when opts omit it.
+// skip placeholder when opts omit it or its inputs are missing. A world
+// read from files (LoadWorld) is told by its missing RPKI repository;
+// over it only the FromFiles sections run.
 func reportRun(pipe *Pipeline, sec core.Section, opts ReportOptions) sectionRun {
 	skipped := ""
 	switch {
+	case pipe.World.Repo == nil && sec.Offer&core.FromFiles == 0:
+		skipped = sec.Title + " skipped (needs more than the archive files hold)"
 	case sec.Extension != "" && opts.SkipExtensions:
 		skipped = "Extension — " + sec.Extension + " skipped (ReportOptions.SkipExtensions)"
 	case sec.Name == "stability" && opts.SkipStability:

@@ -47,15 +47,18 @@
 #   kernel — logs which Ed25519 point kernel this machine selected,
 #            ifma8 (AVX-512 IFMA lanes) or scalar, so the log says
 #            whether the race leg's lane tests ran or skipped
-#   fuzz   — `make fuzz`: a short smoke of nine fuzzers (BGP wire
-#            messages and attributes, MRT, durable archive, VRP CSV,
-#            scenario codec, the prefix table against a linear scan, and
-#            the prepared-key Ed25519 verifier and the batch signer
-#            against crypto/ed25519)
+#   fuzz   — `make fuzz`: a short smoke of eleven fuzzers (BGP wire
+#            messages and attributes, MRT, the durable archive's
+#            sections and its seal, VRP CSV, RPSL, scenario codec, the
+#            prefix table against a linear scan, and the prepared-key
+#            Ed25519 verifier and the batch signer against
+#            crypto/ed25519)
 #   report — end-to-end smoke of the batch report: run manrs-report
 #            -scale small -skip-stability -continue-on-error and assert
 #            its health trailer counts 17 sections, all ok, under the
-#            section table's names (fig2-growth)
+#            section table's names (fig2-growth); then write a small
+#            world with synthgen -out and run manrs-report -data over
+#            it: 17 sections ok, exactly five of them skip lines
 #   admin  — end-to-end smoke of the observability endpoint: start a
 #            collector with -admin, curl /healthz and /metrics, and
 #            assert the expected metric families are exposed; SIGTERM
@@ -237,7 +240,7 @@ go test -count=1 -run '^TestKernelSelection$' -v ./internal/rpki/edwards25519 | 
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 make -s fuzz FUZZTIME="$FUZZTIME"
 
-echo "==> report smoke (manrs-report -continue-on-error: 17 sections, all ok)"
+echo "==> report smoke (manrs-report -continue-on-error and -data: 17 sections, all ok)"
 go build -o "$TMPDIR_SMOKE/manrs-report" ./cmd/manrs-report
 "$TMPDIR_SMOKE/manrs-report" -scale small -skip-stability -continue-on-error \
     >"$TMPDIR_SMOKE/report.txt"
@@ -248,6 +251,16 @@ for want in 'health: sections=17 ok=17' 'health: section=fig2-growth status=ok';
         exit 1
     }
 done
+go build -o "$TMPDIR_SMOKE/synthgen" ./cmd/synthgen
+"$TMPDIR_SMOKE/synthgen" -scale small -out "$TMPDIR_SMOKE/world" >/dev/null
+"$TMPDIR_SMOKE/manrs-report" -data "$TMPDIR_SMOKE/world" -continue-on-error \
+    >"$TMPDIR_SMOKE/report-data.txt"
+SKIPS="$(grep -c ' skipped (needs more than the archive files hold)$' "$TMPDIR_SMOKE/report-data.txt" || true)"
+if ! grep -q '^health: sections=17 ok=17 ' "$TMPDIR_SMOKE/report-data.txt" || [ "$SKIPS" != 5 ]; then
+    echo "report smoke: -data run wants 17 sections ok and 5 skip lines, got $SKIPS skips:" >&2
+    grep '^health\| skipped ' "$TMPDIR_SMOKE/report-data.txt" >&2 || true
+    exit 1
+fi
 
 echo "==> admin endpoint smoke (collector -admin)"
 go build -o "$TMPDIR_SMOKE/collector" ./cmd/collector
