@@ -133,7 +133,9 @@ type (
 	Dataset = ihr.Dataset
 )
 
-// Preset returns the named world scale: "small" (774 ASes), "full"
+// Preset returns the named world scale: "small" (~800 ASes: 774
+// configured plus the sibling ASes of multi-AS organizations, 797 at
+// seed 1), "full"
 // (the generator defaults calibrated to the paper's May 2022
 // measurements) or "large" (~75k ASes announcing ~1M prefixes,
 // generated through the compact arena layout). Cohort behavioral rates

@@ -342,7 +342,7 @@ func BenchmarkPropagation(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := world.Graph
-	origins := g.Originations()
+	origins := world.OriginationsAt(world.Date(world.Config.EndYear))
 	if len(origins) == 0 {
 		b.Fatal("no originations")
 	}
@@ -365,7 +365,7 @@ func BenchmarkPropagation(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
 		lw := largeWorld(b)
 		lg := lw.Graph
-		lo := lg.Originations()
+		lo := lw.OriginationsAt(lw.Date(lw.Config.EndYear))
 		if len(lo) == 0 {
 			b.Fatal("no originations")
 		}

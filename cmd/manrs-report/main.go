@@ -14,6 +14,8 @@
 // of a generated world: the sections those files support render as they
 // would over the world that wrote them, and the rest (the by-RIR split,
 // the dated series and the simulations) render a skip placeholder.
+// -seed, -scale and -weeks do not apply to such a world, and setting
+// any of them beside -data is an error.
 //
 // With -scenario NAME it instead generates a world, injects the named
 // adversarial scenario (as0-hijack, expired-certs, rp-failure,
@@ -76,6 +78,13 @@ func main() {
 			log.Fatal(err)
 		}
 		return
+	}
+	if *data != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "seed" || f.Name == "scale" || f.Name == "weeks" {
+				log.Fatalf("-%s does not apply to -data: the world and its one date come from %s", f.Name, *data)
+			}
+		})
 	}
 
 	// stopProfile flushes and closes the CPU profile exactly once, on

@@ -113,7 +113,7 @@ func TestPropagateGoldenDigest(t *testing.T) {
 
 	// Every origination unfiltered, then the same set again behind the
 	// world's own ROV/IRR drop policies, to pin the filtered code path too.
-	origs := g.Originations()
+	origs := world.OriginationsAt(world.Date(world.Config.EndYear))
 	filterFor := ihr.PolicyFilter(g, world.Policies, rpkiIx, irrIx)
 	asns := g.ASNs()
 	digest := func(flood func(og astopo.Origination, f astopo.ImportFilter) *astopo.RouteTree) uint64 {

@@ -159,7 +159,7 @@ func TestRTRDeliversRelyingPartyOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, og := range w.Graph.Originations()[:200] {
+	for _, og := range w.OriginationsAt(w.Date(w.Config.EndYear))[:200] {
 		if direct.Validate(og.Prefix, og.Origin) != fetched.Validate(og.Prefix, og.Origin) {
 			t.Fatalf("validation differs for %s AS%d", og.Prefix, og.Origin)
 		}
@@ -168,8 +168,7 @@ func TestRTRDeliversRelyingPartyOutput(t *testing.T) {
 
 func TestMRTCollectorViewRoundTrip(t *testing.T) {
 	w := integrationWorld(t)
-	w.SetSnapshot(w.Date(w.Config.EndYear))
-	origs := w.Graph.Originations()
+	origs := w.OriginationsAt(w.Date(w.Config.EndYear))
 	if len(origs) > 300 {
 		origs = origs[:300]
 	}

@@ -73,9 +73,6 @@ func TestRelationshipErrors(t *testing.T) {
 	if err := g.SetPeer(1, 1); err == nil {
 		t.Error("self-peering should fail")
 	}
-	if err := g.Originate(99, pfx("10.0.0.0/8")); err == nil {
-		t.Error("origination by unknown AS should fail")
-	}
 }
 
 func TestRelationshipDeduplication(t *testing.T) {
@@ -270,12 +267,6 @@ func TestReadASRelErrors(t *testing.T) {
 func TestExportsAS2OrgAndPrefix2AS(t *testing.T) {
 	g := NewGraph()
 	g.AddAS(64500, "org-a", "Alpha Networks", "US", rpki.ARIN)
-	if err := g.Originate(64500, pfx("10.0.0.0/8")); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Originate(64500, pfx("192.0.2.0/24")); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	if err := g.WriteAS2Org(&buf); err != nil {
 		t.Fatal(err)
@@ -284,16 +275,13 @@ func TestExportsAS2OrgAndPrefix2AS(t *testing.T) {
 		t.Errorf("as2org = %q", buf.String())
 	}
 	buf.Reset()
-	if err := g.WritePrefix2AS(&buf); err != nil {
+	origs := []Origination{{Prefix: pfx("10.0.0.0/8"), Origin: 64500}, {Prefix: pfx("192.0.2.0/24"), Origin: 64500}}
+	if err := WritePrefix2AS(&buf, origs); err != nil {
 		t.Fatal(err)
 	}
 	want := "10.0.0.0\t8\t64500\n192.0.2.0\t24\t64500\n"
 	if buf.String() != want {
 		t.Errorf("prefix2as = %q, want %q", buf.String(), want)
-	}
-	origs := g.Originations()
-	if len(origs) != 2 || origs[0].Origin != 64500 {
-		t.Errorf("originations = %v", origs)
 	}
 }
 
@@ -354,29 +342,26 @@ func TestReadAS2OrgRoundTrip(t *testing.T) {
 }
 
 func TestReadPrefix2ASRoundTrip(t *testing.T) {
-	g := diamond(t)
-	if err := g.Originate(5, pfx("10.5.0.0/16")); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Originate(6, pfx("10.6.0.0/16")); err != nil {
-		t.Fatal(err)
-	}
+	origs := []Origination{{Prefix: pfx("10.5.0.0/16"), Origin: 5}, {Prefix: pfx("10.6.0.0/16"), Origin: 6}}
 	var buf bytes.Buffer
-	if err := g.WritePrefix2AS(&buf); err != nil {
+	if err := WritePrefix2AS(&buf, origs); err != nil {
 		t.Fatal(err)
 	}
-	g2 := NewGraph()
-	if err := g2.ReadPrefix2AS(&buf); err != nil {
+	g := NewGraph()
+	got, err := g.ReadPrefix2AS(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	origs := g2.Originations()
-	if len(origs) != 2 || origs[0].Origin != 5 || origs[1].Origin != 6 {
-		t.Errorf("originations = %+v", origs)
+	if !reflect.DeepEqual(got, origs) {
+		t.Errorf("originations = %+v, want %+v", got, origs)
 	}
-	if err := NewGraph().ReadPrefix2AS(strings.NewReader("10.0.0.0 8\n")); err == nil {
+	if g.AS(5) == nil || g.AS(6) == nil {
+		t.Error("origins missing from the graph should be added as placeholders")
+	}
+	if _, err := NewGraph().ReadPrefix2AS(strings.NewReader("10.0.0.0 8\n")); err == nil {
 		t.Error("two-field line should fail")
 	}
-	if err := NewGraph().ReadPrefix2AS(strings.NewReader("banana 8 1\n")); err == nil {
+	if _, err := NewGraph().ReadPrefix2AS(strings.NewReader("banana 8 1\n")); err == nil {
 		t.Error("bad prefix should fail")
 	}
 }

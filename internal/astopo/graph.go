@@ -36,9 +36,6 @@ type AS struct {
 	Providers []uint32
 	Customers []uint32
 	Peers     []uint32
-
-	// Prefixes originated by this AS.
-	Prefixes []netx.Prefix
 }
 
 // Org is an organization owning one or more ASes (the as2org view).
@@ -49,16 +46,17 @@ type Org struct {
 	ASNs []uint32
 }
 
-// Graph is the AS-level topology. The zero value is not usable; call
-// NewGraph.
+// Graph is the AS-level topology: ASes, organizations and relationships.
+// Who announces what is not in it; callers keep their originations
+// themselves and hand them to the propagator and the prefix2as writer.
+// The zero value is not usable; call NewGraph.
 //
 // Concurrency contract: once a Graph is fully built, any number of
 // goroutines may read it concurrently — Propagate, NewPropagator, the
 // writers, and every other non-mutating method are
 // safe in parallel (the lazily-built dense adjacency is guarded
-// internally). Mutations (AddAS, SetProviderCustomer, SetPeer,
-// Originate, the Read* loaders, and writes to AS field slices) require
-// exclusive access.
+// internally). Mutations (AddAS, SetProviderCustomer, SetPeer, the Read*
+// loaders, and writes to AS field slices) require exclusive access.
 type Graph struct {
 	ases map[uint32]*AS
 	orgs map[string]*Org
@@ -165,16 +163,6 @@ func (g *Graph) invalidateAdj() {
 	g.adjMu.Lock()
 	g.adj = nil
 	g.adjMu.Unlock()
-}
-
-// Originate records that asn originates prefix.
-func (g *Graph) Originate(asn uint32, prefix netx.Prefix) error {
-	a := g.ases[asn]
-	if a == nil {
-		return fmt.Errorf("astopo: origination by unknown AS%d", asn)
-	}
-	a.Prefixes = append(a.Prefixes, prefix)
-	return nil
 }
 
 // CustomerDegree returns the number of direct AS customers — the size
@@ -298,49 +286,16 @@ func (g *Graph) WriteAS2Org(w io.Writer) error {
 	return bw.Flush()
 }
 
-// sortedPrefixes returns a's prefix list in ascending order, reusing the
-// stored slice when it is already sorted (arena-carved lists always are)
-// and copying only when a sort is actually needed.
-func sortedPrefixes(a *AS) []netx.Prefix {
-	ps := a.Prefixes
-	if sort.SliceIsSorted(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 }) {
-		return ps
-	}
-	ps = append([]netx.Prefix(nil), ps...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
-	return ps
-}
-
-// WritePrefix2AS writes the CAIDA prefix2as format: "address\tlength\tasn"
-// per originated prefix, ordered by ASN then prefix.
-func (g *Graph) WritePrefix2AS(w io.Writer) error {
+// WritePrefix2AS writes origs in the CAIDA prefix2as format,
+// "address\tlength\tasn" per origination, in the order given.
+func WritePrefix2AS(w io.Writer, origs []Origination) error {
 	bw := bufio.NewWriter(w)
-	for _, asn := range g.ASNs() {
-		a := g.ases[asn]
-		for _, p := range sortedPrefixes(a) {
-			if _, err := fmt.Fprintf(bw, "%s\t%d\t%d\n", p.Addr(), p.Bits(), asn); err != nil {
-				return err
-			}
+	for _, og := range origs {
+		if _, err := fmt.Fprintf(bw, "%s\t%d\t%d\n", og.Prefix.Addr(), og.Prefix.Bits(), og.Origin); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
-}
-
-// Originations returns every (prefix, origin) pair in the topology,
-// ordered by origin ASN then prefix.
-func (g *Graph) Originations() []Origination {
-	asns := g.ASNs()
-	total := 0
-	for _, asn := range asns {
-		total += len(g.ases[asn].Prefixes)
-	}
-	out := make([]Origination, 0, total)
-	for _, asn := range asns {
-		for _, p := range sortedPrefixes(g.ases[asn]) {
-			out = append(out, Origination{Prefix: p, Origin: asn})
-		}
-	}
-	return out
 }
 
 // Origination is a (prefix, origin AS) pair.
@@ -386,11 +341,12 @@ func (g *Graph) ReadAS2Org(r io.Reader) error {
 }
 
 // ReadPrefix2AS parses the CAIDA prefix2as format
-// ("address\tlength\tasn") into originations, creating placeholder ASes
-// when needed.
-func (g *Graph) ReadPrefix2AS(r io.Reader) error {
+// ("address\tlength\tasn") into originations, in file order, creating
+// placeholder ASes for origins the graph lacks.
+func (g *Graph) ReadPrefix2AS(r io.Reader) ([]Origination, error) {
 	sc := bufio.NewScanner(r)
 	line := 0
+	var out []Origination
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -399,23 +355,24 @@ func (g *Graph) ReadPrefix2AS(r io.Reader) error {
 		}
 		fields := strings.Fields(text)
 		if len(fields) != 3 {
-			return fmt.Errorf("astopo: prefix2as line %d: want 3 fields, got %d", line, len(fields))
+			return nil, fmt.Errorf("astopo: prefix2as line %d: want 3 fields, got %d", line, len(fields))
 		}
 		prefix, err := netx.ParsePrefix(fields[0] + "/" + fields[1])
 		if err != nil {
-			return fmt.Errorf("astopo: prefix2as line %d: %w", line, err)
+			return nil, fmt.Errorf("astopo: prefix2as line %d: %w", line, err)
 		}
 		asn64, err := strconv.ParseUint(fields[2], 10, 32)
 		if err != nil {
-			return fmt.Errorf("astopo: prefix2as line %d: %w", line, err)
+			return nil, fmt.Errorf("astopo: prefix2as line %d: %w", line, err)
 		}
 		asn := uint32(asn64)
 		if g.ases[asn] == nil {
 			g.AddAS(asn, fmt.Sprintf("org-unknown-%d", asn), "unknown", "ZZ", rpki.ARIN)
 		}
-		if err := g.Originate(asn, prefix); err != nil {
-			return fmt.Errorf("astopo: prefix2as line %d: %w", line, err)
-		}
+		out = append(out, Origination{Prefix: prefix, Origin: asn})
 	}
-	return scanErr("prefix2as", line, sc)
+	if err := scanErr("prefix2as", line, sc); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -9,17 +9,12 @@ import (
 	"manrsmeter/internal/rpki"
 )
 
-// batchRequests originates one prefix per stub/mid AS of the diamond and
-// returns the originations to flood.
-func batchRequests(t *testing.T, g *Graph) []Origination {
-	t.Helper()
+// batchRequests returns one origination to flood per stub/mid AS of the
+// diamond.
+func batchRequests() []Origination {
 	var reqs []Origination
 	for i, asn := range []uint32{3, 4, 5, 6} {
-		p := pfx(fmt.Sprintf("10.%d.0.0/16", i+1))
-		if err := g.Originate(asn, p); err != nil {
-			t.Fatal(err)
-		}
-		reqs = append(reqs, Origination{Prefix: p, Origin: asn})
+		reqs = append(reqs, Origination{Prefix: pfx(fmt.Sprintf("10.%d.0.0/16", i+1)), Origin: asn})
 	}
 	return reqs
 }
@@ -37,7 +32,7 @@ func treeSnapshot(tr *RouteTree) map[uint32]RouteInfo {
 // it, each flood must equal one from a fresh Propagator.
 func TestPropagatorReuseMatchesFresh(t *testing.T) {
 	g := diamond(t)
-	reqs := batchRequests(t, g)
+	reqs := batchRequests()
 	p := NewPropagator(g)
 	for round := 0; round < 3; round++ {
 		for i, r := range reqs {
@@ -58,7 +53,7 @@ func TestPropagatorReuseMatchesFresh(t *testing.T) {
 // many goroutines at once (run under -race to catch regressions).
 func TestPropagateConcurrent(t *testing.T) {
 	g := diamond(t)
-	reqs := batchRequests(t, g)
+	reqs := batchRequests()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -81,9 +76,6 @@ func TestPropagateConcurrent(t *testing.T) {
 func TestMutationInvalidatesAdjacency(t *testing.T) {
 	g := diamond(t)
 	p := pfx("10.9.0.0/16")
-	if err := g.Originate(5, p); err != nil {
-		t.Fatal(err)
-	}
 	before := g.Propagate(p, 5, nil)
 	g.AddAS(7, "org7", "Org 7", "US", rpki.ARIN)
 	if err := g.SetProviderCustomer(3, 7); err != nil {

@@ -49,9 +49,11 @@ type Fig4Result struct {
 	SpacePct []map[rpki.RIR]float64
 }
 
-// Fig4ByRIR computes both panels of Figure 4.
+// Fig4ByRIR computes both panels of Figure 4. A year's members count
+// with the space they announce at the pipeline's date.
 func (p *Pipeline) Fig4ByRIR() *Fig4Result {
 	res := &Fig4Result{}
+	origs := p.World.OriginationsAt(p.AsOf) // ascending by origin
 	// Total routed space across everyone (the 4b denominator).
 	var totalSpace netx.IPSet4
 	for _, po := range p.ds.PrefixOrigins {
@@ -74,8 +76,9 @@ func (p *Pipeline) Fig4ByRIR() *Fig4Result {
 				s = &netx.IPSet4{}
 				sets[a.RIR] = s
 			}
-			for _, pre := range a.Prefixes {
-				s.AddPrefix(pre)
+			i := sort.Search(len(origs), func(i int) bool { return origs[i].Origin >= part.ASN })
+			for ; i < len(origs) && origs[i].Origin == part.ASN; i++ {
+				s.AddPrefix(origs[i].Prefix)
 			}
 		}
 		pcts := make(map[rpki.RIR]float64)

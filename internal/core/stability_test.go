@@ -13,22 +13,17 @@ import (
 // mutate-and-restore bug: Stability used to rewind the shared World to
 // each weekly snapshot and only restored the headline state on the
 // success path, so an error (or a concurrent reader) observed the wrong
-// date. With immutable snapshot views there is nothing to restore — the
-// graph state must be byte-identical before and after, and the headline
-// dataset must still describe the headline date.
+// date. With immutable snapshot views there is nothing to restore: the
+// headline dataset must still describe the headline date, and so must
+// Figure 4, whose member space is read at the pipeline's date.
 func TestStabilityLeavesWorldIntact(t *testing.T) {
 	p := testWorld(t, 5)
-	before := p.World.Graph.Originations()
+	fig4 := p.Fig4ByRIR().Render()
 
 	if _, err := p.Stability(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 
-	after := p.World.Graph.Originations()
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("Stability mutated the graph: %d originations before, %d after",
-			len(before), len(after))
-	}
 	datasetAt := func(at time.Time) *ihr.Dataset {
 		view, err := p.World.At(context.Background(), at, 0)
 		if err != nil {
@@ -43,11 +38,9 @@ func TestStabilityLeavesWorldIntact(t *testing.T) {
 	if datasetAt(p.AsOf) != p.Dataset() {
 		t.Error("headline dataset changed after Stability")
 	}
-
-	// A mid-churn weekly build must also leave the graph alone.
 	datasetAt(time.Date(p.World.Config.EndYear, 3, 10, 0, 0, 0, 0, time.UTC))
-	if got := p.World.Graph.Originations(); !reflect.DeepEqual(before, got) {
-		t.Error("mid-churn dataset build mutated the graph")
+	if got := p.Fig4ByRIR().Render(); got != fig4 {
+		t.Errorf("Figure 4 after Stability and a mid-churn build:\n%s\nbefore:\n%s", got, fig4)
 	}
 }
 

@@ -114,9 +114,9 @@ type Config struct {
 	// The real IHR cannot see them; the impact analysis (§9.4) relies on
 	// that censoring, so the default is false.
 	KeepInvisible bool
-	// Originations overrides the set of announcements to build from; nil
-	// means every origination currently in the graph. Snapshot views use
-	// this to build historical datasets without mutating the graph. The
+	// Originations are the announcements to build from: the graph holds
+	// topology only, so the caller owns who announces what (a world's
+	// origination table at the dataset's date). It is required. The
 	// build never writes it, and keeps a strictly (origin, prefix)
 	// ascending list as the dataset's Visibility.Origs without a copy,
 	// so the caller must not modify it afterwards.
@@ -402,7 +402,7 @@ func trimOf(cfg Config) float64 {
 	return cfg.Trim
 }
 
-// BuildCtx constructs the dataset for every origination in the graph,
+// BuildCtx constructs the dataset for every origination in cfg,
 // with cancellation and panic isolation threaded through every fan-out
 // stage: once ctx is done no new originations are
 // classified, no new trees are propagated and no new rows are derived,
@@ -421,12 +421,12 @@ func build(ctx context.Context, cfg Config, vpOnly bool) (*Dataset, error) {
 	if len(cfg.VantagePoints) == 0 {
 		return nil, fmt.Errorf("ihr: at least one vantage point is required")
 	}
+	if cfg.Originations == nil {
+		return nil, fmt.Errorf("ihr: Config.Originations is required")
+	}
 	trim := trimOf(cfg)
 
 	origs := cfg.Originations
-	if origs == nil {
-		origs = cfg.Graph.Originations()
-	}
 
 	// Stage 1: classify every origination (see classify).
 	statuses, err := classify(ctx, origs, cfg.RPKI, cfg.IRR, cfg.Workers)

@@ -47,15 +47,14 @@ func mustIndex(t *testing.T, auths ...rov.Authorization) *rov.Index {
 
 func TestBuildBasic(t *testing.T) {
 	g := topo(t)
-	if err := g.Originate(5, pfx("10.5.0.0/16")); err != nil {
-		t.Fatal(err)
-	}
+	origs := []astopo.Origination{{Prefix: pfx("10.5.0.0/16"), Origin: 5}}
 	rpkiIx := mustIndex(t, rov.Authorization{Prefix: pfx("10.5.0.0/16"), ASN: 5, MaxLength: 16})
 
 	ds, err := BuildCtx(context.Background(), Config{
 		Graph:         g,
 		RPKI:          rpkiIx,
 		VantagePoints: []uint32{2, 6},
+		Originations:  origs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,13 +103,11 @@ func TestBuildBasic(t *testing.T) {
 func TestBuildROVFilteringCensorsInvalid(t *testing.T) {
 	g := topo(t)
 	// AS6 hijacks AS5's prefix (more specific), RPKI-invalid.
-	if err := g.Originate(6, pfx("10.5.1.0/24")); err != nil {
-		t.Fatal(err)
-	}
+	origs := []astopo.Origination{{Prefix: pfx("10.5.1.0/24"), Origin: 6}}
 	rpkiIx := mustIndex(t, rov.Authorization{Prefix: pfx("10.5.0.0/16"), ASN: 5, MaxLength: 16})
 
 	// Without filtering the hijack is visible at vantage 2.
-	ds, err := BuildCtx(context.Background(), Config{Graph: g, RPKI: rpkiIx, VantagePoints: []uint32{2}})
+	ds, err := BuildCtx(context.Background(), Config{Graph: g, RPKI: rpkiIx, VantagePoints: []uint32{2}, Originations: origs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +122,7 @@ func TestBuildROVFilteringCensorsInvalid(t *testing.T) {
 		RPKI:          rpkiIx,
 		Policies:      map[uint32]Policy{4: {DropRPKIInvalid: true}},
 		VantagePoints: []uint32{2},
+		Originations:  origs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +137,7 @@ func TestBuildROVFilteringCensorsInvalid(t *testing.T) {
 		Policies:      map[uint32]Policy{4: {DropRPKIInvalid: true}},
 		VantagePoints: []uint32{2},
 		KeepInvisible: true,
+		Originations:  origs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +153,7 @@ func TestBuildROVFilteringCensorsInvalid(t *testing.T) {
 func TestBuildIRRCustomerFiltering(t *testing.T) {
 	g := topo(t)
 	// AS5 announces a prefix registered to someone else in the IRR.
-	if err := g.Originate(5, pfx("10.9.0.0/16")); err != nil {
-		t.Fatal(err)
-	}
+	origs := []astopo.Origination{{Prefix: pfx("10.9.0.0/16"), Origin: 5}}
 	irrIx := mustIndex(t, rov.Authorization{Prefix: pfx("10.9.0.0/16"), ASN: 777, MaxLength: 16})
 
 	// AS3 filters customers on IRR: the announcement dies at 3.
@@ -165,6 +162,7 @@ func TestBuildIRRCustomerFiltering(t *testing.T) {
 		IRR:           irrIx,
 		Policies:      map[uint32]Policy{3: {DropIRRInvalidCustomers: true}},
 		VantagePoints: []uint32{2},
+		Originations:  origs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,14 +176,13 @@ func TestBuildIRRCustomerFiltering(t *testing.T) {
 	// it pass through AS3's customer-only filter down to AS5... AS5 is a
 	// stub, so instead observe from a vantage under AS3.
 	g2 := topo(t)
-	if err := g2.Originate(2, pfx("10.9.0.0/16")); err != nil {
-		t.Fatal(err)
-	}
+	origs2 := []astopo.Origination{{Prefix: pfx("10.9.0.0/16"), Origin: 2}}
 	ds, err = BuildCtx(context.Background(), Config{
 		Graph:         g2,
 		IRR:           irrIx,
 		Policies:      map[uint32]Policy{3: {DropIRRInvalidCustomers: true}},
 		VantagePoints: []uint32{5},
+		Originations:  origs2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,14 +199,15 @@ func TestBuildConfigValidation(t *testing.T) {
 	if _, err := BuildCtx(context.Background(), Config{Graph: astopo.NewGraph()}); err == nil {
 		t.Error("missing vantage points should fail")
 	}
+	if _, err := BuildCtx(context.Background(), Config{Graph: topo(t), VantagePoints: []uint32{2}}); err == nil {
+		t.Error("missing originations should fail")
+	}
 }
 
 func TestBuildNilIndexes(t *testing.T) {
 	g := topo(t)
-	if err := g.Originate(5, pfx("10.5.0.0/16")); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := BuildCtx(context.Background(), Config{Graph: g, VantagePoints: []uint32{2}})
+	origs := []astopo.Origination{{Prefix: pfx("10.5.0.0/16"), Origin: 5}}
+	ds, err := BuildCtx(context.Background(), Config{Graph: g, VantagePoints: []uint32{2}, Originations: origs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +218,11 @@ func TestBuildNilIndexes(t *testing.T) {
 
 func TestBuildDeterministicOrder(t *testing.T) {
 	g := topo(t)
+	var origs []astopo.Origination
 	for _, asn := range []uint32{5, 6, 3} {
-		if err := g.Originate(asn, pfx("10.0.0.0/16")); err != nil {
-			t.Fatal(err)
-		}
+		origs = append(origs, astopo.Origination{Prefix: pfx("10.0.0.0/16"), Origin: asn})
 	}
-	ds, err := BuildCtx(context.Background(), Config{Graph: g, VantagePoints: []uint32{2, 6}})
+	ds, err := BuildCtx(context.Background(), Config{Graph: g, VantagePoints: []uint32{2, 6}, Originations: origs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +236,7 @@ func TestBuildDeterministicOrder(t *testing.T) {
 func TestIRRFilterMissRate(t *testing.T) {
 	// A filter with a 100% miss rate never drops; 0% always drops.
 	g := topo(t)
-	if err := g.Originate(5, pfx("10.9.0.0/16")); err != nil {
-		t.Fatal(err)
-	}
+	origs := []astopo.Origination{{Prefix: pfx("10.9.0.0/16"), Origin: 5}}
 	irrIx := mustIndex(t, rov.Authorization{Prefix: pfx("10.9.0.0/16"), ASN: 777, MaxLength: 16})
 
 	build := func(miss float64) int {
@@ -252,6 +247,7 @@ func TestIRRFilterMissRate(t *testing.T) {
 				3: {DropIRRInvalidCustomers: true, IRRFilterMissRate: miss},
 			},
 			VantagePoints: []uint32{2},
+			Originations:  origs,
 		})
 		if err != nil {
 			t.Fatal(err)

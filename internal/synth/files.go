@@ -23,7 +23,6 @@ import (
 	"manrsmeter/internal/ihr"
 	"manrsmeter/internal/irr"
 	"manrsmeter/internal/manrs"
-	"manrsmeter/internal/netx"
 	"manrsmeter/internal/peeringdb"
 	"manrsmeter/internal/rov"
 	"manrsmeter/internal/rpki"
@@ -48,12 +47,12 @@ const (
 
 // WriteFiles writes the world as of t into dir, creating it if needed,
 // and calls wrote with each file's path once the file is complete. It
-// rewinds the graph to t (SetSnapshot), so nothing else may read the
-// graph meanwhile. A done ctx stops it between files and inside the
-// relying-party run and the dataset build; no file is left half-written
-// by the cancellation itself.
+// reads the world and writes nothing to it but its view and dataset at
+// t, so it may run beside any other reader of the world or of a fork. A
+// done ctx stops it between files and inside the relying-party run and
+// the dataset build; no file is left half-written by the cancellation
+// itself.
 func (w *World) WriteFiles(ctx context.Context, dir string, t time.Time, wrote func(path string)) error {
-	w.SetSnapshot(t)
 	view, err := w.At(ctx, t, 0)
 	if err != nil {
 		return fmt.Errorf("synth: relying party: %w", err)
@@ -69,7 +68,7 @@ func (w *World) WriteFiles(ctx context.Context, dir string, t time.Time, wrote f
 	files := []file{
 		{fileASRel, w.Graph.WriteASRel},
 		{fileAS2Org, w.Graph.WriteAS2Org},
-		{filePrefix2AS, w.Graph.WritePrefix2AS},
+		{filePrefix2AS, func(f io.Writer) error { return astopo.WritePrefix2AS(f, w.OriginationsAt(t)) }},
 		{fileVRPs, func(f io.Writer) error { return rpki.WriteVRPCSV(f, view.VRPs) }},
 	}
 	for _, db := range w.IRRRegistry.Databases() {
@@ -178,7 +177,8 @@ func (w *World) writeRIB(f io.Writer, view *View) error {
 
 // LoadFiles reads a directory in WriteFiles' formats into a world with
 // a single date, the RIB dump's:
-//   - the graph from as2org.txt, as-rel.txt and prefix2as.txt;
+//   - the graph from as2org.txt and as-rel.txt, and the origination
+//     table from prefix2as.txt;
 //   - the participant list, the PeeringDB records, and one IRR database
 //     per irr-NAME.db;
 //   - and, installed with Adopt, the date's view: the VRPs of vrps.csv,
@@ -198,6 +198,7 @@ func LoadFiles(dir string) (*World, error) {
 	g := astopo.NewGraph()
 	reg := manrs.NewRegistry()
 	contacts := peeringdb.NewRegistry()
+	var origs []astopo.Origination
 	var vrps []rpki.VRP
 	var dump *mrt.Dump
 	for _, file := range []struct {
@@ -207,7 +208,7 @@ func LoadFiles(dir string) (*World, error) {
 		// as2org first, so that every AS is created with its organization.
 		{fileAS2Org, g.ReadAS2Org},
 		{fileASRel, g.ReadASRel},
-		{filePrefix2AS, g.ReadPrefix2AS},
+		{filePrefix2AS, func(r io.Reader) (err error) { origs, err = g.ReadPrefix2AS(r); return err }},
 		{fileParticipants, reg.ReadCSV},
 		{filePeeringDB, func(r io.Reader) (err error) { _, err = contacts.ReadJSON(r); return err }},
 		{fileVRPs, func(r io.Reader) (err error) { vrps, err = rpki.ReadVRPCSV(r); return err }},
@@ -249,7 +250,7 @@ func LoadFiles(dir string) (*World, error) {
 		IRRRegistry:   registry,
 		OrgASNs:       make(map[string][]uint32),
 		PeeringDB:     contacts,
-		allPrefixes:   make(map[uint32][]netx.Prefix),
+		origTab:       newOriginTable(origs, nil),
 		asOf:          asOf,
 		VantagePoints: make([]uint32, len(dump.Peers)),
 		fingerprint:   fmt.Sprintf("f%016x", h.Sum64()),
@@ -260,9 +261,6 @@ func LoadFiles(dir string) (*World, error) {
 	for _, asn := range g.ASNs() {
 		a := g.AS(asn)
 		w.OrgASNs[a.OrgID] = append(w.OrgASNs[a.OrgID], asn)
-		if len(a.Prefixes) > 0 {
-			w.allPrefixes[asn] = a.Prefixes
-		}
 	}
 	auths := make([]rov.Authorization, len(vrps))
 	for i, v := range vrps {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -69,6 +71,39 @@ func TestLoadFilesFailsClosed(t *testing.T) {
 			t.Errorf("%s removed: %v", tc.file, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s damaged: error %v, want one containing %q", tc.file, err, tc.want)
+		}
+	}
+}
+
+// LoadFiles' origination table is prefix2as.txt's rows in table order,
+// whatever order the file lists them in (CAIDA's files go by prefix):
+// the written world's announcements at the written date, with the lines
+// as written and reversed.
+func TestLoadFilesReadsPrefix2ASInAnyOrder(t *testing.T) {
+	w := generate(t, 1)
+	at := w.Date(w.Config.EndYear)
+	dir := t.TempDir()
+	if err := w.WriteFiles(context.Background(), dir, at, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := w.OriginationsAt(at)
+	path := filepath.Join(dir, filePrefix2AS)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(b), "\n")
+	slices.Reverse(lines)
+	for _, order := range []string{"as written", "reversed"} {
+		loaded, err := LoadFiles(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.OriginationsAt(loaded.Date(loaded.Config.EndYear)); !reflect.DeepEqual(got, want) {
+			t.Errorf("prefix2as %s: %d originations, want the written world's %d", order, len(got), len(want))
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -7,10 +7,9 @@ package synth
 // create and a million to verify on every relying-party run). The large
 // path keeps the same cohort rates but switches the data layout:
 //
-//   - address space is carved into one flat prefix arena; each AS's
-//     announcement list is an index range into it (published as a
-//     capacity-clamped subslice, so later appends copy out instead of
-//     clobbering a neighbor's range);
+//   - address space is carved into one flat arena, the world's
+//     origination table itself: each AS's announcements are one run of
+//     its rows;
 //   - RPKI state is realized as one aggregate ROA per AS covering a
 //     contiguous run of its /24s (binary range decomposition, a handful
 //     of ROAPrefix entries under a single signature), with
@@ -18,15 +17,15 @@ package synth
 //   - IRR route objects go into the authoritative per-RIR database in
 //     compact form (no RPSL object per route, no RADB mirror).
 //
-// Carving each AS's span as block-then-ascending-/24s keeps every per-AS
-// prefix list already in Origination order, so the sorted-input fast
-// paths in OriginationsAt and Graph.Originations skip their sorts.
+// Carving each AS's span as block-then-ascending-/24s keeps the rows
+// already in the table's order, so building the table sorts nothing.
 
 import (
 	"fmt"
 	"math/rand"
 	"time"
 
+	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/irr"
 	"manrsmeter/internal/manrs"
 	"manrsmeter/internal/netx"
@@ -114,21 +113,17 @@ func coverRange(block netx.Prefix, bits, lo, hi int) ([]netx.Prefix, error) {
 }
 
 // populateLarge is the ScaleLarge counterpart of the per-AS populateAS
-// loop: one pass over all ASes carving the arena and realizing
-// aggregate RPKI/IRR state.
+// loop: one pass over all ASes carving the origination table and
+// realizing aggregate RPKI/IRR state.
 func (w *World) populateLarge(rng *rand.Rand, infos []*asInfo, irrDBs map[rpki.RIR]*irr.Database) error {
 	cfg := w.Config
 	alloc := newAllocator()
-	type span struct {
-		asn    uint32
-		lo, hi int32
-	}
-	spans := make([]span, 0, len(infos))
 	capHint := cfg.CDNs*860 + (cfg.Tier1s+cfg.LargeISPs)*260 + cfg.MediumISPs*46 + cfg.SmallASes*4
-	w.arena = make([]netx.Prefix, 0, capHint)
+	w.origTab.rows = make([]astopo.Origination, 0, capHint)
+	var subs []netx.Prefix // one AS's announced /24s
 	// IRR rows are drawn here in registration order and registered after
 	// the loop, each database grown once to its share. An AS registers
-	// at most one row per /24 plus its block, so the arena's size plus
+	// at most one row per /24 plus its block, so the table's size plus
 	// one per CDN (whose block is not in it) bounds them.
 	type irrRow struct {
 		rir   rpki.RIR
@@ -208,24 +203,19 @@ func (w *World) populateLarge(rng *rand.Rand, infos []*asInfo, irrDBs map[rpki.R
 			irrFrac = 0.0 // the rare fully-unregistered network
 		}
 
-		// Carve this AS's span out of the arena: the covering block (ISPs
-		// announce it, CDNs do not) then an ascending run of /24s.
-		lo := int32(len(w.arena))
+		// Carve this AS's rows: the covering block (ISPs announce it,
+		// CDNs do not) then an ascending run of /24s.
 		if announceBlock {
-			w.arena = append(w.arena, block)
+			w.origTab.rows = append(w.origTab.rows, astopo.Origination{Prefix: block, Origin: info.asn})
 		}
+		subs = subs[:0]
 		for i := 0; i < n; i++ {
 			p, err := block.NthSubprefix(carveBits, uint64(i))
 			if err != nil {
 				return err
 			}
-			w.arena = append(w.arena, p)
-		}
-		hi := int32(len(w.arena))
-		spans = append(spans, span{info.asn, lo, hi})
-		subs := w.arena[lo:hi]
-		if announceBlock {
-			subs = subs[1:]
+			subs = append(subs, p)
+			w.origTab.rows = append(w.origTab.rows, astopo.Origination{Prefix: p, Origin: info.asn})
 		}
 
 		// RPKI: one aggregate ROA per AS. The leading nValid /24s are
@@ -337,18 +327,6 @@ func (w *World) populateLarge(rng *rand.Rand, infos []*asInfo, irrDBs map[rpki.R
 	for _, r := range irrRows {
 		if err := dbs[r.rir].AddRoute(r.route.Prefix, r.route.Origin); err != nil {
 			return err
-		}
-	}
-
-	// Publish the arena views: allPrefixes and the graph share one
-	// backing array. Capacity is clamped to each span's end so a later
-	// append (the §8.5 churn prefixes) copies the slice out rather than
-	// overwriting the next AS's range.
-	for _, s := range spans {
-		view := w.arena[s.lo:s.hi:s.hi]
-		w.allPrefixes[s.asn] = view
-		if a := w.Graph.AS(s.asn); a != nil {
-			a.Prefixes = view
 		}
 	}
 	return nil

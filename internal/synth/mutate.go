@@ -1,19 +1,19 @@
 // Scenario mutation API: copy-on-write forks of a generated World plus
 // the typed mutations the adversarial scenario engine
 // (internal/scenario) applies. A fork shares every immutable structure
-// with its base — the graph, registries, policies, and at ScaleLarge
-// the whole prefix arena — so forking an internet-scale world costs one
-// map copy of slice headers, not a copy of the data. Mutators only ever
-// append through capacity-clamped views or replace pointers, so the
-// base world stays byte-identical and may keep serving queries
-// concurrently.
+// with its base — the graph, registries, policies and the origination
+// table — so forking an internet-scale world copies no announcement.
+// Mutators write only what the fork owns (its cloned repository, its
+// own origination table, its counters), so the base world stays
+// byte-identical and may keep serving queries concurrently.
 package synth
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
+	"manrsmeter/internal/astopo"
 	"manrsmeter/internal/netx"
 	"manrsmeter/internal/rpki"
 )
@@ -21,20 +21,16 @@ import (
 // Fork returns a mutable copy-on-write view of the world for scenario
 // injection, tagged so its Fingerprint (and every snapshot version
 // derived from it) diverges from the base. The fork shares the graph,
-// registries, policies, vantage points, churn windows, and prefix
-// storage with the base; the RPKI repository is shallow-cloned so ROAs
-// can be replaced, and the view cache starts empty. The base world
-// is never mutated through the fork; the two things a fork writes that
-// its base reads are the signature-verdict memo, whose entries are pure
-// functions of the signed bytes, and the route-tree template table,
-// whose entries are pure functions of the graph, policies and vantage
-// points both worlds share and of the template key.
-//
-// Fork does not deep-copy the AS graph: mutators that would need to
-// rewrite it (AddOrigination) route new prefixes through allPrefixes,
-// which OriginationsAt — the analysis path — reads instead of the
-// graph. SetSnapshot on a fork does mutate the shared graph and must
-// only be used by single-owner tools (synthgen).
+// registries, policies, vantage points and the origination table with
+// the base; the RPKI repository is shallow-cloned so ROAs can be
+// replaced, and the view cache starts empty. The base world is never
+// mutated through the fork, WriteFiles included; the two things a fork
+// writes that its base reads are the signature-verdict memo, whose
+// entries are pure functions of the signed bytes, and the route-tree
+// template table, whose entries are pure functions of the graph,
+// policies and vantage points both worlds share and of the template
+// key. The graph is topology only and no mutator touches it, so it is
+// never copied; AddOrigination gives the fork a table of its own.
 func (w *World) Fork(tag string) *World {
 	w.viewMu.Lock()
 	defer w.viewMu.Unlock()
@@ -49,24 +45,13 @@ func (w *World) Fork(tag string) *World {
 		VantagePoints: w.VantagePoints,
 		OrgASNs:       w.OrgASNs,
 		PeeringDB:     w.PeeringDB,
-		arena:         w.arena,
-		prefixWindows: w.prefixWindows,
+		origTab:       w.originations(),
 		sigMemo:       w.sigMemo,
 		templates:     w.templates,
 		scenarioTag:   tag,
 		mutations:     w.mutations,
 		roaLag:        w.roaLag,
 	}
-	// Slice headers are capacity-clamped so a later append through the
-	// fork copies out instead of scribbling over shared backing storage
-	// (the arena at ScaleLarge, the base's own lists at seed scale).
-	nw.allPrefixes = make(map[uint32][]netx.Prefix, len(w.allPrefixes))
-	for asn, ps := range w.allPrefixes {
-		nw.allPrefixes[asn] = ps[:len(ps):len(ps)]
-	}
-	w.origMu.Lock()
-	nw.origTab = w.origTab
-	w.origMu.Unlock()
 	if len(w.failedRPs) > 0 {
 		nw.failedRPs = make(map[rpki.RIR]bool, len(w.failedRPs))
 		for r, v := range w.failedRPs {
@@ -100,8 +85,7 @@ func (w *World) FailedRPs() []rpki.RIR {
 func (w *World) ROAVisibilityLag() time.Duration { return w.roaLag }
 
 // mutated records one absorbed mutation and invalidates every cached
-// view and the origination table: the next At and OriginationsAt see
-// the mutated world.
+// view: the next At sees the mutated world.
 func (w *World) mutated() {
 	w.viewMu.Lock()
 	w.mutations++
@@ -109,16 +93,15 @@ func (w *World) mutated() {
 	w.views = nil
 	w.viewDates = nil
 	w.viewMu.Unlock()
-	w.origMu.Lock()
-	w.origTab = nil
-	w.origMu.Unlock()
 }
 
 // AddOrigination makes asn additionally announce p (a scenario
 // announcement: a hijack, or a Reuter-style anchor prefix). The
 // announcement is active from the beginning of time — no churn window —
 // and appears in OriginationsAt and datasets built afterwards. The AS
-// must exist in the graph.
+// must exist in the graph. The world's table is shared with its base
+// or forks, so the next read copies it once, with every origination
+// added since, into a table of this world's own.
 func (w *World) AddOrigination(asn uint32, p netx.Prefix) error {
 	if w.Graph.AS(asn) == nil {
 		return fmt.Errorf("synth: AddOrigination AS%d: no such AS", asn)
@@ -126,16 +109,15 @@ func (w *World) AddOrigination(asn uint32, p netx.Prefix) error {
 	if !p.IsValid() {
 		return fmt.Errorf("synth: AddOrigination AS%d: invalid prefix", asn)
 	}
-	cur := w.allPrefixes[asn]
-	for _, q := range cur {
-		if q == p {
-			return nil // already announced; idempotent
-		}
+	og := astopo.Origination{Prefix: p, Origin: asn}
+	w.origMu.Lock()
+	at, added := slices.BinarySearchFunc(w.origAdd, og, compareOriginations)
+	if added || w.origTab.has(og) {
+		w.origMu.Unlock()
+		return nil // already announced; idempotent
 	}
-	// Capacity-clamped append: never grows into shared backing storage.
-	next := append(cur[:len(cur):len(cur)], p)
-	sort.Slice(next, func(i, j int) bool { return next[i].Compare(next[j]) < 0 })
-	w.allPrefixes[asn] = next
+	w.origAdd = slices.Insert(w.origAdd, at, og)
+	w.origMu.Unlock()
 	w.mutated()
 	return nil
 }

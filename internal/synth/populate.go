@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -248,10 +247,7 @@ func (w *World) populateAS(rng *rand.Rand, info *asInfo, alloc *allocator, irrDB
 
 	// Announce.
 	for _, plan := range plans {
-		if err := w.Graph.Originate(info.asn, plan.prefix); err != nil {
-			return err
-		}
-		w.allPrefixes[info.asn] = append(w.allPrefixes[info.asn], plan.prefix)
+		w.origTab.rows = append(w.origTab.rows, astopo.Origination{Prefix: plan.prefix, Origin: info.asn})
 	}
 
 	// Realize RPKI state through real signed objects.
@@ -266,32 +262,37 @@ func (w *World) populateAS(rng *rand.Rand, info *asInfo, alloc *allocator, irrDB
 	return nil
 }
 
-// addChurn creates the §8.5 conformance-stability churn after every AS
-// has announced: a small fraction of networks temporarily mis-originate a
-// more-specific of some *other* network's space (a short-lived leak) for
-// part of the February–May window of the final study year. The leaked
-// pair is RPKI/IRR-invalid against the victim's registrations, so the
-// leaker's Action 4 conformance dips in the snapshots the window covers.
-func (w *World) addChurn(rng *rand.Rand, infos []*asInfo) {
-	var announcers []*asInfo
-	for _, info := range infos {
-		if len(w.allPrefixes[info.asn]) > 0 {
-			announcers = append(announcers, info)
+// addChurn draws the §8.5 conformance-stability churn after every AS
+// has announced: a small fraction of networks temporarily mis-originate
+// a more-specific of some *other* network's space (a short-lived leak)
+// for part of the February–May window of the final study year. The
+// leaked pair is RPKI/IRR-invalid against the victim's registrations,
+// so the leaker's Action 4 conformance dips in the snapshots the window
+// covers. It returns each leak's window; the generated rows, each AS's
+// together in AS order, are left as they are.
+func (w *World) addChurn(rng *rand.Rand) map[astopo.Origination]window {
+	// Each announcing AS's first announcement, in AS order.
+	rows := w.origTab.rows
+	var firsts []astopo.Origination
+	for i, og := range rows {
+		if i == 0 || og.Origin != rows[i-1].Origin {
+			firsts = append(firsts, og)
 		}
 	}
-	if len(announcers) < 2 {
-		return
+	if len(firsts) < 2 {
+		return nil
 	}
 	year := w.Config.EndYear
-	for _, info := range announcers {
+	churn := make(map[astopo.Origination]window)
+	for _, leaker := range firsts {
 		if rng.Float64() >= 0.02 {
 			continue
 		}
-		victim := announcers[rng.Intn(len(announcers))]
-		if victim == info {
+		victim := firsts[rng.Intn(len(firsts))]
+		if victim.Origin == leaker.Origin {
 			continue
 		}
-		base := w.allPrefixes[victim.asn][0]
+		base := victim.Prefix
 		if base.Bits()+2 > 28 {
 			continue
 		}
@@ -299,15 +300,12 @@ func (w *World) addChurn(rng *rand.Rand, infos []*asInfo) {
 		if err != nil {
 			continue
 		}
-		if err := w.Graph.Originate(info.asn, extra); err != nil {
-			continue
-		}
-		w.allPrefixes[info.asn] = append(w.allPrefixes[info.asn], extra)
-		w.prefixWindows[astopo.Origination{Prefix: extra, Origin: info.asn}] = window{
+		churn[astopo.Origination{Prefix: extra, Origin: leaker.Origin}] = window{
 			from: time.Date(year, 2, 10, 0, 0, 0, 0, time.UTC).Add(time.Duration(rng.Intn(20)) * 24 * time.Hour),
 			to:   time.Date(year, 3, 15, 0, 0, 0, 0, time.UTC).Add(time.Duration(rng.Intn(30)) * 24 * time.Hour),
 		}
 	}
+	return churn
 }
 
 func (w *World) choosePrefixes(rng *rand.Rand, info *asInfo, block netx.Prefix) []netx.Prefix {
@@ -609,125 +607,6 @@ func (w *World) pickVantagePoints(rng *rand.Rand, infos []*asInfo) {
 			break
 		}
 		w.VantagePoints = append(w.VantagePoints, mediums[i])
-	}
-}
-
-// active reports whether the origination og is announced at time t.
-func (w *World) active(og astopo.Origination, t time.Time) bool {
-	wd, ok := w.prefixWindows[og]
-	return !ok || wd.covers(t)
-}
-
-// covers reports whether t falls in the window [from, to).
-func (wd window) covers(t time.Time) bool { return !t.Before(wd.from) && t.Before(wd.to) }
-
-// originTable is every origination the world announces at some date,
-// sorted by (origin, prefix), and the rows among them that churn: what
-// OriginationsAt filters. It is immutable once built.
-type originTable struct {
-	rows  []astopo.Origination
-	churn []churnRow // ascending by row
-}
-
-// churnRow is a row announced only inside its window.
-type churnRow struct {
-	row int
-	window
-}
-
-// originations returns the world's origination table, building it on
-// first use after generation or the last mutation.
-func (w *World) originations() *originTable {
-	w.origMu.Lock()
-	defer w.origMu.Unlock()
-	if w.origTab != nil {
-		return w.origTab
-	}
-	asns := make([]uint32, 0, len(w.allPrefixes))
-	n := 0
-	for asn, ps := range w.allPrefixes {
-		asns = append(asns, asn)
-		n += len(ps)
-	}
-	slices.Sort(asns)
-	tab := &originTable{rows: make([]astopo.Origination, 0, n)}
-	for _, asn := range asns {
-		start := len(tab.rows)
-		for _, p := range w.allPrefixes[asn] {
-			tab.rows = append(tab.rows, astopo.Origination{Prefix: p, Origin: asn})
-		}
-		// Arena-carved prefix lists are already in prefix order; only
-		// sort rows that need it (seed-scale random sampling).
-		row := tab.rows[start:]
-		byPrefix := func(a, b astopo.Origination) int { return a.Prefix.Compare(b.Prefix) }
-		if !slices.IsSortedFunc(row, byPrefix) {
-			slices.SortFunc(row, byPrefix)
-		}
-	}
-	for i, og := range tab.rows {
-		if wd, ok := w.prefixWindows[og]; ok {
-			tab.churn = append(tab.churn, churnRow{row: i, window: wd})
-		}
-	}
-	w.origTab = tab
-	return tab
-}
-
-// OriginationsAt returns the announcements active at time t as an
-// immutable point-in-time view, without touching the graph. The ordering
-// matches Graph.Originations (ascending origin, then prefix), so a
-// dataset built from this view is identical to one built after
-// SetSnapshot(t). It filters the world's origination table: the runs
-// between churn rows inactive at t are copied whole, into a slice of
-// exactly the result's size.
-func (w *World) OriginationsAt(t time.Time) []astopo.Origination {
-	tab := w.originations()
-	gone := 0
-	for _, c := range tab.churn {
-		if !c.covers(t) {
-			gone++
-		}
-	}
-	out := make([]astopo.Origination, 0, len(tab.rows)-gone)
-	from := 0
-	for _, c := range tab.churn {
-		if !c.covers(t) {
-			out = append(out, tab.rows[from:c.row]...)
-			from = c.row + 1
-		}
-	}
-	return append(out, tab.rows[from:]...)
-}
-
-// SetSnapshot restricts every AS's announced prefixes to those active at
-// t (the §8.5 churn windows). It mutates the graph in place and exists
-// for tools that need the Graph itself rewound (the synthgen MRT
-// writer); the analysis path uses the immutable OriginationsAt / At
-// views instead and never calls it.
-func (w *World) SetSnapshot(t time.Time) {
-	for asn, all := range w.allPrefixes {
-		a := w.Graph.AS(asn)
-		if a == nil {
-			continue
-		}
-		// Share the full list (at ScaleLarge, the arena view) unless some
-		// prefix is actually windowed out — copying every AS's list would
-		// duplicate the whole arena.
-		active := all
-		for i, p := range all {
-			if w.active(astopo.Origination{Prefix: p, Origin: asn}, t) {
-				continue
-			}
-			cp := append(all[:0:0], all[:i]...)
-			for _, q := range all[i+1:] {
-				if w.active(astopo.Origination{Prefix: q, Origin: asn}, t) {
-					cp = append(cp, q)
-				}
-			}
-			active = cp
-			break
-		}
-		a.Prefixes = active
 	}
 }
 

@@ -150,9 +150,10 @@ func NewConfig(seed int64) Config {
 const studyStartYear = 2015
 
 // Preset returns the named world scale for seed, the one vocabulary of
-// every command's -scale flag: "small" (774 ASes, the quick world the
-// examples and smoke tests use), "full" (NewConfig, ~9.3k ASes) or
-// "large" (NewLargeConfig, ~75k ASes).
+// every command's -scale flag: "small" (~800 ASes, the quick world the
+// examples and smoke tests use: 774 configured plus the sibling ASes of
+// multi-AS organizations, 797 at seed 1), "full" (NewConfig, ~9.3k
+// ASes) or "large" (NewLargeConfig, ~75k ASes).
 func Preset(name string, seed int64) (Config, error) {
 	switch name {
 	case "small":
@@ -171,8 +172,10 @@ func Preset(name string, seed int64) (Config, error) {
 // World is the generated ecosystem plus everything the analysis needs.
 type World struct {
 	Config Config
-	Graph  *astopo.Graph
-	MANRS  *manrs.Registry
+	// Graph is the topology only: who announces what is the origination
+	// table's (OriginationsAt).
+	Graph *astopo.Graph
+	MANRS *manrs.Registry
 	// Anchors holds the five RIR trust-anchor CAs; Repo the published
 	// certificates and ROAs.
 	Anchors map[rpki.RIR]*rpki.CA
@@ -193,22 +196,13 @@ type World struct {
 	// the RIB dump's date in a world LoadFiles read.
 	asOf time.Time
 
-	// arena backs every AS's prefix list at ScaleLarge: one flat slice,
-	// with per-AS index ranges published as capacity-clamped views
-	// (shared by allPrefixes and the Graph). Nil for seed-scale worlds.
-	arena []netx.Prefix
-
-	// prefixWindows lists originations active only part of the study
-	// window (conformance-stability churn, §8.5). Missing means always.
-	prefixWindows map[astopo.Origination]window
-	// allPrefixes remembers each AS's full prefix list so snapshots can
-	// re-derive the active set.
-	allPrefixes map[uint32][]netx.Prefix
-	// origTab is allPrefixes and prefixWindows as one sorted table,
-	// built on the first OriginationsAt and dropped by every mutation;
-	// origMu guards the pointer. Forks share it until they mutate.
+	// origTab is the one record of who announces what (see
+	// originTable); origAdd holds what AddOrigination added since, sorted,
+	// until the next read merges it in. origMu guards both. Forks share
+	// the table.
 	origMu  sync.Mutex
 	origTab *originTable
+	origAdd []astopo.Origination
 
 	// viewMu guards the per-date views At hands out. Views are immutable,
 	// so cached values are shared across callers.
@@ -245,8 +239,6 @@ type World struct {
 	roaLag time.Duration
 }
 
-type window struct{ from, to time.Time }
-
 // sigMemoObjectFactor caps a world's signature-verdict memo at this many
 // verdicts per object the world published at generation. A run checks
 // about one signature per object, so the generated world fills a
@@ -276,17 +268,16 @@ func Generate(cfg Config) (*World, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &World{
-		Config:        cfg,
-		Graph:         astopo.NewGraph(),
-		MANRS:         manrs.NewRegistry(),
-		Anchors:       make(map[rpki.RIR]*rpki.CA),
-		Repo:          &rpki.Repository{},
-		IRRRegistry:   irr.NewRegistry(),
-		Policies:      make(map[uint32]ihr.Policy),
-		OrgASNs:       make(map[string][]uint32),
-		PeeringDB:     peeringdb.NewRegistry(),
-		prefixWindows: make(map[astopo.Origination]window),
-		allPrefixes:   make(map[uint32][]netx.Prefix),
+		Config:      cfg,
+		Graph:       astopo.NewGraph(),
+		MANRS:       manrs.NewRegistry(),
+		Anchors:     make(map[rpki.RIR]*rpki.CA),
+		Repo:        &rpki.Repository{},
+		IRRRegistry: irr.NewRegistry(),
+		Policies:    make(map[uint32]ihr.Policy),
+		OrgASNs:     make(map[string][]uint32),
+		PeeringDB:   peeringdb.NewRegistry(),
+		origTab:     &originTable{},
 	}
 
 	// RPKI trust anchors: RIR r owns the /5 starting at (16 + 8r).0.0.0.
@@ -336,11 +327,10 @@ func Generate(cfg Config) (*World, error) {
 	// the signers before the world is handed out.
 	signed := make(chan error, 1)
 	go func() { signed <- w.signRepository() }()
-	w.addChurn(rng, infos)
+	w.origTab = newOriginTable(w.origTab.rows, w.addChurn(rng))
 	w.assignPolicies(rng, infos)
 	w.populateContacts(rng, infos)
 	w.pickVantagePoints(rng, infos)
-	w.SetSnapshot(w.Date(cfg.EndYear))
 	if err := <-signed; err != nil {
 		return nil, err
 	}
@@ -351,11 +341,7 @@ func Generate(cfg Config) (*World, error) {
 	// about one per origin (a quarter of the cap on a 1.8k-AS seed-layout
 	// world), so every date fits with room for the keys scenario forks
 	// add; past the cap new keys flood on every build.
-	announced := 0
-	for _, ps := range w.allPrefixes {
-		announced += len(ps)
-	}
-	w.templates = ihr.NewTemplates(ihr.Config{Graph: w.Graph, Policies: w.Policies, VantagePoints: w.VantagePoints}, announced)
+	w.templates = ihr.NewTemplates(ihr.Config{Graph: w.Graph, Policies: w.Policies, VantagePoints: w.VantagePoints}, len(w.origTab.rows))
 	w.fingerprint = w.computeFingerprint()
 	return w, nil
 }

@@ -186,28 +186,27 @@ func TestDatasetAtProducesAllStatuses(t *testing.T) {
 	}
 }
 
+// Every §8.5 leak opens on or after February 10 of the final study
+// year and closes before May 1, so February 1 and the headline
+// announce exactly the table's rows outside churn, and 10 March more.
 func TestSnapshotChurn(t *testing.T) {
 	w := generate(t, 5)
-	if len(w.prefixWindows) == 0 {
+	tab := w.originations()
+	if len(tab.churn) == 0 {
 		t.Skip("no churn windows at this seed/scale")
 	}
 	feb := time.Date(2022, 2, 1, 0, 0, 0, 0, time.UTC)
 	may := w.Date(2022)
-	w.SetSnapshot(feb)
-	febCount := len(w.Graph.Originations())
-	w.SetSnapshot(may)
-	mayCount := len(w.Graph.Originations())
-	// Windows close before May, so the active set differs between dates
-	// whenever any window opens after Feb 1 (true for all generated
-	// windows: they start Feb 10 or later).
-	if febCount == mayCount+0 && len(w.prefixWindows) > 0 {
-		// The windows all open after Feb 1 and close before May 1, so
-		// February must not contain MORE active prefixes than May minus
-		// windows. Check the sum instead.
-		t.Logf("feb=%d may=%d windows=%d", febCount, mayCount, len(w.prefixWindows))
+	for _, c := range tab.churn {
+		if c.from.Before(feb.AddDate(0, 0, 9)) || !c.to.Before(may) || !c.from.Before(c.to) {
+			t.Errorf("row %d (%v): window %v–%v outside 10 February–1 May", c.row, tab.rows[c.row], c.from, c.to)
+		}
 	}
-	if mayCount+len(w.prefixWindows) < febCount {
-		t.Errorf("snapshot accounting broken: feb=%d may=%d windows=%d", febCount, mayCount, len(w.prefixWindows))
+	steady := len(tab.rows) - len(tab.churn)
+	_, midChurn := snapshotDates(w)
+	febCount, mayCount, midCount := len(w.OriginationsAt(feb)), len(w.OriginationsAt(may)), len(w.OriginationsAt(midChurn))
+	if febCount != steady || mayCount != steady || midCount <= steady {
+		t.Errorf("feb=%d may=%d mid-churn=%d originations; want %d, %d and more than %d", febCount, mayCount, midCount, steady, steady, steady)
 	}
 }
 

@@ -3,7 +3,6 @@ package synth
 import (
 	"context"
 	"errors"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -208,85 +207,5 @@ func TestTemplateReusesCountedOnSecondDate(t *testing.T) {
 	floods2, reuses2 := templateCounters()
 	if reuses2 == reuses1 || floods2-floods1 >= floods1-floods0 {
 		t.Fatalf("second date: %d floods, %d reuses; first date flooded %d", floods2-floods1, reuses2-reuses1, floods1-floods0)
-	}
-}
-
-// mapOriginationsAt derives OriginationsAt without the origination
-// table, as its oracle: per AS in ASN order, each prefix looked up in
-// the churn-window map, each AS's active rows sorted.
-func mapOriginationsAt(w *World, t time.Time) []astopo.Origination {
-	var asns []uint32
-	for asn := range w.allPrefixes {
-		asns = append(asns, asn)
-	}
-	slices.Sort(asns)
-	var out []astopo.Origination
-	for _, asn := range asns {
-		start := len(out)
-		for _, p := range w.allPrefixes[asn] {
-			og := astopo.Origination{Prefix: p, Origin: asn}
-			if wd, ok := w.prefixWindows[og]; !ok || (!t.Before(wd.from) && t.Before(wd.to)) {
-				out = append(out, og)
-			}
-		}
-		slices.SortFunc(out[start:], func(a, b astopo.Origination) int { return a.Prefix.Compare(b.Prefix) })
-	}
-	return out
-}
-
-// churnBoundaries lists every instant at which some origination starts
-// or stops, with the instants just before, plus the study's first and
-// last dates.
-func churnBoundaries(w *World) []time.Time {
-	dates := []time.Time{w.Date(w.Config.StartYear), w.Date(w.Config.EndYear)}
-	for _, wd := range w.prefixWindows {
-		for _, at := range []time.Time{wd.from, wd.to} {
-			dates = append(dates, at.Add(-time.Nanosecond), at, at.Add(time.Nanosecond))
-		}
-	}
-	return dates
-}
-
-// OriginationsAt filters a sorted table instead of looking each prefix
-// up in the window map; at every instant where the answer can change,
-// in both layouts, on the base and on a fork whose table was built
-// before AddOrigination, both derivations agree, and the result is
-// exactly sized.
-func TestOriginationsAtMatchesMapDerivation(t *testing.T) {
-	check := func(w *World, dates []time.Time) {
-		t.Helper()
-		for _, at := range dates {
-			got, want := w.OriginationsAt(at), mapOriginationsAt(w, at)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%q at %v: %d originations, the map derivation %d", w.Scenario(), at, len(got), len(want))
-			}
-			if cap(got) != len(got) {
-				t.Fatalf("%q at %v: %d originations in a slice of capacity %d", w.Scenario(), at, len(got), cap(got))
-			}
-		}
-	}
-	for _, cfg := range []Config{testConfig(11), miniLargeConfig(3)} {
-		w, err := Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(w.prefixWindows) == 0 {
-			t.Fatalf("scale %v: no churn windows to cross", cfg.Scale)
-		}
-		dates := churnBoundaries(w)
-		check(w, dates)
-
-		f := w.Fork("hijack")
-		check(f, dates) // the fork's table is the base's
-		origs := w.OriginationsAt(w.Date(w.Config.EndYear))
-		victim, hijacker := origs[0], origs[len(origs)-1].Origin
-		if err := f.AddOrigination(hijacker, victim.Prefix); err != nil {
-			t.Fatal(err)
-		}
-		check(f, dates)
-		if got, base := len(f.OriginationsAt(dates[1])), len(w.OriginationsAt(dates[1])); got != base+1 {
-			t.Fatalf("fork after AddOrigination: %d originations, base %d", got, base)
-		}
-		check(w, dates)
 	}
 }

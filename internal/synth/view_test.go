@@ -260,23 +260,6 @@ func TestAdoptServesWithoutBuilding(t *testing.T) {
 	}
 }
 
-// Building a dataset reads the immutable snapshot views and never
-// rewinds the graph.
-func TestDatasetLeavesGraphIntact(t *testing.T) {
-	w := generate(t, 12)
-	headline, midChurn := snapshotDates(w)
-	before := w.Graph.Originations()
-	datasetAt(t, w, midChurn)
-	if after := w.Graph.Originations(); !reflect.DeepEqual(before, after) {
-		t.Fatalf("the build mutated the graph: %d originations before, %d after", len(before), len(after))
-	}
-	// The mid-churn view must actually differ from the headline one,
-	// otherwise this test exercises nothing.
-	if reflect.DeepEqual(w.OriginationsAt(headline), w.OriginationsAt(midChurn)) {
-		t.Error("fixture has no churn between the headline and mid-churn dates")
-	}
-}
-
 // Snapshot builds, scenario runs and Stability ask for the same date at
 // once, on a base world and on forks that write the same signature
 // memo, and name their world while they do. Every caller of one world

@@ -24,8 +24,9 @@
 #            in-process handler must answer byte-for-byte alike with
 #            zero failed requests
 #   forks  — ten more race passes of concurrent VRPsAt and concurrent
-#            World.At on a base world and two forks (synth), since one
-#            pass seldom interleaves the same way twice
+#            World.At on a base world and two forks (synth), and of a
+#            fork's WriteFiles beside its base's Figure 4 (core), since
+#            one pass seldom interleaves the same way twice
 #   oracle — the bench's build oracles (`go run ./bench --workload
 #            build.weekly`, then `build.topology`): snapshot digests
 #            equal across ops and worker counts, and a warm-started
@@ -58,7 +59,8 @@
 #            its health trailer counts 17 sections, all ok, under the
 #            section table's names (fig2-growth); then write a small
 #            world with synthgen -out and run manrs-report -data over
-#            it: 17 sections ok, exactly five of them skip lines
+#            it: 17 sections ok, exactly five of them skip lines; and
+#            -data beside -seed must exit non-zero naming the flag
 #   admin  — end-to-end smoke of the observability endpoint: start a
 #            collector with -admin, curl /healthz and /metrics, and
 #            assert the expected metric families are exposed; SIGTERM
@@ -155,7 +157,8 @@ bench_oracle query.gateway
 
 echo "==> concurrent dates and forks (-race, x10)"
 # One pass seldom interleaves the same way twice.
-go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$|^TestAtConcurrentBaseAndForks$' ./internal/synth
+go test -race -count=10 -run '^TestVRPsAtConcurrentDatesAndForks$|^TestAtConcurrentBaseAndForks$|^TestFig4IsolatedFromForksAndWriteFiles$|^TestFig4ConcurrentWithForkWriteFiles$' \
+    ./internal/synth ./internal/core
 
 echo "==> build oracle (bench build.weekly: digests equal across ops and worker counts, warm start answers like the builder)"
 bench_oracle build.weekly
@@ -259,6 +262,12 @@ SKIPS="$(grep -c ' skipped (needs more than the archive files hold)$' "$TMPDIR_S
 if ! grep -q '^health: sections=17 ok=17 ' "$TMPDIR_SMOKE/report-data.txt" || [ "$SKIPS" != 5 ]; then
     echo "report smoke: -data run wants 17 sections ok and 5 skip lines, got $SKIPS skips:" >&2
     grep '^health\| skipped ' "$TMPDIR_SMOKE/report-data.txt" >&2 || true
+    exit 1
+fi
+if "$TMPDIR_SMOKE/manrs-report" -data "$TMPDIR_SMOKE/world" -seed 2 >/dev/null 2>"$TMPDIR_SMOKE/report-data-seed.err" ||
+    ! grep -q -- '-seed does not apply to -data' "$TMPDIR_SMOKE/report-data-seed.err"; then
+    echo "report smoke: -data beside -seed must exit non-zero naming -seed:" >&2
+    cat "$TMPDIR_SMOKE/report-data-seed.err" >&2
     exit 1
 fi
 
